@@ -17,8 +17,7 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .arbitrage import ProfitBreakdown
-from .traces import TokenId
+from .records import ArbitrageRecord
 
 
 class EmptyMarketError(ValueError):
@@ -85,14 +84,12 @@ def market_share(
 # profit matrix and proposer split
 
 
-def profit_matrix(cycles: Iterable[tuple[str, ProfitBreakdown]]) -> dict[tuple[str, str], Fraction]:
-    """Sum USD profit per (brand, token) cell; breakdowns must carry usd_value."""
+def profit_matrix(records: Iterable[ArbitrageRecord]) -> dict[tuple[str, str], Fraction]:
+    """Sum net USD profit per (brand, token) cell."""
     matrix: dict[tuple[str, str], Fraction] = {}
-    for brand, breakdown in cycles:
-        if breakdown.usd_value is None:
-            raise ValueError("profit_matrix needs USD-normalized breakdowns")
-        key = (brand, breakdown.base_token.symbol)
-        matrix[key] = matrix.get(key, Fraction(0)) + breakdown.usd_value
+    for record in records:
+        key = (record.builder_brand, record.base_token)
+        matrix[key] = matrix.get(key, Fraction(0)) + record.usd_value
     return matrix
 
 
@@ -100,13 +97,6 @@ def matrix_token_totals(matrix: Mapping[tuple[str, str], Fraction]) -> dict[str,
     totals: dict[str, Fraction] = {}
     for (_brand, token), usd in matrix.items():
         totals[token] = totals.get(token, Fraction(0)) + usd
-    return totals
-
-
-def matrix_brand_totals(matrix: Mapping[tuple[str, str], Fraction]) -> dict[str, Fraction]:
-    totals: dict[str, Fraction] = {}
-    for (brand, _token), usd in matrix.items():
-        totals[brand] = totals.get(brand, Fraction(0)) + usd
     return totals
 
 
@@ -125,22 +115,18 @@ class ProposerSplit:
     payout_fraction: Fraction
 
 
-def proposer_split(
-    cycles: Iterable[tuple[str, ProfitBreakdown]],
-    price_table: Mapping[str, Fraction],
-) -> dict[str, ProposerSplit]:
-    """Per brand: dollars kept vs dollars paid onward, and the payout fraction
-    paid / (paid + kept)."""
+def proposer_split(records: Iterable[ArbitrageRecord]) -> dict[str, ProposerSplit]:
+    """Per brand: dollars kept (net) vs dollars paid onward (share), and the
+    payout fraction paid / (paid + kept)."""
     paid: dict[str, Fraction] = {}
     kept: dict[str, Fraction] = {}
-    for brand, b in cycles:
-        price = Fraction(price_table[b.base_token.symbol])
-        scale = price / 10**b.base_token.decimals
-        paid[brand] = paid.get(brand, Fraction(0)) + b.share * scale
-        kept[brand] = kept.get(brand, Fraction(0)) + b.net * scale
+    for record in records:
+        brand = record.builder_brand
+        paid[brand] = paid.get(brand, Fraction(0)) + record.share_usd
+        kept[brand] = kept.get(brand, Fraction(0)) + record.usd_value
     out: dict[str, ProposerSplit] = {}
-    for brand in sorted(set(paid) | set(kept)):
-        p, n = paid.get(brand, Fraction(0)), kept.get(brand, Fraction(0))
+    for brand in sorted(paid):
+        p, n = paid[brand], kept[brand]
         fraction = p / (p + n) if (p + n) != 0 else Fraction(0)
         out[brand] = ProposerSplit(kept_usd=n, paid_usd=p, payout_fraction=fraction)
     return out
@@ -269,20 +255,20 @@ def pathlen_profit_correlation(points: Iterable[tuple]) -> float:
 
 @dataclass(frozen=True)
 class RiskScore:
-    token: TokenId
+    symbol: str
     freezable: int
     custodial: int
     external_chain: int
     score: Fraction
 
 
-def risk_score(token: TokenId, freezable: int, custodial: int, external_chain: int) -> RiskScore:
+def risk_score(symbol: str, freezable: int, custodial: int, external_chain: int) -> RiskScore:
     """Average of three binary intervention-risk features, in [0, 1]."""
     bits = (freezable, custodial, external_chain)
     if any(b not in (0, 1) for b in bits):
         raise ValueError("risk features must be 0 or 1")
     return RiskScore(
-        token=token,
+        symbol=symbol,
         freezable=freezable,
         custodial=custodial,
         external_chain=external_chain,

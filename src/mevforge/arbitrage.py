@@ -12,7 +12,7 @@ Everything here is a pure function over immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -85,15 +85,14 @@ def extract_arbitrage_cycle(tx: Transaction) -> Optional[ArbitrageCycle]:
 @dataclass(frozen=True)
 class ProfitBreakdown:
     """Profit components of one cycle, in base-token units except gas_cost
-    (wei) and usd_value (dollars).  net = gross - share - gas-in-base-units
-    holds exactly; gross may be negative for losing cycles."""
+    (wei).  net = gross - share - gas-in-base-units holds exactly; gross may
+    be negative for losing cycles."""
 
     base_token: TokenId
     gross: int
     share: int
     gas_cost: int
     net: int
-    usd_value: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
         if self.share < 0 or self.gas_cost < 0:
@@ -161,17 +160,13 @@ def attribute_profit(
     )
 
 
-def to_usd(breakdown: ProfitBreakdown, price_table: Mapping[str, Fraction]) -> Fraction:
-    """Dollar value of the net profit; never silently zero on a missing price."""
-    symbol = breakdown.base_token.symbol
-    if symbol not in price_table:
-        raise MissingPriceError(f"no price for {symbol}")
-    price = Fraction(price_table[symbol])
-    return Fraction(breakdown.net) * price / 10**breakdown.base_token.decimals
-
-
-def with_usd(breakdown: ProfitBreakdown, price_table: Mapping[str, Fraction]) -> ProfitBreakdown:
-    return replace(breakdown, usd_value=to_usd(breakdown, price_table))
+def to_usd(amount: int, token: TokenId, price_table: Mapping[str, Fraction]) -> Fraction:
+    """Dollar value of `amount` base units of `token`; never silently zero
+    on a missing price."""
+    if token.symbol not in price_table:
+        raise MissingPriceError(f"no price for {token.symbol}")
+    price = Fraction(price_table[token.symbol])
+    return Fraction(amount) * price / 10**token.decimals
 
 
 def profit_to_fee_ratio(breakdown: ProfitBreakdown) -> Optional[Fraction]:

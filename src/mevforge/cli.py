@@ -9,6 +9,7 @@ Set MEVFORGE_LOG to control verbosity (DEBUG/INFO/WARNING/ERROR).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -27,7 +28,6 @@ from .config import BLOCK_INTERVAL_S, ConfigFileError, RunConfig, load_config
 from .traces import (
     LabelSet,
     ParseStats,
-    TokenId,
     TraceParseError,
     format_hash,
     iter_transactions,
@@ -78,7 +78,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 brand = label.brand if label else "Unknown"
                 try:
                     breakdown = attribute_profit(tx, cycle, config.share_addresses, config.price_table)
-                    usd = to_usd(breakdown, config.price_table)
+                    usd_value = to_usd(breakdown.net, cycle.base_token, config.price_table)
+                    share_usd = to_usd(breakdown.share, cycle.base_token, config.price_table)
                 except MissingPriceError as exc:
                     errors_rows.append((format_hash(tx.hash), str(exc)))
                     continue
@@ -92,7 +93,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
                     share=breakdown.share,
                     gas=breakdown.gas_in_base_units,
                     net=breakdown.net,
-                    usd_value=usd,
+                    usd_value=usd_value,
+                    share_usd=share_usd,
                     timestamp_utc=records.timestamp_for_block(tx.block_number, config.genesis_unix, BLOCK_INTERVAL_S),
                 )
                 emitted += 1
@@ -107,9 +109,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     if errors:
         with open(out / "errors.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("tx_hash,error\n")
-            for tx_hash, message in errors:
-                fh.write(f"{tx_hash},{message}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["tx_hash", "error"])
+            writer.writerows(errors)
     else:
         (out / "errors.csv").unlink(missing_ok=True)
     log.info("extract: %d records, %d non-cycles skipped, %d unknown events", emitted, skipped, stats.unknown_events)
@@ -160,29 +162,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         reports.write_text(out / "shares.csv", lambda fh: fh.write("brand,blocks,validators,share_pct\n"))
 
-    matrix: dict[tuple[str, str], Fraction] = {}
-    for row in rows:
-        key = (row.builder_brand, row.base_token)
-        matrix[key] = matrix.get(key, Fraction(0)) + row.usd_value
+    matrix = analytics.profit_matrix(rows)
     reports.write_text(out / "profit_matrix.csv", lambda fh: reports.write_profit_matrix(fh, matrix))
-
-    # proposer split in USD, converting base-unit share/net per token
-    paid: dict[str, Fraction] = {}
-    kept: dict[str, Fraction] = {}
-    missing_prices: set[str] = set()
-    for row in rows:
-        price = config.price_table.get(row.base_token)
-        if price is None:
-            missing_prices.add(row.base_token)
-            continue
-        scale = price / 10 ** config.decimals.get(row.base_token, 18)
-        paid[row.builder_brand] = paid.get(row.builder_brand, Fraction(0)) + row.share * scale
-        kept[row.builder_brand] = kept.get(row.builder_brand, Fraction(0)) + row.net * scale
-    splits = {}
-    for brand in sorted(set(paid) | set(kept)):
-        p, n = paid.get(brand, Fraction(0)), kept.get(brand, Fraction(0))
-        fraction = p / (p + n) if (p + n) != 0 else Fraction(0)
-        splits[brand] = analytics.ProposerSplit(kept_usd=n, paid_usd=p, payout_fraction=fraction)
+    splits = analytics.proposer_split(rows)
     reports.write_text(out / "proposer_split.csv", lambda fh: reports.write_proposer_split(fh, splits))
 
     complexity = analytics.path_complexity(row.hop_count for row in rows)
@@ -210,20 +192,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             continue
     reports.write_text(out / "trends.csv", lambda fh: reports.write_trends(fh, trends))
 
-    scores = []
-    seen_tokens = sorted({row.base_token for row in rows})
-    placeholder = bytes(20)
-    for symbol in seen_tokens:
-        bits = config.risk_bits.get(symbol)
-        if bits is None:
-            continue
-        token = TokenId(symbol, placeholder, config.decimals.get(symbol, 18))
-        scores.append(analytics.risk_score(token, *bits))
+    scores = [
+        analytics.risk_score(symbol, *config.risk_bits[symbol])
+        for symbol in sorted({row.base_token for row in rows})
+        if symbol in config.risk_bits
+    ]
     reports.write_text(out / "risk_scores.csv", lambda fh: reports.write_risk_scores(fh, scores))
 
-    if missing_prices:
-        print(f"error: no price for {','.join(sorted(missing_prices))}", file=sys.stderr)
-        return 1
     print(f"analyzed={len(rows)} brands={len(blocks_by_brand)} reports={out}")
     return 0
 
@@ -308,34 +283,9 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
             fh.write(pools.dump_pool_file(fixture.pools))
         _write_manifest(out, fixture.manifest)
     elif args.kind == "records":
-        rows = fixtures.gen_record_rows(args.seed, args.count or 500)
-        import random as _random
-
-        rng = _random.Random(args.seed ^ 0x5EED)
-        recs = []
-        config = RunConfig()
-        for row in rows:
-            symbol = row["base_token"]
-            price = config.price_table[symbol]
-            decimals = config.decimals[symbol]
-            recs.append(
-                records.ArbitrageRecord(
-                    tx_hash=rng.getrandbits(256).to_bytes(32, "big"),
-                    block_number=row["block_number"],
-                    builder_brand=row["builder_brand"],
-                    base_token=symbol,
-                    hop_count=row["hop_count"],
-                    gross=row["gross"] * 10**decimals,
-                    share=row["share"] * 10**decimals,
-                    gas=0,
-                    net=(row["gross"] - row["share"]) * 10**decimals,
-                    usd_value=(row["gross"] - row["share"]) * price,
-                    timestamp_utc=records.timestamp_for_block(row["block_number"], 1_748_649_600, BLOCK_INTERVAL_S),
-                )
-            )
         with open(out / "records.csv", "w", encoding="utf-8", newline="") as fh:
-            records.write_records(fh, recs)
-        _write_manifest(out, {"kind": "records", "seed": args.seed, "rows": len(recs)})
+            count = records.write_records(fh, fixtures.gen_records(args.seed, args.count or 500))
+        _write_manifest(out, {"kind": "records", "seed": args.seed, "rows": count})
     elif args.kind == "scenario":
         for protocol in ("bsc_direct", "eth_relay"):
             name = "bsc_duopoly.json" if protocol == "bsc_direct" else "eth_duopoly.json"

@@ -2,9 +2,9 @@
 
 The config file is flat ``key = value`` lines with ``#`` comments.
 Recognized keys: ``share_addresses`` (comma-separated hex addresses),
-``price_table.<SYMBOL>`` (decimal dollars), ``decimals.<SYMBOL>``,
-``risk.<SYMBOL>`` (three comma-separated bits), ``k_hops``, ``alpha``,
-``genesis_unix`` and ``infer_pool_sinks``.
+``price_table.<SYMBOL>`` (decimal dollars), ``risk.<SYMBOL>`` (three
+comma-separated bits), ``alpha``, ``genesis_unix`` and ``infer_pool_sinks``.
+Token decimals come from the traces themselves, never from the config.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from .arbitrage import DEFAULT_SHARE_ADDRESS
 from .traces import parse_address
@@ -25,8 +24,6 @@ DEFAULT_PRICE_TABLE: dict[str, Fraction] = {
     "USD1": Fraction(1),
     "USDC": Fraction(1),
 }
-
-DEFAULT_DECIMALS: dict[str, int] = {"WBNB": 18, "USDT": 18, "USD1": 18, "USDC": 18}
 
 # (freezable, custodial, external_chain) defaults; override via risk.<SYM>
 DEFAULT_RISK_BITS: dict[str, tuple[int, int, int]] = {
@@ -47,20 +44,14 @@ class ConfigFileError(ValueError):
 class RunConfig:
     share_addresses: tuple[bytes, ...] = (DEFAULT_SHARE_ADDRESS,)
     price_table: dict[str, Fraction] = field(default_factory=lambda: dict(DEFAULT_PRICE_TABLE))
-    decimals: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_DECIMALS))
     risk_bits: dict[str, tuple[int, int, int]] = field(default_factory=lambda: dict(DEFAULT_RISK_BITS))
-    k_hops: int = 4
     alpha: Fraction = Fraction(1, 20)
-    seed: int = 0
     genesis_unix: int = 0
     infer_pool_sinks: bool = False
-    scenario_path: Optional[Path] = None
 
     def __post_init__(self) -> None:
         if any(p <= 0 for p in self.price_table.values()):
             raise ConfigFileError("price_table values must be positive")
-        if self.k_hops < 0:
-            raise ConfigFileError("k_hops must be non-negative")
         if not 0 < self.alpha < 1:
             raise ConfigFileError("alpha must be in (0, 1)")
 
@@ -77,7 +68,6 @@ def _parse_bool(text: str) -> bool:
 def load_config(path: str | Path) -> RunConfig:
     config = RunConfig()
     price_table = dict(config.price_table)
-    decimals = dict(config.decimals)
     risk_bits = dict(config.risk_bits)
     updates: dict = {}
     with open(path, encoding="utf-8") as fh:
@@ -95,19 +85,13 @@ def load_config(path: str | Path) -> RunConfig:
                     )
                 elif key.startswith("price_table."):
                     price_table[key.split(".", 1)[1]] = Fraction(value)
-                elif key.startswith("decimals."):
-                    decimals[key.split(".", 1)[1]] = int(value)
                 elif key.startswith("risk."):
                     bits = tuple(int(b.strip()) for b in value.split(","))
                     if len(bits) != 3 or any(b not in (0, 1) for b in bits):
                         raise ValueError("risk needs three 0/1 bits")
                     risk_bits[key.split(".", 1)[1]] = bits  # type: ignore[assignment]
-                elif key == "k_hops":
-                    updates["k_hops"] = int(value)
                 elif key == "alpha":
                     updates["alpha"] = Fraction(value)
-                elif key == "seed":
-                    updates["seed"] = int(value)
                 elif key == "genesis_unix":
                     updates["genesis_unix"] = int(value)
                 elif key == "infer_pool_sinks":
@@ -116,4 +100,4 @@ def load_config(path: str | Path) -> RunConfig:
                     raise ValueError(f"unknown key {key!r}")
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigFileError(f"line {line_no}: {exc}") from exc
-    return replace(config, price_table=price_table, decimals=decimals, risk_bits=risk_bits, **updates)
+    return replace(config, price_table=price_table, risk_bits=risk_bits, **updates)

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from .arbitrage import DEFAULT_SHARE_ADDRESS
+from .config import BLOCK_INTERVAL_S, DEFAULT_PRICE_TABLE
 from .pools import PoolKind, PoolState, Q96
+from .records import ArbitrageRecord, timestamp_for_block
 from .traces import (
     BuilderLabel,
     EventKind,
@@ -308,27 +311,35 @@ def gen_pool_fixture(seed: int, mispricing_pct: int = 5) -> PoolFixture:
 # record fixtures
 
 
-def gen_record_rows(seed: int, n_rows: int) -> list[dict]:
-    """Raw rows for synthetic analytics datasets (brand, token, profit)."""
+def gen_records(seed: int, n_rows: int) -> Iterator[ArbitrageRecord]:
+    """Synthetic analytics dataset: whole-token profits in the 18-decimal
+    majors, priced at the default price table."""
     rng = random.Random(seed)
+    hash_rng = random.Random(seed ^ 0x5EED)
     brands = ("48Club", "Blockrazor")
     symbols = ("WBNB", "USDT", "USD1", "USDC")
-    rows = []
+    unit = 10**18
+    genesis_unix = 1_748_649_600  # 2025-05-31T00:00:00Z
     block = 50_000_000
     for _ in range(n_rows):
         block += rng.randint(1, 40)
         gross = rng.randint(0, 10**6)
         share = rng.randint(0, gross) if gross else 0
-        rows.append(
-            {
-                "block_number": block,
-                "builder_brand": rng.choices(brands, weights=(4, 1))[0],
-                "base_token": rng.choice(symbols),
-                "hop_count": rng.choices((2, 3, 4, 5, 8), weights=(45, 30, 15, 7, 3))[0],
-                "gross": gross,
-                "share": share,
-                "gas": 0,
-                "net": gross - share,
-            }
+        brand = rng.choices(brands, weights=(4, 1))[0]
+        symbol = rng.choice(symbols)
+        hop_count = rng.choices((2, 3, 4, 5, 8), weights=(45, 30, 15, 7, 3))[0]
+        price = DEFAULT_PRICE_TABLE[symbol]
+        yield ArbitrageRecord(
+            tx_hash=_rand_hash(hash_rng),
+            block_number=block,
+            builder_brand=brand,
+            base_token=symbol,
+            hop_count=hop_count,
+            gross=gross * unit,
+            share=share * unit,
+            gas=0,
+            net=(gross - share) * unit,
+            usd_value=(gross - share) * price,
+            share_usd=share * price,
+            timestamp_utc=timestamp_for_block(block, genesis_unix, BLOCK_INTERVAL_S),
         )
-    return rows

@@ -3,7 +3,9 @@
 The file starts with a ``schema_version`` row so later alignment with an
 externally published schema stays detectable, then a header row, then one
 row per cycle.  The base-unit identity net = gross - share - gas must hold
-on every row and is revalidated on load.
+on every row and is revalidated on load.  The dollar columns (``usd_value``
+for net, ``share_usd`` for share) are fixed when the record is built, with
+the token's real decimals; analytics only sum them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import IO, Iterable, Iterator
 
 from .traces import format_hash, parse_tx_hash
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 _HEADER = [
     "tx_hash",
     "block_number",
@@ -28,6 +30,7 @@ _HEADER = [
     "gas",
     "net",
     "usd_value",
+    "share_usd",
     "timestamp_utc",
 ]
 
@@ -51,7 +54,8 @@ class ArbitrageRecord:
     share: int
     gas: int  # base units, already converted from wei
     net: int
-    usd_value: Fraction
+    usd_value: Fraction  # net in dollars
+    share_usd: Fraction  # share in dollars
     timestamp_utc: str
 
     def __post_init__(self) -> None:
@@ -100,6 +104,7 @@ def record_to_row(record: ArbitrageRecord) -> list[str]:
         str(record.gas),
         str(record.net),
         fraction_to_decimal(record.usd_value),
+        fraction_to_decimal(record.share_usd),
         record.timestamp_utc,
     ]
 
@@ -142,7 +147,8 @@ def iter_records(stream: IO[str]) -> Iterator[ArbitrageRecord]:
                 gas=int(row[7]),
                 net=int(row[8]),
                 usd_value=Fraction(row[9]),
-                timestamp_utc=row[10],
+                share_usd=Fraction(row[10]),
+                timestamp_utc=row[11],
             )
         except (ValueError, ZeroDivisionError) as exc:
             raise RecordSchemaError(row_no, str(exc)) from exc

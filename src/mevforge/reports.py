@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Optional
 
-from .analytics import PathComplexity, ProposerSplit, RiskScore, ShareTable, TrendResult
+from .analytics import PathComplexity, ProposerSplit, RiskScore, ShareTable, TrendResult, matrix_token_totals
 from .pbs import CampaignSummary, SlotOutcome
 
 
@@ -45,9 +45,7 @@ def write_share_table(stream: IO[str], table: ShareTable) -> None:
 
 
 def write_profit_matrix(stream: IO[str], matrix: Mapping[tuple[str, str], Fraction]) -> None:
-    token_totals: dict[str, Fraction] = {}
-    for (_brand, token), usd in matrix.items():
-        token_totals[token] = token_totals.get(token, Fraction(0)) + usd
+    token_totals = matrix_token_totals(matrix)
     writer = _writer(stream)
     writer.writerow(["brand", "token", "usd", "token_share_pct"])
     for (brand, token) in sorted(matrix):
@@ -106,9 +104,9 @@ def write_trends(stream: IO[str], results: Mapping[str, TrendResult]) -> None:
 def write_risk_scores(stream: IO[str], scores: Iterable[RiskScore]) -> None:
     writer = _writer(stream)
     writer.writerow(["token", "freezable", "custodial", "external_chain", "score"])
-    for score in sorted(scores, key=lambda s: s.token.symbol):
+    for score in sorted(scores, key=lambda s: s.symbol):
         writer.writerow(
-            [score.token.symbol, score.freezable, score.custodial, score.external_chain, decimal_str(score.score, 4)]
+            [score.symbol, score.freezable, score.custodial, score.external_chain, decimal_str(score.score, 4)]
         )
 
 

@@ -250,6 +250,8 @@ def _transaction_from_obj(obj: Mapping, line_no: int, stats: ParseStats) -> Tran
     try:
         events = []
         for raw in obj["events"]:
+            if not isinstance(raw, dict):
+                raise TypeError(f"event is not an object but {type(raw).__name__}")
             if raw.get("kind") not in _KIND_BY_NAME:
                 stats.unknown_events += 1
                 continue

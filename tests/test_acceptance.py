@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred.
 """
 
+import csv
 import io
 import itertools
 import json
@@ -16,7 +17,7 @@ from mevforge import analytics, fixtures, pbs, pools
 from mevforge.arbitrage import DEFAULT_SHARE_ADDRESS, attribute_profit, extract_arbitrage_cycle
 from mevforge.cli import main
 from mevforge.records import read_records
-from mevforge.reports import percent_str
+from mevforge.reports import decimal_str, percent_str
 from mevforge.traces import EventKind, parse_trace_file
 
 import test_pools
@@ -260,3 +261,46 @@ def test_criterion_8_byte_identical_outputs(tmp_path):
     assert main(["analyze", "--records", str(shuffled_path), "--out", str(a2)]) == 0
     assert read_all(a1) == read_all(a2)
     _report(8, "simulate reruns and shuffled analyze inputs are byte-identical")
+
+
+def test_criterion_9_proposer_split_agrees_with_records_and_matrix(tmp_path):
+    fixture_dir, out = tmp_path / "fx", tmp_path / "out"
+    assert main(["gen-fixtures", "--kind", "traces", "--seed", "3", "--count", "1500", "--out", str(fixture_dir)]) == 0
+    with open(fixture_dir / "traces.ndjson", encoding="utf-8") as fh:
+        decimals = {e.token_in.decimals for tx in parse_trace_file(fh) for e in tx.events if e.kind is EventKind.SWAP}
+    assert decimals == {0, 6, 8, 18}
+    config = str(fixture_dir / "run.cfg")
+    extract_args = ["--traces", str(fixture_dir / "traces.ndjson"), "--labels", str(fixture_dir / "labels.csv")]
+    assert main(["extract", *extract_args, "--config", config, "--out", str(out)]) == 0
+    assert main(["analyze", "--records", str(out / "records.csv"), "--config", config, "--out", str(out)]) == 0
+
+    with open(out / "records.csv", encoding="utf-8") as fh:
+        rows = read_records(fh)
+    kept: dict[str, Fraction] = {}
+    paid: dict[str, Fraction] = {}
+    cells: dict[tuple[str, str], Fraction] = {}
+    for row in rows:
+        kept[row.builder_brand] = kept.get(row.builder_brand, Fraction(0)) + row.usd_value
+        paid[row.builder_brand] = paid.get(row.builder_brand, Fraction(0)) + row.share_usd
+        key = (row.builder_brand, row.base_token)
+        cells[key] = cells.get(key, Fraction(0)) + row.usd_value
+
+    def report(name):
+        with open(out / name, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))[1:]
+
+    matrix = {(brand, token): usd for brand, token, usd, _pct in report("profit_matrix.csv")}
+    assert matrix == {key: decimal_str(usd, 2) for key, usd in cells.items()}
+    split = {brand: (k, p, pct) for brand, k, p, pct in report("proposer_split.csv")}
+    assert set(split) == set(kept)
+    for brand, (kept_usd, paid_usd, payout_pct) in split.items():
+        row_total = sum((usd for (b, _token), usd in cells.items() if b == brand), Fraction(0))
+        assert row_total == kept[brand] > 0
+        assert kept_usd == decimal_str(kept[brand], 2)
+        assert paid_usd == decimal_str(paid[brand], 2)
+        assert payout_pct == percent_str(paid[brand] / (paid[brand] + kept[brand]))
+    _report(
+        9,
+        f"proposer split of {len(rows)} records over {len(split)} brands equals record net/share dollars "
+        f"and the profit-matrix rows, with token decimals {sorted(decimals)}",
+    )

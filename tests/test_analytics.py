@@ -15,7 +15,6 @@ from mevforge.analytics import (
     UndefinedCorrelationError,
     mann_kendall,
     market_share,
-    matrix_brand_totals,
     matrix_token_totals,
     path_complexity,
     pathlen_profit_correlation,
@@ -24,9 +23,8 @@ from mevforge.analytics import (
     risk_score,
     token_builder_share,
 )
-from mevforge.arbitrage import ProfitBreakdown
+from mevforge.records import ArbitrageRecord
 from mevforge.reports import percent_str
-from mevforge.traces import TokenId
 
 PUBLISHED_BLOCK_COUNTS = {
     "48Club": 6_119_452,
@@ -38,19 +36,20 @@ PUBLISHED_BLOCK_COUNTS = {
 }
 
 
-def token(symbol, decimals=18, tag=1):
-    return TokenId(symbol, bytes([tag]) * 20, decimals)
-
-
-def breakdown(symbol, net, usd, share=0, gross=None, decimals=18, tag=1):
-    gross = net + share if gross is None else gross
-    return ProfitBreakdown(
-        base_token=token(symbol, decimals, tag),
-        gross=gross,
+def record(brand, symbol, usd, share_usd=0, net=1, share=0):
+    return ArbitrageRecord(
+        tx_hash=bytes(32),
+        block_number=1,
+        builder_brand=brand,
+        base_token=symbol,
+        hop_count=2,
+        gross=net + share,
         share=share,
-        gas_cost=0,
+        gas=0,
         net=net,
         usd_value=Fraction(usd),
+        share_usd=Fraction(share_usd),
+        timestamp_utc="2025-06-01T00:00:00Z",
     )
 
 
@@ -109,10 +108,10 @@ def reported_profit_fixture():
         ("Blockrazor", "WBNB", 480_000),
     ]
     cycles = []
-    for i, (brand, symbol, usd) in enumerate(cells):
+    for brand, symbol, usd in cells:
         # split each cell into two cycles to exercise summation
-        cycles.append((brand, breakdown(symbol, net=1, usd=Fraction(usd, 3), tag=i + 1)))
-        cycles.append((brand, breakdown(symbol, net=1, usd=Fraction(2 * usd, 3), tag=i + 1)))
+        cycles.append(record(brand, symbol, usd=Fraction(usd, 3)))
+        cycles.append(record(brand, symbol, usd=Fraction(2 * usd, 3)))
     return cycles, cells
 
 
@@ -130,29 +129,22 @@ def test_matrix_grand_total_is_exact():
     cycles, _ = reported_profit_fixture()
     matrix = profit_matrix(cycles)
     grand = sum(matrix.values(), Fraction(0))
-    assert grand == sum((c[1].usd_value for c in cycles), Fraction(0))
+    assert grand == sum((c.usd_value for c in cycles), Fraction(0))
     assert sum(matrix_token_totals(matrix).values(), Fraction(0)) == grand
-    assert sum(matrix_brand_totals(matrix).values(), Fraction(0)) == grand
 
 
 def test_empty_and_single_cell_matrices():
     assert profit_matrix([]) == {}
-    matrix = profit_matrix([("X", breakdown("USDT", net=5, usd=5))])
+    matrix = profit_matrix([record("X", "USDT", usd=5, net=5)])
     assert matrix == {("X", "USDT"): 5}
-
-
-def test_matrix_requires_usd_normalization():
-    raw = ProfitBreakdown(base_token=token("USDT"), gross=5, share=0, gas_cost=0, net=5)
-    with pytest.raises(ValueError):
-        profit_matrix([("X", raw)])
 
 
 # -- proposer split -----------------------------------------------------------
 
 
 def test_split_fraction_from_worked_example_numbers():
-    cycle = breakdown("USDT", net=2220, share=820, usd=2220, decimals=0)
-    splits = proposer_split([("48Club", cycle)], {"USDT": Fraction(1)})
+    cycle = record("48Club", "USDT", usd=2220, share_usd=820, net=2220, share=820)
+    splits = proposer_split([cycle])
     split = splits["48Club"]
     assert split.paid_usd == 820
     assert split.kept_usd == 2220
@@ -160,14 +152,14 @@ def test_split_fraction_from_worked_example_numbers():
 
 
 def test_split_zero_share_means_zero_fraction():
-    splits = proposer_split([("A", breakdown("USDT", net=10, usd=10))], {"USDT": Fraction(1)})
+    splits = proposer_split([record("A", "USDT", usd=10, net=10)])
     assert splits["A"].payout_fraction == 0
 
 
 def test_split_ordering_between_builder_styles():
-    generous = breakdown("USDT", net=73, share=27, usd=73, decimals=0)
-    stingy = breakdown("USDT", net=95, share=5, usd=95, decimals=0)
-    splits = proposer_split([("Giver", generous), ("Keeper", stingy)], {"USDT": Fraction(1)})
+    generous = record("Giver", "USDT", usd=73, share_usd=27, net=73, share=27)
+    stingy = record("Keeper", "USDT", usd=95, share_usd=5, net=95, share=5)
+    splits = proposer_split([generous, stingy])
     assert splits["Giver"].payout_fraction == Fraction(27, 100)
     assert splits["Keeper"].payout_fraction == Fraction(5, 100)
     assert splits["Giver"].payout_fraction > splits["Keeper"].payout_fraction
@@ -308,19 +300,19 @@ def test_affine_invariance_positive_scale(a, b):
 
 
 def test_risk_score_examples():
-    wbnb = risk_score(token("WBNB"), 0, 0, 0)
-    assert wbnb.score == 0
-    maximal = risk_score(token("XXX"), 1, 1, 1)
+    wbnb = risk_score("WBNB", 0, 0, 0)
+    assert (wbnb.symbol, wbnb.score) == ("WBNB", 0)
+    maximal = risk_score("XXX", 1, 1, 1)
     assert maximal.score == 1
-    usdt = risk_score(token("USDT"), 1, 1, 0)
+    usdt = risk_score("USDT", 1, 1, 0)
     assert usdt.score == Fraction(2, 3)
 
 
 def test_risk_score_is_permutation_invariant():
     for bits in itertools.permutations((1, 1, 0)):
-        assert risk_score(token("T"), *bits).score == Fraction(2, 3)
+        assert risk_score("T", *bits).score == Fraction(2, 3)
 
 
 def test_risk_bits_validated():
     with pytest.raises(ValueError):
-        risk_score(token("T"), 2, 0, 0)
+        risk_score("T", 2, 0, 0)

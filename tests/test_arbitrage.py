@@ -22,7 +22,6 @@ from mevforge.arbitrage import (
     profit_to_fee_ratio,
     to_usd,
     trace_flows,
-    with_usd,
 )
 from mevforge.traces import (
     EventKind,
@@ -260,14 +259,14 @@ def test_to_usd_wbnb_price():
     tx = make_tx(tx_events)
     breakdown = attribute_profit(tx, extract_arbitrage_cycle(tx))
     assert breakdown.net == 2 * 10**18
-    usd = to_usd(breakdown, {"WBNB": Fraction("891.78")})
+    usd = to_usd(breakdown.net, wbnb, {"WBNB": Fraction("891.78")})
     assert usd == Fraction("1783.56")
 
 
 def test_to_usd_zero_and_unit_price():
     tx = cycle_tx(gross=0)
     breakdown = attribute_profit(tx, extract_arbitrage_cycle(tx))
-    assert to_usd(breakdown, {"AAA": Fraction(1)}) == 0
+    assert to_usd(breakdown.net, breakdown.base_token, {"AAA": Fraction(1)}) == 0
 
     usdt = TokenId("USDT", bytes([5]) * 20, 18)
     events = [
@@ -275,22 +274,23 @@ def test_to_usd_zero_and_unit_price():
         swap(TOKEN_B, usdt, POOL_2, 500, 10**18 + 15 * 10**17),
     ]
     breakdown = attribute_profit(make_tx(events), extract_arbitrage_cycle(make_tx(events)))
-    assert to_usd(breakdown, {"USDT": Fraction(1)}) == Fraction(3, 2)
+    assert to_usd(breakdown.net, usdt, {"USDT": Fraction(1)}) == Fraction(3, 2)
 
 
 def test_missing_price_is_an_error_not_zero():
     tx = cycle_tx(gross=5)
     breakdown = attribute_profit(tx, extract_arbitrage_cycle(tx))
     with pytest.raises(MissingPriceError):
-        to_usd(breakdown, {"WBNB": Fraction(600)})
+        to_usd(breakdown.net, breakdown.base_token, {"WBNB": Fraction(600)})
 
 
-def test_with_usd_and_fee_ratio():
+def test_usd_and_fee_ratio():
     tx = cycle_tx(gross=3040, share_transfers=(820,))
-    breakdown = with_usd(attribute_profit(tx, extract_arbitrage_cycle(tx)), {"AAA": Fraction(1)})
-    assert breakdown.usd_value == Fraction(2220, 10**18)
+    breakdown = attribute_profit(tx, extract_arbitrage_cycle(tx))
+    assert to_usd(breakdown.net, breakdown.base_token, {"AAA": Fraction(1)}) == Fraction(2220, 10**18)
+    assert to_usd(breakdown.share, breakdown.base_token, {"AAA": Fraction(1)}) == Fraction(820, 10**18)
     assert profit_to_fee_ratio(breakdown) == Fraction(2220, 820)
-    no_fees = with_usd(attribute_profit(cycle_tx(gross=7), extract_arbitrage_cycle(cycle_tx(gross=7))), {"AAA": 1})
+    no_fees = attribute_profit(cycle_tx(gross=7), extract_arbitrage_cycle(cycle_tx(gross=7)))
     assert profit_to_fee_ratio(no_fees) is None
 
 

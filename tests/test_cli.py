@@ -1,5 +1,6 @@
 """CLI surface, record schema, config file, end-to-end determinism."""
 
+import csv
 import io
 import json
 import random
@@ -42,6 +43,7 @@ def sample_record(**overrides):
         gas=0,
         net=2220,
         usd_value=Fraction(2220),
+        share_usd=Fraction(820),
         timestamp_utc="2025-06-01T00:00:00Z",
     )
     fields.update(overrides)
@@ -49,7 +51,7 @@ def sample_record(**overrides):
 
 
 def test_record_round_trip():
-    records = [sample_record(), sample_record(block_number=101, usd_value=Fraction("12.345"))]
+    records = [sample_record(), sample_record(block_number=101, usd_value=Fraction("12.345"), share_usd=Fraction("0.5"))]
     buffer = io.StringIO()
     write_records(buffer, records)
     assert read_records(io.StringIO(buffer.getvalue())) == records
@@ -94,7 +96,6 @@ def test_timestamps_derived_from_blocks():
 
 def test_config_defaults():
     config = RunConfig()
-    assert config.k_hops == 4
     assert config.price_table["WBNB"] == Fraction("891.78")
     assert config.share_addresses[0].hex().endswith("fffe")
 
@@ -107,9 +108,7 @@ def test_config_file_parsing(tmp_path):
 share_addresses = 0x{fe}, 0x{aa}
 price_table.WBNB = 600.50
 price_table.NEW = 2
-decimals.NEW = 6
 risk.NEW = 1,0,1
-k_hops = 2
 alpha = 0.01
 genesis_unix = 1000
 infer_pool_sinks = true
@@ -119,9 +118,7 @@ infer_pool_sinks = true
     assert len(config.share_addresses) == 2
     assert config.price_table["WBNB"] == Fraction("600.50")
     assert config.price_table["NEW"] == 2
-    assert config.decimals["NEW"] == 6
     assert config.risk_bits["NEW"] == (1, 0, 1)
-    assert config.k_hops == 2
     assert config.alpha == Fraction(1, 100)
     assert config.genesis_unix == 1000
     assert config.infer_pool_sinks is True
@@ -133,6 +130,15 @@ def test_config_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigFileError) as excinfo:
         load_config(path)
     assert "line 1" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("line", ["decimals.NEW = 6", "k_hops = 2", "seed = 1", "scenario_path = x.json"])
+def test_config_keys_nothing_reads_are_unknown(tmp_path, line):
+    path = tmp_path / "old.cfg"
+    path.write_text("alpha = 0.01\n" + line + "\n")
+    with pytest.raises(ConfigFileError) as excinfo:
+        load_config(path)
+    assert "line 2: unknown key" in str(excinfo.value)
 
 
 # -- extract ------------------------------------------------------------------
@@ -158,6 +164,7 @@ def test_extract_worked_example(tmp_path, capsys):
     assert row.hop_count == 3
     assert row.builder_brand == "48Club"
     assert row.usd_value == 2220
+    assert row.share_usd == 820
 
 
 def test_extract_counts_non_cycles(tmp_path, capsys):
@@ -200,6 +207,47 @@ def test_extract_missing_price_produces_error_row(tmp_path):
     # generated tokens TK* have no price: expect error rows and exit 1
     assert code == 1
     assert (out / "errors.csv").exists()
+
+
+def test_extract_errors_csv_quotes_hostile_symbols(tmp_path):
+    def token(symbol, tag):
+        return {"symbol": symbol, "address": "0x" + tag * 20, "decimals": 18}
+
+    evil, wbnb = token('EVIL,"T', "e1"), token("WBNB", "bb")
+    trace = tmp_path / "traces.ndjson"
+    trace.write_text(
+        json.dumps(
+            {
+                "hash": "0x" + "01" * 32,
+                "block": 1,
+                "from": "0x" + "11" * 20,
+                "gas_used": 0,
+                "gas_price": 0,
+                "events": [
+                    {"kind": "swap", "pool": "0x" + "a1" * 20, "token_in": evil, "token_out": wbnb,
+                     "amount_in": "10", "amount_out": "20"},
+                    {"kind": "swap", "pool": "0x" + "a2" * 20, "token_in": wbnb, "token_out": evil,
+                     "amount_in": "20", "amount_out": "12"},
+                ],
+            }
+        )
+        + "\n"
+    )
+    out = tmp_path / "out"
+    code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(out)])
+    assert code == 1
+    with open(out / "errors.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["tx_hash", "error"], ["0x" + "01" * 32, 'no price for EVIL,"T']]
+
+
+def test_extract_non_object_event_fails_with_line(tmp_path, capsys):
+    trace = tmp_path / "traces.ndjson"
+    header = {"hash": "0x" + "00" * 32, "block": 1, "from": "0x" + "11" * 20, "gas_used": 0, "gas_price": 0}
+    trace.write_text(json.dumps({**header, "events": []}) + "\n" + json.dumps({**header, "events": ["x"]}) + "\n")
+    code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {trace}: line 2: ")
 
 
 def test_extract_matches_planted_manifest(tmp_path):
@@ -298,6 +346,17 @@ def test_analyze_schema_violation_fails_with_row(tmp_path, capsys):
     bad.write_text(buffer.getvalue().replace(",2220,", ",999,", 1))
     assert main(["analyze", "--records", str(bad), "--out", str(tmp_path / "out")]) == 1
     assert "row 3" in capsys.readouterr().err
+
+
+def test_analyze_rejects_v1_records(tmp_path, capsys):
+    v1 = tmp_path / "v1.csv"
+    v1.write_text(
+        "schema_version,1\n"
+        "tx_hash,block_number,builder_brand,base_token,hop_count,gross,share,gas,net,usd_value,timestamp_utc\n"
+        f"0x{'01' * 32},100,48Club,USDT,3,3040,820,0,2220,2220,2025-06-01T00:00:00Z\n"
+    )
+    assert main(["analyze", "--records", str(v1), "--out", str(tmp_path / "out")]) == 1
+    assert "row 1: unsupported schema version" in capsys.readouterr().err
 
 
 # -- simulate -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Trace model: parsing, canonical serialization, labels, invariants."""
 
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,15 @@ def test_malformed_line_reports_line_number():
         parse_trace_file(stream)
     assert excinfo.value.line_no == 2
     assert "line 2" in str(excinfo.value)
+
+
+def test_non_object_event_reports_line_number():
+    good = serialize_transactions(fixtures.gen_trace_corpus(seed=1, n_transactions=1).transactions)
+    bad = json.dumps({**json.loads(good), "events": ["x"]})
+    with pytest.raises(TraceParseError) as excinfo:
+        parse_trace_file(io.StringIO(good + bad + "\n"))
+    assert excinfo.value.line_no == 2
+    assert "event is not an object" in str(excinfo.value)
 
 
 def test_missing_field_reports_line_number():
