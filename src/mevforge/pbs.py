@@ -7,6 +7,12 @@ slots.  The relay flow models a long-horizon commit-reveal market where
 builders keep rebidding through the coordination window and the proposer
 signs the best header at slot end, so achievable value decides slots.
 
+A slot is resolved against a bid schedule: its bids (builder, arrival,
+payment, backing surplus) and the proposer's ranked candidates, a pure
+function of the scenario, active blacklist and bid-value function.  A
+campaign builds one schedule per distinct blacklist set, so a slot costs
+only its non-delivery draws, seeded from (seed, height).
+
 Event timing is rational milliseconds throughout; every outcome is a pure
 function of (scenario, seed).  A campaign is single-threaded by design;
 parallelize across campaigns, not within one.
@@ -14,15 +20,15 @@ parallelize across campaigns, not within one.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass
+import sys
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, get_type_hints
 
 from . import pools as pools_mod
 from .traces import PathDescriptor, TokenId
@@ -50,13 +56,6 @@ class Strategy(Enum):
 class DecayShape(Enum):
     PIECEWISE = "piecewise"
     EXPONENTIAL = "exponential"
-
-
-def _as_fraction(value) -> Fraction:
-    # route floats through str so JSON scenario values stay exact decimals
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,8 @@ class OpportunityModel:
     Piecewise default: flat at peak_value until knee_ms after birth, linear
     down to gas_floor at deadline_ms, then tail_value (< gas_floor).  The
     exponential alternative decays continuously and is clamped to
-    tail_value from the deadline on.  value() is non-increasing either way.
+    tail_value from the deadline on; its peak must fit a float.  value() is
+    non-increasing either way and exactly peak_value at birth.
     """
 
     peak_value: int
@@ -122,6 +122,8 @@ class OpportunityModel:
             problems.append("gas_floor/tail_value")
         if not 0 <= self.knee_ms < self.deadline_ms:
             problems.append("knee_ms/deadline_ms")
+        if self.decay is DecayShape.EXPONENTIAL and self.peak_value > sys.float_info.max:
+            problems.append("peak_value (too large for exponential decay)")
         if problems:
             raise ConfigError(f"opportunity: invalid {', '.join(problems)}")
 
@@ -136,22 +138,21 @@ class OpportunityModel:
                 return self.peak_value
             slope = Fraction(self.peak_value - self.gas_floor) / (self.deadline_ms - self.knee_ms)
             return int(self.peak_value - slope * (elapsed - self.knee_ms))
-        # exponential: reach gas_floor at the deadline, clamp to tail after
+        # exponential: reach gas_floor at the deadline, clamp to tail after;
+        # the peak clamp keeps float rounding above 2**53 from overshooting
+        if elapsed == 0:
+            return self.peak_value
         if self.peak_value <= self.gas_floor or self.gas_floor == 0:
-            return self.peak_value if elapsed == 0 else self.tail_value
+            return self.tail_value
         rate = math.log(self.peak_value / self.gas_floor) / float(self.deadline_ms)
-        return max(self.tail_value, int(self.peak_value * math.exp(-rate * float(elapsed))))
+        return min(self.peak_value, max(self.tail_value, int(self.peak_value * math.exp(-rate * float(elapsed)))))
 
 
 @dataclass(frozen=True)
 class Bid:
     builder_id: str
-    height: int
     timestamp_ms: Fraction
-    tx_root: bytes
-    expected_gas_fee: int
     offered_payment: int
-    full_body_attached: bool
     delta: int  # the builder's realized surplus backing the bid
 
     def __post_init__(self) -> None:
@@ -206,62 +207,46 @@ class RelayConfig:
 BidValueFn = Callable[[BuilderAgent, Fraction], int]
 
 
-def _tx_root(builder_id: str, height: int, t: Fraction) -> bytes:
-    return hashlib.sha256(f"{builder_id}:{height}:{t}".encode()).digest()
+@dataclass(frozen=True)
+class BidSchedule:
+    """A slot's bids, which depend on neither its height nor its seed:
+    every bid as (builder_id, timestamp_ms, offered_payment) in arrival
+    order, and the bids the proposer tries, best first, each with its
+    builder's non-delivery probability."""
+
+    received: tuple[tuple[str, Fraction, int], ...]
+    candidates: tuple[tuple[Bid, float], ...]
 
 
-def _make_bid(agent: BuilderAgent, height: int, t: Fraction, delta: int) -> Bid:
+def _make_bid(agent: BuilderAgent, t: Fraction, delta: int) -> Bid:
     payout, _kept = pools_mod.split_delta(delta, agent.share_ratio_bp)
-    return Bid(
-        builder_id=agent.id,
-        height=height,
-        timestamp_ms=t,
-        tx_root=_tx_root(agent.id, height, t),
-        expected_gas_fee=0,
-        offered_payment=payout,
-        full_body_attached=True,
-        delta=delta,
-    )
+    return Bid(builder_id=agent.id, timestamp_ms=t, offered_payment=payout, delta=delta)
 
 
-def _validated_agents(builders: Sequence[BuilderAgent]) -> list[BuilderAgent]:
-    agents = sorted(builders, key=lambda b: b.id)
-    ids = [b.id for b in agents]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("builders: duplicate ids")
-    return agents
+def _received(bids: list[Bid]) -> tuple[tuple[str, Fraction, int], ...]:
+    """Sort bids in place by arrival and return them as received."""
+    bids.sort(key=lambda b: (b.timestamp_ms, b.builder_id))
+    return tuple((b.builder_id, b.timestamp_ms, b.offered_payment) for b in bids)
 
 
-def _slot_rng(protocol: str, rng_seed: int, height: int) -> random.Random:
-    # string seeding hashes via SHA-512 internally, stable across platforms
-    return random.Random(f"{protocol}:{rng_seed}:{height}")
+def _best_first(bid: Bid) -> tuple:
+    return (-bid.offered_payment, bid.timestamp_ms, bid.builder_id)
 
 
-def run_slot_bsc(
-    builders: Sequence[BuilderAgent],
-    proposer: ProposerConfig,
-    opportunity: OpportunityModel,
-    rng_seed: int,
-    *,
-    height: int = 0,
-    base_compute_ms: Fraction = DEFAULT_BASE_COMPUTE_MS,
-    blacklisted: frozenset[str] = frozenset(),
-    bid_value_fn: Optional[BidValueFn] = None,
-) -> SlotOutcome:
-    """One direct single-round slot.
+def _bsc_schedule(
+    scenario: SimScenario, blacklisted: frozenset[str], bid_value_fn: Optional[BidValueFn]
+) -> BidSchedule:
+    """Bids of a direct single-round slot.
 
     Each builder sees the opportunity one latency after birth, computes for
     base_compute/tier, and its bid lands another latency later; the bid's
     value is the opportunity as decayed at that landing time, scaled by the
-    builder's efficiency.  The proposer takes the best bid that arrived by
-    max(listen window, first arrival); a failed delivery blacklists the
-    builder locally and the next-best bid is tried; with none left the
-    proposer falls back to its own block.
+    builder's efficiency.  The proposer tries the bids that arrived by
+    max(listen window, first arrival), best payment first.
     """
-    agents = _validated_agents(builders)
-    rng = _slot_rng("bsc", rng_seed, height)
+    agents = sorted(scenario.builders, key=lambda b: b.id)
+    opportunity, proposer, base_compute_ms = scenario.opportunity, scenario.proposer, scenario.base_compute_ms
     value_at = bid_value_fn or (lambda _agent, t: opportunity.value(t))
-
     bids: list[Bid] = []
     for agent in agents:
         if agent.id in blacklisted:
@@ -272,49 +257,21 @@ def run_slot_bsc(
         raw = value_at(agent, arrival)
         if raw <= opportunity.gas_floor:
             continue  # not worth executing once it lands
-        delta = int(raw * agent.efficiency)
-        bids.append(_make_bid(agent, height, arrival, delta))
+        bids.append(_make_bid(agent, arrival, int(raw * agent.efficiency)))
 
-    bids.sort(key=lambda b: (b.timestamp_ms, b.builder_id))
-    received = tuple((b.builder_id, b.timestamp_ms, b.offered_payment) for b in bids)
+    received = _received(bids)
     if not bids:
-        return SlotOutcome(height, None, 0, True, (), received, 0)
-
+        return BidSchedule(received, ())
     cutoff = max(proposer.listen_window_ms, bids[0].timestamp_ms)
-    competing = [b for b in bids if b.timestamp_ms <= cutoff]
-    competing.sort(key=lambda b: (-b.offered_payment, b.timestamp_ms, b.builder_id))
-
-    blacklist_events: list[str] = []
     by_id = {a.id: a for a in agents}
-    for candidate in competing:
-        agent = by_id[candidate.builder_id]
-        if agent.non_delivery_prob > 0 and rng.random() < agent.non_delivery_prob:
-            blacklist_events.append(candidate.builder_id)
-            continue
-        return SlotOutcome(
-            height=height,
-            winner=candidate.builder_id,
-            proposer_payment=candidate.offered_payment,
-            fallback_used=False,
-            blacklist_events=tuple(blacklist_events),
-            bids_received=received,
-            realized_builder_profit=candidate.delta - candidate.offered_payment,
-        )
-    return SlotOutcome(height, None, 0, True, tuple(blacklist_events), received, 0)
+    competing = sorted((b for b in bids if b.timestamp_ms <= cutoff), key=_best_first)
+    return BidSchedule(received, tuple((b, by_id[b.builder_id].non_delivery_prob) for b in competing))
 
 
-def run_slot_eth(
-    builders: Sequence[BuilderAgent],
-    relay: RelayConfig,
-    proposer: ProposerConfig,
-    opportunity: OpportunityModel,
-    rng_seed: int,
-    *,
-    height: int = 0,
-    base_compute_ms: Fraction = DEFAULT_BASE_COMPUTE_MS,
-    bid_value_fn: Optional[BidValueFn] = None,
-) -> SlotOutcome:
-    """One relay-mediated commit-reveal slot.
+def _eth_schedule(
+    scenario: SimScenario, blacklisted: frozenset[str], bid_value_fn: Optional[BidValueFn]
+) -> BidSchedule:
+    """Bids of a relay-mediated commit-reveal slot.
 
     A builder joins once it learns of the opportunity within the slot.  Its
     first bid locks in whatever the race left at delivery time; each rebid
@@ -323,11 +280,14 @@ def run_slot_eth(
     The proposer signs the best header present at slot end, so with rebids
     enabled the highest-ceiling builder wins regardless of latency
     ordering.  With rebids disabled each builder submits one sealed bid
-    under the same participation rule as the direct flow.
+    under the same participation rule as the direct flow.  The relay
+    delivers every signed header, so the one candidate never fails and
+    blacklisted, always empty here, is ignored.
     """
-    agents = _validated_agents(builders)
+    agents = sorted(scenario.builders, key=lambda b: b.id)
+    opportunity, proposer, relay = scenario.opportunity, scenario.proposer, scenario.relay
+    base_compute_ms = scenario.base_compute_ms
     value_at = bid_value_fn or (lambda _agent, t: opportunity.value(t))
-
     all_bids: list[Bid] = []
     for agent in agents:
         observed = opportunity.birth_ms + agent.latency_ms
@@ -342,40 +302,80 @@ def run_slot_eth(
             # the direct flow
             if raw_at_delivery <= opportunity.gas_floor:
                 continue
-            all_bids.append(_make_bid(agent, height, first, int(raw_at_delivery * agent.efficiency)))
+            all_bids.append(_make_bid(agent, first, int(raw_at_delivery * agent.efficiency)))
             continue
         full = value_at(agent, opportunity.birth_ms)  # undecayed opportunity
         if full <= opportunity.gas_floor:
             continue  # nothing worth building around this slot
         locked = int(raw_at_delivery * agent.efficiency)
-        all_bids.append(_make_bid(agent, height, first, locked))
+        all_bids.append(_make_bid(agent, first, locked))
         ceiling = int(full * agent.efficiency)
         rounds = relay.optimization_rounds
         t = first + relay.rebid_interval_ms
         k = 1
         while t <= proposer.horizon_ms:
             improved = max(locked, ceiling * min(k, rounds) // rounds)
-            all_bids.append(_make_bid(agent, height, t, improved))
+            all_bids.append(_make_bid(agent, t, improved))
             if improved >= ceiling:
                 break
             k += 1
             t += relay.rebid_interval_ms
 
-    all_bids.sort(key=lambda b: (b.timestamp_ms, b.builder_id))
-    received = tuple((b.builder_id, b.timestamp_ms, b.offered_payment) for b in all_bids)
-    if not all_bids:
-        return SlotOutcome(height, None, 0, True, (), received, 0)
+    received = _received(all_bids)
+    return BidSchedule(received, ((min(all_bids, key=_best_first), 0.0),) if all_bids else ())
 
-    best = min(all_bids, key=lambda b: (-b.offered_payment, b.timestamp_ms, b.builder_id))
-    return SlotOutcome(
-        height=height,
-        winner=best.builder_id,
-        proposer_payment=best.offered_payment,
-        fallback_used=False,
-        blacklist_events=(),
-        bids_received=received,
-        realized_builder_profit=best.delta - best.offered_payment,
+
+def _resolve_slot(schedule: BidSchedule, height: int, rng_seed: int) -> SlotOutcome:
+    """The first candidate that delivers wins; a failed delivery blacklists
+    its builder, and with none left the proposer falls back to its own
+    block.  The RNG, seeded from (seed, height), is only created once a
+    candidate that may fail is tried."""
+    rng: Optional[random.Random] = None
+    events: list[str] = []  # builders that failed to deliver, in the order tried
+    for bid, non_delivery_prob in schedule.candidates:
+        if non_delivery_prob > 0:
+            # string seeding hashes via SHA-512 internally, stable across platforms
+            rng = rng or random.Random(f"bsc:{rng_seed}:{height}")
+            if rng.random() < non_delivery_prob:
+                events.append(bid.builder_id)
+                continue
+        profit = bid.delta - bid.offered_payment
+        return SlotOutcome(height, bid.builder_id, bid.offered_payment, False, tuple(events), schedule.received, profit)
+    return SlotOutcome(height, None, 0, True, tuple(events), schedule.received, 0)
+
+
+def run_slot_bsc(
+    builders: Sequence[BuilderAgent],
+    proposer: ProposerConfig,
+    opportunity: OpportunityModel,
+    rng_seed: int,
+    *,
+    height: int = 0,
+    base_compute_ms: Fraction = DEFAULT_BASE_COMPUTE_MS,
+    blacklisted: frozenset[str] = frozenset(),
+    bid_value_fn: Optional[BidValueFn] = None,
+) -> SlotOutcome:
+    """One direct single-round slot: its bid schedule, then its resolution."""
+    scenario = SimScenario(Protocol.BSC_DIRECT, tuple(builders), opportunity, proposer, base_compute_ms=base_compute_ms)
+    return _resolve_slot(_bsc_schedule(scenario, blacklisted, bid_value_fn), height, rng_seed)
+
+
+def run_slot_eth(
+    builders: Sequence[BuilderAgent],
+    relay: RelayConfig,
+    proposer: ProposerConfig,
+    opportunity: OpportunityModel,
+    rng_seed: int,
+    *,
+    height: int = 0,
+    base_compute_ms: Fraction = DEFAULT_BASE_COMPUTE_MS,
+    bid_value_fn: Optional[BidValueFn] = None,
+) -> SlotOutcome:
+    """One relay-mediated slot: its bid schedule, then its resolution."""
+    scenario = SimScenario(
+        Protocol.ETH_RELAY, tuple(builders), opportunity, proposer, relay, base_compute_ms=base_compute_ms
     )
+    return _resolve_slot(_eth_schedule(scenario, frozenset(), bid_value_fn), height, rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -421,113 +421,129 @@ class SimScenario:
     embodied_base_symbol: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if len({b.id for b in self.builders}) != len(self.builders):
+            raise ConfigError("builders: duplicate ids")
         if self.proposer_count < 1:
             raise ConfigError("proposers: count must be >= 1")
         if self.rotation != "round_robin":
             raise ConfigError(f"proposers: unknown rotation {self.rotation!r}")
 
 
+_REQUIRED = object()
+_JSON_NAMES = {
+    int: "an integer", bool: "a boolean", float: "a number", Fraction: "a number",
+    str: "a string", dict: "an object", list: "an array",
+}
+
+
+def _typed(section: Mapping, key: str, kind: type, default=_REQUIRED):
+    """section[key] read as kind, or default when the key is absent (or
+    null, for a key whose default is None).
+
+    Integers must be JSON integers and booleans JSON booleans; a float key
+    takes any number, a Fraction key any number (floats read as exact
+    decimals) or a fraction string, and an Enum key one of its values.
+    """
+    if key not in section or (default is None and section[key] is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"missing {key}")
+        return default
+    value = section[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        if kind is Fraction and (number or isinstance(value, str)):
+            return Fraction(str(value) if isinstance(value, float) else value)
+        if kind is float and number:
+            return float(value)
+        if issubclass(kind, Enum) and isinstance(value, str):
+            return kind(value)
+        if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+            return value
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    expected = " or ".join(repr(m.value) for m in kind) if issubclass(kind, Enum) else _JSON_NAMES[kind]
+    raise ConfigError(f"{key}: expected {expected}, got {value!r:.40}")
+
+
+def _from_json(cls: type, section, **given):
+    """A cls built from a JSON object: each field not given is read under
+    its own name as its annotated type, and defaults as the dataclass does."""
+    if not isinstance(section, dict):
+        raise ConfigError("expected an object")
+    kinds = get_type_hints(cls)
+    for field in fields(cls):
+        if field.name not in given:
+            default = _REQUIRED if field.default is MISSING else field.default
+            given[field.name] = _typed(section, field.name, kinds[field.name], default)
+    return cls(**given)
+
+
 def load_scenario(path: str | Path) -> SimScenario:
-    """Load and validate a scenario JSON file; unknown or broken keys are
-    reported together in one ConfigError."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    """Load and validate a scenario JSON file, each value strictly by type
+    (see _typed); absent keys take the dataclass defaults.  Every broken
+    key or section is reported together in one ConfigError, as is a file
+    that cannot be read or does not hold a JSON object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ConfigError("expected an object")
+    except (OSError, ValueError) as exc:  # ConfigError and JSONDecodeError are ValueErrors
+        raise ConfigError(f"invalid scenario keys: {path}: {exc}") from None
     problems: list[str] = []
 
-    def grab(section: Mapping, key: str, default=None, required: bool = False):
-        if key not in section:
-            if required:
-                problems.append(key)
-            return default
-        return section[key]
+    def read(where: str, build: Callable, fallback=None):
+        try:
+            return build()
+        except (KeyError, ValueError, OSError) as exc:  # ConfigError is a ValueError
+            message = str(exc)
+            problems.append(message if message.startswith(f"{where}:") else f"{where}: {message}")
+            return fallback
 
-    protocol_name = grab(obj, "protocol", required=True)
-    try:
-        protocol = Protocol(protocol_name)
-    except ValueError:
-        problems.append("protocol")
-        protocol = Protocol.BSC_DIRECT
+    def pool_fixture():
+        pool_file = _typed(obj, "pools", str, None)
+        if not pool_file:
+            return None
+        with open(Path(path).parent / pool_file, encoding="utf-8") as fh:
+            return pools_mod.load_pool_file(fh)
 
+    def top(key: str, kind: type, default):
+        return read(key, lambda: _typed(obj, key, kind, default), default)
+
+    protocol = read("protocol", lambda: _typed(obj, "protocol", Protocol), Protocol.BSC_DIRECT)
     default_horizon = DEFAULT_ETH_HORIZON_MS if protocol is Protocol.ETH_RELAY else DEFAULT_BSC_HORIZON_MS
-    horizon = _as_fraction(grab(obj, "horizon_ms", default_horizon))
-
-    builders = []
-    for i, entry in enumerate(obj.get("builders", [])):
-        try:
-            builders.append(
-                BuilderAgent(
-                    id=str(entry["id"]),
-                    latency_ms=_as_fraction(entry["latency_ms"]),
-                    strategy=Strategy(entry.get("strategy", "short_hop")),
-                    share_ratio_bp=int(entry.get("share_ratio_bp", 0)),
-                    infra_tier=_as_fraction(entry.get("infra_tier", 1)),
-                    non_delivery_prob=float(entry.get("non_delivery_prob", 0.0)),
-                )
-            )
-        except (KeyError, ValueError, ConfigError) as exc:
-            problems.append(f"builders[{i}]: {exc}")
-
-    opp = obj.get("opportunity", {})
-    try:
-        opportunity = OpportunityModel(
-            peak_value=int(opp["peak_value"]),
-            gas_floor=int(opp["gas_floor"]),
-            birth_ms=_as_fraction(opp.get("birth_ms", 0)),
-            decay=DecayShape(opp.get("decay", "piecewise")),
-            knee_ms=_as_fraction(opp.get("knee_ms", 100)),
-            deadline_ms=_as_fraction(opp.get("deadline_ms", 200)),
-            tail_value=int(opp.get("tail_value", 0)),
-        )
-    except (KeyError, ValueError, ConfigError) as exc:
-        problems.append(f"opportunity: {exc}")
-        opportunity = OpportunityModel(peak_value=1, gas_floor=1)
-
-    proposers = obj.get("proposers", {})
-    try:
-        proposer = ProposerConfig(
-            horizon_ms=horizon,
-            listen_window_ms=_as_fraction(obj.get("listen_window_ms", 50)),
-            blacklist_slots=int(proposers.get("blacklist_slots", 100)),
-        )
-    except ConfigError as exc:
-        problems.append(str(exc))
-        proposer = ProposerConfig()
-
-    relay_obj = obj.get("relay", {})
-    try:
-        relay = RelayConfig(
-            delay_ms=_as_fraction(relay_obj.get("delay_ms", 0)),
-            rebid_interval_ms=_as_fraction(relay_obj.get("rebid_interval_ms", 500)),
-            optimization_rounds=int(relay_obj.get("optimization_rounds", 8)),
-            rebids_enabled=bool(relay_obj.get("rebids_enabled", True)),
-        )
-    except ConfigError as exc:
-        problems.append(str(exc))
-        relay = RelayConfig()
-
-    pools = None
-    if obj.get("pools"):
-        pool_path = Path(path).parent / obj["pools"]
-        try:
-            with open(pool_path, encoding="utf-8") as fh:
-                pools = pools_mod.load_pool_file(fh)
-        except (OSError, ValueError, KeyError) as exc:
-            problems.append(f"pools: {exc}")
-
-    if problems:
-        raise ConfigError("invalid scenario keys: " + "; ".join(str(p) for p in problems))
-    return SimScenario(
-        protocol=protocol,
-        builders=tuple(builders),
-        opportunity=opportunity,
-        proposer=proposer,
-        relay=relay,
-        proposer_count=int(proposers.get("count", 1)),
-        rotation=proposers.get("rotation", "round_robin"),
-        base_compute_ms=_as_fraction(obj.get("base_compute_ms", 10)),
-        pools=pools,
-        embodied_base_symbol=obj.get("embodied_base_symbol"),
+    horizon = top("horizon_ms", Fraction, default_horizon)
+    listen = top("listen_window_ms", Fraction, ProposerConfig.listen_window_ms)
+    entries = top("builders", list, [])
+    builders = [read(f"builders[{i}]", lambda: _from_json(BuilderAgent, entry)) for i, entry in enumerate(entries)]
+    opportunity = read("opportunity", lambda: _from_json(OpportunityModel, obj.get("opportunity", {})))
+    relay = read("relay", lambda: _from_json(RelayConfig, obj.get("relay", {})))
+    proposers = top("proposers", dict, {})
+    proposer = read(
+        "proposers", lambda: _from_json(ProposerConfig, proposers, horizon_ms=horizon, listen_window_ms=listen)
     )
+    count = read("proposers", lambda: _typed(proposers, "count", int, SimScenario.proposer_count))
+    rotation = read("proposers", lambda: _typed(proposers, "rotation", str, SimScenario.rotation))
+    compute_ms = top("base_compute_ms", Fraction, SimScenario.base_compute_ms)
+    base_symbol = top("embodied_base_symbol", str, None)
+    pools = read("pools", pool_fixture)
+    if not problems:
+        try:
+            return SimScenario(
+                protocol=protocol,
+                builders=tuple(builders),
+                opportunity=opportunity,
+                proposer=proposer,
+                relay=relay,
+                proposer_count=count,
+                rotation=rotation,
+                base_compute_ms=compute_ms,
+                pools=pools,
+                embodied_base_symbol=base_symbol,
+            )
+        except ConfigError as exc:
+            problems.append(str(exc))
+    raise ConfigError("invalid scenario keys: " + "; ".join(problems))
 
 
 def _embodied_bid_value_fn(scenario: SimScenario) -> BidValueFn:
@@ -645,54 +661,33 @@ class CampaignResult:
 
 def run_campaign(scenario: SimScenario, n_slots: int, rng_seed: int) -> CampaignResult:
     """Run sequential slots with round-robin proposers and per-proposer,
-    time-limited blacklists."""
+    time-limited blacklists.  Bids depend only on the scenario and the
+    active blacklist, so each distinct blacklist gets one bid schedule and
+    every slot is resolved against its cached schedule."""
     if n_slots < 1:
         raise ConfigError("n_slots must be >= 1")
     bid_value_fn = _embodied_bid_value_fn(scenario) if scenario.pools is not None else None
+    build = _bsc_schedule if scenario.protocol is Protocol.BSC_DIRECT else _eth_schedule
+    schedules: dict[frozenset[str], BidSchedule] = {}
     blacklists: list[dict[str, int]] = [dict() for _ in range(scenario.proposer_count)]
     outcomes: list[SlotOutcome] = []
+    wins: dict[str, int] = {b.id: 0 for b in scenario.builders}
+    profit, revenue = dict(wins), dict(wins)
     for height in range(n_slots):
-        proposer_idx = height % scenario.proposer_count
-        active_blacklist = frozenset(
-            builder for builder, expiry in blacklists[proposer_idx].items() if expiry > height
-        )
-        if scenario.protocol is Protocol.BSC_DIRECT:
-            outcome = run_slot_bsc(
-                scenario.builders,
-                scenario.proposer,
-                scenario.opportunity,
-                rng_seed,
-                height=height,
-                base_compute_ms=scenario.base_compute_ms,
-                blacklisted=active_blacklist,
-                bid_value_fn=bid_value_fn,
-            )
-            for offender in outcome.blacklist_events:
-                blacklists[proposer_idx][offender] = height + scenario.proposer.blacklist_slots
-        else:
-            outcome = run_slot_eth(
-                scenario.builders,
-                scenario.relay,
-                scenario.proposer,
-                scenario.opportunity,
-                rng_seed,
-                height=height,
-                base_compute_ms=scenario.base_compute_ms,
-                bid_value_fn=bid_value_fn,
-            )
+        blacklist = blacklists[height % scenario.proposer_count]
+        active = frozenset(builder for builder, expiry in blacklist.items() if expiry > height)
+        schedule = schedules.get(active)
+        if schedule is None:
+            schedule = schedules[active] = build(scenario, active, bid_value_fn)
+        outcome = _resolve_slot(schedule, height, rng_seed)
+        for offender in outcome.blacklist_events:
+            blacklist[offender] = height + scenario.proposer.blacklist_slots
+        if outcome.winner is not None:
+            wins[outcome.winner] += 1
+            profit[outcome.winner] += outcome.realized_builder_profit
+            revenue[outcome.winner] += outcome.proposer_payment
         outcomes.append(outcome)
 
-    wins: dict[str, int] = {b.id: 0 for b in scenario.builders}
-    profit: dict[str, int] = {b.id: 0 for b in scenario.builders}
-    revenue: dict[str, int] = {b.id: 0 for b in scenario.builders}
-    fallbacks = 0
-    for outcome in outcomes:
-        if outcome.fallback_used:
-            fallbacks += 1
-            continue
-        wins[outcome.winner] += 1
-        profit[outcome.winner] += outcome.realized_builder_profit
-        revenue[outcome.winner] += outcome.proposer_payment
     builders = tuple(
         BuilderSummary(
             builder_id=bid,
@@ -706,7 +701,7 @@ def run_campaign(scenario: SimScenario, n_slots: int, rng_seed: int) -> Campaign
     summary = CampaignSummary(
         n_slots=n_slots,
         builders=builders,
-        fallback_rate=Fraction(fallbacks, n_slots),
+        fallback_rate=Fraction(n_slots - sum(wins.values()), n_slots),
         total_proposer_revenue=sum(revenue.values()),
     )
     return CampaignResult(outcomes=outcomes, summary=summary)

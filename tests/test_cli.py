@@ -1,6 +1,7 @@
 """CLI surface, record schema, config file, end-to-end determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import random
@@ -394,6 +395,96 @@ def test_simulate_invalid_scenario_fails(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"protocol": "nope", "opportunity": {}}))
     assert main(["simulate", "--scenario", str(bad), "--slots", "1", "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+
+
+def duopoly_text(edit) -> str:
+    obj = json.loads((SCENARIOS / "eth_duopoly.json").read_text())
+    edit(obj)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param('{"protocol": "bsc_direct",', id="malformed-json"),
+        pytest.param("[1, 2]", id="top-level-array"),
+        pytest.param(duopoly_text(lambda o: o["proposers"].update(count="abc")), id="count-not-integer"),
+        pytest.param(duopoly_text(lambda o: o["builders"].__setitem__(0, "alpha")), id="builder-not-object"),
+        pytest.param(duopoly_text(lambda o: o.update(opportunity=[1])), id="opportunity-not-object"),
+        pytest.param(duopoly_text(lambda o: o.update(proposers=5)), id="proposers-not-object"),
+        pytest.param(duopoly_text(lambda o: o.update(relay=None)), id="relay-not-object"),
+    ],
+)
+def test_simulate_broken_scenario_is_a_config_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["simulate", "--scenario", str(bad), "--slots", "1", "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid scenario keys: ")
+
+
+def test_simulate_missing_scenario_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["simulate", "--scenario", str(missing), "--slots", "1", "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: invalid scenario keys: {missing}: ")
+
+
+# A direct-flow scenario whose slots depend on the non-delivery draws and on
+# per-proposer blacklists.
+FLAKY_SCENARIO = {
+    "protocol": "bsc_direct",
+    "horizon_ms": 3000,
+    "listen_window_ms": 50,
+    "builders": [
+        {"id": "alpha", "latency_ms": 10, "share_ratio_bp": 9000, "non_delivery_prob": 0.3},
+        {"id": "beta", "latency_ms": 12, "share_ratio_bp": 2500, "non_delivery_prob": 0.1},
+        {"id": "gamma", "latency_ms": 15, "share_ratio_bp": 100},
+    ],
+    "opportunity": {"peak_value": 10**9, "gas_floor": 1000},
+    "proposers": {"count": 3, "blacklist_slots": 20},
+}
+
+# SHA-256 of (slots.csv, summary.csv) for 2,000 slots per scenario and seed,
+# taken from a simulator that rebuilt every slot's bids from scratch; a
+# mismatch means the simulated behaviour changed.
+_BSC_DUOPOLY = (
+    "7c6f18377b9c49c950a3e685a3f70307eb9ae4ac9359e8f0559de9b1f799f4fc",
+    "604dc834a9884d82739fe515946729ec3316bdf3c212a11b6b904a2f70c58022",
+)
+_ETH_DUOPOLY = (
+    "a74016e066f21555a5aedd4f4163216ad748aa82a3b51f0b1066f77d3e427a87",
+    "a4ddc076e2079bea548bff2e66853abdc5e9cd7c5da0f1847c780c4bde40f52a",
+)
+PINNED_SIMULATE_DIGESTS = {
+    "bsc_duopoly.json": dict.fromkeys((1, 7, 42), _BSC_DUOPOLY),
+    "eth_duopoly.json": dict.fromkeys((1, 7, 42), _ETH_DUOPOLY),
+    "flaky": {
+        1: (
+            "1daed6b162dd9acacfee686b879ba03e487b65b3fd0db6d1200d4eebb5c1f2ec",
+            "79f14119d622dc22d171d7e7d3ad5d3398ace60c9611fcf3bed3cc9d5f7bc880",
+        ),
+        7: (
+            "1b63236047f1f717c53f6d75daa055db8361b77a13101925a756b7689dc21c5a",
+            "bd532fb7a4a14b47ccf68ef1ff41c6871dfd334ae77c0f98a849d4c55e0116c2",
+        ),
+        42: (
+            "826be743af0348d50114abd827d4e2c19671c44389880d78355c2ecc7339a498",
+            "c3ce45ff02de1cb7a137f0a12ab501ea5f3ea3ef3b3705366d3a22a3882b7367",
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+@pytest.mark.parametrize("name", sorted(PINNED_SIMULATE_DIGESTS))
+def test_simulate_outputs_match_pinned_digests(tmp_path, name, seed):
+    scenario = SCENARIOS / name
+    if name == "flaky":
+        scenario = tmp_path / "flaky.json"
+        scenario.write_text(json.dumps(FLAKY_SCENARIO))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(scenario), "--slots", "2000", "--seed", str(seed), "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("slots.csv", "summary.csv"))
+    assert digests == PINNED_SIMULATE_DIGESTS[name][seed]
 
 
 # -- gen-fixtures -------------------------------------------------------------

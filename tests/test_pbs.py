@@ -80,13 +80,38 @@ def test_piecewise_decay_shape():
     t1=st.fractions(min_value=0, max_value=1000),
     t2=st.fractions(min_value=0, max_value=1000),
     decay=st.sampled_from(list(DecayShape)),
+    # odd peaks above 2**53 have no exact float
+    peak=st.one_of(st.just(10**9), st.integers(min_value=2**53, max_value=2**200).map(lambda n: n | 1)),
 )
-def test_decay_is_non_increasing_and_crosses_floor(t1, t2, decay):
-    model = OpportunityModel(peak_value=10**9, gas_floor=1000, decay=decay)
+def test_decay_is_non_increasing_and_crosses_floor(t1, t2, decay, peak):
+    model = OpportunityModel(peak_value=peak, gas_floor=1000, decay=decay)
     lo, hi = sorted((t1, t2))
     assert model.value(lo) >= model.value(hi)
+    assert model.tail_value <= model.value(hi) <= model.value(lo) <= model.peak_value
     assert model.value(model.birth_ms) == model.peak_value
     assert model.value(model.birth_ms + model.deadline_ms) < model.gas_floor
+
+
+@pytest.mark.parametrize("peak", [2**60 - 1, 2**60 + 1, 2**53 + 1])
+def test_exponential_decay_is_exact_at_birth_above_float_precision(peak):
+    model = OpportunityModel(peak_value=peak, gas_floor=1000, decay=DecayShape.EXPONENTIAL)
+    assert model.value(Fraction(0)) == peak
+    assert model.value(Fraction(1, 10**9)) <= peak
+
+
+def test_exponential_decay_values_below_float_precision_are_unchanged():
+    # values of int(peak * exp(-rate * t)); the [tail, peak] clamp leaves them as they are
+    model = OpportunityModel(peak_value=10**9, gas_floor=1000, decay=DecayShape.EXPONENTIAL)
+    assert [model.value(Fraction(t)) for t in (0, 1, 50, 100, 199, 200)] == [
+        10**9, 933254300, 31622776, 1000000, 1071, 0
+    ]
+
+
+def test_exponential_peak_too_large_for_a_float_is_a_config_error():
+    with pytest.raises(ConfigError, match="peak_value"):
+        OpportunityModel(peak_value=10**400, gas_floor=1000, decay=DecayShape.EXPONENTIAL)
+    # the piecewise curve is exact rational arithmetic and has no such limit
+    assert OpportunityModel(peak_value=10**400, gas_floor=1000).value(Fraction(0)) == 10**400
 
 
 def test_opportunity_validation():
@@ -157,6 +182,14 @@ def test_all_deliveries_fail_falls_back():
     outcome = run_slot_bsc([flaky], PROPOSER, OPP, rng_seed=11)
     assert outcome.fallback_used and outcome.winner is None
     assert outcome.blacklist_events == ("flaky",)
+
+
+def test_duplicate_builder_ids_are_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="builders: duplicate ids"):
+        run_slot_bsc([agent("a", 10), agent("a", 20)], PROPOSER, OPP, rng_seed=1)
+    path = write_scenario(tmp_path, lambda o: o["builders"][1].update(id="alpha"))
+    with pytest.raises(ConfigError, match="invalid scenario keys: builders: duplicate ids"):
+        load_scenario(path)
 
 
 def test_realized_profit_never_negative():
@@ -364,3 +397,134 @@ def test_enumerate_cycles_finds_planted_triangle():
     assert 2 in lengths and 3 in lengths
     planted = fixture.descriptor
     assert any(c.pools == planted.pools for c in cycles)
+
+
+# -- bid schedules vs slot-by-slot campaigns ----------------------------------
+
+
+def slot_by_slot_campaign(scenario, n_slots, rng_seed):
+    """Reference campaign: every slot runs the public slot flow from scratch
+    with its proposer's active blacklist."""
+    blacklists = [dict() for _ in range(scenario.proposer_count)]
+    outcomes = []
+    for height in range(n_slots):
+        blacklist = blacklists[height % scenario.proposer_count]
+        active = frozenset(builder for builder, expiry in blacklist.items() if expiry > height)
+        if scenario.protocol is Protocol.BSC_DIRECT:
+            outcome = run_slot_bsc(
+                scenario.builders,
+                scenario.proposer,
+                scenario.opportunity,
+                rng_seed,
+                height=height,
+                base_compute_ms=scenario.base_compute_ms,
+                blacklisted=active,
+            )
+            for offender in outcome.blacklist_events:
+                blacklist[offender] = height + scenario.proposer.blacklist_slots
+        else:
+            outcome = run_slot_eth(
+                scenario.builders,
+                scenario.relay,
+                scenario.proposer,
+                scenario.opportunity,
+                rng_seed,
+                height=height,
+                base_compute_ms=scenario.base_compute_ms,
+            )
+        outcomes.append(outcome)
+    return outcomes
+
+
+builder_lists = st.lists(
+    st.builds(
+        agent,
+        aid=st.sampled_from(["a", "b", "c", "d", "e"]),
+        latency=st.integers(min_value=0, max_value=150),
+        tier=st.integers(min_value=1, max_value=4),
+        bp=st.sampled_from([0, 2500, 9000, 10000]),
+        nd=st.sampled_from([0.0, 0.1, 1.0]),
+        strategy=st.sampled_from(list(Strategy)),
+    ),
+    max_size=5,
+    unique_by=lambda b: b.id,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    builders=builder_lists,
+    protocol=st.sampled_from(list(Protocol)),
+    proposer_count=st.integers(min_value=1, max_value=5),
+    blacklist_slots=st.integers(min_value=0, max_value=20),
+    rebids_enabled=st.booleans(),
+    n_slots=st.integers(min_value=1, max_value=60),
+    rng_seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_campaign_equals_slot_by_slot_reference(
+    builders, protocol, proposer_count, blacklist_slots, rebids_enabled, n_slots, rng_seed
+):
+    horizon = Fraction(3000 if protocol is Protocol.BSC_DIRECT else 12000)
+    scenario = SimScenario(
+        protocol=protocol,
+        builders=tuple(builders),
+        opportunity=OPP,
+        proposer=ProposerConfig(horizon_ms=horizon, blacklist_slots=blacklist_slots),
+        relay=RelayConfig(rebids_enabled=rebids_enabled),
+        proposer_count=proposer_count,
+    )
+    assert run_campaign(scenario, n_slots, rng_seed).outcomes == slot_by_slot_campaign(scenario, n_slots, rng_seed)
+
+
+def test_campaign_slots_share_their_schedule_bids():
+    outcomes = run_campaign(duopoly(Protocol.ETH_RELAY), 3, rng_seed=1).outcomes
+    assert outcomes[0].bids_received is outcomes[2].bids_received
+    assert len(outcomes[0].bids_received) == 11
+
+
+# -- scenario value types -----------------------------------------------------
+
+
+def write_scenario(tmp_path, edit):
+    obj = json.loads((SCENARIOS / "eth_duopoly.json").read_text())
+    edit(obj)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        pytest.param(lambda o: o["relay"].update(rebids_enabled="false"), "rebids_enabled", id="rebids-string"),
+        pytest.param(lambda o: o["relay"].update(rebids_enabled=0), "rebids_enabled", id="rebids-int"),
+        pytest.param(lambda o: o["builders"][0].update(share_ratio_bp=2500.9), "share_ratio_bp", id="bp-float"),
+        pytest.param(lambda o: o["builders"][0].update(share_ratio_bp=True), "share_ratio_bp", id="bp-bool"),
+        pytest.param(lambda o: o["proposers"].update(count=2.0), "count", id="count-float"),
+        pytest.param(lambda o: o["proposers"].update(blacklist_slots=1.5), "blacklist_slots", id="blacklist-float"),
+        pytest.param(lambda o: o["relay"].update(optimization_rounds="8"), "optimization_rounds", id="rounds-string"),
+        pytest.param(lambda o: o["opportunity"].update(peak_value=1e9), "peak_value", id="peak-float"),
+        pytest.param(lambda o: o["opportunity"].update(gas_floor=False), "gas_floor", id="gas-floor-bool"),
+        pytest.param(lambda o: o["opportunity"].update(tail_value=0.5), "tail_value", id="tail-float"),
+        pytest.param(lambda o: o["builders"][0].update(non_delivery_prob="0.1"), "non_delivery_prob", id="nd-string"),
+        pytest.param(lambda o: o["builders"][0].update(id=7), "id", id="id-int"),
+        pytest.param(lambda o: o.update(horizon_ms="abc"), "horizon_ms", id="horizon-string"),
+        pytest.param(lambda o: o.update(listen_window_ms=True), "listen_window_ms", id="listen-bool"),
+    ],
+)
+def test_scenario_values_of_the_wrong_json_type_are_config_errors(tmp_path, edit, key):
+    with pytest.raises(ConfigError, match=f"invalid scenario keys: .*{key}"):
+        load_scenario(write_scenario(tmp_path, edit))
+
+
+def test_fraction_keys_accept_floats_and_integers(tmp_path):
+    scenario = load_scenario(write_scenario(tmp_path, lambda o: o["builders"][1].update(infra_tier=2.5, latency_ms=0.5)))
+    beta = scenario.builders[1]
+    assert (beta.infra_tier, beta.latency_ms) == (Fraction(5, 2), Fraction(1, 2))
+    assert load_scenario(SCENARIOS / "eth_duopoly.json").builders[1].infra_tier == 3
+
+
+def test_rebids_enabled_false_is_read_as_false(tmp_path):
+    scenario = load_scenario(write_scenario(tmp_path, lambda o: o["relay"].update(rebids_enabled=False)))
+    assert scenario.relay.rebids_enabled is False
+    assert {o.winner for o in run_campaign(scenario, 50, rng_seed=1).outcomes} == {"alpha"}
