@@ -136,8 +136,9 @@ class OpportunityModel:
         if self.decay is DecayShape.PIECEWISE:
             if elapsed <= self.knee_ms:
                 return self.peak_value
+            # the peak clamp keeps a peak below gas_floor from rising toward it
             slope = Fraction(self.peak_value - self.gas_floor) / (self.deadline_ms - self.knee_ms)
-            return int(self.peak_value - slope * (elapsed - self.knee_ms))
+            return min(self.peak_value, int(self.peak_value - slope * (elapsed - self.knee_ms)))
         # exponential: reach gas_floor at the deadline, clamp to tail after;
         # the peak clamp keeps float rounding above 2**53 from overshooting
         if elapsed == 0:
@@ -430,6 +431,10 @@ class SimScenario:
 
 
 _REQUIRED = object()
+_SCENARIO_KEYS = (
+    "protocol", "horizon_ms", "listen_window_ms", "base_compute_ms", "builders",
+    "opportunity", "proposers", "relay", "pools", "embodied_base_symbol",
+)
 _JSON_NAMES = {
     int: "an integer", bool: "a boolean", float: "a number", Fraction: "a number",
     str: "a string", dict: "an object", list: "an array",
@@ -465,11 +470,19 @@ def _typed(section: Mapping, key: str, kind: type, default=_REQUIRED):
     raise ConfigError(f"{key}: expected {expected}, got {value!r:.40}")
 
 
-def _from_json(cls: type, section, **given):
+def _check_keys(section: Mapping, known) -> None:
+    unknown = sorted(set(section).difference(known))
+    if unknown:
+        raise ConfigError(f"unknown keys {', '.join(unknown)}")
+
+
+def _from_json(cls: type, section, extra: tuple[str, ...] = (), **given):
     """A cls built from a JSON object: each field not given is read under
-    its own name as its annotated type, and defaults as the dataclass does."""
+    its own name as its annotated type, and defaults as the dataclass does.
+    Any other key, unless listed in extra, is an error."""
     if not isinstance(section, dict):
         raise ConfigError("expected an object")
+    _check_keys(section, [f.name for f in fields(cls) if f.name not in given] + list(extra))
     kinds = get_type_hints(cls)
     for field in fields(cls):
         if field.name not in given:
@@ -480,9 +493,10 @@ def _from_json(cls: type, section, **given):
 
 def load_scenario(path: str | Path) -> SimScenario:
     """Load and validate a scenario JSON file, each value strictly by type
-    (see _typed); absent keys take the dataclass defaults.  Every broken
-    key or section is reported together in one ConfigError, as is a file
-    that cannot be read or does not hold a JSON object."""
+    (see _typed); absent keys take the dataclass defaults and unknown keys
+    are errors.  Every broken key or section is reported together in one
+    ConfigError, as is a file that cannot be read or does not hold a JSON
+    object."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -510,6 +524,7 @@ def load_scenario(path: str | Path) -> SimScenario:
     def top(key: str, kind: type, default):
         return read(key, lambda: _typed(obj, key, kind, default), default)
 
+    read("scenario", lambda: _check_keys(obj, _SCENARIO_KEYS))
     protocol = read("protocol", lambda: _typed(obj, "protocol", Protocol), Protocol.BSC_DIRECT)
     default_horizon = DEFAULT_ETH_HORIZON_MS if protocol is Protocol.ETH_RELAY else DEFAULT_BSC_HORIZON_MS
     horizon = top("horizon_ms", Fraction, default_horizon)
@@ -520,7 +535,8 @@ def load_scenario(path: str | Path) -> SimScenario:
     relay = read("relay", lambda: _from_json(RelayConfig, obj.get("relay", {})))
     proposers = top("proposers", dict, {})
     proposer = read(
-        "proposers", lambda: _from_json(ProposerConfig, proposers, horizon_ms=horizon, listen_window_ms=listen)
+        "proposers",
+        lambda: _from_json(ProposerConfig, proposers, ("count", "rotation"), horizon_ms=horizon, listen_window_ms=listen),
     )
     count = read("proposers", lambda: _typed(proposers, "count", int, SimScenario.proposer_count))
     rotation = read("proposers", lambda: _typed(proposers, "rotation", str, SimScenario.rotation))

@@ -6,9 +6,10 @@ swap math is exact integer arithmetic with floor rounding on outputs,
 matching on-chain behavior.  Fees are parts per million so both the
 0.30% and 0.01% tiers are exact.
 
-PoolState is immutable; a run mutates a working copy of the pool map and
-simply discards it on abort, which makes rollback structural rather than
-compensating arithmetic.  Concurrent runs must use independent snapshots.
+PoolState is immutable and a run never writes to the caller's pool map: it
+keeps a map of the pools it touched, which an aborted run simply drops and
+a successful one lays over the input map.  Rollback is thus structural
+rather than compensating arithmetic, and runs may share one pool map.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 import json
 from typing import IO, Iterable, Mapping, Optional
 
-from .traces import PathDescriptor, TokenId, format_address, parse_address, token_from_obj, token_to_obj
+from .traces import PathDescriptor, TokenId, format_address, parse_address, read_int, token_from_obj, token_to_obj
 
 FEE_SCALE = 10**6           # fee denominator, parts per million
 Q96 = 1 << 96               # Q64.96 fixed-point unit for sqrt prices
@@ -216,22 +217,6 @@ def split_delta(delta: int, share_ratio_bp: int) -> tuple[int, int]:
     return payout, delta - payout
 
 
-def _resolve_profit_token(
-    descriptor: PathDescriptor,
-    pools: Mapping[bytes, PoolState],
-    final_hop: Optional[tuple[bytes, int]],
-) -> TokenId:
-    # The run is settled in the normalization target when a final hop is
-    # given, otherwise in the cycle's own entry token.
-    if final_hop is None:
-        return descriptor.tokens[0]
-    address, direction = final_hop
-    pool = pools.get(address)
-    if pool is None:
-        raise PoolLookupError(format_address(address))
-    return pool.token1 if direction == 0 else pool.token0
-
-
 def _hop_swap(pool: PoolState, type_flag: int, direction: int, token_in: TokenId, amount: int) -> tuple[int, PoolState]:
     expected_direction = 0 if token_in == pool.token0 else 1 if token_in == pool.token1 else None
     if expected_direction is None:
@@ -249,56 +234,27 @@ def _hop_swap(pool: PoolState, type_flag: int, direction: int, token_in: TokenId
 
 
 def _execute_path(
-    descriptor: PathDescriptor,
-    working: dict[bytes, PoolState],
-    amount0: int,
-    final_hop: Optional[tuple[bytes, int]],
-    profit_token: TokenId,
-) -> tuple[int, list[int]]:
-    """Thread the input through every hop, mutating `working`.
+    descriptor: PathDescriptor, pools: Mapping[bytes, PoolState], amount0: int
+) -> tuple[int, list[int], dict[bytes, PoolState]]:
+    """Thread amount0 through every hop without changing `pools`.
 
-    Returns (delta, hop_amounts) where delta is the profit-token balance
-    gained by the executing contract over the run.
+    Returns (delta, hop_amounts, touched): touched maps each pool the run
+    visited to its post-run state, and delta is the entry-token balance the
+    run gains, the last output minus amount0 on a cycle and -amount0 on an
+    open path.
     """
-    balance = amount0 if descriptor.tokens[0] == profit_token else 0
-    balance_pre = balance
+    touched: dict[bytes, PoolState] = {}
     amount = amount0
     hop_amounts: list[int] = []
-    for i in range(descriptor.n_hops):
-        token_in = descriptor.tokens[i]
-        address = descriptor.pools[i]
-        pool = working.get(address)
+    hops = zip(descriptor.tokens, descriptor.pools, descriptor.pool_type_flags, descriptor.direction_flags)
+    for token_in, address, type_flag, direction in hops:
+        pool = touched.get(address) or pools.get(address)
         if pool is None:
             raise PoolLookupError(format_address(address))
-        if i == 0 and token_in == profit_token:
-            balance -= amount
-        amount, working[address] = _hop_swap(
-            pool, descriptor.pool_type_flags[i], descriptor.direction_flags[i], token_in, amount
-        )
+        amount, touched[address] = _hop_swap(pool, type_flag, direction, token_in, amount)
         hop_amounts.append(amount)
-    if descriptor.tokens[-1] == profit_token:
-        balance += amount
-
-    if final_hop is not None:
-        address, direction = final_hop
-        pool = working.get(address)
-        if pool is None:
-            raise PoolLookupError(format_address(address))
-        token_in = descriptor.tokens[-1]
-        in_side = pool.token0 if direction == 0 else pool.token1
-        if in_side != token_in:
-            raise ValueError("final hop direction does not accept the path's exit token")
-        if token_in == profit_token:
-            balance -= amount
-        if pool.kind is PoolKind.V2:
-            amount, working[address] = swap_v2(pool, token_in, amount)
-        else:
-            amount, working[address], _unused = swap_v3(pool, direction, amount)
-        hop_amounts.append(amount)
-        if pool.other(token_in) == profit_token:
-            balance += amount
-
-    return balance - balance_pre, hop_amounts
+    delta = amount - amount0 if descriptor.is_cycle else -amount0
+    return delta, hop_amounts, touched
 
 
 def arbitrage_run(
@@ -306,15 +262,12 @@ def arbitrage_run(
     pools: Mapping[bytes, PoolState],
     amount0: int,
     share_ratio_bp: int,
-    final_hop: Optional[tuple[bytes, int]] = None,
-    profit_token: Optional[TokenId] = None,
 ) -> Optional[tuple[ExecutionResult, dict[bytes, PoolState]]]:
     """Execute a path atomically, requiring a strictly positive surplus.
 
     Hops run in descriptor order with V2/V3 dispatch per pool-type flag,
-    each output feeding the next input; an optional final hop normalizes
-    the exit amount into the settlement token.  If the surplus delta is
-    not positive the whole run aborts and None is returned with every pool
+    each output feeding the next input.  If the surplus delta is not
+    positive the whole run aborts and None is returned with every pool
     untouched.  On success the surplus is split as
     payout = floor(delta * share_ratio_bp / 10000), kept = delta - payout,
     and the post-run pool map is returned alongside the result.
@@ -323,25 +276,17 @@ def arbitrage_run(
         raise ValueError("amount0 must be positive")
     if not 0 <= share_ratio_bp <= SHARE_RATIO_SCALE:
         raise ValueError("share ratio must be within [0, 10000] bp")
-    working = dict(pools)
-    token = profit_token or _resolve_profit_token(descriptor, working, final_hop)
     try:
-        delta, hop_amounts = _execute_path(descriptor, working, amount0, final_hop, token)
+        delta, hop_amounts, touched = _execute_path(descriptor, pools, amount0)
     except DustError:
         return None  # a dead hop cannot yield profit; treat as an abort
     if delta <= 0:
         return None
     payout, kept = split_delta(delta, share_ratio_bp)
-    return ExecutionResult(delta=delta, payout=payout, kept=kept, hop_amounts=tuple(hop_amounts)), working
+    return ExecutionResult(delta=delta, payout=payout, kept=kept, hop_amounts=tuple(hop_amounts)), {**pools, **touched}
 
 
-def cycle_delta(
-    descriptor: PathDescriptor,
-    pools: Mapping[bytes, PoolState],
-    amount0: int,
-    final_hop: Optional[tuple[bytes, int]] = None,
-    profit_token: Optional[TokenId] = None,
-) -> int:
+def cycle_delta(descriptor: PathDescriptor, pools: Mapping[bytes, PoolState], amount0: int) -> int:
     """Surplus of executing the path, without the profit gate or payouts.
 
     Used when searching for the best input; a run that dies mid-path (dust)
@@ -349,13 +294,10 @@ def cycle_delta(
     """
     if amount0 <= 0:
         raise ValueError("amount0 must be positive")
-    working = dict(pools)
-    token = profit_token or _resolve_profit_token(descriptor, working, final_hop)
     try:
-        delta, _ = _execute_path(descriptor, working, amount0, final_hop, token)
+        return _execute_path(descriptor, pools, amount0)[0]
     except DustError:
         return -amount0
-    return delta
 
 
 def best_input_search(
@@ -363,8 +305,6 @@ def best_input_search(
     pools: Mapping[bytes, PoolState],
     lo: int,
     hi: int,
-    final_hop: Optional[tuple[bytes, int]] = None,
-    profit_token: Optional[TokenId] = None,
 ) -> tuple[int, int]:
     """Ternary-search the unimodal profit curve for the best input amount.
 
@@ -377,7 +317,7 @@ def best_input_search(
 
     def evaluate(amount: int) -> int:
         if amount not in cache:
-            cache[amount] = cycle_delta(descriptor, pools, amount, final_hop, profit_token)
+            cache[amount] = cycle_delta(descriptor, pools, amount)
         return cache[amount]
 
     lo0 = lo
@@ -423,26 +363,32 @@ def pool_to_obj(pool: PoolState) -> dict:
 
 
 def pool_from_obj(obj: Mapping) -> PoolState:
+    if type(obj) is not dict:
+        raise ValueError(f"pool is not an object but {type(obj).__name__}")
     kind = PoolKind(obj["kind"])
     common = dict(
         address=parse_address(obj["address"]),
         kind=kind,
         token0=token_from_obj(obj["token0"]),
         token1=token_from_obj(obj["token1"]),
-        fee_ppm=int(obj["fee_ppm"]),
+        fee_ppm=read_int(obj["fee_ppm"], "fee_ppm"),
     )
-    if kind is PoolKind.V2:
-        return PoolState(**common, reserve0=int(str(obj["reserve0"])), reserve1=int(str(obj["reserve1"])))
-    return PoolState(**common, liquidity=int(str(obj["liquidity"])), sqrt_price_x96=int(str(obj["sqrt_price_x96"])))
+    keys = ("reserve0", "reserve1") if kind is PoolKind.V2 else ("liquidity", "sqrt_price_x96")
+    return PoolState(**common, **{key: read_int(obj[key], key, digits=True) for key in keys})
 
 
 def load_pool_file(stream: IO[str] | Iterable[str]) -> dict[bytes, PoolState]:
+    """Pools by address from newline-delimited JSON records; a malformed
+    line raises ValueError naming its 1-based line number."""
     pools: dict[bytes, PoolState] = {}
-    for line in stream:
+    for line_no, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
             continue
-        pool = pool_from_obj(json.loads(line))
+        try:
+            pool = pool_from_obj(json.loads(line))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
         pools[pool.address] = pool
     return pools
 

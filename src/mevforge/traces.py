@@ -34,7 +34,20 @@ class DuplicateLabelError(ValueError):
     """A builder address appears more than once in a label set."""
 
 
+def read_int(value, key: str, digits: bool = False) -> int:
+    """value as an int: a JSON integer, or with digits also a string of
+    ASCII digits.  Booleans, floats and anything else raise ValueError."""
+    if type(value) is int:
+        return value
+    if digits and type(value) is str and value.isascii() and value.isdigit():
+        return int(value)
+    expected = "an integer or a digit string" if digits else "an integer"
+    raise ValueError(f"{key}: expected {expected}, got {value!r:.40}")
+
+
 def parse_address(text: str) -> bytes:
+    if type(text) is not str:
+        raise ValueError(f"address must be a hex string, got {text!r:.40}")
     raw = bytes.fromhex(text.removeprefix("0x"))
     if len(raw) != ADDRESS_LEN:
         raise ValueError(f"address must be {ADDRESS_LEN} bytes, got {len(raw)}")
@@ -46,6 +59,8 @@ def format_address(raw: bytes) -> str:
 
 
 def parse_tx_hash(text: str) -> bytes:
+    if type(text) is not str:
+        raise ValueError(f"tx hash must be a hex string, got {text!r:.40}")
     raw = bytes.fromhex(text.removeprefix("0x"))
     if len(raw) != HASH_LEN:
         raise ValueError(f"tx hash must be {HASH_LEN} bytes, got {len(raw)}")
@@ -215,34 +230,32 @@ def token_to_obj(token: TokenId) -> dict:
 
 
 def token_from_obj(obj: Mapping) -> TokenId:
-    return TokenId(symbol=str(obj["symbol"]), address=parse_address(obj["address"]), decimals=int(obj["decimals"]))
-
-
-def _read_amount(obj: Mapping, key: str) -> int:
-    value = obj.get(key)
-    if value is None:
-        return 0
-    return int(str(value))
+    if type(obj) is not dict:
+        raise ValueError(f"token is not an object but {type(obj).__name__}")
+    return TokenId(
+        symbol=str(obj["symbol"]), address=parse_address(obj["address"]), decimals=read_int(obj["decimals"], "decimals")
+    )
 
 
 def _event_from_obj(obj: Mapping, index: int) -> TraceEvent:
     kind = _KIND_BY_NAME[obj["kind"]]
     token_in = token_from_obj(obj["token_in"]) if "token_in" in obj else None
     token_out = token_from_obj(obj["token_out"]) if "token_out" in obj else None
-    amount = None
-    if "amount" in obj:
-        amount = int(str(obj["amount"]))
+    amount = read_int(obj["amount"], "amount", digits=True) if "amount" in obj else None
+    pool_sink = obj.get("pool_sink", False)
+    if type(pool_sink) is not bool:
+        raise ValueError(f"pool_sink: expected a boolean, got {pool_sink!r:.40}")
     return TraceEvent(
         kind=kind,
         index=index,
         pool=parse_address(obj["pool"]) if "pool" in obj else None,
         token_in=token_in,
         token_out=token_out,
-        amount_in=_read_amount(obj, "amount_in"),
-        amount_out=_read_amount(obj, "amount_out"),
+        amount_in=read_int(obj["amount_in"], "amount_in", digits=True) if "amount_in" in obj else 0,
+        amount_out=read_int(obj["amount_out"], "amount_out", digits=True) if "amount_out" in obj else 0,
         to=parse_address(obj["to"]) if "to" in obj else None,
         amount=amount,
-        pool_sink=bool(obj.get("pool_sink", False)),
+        pool_sink=pool_sink,
     )
 
 
@@ -258,11 +271,11 @@ def _transaction_from_obj(obj: Mapping, line_no: int, stats: ParseStats) -> Tran
             events.append(_event_from_obj(raw, index=len(events)))
         return Transaction(
             hash=parse_tx_hash(obj["hash"]),
-            block_number=int(obj["block"]),
+            block_number=read_int(obj["block"], "block"),
             initiator=parse_address(obj["from"]),
             events=tuple(events),
-            gas_used=int(obj["gas_used"]),
-            gas_price=int(obj["gas_price"]),
+            gas_used=read_int(obj["gas_used"], "gas_used"),
+            gas_price=read_int(obj["gas_price"], "gas_price"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceParseError(line_no, str(exc)) from exc

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from mevforge import fixtures, pools
 from mevforge.cli import main
 from mevforge.config import ConfigFileError, RunConfig, load_config
 from mevforge.records import (
@@ -251,6 +252,38 @@ def test_extract_non_object_event_fails_with_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {trace}: line 2: ")
 
 
+def worked_example_with(edit) -> str:
+    obj = json.loads((DATA / "worked_example_trace.ndjson").read_text())
+    edit(obj)
+    return json.dumps(obj) + "\n"
+
+
+def set_event(index, **values):
+    return lambda obj: obj["events"][index].update(values)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda o: o.update(block=50636154.7), id="block-float"),
+        pytest.param(lambda o: o.update(gas_used=True), id="gas-used-bool"),
+        pytest.param(lambda o: o.update(gas_price="0"), id="gas-price-string"),
+        pytest.param(lambda o: o["events"][0]["token_in"].update(decimals=False), id="decimals-bool"),
+        pytest.param(set_event(0, amount_in="+1000000"), id="amount-in-signed-string"),
+        pytest.param(set_event(0, amount_out="2_980_000_000_000_000_000"), id="amount-out-underscores"),
+        pytest.param(set_event(3, amount=" 820"), id="amount-padded-string"),
+        pytest.param(set_event(0, pool_sink="false", amount="5"), id="pool-sink-string"),
+        pytest.param(set_event(0, pool=5), id="pool-address-number"),
+    ],
+)
+def test_extract_rejects_loosely_typed_trace_fields(tmp_path, capsys, edit):
+    trace = tmp_path / "traces.ndjson"
+    trace.write_text(worked_example_with(edit))
+    code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {trace}: line 1: ")
+
+
 def test_extract_matches_planted_manifest(tmp_path):
     fixture_dir = tmp_path / "fx"
     assert main(["gen-fixtures", "--kind", "traces", "--seed", "9", "--count", "400", "--out", str(fixture_dir)]) == 0
@@ -428,6 +461,70 @@ def test_simulate_missing_scenario_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: invalid scenario keys: {missing}: ")
 
 
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        pytest.param(lambda o: o.update(listen_windw_ms=5), "listen_windw_ms", id="top-level"),
+        pytest.param(lambda o: o["relay"].update(rebid_enabled=False), "rebid_enabled", id="relay"),
+        pytest.param(lambda o: o["opportunity"].update(peak=1), "peak", id="opportunity"),
+        pytest.param(lambda o: o["builders"][1].update(latency=1), "latency", id="builder"),
+        # horizon_ms is a top-level key, so the proposers section does not read it
+        pytest.param(lambda o: o["proposers"].update(horizon_ms=1), "horizon_ms", id="proposers"),
+    ],
+)
+def test_simulate_unknown_scenario_key_is_a_config_error(tmp_path, capsys, edit, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(duopoly_text(edit))
+    assert main(["simulate", "--scenario", str(bad), "--slots", "1", "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario keys: ")
+    assert f"unknown keys {key}" in err
+
+
+def embodied_scenario(directory: Path, pool_text: str) -> Path:
+    """EMBODIED_SCENARIO written to directory beside the pool file it names."""
+    (directory / "pools.ndjson").write_text(pool_text)
+    scenario = directory / "embodied.json"
+    scenario.write_text(json.dumps(EMBODIED_SCENARIO))
+    return scenario
+
+
+def pool_lines_with(edit) -> str:
+    """The seed-13 pool fixture with its second line replaced by edit(obj)."""
+    lines = pools.dump_pool_file(fixtures.gen_pool_fixture(seed=13).pools).splitlines()
+    lines[1] = edit(json.loads(lines[1]))
+    return "\n".join(lines) + "\n"
+
+
+def v3_line_with(**values):
+    def edit(obj):
+        fixture_pools = fixtures.gen_pool_fixture(seed=13).pools.values()
+        v3 = pools.pool_to_obj(next(p for p in fixture_pools if p.kind is pools.PoolKind.V3))
+        return json.dumps({**v3, "address": obj["address"], **values})
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda o: json.dumps(list(o.values())), id="array"),
+        pytest.param(lambda o: json.dumps({**o, "token0": "WBNB"}), id="token0-not-object"),
+        pytest.param(lambda o: json.dumps({**o, "address": 5}), id="address-number"),
+        pytest.param(lambda o: json.dumps({**o, "fee_ppm": 2500.9}), id="fee-float"),
+        pytest.param(lambda o: json.dumps(o)[:-1], id="invalid-json"),
+        pytest.param(lambda o: json.dumps({**o, "reserve0": True}), id="reserve-bool"),
+        pytest.param(lambda o: json.dumps({**o, "reserve1": "1e21"}), id="reserve-exponent-string"),
+        pytest.param(v3_line_with(liquidity=10.0**21), id="liquidity-float"),
+        pytest.param(v3_line_with(sqrt_price_x96="-1"), id="sqrt-price-signed-string"),
+    ],
+)
+def test_simulate_malformed_pool_file_names_the_line(tmp_path, capsys, edit):
+    scenario = embodied_scenario(tmp_path, pool_lines_with(edit))
+    assert main(["simulate", "--scenario", str(scenario), "--slots", "1", "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid scenario keys: pools: line 2: ")
+
+
 # A direct-flow scenario whose slots depend on the non-delivery draws and on
 # per-proposer blacklists.
 FLAKY_SCENARIO = {
@@ -443,9 +540,26 @@ FLAKY_SCENARIO = {
     "proposers": {"count": 3, "blacklist_slots": 20},
 }
 
+# A direct-flow scenario priced by pool search over the seed-13 pool fixture
+# (written beside it as pools.ndjson), with non-delivery and blacklists.
+EMBODIED_SCENARIO = {
+    "protocol": "bsc_direct",
+    "horizon_ms": 3000,
+    "builders": [
+        {"id": "tri", "latency_ms": 10, "share_ratio_bp": 2500, "strategy": "mixed", "non_delivery_prob": 0.3},
+        {"id": "pair", "latency_ms": 10, "share_ratio_bp": 2500, "strategy": "short_hop"},
+        {"id": "slow", "latency_ms": 15, "share_ratio_bp": 4000, "strategy": "long_hop", "non_delivery_prob": 0.1},
+    ],
+    "proposers": {"count": 3, "blacklist_slots": 20},
+    "opportunity": {"peak_value": 10**9, "gas_floor": 1000},
+    "pools": "pools.ndjson",
+    "embodied_base_symbol": "WBNB",
+}
+
 # SHA-256 of (slots.csv, summary.csv) for 2,000 slots per scenario and seed,
-# taken from a simulator that rebuilt every slot's bids from scratch; a
-# mismatch means the simulated behaviour changed.
+# taken from a simulator that rebuilt every slot's bids from scratch (the
+# embodied ones from a pool search that copied the pool map on every run);
+# a mismatch means the simulated behaviour changed.
 _BSC_DUOPOLY = (
     "7c6f18377b9c49c950a3e685a3f70307eb9ae4ac9359e8f0559de9b1f799f4fc",
     "604dc834a9884d82739fe515946729ec3316bdf3c212a11b6b904a2f70c58022",
@@ -457,6 +571,20 @@ _ETH_DUOPOLY = (
 PINNED_SIMULATE_DIGESTS = {
     "bsc_duopoly.json": dict.fromkeys((1, 7, 42), _BSC_DUOPOLY),
     "eth_duopoly.json": dict.fromkeys((1, 7, 42), _ETH_DUOPOLY),
+    "embodied": {
+        1: (
+            "878552d310b48497ee29855b1bc0d4c89fac87312a61ad74a96ae66fef40d586",
+            "9fdd0861c8c1a944c62d010799c0fb05541a4081e6d0f1d23b020e81584aa58e",
+        ),
+        7: (
+            "186b2979661dc61cc2bec122b09715b7f2061aaf4cbd540e7d76a2043931aac9",
+            "495d5024dc4825cc78b37692d2b2f501876c2b0ceec377f91267b38d13b1620f",
+        ),
+        42: (
+            "395ae483bc6ac1ee31fa51d585c2ffd03f8bd9b1e0e6b55b1e00c1412e4bf1d1",
+            "eb3f9abf89d4ec91e655e1167b97171b85227e7086b8e69b4cdf0d836884b632",
+        ),
+    },
     "flaky": {
         1: (
             "1daed6b162dd9acacfee686b879ba03e487b65b3fd0db6d1200d4eebb5c1f2ec",
@@ -481,6 +609,8 @@ def test_simulate_outputs_match_pinned_digests(tmp_path, name, seed):
     if name == "flaky":
         scenario = tmp_path / "flaky.json"
         scenario.write_text(json.dumps(FLAKY_SCENARIO))
+    if name == "embodied":
+        scenario = embodied_scenario(tmp_path, pools.dump_pool_file(fixtures.gen_pool_fixture(seed=13).pools))
     out = tmp_path / "sim"
     assert main(["simulate", "--scenario", str(scenario), "--slots", "2000", "--seed", str(seed), "--out", str(out)]) == 0
     digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("slots.csv", "summary.csv"))

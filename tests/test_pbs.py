@@ -80,8 +80,12 @@ def test_piecewise_decay_shape():
     t1=st.fractions(min_value=0, max_value=1000),
     t2=st.fractions(min_value=0, max_value=1000),
     decay=st.sampled_from(list(DecayShape)),
-    # odd peaks above 2**53 have no exact float
-    peak=st.one_of(st.just(10**9), st.integers(min_value=2**53, max_value=2**200).map(lambda n: n | 1)),
+    # odd peaks above 2**53 have no exact float; peaks below the floor must not rise to it
+    peak=st.one_of(
+        st.just(10**9),
+        st.integers(min_value=2**53, max_value=2**200).map(lambda n: n | 1),
+        st.integers(min_value=0, max_value=999),
+    ),
 )
 def test_decay_is_non_increasing_and_crosses_floor(t1, t2, decay, peak):
     model = OpportunityModel(peak_value=peak, gas_floor=1000, decay=decay)
@@ -89,6 +93,7 @@ def test_decay_is_non_increasing_and_crosses_floor(t1, t2, decay, peak):
     assert model.value(lo) >= model.value(hi)
     assert model.tail_value <= model.value(hi) <= model.value(lo) <= model.peak_value
     assert model.value(model.birth_ms) == model.peak_value
+    assert model.value(model.birth_ms + (model.knee_ms + model.deadline_ms) / 2) <= model.peak_value
     assert model.value(model.birth_ms + model.deadline_ms) < model.gas_floor
 
 

@@ -12,6 +12,7 @@ from mevforge.pools import (
     FEE_SCALE,
     Q96,
     DustError,
+    ExecutionResult,
     InactivePoolError,
     PoolKind,
     PoolState,
@@ -346,6 +347,82 @@ def test_randomized_runs_atomicity_and_identities():
         assert result.kept + result.payout == result.delta
         assert set(new_pools) == set(pools)
     assert successes > 20 and aborts > 20
+
+
+PATH_TOKENS = (TOKEN_A, TOKEN_B, TokenId("CCC", bytes([3]) * 20, 18))
+
+
+@st.composite
+def pool_paths(draw):
+    """(descriptor, pools, amount0): 2-4 V2/V3 pools over three tokens and a
+    1-4 hop path through them; a path may be a cycle or open, and may visit
+    one pool more than once."""
+    pools = {}
+    for i in range(draw(st.integers(2, 4))):
+        token0, token1 = draw(st.permutations(PATH_TOKENS))[:2]
+        address = bytes([20 + i]) * 20
+        if draw(st.booleans()):
+            pools[address] = PoolState(
+                address=address, kind=PoolKind.V2, token0=token0, token1=token1,
+                fee_ppm=draw(st.sampled_from((0, 500, 3000))),
+                reserve0=draw(st.integers(10**6, 10**12)), reserve1=draw(st.integers(10**6, 10**12)),
+            )
+        else:
+            pools[address] = PoolState(
+                address=address, kind=PoolKind.V3, token0=token0, token1=token1,
+                fee_ppm=draw(st.sampled_from((0, 500, 3000))), liquidity=draw(st.integers(10**6, 10**12)),
+                sqrt_price_x96=Q96 * draw(st.integers(50, 200)) // 100,
+            )
+    token = draw(st.sampled_from(list(pools.values()))).token0
+    tokens, hops = [token], []
+    for _ in range(draw(st.integers(1, 4))):
+        pool = draw(st.sampled_from([p for p in pools.values() if p.has_token(token)]))
+        hops.append(pool)
+        token = pool.other(token)
+        tokens.append(token)
+    descriptor = PathDescriptor(
+        tokens=tokens,
+        pools=[p.address for p in hops],
+        pool_type_flags=[1 if p.kind is PoolKind.V2 else 0 for p in hops],
+        direction_flags=[0 if t == p.token0 else 1 for t, p in zip(tokens, hops)],
+    )
+    return descriptor, pools, draw(st.integers(1, 10**9))
+
+
+def threaded_by_hand(descriptor, pools, amount0):
+    """(delta, hop_amounts, post-run map), swapping hop by hop on a copy of
+    the map; delta is None when a hop rounds to dust."""
+    state = dict(pools)
+    amount, hop_amounts = amount0, []
+    for token, address in zip(descriptor.tokens, descriptor.pools):
+        pool = state[address]
+        try:
+            if pool.kind is PoolKind.V2:
+                amount, state[address] = swap_v2(pool, token, amount)
+            else:
+                amount, state[address], _ = swap_v3(pool, 0 if token == pool.token0 else 1, amount)
+        except DustError:
+            return None, hop_amounts, state
+        hop_amounts.append(amount)
+    return (amount - amount0 if descriptor.is_cycle else -amount0), hop_amounts, state
+
+
+@settings(max_examples=300)
+@given(path=pool_paths(), ratio=st.sampled_from((0, 2500, 10000)))
+def test_runs_match_hops_threaded_by_hand(path, ratio):
+    descriptor, pools, amount0 = path
+    snapshot = list(pools.items())
+    delta, hop_amounts, state = threaded_by_hand(descriptor, pools, amount0)
+    assert cycle_delta(descriptor, pools, amount0) == (-amount0 if delta is None else delta)
+    outcome = arbitrage_run(descriptor, pools, amount0, ratio)
+    assert list(pools.items()) == snapshot
+    if delta is None or delta <= 0:
+        assert outcome is None
+        return
+    result, new_pools = outcome
+    payout = delta * ratio // 10000
+    assert result == ExecutionResult(delta=delta, payout=payout, kept=delta - payout, hop_amounts=tuple(hop_amounts))
+    assert list(new_pools.items()) == list(state.items())  # same keys, order and states
 
 
 # -- input search -------------------------------------------------------------
