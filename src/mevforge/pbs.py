@@ -3,15 +3,16 @@
 The direct flow models a short-horizon chain where builders race an
 opportunity that decays within a few hundred milliseconds and the proposer
 takes the best bid seen by a narrow listen window, so arrival time decides
-slots.  The relay flow models a long-horizon commit-reveal market where
-builders keep rebidding through the coordination window and the proposer
-signs the best header at slot end, so achievable value decides slots.
+slots.  The relay flow is the same race plus a relay delay, rebids through
+a long commit-reveal window, and a proposer that signs the best header at
+slot end, so achievable value decides slots.
 
-A slot is resolved against a bid schedule: its bids (builder, arrival,
-payment, backing surplus) and the proposer's ranked candidates, a pure
-function of the scenario, active blacklist and bid-value function.  A
-campaign builds one schedule per distinct blacklist set, so a slot costs
-only its non-delivery draws, seeded from (seed, height).
+One builder makes a slot's bid schedule for both flows: its bids (builder,
+arrival, payment, backing surplus) in arrival order and the proposer's
+ranked candidates, a pure function of the scenario, active blacklist and
+bid-value function.  A campaign builds one schedule per distinct blacklist
+set and resolves each slot against it, so a slot costs only its
+non-delivery draws, seeded from (seed, height).
 
 Event timing is rational milliseconds throughout; every outcome is a pure
 function of (scenario, seed).  A campaign is single-threaded by design;
@@ -100,10 +101,11 @@ class OpportunityModel:
     """Value of an arbitrage opportunity as a function of time.
 
     Piecewise default: flat at peak_value until knee_ms after birth, linear
-    down to gas_floor at deadline_ms, then tail_value (< gas_floor).  The
-    exponential alternative decays continuously and is clamped to
-    tail_value from the deadline on; its peak must fit a float.  value() is
-    non-increasing either way and exactly peak_value at birth.
+    down to gas_floor at deadline_ms, then tail_value (below gas_floor, at
+    most peak_value).  The exponential alternative decays continuously and
+    is clamped to tail_value from the deadline on; its peak must fit a
+    float.  value() is non-increasing either way and exactly peak_value at
+    birth.
     """
 
     peak_value: int
@@ -120,6 +122,8 @@ class OpportunityModel:
             problems.append("peak_value")
         if not 0 <= self.tail_value < max(self.gas_floor, 1) or self.gas_floor < 0:
             problems.append("gas_floor/tail_value")
+        if self.tail_value > self.peak_value:
+            problems.append("tail_value (above peak_value)")
         if not 0 <= self.knee_ms < self.deadline_ms:
             problems.append("knee_ms/deadline_ms")
         if self.decay is DecayShape.EXPONENTIAL and self.peak_value > sys.float_info.max:
@@ -168,13 +172,13 @@ class SlotOutcome:
     proposer_payment: int
     fallback_used: bool
     blacklist_events: tuple[str, ...]
-    bids_received: tuple[tuple[str, Fraction, int], ...]
+    bids_received: tuple[Bid, ...]
     realized_builder_profit: int
 
     def __post_init__(self) -> None:
         if self.fallback_used and self.winner is not None:
             raise ValueError("fallback slots have no winner")
-        if self.winner is not None and self.winner not in {b[0] for b in self.bids_received}:
+        if self.winner is not None and self.winner not in {b.builder_id for b in self.bids_received}:
             raise ValueError("winner must appear among received bids")
 
 
@@ -203,19 +207,18 @@ class RelayConfig:
 
 # A bid-value function maps (builder, delivery time) to the raw opportunity
 # value the builder would realize at that instant, before the efficiency
-# haircut.  The default is the analytic decay curve; embodied scenarios
-# replace it with pool-simulation results.
+# haircut: the analytic decay curve, or pool-simulation results for an
+# embodied scenario (see _bid_value_fn).
 BidValueFn = Callable[[BuilderAgent, Fraction], int]
 
 
 @dataclass(frozen=True)
 class BidSchedule:
     """A slot's bids, which depend on neither its height nor its seed:
-    every bid as (builder_id, timestamp_ms, offered_payment) in arrival
-    order, and the bids the proposer tries, best first, each with its
-    builder's non-delivery probability."""
+    every bid in arrival order, and the bids the proposer tries, best
+    first, each with its builder's non-delivery probability."""
 
-    received: tuple[tuple[str, Fraction, int], ...]
+    received: tuple[Bid, ...]
     candidates: tuple[tuple[Bid, float], ...]
 
 
@@ -224,106 +227,69 @@ def _make_bid(agent: BuilderAgent, t: Fraction, delta: int) -> Bid:
     return Bid(builder_id=agent.id, timestamp_ms=t, offered_payment=payout, delta=delta)
 
 
-def _received(bids: list[Bid]) -> tuple[tuple[str, Fraction, int], ...]:
-    """Sort bids in place by arrival and return them as received."""
-    bids.sort(key=lambda b: (b.timestamp_ms, b.builder_id))
-    return tuple((b.builder_id, b.timestamp_ms, b.offered_payment) for b in bids)
-
-
 def _best_first(bid: Bid) -> tuple:
     return (-bid.offered_payment, bid.timestamp_ms, bid.builder_id)
 
 
-def _bsc_schedule(
-    scenario: SimScenario, blacklisted: frozenset[str], bid_value_fn: Optional[BidValueFn]
-) -> BidSchedule:
-    """Bids of a direct single-round slot.
+def _schedule(scenario: SimScenario, blacklisted: frozenset[str], value_at: BidValueFn) -> BidSchedule:
+    """Bids of one slot in either flow.
 
-    Each builder sees the opportunity one latency after birth, computes for
-    base_compute/tier, and its bid lands another latency later; the bid's
-    value is the opportunity as decayed at that landing time, scaled by the
-    builder's efficiency.  The proposer tries the bids that arrived by
-    max(listen window, first arrival), best payment first.
+    A builder sees the opportunity one latency after birth and computes for
+    base_compute/tier; its first bid lands another latency later, plus the
+    relay delay in the relay flow, and is never made past the horizon.  A
+    sealed bid, the direct flow's and the relay flow's without rebids, is
+    the opportunity as decayed at landing, times the builder's efficiency,
+    and is made only above gas_floor.  With rebids, a relay builder whose
+    undecayed value clears gas_floor locks in what the race left at
+    delivery, and each rebid through the window unlocks more of its ceiling
+    (undecayed value times efficiency) as optimization rounds complete.
+
+    The direct proposer tries the bids that arrived by max(listen window,
+    first arrival), best first, each of which may fail to deliver.  The
+    relay proposer signs the best header at slot end and the relay always
+    delivers it: the cutoff is the horizon and nothing fails.
     """
-    agents = sorted(scenario.builders, key=lambda b: b.id)
-    opportunity, proposer, base_compute_ms = scenario.opportunity, scenario.proposer, scenario.base_compute_ms
-    value_at = bid_value_fn or (lambda _agent, t: opportunity.value(t))
+    opportunity, proposer, relay = scenario.opportunity, scenario.proposer, scenario.relay
+    relayed = scenario.protocol is Protocol.ETH_RELAY
+    rebids = relayed and relay.rebids_enabled
+    delay_ms = relay.delay_ms if relayed else 0
     bids: list[Bid] = []
-    for agent in agents:
+    for agent in sorted(scenario.builders, key=lambda b: b.id):
         if agent.id in blacklisted:
             continue
-        arrival = opportunity.birth_ms + 2 * agent.latency_ms + agent.compute_ms(base_compute_ms)
-        if arrival > proposer.horizon_ms:
-            continue
-        raw = value_at(agent, arrival)
-        if raw <= opportunity.gas_floor:
-            continue  # not worth executing once it lands
-        bids.append(_make_bid(agent, arrival, int(raw * agent.efficiency)))
-
-    received = _received(bids)
-    if not bids:
-        return BidSchedule(received, ())
-    cutoff = max(proposer.listen_window_ms, bids[0].timestamp_ms)
-    by_id = {a.id: a for a in agents}
-    competing = sorted((b for b in bids if b.timestamp_ms <= cutoff), key=_best_first)
-    return BidSchedule(received, tuple((b, by_id[b.builder_id].non_delivery_prob) for b in competing))
-
-
-def _eth_schedule(
-    scenario: SimScenario, blacklisted: frozenset[str], bid_value_fn: Optional[BidValueFn]
-) -> BidSchedule:
-    """Bids of a relay-mediated commit-reveal slot.
-
-    A builder joins once it learns of the opportunity within the slot.  Its
-    first bid locks in whatever the race left at delivery time; each rebid
-    through the coordination window unlocks more of its achievable ceiling
-    (undecayed value times efficiency) as optimization rounds complete.
-    The proposer signs the best header present at slot end, so with rebids
-    enabled the highest-ceiling builder wins regardless of latency
-    ordering.  With rebids disabled each builder submits one sealed bid
-    under the same participation rule as the direct flow.  The relay
-    delivers every signed header, so the one candidate never fails and
-    blacklisted, always empty here, is ignored.
-    """
-    agents = sorted(scenario.builders, key=lambda b: b.id)
-    opportunity, proposer, relay = scenario.opportunity, scenario.proposer, scenario.relay
-    base_compute_ms = scenario.base_compute_ms
-    value_at = bid_value_fn or (lambda _agent, t: opportunity.value(t))
-    all_bids: list[Bid] = []
-    for agent in agents:
-        observed = opportunity.birth_ms + agent.latency_ms
-        if observed > proposer.horizon_ms:
-            continue  # never learned of the opportunity within the slot
-        first = opportunity.birth_ms + 2 * agent.latency_ms + agent.compute_ms(base_compute_ms) + relay.delay_ms
+        first = opportunity.birth_ms + 2 * agent.latency_ms + agent.compute_ms(scenario.base_compute_ms) + delay_ms
         if first > proposer.horizon_ms:
             continue
-        raw_at_delivery = value_at(agent, first)
-        if not relay.rebids_enabled:
-            # one sealed bid: the race decides, same participation rule as
-            # the direct flow
-            if raw_at_delivery <= opportunity.gas_floor:
-                continue
-            all_bids.append(_make_bid(agent, first, int(raw_at_delivery * agent.efficiency)))
+        raw = value_at(agent, first)
+        if not rebids:
+            if raw > opportunity.gas_floor:  # worth executing once it lands
+                bids.append(_make_bid(agent, first, int(raw * agent.efficiency)))
             continue
         full = value_at(agent, opportunity.birth_ms)  # undecayed opportunity
         if full <= opportunity.gas_floor:
             continue  # nothing worth building around this slot
-        locked = int(raw_at_delivery * agent.efficiency)
-        all_bids.append(_make_bid(agent, first, locked))
+        locked = int(raw * agent.efficiency)
+        bids.append(_make_bid(agent, first, locked))
         ceiling = int(full * agent.efficiency)
         rounds = relay.optimization_rounds
         t = first + relay.rebid_interval_ms
         k = 1
         while t <= proposer.horizon_ms:
             improved = max(locked, ceiling * min(k, rounds) // rounds)
-            all_bids.append(_make_bid(agent, t, improved))
+            bids.append(_make_bid(agent, t, improved))
             if improved >= ceiling:
                 break
             k += 1
             t += relay.rebid_interval_ms
 
-    received = _received(all_bids)
-    return BidSchedule(received, ((min(all_bids, key=_best_first), 0.0),) if all_bids else ())
+    bids.sort(key=lambda b: (b.timestamp_ms, b.builder_id))
+    if relayed:
+        cutoff, non_delivery = proposer.horizon_ms, {}
+    else:
+        cutoff = max(proposer.listen_window_ms, bids[0].timestamp_ms if bids else 0)
+        non_delivery = {a.id: a.non_delivery_prob for a in scenario.builders}
+    competing = sorted((b for b in bids if b.timestamp_ms <= cutoff), key=_best_first)
+    return BidSchedule(tuple(bids), tuple((b, non_delivery.get(b.builder_id, 0.0)) for b in competing))
 
 
 def _resolve_slot(schedule: BidSchedule, height: int, rng_seed: int) -> SlotOutcome:
@@ -354,11 +320,10 @@ def run_slot_bsc(
     height: int = 0,
     base_compute_ms: Fraction = DEFAULT_BASE_COMPUTE_MS,
     blacklisted: frozenset[str] = frozenset(),
-    bid_value_fn: Optional[BidValueFn] = None,
 ) -> SlotOutcome:
     """One direct single-round slot: its bid schedule, then its resolution."""
     scenario = SimScenario(Protocol.BSC_DIRECT, tuple(builders), opportunity, proposer, base_compute_ms=base_compute_ms)
-    return _resolve_slot(_bsc_schedule(scenario, blacklisted, bid_value_fn), height, rng_seed)
+    return _resolve_slot(_schedule(scenario, blacklisted, _bid_value_fn(scenario)), height, rng_seed)
 
 
 def run_slot_eth(
@@ -370,13 +335,12 @@ def run_slot_eth(
     *,
     height: int = 0,
     base_compute_ms: Fraction = DEFAULT_BASE_COMPUTE_MS,
-    bid_value_fn: Optional[BidValueFn] = None,
 ) -> SlotOutcome:
     """One relay-mediated slot: its bid schedule, then its resolution."""
     scenario = SimScenario(
         Protocol.ETH_RELAY, tuple(builders), opportunity, proposer, relay, base_compute_ms=base_compute_ms
     )
-    return _resolve_slot(_eth_schedule(scenario, frozenset(), bid_value_fn), height, rng_seed)
+    return _resolve_slot(_schedule(scenario, frozenset(), _bid_value_fn(scenario)), height, rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +380,6 @@ class SimScenario:
     proposer: ProposerConfig
     relay: RelayConfig = RelayConfig()
     proposer_count: int = 1
-    rotation: str = "round_robin"
     base_compute_ms: Fraction = DEFAULT_BASE_COMPUTE_MS
     pools: Optional[dict[bytes, "pools_mod.PoolState"]] = None
     embodied_base_symbol: Optional[str] = None
@@ -426,8 +389,8 @@ class SimScenario:
             raise ConfigError("builders: duplicate ids")
         if self.proposer_count < 1:
             raise ConfigError("proposers: count must be >= 1")
-        if self.rotation != "round_robin":
-            raise ConfigError(f"proposers: unknown rotation {self.rotation!r}")
+        if self.base_compute_ms < 0:
+            raise ConfigError("base_compute_ms must be >= 0")
 
 
 _REQUIRED = object()
@@ -539,7 +502,10 @@ def load_scenario(path: str | Path) -> SimScenario:
         lambda: _from_json(ProposerConfig, proposers, ("count", "rotation"), horizon_ms=horizon, listen_window_ms=listen),
     )
     count = read("proposers", lambda: _typed(proposers, "count", int, SimScenario.proposer_count))
-    rotation = read("proposers", lambda: _typed(proposers, "rotation", str, SimScenario.rotation))
+    # proposers always rotate round robin; files may still name that rotation
+    rotation = read("proposers", lambda: _typed(proposers, "rotation", str, "round_robin"), "round_robin")
+    if rotation != "round_robin":
+        problems.append(f"proposers: unknown rotation {rotation!r}")
     compute_ms = top("base_compute_ms", Fraction, SimScenario.base_compute_ms)
     base_symbol = top("embodied_base_symbol", str, None)
     pools = read("pools", pool_fixture)
@@ -552,7 +518,6 @@ def load_scenario(path: str | Path) -> SimScenario:
                 proposer=proposer,
                 relay=relay,
                 proposer_count=count,
-                rotation=rotation,
                 base_compute_ms=compute_ms,
                 pools=pools,
                 embodied_base_symbol=base_symbol,
@@ -562,14 +527,17 @@ def load_scenario(path: str | Path) -> SimScenario:
     raise ConfigError("invalid scenario keys: " + "; ".join(problems))
 
 
-def _embodied_bid_value_fn(scenario: SimScenario) -> BidValueFn:
-    """Bid values backed by pool simulation instead of the analytic curve.
+def _bid_value_fn(scenario: SimScenario) -> BidValueFn:
+    """The scenario's bid values: the analytic decay curve, or, when the
+    scenario has pools, values backed by pool simulation.
 
-    The best achievable surplus over the fixture's cycles is searched once
-    per strategy, then scaled by the opportunity's remaining fraction at
-    delivery time: pools drift back toward balance as the race ages.
+    For pools, the best achievable surplus over the fixture's cycles is
+    searched once per strategy, then scaled by the opportunity's remaining
+    fraction at delivery time: pools drift back toward balance as the race
+    ages.
     """
-    assert scenario.pools is not None
+    if scenario.pools is None:
+        return lambda _agent, t: scenario.opportunity.value(t)
     cycles = enumerate_cycles(scenario.pools, scenario.embodied_base_symbol)
     if not cycles:
         raise ConfigError("pools: fixture contains no executable cycle")
@@ -682,8 +650,7 @@ def run_campaign(scenario: SimScenario, n_slots: int, rng_seed: int) -> Campaign
     every slot is resolved against its cached schedule."""
     if n_slots < 1:
         raise ConfigError("n_slots must be >= 1")
-    bid_value_fn = _embodied_bid_value_fn(scenario) if scenario.pools is not None else None
-    build = _bsc_schedule if scenario.protocol is Protocol.BSC_DIRECT else _eth_schedule
+    value_at = _bid_value_fn(scenario)
     schedules: dict[frozenset[str], BidSchedule] = {}
     blacklists: list[dict[str, int]] = [dict() for _ in range(scenario.proposer_count)]
     outcomes: list[SlotOutcome] = []
@@ -694,7 +661,7 @@ def run_campaign(scenario: SimScenario, n_slots: int, rng_seed: int) -> Campaign
         active = frozenset(builder for builder, expiry in blacklist.items() if expiry > height)
         schedule = schedules.get(active)
         if schedule is None:
-            schedule = schedules[active] = build(scenario, active, bid_value_fn)
+            schedule = schedules[active] = _schedule(scenario, active, value_at)
         outcome = _resolve_slot(schedule, height, rng_seed)
         for offender in outcome.blacklist_events:
             blacklist[offender] = height + scenario.proposer.blacklist_slots

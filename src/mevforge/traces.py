@@ -232,9 +232,10 @@ def token_to_obj(token: TokenId) -> dict:
 def token_from_obj(obj: Mapping) -> TokenId:
     if type(obj) is not dict:
         raise ValueError(f"token is not an object but {type(obj).__name__}")
-    return TokenId(
-        symbol=str(obj["symbol"]), address=parse_address(obj["address"]), decimals=read_int(obj["decimals"], "decimals")
-    )
+    symbol = obj["symbol"]
+    if type(symbol) is not str:
+        raise ValueError(f"symbol: expected a string, got {symbol!r:.40}")
+    return TokenId(symbol=symbol, address=parse_address(obj["address"]), decimals=read_int(obj["decimals"], "decimals"))
 
 
 def _event_from_obj(obj: Mapping, index: int) -> TraceEvent:

@@ -274,6 +274,8 @@ def set_event(index, **values):
         pytest.param(set_event(3, amount=" 820"), id="amount-padded-string"),
         pytest.param(set_event(0, pool_sink="false", amount="5"), id="pool-sink-string"),
         pytest.param(set_event(0, pool=5), id="pool-address-number"),
+        pytest.param(lambda o: o["events"][0]["token_in"].update(symbol=None), id="symbol-null"),
+        pytest.param(lambda o: o["events"][0]["token_out"].update(symbol=5), id="symbol-number"),
     ],
 )
 def test_extract_rejects_loosely_typed_trace_fields(tmp_path, capsys, edit):
@@ -446,6 +448,8 @@ def duopoly_text(edit) -> str:
         pytest.param(duopoly_text(lambda o: o.update(opportunity=[1])), id="opportunity-not-object"),
         pytest.param(duopoly_text(lambda o: o.update(proposers=5)), id="proposers-not-object"),
         pytest.param(duopoly_text(lambda o: o.update(relay=None)), id="relay-not-object"),
+        pytest.param(duopoly_text(lambda o: o.update(base_compute_ms=-1000)), id="negative-base-compute"),
+        pytest.param(duopoly_text(lambda o: o["proposers"].update(rotation="random")), id="unknown-rotation"),
     ],
 )
 def test_simulate_broken_scenario_is_a_config_error(tmp_path, capsys, text):
@@ -481,11 +485,12 @@ def test_simulate_unknown_scenario_key_is_a_config_error(tmp_path, capsys, edit,
     assert f"unknown keys {key}" in err
 
 
-def embodied_scenario(directory: Path, pool_text: str) -> Path:
-    """EMBODIED_SCENARIO written to directory beside the pool file it names."""
+def embodied_scenario(directory: Path, pool_text: str, scenario_obj=None) -> Path:
+    """scenario_obj (by default EMBODIED_SCENARIO) written to directory
+    beside the pool file it names."""
     (directory / "pools.ndjson").write_text(pool_text)
     scenario = directory / "embodied.json"
-    scenario.write_text(json.dumps(EMBODIED_SCENARIO))
+    scenario.write_text(json.dumps(scenario_obj or EMBODIED_SCENARIO))
     return scenario
 
 
@@ -517,6 +522,8 @@ def v3_line_with(**values):
         pytest.param(lambda o: json.dumps({**o, "reserve1": "1e21"}), id="reserve-exponent-string"),
         pytest.param(v3_line_with(liquidity=10.0**21), id="liquidity-float"),
         pytest.param(v3_line_with(sqrt_price_x96="-1"), id="sqrt-price-signed-string"),
+        pytest.param(lambda o: json.dumps({**o, "token0": {**o["token0"], "symbol": None}}), id="symbol-null"),
+        pytest.param(lambda o: json.dumps({**o, "token1": {**o["token1"], "symbol": 5}}), id="symbol-number"),
     ],
 )
 def test_simulate_malformed_pool_file_names_the_line(tmp_path, capsys, edit):
@@ -556,10 +563,18 @@ EMBODIED_SCENARIO = {
     "embodied_base_symbol": "WBNB",
 }
 
+# The relay flow without rebids: one sealed bid per builder, delivered late
+# enough that alpha's bid has decayed past the knee.
+RELAY_SEALED_SCENARIO = json.loads(duopoly_text(lambda o: o["relay"].update(rebids_enabled=False, delay_ms=100)))
+
+# The relay flow with rebids, priced by pool search.
+RELAY_EMBODIED_SCENARIO = {**EMBODIED_SCENARIO, "protocol": "eth_relay", "horizon_ms": 12000}
+
 # SHA-256 of (slots.csv, summary.csv) for 2,000 slots per scenario and seed,
 # taken from a simulator that rebuilt every slot's bids from scratch (the
-# embodied ones from a pool search that copied the pool map on every run);
-# a mismatch means the simulated behaviour changed.
+# embodied ones from a pool search that copied the pool map on every run;
+# the relay-* ones from separate direct and relay bid builders); a mismatch
+# means the simulated behaviour changed.
 _BSC_DUOPOLY = (
     "7c6f18377b9c49c950a3e685a3f70307eb9ae4ac9359e8f0559de9b1f799f4fc",
     "604dc834a9884d82739fe515946729ec3316bdf3c212a11b6b904a2f70c58022",
@@ -585,6 +600,20 @@ PINNED_SIMULATE_DIGESTS = {
             "eb3f9abf89d4ec91e655e1167b97171b85227e7086b8e69b4cdf0d836884b632",
         ),
     },
+    "relay-embodied": dict.fromkeys(
+        (1, 7, 42),
+        (
+            "0ad0fb477497f35526f23fdd97a0b1dd20d3789c88d6cb5e3070c474450a6d89",
+            "1284c0be1037d7076adfc32a65f936f392925cd38bc8622a881710cd3b83d718",
+        ),
+    ),
+    "relay-sealed": dict.fromkeys(
+        (1, 7, 42),
+        (
+            "8c82d7dcb667ffc992878a0dc24db880938dcfee13adb2d72a51a178fb512f45",
+            "e6053f6a4f8c2f86544b5071e79fb29a57ae867d13751949a79a94d9a8c922f8",
+        ),
+    ),
     "flaky": {
         1: (
             "1daed6b162dd9acacfee686b879ba03e487b65b3fd0db6d1200d4eebb5c1f2ec",
@@ -605,12 +634,15 @@ PINNED_SIMULATE_DIGESTS = {
 @pytest.mark.parametrize("seed", [1, 7, 42])
 @pytest.mark.parametrize("name", sorted(PINNED_SIMULATE_DIGESTS))
 def test_simulate_outputs_match_pinned_digests(tmp_path, name, seed):
+    plain = {"flaky": FLAKY_SCENARIO, "relay-sealed": RELAY_SEALED_SCENARIO}
+    pooled = {"embodied": EMBODIED_SCENARIO, "relay-embodied": RELAY_EMBODIED_SCENARIO}
     scenario = SCENARIOS / name
-    if name == "flaky":
-        scenario = tmp_path / "flaky.json"
-        scenario.write_text(json.dumps(FLAKY_SCENARIO))
-    if name == "embodied":
-        scenario = embodied_scenario(tmp_path, pools.dump_pool_file(fixtures.gen_pool_fixture(seed=13).pools))
+    if name in plain:
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(plain[name]))
+    if name in pooled:
+        pool_text = pools.dump_pool_file(fixtures.gen_pool_fixture(seed=13).pools)
+        scenario = embodied_scenario(tmp_path, pool_text, pooled[name])
     out = tmp_path / "sim"
     assert main(["simulate", "--scenario", str(scenario), "--slots", "2000", "--seed", str(seed), "--out", str(out)]) == 0
     digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("slots.csv", "summary.csv"))

@@ -86,9 +86,11 @@ def test_piecewise_decay_shape():
         st.integers(min_value=2**53, max_value=2**200).map(lambda n: n | 1),
         st.integers(min_value=0, max_value=999),
     ),
+    data=st.data(),
 )
-def test_decay_is_non_increasing_and_crosses_floor(t1, t2, decay, peak):
-    model = OpportunityModel(peak_value=peak, gas_floor=1000, decay=decay)
+def test_decay_is_non_increasing_and_crosses_floor(t1, t2, decay, peak, data):
+    tail = data.draw(st.integers(min_value=0, max_value=min(peak, 999)), label="tail_value")
+    model = OpportunityModel(peak_value=peak, gas_floor=1000, decay=decay, tail_value=tail)
     lo, hi = sorted((t1, t2))
     assert model.value(lo) >= model.value(hi)
     assert model.tail_value <= model.value(hi) <= model.value(lo) <= model.peak_value
@@ -124,6 +126,9 @@ def test_opportunity_validation():
         OpportunityModel(peak_value=10, gas_floor=5, tail_value=5)
     with pytest.raises(ConfigError):
         OpportunityModel(peak_value=10, gas_floor=5, knee_ms=Fraction(300), deadline_ms=Fraction(200))
+    # a tail above the peak would make value() rise at the deadline
+    with pytest.raises(ConfigError, match="tail_value"):
+        OpportunityModel(peak_value=100, gas_floor=1000, tail_value=500)
 
 
 def test_agent_validation():
@@ -170,7 +175,7 @@ def test_listen_window_collects_equal_arrivals():
 def test_bid_after_cutoff_is_recorded_but_cannot_win():
     early, late = agent("early", 20), agent("late", 40, bp=9000)
     outcome = run_slot_bsc([early, late], PROPOSER, OPP, rng_seed=1)
-    assert {b[0] for b in outcome.bids_received} == {"early", "late"}
+    assert {b.builder_id for b in outcome.bids_received} == {"early", "late"}
     assert outcome.winner == "early"  # late pays more but arrives past the cutoff
 
 
@@ -214,7 +219,7 @@ def test_single_builder_wins_with_its_single_bid():
     outcome = run_slot_eth([solo], relay, ETH_PROPOSER, OPP, rng_seed=1)
     assert outcome.winner == "solo"
     assert len(outcome.bids_received) == 1
-    assert outcome.proposer_payment == outcome.bids_received[0][2]
+    assert outcome.proposer_payment == outcome.bids_received[0].offered_payment
 
 
 def test_higher_tier_builder_wins_despite_latency():
