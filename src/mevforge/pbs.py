@@ -178,8 +178,6 @@ class SlotOutcome:
     def __post_init__(self) -> None:
         if self.fallback_used and self.winner is not None:
             raise ValueError("fallback slots have no winner")
-        if self.winner is not None and self.winner not in {b.builder_id for b in self.bids_received}:
-            raise ValueError("winner must appear among received bids")
 
 
 @dataclass(frozen=True)
@@ -220,6 +218,12 @@ class BidSchedule:
 
     received: tuple[Bid, ...]
     candidates: tuple[tuple[Bid, float], ...]
+
+    def __post_init__(self) -> None:
+        # a slot's winner is a candidate, so it appears among received bids
+        received = set(self.received)
+        if any(bid not in received for bid, _prob in self.candidates):
+            raise ValueError("candidate bids must appear among received bids")
 
 
 def _make_bid(agent: BuilderAgent, t: Fraction, delta: int) -> Bid:

@@ -6,18 +6,27 @@ swap math is exact integer arithmetic with floor rounding on outputs,
 matching on-chain behavior.  Fees are parts per million so both the
 0.30% and 0.01% tiers are exact.
 
+Each swap has two layers.  quote_v2 and step_v3 hold the formulas and
+return amounts only (step_v3 also the new sqrt price and the unused
+input); swap_v2 and swap_v3 validate the pool and wrap them to build the
+post-swap PoolState.
+
 PoolState is immutable and a run never writes to the caller's pool map: it
 keeps a map of the pools it touched, which an aborted run simply drops and
 a successful one lays over the input map.  Rollback is thus structural
 rather than compensating arithmetic, and runs may share one pool map.
+The input search needs no post-swap state when a path's pools are
+distinct: it checks the path against the map once and probes on the
+amount functions alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 import json
-from typing import IO, Iterable, Mapping, Optional
+from typing import IO, Callable, Iterable, Mapping, Optional
 
 from .traces import PathDescriptor, TokenId, format_address, parse_address, read_int, token_from_obj, token_to_obj
 
@@ -90,32 +99,32 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def swap_v2(pool: PoolState, token_in: TokenId, amount_in: int) -> tuple[int, PoolState]:
-    """Constant-product exact-input swap.
+def quote_v2(reserve_in: int, reserve_out: int, fee_ppm: int, amount_in: int) -> int:
+    """Constant-product exact-input output amount.
 
     amount_out = floor(x_f * R_out / (R_in * SCALE + x_f)) with
     x_f = amount_in * (SCALE - fee); the product R0*R1 never decreases.
     """
-    if pool.kind is not PoolKind.V2:
-        raise ValueError("swap_v2 requires a V2 pool")
     if amount_in <= 0:
         raise ValueError("amount_in must be positive")
-    if token_in == pool.token0:
-        reserve_in, reserve_out = pool.reserve0, pool.reserve1
-    elif token_in == pool.token1:
-        reserve_in, reserve_out = pool.reserve1, pool.reserve0
-    else:
-        raise ValueError(f"token {token_in.symbol} not in pool {format_address(pool.address)}")
-
-    amount_in_with_fee = amount_in * (FEE_SCALE - pool.fee_ppm)
+    amount_in_with_fee = amount_in * (FEE_SCALE - fee_ppm)
     amount_out = amount_in_with_fee * reserve_out // (reserve_in * FEE_SCALE + amount_in_with_fee)
     if amount_out == 0:
         raise DustError("swap output rounded to zero")
+    return amount_out
+
+
+def swap_v2(pool: PoolState, token_in: TokenId, amount_in: int) -> tuple[int, PoolState]:
+    """quote_v2 on the pool, with its post-swap state."""
+    if pool.kind is not PoolKind.V2:
+        raise ValueError("swap_v2 requires a V2 pool")
     if token_in == pool.token0:
-        new_pool = replace(pool, reserve0=reserve_in + amount_in, reserve1=reserve_out - amount_out)
-    else:
-        new_pool = replace(pool, reserve1=reserve_in + amount_in, reserve0=reserve_out - amount_out)
-    return amount_out, new_pool
+        amount_out = quote_v2(pool.reserve0, pool.reserve1, pool.fee_ppm, amount_in)
+        return amount_out, replace(pool, reserve0=pool.reserve0 + amount_in, reserve1=pool.reserve1 - amount_out)
+    if token_in == pool.token1:
+        amount_out = quote_v2(pool.reserve1, pool.reserve0, pool.fee_ppm, amount_in)
+        return amount_out, replace(pool, reserve1=pool.reserve1 + amount_in, reserve0=pool.reserve0 - amount_out)
+    raise ValueError(f"token {token_in.symbol} not in pool {format_address(pool.address)}")
 
 
 def _next_sqrt_price_down(liquidity: int, sqrt_p: int, amount0: int) -> int:
@@ -135,29 +144,24 @@ def _amount1_to_reach(liquidity: int, sqrt_from: int, sqrt_to: int) -> int:
     return _ceil_div(liquidity * (sqrt_to - sqrt_from), Q96)
 
 
-def swap_v3(
-    pool: PoolState,
+def step_v3(
+    liquidity: int,
+    sqrt_p: int,
+    fee_ppm: int,
     direction: int,
     amount_in: int,
     price_limit: Optional[int] = None,
-) -> tuple[int, PoolState, int]:
-    """Single-range concentrated-liquidity exact-input swap.
+) -> tuple[int, int, int]:
+    """Single-range concentrated-liquidity exact-input step.
 
     direction 0 swaps token0 for token1 (price falls), 1 swaps token1 for
     token0 (price rises).  The fee is charged on the consumed input.  When
     the implied move would cross price_limit the swap stops at the limit
-    and the unconsumed input is returned as the third element.
+    and leaves input unconsumed.  Returns (amount_out, new sqrt price,
+    unused input).
     """
-    if pool.kind is not PoolKind.V3:
-        raise ValueError("swap_v3 requires a V3 pool")
-    if direction not in (0, 1):
-        raise ValueError("direction must be 0 or 1")
     if amount_in <= 0:
         raise ValueError("amount_in must be positive")
-    if pool.liquidity <= 0:
-        raise InactivePoolError("no liquidity in range")
-
-    liquidity, sqrt_p, fee = pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm
     if price_limit is None:
         price_limit = MIN_SQRT_PRICE_X96 if direction == 0 else MAX_SQRT_PRICE_X96
     if direction == 0 and price_limit > sqrt_p:
@@ -165,7 +169,7 @@ def swap_v3(
     if direction == 1 and price_limit < sqrt_p:
         raise PriceLimitError("limit below current price for an upward swap")
 
-    available = amount_in * (FEE_SCALE - fee) // FEE_SCALE
+    available = amount_in * (FEE_SCALE - fee_ppm) // FEE_SCALE
     if direction == 0:
         max_net = _amount0_to_reach(liquidity, sqrt_p, price_limit)
     else:
@@ -180,7 +184,7 @@ def swap_v3(
             new_sqrt = sqrt_p + consumed_net * Q96 // liquidity
     else:
         consumed_net = max_net
-        gross = _ceil_div(consumed_net * FEE_SCALE, FEE_SCALE - fee) if consumed_net else 0
+        gross = _ceil_div(consumed_net * FEE_SCALE, FEE_SCALE - fee_ppm) if consumed_net else 0
         unused = amount_in - gross
         new_sqrt = price_limit
 
@@ -191,6 +195,25 @@ def swap_v3(
 
     if amount_out == 0 and unused == 0:
         raise DustError("swap output rounded to zero")
+    return amount_out, new_sqrt, unused
+
+
+def swap_v3(
+    pool: PoolState,
+    direction: int,
+    amount_in: int,
+    price_limit: Optional[int] = None,
+) -> tuple[int, PoolState, int]:
+    """step_v3 on the pool: (amount_out, post-swap state, unused input)."""
+    if pool.kind is not PoolKind.V3:
+        raise ValueError("swap_v3 requires a V3 pool")
+    if direction not in (0, 1):
+        raise ValueError("direction must be 0 or 1")
+    if pool.liquidity <= 0:
+        raise InactivePoolError("no liquidity in range")
+    amount_out, new_sqrt, unused = step_v3(
+        pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm, direction, amount_in, price_limit
+    )
     return amount_out, replace(pool, sqrt_price_x96=new_sqrt), unused
 
 
@@ -217,20 +240,35 @@ def split_delta(delta: int, share_ratio_bp: int) -> tuple[int, int]:
     return payout, delta - payout
 
 
-def _hop_swap(pool: PoolState, type_flag: int, direction: int, token_in: TokenId, amount: int) -> tuple[int, PoolState]:
+def _check_hop(pool: PoolState, type_flag: int, direction: int, token_in: TokenId) -> None:
+    """Raise ValueError unless the hop's entry token and flags fit the pool."""
     expected_direction = 0 if token_in == pool.token0 else 1 if token_in == pool.token1 else None
     if expected_direction is None:
         raise ValueError(f"token {token_in.symbol} not in pool {format_address(pool.address)}")
     if direction != expected_direction:
         raise ValueError("direction flag inconsistent with path tokens")
-    if type_flag == 1:
-        if pool.kind is not PoolKind.V2:
-            raise ValueError("pool type flag says V2 but pool is V3")
-        return swap_v2(pool, token_in, amount)
-    if pool.kind is not PoolKind.V3:
+    if type_flag == 1 and pool.kind is not PoolKind.V2:
+        raise ValueError("pool type flag says V2 but pool is V3")
+    if type_flag == 0 and pool.kind is not PoolKind.V3:
         raise ValueError("pool type flag says V3 but pool is V2")
+
+
+def _hop_swap(pool: PoolState, type_flag: int, direction: int, token_in: TokenId, amount: int) -> tuple[int, PoolState]:
+    _check_hop(pool, type_flag, direction, token_in)
+    if type_flag == 1:
+        return swap_v2(pool, token_in, amount)
     amount_out, new_pool, _unused = swap_v3(pool, direction, amount)
     return amount_out, new_pool
+
+
+def _hop_quote(pool: PoolState, direction: int) -> Callable[[int], int]:
+    """The hop's output amount as a function of its input, on the pool's
+    current state."""
+    if pool.kind is PoolKind.V2:
+        reserves = (pool.reserve0, pool.reserve1) if direction == 0 else (pool.reserve1, pool.reserve0)
+        return partial(quote_v2, *reserves, pool.fee_ppm)
+    step = partial(step_v3, pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm, direction)
+    return lambda amount: step(amount)[0]
 
 
 def _execute_path(
@@ -286,18 +324,55 @@ def arbitrage_run(
     return ExecutionResult(delta=delta, payout=payout, kept=kept, hop_amounts=tuple(hop_amounts)), {**pools, **touched}
 
 
+def _delta_fn(descriptor: PathDescriptor, pools: Mapping[bytes, PoolState]) -> Callable[[int], int]:
+    """cycle_delta of the descriptor on `pools` as a function of amount0.
+
+    When the descriptor's pools are distinct, every hop sees its pool's
+    state in `pools`, so the descriptor is checked against the map here,
+    once, and each call then runs on the hops' amount functions alone.  A
+    descriptor that repeats a pool runs on _execute_path, which threads the
+    post-swap states from hop to hop.
+    """
+    if len(set(descriptor.pools)) < descriptor.n_hops:
+        def run(amount0: int) -> int:
+            return _execute_path(descriptor, pools, amount0)[0]
+    else:
+        quotes = []
+        hops = zip(descriptor.tokens, descriptor.pools, descriptor.pool_type_flags, descriptor.direction_flags)
+        for token_in, address, type_flag, direction in hops:
+            pool = pools.get(address)
+            if pool is None:
+                raise PoolLookupError(format_address(address))
+            _check_hop(pool, type_flag, direction, token_in)
+            quotes.append(_hop_quote(pool, direction))
+        is_cycle = descriptor.is_cycle
+
+        def run(amount0: int) -> int:
+            amount = amount0
+            for quote in quotes:
+                amount = quote(amount)
+            return amount - amount0 if is_cycle else -amount0
+
+    def delta(amount0: int) -> int:
+        try:
+            return run(amount0)
+        except DustError:
+            return -amount0  # a run that dies mid-path loses the whole input
+
+    return delta
+
+
 def cycle_delta(descriptor: PathDescriptor, pools: Mapping[bytes, PoolState], amount0: int) -> int:
     """Surplus of executing the path, without the profit gate or payouts.
 
     Used when searching for the best input; a run that dies mid-path (dust)
-    counts as losing the whole input.
+    counts as losing the whole input.  Only the hops' output amounts are
+    worked out, no post-swap pool state, unless the descriptor repeats a
+    pool (see _delta_fn).
     """
     if amount0 <= 0:
         raise ValueError("amount0 must be positive")
-    try:
-        return _execute_path(descriptor, pools, amount0)[0]
-    except DustError:
-        return -amount0
+    return _delta_fn(descriptor, pools)(amount0)
 
 
 def best_input_search(
@@ -309,15 +384,19 @@ def best_input_search(
     """Ternary-search the unimodal profit curve for the best input amount.
 
     Returns (amount, delta); when no input in [lo, hi] is profitable the
-    result is (lo, best-delta) with a non-positive delta.
+    result is (lo, best-delta) with a non-positive delta.  Each probe is a
+    cycle_delta; a descriptor whose pools are distinct is checked against
+    the pool map once, before the first probe, and its probes compute
+    amounts only.
     """
     if not 1 <= lo < hi:
         raise ValueError("need 1 <= lo < hi")
+    delta = _delta_fn(descriptor, pools)
     cache: dict[int, int] = {}
 
     def evaluate(amount: int) -> int:
         if amount not in cache:
-            cache[amount] = cycle_delta(descriptor, pools, amount)
+            cache[amount] = delta(amount)
         return cache[amount]
 
     lo0 = lo

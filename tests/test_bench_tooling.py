@@ -1,10 +1,14 @@
 """The benchmark's traced run patches mevforge at fixed module attributes,
 and its embodied workload loads a generated scenario; both must keep
-working, or the benchmark breaks silently."""
+working, or the benchmark breaks silently.  The pool search over that
+scenario's graph is pinned by digest."""
 
+import hashlib
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,3 +37,28 @@ def test_generated_embodied_scenario_loads(tmp_path):
     assert load_perfbench("gen_embodied").main(["--seed", "1", "--out", str(tmp_path)]) == 0
     scenario = load_scenario(tmp_path / "scenario.json")
     assert len(scenario.builders) == 4 and len(scenario.pools) == 90
+
+
+# SHA-256 of "amount,delta\n" for every cycle, in enumerate_cycles order;
+# taken before the search probed on amount functions instead of pool states.
+EMBODIED_SEARCH_DIGESTS = {
+    1: "3bb2d0801f2cf261fc7eafff9e3c630dd75463aa633925e71f3c09e215bba99b",
+    3: "c4cd7ae59eaf2a8d9399d6becbdfac47a9055468034b9ebe2db456adda596998",
+    7: "535e2bc68856771d13b65f6c070fe4ca1b1db24505d198ee0081b6ffa543e229",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EMBODIED_SEARCH_DIGESTS))
+def test_embodied_search_matches_pinned_digest(seed):
+    """best_input_search over every cycle of the generated V2/V3 graph, with
+    the input bounds the embodied simulation uses."""
+    from mevforge.pbs import _v2_reserve_scale, enumerate_cycles
+    from mevforge.pools import best_input_search
+
+    pools = load_perfbench("gen_embodied").pool_graph(seed)
+    cycles = enumerate_cycles(pools, "WBNB")
+    assert len(cycles) == 330
+    text = "".join(
+        "{},{}\n".format(*best_input_search(d, pools, 1, max(_v2_reserve_scale(pools, d) // 4, 16))) for d in cycles
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == EMBODIED_SEARCH_DIGESTS[seed]

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from mevforge import fixtures, pools
 from mevforge.pbs import (
+    Bid,
+    BidSchedule,
     BuilderAgent,
     ConfigError,
     DecayShape,
@@ -192,6 +194,16 @@ def test_all_deliveries_fail_falls_back():
     outcome = run_slot_bsc([flaky], PROPOSER, OPP, rng_seed=11)
     assert outcome.fallback_used and outcome.winner is None
     assert outcome.blacklist_events == ("flaky",)
+
+
+def test_schedule_candidate_missing_from_received_is_rejected():
+    arrived = Bid("a", Fraction(50), 10, 40)
+    stray = Bid("b", Fraction(60), 20, 40)
+    assert BidSchedule((arrived,), ((arrived, 0.0),)).candidates == ((arrived, 0.0),)
+    with pytest.raises(ValueError, match="candidate bids must appear among received bids"):
+        BidSchedule((arrived,), ((arrived, 0.0), (stray, 0.1)))
+    with pytest.raises(ValueError, match="among received bids"):
+        BidSchedule((arrived,), ((Bid("a", Fraction(50), 11, 40), 0.0),))  # same builder, other bid
 
 
 def test_duplicate_builder_ids_are_a_config_error(tmp_path):

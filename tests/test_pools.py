@@ -1,10 +1,11 @@
 """Swap math oracles, atomic execution, input search."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mevforge import fixtures
@@ -23,7 +24,9 @@ from mevforge.pools import (
     cycle_delta,
     dump_pool_file,
     load_pool_file,
+    quote_v2,
     split_delta,
+    step_v3,
     swap_v2,
     swap_v3,
 )
@@ -208,6 +211,67 @@ def test_v3_fee_reduces_output():
     free, _, _ = swap_v3(v3_pool(10**15), 0, 10**9)
     taxed, _, _ = swap_v3(v3_pool(10**15, fee_ppm=3000), 0, 10**9)
     assert taxed < free
+
+
+# -- amount functions against the state-building swaps ----------------------
+
+
+def swap_amounts(pool, direction, amount, limit):
+    """swap_v2/swap_v3 results in step_v3's shape: (amount_out, new sqrt
+    price, unused input), the price and unused input only for V3."""
+    if pool.kind is PoolKind.V2:
+        return swap_v2(pool, (pool.token0, pool.token1)[direction], amount)[0], None, None
+    amount_out, state, unused = swap_v3(pool, direction, amount, limit)
+    return amount_out, state.sqrt_price_x96, unused
+
+
+def quote_amounts(pool, direction, amount, limit):
+    if pool.kind is PoolKind.V2:
+        reserves = (pool.reserve0, pool.reserve1) if direction == 0 else (pool.reserve1, pool.reserve0)
+        return quote_v2(*reserves, pool.fee_ppm, amount), None, None
+    return step_v3(pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm, direction, amount, limit)
+
+
+@settings(max_examples=400)
+@given(
+    v2=st.booleans(),
+    direction=st.sampled_from((0, 1)),
+    depth=st.integers(1, 10**24),
+    skew=st.integers(1, 10**6),
+    fee=st.sampled_from((0, 500, 3000, 10000)),
+    amount=st.integers(0, 90).map(lambda k: 10**k // 3 + 1),
+    limit_bp=st.none() | st.integers(0, 300),
+)
+@example(v2=False, direction=0, depth=10**12, skew=10**3, fee=500, amount=10**10, limit_bp=10)  # stops at the limit
+@example(v2=False, direction=1, depth=10**12, skew=10**3, fee=0, amount=10**6, limit_bp=0)  # limit at the price
+@example(v2=False, direction=0, depth=10**12, skew=10**3, fee=3000, amount=1, limit_bp=None)  # dust
+@example(v2=True, direction=0, depth=10**12, skew=1, fee=3000, amount=1, limit_bp=None)  # dust
+def test_quotes_equal_the_swaps_amount_out(v2, direction, depth, skew, fee, amount, limit_bp):
+    """quote_v2 and step_v3 give exactly the amount_out of swap_v2 and
+    swap_v3 (step_v3 also the new price and unused input), or raise the
+    same error.  skew sets the pool price in thousandths, limit_bp the
+    price limit's distance in basis points (None: no limit)."""
+    if v2:
+        pool = v2_pool(depth, depth * skew // 1000 + 1, fee_ppm=fee)
+        limit = None
+    else:
+        pool = v3_pool(depth, sqrt_price_x96=Q96 * skew // 1000 + 1, fee_ppm=fee)
+        sign = 1 if direction == 1 else -1  # the price rises for token1 in
+        limit = None if limit_bp is None else pool.sqrt_price_x96 * (10**4 + sign * limit_bp) // 10**4
+    try:
+        expected = swap_amounts(pool, direction, amount, limit)
+    except (DustError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            quote_amounts(pool, direction, amount, limit)
+        return
+    assert quote_amounts(pool, direction, amount, limit) == expected
+
+
+def test_quote_rejects_zero_input():
+    with pytest.raises(ValueError, match="amount_in must be positive"):
+        quote_v2(10**6, 10**6, 0, 0)
+    with pytest.raises(ValueError, match="amount_in must be positive"):
+        step_v3(10**6, Q96, 0, 1, 0)
 
 
 # -- atomic runs --------------------------------------------------------------
@@ -474,6 +538,89 @@ def test_unimodality_of_profit_curve_on_fixture():
     peak = values.index(max(values))
     assert all(values[i] <= values[i + 1] for i in range(peak)) or peak == 0
     assert all(values[i] >= values[i + 1] for i in range(peak, len(values) - 1))
+
+
+def misfit_descriptors():
+    """(descriptor, pools) params: the seed-9 triangle with one fault each,
+    mostly on its last hop, so earlier hops swap before the executor meets it."""
+    fixture = fixtures.gen_pool_fixture(seed=9)
+    d, pools = fixture.descriptor, fixture.pools
+    v3 = next(p for p in pools.values() if p.kind is PoolKind.V3)
+    stranger = TokenId("ZZZ", bytes([9]) * 20, 18)
+
+    def last_hop(**changes):
+        fields = dict(tokens=d.tokens, pools=d.pools, pool_type_flags=d.pool_type_flags, direction_flags=d.direction_flags)
+        fields.update({key: fields[key][:-1] + (value,) for key, value in changes.items()})
+        return PathDescriptor(**fields)
+
+    return [
+        pytest.param(d, {a: p for a, p in pools.items() if a != d.pools[-1]}, id="missing-pool"),
+        pytest.param(last_hop(direction_flags=1 - d.direction_flags[-1]), pools, id="direction"),
+        pytest.param(last_hop(pool_type_flags=0), pools, id="type-flag"),
+        pytest.param(PathDescriptor(d.tokens, (v3.address,) + d.pools[1:], d.pool_type_flags, d.direction_flags),
+                     pools, id="pool-is-v3"),
+        pytest.param(
+            PathDescriptor(d.tokens[:-2] + (stranger, d.tokens[-1]), d.pools, d.pool_type_flags, d.direction_flags),
+            pools,
+            id="token",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("descriptor, pools", misfit_descriptors())
+def test_search_rejects_a_misfit_descriptor_like_a_run(descriptor, pools):
+    with pytest.raises((KeyError, ValueError)) as run_error:
+        arbitrage_run(descriptor, pools, 10**18, 0)
+    with pytest.raises(type(run_error.value)) as search_error:
+        best_input_search(descriptor, pools, 1, 10**22)
+    assert str(search_error.value) == str(run_error.value)
+
+
+def search_threaded_by_hand(descriptor, pools, lo, hi):
+    """best_input_search's ternary search with every probe threaded hop by
+    hop through threaded_by_hand."""
+
+    def probe(amount):
+        delta = threaded_by_hand(descriptor, pools, amount)[0]
+        return -amount if delta is None else delta
+
+    lo0 = lo
+    while hi - lo > 32:
+        third = (hi - lo) // 3
+        m1, m2 = lo + third, hi - third
+        f1, f2 = probe(m1), probe(m2)
+        if f1 < f2:
+            lo = m1 + 1
+        elif f1 > f2:
+            hi = m2 - 1
+        else:
+            lo, hi = m1, m2
+    best = min(range(lo, hi + 1), key=lambda a: (-probe(a), a))
+    return (best, probe(best)) if probe(best) > 0 else (lo0, probe(best))
+
+
+def test_search_on_a_repeated_pool_threads_its_state():
+    fixture = fixtures.gen_pool_fixture(seed=7, mispricing_pct=5)
+    d = fixture.descriptor
+    twice = PathDescriptor(
+        tokens=d.tokens + d.tokens[1:],
+        pools=d.pools * 2,
+        pool_type_flags=d.pool_type_flags * 2,
+        direction_flags=d.direction_flags * 2,
+    )
+    amount, delta = best_input_search(twice, fixture.pools, 1, 10**22)
+    assert delta > 0
+    assert (amount, delta) == search_threaded_by_hand(twice, fixture.pools, 1, 10**22)
+    # the second lap sees the pools the first one moved: it gains less than twice one lap
+    assert delta < 2 * best_input_search(d, fixture.pools, 1, 10**22)[1]
+
+
+@settings(max_examples=100)
+@given(path=pool_paths())
+def test_search_matches_a_search_threaded_by_hand(path):
+    descriptor, pools, amount0 = path
+    hi = max(amount0, 2)
+    assert best_input_search(descriptor, pools, 1, hi) == search_threaded_by_hand(descriptor, pools, 1, hi)
 
 
 # -- fixture files ------------------------------------------------------------
