@@ -3,13 +3,10 @@
 from .arbitrage import (
     ArbitrageCycle,
     DEFAULT_SHARE_ADDRESS,
-    FlowGraph,
     ProfitBreakdown,
-    TransactionIndex,
     attribute_profit,
     extract_arbitrage_cycle,
     to_usd,
-    trace_flows,
 )
 from .pools import ExecutionResult, PoolState, arbitrage_run, best_input_search, swap_v2, swap_v3
 from .pbs import (
@@ -28,8 +25,6 @@ from .traces import (
     TokenId,
     TraceEvent,
     Transaction,
-    label_builder,
-    parse_trace_file,
     serialize_transactions,
 )
 

@@ -51,10 +51,6 @@ class ShareTable:
     def top_share(self, k: int) -> Fraction:
         return sum((row.share for row in self.rows[:k]), Fraction(0))
 
-    @property
-    def total_blocks(self) -> int:
-        return sum(row.block_count for row in self.rows)
-
 
 def market_share(
     block_counts: Mapping[str, int],
@@ -208,11 +204,9 @@ class PathComplexity:
     ecdf: tuple[tuple[int, Fraction], ...]
 
 
-def path_complexity(cycles: Iterable) -> PathComplexity:
-    """Histogram and empirical CDF of hop counts (cycles or raw ints)."""
-    counts: Counter[int] = Counter()
-    for cycle in cycles:
-        counts[cycle if isinstance(cycle, int) else cycle.hop_count] += 1
+def path_complexity(hop_counts: Iterable[int]) -> PathComplexity:
+    """Histogram and empirical CDF of hop counts."""
+    counts = Counter(hop_counts)
     total = sum(counts.values())
     histogram = dict(sorted(counts.items()))
     ecdf: list[tuple[int, Fraction]] = []

@@ -1,4 +1,4 @@
-"""Arbitrage-cycle extraction, profit attribution and bounded-hop flow tracing.
+"""Arbitrage-cycle extraction and profit attribution.
 
 A transaction is an arbitrage cycle when the entry asset of its first swap
 equals the exit asset of its last swap; the swap sequence in between is
@@ -13,7 +13,6 @@ Everything here is a pure function over immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -177,87 +176,3 @@ def profit_to_fee_ratio(breakdown: ProfitBreakdown) -> Optional[Fraction]:
         return None
     return Fraction(breakdown.net, fees)
 
-
-# ---------------------------------------------------------------------------
-# bounded-hop flow tracing
-
-
-class FlowCategory(Enum):
-    CEX_HOT_WALLET = "cex_hot_wallet"
-    WALLET_EOA = "wallet_eoa"
-    AGGREGATOR = "aggregator"
-    CONTRACT = "contract"
-    POOL = "pool"
-    OTHER_UNKNOWN = "other_unknown"
-
-
-@dataclass(frozen=True)
-class FlowEdge:
-    src: bytes
-    dst: bytes
-    token: Optional[str]
-    amount: int
-
-
-@dataclass
-class FlowGraph:
-    nodes: dict[bytes, FlowCategory]
-    edges: tuple[FlowEdge, ...]
-    max_hops: int
-
-
-class TransactionIndex:
-    """Sender-indexed transaction store; reads are safe to share."""
-
-    def __init__(self, transactions: Iterable[Transaction] = ()):
-        self._by_initiator: dict[bytes, list[Transaction]] = {}
-        for tx in transactions:
-            self.add(tx)
-
-    def add(self, tx: Transaction) -> None:
-        self._by_initiator.setdefault(tx.initiator, []).append(tx)
-
-    def initiated_by(self, address: bytes) -> tuple[Transaction, ...]:
-        return tuple(self._by_initiator.get(address, ()))
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._by_initiator.values())
-
-
-def trace_flows(
-    seed_tx: Transaction,
-    corpus: TransactionIndex,
-    k: int = 4,
-    address_categories: Optional[Mapping[bytes, FlowCategory]] = None,
-) -> FlowGraph:
-    """Breadth-first walk over transfer events, at most k hops from the seed.
-
-    Hop 1 is the seed transaction's own transfers; hop d+1 follows transfers
-    of corpus transactions initiated by addresses first reached at hop d.
-    Endpoints without a category land in OTHER_UNKNOWN.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    categories = address_categories or {}
-    edges: list[FlowEdge] = []
-    visited: set[bytes] = {seed_tx.initiator}
-    current: list[Transaction] = [seed_tx]
-    for _ in range(k):
-        next_addresses: list[bytes] = []
-        for tx in current:
-            for event in tx.events:
-                if event.kind is not EventKind.TRANSFER:
-                    continue
-                token = event.token_out.symbol if event.token_out is not None else None
-                edges.append(FlowEdge(src=tx.initiator, dst=event.to, token=token, amount=event.amount))
-                if event.to not in visited:
-                    visited.add(event.to)
-                    next_addresses.append(event.to)
-        current = [tx for addr in next_addresses for tx in corpus.initiated_by(addr)]
-        if not current:
-            break
-
-    nodes: dict[bytes, FlowCategory] = {}
-    for address in [seed_tx.initiator] + [e.src for e in edges] + [e.dst for e in edges]:
-        nodes.setdefault(address, categories.get(address, FlowCategory.OTHER_UNKNOWN))
-    return FlowGraph(nodes=nodes, edges=tuple(edges), max_hops=k)

@@ -26,6 +26,7 @@ from .arbitrage import (
 )
 from .config import BLOCK_INTERVAL_S, ConfigFileError, RunConfig, load_config
 from .traces import (
+    LabelFileError,
     LabelSet,
     ParseStats,
     TraceParseError,
@@ -56,8 +57,12 @@ def _out_dir(path: str) -> Path:
 def cmd_extract(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else RunConfig()
     out = _out_dir(args.out)
-    with open(args.labels, encoding="utf-8") as fh:
-        labels = LabelSet.from_csv(fh)
+    try:
+        with open(args.labels, encoding="utf-8") as fh:
+            labels = LabelSet.from_csv(fh)
+    except LabelFileError as exc:
+        print(f"error: {args.labels}: {exc}", file=sys.stderr)
+        return 1
 
     stats = ParseStats()
     skipped = 0
@@ -156,11 +161,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     blocks_by_brand: dict[str, set[int]] = {}
     for row in rows:
         blocks_by_brand.setdefault(row.builder_brand, set()).add(row.block_number)
+    table = analytics.ShareTable(())
     if blocks_by_brand:
         table = analytics.market_share({b: len(s) for b, s in blocks_by_brand.items()})
-        reports.write_text(out / "shares.csv", lambda fh: reports.write_share_table(fh, table))
-    else:
-        reports.write_text(out / "shares.csv", lambda fh: fh.write("brand,blocks,validators,share_pct\n"))
+    reports.write_text(out / "shares.csv", lambda fh: reports.write_share_table(fh, table))
 
     matrix = analytics.profit_matrix(rows)
     reports.write_text(out / "profit_matrix.csv", lambda fh: reports.write_profit_matrix(fh, matrix))

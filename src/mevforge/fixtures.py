@@ -223,7 +223,6 @@ def gen_trace_corpus(seed: int, n_transactions: int, cycle_fraction: float = 0.7
 @dataclass
 class PoolFixture:
     pools: dict[bytes, PoolState]
-    tokens: dict[str, TokenId]
     descriptor: PathDescriptor  # planted profitable V2 triangle
     manifest: dict = field(default_factory=dict)
 
@@ -235,7 +234,6 @@ def gen_pool_fixture(seed: int, mispricing_pct: int = 5) -> PoolFixture:
     wbnb = TokenId("WBNB", _rand_address(rng), 18)
     usdt = TokenId("USDT", _rand_address(rng), 18)
     usd1 = TokenId("USD1", _rand_address(rng), 18)
-    tokens = {t.symbol: t for t in (wbnb, usdt, usd1)}
 
     unit = 10**18
     depth = 5_000_000
@@ -304,7 +302,7 @@ def gen_pool_fixture(seed: int, mispricing_pct: int = 5) -> PoolFixture:
         "planted_cycle": [t.symbol for t in descriptor.tokens],
         "pools": len(pools),
     }
-    return PoolFixture(pools=pools, tokens=tokens, descriptor=descriptor, manifest=manifest)
+    return PoolFixture(pools=pools, descriptor=descriptor, manifest=manifest)
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,8 @@ class PoolState:
         else:
             if self.liquidity <= 0:
                 raise InactivePoolError("V3 pool needs positive liquidity")
-            if self.sqrt_price_x96 <= 0:
-                raise ValueError("V3 pool needs a positive sqrt price")
+            if not MIN_SQRT_PRICE_X96 <= self.sqrt_price_x96 <= MAX_SQRT_PRICE_X96:
+                raise ValueError("V3 sqrt price out of range")
 
     def has_token(self, token: TokenId) -> bool:
         return token in (self.token0, self.token1)

@@ -11,6 +11,7 @@ the token's real decimals; analytics only sum them.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -33,6 +34,7 @@ _HEADER = [
     "share_usd",
     "timestamp_utc",
 ]
+_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")  # timestamp_for_block's form
 
 
 class RecordSchemaError(ValueError):
@@ -135,6 +137,8 @@ def iter_records(stream: IO[str]) -> Iterator[ArbitrageRecord]:
             continue
         if len(row) != len(_HEADER):
             raise RecordSchemaError(row_no, f"expected {len(_HEADER)} columns, got {len(row)}")
+        if not _TIMESTAMP.fullmatch(row[11]):
+            raise RecordSchemaError(row_no, f"timestamp_utc: expected YYYY-MM-DDTHH:MM:SSZ, got {row[11]!r:.40}")
         try:
             yield ArbitrageRecord(
                 tx_hash=parse_tx_hash(row[0]),

@@ -34,6 +34,14 @@ class DuplicateLabelError(ValueError):
     """A builder address appears more than once in a label set."""
 
 
+class LabelFileError(ValueError):
+    """Malformed label file; carries the 1-based line number."""
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+
+
 def read_int(value, key: str, digits: bool = False) -> int:
     """value as an int: a JSON integer, or with digits also a string of
     ASCII digits.  Booleans, floats and anything else raise ValueError."""
@@ -298,10 +306,6 @@ def iter_transactions(stream: IO[str] | Iterable[str], stats: ParseStats | None 
         yield tx
 
 
-def parse_trace_file(stream: IO[str] | Iterable[str], stats: ParseStats | None = None) -> list[Transaction]:
-    return list(iter_transactions(stream, stats))
-
-
 def _event_to_obj(event: TraceEvent) -> dict:
     obj: dict = {"kind": event.kind.value}
     if event.pool is not None:
@@ -380,31 +384,26 @@ class LabelSet:
 
     @classmethod
     def from_csv(cls, stream: IO[str]) -> "LabelSet":
+        """Labels from a CSV file.  Any fault raises LabelFileError naming
+        the line it is on: 1 for the header, the second occurrence for a
+        duplicate address."""
         reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["brand", "instance", "address"]:
-            raise ValueError("label file must start with header: brand,instance,address")
-        labels = []
-        for row in reader:
-            if not row or not "".join(row).strip():
-                continue
-            if len(row) != 3:
-                raise ValueError(f"label row must have 3 columns, got {row!r}")
-            labels.append(BuilderLabel(brand=row[0].strip(), instance_name=row[1].strip(), address=parse_address(row[2].strip())))
-        return cls(labels)
+
+        def labels() -> Iterator[BuilderLabel]:
+            for row in reader:
+                if not row or not "".join(row).strip():
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"label row must have 3 columns, got {row!r}")
+                yield BuilderLabel(brand=row[0].strip(), instance_name=row[1].strip(), address=parse_address(row[2].strip()))
+
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["brand", "instance", "address"]:
+                raise ValueError("label file must start with header: brand,instance,address")
+            return cls(labels())
+        except (ValueError, csv.Error) as exc:
+            raise LabelFileError(max(reader.line_num, 1), str(exc)) from exc
 
     def lookup(self, address: bytes) -> Optional[BuilderLabel]:
         return self._by_address.get(address)
-
-    def __len__(self) -> int:
-        return len(self._by_address)
-
-    def __iter__(self) -> Iterator[BuilderLabel]:
-        return iter(self._by_address.values())
-
-
-def label_builder(address: bytes, labels: "LabelSet | Iterable[BuilderLabel]") -> Optional[BuilderLabel]:
-    """Return the unique label for an address, or None when unlabeled."""
-    if not isinstance(labels, LabelSet):
-        labels = LabelSet(labels)
-    return labels.lookup(address)

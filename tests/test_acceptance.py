@@ -18,7 +18,7 @@ from mevforge.arbitrage import DEFAULT_SHARE_ADDRESS, attribute_profit, extract_
 from mevforge.cli import main
 from mevforge.records import read_records
 from mevforge.reports import decimal_str, percent_str
-from mevforge.traces import EventKind, parse_trace_file
+from mevforge.traces import EventKind, iter_transactions
 
 import test_pools
 
@@ -52,7 +52,7 @@ def test_criterion_1_worked_example_exactness(tmp_path):
     assert (rows[0].gross, rows[0].share, rows[0].net) == (3040, 820, 2220)
 
     with open(DATA / "worked_example_trace.ndjson", encoding="utf-8") as fh:
-        tx = parse_trace_file(fh)[0]
+        tx = next(iter_transactions(fh))
     cycle = extract_arbitrage_cycle(tx)
     path = [h.token_in.symbol for h in cycle.path] + [cycle.path[-1].token_out.symbol]
     assert path == ["USDT", "WBNB", "USD1", "USDT"]
@@ -267,7 +267,7 @@ def test_criterion_9_proposer_split_agrees_with_records_and_matrix(tmp_path):
     fixture_dir, out = tmp_path / "fx", tmp_path / "out"
     assert main(["gen-fixtures", "--kind", "traces", "--seed", "3", "--count", "1500", "--out", str(fixture_dir)]) == 0
     with open(fixture_dir / "traces.ndjson", encoding="utf-8") as fh:
-        decimals = {e.token_in.decimals for tx in parse_trace_file(fh) for e in tx.events if e.kind is EventKind.SWAP}
+        decimals = {e.token_in.decimals for tx in iter_transactions(fh) for e in tx.events if e.kind is EventKind.SWAP}
     assert decimals == {0, 6, 8, 18}
     config = str(fixture_dir / "run.cfg")
     extract_args = ["--traces", str(fixture_dir / "traces.ndjson"), "--labels", str(fixture_dir / "labels.csv")]

@@ -1,4 +1,4 @@
-"""Cycle extraction, profit attribution, USD conversion, flow tracing."""
+"""Cycle extraction, profit attribution, USD conversion."""
 
 import io
 import random
@@ -13,22 +13,19 @@ from mevforge import fixtures
 from mevforge.arbitrage import (
     DEFAULT_SHARE_ADDRESS,
     CycleMismatchError,
-    FlowCategory,
     MissingPriceError,
-    TransactionIndex,
     attribute_profit,
     extract_arbitrage_cycle,
     gas_cost_in_base_units,
     profit_to_fee_ratio,
     to_usd,
-    trace_flows,
 )
 from mevforge.traces import (
     EventKind,
     TokenId,
     TraceEvent,
     Transaction,
-    parse_trace_file,
+    iter_transactions,
 )
 
 import strategies
@@ -72,7 +69,7 @@ def transfer(to, amount):
 
 def test_worked_example_extraction_and_attribution():
     with open(DATA / "worked_example_trace.ndjson", encoding="utf-8") as fh:
-        tx = parse_trace_file(fh)[0]
+        tx = next(iter_transactions(fh))
     cycle = extract_arbitrage_cycle(tx)
     assert cycle is not None
     symbols = [hop.token_in.symbol for hop in cycle.path] + [cycle.path[-1].token_out.symbol]
@@ -293,64 +290,3 @@ def test_usd_and_fee_ratio():
     no_fees = attribute_profit(cycle_tx(gross=7), extract_arbitrage_cycle(cycle_tx(gross=7)))
     assert profit_to_fee_ratio(no_fees) is None
 
-
-# -- flow tracing -------------------------------------------------------------
-
-
-def flow_tx(initiator, outs, tx_hash):
-    events = [transfer(to, amount) for to, amount in outs]
-    indexed = tuple(TraceEvent(**{**e.__dict__, "index": i}) for i, e in enumerate(events))
-    return Transaction(hash=tx_hash, block_number=0, initiator=initiator, events=indexed, gas_used=0, gas_price=0)
-
-
-def test_single_hop_to_categorized_wallet():
-    cex = bytes([21]) * 20
-    seed = flow_tx(bytes([20]) * 20, [(cex, 100)], bytes([1]) * 32)
-    graph = trace_flows(seed, TransactionIndex(), k=1, address_categories={cex: FlowCategory.CEX_HOT_WALLET})
-    assert len(graph.edges) == 1
-    assert graph.nodes[cex] is FlowCategory.CEX_HOT_WALLET
-    assert graph.nodes[seed.initiator] is FlowCategory.OTHER_UNKNOWN
-
-
-def test_k_zero_yields_no_edges():
-    seed = flow_tx(bytes([20]) * 20, [(bytes([21]) * 20, 100)], bytes([1]) * 32)
-    graph = trace_flows(seed, TransactionIndex(), k=0)
-    assert graph.edges == ()
-    assert seed.initiator in graph.nodes
-
-
-def three_level_tree():
-    a, b1, b2, c1, c2, d1 = (bytes([30 + i]) * 20 for i in range(6))
-    seed = flow_tx(a, [(b1, 10), (b2, 11)], bytes([1]) * 32)
-    corpus = TransactionIndex(
-        [
-            flow_tx(b1, [(c1, 5)], bytes([2]) * 32),
-            flow_tx(b2, [(c2, 6)], bytes([3]) * 32),
-            flow_tx(c1, [(d1, 2)], bytes([4]) * 32),
-        ]
-    )
-    return seed, corpus
-
-
-def test_bfs_depth_bounded_exactly():
-    seed, corpus = three_level_tree()
-    graph = trace_flows(seed, corpus, k=2)
-    assert len(graph.edges) == 4  # two level-1 edges, two level-2 edges
-    dests = {e.amount for e in graph.edges}
-    assert dests == {10, 11, 5, 6}
-
-
-def test_flow_edges_monotone_in_k():
-    seed, corpus = three_level_tree()
-    previous = ()
-    for k in range(0, 4):
-        edges = trace_flows(seed, corpus, k=k).edges
-        assert edges[: len(previous)] == previous
-        previous = edges
-    assert len(trace_flows(seed, corpus, k=3).edges) == 5
-
-
-def test_uncategorized_endpoints_bucket_other_unknown():
-    seed, corpus = three_level_tree()
-    graph = trace_flows(seed, corpus, k=4)
-    assert set(graph.nodes.values()) == {FlowCategory.OTHER_UNKNOWN}

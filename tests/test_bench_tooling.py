@@ -1,16 +1,21 @@
 """The benchmark's traced run patches mevforge at fixed module attributes,
 and its embodied workload loads a generated scenario; both must keep
 working, or the benchmark breaks silently.  The pool search over that
-scenario's graph is pinned by digest."""
+scenario's graph is pinned by digest.  The READMEs name only API that
+exists, and the package imports nothing outside the standard library."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_perfbench(name):
@@ -62,3 +67,42 @@ def test_embodied_search_matches_pinned_digest(seed):
         "{},{}\n".format(*best_input_search(d, pools, 1, max(_v2_reserve_scale(pools, d) // 4, 16))) for d in cycles
     )
     assert hashlib.sha256(text.encode()).hexdigest() == EMBODIED_SEARCH_DIGESTS[seed]
+
+
+def resolves(dotted: str) -> bool:
+    """dotted imports as a module, or as a module plus attributes."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def test_documented_names_resolve():
+    names = set()
+    for doc in (ROOT / "README.md", PERFBENCH / "README.md"):
+        names.update(re.findall(r"\bmevforge(?:\.[A-Za-z_]\w*)+", doc.read_text(encoding="utf-8")))
+    assert names
+    assert [name for name in sorted(names) if not resolves(name)] == []
+
+
+def test_package_imports_only_the_standard_library():
+    outside = []
+    for path in sorted((ROOT / "src" / "mevforge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            top = {module.split(".")[0] for module in modules}
+            outside += [f"{path.name}: {name}" for name in sorted(top - sys.stdlib_module_names - {"mevforge"})]
+    assert outside == []

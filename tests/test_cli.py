@@ -169,6 +169,31 @@ def test_extract_worked_example(tmp_path, capsys):
     assert row.share_usd == 820
 
 
+WORKED_BUILDER = "0x487e5dfe70119c1b320b8219b190a6fa95a5bb48"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        pytest.param("brand,instance,address\n48Club,48Club-puissant-1,0xzz\n", 2, id="bad-hex"),
+        pytest.param(f"brand,name,address\n48Club,48Club-puissant-1,{WORKED_BUILDER}\n", 1, id="wrong-header"),
+        pytest.param(f"brand,instance,address\nX,x-1,0x{'01' * 20}\n48Club,{WORKED_BUILDER}\n", 3, id="two-columns"),
+        pytest.param(
+            f"brand,instance,address\n48Club,48Club-puissant-1,{WORKED_BUILDER}\nX,x-1,0x{'01' * 20}\nY,y-1,{WORKED_BUILDER}\n",
+            4,
+            id="duplicate-address",
+        ),
+        pytest.param("brand,instance,address\nX,x-1,0x" + "ab" * 100_000 + "\n", 2, id="field-over-csv-limit"),
+    ],
+)
+def test_extract_malformed_label_file_names_the_line(tmp_path, capsys, text, line):
+    labels = tmp_path / "labels.csv"
+    labels.write_text(text)
+    argv = ["extract", "--traces", str(DATA / "worked_example_trace.ndjson"), "--labels", str(labels)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {labels}: line {line}: ")
+
+
 def test_extract_counts_non_cycles(tmp_path, capsys):
     trace = tmp_path / "traces.ndjson"
     trace.write_text(
@@ -395,6 +420,15 @@ def test_analyze_rejects_v1_records(tmp_path, capsys):
     assert "row 1: unsupported schema version" in capsys.readouterr().err
 
 
+def test_analyze_rejects_a_malformed_timestamp(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    buffer = io.StringIO()
+    write_records(buffer, [sample_record(), sample_record(block_number=101, timestamp_utc="garbage")])
+    bad.write_text(buffer.getvalue())
+    assert main(["analyze", "--records", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert "row 4: timestamp_utc" in capsys.readouterr().err
+
+
 # -- simulate -----------------------------------------------------------------
 
 
@@ -522,6 +556,7 @@ def v3_line_with(**values):
         pytest.param(lambda o: json.dumps({**o, "reserve1": "1e21"}), id="reserve-exponent-string"),
         pytest.param(v3_line_with(liquidity=10.0**21), id="liquidity-float"),
         pytest.param(v3_line_with(sqrt_price_x96="-1"), id="sqrt-price-signed-string"),
+        pytest.param(v3_line_with(sqrt_price_x96=str(2**160 + 1)), id="sqrt-price-above-max"),
         pytest.param(lambda o: json.dumps({**o, "token0": {**o["token0"], "symbol": None}}), id="symbol-null"),
         pytest.param(lambda o: json.dumps({**o, "token1": {**o["token1"], "symbol": 5}}), id="symbol-number"),
     ],

@@ -13,6 +13,7 @@ from mevforge.traces import (
     BuilderLabel,
     DuplicateLabelError,
     EventKind,
+    LabelFileError,
     LabelSet,
     ParseStats,
     PathDescriptor,
@@ -21,10 +22,9 @@ from mevforge.traces import (
     TraceParseError,
     Transaction,
     format_address,
-    label_builder,
+    iter_transactions,
     mark_pool_sinks,
     parse_address,
-    parse_trace_file,
     serialize_transactions,
 )
 
@@ -35,7 +35,7 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 def test_worked_example_file_parses_to_five_events():
     with open(DATA / "worked_example_trace.ndjson", encoding="utf-8") as fh:
-        txs = parse_trace_file(fh)
+        txs = list(iter_transactions(fh))
     assert len(txs) == 1
     tx = txs[0]
     assert len(tx.events) == 5
@@ -46,13 +46,13 @@ def test_worked_example_file_parses_to_five_events():
 
 
 def test_empty_stream_parses_to_empty_list():
-    assert parse_trace_file(io.StringIO("")) == []
+    assert list(iter_transactions(io.StringIO(""))) == []
 
 
 def test_generated_corpus_round_trips_identically():
     corpus = fixtures.gen_trace_corpus(seed=11, n_transactions=1000)
     text = serialize_transactions(corpus.transactions)
-    reparsed = parse_trace_file(io.StringIO(text))
+    reparsed = list(iter_transactions(io.StringIO(text)))
     assert len(reparsed) == 1000
     assert reparsed == corpus.transactions
     assert serialize_transactions(reparsed) == text
@@ -62,7 +62,7 @@ def test_generated_corpus_round_trips_identically():
 @given(txs=st.lists(strategies.transactions(), max_size=5))
 def test_round_trip_property(txs):
     text = serialize_transactions(txs)
-    assert parse_trace_file(io.StringIO(text)) == txs
+    assert list(iter_transactions(io.StringIO(text))) == txs
 
 
 def test_parse_normalizes_whitespace_variants():
@@ -72,13 +72,13 @@ def test_parse_normalizes_whitespace_variants():
 
     loose_lines = [json.dumps(json.loads(line), indent=None, separators=(", ", ": ")) for line in canonical.splitlines()]
     loose = "\n\n".join(loose_lines) + "\n"
-    assert serialize_transactions(parse_trace_file(io.StringIO(loose))) == canonical
+    assert serialize_transactions(iter_transactions(io.StringIO(loose))) == canonical
 
 
 def test_parse_preserves_event_order():
     corpus = fixtures.gen_trace_corpus(seed=5, n_transactions=50)
     text = serialize_transactions(corpus.transactions)
-    for original, parsed in zip(corpus.transactions, parse_trace_file(io.StringIO(text))):
+    for original, parsed in zip(corpus.transactions, iter_transactions(io.StringIO(text))):
         assert [e.index for e in parsed.events] == list(range(len(parsed.events)))
         assert [e.kind for e in parsed.events] == [e.kind for e in original.events]
 
@@ -87,7 +87,7 @@ def test_malformed_line_reports_line_number():
     good = serialize_transactions(fixtures.gen_trace_corpus(seed=1, n_transactions=1).transactions)
     stream = io.StringIO(good + "{not json\n")
     with pytest.raises(TraceParseError) as excinfo:
-        parse_trace_file(stream)
+        list(iter_transactions(stream))
     assert excinfo.value.line_no == 2
     assert "line 2" in str(excinfo.value)
 
@@ -96,14 +96,14 @@ def test_non_object_event_reports_line_number():
     good = serialize_transactions(fixtures.gen_trace_corpus(seed=1, n_transactions=1).transactions)
     bad = json.dumps({**json.loads(good), "events": ["x"]})
     with pytest.raises(TraceParseError) as excinfo:
-        parse_trace_file(io.StringIO(good + bad + "\n"))
+        list(iter_transactions(io.StringIO(good + bad + "\n")))
     assert excinfo.value.line_no == 2
     assert "event is not an object" in str(excinfo.value)
 
 
 def test_missing_field_reports_line_number():
     with pytest.raises(TraceParseError) as excinfo:
-        parse_trace_file(io.StringIO('{"hash": "0x' + "00" * 32 + '"}\n'))
+        list(iter_transactions(io.StringIO('{"hash": "0x' + "00" * 32 + '"}\n')))
     assert excinfo.value.line_no == 1
 
 
@@ -115,7 +115,7 @@ def test_unknown_event_kind_skipped_with_counter():
     obj = json.loads(line)
     obj["events"].insert(0, {"kind": "mint", "pool": "0x" + "00" * 20})
     stats = ParseStats()
-    txs = parse_trace_file(io.StringIO(json.dumps(obj) + "\n"), stats)
+    txs = list(iter_transactions(io.StringIO(json.dumps(obj) + "\n"), stats))
     assert stats.unknown_events == 1
     assert len(txs) == 1
     assert len(txs[0].events) == len(corpus.transactions[0].events)
@@ -170,7 +170,7 @@ def test_address_parsing_is_canonical():
 def test_builder_registry_lookup_by_address():
     with open(DATA / "builder_labels.csv", encoding="utf-8") as fh:
         labels = LabelSet.from_csv(fh)
-    found = label_builder(parse_address("0x487e5dfe70119c1b320b8219b190a6fa95a5bb48"), labels)
+    found = labels.lookup(parse_address("0x487e5dfe70119c1b320b8219b190a6fa95a5bb48"))
     assert found is not None
     assert found.brand == "48Club"
     assert found.instance_name == "48Club-puissant-1"
@@ -178,7 +178,7 @@ def test_builder_registry_lookup_by_address():
 
 def test_unlabeled_address_returns_none():
     labels = LabelSet([BuilderLabel("X", "x-1", bytes(20))])
-    assert label_builder(bytes([7]) * 20, labels) is None
+    assert labels.lookup(bytes([7]) * 20) is None
 
 
 def test_duplicate_address_across_brands_fails_at_load():
@@ -188,7 +188,7 @@ def test_duplicate_address_across_brands_fails_at_load():
 
 
 def test_label_csv_requires_header():
-    with pytest.raises(ValueError):
+    with pytest.raises(LabelFileError, match="^line 1: "):
         LabelSet.from_csv(io.StringIO("A,a-1,0x" + "00" * 20 + "\n"))
 
 
