@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .traces import EventKind, TokenId, Transaction, format_hash
+from .traces import EventKind, PathDescriptor, TokenId, Transaction, format_hash
 
 # Validator-income endpoint commonly seen in share transfers.  Not the
 # protocol payout contract, so callers can override the whole set.
@@ -35,50 +35,40 @@ class CycleMismatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class SwapHop:
-    token_in: TokenId
-    token_out: TokenId
-    pool: bytes
-
-
-@dataclass(frozen=True)
 class ArbitrageCycle:
+    """The swap route of one transaction, starting and ending at its base
+    token."""
+
     tx_hash: bytes
-    base_token: TokenId
-    path: tuple[SwapHop, ...]
+    path: PathDescriptor
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "path", tuple(self.path))
-        if len(self.path) < 2:
+        if self.path.n_hops < 2:
             raise ValueError("a cycle needs at least two hops")
-        if self.path[0].token_in != self.base_token or self.path[-1].token_out != self.base_token:
-            raise ValueError("cycle endpoints must equal the base token")
-        for a, b in zip(self.path, self.path[1:]):
-            if a.token_out != b.token_in:
-                raise ValueError("consecutive hops must chain")
+
+    @property
+    def base_token(self) -> TokenId:
+        return self.path.tokens[0]
 
     @property
     def hop_count(self) -> int:
-        return len(self.path)
+        return self.path.n_hops
 
 
 def extract_arbitrage_cycle(tx: Transaction) -> Optional[ArbitrageCycle]:
     """Collect the transaction's swaps in order and return the cycle they
     form, or None when there is no swap, the entry and exit assets differ,
     or the hops do not chain into a single route."""
-    hops = [
-        SwapHop(token_in=e.token_in, token_out=e.token_out, pool=e.pool)
-        for e in tx.events
-        if e.kind is EventKind.SWAP
-    ]
-    if not hops:
+    swaps = [e for e in tx.events if e.kind is EventKind.SWAP]
+    if not swaps:
         return None
-    if hops[0].token_in != hops[-1].token_out:
+    if swaps[0].token_in != swaps[-1].token_out:
         return None
-    for a, b in zip(hops, hops[1:]):
+    for a, b in zip(swaps, swaps[1:]):
         if a.token_out != b.token_in:
             return None
-    return ArbitrageCycle(tx_hash=tx.hash, base_token=hops[0].token_in, path=tuple(hops))
+    path = PathDescriptor(tokens=(swaps[0].token_in, *(e.token_out for e in swaps)), pools=tuple(e.pool for e in swaps))
+    return ArbitrageCycle(tx_hash=tx.hash, path=path)
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     def produce(errors_rows):
         nonlocal skipped, emitted
-        with open(args.traces, encoding="utf-8") as fh:
+        with open(args.traces, "rb") as fh:
             for tx in iter_transactions(fh, stats):
                 if config.infer_pool_sinks:
                     tx = mark_pool_sinks(tx)
@@ -85,7 +85,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
                     breakdown = attribute_profit(tx, cycle, config.share_addresses, config.price_table)
                     usd_value = to_usd(breakdown.net, cycle.base_token, config.price_table)
                     share_usd = to_usd(breakdown.share, cycle.base_token, config.price_table)
-                except MissingPriceError as exc:
+                    timestamp = records.timestamp_for_block(tx.block_number, config.genesis_unix, BLOCK_INTERVAL_S)
+                except (MissingPriceError, records.TimestampRangeError) as exc:
                     errors_rows.append((format_hash(tx.hash), str(exc)))
                     continue
                 record = records.ArbitrageRecord(
@@ -100,7 +101,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
                     net=breakdown.net,
                     usd_value=usd_value,
                     share_usd=share_usd,
-                    timestamp_utc=records.timestamp_for_block(tx.block_number, config.genesis_unix, BLOCK_INTERVAL_S),
+                    timestamp_utc=timestamp,
                 )
                 emitted += 1
                 yield record
@@ -151,7 +152,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else RunConfig()
     out = _out_dir(args.out)
     try:
-        with open(args.records, encoding="utf-8") as fh:
+        with open(args.records, "rb") as fh:
             rows = records.read_records(fh)
     except records.RecordSchemaError as exc:
         print(f"error: {args.records}: {exc}", file=sys.stderr)
@@ -244,12 +245,15 @@ DUOPOLY_BUILDERS = [
 
 
 def duopoly_scenario(protocol: str) -> dict:
-    return {
+    """The bundled duopoly scenario of a protocol, holding only the keys
+    its flow reads."""
+    direct = protocol == "bsc_direct"
+    scenario = {
         "protocol": protocol,
-        "horizon_ms": 3000 if protocol == "bsc_direct" else 12000,
+        "horizon_ms": 3000 if direct else 12000,
         "listen_window_ms": 50,
         "base_compute_ms": 10,
-        "builders": DUOPOLY_BUILDERS,
+        "builders": [b if direct else {k: v for k, v in b.items() if k != "non_delivery_prob"} for b in DUOPOLY_BUILDERS],
         "opportunity": {
             "decay": "piecewise",
             "peak_value": 10**9,
@@ -263,12 +267,14 @@ def duopoly_scenario(protocol: str) -> dict:
         "relay": {"delay_ms": 0, "rebid_interval_ms": 500, "optimization_rounds": 8, "rebids_enabled": True},
         "pools": None,
     }
+    del scenario["relay" if direct else "listen_window_ms"]
+    return scenario
 
 
 def cmd_gen_fixtures(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
     if args.kind == "traces":
-        corpus = fixtures.gen_trace_corpus(args.seed, args.count or 1000)
+        corpus = fixtures.gen_trace_corpus(args.seed, 1000 if args.count is None else args.count)
         with open(out / "traces.ndjson", "w", encoding="utf-8") as fh:
             fh.write(serialize_transactions(corpus.transactions))
         with open(out / "labels.csv", "w", encoding="utf-8", newline="") as fh:
@@ -288,7 +294,7 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
         _write_manifest(out, fixture.manifest)
     elif args.kind == "records":
         with open(out / "records.csv", "w", encoding="utf-8", newline="") as fh:
-            count = records.write_records(fh, fixtures.gen_records(args.seed, args.count or 500))
+            count = records.write_records(fh, fixtures.gen_records(args.seed, 500 if args.count is None else args.count))
         _write_manifest(out, {"kind": "records", "seed": args.seed, "rows": count})
     elif args.kind == "scenario":
         for protocol in ("bsc_direct", "eth_relay"):
@@ -305,6 +311,13 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {count}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-fixtures", help="write seeded synthetic fixtures with a ground-truth manifest")
     p.add_argument("--kind", choices=("traces", "pools", "records", "scenario"), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=_count, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_fixtures)
     return parser

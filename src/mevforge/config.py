@@ -70,15 +70,15 @@ def load_config(path: str | Path) -> RunConfig:
     price_table = dict(config.price_table)
     risk_bits = dict(config.risk_bits)
     updates: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigFileError(f"line {line_no}: expected key = value")
-            key, _, value = (part.strip() for part in line.partition("="))
             try:
+                line = raw.decode("utf-8").split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError("expected key = value")
+                key, _, value = (part.strip() for part in line.partition("="))
                 if key == "share_addresses":
                     updates["share_addresses"] = tuple(
                         parse_address(a.strip()) for a in value.split(",") if a.strip()
@@ -99,5 +99,5 @@ def load_config(path: str | Path) -> RunConfig:
                 else:
                     raise ValueError(f"unknown key {key!r}")
             except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigFileError(f"line {line_no}: {exc}") from exc
+                raise ConfigFileError(f"{path}: line {line_no}: {exc}") from exc
     return replace(config, price_table=price_table, risk_bits=risk_bits, **updates)

@@ -68,22 +68,17 @@ def _noise_events(rng: random.Random, tokens: list[TokenId], count: int) -> list
     for _ in range(count):
         kind = rng.choice((EventKind.SYNC, EventKind.TRANSFER, EventKind.INTERNAL))
         if kind is EventKind.SYNC:
-            out.append(TraceEvent(kind=kind, index=0, pool=_rand_address(rng)))
+            out.append(TraceEvent(kind=kind, pool=_rand_address(rng)))
         else:
             out.append(
                 TraceEvent(
                     kind=kind,
-                    index=0,
                     to=_rand_address(rng),
                     amount=rng.randint(1, 10**9),
                     token_out=rng.choice(tokens) if kind is EventKind.TRANSFER and rng.random() < 0.5 else None,
                 )
             )
     return out
-
-
-def _reindex(events: list[TraceEvent]) -> tuple[TraceEvent, ...]:
-    return tuple(replace(e, index=i) for i, e in enumerate(events))
 
 
 def gen_trace_corpus(seed: int, n_transactions: int, cycle_fraction: float = 0.7) -> TraceCorpus:
@@ -128,7 +123,6 @@ def gen_trace_corpus(seed: int, n_transactions: int, cycle_fraction: float = 0.7
                 swaps.append(
                     TraceEvent(
                         kind=EventKind.SWAP,
-                        index=0,
                         pool=_pool_for(rng, pools, route[i], route[i + 1]),
                         token_in=route[i],
                         token_out=route[i + 1],
@@ -142,7 +136,7 @@ def gen_trace_corpus(seed: int, n_transactions: int, cycle_fraction: float = 0.7
                 amt = rng.randint(1, 10**6)
                 share_total += amt
                 extras.append(
-                    TraceEvent(kind=EventKind.TRANSFER, index=0, to=DEFAULT_SHARE_ADDRESS, amount=amt, token_out=base)
+                    TraceEvent(kind=EventKind.TRANSFER, to=DEFAULT_SHARE_ADDRESS, amount=amt, token_out=base)
                 )
             if rng.random() < 0.3:
                 sink_at = rng.randrange(hops)
@@ -179,7 +173,6 @@ def gen_trace_corpus(seed: int, n_transactions: int, cycle_fraction: float = 0.7
             events = [
                 TraceEvent(
                     kind=EventKind.SWAP,
-                    index=0,
                     pool=_pool_for(rng, pools, t_in, t_out),
                     token_in=t_in,
                     token_out=t_out,
@@ -197,7 +190,7 @@ def gen_trace_corpus(seed: int, n_transactions: int, cycle_fraction: float = 0.7
                 hash=tx_hash,
                 block_number=block,
                 initiator=initiator,
-                events=_reindex(events),
+                events=tuple(events),
                 gas_used=rng.choice((0, 21_000, 180_000)),
                 gas_price=0,  # the zero-gas regime; profit identities stay integral
             )
@@ -292,8 +285,6 @@ def gen_pool_fixture(seed: int, mispricing_pct: int = 5) -> PoolFixture:
     descriptor = PathDescriptor(
         tokens=(wbnb, usdt, usd1, wbnb),
         pools=(p1.address, p2.address, p3.address),
-        pool_type_flags=(1, 1, 1),
-        direction_flags=(0, 0, 0),
     )
     manifest = {
         "kind": "pools",

@@ -170,14 +170,14 @@ class SlotOutcome:
     height: int
     winner: Optional[str]
     proposer_payment: int
-    fallback_used: bool
     blacklist_events: tuple[str, ...]
     bids_received: tuple[Bid, ...]
     realized_builder_profit: int
 
-    def __post_init__(self) -> None:
-        if self.fallback_used and self.winner is not None:
-            raise ValueError("fallback slots have no winner")
+    @property
+    def fallback_used(self) -> bool:
+        """No builder won, so the proposer built its own block."""
+        return self.winner is None
 
 
 @dataclass(frozen=True)
@@ -311,8 +311,8 @@ def _resolve_slot(schedule: BidSchedule, height: int, rng_seed: int) -> SlotOutc
                 events.append(bid.builder_id)
                 continue
         profit = bid.delta - bid.offered_payment
-        return SlotOutcome(height, bid.builder_id, bid.offered_payment, False, tuple(events), schedule.received, profit)
-    return SlotOutcome(height, None, 0, True, tuple(events), schedule.received, 0)
+        return SlotOutcome(height, bid.builder_id, bid.offered_payment, tuple(events), schedule.received, profit)
+    return SlotOutcome(height, None, 0, tuple(events), schedule.received, 0)
 
 
 def run_slot_bsc(
@@ -461,9 +461,11 @@ def _from_json(cls: type, section, extra: tuple[str, ...] = (), **given):
 def load_scenario(path: str | Path) -> SimScenario:
     """Load and validate a scenario JSON file, each value strictly by type
     (see _typed); absent keys take the dataclass defaults and unknown keys
-    are errors.  Every broken key or section is reported together in one
-    ConfigError, as is a file that cannot be read or does not hold a JSON
-    object."""
+    are errors, as are keys the protocol's flow never reads: ``relay`` for
+    bsc_direct, and ``listen_window_ms`` and a builder's
+    ``non_delivery_prob`` for eth_relay.  Every broken key or section is
+    reported together in one ConfigError, as is a file that cannot be read
+    or does not hold a JSON object."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -491,13 +493,19 @@ def load_scenario(path: str | Path) -> SimScenario:
     def top(key: str, kind: type, default):
         return read(key, lambda: _typed(obj, key, kind, default), default)
 
-    read("scenario", lambda: _check_keys(obj, _SCENARIO_KEYS))
     protocol = read("protocol", lambda: _typed(obj, "protocol", Protocol), Protocol.BSC_DIRECT)
-    default_horizon = DEFAULT_ETH_HORIZON_MS if protocol is Protocol.ETH_RELAY else DEFAULT_BSC_HORIZON_MS
-    horizon = top("horizon_ms", Fraction, default_horizon)
+    relayed = protocol is Protocol.ETH_RELAY
+    unread = "listen_window_ms" if relayed else "relay"
+    read("scenario", lambda: _check_keys(obj, [key for key in _SCENARIO_KEYS if key != unread]))
+    horizon = top("horizon_ms", Fraction, DEFAULT_ETH_HORIZON_MS if relayed else DEFAULT_BSC_HORIZON_MS)
     listen = top("listen_window_ms", Fraction, ProposerConfig.listen_window_ms)
     entries = top("builders", list, [])
-    builders = [read(f"builders[{i}]", lambda: _from_json(BuilderAgent, entry)) for i, entry in enumerate(entries)]
+    # the relay always delivers, so its builders' non_delivery_prob is 0 and not a key
+    unread_by_builders = {"non_delivery_prob": 0.0} if relayed else {}
+    builders = [
+        read(f"builders[{i}]", lambda: _from_json(BuilderAgent, entry, **unread_by_builders))
+        for i, entry in enumerate(entries)
+    ]
     opportunity = read("opportunity", lambda: _from_json(OpportunityModel, obj.get("opportunity", {})))
     relay = read("relay", lambda: _from_json(RelayConfig, obj.get("relay", {})))
     proposers = top("proposers", dict, {})
@@ -593,16 +601,6 @@ def enumerate_cycles(
     bases = [base_symbol] if base_symbol else sorted(tokens)
     found: list[PathDescriptor] = []
 
-    def descriptor_for(path_tokens: list[TokenId], path_pools: list[pools_mod.PoolState]) -> PathDescriptor:
-        type_flags = tuple(1 if p.kind is pools_mod.PoolKind.V2 else 0 for p in path_pools)
-        dir_flags = tuple(0 if t == p.token0 else 1 for t, p in zip(path_tokens, path_pools))
-        return PathDescriptor(
-            tokens=tuple(path_tokens),
-            pools=tuple(p.address for p in path_pools),
-            pool_type_flags=type_flags,
-            direction_flags=dir_flags,
-        )
-
     for base in bases:
         if base not in tokens:
             continue
@@ -612,7 +610,7 @@ def enumerate_cycles(
             for p2 in adjacency[mid.symbol]:
                 if p2.address == p1.address or not p2.has_token(start):
                     continue
-                found.append(descriptor_for([start, mid, start], [p1, p2]))
+                found.append(PathDescriptor((start, mid, start), (p1.address, p2.address)))
             for p2 in adjacency[mid.symbol]:
                 if p2.address == p1.address or p2.has_token(start):
                     continue
@@ -620,7 +618,7 @@ def enumerate_cycles(
                 for p3 in adjacency[far.symbol]:
                     if p3.address in (p1.address, p2.address) or not p3.has_token(start):
                         continue
-                    found.append(descriptor_for([start, mid, far, start], [p1, p2, p3]))
+                    found.append(PathDescriptor((start, mid, far, start), (p1.address, p2.address, p3.address)))
     return found
 
 

@@ -88,11 +88,16 @@ class PoolState:
         return token in (self.token0, self.token1)
 
     def other(self, token: TokenId) -> TokenId:
-        if token == self.token0:
-            return self.token1
-        if token == self.token1:
-            return self.token0
-        raise ValueError(f"token {token.symbol} not in pool {format_address(self.address)}")
+        return self.token1 if _direction(self, token) == 0 else self.token0
+
+
+def _direction(pool: PoolState, token_in: TokenId) -> int:
+    """0 when token_in is the pool's token0, 1 when it is its token1."""
+    if token_in == pool.token0:
+        return 0
+    if token_in == pool.token1:
+        return 1
+    raise ValueError(f"token {token_in.symbol} not in pool {format_address(pool.address)}")
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -118,13 +123,11 @@ def swap_v2(pool: PoolState, token_in: TokenId, amount_in: int) -> tuple[int, Po
     """quote_v2 on the pool, with its post-swap state."""
     if pool.kind is not PoolKind.V2:
         raise ValueError("swap_v2 requires a V2 pool")
-    if token_in == pool.token0:
+    if _direction(pool, token_in) == 0:
         amount_out = quote_v2(pool.reserve0, pool.reserve1, pool.fee_ppm, amount_in)
         return amount_out, replace(pool, reserve0=pool.reserve0 + amount_in, reserve1=pool.reserve1 - amount_out)
-    if token_in == pool.token1:
-        amount_out = quote_v2(pool.reserve1, pool.reserve0, pool.fee_ppm, amount_in)
-        return amount_out, replace(pool, reserve1=pool.reserve1 + amount_in, reserve0=pool.reserve0 - amount_out)
-    raise ValueError(f"token {token_in.symbol} not in pool {format_address(pool.address)}")
+    amount_out = quote_v2(pool.reserve1, pool.reserve0, pool.fee_ppm, amount_in)
+    return amount_out, replace(pool, reserve1=pool.reserve1 + amount_in, reserve0=pool.reserve0 - amount_out)
 
 
 def _next_sqrt_price_down(liquidity: int, sqrt_p: int, amount0: int) -> int:
@@ -240,30 +243,17 @@ def split_delta(delta: int, share_ratio_bp: int) -> tuple[int, int]:
     return payout, delta - payout
 
 
-def _check_hop(pool: PoolState, type_flag: int, direction: int, token_in: TokenId) -> None:
-    """Raise ValueError unless the hop's entry token and flags fit the pool."""
-    expected_direction = 0 if token_in == pool.token0 else 1 if token_in == pool.token1 else None
-    if expected_direction is None:
-        raise ValueError(f"token {token_in.symbol} not in pool {format_address(pool.address)}")
-    if direction != expected_direction:
-        raise ValueError("direction flag inconsistent with path tokens")
-    if type_flag == 1 and pool.kind is not PoolKind.V2:
-        raise ValueError("pool type flag says V2 but pool is V3")
-    if type_flag == 0 and pool.kind is not PoolKind.V3:
-        raise ValueError("pool type flag says V3 but pool is V2")
-
-
-def _hop_swap(pool: PoolState, type_flag: int, direction: int, token_in: TokenId, amount: int) -> tuple[int, PoolState]:
-    _check_hop(pool, type_flag, direction, token_in)
-    if type_flag == 1:
+def _hop_swap(pool: PoolState, token_in: TokenId, amount: int) -> tuple[int, PoolState]:
+    if pool.kind is PoolKind.V2:
         return swap_v2(pool, token_in, amount)
-    amount_out, new_pool, _unused = swap_v3(pool, direction, amount)
+    amount_out, new_pool, _unused = swap_v3(pool, _direction(pool, token_in), amount)
     return amount_out, new_pool
 
 
-def _hop_quote(pool: PoolState, direction: int) -> Callable[[int], int]:
+def _hop_quote(pool: PoolState, token_in: TokenId) -> Callable[[int], int]:
     """The hop's output amount as a function of its input, on the pool's
     current state."""
+    direction = _direction(pool, token_in)
     if pool.kind is PoolKind.V2:
         reserves = (pool.reserve0, pool.reserve1) if direction == 0 else (pool.reserve1, pool.reserve0)
         return partial(quote_v2, *reserves, pool.fee_ppm)
@@ -284,12 +274,11 @@ def _execute_path(
     touched: dict[bytes, PoolState] = {}
     amount = amount0
     hop_amounts: list[int] = []
-    hops = zip(descriptor.tokens, descriptor.pools, descriptor.pool_type_flags, descriptor.direction_flags)
-    for token_in, address, type_flag, direction in hops:
+    for token_in, address in zip(descriptor.tokens, descriptor.pools):
         pool = touched.get(address) or pools.get(address)
         if pool is None:
             raise PoolLookupError(format_address(address))
-        amount, touched[address] = _hop_swap(pool, type_flag, direction, token_in, amount)
+        amount, touched[address] = _hop_swap(pool, token_in, amount)
         hop_amounts.append(amount)
     delta = amount - amount0 if descriptor.is_cycle else -amount0
     return delta, hop_amounts, touched
@@ -303,8 +292,8 @@ def arbitrage_run(
 ) -> Optional[tuple[ExecutionResult, dict[bytes, PoolState]]]:
     """Execute a path atomically, requiring a strictly positive surplus.
 
-    Hops run in descriptor order with V2/V3 dispatch per pool-type flag,
-    each output feeding the next input.  If the surplus delta is not
+    Hops run in descriptor order, each on the V2 or V3 formula of its
+    pool's kind, each output feeding the next input.  If the surplus delta is not
     positive the whole run aborts and None is returned with every pool
     untouched.  On success the surplus is split as
     payout = floor(delta * share_ratio_bp / 10000), kept = delta - payout,
@@ -338,13 +327,11 @@ def _delta_fn(descriptor: PathDescriptor, pools: Mapping[bytes, PoolState]) -> C
             return _execute_path(descriptor, pools, amount0)[0]
     else:
         quotes = []
-        hops = zip(descriptor.tokens, descriptor.pools, descriptor.pool_type_flags, descriptor.direction_flags)
-        for token_in, address, type_flag, direction in hops:
+        for token_in, address in zip(descriptor.tokens, descriptor.pools):
             pool = pools.get(address)
             if pool is None:
                 raise PoolLookupError(format_address(address))
-            _check_hop(pool, type_flag, direction, token_in)
-            quotes.append(_hop_quote(pool, direction))
+            quotes.append(_hop_quote(pool, token_in))
         is_cycle = descriptor.is_cycle
 
         def run(amount0: int) -> int:

@@ -45,6 +45,10 @@ class RecordSchemaError(ValueError):
         self.row_no = row_no
 
 
+class TimestampRangeError(ValueError):
+    """A block's moment falls outside the years 1 to 9999."""
+
+
 @dataclass(frozen=True)
 class ArbitrageRecord:
     tx_hash: bytes
@@ -68,9 +72,13 @@ class ArbitrageRecord:
 
 
 def timestamp_for_block(block_number: int, genesis_unix: int, block_interval_s: int = 3) -> str:
-    """Derive a UTC timestamp for a block from a configured genesis epoch."""
-    moment = datetime.fromtimestamp(genesis_unix + block_number * block_interval_s, tz=timezone.utc)
-    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Derive a UTC timestamp for a block from a configured genesis epoch,
+    as YYYY-MM-DDTHH:MM:SSZ with a four-digit year."""
+    try:
+        moment = datetime.fromtimestamp(genesis_unix + block_number * block_interval_s, tz=timezone.utc)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise TimestampRangeError(f"block {block_number}: timestamp out of range ({exc})") from None
+    return moment.replace(tzinfo=None).isoformat() + "Z"
 
 
 def fraction_to_decimal(value: Fraction) -> str:
@@ -122,8 +130,20 @@ def write_records(stream: IO[str], records: Iterable[ArbitrageRecord]) -> int:
     return count
 
 
-def iter_records(stream: IO[str]) -> Iterator[ArbitrageRecord]:
-    reader = csv.reader(stream)
+def iter_records(stream: IO | Iterable[str | bytes]) -> Iterator[ArbitrageRecord]:
+    """Records from a records file whose lines are text, or bytes read
+    strictly as UTF-8.  A line that is not UTF-8, or a field over the csv
+    module's size limit, is a RecordSchemaError naming its line."""
+    reader = csv.reader(line.decode("utf-8") if isinstance(line, bytes) else line for line in stream)
+    try:
+        yield from _records(reader)
+    except UnicodeDecodeError as exc:  # raised before the reader counts the line
+        raise RecordSchemaError(reader.line_num + 1, f"not UTF-8: {exc}") from exc
+    except csv.Error as exc:
+        raise RecordSchemaError(reader.line_num, str(exc)) from exc
+
+
+def _records(reader) -> Iterator[ArbitrageRecord]:
     version_row = next(reader, None)
     if version_row is None or version_row[:1] != ["schema_version"]:
         raise RecordSchemaError(1, "missing schema_version row")
@@ -158,5 +178,5 @@ def iter_records(stream: IO[str]) -> Iterator[ArbitrageRecord]:
             raise RecordSchemaError(row_no, str(exc)) from exc
 
 
-def read_records(stream: IO[str]) -> list[ArbitrageRecord]:
+def read_records(stream: IO | Iterable[str | bytes]) -> list[ArbitrageRecord]:
     return list(iter_records(stream))

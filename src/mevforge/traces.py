@@ -103,17 +103,16 @@ class TokenId:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One decoded event inside a transaction.
+    """One decoded event inside a transaction; its position in
+    ``Transaction.events`` is its order of execution.
 
     Field usage is kind-specific: swaps carry pool/token_in/token_out and
     the in/out amounts; transfers and internal txns carry to/amount.
     ``pool_sink`` marks a swap that routes surplus into the pool itself,
-    in which case ``amount`` holds the routed surplus.  ``index`` is the
-    event's position within its transaction.
+    in which case ``amount`` holds the routed surplus.
     """
 
     kind: EventKind
-    index: int
     pool: Optional[bytes] = None
     token_in: Optional[TokenId] = None
     token_out: Optional[TokenId] = None
@@ -124,8 +123,6 @@ class TraceEvent:
     pool_sink: bool = False
 
     def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("event index must be non-negative")
         if self.amount_in < 0 or self.amount_out < 0:
             raise ValueError("amounts must be non-negative")
         if self.amount is not None and self.amount < 0:
@@ -160,9 +157,6 @@ class Transaction:
         if self.block_number < 0 or self.gas_used < 0 or self.gas_price < 0:
             raise ValueError("block number and gas fields must be non-negative")
         object.__setattr__(self, "events", tuple(self.events))
-        indices = [e.index for e in self.events]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ValueError("event indices must be strictly increasing")
 
     @property
     def gas_cost(self) -> int:
@@ -183,30 +177,25 @@ class BuilderLabel:
 
 @dataclass(frozen=True)
 class PathDescriptor:
-    """Execution blueprint for a multi-hop route.
+    """A multi-hop route: a traced cycle, or a path to run on pools.
 
-    ``tokens`` has one more entry than the parallel ``pools``,
-    ``pool_type_flags`` (1 = constant-product V2, 0 = concentrated V3) and
-    ``direction_flags`` (0 = token0 in, 1 = token1 in) lists.
+    Hop i swaps ``tokens[i]`` for ``tokens[i + 1]`` in ``pools[i]``, so
+    ``tokens`` has one more entry than ``pools``.  A hop's pool kind (V2 or
+    V3) and direction (which pool token goes in) belong to the pool itself
+    and are read from the pool map when the route runs.
     """
 
     tokens: tuple[TokenId, ...]
     pools: tuple[bytes, ...]
-    pool_type_flags: tuple[int, ...]
-    direction_flags: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(self, "pools", tuple(self.pools))
-        object.__setattr__(self, "pool_type_flags", tuple(self.pool_type_flags))
-        object.__setattr__(self, "direction_flags", tuple(self.direction_flags))
         n = len(self.pools)
         if n < 1:
             raise ValueError("descriptor needs at least one hop")
-        if not (len(self.tokens) == n + 1 == len(self.pool_type_flags) + 1 == len(self.direction_flags) + 1):
-            raise ValueError("descriptor length mismatch: need n+1 tokens for n pools/flags")
-        if any(f not in (0, 1) for f in self.pool_type_flags + self.direction_flags):
-            raise ValueError("flags must be 0 or 1")
+        if len(self.tokens) != n + 1:
+            raise ValueError("descriptor length mismatch: need n+1 tokens for n pools")
 
     @property
     def n_hops(self) -> int:
@@ -243,10 +232,11 @@ def token_from_obj(obj: Mapping) -> TokenId:
     symbol = obj["symbol"]
     if type(symbol) is not str:
         raise ValueError(f"symbol: expected a string, got {symbol!r:.40}")
+    symbol.encode("utf-8")  # a lone surrogate, escaped as "\ud800", could not be written out
     return TokenId(symbol=symbol, address=parse_address(obj["address"]), decimals=read_int(obj["decimals"], "decimals"))
 
 
-def _event_from_obj(obj: Mapping, index: int) -> TraceEvent:
+def _event_from_obj(obj: Mapping) -> TraceEvent:
     kind = _KIND_BY_NAME[obj["kind"]]
     token_in = token_from_obj(obj["token_in"]) if "token_in" in obj else None
     token_out = token_from_obj(obj["token_out"]) if "token_out" in obj else None
@@ -256,7 +246,6 @@ def _event_from_obj(obj: Mapping, index: int) -> TraceEvent:
         raise ValueError(f"pool_sink: expected a boolean, got {pool_sink!r:.40}")
     return TraceEvent(
         kind=kind,
-        index=index,
         pool=parse_address(obj["pool"]) if "pool" in obj else None,
         token_in=token_in,
         token_out=token_out,
@@ -277,7 +266,7 @@ def _transaction_from_obj(obj: Mapping, line_no: int, stats: ParseStats) -> Tran
             if raw.get("kind") not in _KIND_BY_NAME:
                 stats.unknown_events += 1
                 continue
-            events.append(_event_from_obj(raw, index=len(events)))
+            events.append(_event_from_obj(raw))
         return Transaction(
             hash=parse_tx_hash(obj["hash"]),
             block_number=read_int(obj["block"], "block"),
@@ -290,16 +279,17 @@ def _transaction_from_obj(obj: Mapping, line_no: int, stats: ParseStats) -> Tran
         raise TraceParseError(line_no, str(exc)) from exc
 
 
-def iter_transactions(stream: IO[str] | Iterable[str], stats: ParseStats | None = None) -> Iterator[Transaction]:
-    """Yield transactions from a newline-delimited trace stream in input order."""
+def iter_transactions(stream: IO | Iterable[str | bytes], stats: ParseStats | None = None) -> Iterator[Transaction]:
+    """Yield transactions from a newline-delimited trace stream in input order.
+    Lines are text, or bytes read strictly as UTF-8."""
     stats = stats if stats is not None else ParseStats()
     for line_no, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
         try:
+            line = (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
+            if not line:
+                continue
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer past int's digit limit
             raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
         tx = _transaction_from_obj(obj, line_no, stats)
         stats.transactions += 1

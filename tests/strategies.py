@@ -1,7 +1,5 @@
 """Shared hypothesis strategies for trace-model objects."""
 
-from dataclasses import replace
-
 from hypothesis import strategies as st
 
 from mevforge.traces import EventKind, TokenId, TraceEvent, Transaction
@@ -27,7 +25,6 @@ def swap_events(draw, token_pool=None):
     pool_sink = draw(st.booleans())
     return TraceEvent(
         kind=EventKind.SWAP,
-        index=0,
         pool=draw(addresses),
         token_in=token_in,
         token_out=token_out,
@@ -42,7 +39,6 @@ def swap_events(draw, token_pool=None):
 def transfer_events(draw, kind=EventKind.TRANSFER):
     return TraceEvent(
         kind=kind,
-        index=0,
         to=draw(addresses),
         amount=draw(AMOUNTS),
         token_out=draw(st.none() | tokens) if kind is EventKind.TRANSFER else None,
@@ -51,7 +47,7 @@ def transfer_events(draw, kind=EventKind.TRANSFER):
 
 @st.composite
 def sync_events(draw):
-    return TraceEvent(kind=EventKind.SYNC, index=0, pool=draw(addresses))
+    return TraceEvent(kind=EventKind.SYNC, pool=draw(addresses))
 
 
 def events():
@@ -65,13 +61,12 @@ def events():
 
 @st.composite
 def transactions(draw, events_strategy=None, min_events=0, max_events=8):
-    raw_events = draw(st.lists(events_strategy or events(), min_size=min_events, max_size=max_events))
-    indexed = tuple(replace(e, index=i) for i, e in enumerate(raw_events))
+    events_drawn = draw(st.lists(events_strategy or events(), min_size=min_events, max_size=max_events))
     return Transaction(
         hash=draw(tx_hashes),
         block_number=draw(st.integers(min_value=0, max_value=10**9)),
         initiator=draw(addresses),
-        events=indexed,
+        events=tuple(events_drawn),
         gas_used=draw(st.integers(min_value=0, max_value=10**8)),
         gas_price=draw(st.integers(min_value=0, max_value=10**12)),
     )

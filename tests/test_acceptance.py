@@ -54,7 +54,7 @@ def test_criterion_1_worked_example_exactness(tmp_path):
     with open(DATA / "worked_example_trace.ndjson", encoding="utf-8") as fh:
         tx = next(iter_transactions(fh))
     cycle = extract_arbitrage_cycle(tx)
-    path = [h.token_in.symbol for h in cycle.path] + [cycle.path[-1].token_out.symbol]
+    path = [t.symbol for t in cycle.path.tokens]
     assert path == ["USDT", "WBNB", "USD1", "USDT"]
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -159,7 +159,7 @@ def test_criterion_6_oracle_equivalence_suites():
             if cycle is not None:
                 extraction_mismatches += 1
             continue
-        path = [h.token_in.symbol for h in cycle.path] + [cycle.path[-1].token_out.symbol]
+        path = [t.symbol for t in cycle.path.tokens]
         if cycle is None or path != expected["path"]:
             extraction_mismatches += 1
             continue

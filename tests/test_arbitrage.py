@@ -40,14 +40,11 @@ POOL_2 = bytes([12]) * 20
 
 
 def make_tx(events, gas_used=0, gas_price=0, tx_hash=None):
-    indexed = tuple(
-        TraceEvent(**{**e.__dict__, "index": i}) for i, e in enumerate(events)
-    )
     return Transaction(
         hash=tx_hash or bytes(32),
         block_number=1,
         initiator=bytes([9]) * 20,
-        events=indexed,
+        events=tuple(events),
         gas_used=gas_used,
         gas_price=gas_price,
     )
@@ -55,13 +52,13 @@ def make_tx(events, gas_used=0, gas_price=0, tx_hash=None):
 
 def swap(token_in, token_out, pool, amount_in, amount_out, **kw):
     return TraceEvent(
-        kind=EventKind.SWAP, index=0, pool=pool, token_in=token_in, token_out=token_out,
+        kind=EventKind.SWAP, pool=pool, token_in=token_in, token_out=token_out,
         amount_in=amount_in, amount_out=amount_out, **kw,
     )
 
 
 def transfer(to, amount):
-    return TraceEvent(kind=EventKind.TRANSFER, index=0, to=to, amount=amount)
+    return TraceEvent(kind=EventKind.TRANSFER, to=to, amount=amount)
 
 
 # -- extraction ---------------------------------------------------------------
@@ -72,7 +69,7 @@ def test_worked_example_extraction_and_attribution():
         tx = next(iter_transactions(fh))
     cycle = extract_arbitrage_cycle(tx)
     assert cycle is not None
-    symbols = [hop.token_in.symbol for hop in cycle.path] + [cycle.path[-1].token_out.symbol]
+    symbols = [t.symbol for t in cycle.path.tokens]
     assert symbols == ["USDT", "WBNB", "USD1", "USDT"]
     assert cycle.base_token.symbol == "USDT"
     assert cycle.hop_count == 3
@@ -117,8 +114,8 @@ def test_planted_corpus_paths_recovered_exactly():
         if key in planted:
             expected = planted[key]
             assert cycle is not None
-            assert [h.token_in.symbol for h in cycle.path] + [cycle.path[-1].token_out.symbol] == expected["path"]
-            assert ["0x" + h.pool.hex() for h in cycle.path] == expected["pools"]
+            assert [t.symbol for t in cycle.path.tokens] == expected["path"]
+            assert ["0x" + pool.hex() for pool in cycle.path.pools] == expected["pools"]
             assert cycle.hop_count == expected["hop_count"]
             found += 1
         else:

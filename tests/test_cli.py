@@ -16,6 +16,7 @@ from mevforge.config import ConfigFileError, RunConfig, load_config
 from mevforge.records import (
     ArbitrageRecord,
     RecordSchemaError,
+    TimestampRangeError,
     fraction_to_decimal,
     read_records,
     timestamp_for_block,
@@ -91,6 +92,14 @@ def test_fraction_rendering_is_exact():
 def test_timestamps_derived_from_blocks():
     assert timestamp_for_block(0, 0) == "1970-01-01T00:00:00Z"
     assert timestamp_for_block(10, 3, block_interval_s=3) == "1970-01-01T00:00:33Z"
+
+
+def test_timestamps_span_years_1_to_9999_with_four_digits():
+    assert timestamp_for_block(0, -62135596800) == "0001-01-01T00:00:00Z"
+    assert timestamp_for_block(1, 253402300796) == "9999-12-31T23:59:59Z"
+    for block, genesis in ((2, 253402300796), (0, -62135596801), (10**15, 0), (0, 10**20)):
+        with pytest.raises(TimestampRangeError, match=f"^block {block}: timestamp out of range"):
+            timestamp_for_block(block, genesis)
 
 
 # -- config -------------------------------------------------------------------
@@ -301,6 +310,7 @@ def set_event(index, **values):
         pytest.param(set_event(0, pool=5), id="pool-address-number"),
         pytest.param(lambda o: o["events"][0]["token_in"].update(symbol=None), id="symbol-null"),
         pytest.param(lambda o: o["events"][0]["token_out"].update(symbol=5), id="symbol-number"),
+        pytest.param(lambda o: o["events"][0]["token_in"].update(symbol="US\ud800"), id="symbol-lone-surrogate"),
     ],
 )
 def test_extract_rejects_loosely_typed_trace_fields(tmp_path, capsys, edit):
@@ -309,6 +319,87 @@ def test_extract_rejects_loosely_typed_trace_fields(tmp_path, capsys, edit):
     code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {trace}: line 1: ")
+
+
+def records_text(*records) -> str:
+    buffer = io.StringIO()
+    write_records(buffer, records or [sample_record()])
+    return buffer.getvalue()
+
+
+def traces_with_bad_byte(tmp_path):
+    traces = tmp_path / "traces.ndjson"
+    traces.write_bytes((DATA / "worked_example_trace.ndjson").read_bytes() + b"\xff\n")
+    return ["extract", "--traces", str(traces), "--labels", str(DATA / "builder_labels.csv")], f"{traces}: line 2"
+
+
+def traces_with_long_integer(tmp_path):
+    traces = tmp_path / "traces.ndjson"
+    text = (DATA / "worked_example_trace.ndjson").read_text()
+    traces.write_text(text.replace('"block":50636154', '"block":' + "9" * 5000, 1))
+    return ["extract", "--traces", str(traces), "--labels", str(DATA / "builder_labels.csv")], f"{traces}: line 1"
+
+
+def records_with_bad_byte(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_bytes(records_text().encode() + b"\xff")
+    return ["analyze", "--records", str(path)], f"{path}: row 4"
+
+
+def records_with_long_field(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(records_text(sample_record(builder_brand="x" * 200_000)))
+    return ["analyze", "--records", str(path)], f"{path}: row 3"
+
+
+def config_with_bad_byte(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"alpha = 0.01\n\xff\n")
+    argv = ["extract", "--traces", str(DATA / "worked_example_trace.ndjson"), "--labels", str(DATA / "builder_labels.csv")]
+    return [*argv, "--config", str(config)], f"{config}: line 2"
+
+
+@pytest.mark.parametrize(
+    "make_input",
+    [
+        pytest.param(traces_with_bad_byte, id="traces-not-utf8"),
+        pytest.param(traces_with_long_integer, id="traces-5000-digit-integer"),
+        pytest.param(records_with_bad_byte, id="records-not-utf8"),
+        pytest.param(records_with_long_field, id="records-field-over-csv-limit"),
+        pytest.param(config_with_bad_byte, id="config-not-utf8"),
+    ],
+)
+def test_undecodable_or_oversized_input_names_file_and_line(tmp_path, capsys, make_input):
+    argv, where = make_input(tmp_path)
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {where}: ")
+
+
+@pytest.mark.parametrize("block, genesis", [(10**15, 0), (50636154, 10**20)], ids=["block", "genesis"])
+def test_extract_timestamp_out_of_range_is_an_error_row(tmp_path, block, genesis):
+    trace = tmp_path / "traces.ndjson"
+    trace.write_text(worked_example_with(lambda o: o.update(block=block)))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"genesis_unix = {genesis}\n")
+    out = tmp_path / "out"
+    argv = ["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--config", str(config)]
+    assert main([*argv, "--out", str(out)]) == 1
+    with open(out / "errors.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][0] == "0x" + "ab" * 32
+    assert rows[1][1].startswith(f"block {block}: timestamp out of range")
+    with open(out / "records.csv", encoding="utf-8") as fh:
+        assert read_records(fh) == []
+
+
+def test_extract_timestamps_before_year_1000_read_back(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"genesis_unix = {-61_000_000_000 - 50636154 * 3}\n")
+    out = tmp_path / "out"
+    argv = ["extract", "--traces", str(DATA / "worked_example_trace.ndjson"), "--labels", str(DATA / "builder_labels.csv")]
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
+    with open(out / "records.csv", encoding="utf-8") as fh:
+        assert [row.timestamp_utc for row in read_records(fh)] == ["0036-12-26T11:33:20Z"]
 
 
 def test_extract_matches_planted_manifest(tmp_path):
@@ -420,6 +511,66 @@ def test_analyze_rejects_v1_records(tmp_path, capsys):
     assert "row 1: unsupported schema version" in capsys.readouterr().err
 
 
+# SHA-256 of extract's records.csv and analyze's eight reports, taken before
+# traced cycles and pool paths shared one route type; a mismatch means the
+# pipeline's output changed.  "traces-1" is the seed-1 gen-fixtures trace
+# corpus of 2,000 transactions extracted with its run.cfg; "records-5" and
+# "records-88" are 500 gen-fixtures records of that seed.
+_HEADER_ONLY_RISK = "36d6f95125475110201d49c4aec9942e429510cf5bf968142de373bd65a363c9"
+_HEADER_ONLY_TRENDS = "98056a5c61cce5cd08c90bce933131b036708ef19b3e4c75c304bd5182f63d75"
+PINNED_PIPELINE_DIGESTS = {
+    "traces-1": {
+        "records.csv": "861374b9f8d4886a974eea30ee948216b52bddeb47838760d26641aa7baa4d08",
+        "complexity_ecdf.csv": "d1a610f6930d14deb9aa129827cbdff8ef1fd510f10c5c48ec8a6ad7dee37490",
+        "complexity_hist.csv": "aeb153f1a93c22a75cad0d1900713a1528607837b78750e0201c034646021d1f",
+        "correlations.csv": "51faa26e7fdd2451f8a18d8d20df21cfc065273bab0cad23153c4456a944a3d5",
+        "profit_matrix.csv": "55f628763798a41c3d1d134a2c5af89fca03de5bdb34c740688b0732aabd5fda",
+        "proposer_split.csv": "45cde97263561add021971eca7d1cc25209a53f3a687bbe04747a4335b6532cd",
+        "risk_scores.csv": _HEADER_ONLY_RISK,
+        "shares.csv": "b0ca405d3767a7c44365af42eb9ab202a7470bf30bd6243a46631e24afc718bc",
+        "trends.csv": _HEADER_ONLY_TRENDS,
+    },
+    "records-5": {
+        "complexity_ecdf.csv": "2615a83c352164cc9500dcc5965717fc6f0a6a989d6b0e7af4c2b7ae5b0b3d5e",
+        "complexity_hist.csv": "6712394aa3555c188404e67267cf85a06d5ab286ed5f2d8e11e696cce0f99b76",
+        "correlations.csv": "3756de3e141efdd7097875b522727794d584652f559548a76bf6589581486c96",
+        "profit_matrix.csv": "2e16a108bc23b2352d0d59c59cb0c25d9abc6611d779fa833fc7e561e4d60ae8",
+        "proposer_split.csv": "fb664fac495d5a4f0e134f96757918e7b6faa7533243bb764f71a02d7f1c6ec4",
+        "risk_scores.csv": _HEADER_ONLY_RISK,
+        "shares.csv": "e5dd7134f0863074b5ea356fe7aaa42c03f4f429a6735f45f262ab92b90cee43",
+        "trends.csv": _HEADER_ONLY_TRENDS,
+    },
+    "records-88": {
+        "complexity_ecdf.csv": "37e754bb337d9d038e77970c012c0eaed8032b7de93c596dadb0af5e5bfedef3",
+        "complexity_hist.csv": "7d961de4a45de4c4501315e65796b03824fbd583cee1000330ef300dac6d2296",
+        "correlations.csv": "ed3d1653b379893e2f7195b42593bc518840200d7a7db02df549d11ad65edddd",
+        "profit_matrix.csv": "4c6c6e1959c90d5a83144e2a7b7f054e51550f0fa29b906d1f0965192246d33c",
+        "proposer_split.csv": "dba524b48e63f7b8dc9fa400faaad0fc9e2dff2452d6cac51702e2c2d7cca1a7",
+        "risk_scores.csv": _HEADER_ONLY_RISK,
+        "shares.csv": "f6f3096e3a8798683ad38855d2fe8b449adbd8d91dae0e3ac62a3614114d1afc",
+        "trends.csv": _HEADER_ONLY_TRENDS,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PIPELINE_DIGESTS))
+def test_extract_and_analyze_outputs_match_pinned_digests(tmp_path, name):
+    kind, seed = name.split("-")
+    fixture = tmp_path / "fx"
+    count = "2000" if kind == "traces" else "500"
+    assert main(["gen-fixtures", "--kind", kind, "--seed", seed, "--count", count, "--out", str(fixture)]) == 0
+    records_path, outputs = fixture / "records.csv", {}
+    if kind == "traces":
+        out = tmp_path / "extract"
+        inputs = ["--traces", str(fixture / "traces.ndjson"), "--labels", str(fixture / "labels.csv")]
+        assert main(["extract", *inputs, "--config", str(fixture / "run.cfg"), "--out", str(out)]) == 0
+        records_path = out / "records.csv"
+        outputs["records.csv"] = records_path.read_bytes()
+    assert main(["analyze", "--records", str(records_path), "--out", str(tmp_path / "analyze")]) == 0
+    outputs.update(read_all(tmp_path / "analyze"))
+    assert {f: hashlib.sha256(data).hexdigest() for f, data in outputs.items()} == PINNED_PIPELINE_DIGESTS[name]
+
+
 def test_analyze_rejects_a_malformed_timestamp(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     buffer = io.StringIO()
@@ -519,6 +670,28 @@ def test_simulate_unknown_scenario_key_is_a_config_error(tmp_path, capsys, edit,
     assert f"unknown keys {key}" in err
 
 
+@pytest.mark.parametrize(
+    "name, edit, key",
+    [
+        pytest.param("bsc_duopoly.json", lambda o: o.update(relay={"delay_ms": 500}), "relay", id="direct-relay"),
+        pytest.param("eth_duopoly.json", lambda o: o.update(listen_window_ms=5), "listen_window_ms", id="relay-listen-window"),
+        pytest.param(
+            "eth_duopoly.json", lambda o: o["builders"][1].update(non_delivery_prob=0.3), "non_delivery_prob",
+            id="relay-non-delivery",
+        ),
+    ],
+)
+def test_simulate_rejects_keys_the_protocol_never_reads(tmp_path, capsys, name, edit, key):
+    obj = json.loads((SCENARIOS / name).read_text())
+    edit(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["simulate", "--scenario", str(bad), "--slots", "1", "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario keys: ")
+    assert f"unknown keys {key}" in err
+
+
 def embodied_scenario(directory: Path, pool_text: str, scenario_obj=None) -> Path:
     """scenario_obj (by default EMBODIED_SCENARIO) written to directory
     beside the pool file it names."""
@@ -602,8 +775,14 @@ EMBODIED_SCENARIO = {
 # enough that alpha's bid has decayed past the knee.
 RELAY_SEALED_SCENARIO = json.loads(duopoly_text(lambda o: o["relay"].update(rebids_enabled=False, delay_ms=100)))
 
-# The relay flow with rebids, priced by pool search.
-RELAY_EMBODIED_SCENARIO = {**EMBODIED_SCENARIO, "protocol": "eth_relay", "horizon_ms": 12000}
+# The relay flow with rebids, priced by pool search; the relay always
+# delivers, so its builders have no non-delivery probability.
+RELAY_EMBODIED_SCENARIO = {
+    **EMBODIED_SCENARIO,
+    "protocol": "eth_relay",
+    "horizon_ms": 12000,
+    "builders": [{k: v for k, v in b.items() if k != "non_delivery_prob"} for b in EMBODIED_SCENARIO["builders"]],
+}
 
 # SHA-256 of (slots.csv, summary.csv) for 2,000 slots per scenario and seed,
 # taken from a simulator that rebuilt every slot's bids from scratch (the
@@ -709,6 +888,29 @@ def test_gen_fixtures_records_load_cleanly(tmp_path):
     assert main(["gen-fixtures", "--kind", "records", "--seed", "2", "--count", "40", "--out", str(out)]) == 0
     with open(out / "records.csv", encoding="utf-8") as fh:
         assert len(read_records(fh)) == 40
+
+
+def test_gen_fixtures_count_means_what_it_says(tmp_path, capsys):
+    traces, rows = tmp_path / "traces", tmp_path / "records"
+    assert main(["gen-fixtures", "--kind", "traces", "--count", "0", "--out", str(traces)]) == 0
+    assert (traces / "traces.ndjson").read_text() == ""
+    assert json.loads((traces / "manifest.json").read_text())["transactions"] == 0
+    assert main(["gen-fixtures", "--kind", "records", "--count", "0", "--out", str(rows)]) == 0
+    with open(rows / "records.csv", encoding="utf-8") as fh:
+        assert read_records(fh) == []
+    for kind in ("traces", "records"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gen-fixtures", "--kind", kind, "--count", "-5", "--out", str(tmp_path / "negative")])
+        assert excinfo.value.code == 2
+        assert "--count: must be >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "negative").exists()
+
+
+def test_gen_fixtures_scenario_equals_the_bundled_files(tmp_path):
+    out = tmp_path / "scn"
+    assert main(["gen-fixtures", "--kind", "scenario", "--out", str(out)]) == 0
+    for name in ("bsc_duopoly.json", "eth_duopoly.json"):
+        assert (out / name).read_bytes() == (SCENARIOS / name).read_bytes()
 
 
 def test_gen_fixtures_scenario_loads(tmp_path):

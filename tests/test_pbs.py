@@ -515,6 +515,18 @@ def write_scenario(tmp_path, edit):
     return path
 
 
+def direct(edit):
+    """edit applied to bsc_duopoly.json instead: only the direct flow reads
+    listen_window_ms and non_delivery_prob."""
+
+    def apply(obj):
+        obj.clear()
+        obj.update(json.loads((SCENARIOS / "bsc_duopoly.json").read_text()))
+        edit(obj)
+
+    return apply
+
+
 @pytest.mark.parametrize(
     "edit, key",
     [
@@ -528,10 +540,10 @@ def write_scenario(tmp_path, edit):
         pytest.param(lambda o: o["opportunity"].update(peak_value=1e9), "peak_value", id="peak-float"),
         pytest.param(lambda o: o["opportunity"].update(gas_floor=False), "gas_floor", id="gas-floor-bool"),
         pytest.param(lambda o: o["opportunity"].update(tail_value=0.5), "tail_value", id="tail-float"),
-        pytest.param(lambda o: o["builders"][0].update(non_delivery_prob="0.1"), "non_delivery_prob", id="nd-string"),
+        pytest.param(direct(lambda o: o["builders"][0].update(non_delivery_prob="0.1")), "non_delivery_prob", id="nd-string"),
         pytest.param(lambda o: o["builders"][0].update(id=7), "id", id="id-int"),
         pytest.param(lambda o: o.update(horizon_ms="abc"), "horizon_ms", id="horizon-string"),
-        pytest.param(lambda o: o.update(listen_window_ms=True), "listen_window_ms", id="listen-bool"),
+        pytest.param(direct(lambda o: o.update(listen_window_ms=True)), "listen_window_ms", id="listen-bool"),
     ],
 )
 def test_scenario_values_of_the_wrong_json_type_are_config_errors(tmp_path, edit, key):

@@ -353,18 +353,6 @@ def test_run_validates_inputs():
         arbitrage_run(fixture.descriptor, {}, 10, 0)
 
 
-def test_run_rejects_inconsistent_direction_flags():
-    fixture = fixtures.gen_pool_fixture(seed=9)
-    bad = PathDescriptor(
-        tokens=fixture.descriptor.tokens,
-        pools=fixture.descriptor.pools,
-        pool_type_flags=fixture.descriptor.pool_type_flags,
-        direction_flags=(1,) + fixture.descriptor.direction_flags[1:],
-    )
-    with pytest.raises(ValueError):
-        arbitrage_run(bad, fixture.pools, 10**18, 0)
-
-
 def random_two_hop_fixture(rng):
     """Two pools over one token pair, one mispriced, cycled A->B->A."""
     token_a = TokenId("AAA", rng.getrandbits(160).to_bytes(20, "big"), 18)
@@ -381,12 +369,7 @@ def random_two_hop_fixture(rng):
     else:
         second = PoolState(address=addr2, kind=PoolKind.V3, token0=token_a, token1=token_b,
                            fee_ppm=rng.choice((0, 500)), liquidity=depth, sqrt_price_x96=Q96)
-    descriptor = PathDescriptor(
-        tokens=(token_a, token_b, token_a),
-        pools=(addr1, addr2),
-        pool_type_flags=(1, 1 if second.kind is PoolKind.V2 else 0),
-        direction_flags=(0, 1),
-    )
+    descriptor = PathDescriptor(tokens=(token_a, token_b, token_a), pools=(addr1, addr2))
     pools = {addr1: first, addr2: second}
     amount0 = rng.randint(1, depth // 50)
     return descriptor, pools, amount0
@@ -444,12 +427,7 @@ def pool_paths(draw):
         hops.append(pool)
         token = pool.other(token)
         tokens.append(token)
-    descriptor = PathDescriptor(
-        tokens=tokens,
-        pools=[p.address for p in hops],
-        pool_type_flags=[1 if p.kind is PoolKind.V2 else 0 for p in hops],
-        direction_flags=[0 if t == p.token0 else 1 for t, p in zip(tokens, hops)],
-    )
+    descriptor = PathDescriptor(tokens=tokens, pools=[p.address for p in hops])
     return descriptor, pools, draw(st.integers(1, 10**9))
 
 
@@ -541,29 +519,14 @@ def test_unimodality_of_profit_curve_on_fixture():
 
 
 def misfit_descriptors():
-    """(descriptor, pools) params: the seed-9 triangle with one fault each,
-    mostly on its last hop, so earlier hops swap before the executor meets it."""
+    """(descriptor, pools) params: the seed-9 triangle with one fault each
+    on its last hop, so earlier hops swap before the executor meets it."""
     fixture = fixtures.gen_pool_fixture(seed=9)
     d, pools = fixture.descriptor, fixture.pools
-    v3 = next(p for p in pools.values() if p.kind is PoolKind.V3)
     stranger = TokenId("ZZZ", bytes([9]) * 20, 18)
-
-    def last_hop(**changes):
-        fields = dict(tokens=d.tokens, pools=d.pools, pool_type_flags=d.pool_type_flags, direction_flags=d.direction_flags)
-        fields.update({key: fields[key][:-1] + (value,) for key, value in changes.items()})
-        return PathDescriptor(**fields)
-
     return [
         pytest.param(d, {a: p for a, p in pools.items() if a != d.pools[-1]}, id="missing-pool"),
-        pytest.param(last_hop(direction_flags=1 - d.direction_flags[-1]), pools, id="direction"),
-        pytest.param(last_hop(pool_type_flags=0), pools, id="type-flag"),
-        pytest.param(PathDescriptor(d.tokens, (v3.address,) + d.pools[1:], d.pool_type_flags, d.direction_flags),
-                     pools, id="pool-is-v3"),
-        pytest.param(
-            PathDescriptor(d.tokens[:-2] + (stranger, d.tokens[-1]), d.pools, d.pool_type_flags, d.direction_flags),
-            pools,
-            id="token",
-        ),
+        pytest.param(PathDescriptor(d.tokens[:-2] + (stranger, d.tokens[-1]), d.pools), pools, id="token"),
     ]
 
 
@@ -602,12 +565,7 @@ def search_threaded_by_hand(descriptor, pools, lo, hi):
 def test_search_on_a_repeated_pool_threads_its_state():
     fixture = fixtures.gen_pool_fixture(seed=7, mispricing_pct=5)
     d = fixture.descriptor
-    twice = PathDescriptor(
-        tokens=d.tokens + d.tokens[1:],
-        pools=d.pools * 2,
-        pool_type_flags=d.pool_type_flags * 2,
-        direction_flags=d.direction_flags * 2,
-    )
+    twice = PathDescriptor(tokens=d.tokens + d.tokens[1:], pools=d.pools * 2)
     amount, delta = best_input_search(twice, fixture.pools, 1, 10**22)
     assert delta > 0
     assert (amount, delta) == search_threaded_by_hand(twice, fixture.pools, 1, 10**22)

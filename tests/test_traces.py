@@ -79,7 +79,6 @@ def test_parse_preserves_event_order():
     corpus = fixtures.gen_trace_corpus(seed=5, n_transactions=50)
     text = serialize_transactions(corpus.transactions)
     for original, parsed in zip(corpus.transactions, iter_transactions(io.StringIO(text))):
-        assert [e.index for e in parsed.events] == list(range(len(parsed.events)))
         assert [e.kind for e in parsed.events] == [e.kind for e in original.events]
 
 
@@ -133,23 +132,12 @@ def test_event_kind_invariants_hold_after_round_trip(tx):
 def test_swap_event_requires_distinct_tokens():
     token = TokenId("AAA", bytes(20), 18)
     with pytest.raises(ValueError):
-        TraceEvent(kind=EventKind.SWAP, index=0, pool=bytes(20), token_in=token, token_out=token, amount_in=1, amount_out=1)
+        TraceEvent(kind=EventKind.SWAP, pool=bytes(20), token_in=token, token_out=token, amount_in=1, amount_out=1)
 
 
 def test_transfer_requires_to_and_amount():
     with pytest.raises(ValueError):
-        TraceEvent(kind=EventKind.TRANSFER, index=0, to=bytes(20))
-
-
-def test_transaction_rejects_unsorted_indices():
-    token_a = TokenId("AAA", bytes(20), 18)
-    token_b = TokenId("BBB", bytes([1]) * 20, 18)
-    events = (
-        TraceEvent(kind=EventKind.SWAP, index=1, pool=bytes(20), token_in=token_a, token_out=token_b, amount_in=1, amount_out=1),
-        TraceEvent(kind=EventKind.SWAP, index=0, pool=bytes(20), token_in=token_b, token_out=token_a, amount_in=1, amount_out=1),
-    )
-    with pytest.raises(ValueError):
-        Transaction(hash=bytes(32), block_number=0, initiator=bytes(20), events=events, gas_used=0, gas_price=0)
+        TraceEvent(kind=EventKind.TRANSFER, to=bytes(20))
 
 
 def test_token_decimals_bounded():
@@ -198,12 +186,12 @@ def test_label_csv_requires_header():
 def test_path_descriptor_lengths_and_cycle_flag():
     a = TokenId("AAA", bytes(20), 18)
     b = TokenId("BBB", bytes([1]) * 20, 18)
-    descriptor = PathDescriptor(tokens=(a, b, a), pools=(bytes(20), bytes([1]) * 20), pool_type_flags=(1, 1), direction_flags=(0, 1))
+    descriptor = PathDescriptor(tokens=(a, b, a), pools=(bytes(20), bytes([1]) * 20))
     assert descriptor.n_hops == 2 and descriptor.is_cycle
-    open_path = PathDescriptor(tokens=(a, b), pools=(bytes(20),), pool_type_flags=(1,), direction_flags=(0,))
+    open_path = PathDescriptor(tokens=(a, b), pools=(bytes(20),))
     assert not open_path.is_cycle
     with pytest.raises(ValueError):
-        PathDescriptor(tokens=(a, b, a), pools=(bytes(20),), pool_type_flags=(1,), direction_flags=(0,))
+        PathDescriptor(tokens=(a, b, a), pools=(bytes(20),))
 
 
 def test_mark_pool_sinks_flags_transfer_into_seen_pool():
@@ -211,9 +199,9 @@ def test_mark_pool_sinks_flags_transfer_into_seen_pool():
     b = TokenId("BBB", bytes([1]) * 20, 18)
     pool = bytes([5]) * 20
     events = (
-        TraceEvent(kind=EventKind.SWAP, index=0, pool=pool, token_in=a, token_out=b, amount_in=10, amount_out=9),
-        TraceEvent(kind=EventKind.TRANSFER, index=1, to=pool, amount=3),
-        TraceEvent(kind=EventKind.TRANSFER, index=2, to=bytes([6]) * 20, amount=4),
+        TraceEvent(kind=EventKind.SWAP, pool=pool, token_in=a, token_out=b, amount_in=10, amount_out=9),
+        TraceEvent(kind=EventKind.TRANSFER, to=pool, amount=3),
+        TraceEvent(kind=EventKind.TRANSFER, to=bytes([6]) * 20, amount=4),
     )
     tx = Transaction(hash=bytes(32), block_number=0, initiator=bytes(20), events=events, gas_used=0, gas_price=0)
     marked = mark_pool_sinks(tx)
