@@ -58,7 +58,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else RunConfig()
     out = _out_dir(args.out)
     try:
-        with open(args.labels, encoding="utf-8") as fh:
+        with open(args.labels, "rb") as fh:
             labels = LabelSet.from_csv(fh)
     except LabelFileError as exc:
         print(f"error: {args.labels}: {exc}", file=sys.stderr)

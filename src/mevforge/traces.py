@@ -373,11 +373,12 @@ class LabelSet:
             self._by_address[label.address] = label
 
     @classmethod
-    def from_csv(cls, stream: IO[str]) -> "LabelSet":
-        """Labels from a CSV file.  Any fault raises LabelFileError naming
-        the line it is on: 1 for the header, the second occurrence for a
-        duplicate address."""
-        reader = csv.reader(stream)
+    def from_csv(cls, stream: IO | Iterable[str | bytes]) -> "LabelSet":
+        """Labels from a CSV file whose lines are text, or bytes read
+        strictly as UTF-8.  Any fault raises LabelFileError naming the line
+        it is on: 1 for the header, the second occurrence for a duplicate
+        address."""
+        reader = csv.reader(line.decode("utf-8") if isinstance(line, bytes) else line for line in stream)
 
         def labels() -> Iterator[BuilderLabel]:
             for row in reader:
@@ -392,6 +393,8 @@ class LabelSet:
             if header is None or [h.strip() for h in header] != ["brand", "instance", "address"]:
                 raise ValueError("label file must start with header: brand,instance,address")
             return cls(labels())
+        except UnicodeDecodeError as exc:  # raised before the reader counts the line
+            raise LabelFileError(reader.line_num + 1, str(exc)) from exc
         except (ValueError, csv.Error) as exc:
             raise LabelFileError(max(reader.line_num, 1), str(exc)) from exc
 
