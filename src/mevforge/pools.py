@@ -293,9 +293,9 @@ def arbitrage_run(
     """Execute a path atomically, requiring a strictly positive surplus.
 
     Hops run in descriptor order, each on the V2 or V3 formula of its
-    pool's kind, each output feeding the next input.  If the surplus delta is not
-    positive the whole run aborts and None is returned with every pool
-    untouched.  On success the surplus is split as
+    pool's kind, each output feeding the next input.  If the surplus delta
+    is not positive the whole run aborts and None is returned with every
+    pool untouched.  On success the surplus is split as
     payout = floor(delta * share_ratio_bp / 10000), kept = delta - payout,
     and the post-run pool map is returned alongside the result.
     """

@@ -61,12 +61,12 @@ def events():
 
 @st.composite
 def transactions(draw, events_strategy=None, min_events=0, max_events=8):
-    events_drawn = draw(st.lists(events_strategy or events(), min_size=min_events, max_size=max_events))
+    raw_events = draw(st.lists(events_strategy or events(), min_size=min_events, max_size=max_events))
     return Transaction(
         hash=draw(tx_hashes),
         block_number=draw(st.integers(min_value=0, max_value=10**9)),
         initiator=draw(addresses),
-        events=tuple(events_drawn),
+        events=tuple(raw_events),
         gas_used=draw(st.integers(min_value=0, max_value=10**8)),
         gas_price=draw(st.integers(min_value=0, max_value=10**12)),
     )

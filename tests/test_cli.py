@@ -516,8 +516,10 @@ def test_analyze_rejects_v1_records(tmp_path, capsys):
 # traced cycles and pool paths shared one route type; a mismatch means the
 # pipeline's output changed.  "traces-1" is the seed-1 gen-fixtures trace
 # corpus of 2,000 transactions extracted with its run.cfg; "records-5" and
-# "records-88" are 500 gen-fixtures records of that seed.
-_HEADER_ONLY_RISK = "36d6f95125475110201d49c4aec9942e429510cf5bf968142de373bd65a363c9"
+# "records-88" are 500 gen-fixtures records of that seed.  Every corpus
+# spans less than a day, so trends.csv holds only its header, and scores
+# the same four major tokens for risk.
+_MAJORS_RISK = "36d6f95125475110201d49c4aec9942e429510cf5bf968142de373bd65a363c9"
 _HEADER_ONLY_TRENDS = "98056a5c61cce5cd08c90bce933131b036708ef19b3e4c75c304bd5182f63d75"
 PINNED_PIPELINE_DIGESTS = {
     "traces-1": {
@@ -527,7 +529,7 @@ PINNED_PIPELINE_DIGESTS = {
         "correlations.csv": "51faa26e7fdd2451f8a18d8d20df21cfc065273bab0cad23153c4456a944a3d5",
         "profit_matrix.csv": "55f628763798a41c3d1d134a2c5af89fca03de5bdb34c740688b0732aabd5fda",
         "proposer_split.csv": "45cde97263561add021971eca7d1cc25209a53f3a687bbe04747a4335b6532cd",
-        "risk_scores.csv": _HEADER_ONLY_RISK,
+        "risk_scores.csv": _MAJORS_RISK,
         "shares.csv": "b0ca405d3767a7c44365af42eb9ab202a7470bf30bd6243a46631e24afc718bc",
         "trends.csv": _HEADER_ONLY_TRENDS,
     },
@@ -537,7 +539,7 @@ PINNED_PIPELINE_DIGESTS = {
         "correlations.csv": "3756de3e141efdd7097875b522727794d584652f559548a76bf6589581486c96",
         "profit_matrix.csv": "2e16a108bc23b2352d0d59c59cb0c25d9abc6611d779fa833fc7e561e4d60ae8",
         "proposer_split.csv": "fb664fac495d5a4f0e134f96757918e7b6faa7533243bb764f71a02d7f1c6ec4",
-        "risk_scores.csv": _HEADER_ONLY_RISK,
+        "risk_scores.csv": _MAJORS_RISK,
         "shares.csv": "e5dd7134f0863074b5ea356fe7aaa42c03f4f429a6735f45f262ab92b90cee43",
         "trends.csv": _HEADER_ONLY_TRENDS,
     },
@@ -547,7 +549,7 @@ PINNED_PIPELINE_DIGESTS = {
         "correlations.csv": "ed3d1653b379893e2f7195b42593bc518840200d7a7db02df549d11ad65edddd",
         "profit_matrix.csv": "4c6c6e1959c90d5a83144e2a7b7f054e51550f0fa29b906d1f0965192246d33c",
         "proposer_split.csv": "dba524b48e63f7b8dc9fa400faaad0fc9e2dff2452d6cac51702e2c2d7cca1a7",
-        "risk_scores.csv": _HEADER_ONLY_RISK,
+        "risk_scores.csv": _MAJORS_RISK,
         "shares.csv": "f6f3096e3a8798683ad38855d2fe8b449adbd8d91dae0e3ac62a3614114d1afc",
         "trends.csv": _HEADER_ONLY_TRENDS,
     },
