@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .traces import EventKind, PathDescriptor, TokenId, Transaction, format_hash
+from .traces import EventKind, PathDescriptor, TokenId, Transaction, format_address
 
 # Validator-income endpoint commonly seen in share transfers.  Not the
 # protocol payout contract, so callers can override the whole set.
@@ -125,7 +125,7 @@ def attribute_profit(
     """
     if cycle.tx_hash != tx.hash:
         raise CycleMismatchError(
-            f"cycle from {format_hash(cycle.tx_hash)} does not match tx {format_hash(tx.hash)}"
+            f"cycle from {format_address(cycle.tx_hash)} does not match tx {format_address(tx.hash)}"
         )
     share_set = frozenset(share_addresses)
     swaps = [e for e in tx.events if e.kind is EventKind.SWAP]

@@ -30,7 +30,7 @@ from .traces import (
     LabelSet,
     ParseStats,
     TraceParseError,
-    format_hash,
+    format_address,
     iter_transactions,
     mark_pool_sinks,
     serialize_transactions,
@@ -87,7 +87,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
                     share_usd = to_usd(breakdown.share, cycle.base_token, config.price_table)
                     timestamp = records.timestamp_for_block(tx.block_number, config.genesis_unix, BLOCK_INTERVAL_S)
                 except (MissingPriceError, records.TimestampRangeError) as exc:
-                    errors_rows.append((format_hash(tx.hash), str(exc)))
+                    errors_rows.append((format_address(tx.hash), str(exc)))
                     continue
                 record = records.ArbitrageRecord(
                     tx_hash=tx.hash,
@@ -358,10 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigFileError, pbs.ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigFileError, pbs.ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

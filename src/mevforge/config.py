@@ -9,12 +9,12 @@ Token decimals come from the traces themselves, never from the config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from .arbitrage import DEFAULT_SHARE_ADDRESS
-from .traces import parse_address
+from .traces import LineError, parse_address, read_json, read_lines
 
 BLOCK_INTERVAL_S = 3
 
@@ -52,52 +52,58 @@ class RunConfig:
     def __post_init__(self) -> None:
         if any(p <= 0 for p in self.price_table.values()):
             raise ConfigFileError("price_table values must be positive")
+        if any(len(bits) != 3 or not set(bits) <= {0, 1} for bits in self.risk_bits.values()):
+            raise ConfigFileError("risk needs three 0/1 bits")
         if not 0 < self.alpha < 1:
             raise ConfigFileError("alpha must be in (0, 1)")
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigFileError(f"expected boolean, got {text!r}")
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _setting(key: str, value: str) -> tuple[str, object]:
+    """The RunConfig field a config line sets, and its value there; a table
+    line gives a table of one entry."""
+    table, _, symbol = key.partition(".")
+    if table == "price_table" and symbol:
+        return "price_table", {symbol: read_json(value, key, Fraction)}
+    if table == "risk" and symbol:
+        return "risk_bits", {symbol: tuple(read_json(bit.strip(), key, int, digits=True) for bit in value.split(","))}
+    if key == "share_addresses":
+        return key, tuple(parse_address(a.strip()) for a in value.split(",") if a.strip())
+    if key == "alpha":
+        return key, read_json(value, key, Fraction)
+    if key == "genesis_unix":
+        return key, read_json(value, key, int, digits=True)
+    if key == "infer_pool_sinks":
+        if value.lower() not in _BOOLEANS:
+            raise ValueError(f"expected boolean, got {value!r}")
+        return key, _BOOLEANS[value.lower()]
+    raise ValueError(f"unknown key {key!r}")
 
 
 def load_config(path: str | Path) -> RunConfig:
-    config = RunConfig()
-    price_table = dict(config.price_table)
-    risk_bits = dict(config.risk_bits)
-    updates: dict = {}
+    """The defaults overridden line by line; a fault, range checks
+    included, raises ConfigFileError naming the file and line."""
+    settings: dict = {"price_table": dict(DEFAULT_PRICE_TABLE), "risk_bits": dict(DEFAULT_RISK_BITS)}
     with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError("expected key = value")
-                key, _, value = (part.strip() for part in line.partition("="))
-                if key == "share_addresses":
-                    updates["share_addresses"] = tuple(
-                        parse_address(a.strip()) for a in value.split(",") if a.strip()
-                    )
-                elif key.startswith("price_table."):
-                    price_table[key.split(".", 1)[1]] = Fraction(value)
-                elif key.startswith("risk."):
-                    bits = tuple(int(b.strip()) for b in value.split(","))
-                    if len(bits) != 3 or any(b not in (0, 1) for b in bits):
-                        raise ValueError("risk needs three 0/1 bits")
-                    risk_bits[key.split(".", 1)[1]] = bits  # type: ignore[assignment]
-                elif key == "alpha":
-                    updates["alpha"] = Fraction(value)
-                elif key == "genesis_unix":
-                    updates["genesis_unix"] = int(value)
-                elif key == "infer_pool_sinks":
-                    updates["infer_pool_sinks"] = _parse_bool(value)
-                else:
-                    raise ValueError(f"unknown key {key!r}")
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigFileError(f"{path}: line {line_no}: {exc}") from exc
-    return replace(config, price_table=price_table, risk_bits=risk_bits, **updates)
+        try:
+            for line_no, line in read_lines(fh):
+                try:
+                    line = line.split("#", 1)[0].strip()
+                    if not line:
+                        continue
+                    if "=" not in line:
+                        raise ValueError("expected key = value")
+                    key, _, value = (part.strip() for part in line.partition("="))
+                    name, setting = _setting(key, value)
+                    RunConfig(**{name: setting})  # the range checks, on this line's value alone
+                    if name in ("price_table", "risk_bits"):
+                        settings[name].update(setting)
+                    else:
+                        settings[name] = setting
+                except ValueError as exc:  # ConfigFileError is a ValueError
+                    raise LineError(line_no, str(exc)) from exc
+        except LineError as exc:
+            raise ConfigFileError(f"{path}: {exc}") from exc
+    return RunConfig(**settings)

@@ -23,7 +23,6 @@ from .traces import (
     TraceEvent,
     Transaction,
     format_address,
-    format_hash,
 )
 
 GEN_BRANDS = ("GenAlpha", "GenBeta")
@@ -148,7 +147,7 @@ def gen_trace_corpus(seed: int, n_transactions: int, cycle_fraction: float = 0.7
                 events.insert(rng.randint(0, len(events)), extra)
             planted.append(
                 {
-                    "tx_hash": format_hash(tx_hash),
+                    "tx_hash": format_address(tx_hash),
                     "base_token": base.symbol,
                     "path": [t.symbol for t in route],
                     "pools": [format_address(s.pool) for s in swaps],

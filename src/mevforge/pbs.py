@@ -25,6 +25,7 @@ import json
 import math
 import random
 import sys
+from collections import defaultdict
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
@@ -32,7 +33,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, get_type_hints
 
 from . import pools as pools_mod
-from .traces import PathDescriptor, TokenId
+from .traces import PathDescriptor, TokenId, read_json
 
 DEFAULT_BSC_HORIZON_MS = Fraction(3000)
 DEFAULT_ETH_HORIZON_MS = Fraction(12000)
@@ -402,39 +403,16 @@ _SCENARIO_KEYS = (
     "protocol", "horizon_ms", "listen_window_ms", "base_compute_ms", "builders",
     "opportunity", "proposers", "relay", "pools", "embodied_base_symbol",
 )
-_JSON_NAMES = {
-    int: "an integer", bool: "a boolean", float: "a number", Fraction: "a number",
-    str: "a string", dict: "an object", list: "an array",
-}
 
 
 def _typed(section: Mapping, key: str, kind: type, default=_REQUIRED):
-    """section[key] read as kind, or default when the key is absent (or
-    null, for a key whose default is None).
-
-    Integers must be JSON integers and booleans JSON booleans; a float key
-    takes any number, a Fraction key any number (floats read as exact
-    decimals) or a fraction string, and an Enum key one of its values.
-    """
+    """section[key] read as kind by traces.read_json, or default when the
+    key is absent (or null, for a key whose default is None)."""
     if key not in section or (default is None and section[key] is None):
         if default is _REQUIRED:
             raise ConfigError(f"missing {key}")
         return default
-    value = section[key]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    try:
-        if kind is Fraction and (number or isinstance(value, str)):
-            return Fraction(str(value) if isinstance(value, float) else value)
-        if kind is float and number:
-            return float(value)
-        if issubclass(kind, Enum) and isinstance(value, str):
-            return kind(value)
-        if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
-            return value
-    except (ValueError, ZeroDivisionError, OverflowError):
-        pass
-    expected = " or ".join(repr(m.value) for m in kind) if issubclass(kind, Enum) else _JSON_NAMES[kind]
-    raise ConfigError(f"{key}: expected {expected}, got {value!r:.40}")
+    return read_json(section[key], key, kind)
 
 
 def _check_keys(section: Mapping, known) -> None:
@@ -460,17 +438,15 @@ def _from_json(cls: type, section, extra: tuple[str, ...] = (), **given):
 
 def load_scenario(path: str | Path) -> SimScenario:
     """Load and validate a scenario JSON file, each value strictly by type
-    (see _typed); absent keys take the dataclass defaults and unknown keys
-    are errors, as are keys the protocol's flow never reads: ``relay`` for
-    bsc_direct, and ``listen_window_ms`` and a builder's
+    (see traces.read_json); absent keys take the dataclass defaults and
+    unknown keys are errors, as are keys the protocol's flow never reads:
+    ``relay`` for bsc_direct, and ``listen_window_ms`` and a builder's
     ``non_delivery_prob`` for eth_relay.  Every broken key or section is
     reported together in one ConfigError, as is a file that cannot be read
     or does not hold a JSON object."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict):
-            raise ConfigError("expected an object")
+            obj = read_json(json.load(fh), "scenario", dict)
     except (OSError, ValueError) as exc:  # ConfigError and JSONDecodeError are ValueErrors
         raise ConfigError(f"invalid scenario keys: {path}: {exc}") from None
     problems: list[str] = []
@@ -487,7 +463,7 @@ def load_scenario(path: str | Path) -> SimScenario:
         pool_file = _typed(obj, "pools", str, None)
         if not pool_file:
             return None
-        with open(Path(path).parent / pool_file, encoding="utf-8") as fh:
+        with open(Path(path).parent / pool_file, "rb") as fh:
             return pools_mod.load_pool_file(fh)
 
     def top(key: str, kind: type, default):
@@ -654,7 +630,7 @@ def run_campaign(scenario: SimScenario, n_slots: int, rng_seed: int) -> Campaign
         raise ConfigError("n_slots must be >= 1")
     value_at = _bid_value_fn(scenario)
     schedules: dict[frozenset[str], BidSchedule] = {}
-    blacklists: list[dict[str, int]] = [dict() for _ in range(scenario.proposer_count)]
+    blacklists: defaultdict[int, dict[str, int]] = defaultdict(dict)  # by proposer, made on first use
     outcomes: list[SlotOutcome] = []
     wins: dict[str, int] = {b.id: 0 for b in scenario.builders}
     profit, revenue = dict(wins), dict(wins)

@@ -28,7 +28,9 @@ from functools import partial
 import json
 from typing import IO, Callable, Iterable, Mapping, Optional
 
-from .traces import PathDescriptor, TokenId, format_address, parse_address, read_int, token_from_obj, token_to_obj
+from .traces import (
+    LineError, PathDescriptor, TokenId, format_address, parse_address, read_json, read_lines, token_from_obj, token_to_obj,
+)
 
 FEE_SCALE = 10**6           # fee denominator, parts per million
 Q96 = 1 << 96               # Q64.96 fixed-point unit for sqrt prices
@@ -429,32 +431,30 @@ def pool_to_obj(pool: PoolState) -> dict:
 
 
 def pool_from_obj(obj: Mapping) -> PoolState:
-    if type(obj) is not dict:
-        raise ValueError(f"pool is not an object but {type(obj).__name__}")
-    kind = PoolKind(obj["kind"])
-    common = dict(
+    obj = read_json(obj, "pool", dict)
+    kind = read_json(obj["kind"], "kind", PoolKind)
+    keys = ("reserve0", "reserve1") if kind is PoolKind.V2 else ("liquidity", "sqrt_price_x96")
+    return PoolState(
         address=parse_address(obj["address"]),
         kind=kind,
         token0=token_from_obj(obj["token0"]),
         token1=token_from_obj(obj["token1"]),
-        fee_ppm=read_int(obj["fee_ppm"], "fee_ppm"),
+        fee_ppm=read_json(obj["fee_ppm"], "fee_ppm", int),
+        **{key: read_json(obj[key], key, int, digits=True) for key in keys},
     )
-    keys = ("reserve0", "reserve1") if kind is PoolKind.V2 else ("liquidity", "sqrt_price_x96")
-    return PoolState(**common, **{key: read_int(obj[key], key, digits=True) for key in keys})
 
 
-def load_pool_file(stream: IO[str] | Iterable[str]) -> dict[bytes, PoolState]:
-    """Pools by address from newline-delimited JSON records; a malformed
-    line raises ValueError naming its 1-based line number."""
+def load_pool_file(stream: IO | Iterable[str | bytes]) -> dict[bytes, PoolState]:
+    """Pools by address from newline-delimited JSON records, as text or as
+    bytes read strictly as UTF-8; a malformed line raises LineError."""
     pools: dict[bytes, PoolState] = {}
-    for line_no, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
+    for line_no, line in read_lines(stream):
+        if not line.strip():
             continue
         try:
             pool = pool_from_obj(json.loads(line))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"line {line_no}: {exc}") from None
+            raise LineError(line_no, str(exc)) from None
         pools[pool.address] = pool
     return pools
 

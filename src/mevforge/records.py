@@ -12,37 +12,26 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import IO, Iterable, Iterator
+from itertools import repeat
+from typing import IO, Iterable, Iterator, get_type_hints
 
-from .traces import format_hash, parse_tx_hash
+from .traces import LineError, format_address, parse_tx_hash, read_json, read_lines
 
 SCHEMA_VERSION = "2"
-_HEADER = [
-    "tx_hash",
-    "block_number",
-    "builder_brand",
-    "base_token",
-    "hop_count",
-    "gross",
-    "share",
-    "gas",
-    "net",
-    "usd_value",
-    "share_usd",
-    "timestamp_utc",
-]
 _TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")  # timestamp_for_block's form
 
 
-class RecordSchemaError(ValueError):
-    """Schema violation; message carries the 1-based row number."""
+class RecordSchemaError(LineError):
+    """Schema violation at a 1-based row number."""
 
-    def __init__(self, row_no: int, message: str):
-        super().__init__(f"row {row_no}: {message}")
-        self.row_no = row_no
+    unit = "row"
+
+    @property
+    def row_no(self) -> int:
+        return self.line_no
 
 
 class TimestampRangeError(ValueError):
@@ -69,6 +58,12 @@ class ArbitrageRecord:
             raise ValueError("record identity violated: net != gross - share - gas")
         if self.hop_count < 2:
             raise ValueError("cycles have at least two hops")
+
+
+# the columns of a records file are a record's fields, in order, each read
+# as its field's type (the tx hash as hex text, parsed after)
+_HEADER = [field.name for field in fields(ArbitrageRecord)]
+_KINDS = [str if key == "tx_hash" else kind for key, kind in get_type_hints(ArbitrageRecord).items()]
 
 
 def timestamp_for_block(block_number: int, genesis_unix: int, block_interval_s: int = 3) -> str:
@@ -104,7 +99,7 @@ def fraction_to_decimal(value: Fraction) -> str:
 
 def record_to_row(record: ArbitrageRecord) -> list[str]:
     return [
-        format_hash(record.tx_hash),
+        format_address(record.tx_hash),
         str(record.block_number),
         record.builder_brand,
         record.base_token,
@@ -134,11 +129,9 @@ def iter_records(stream: IO | Iterable[str | bytes]) -> Iterator[ArbitrageRecord
     """Records from a records file whose lines are text, or bytes read
     strictly as UTF-8.  A line that is not UTF-8, or a field over the csv
     module's size limit, is a RecordSchemaError naming its line."""
-    reader = csv.reader(line.decode("utf-8") if isinstance(line, bytes) else line for line in stream)
+    reader = csv.reader(text for _line_no, text in read_lines(stream, RecordSchemaError))
     try:
         yield from _records(reader)
-    except UnicodeDecodeError as exc:  # raised before the reader counts the line
-        raise RecordSchemaError(reader.line_num + 1, f"not UTF-8: {exc}") from exc
     except csv.Error as exc:
         raise RecordSchemaError(reader.line_num, str(exc)) from exc
 
@@ -155,26 +148,14 @@ def _records(reader) -> Iterator[ArbitrageRecord]:
     for row_no, row in enumerate(reader, start=3):
         if not row:
             continue
-        if len(row) != len(_HEADER):
-            raise RecordSchemaError(row_no, f"expected {len(_HEADER)} columns, got {len(row)}")
-        if not _TIMESTAMP.fullmatch(row[11]):
-            raise RecordSchemaError(row_no, f"timestamp_utc: expected YYYY-MM-DDTHH:MM:SSZ, got {row[11]!r:.40}")
         try:
-            yield ArbitrageRecord(
-                tx_hash=parse_tx_hash(row[0]),
-                block_number=int(row[1]),
-                builder_brand=row[2],
-                base_token=row[3],
-                hop_count=int(row[4]),
-                gross=int(row[5]),
-                share=int(row[6]),
-                gas=int(row[7]),
-                net=int(row[8]),
-                usd_value=Fraction(row[9]),
-                share_usd=Fraction(row[10]),
-                timestamp_utc=row[11],
-            )
-        except (ValueError, ZeroDivisionError) as exc:
+            if len(row) != len(_HEADER):
+                raise ValueError(f"expected {len(_HEADER)} columns, got {len(row)}")
+            if not _TIMESTAMP.fullmatch(row[-1]):
+                raise ValueError(f"timestamp_utc: expected YYYY-MM-DDTHH:MM:SSZ, got {row[-1]!r:.40}")
+            tx_hash, *values = map(read_json, row, _HEADER, _KINDS, repeat(True))
+            yield ArbitrageRecord(parse_tx_hash(tx_hash), *values)
+        except ValueError as exc:
             raise RecordSchemaError(row_no, str(exc)) from exc
 
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 from typing import IO, Iterable, Iterator, Mapping, Optional
 
 ADDRESS_LEN = 20
@@ -22,60 +24,108 @@ HASH_LEN = 32
 MAX_TOKEN_DECIMALS = 36
 
 
-class TraceParseError(ValueError):
-    """Malformed trace record; carries the 1-based line number."""
+class LineError(ValueError):
+    """A fault in a line-oriented input file, named by its 1-based line
+    number (``unit`` names what is counted)."""
+
+    unit = "line"
 
     def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(f"{self.unit} {line_no}: {message}")
         self.line_no = line_no
+
+
+class TraceParseError(LineError):
+    """Malformed trace record."""
 
 
 class DuplicateLabelError(ValueError):
     """A builder address appears more than once in a label set."""
 
 
-class LabelFileError(ValueError):
-    """Malformed label file; carries the 1-based line number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+class LabelFileError(LineError):
+    """Malformed label file."""
 
 
-def read_int(value, key: str, digits: bool = False) -> int:
-    """value as an int: a JSON integer, or with digits also a string of
-    ASCII digits.  Booleans, floats and anything else raise ValueError."""
-    if type(value) is int:
+def read_lines(stream: IO | Iterable[str | bytes], error: type[LineError] = LineError) -> Iterator[tuple[int, str]]:
+    """(line number, text) for each line of a stream of text, or of bytes
+    read strictly as UTF-8; an undecodable line raises error."""
+    for line_no, line in enumerate(stream, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(line_no, f"not UTF-8: {exc}") from None
+        yield line_no, line
+
+
+_NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
+_KIND_NAMES = {
+    int: "an integer", bool: "a boolean", float: "a number", Fraction: "a number",
+    str: "a string", dict: "an object", list: "an array",
+}
+
+
+def read_json(value, key: str, kind: type, digits: bool = False):
+    """An outside value read strictly as kind, or ValueError naming key.
+
+    Booleans are never numbers.  An int is a JSON integer or, with digits
+    (for formats that carry text), ASCII digits with at most a leading
+    minus; a float any JSON number; a Fraction any JSON number (a float as
+    its exact shortest decimal) or text ``-D``, ``-D.D`` or ``-D/D`` with the
+    minus optional and no exponent; a str any string that is valid Unicode
+    (no lone surrogate, escaped as "\\ud800"); an Enum one of its values.
+    """
+    if type(value) is kind and (kind is not str or value.isascii()):
         return value
-    if digits and type(value) is str and value.isascii() and value.isdigit():
-        return int(value)
-    expected = "an integer or a digit string" if digits else "an integer"
-    raise ValueError(f"{key}: expected {expected}, got {value!r:.40}")
+    reason = ""
+    try:
+        if type(value) is str:
+            if kind is str:
+                value.encode("utf-8")  # a lone surrogate could not be written out
+                return value
+            if kind is int and digits and value.isascii() and value.removeprefix("-").isdigit():
+                return int(value)
+            if kind is Fraction and _NUMBER.fullmatch(value):
+                return Fraction(value)
+            if issubclass(kind, Enum):
+                return kind(value)
+        elif type(value) is int and kind in (float, Fraction):
+            return kind(value)
+        elif type(value) is float and kind is Fraction:
+            return Fraction(str(value))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:  # UnicodeEncodeError is a ValueError
+        reason = f" ({exc})"
+    if issubclass(kind, Enum):
+        expected = " or ".join(repr(m.value) for m in kind)
+    else:
+        expected = "an integer or a digit string" if kind is int and digits else _KIND_NAMES[kind]
+    raise ValueError(f"{key}: expected {expected}, got {value!r:.40}{reason}")
+
+
+def _parse_hex(text, length: int, what: str) -> bytes:
+    """length bytes from hex digits with an optional 0x prefix."""
+    if type(text) is not str:
+        raise ValueError(f"{what} must be a hex string, got {text!r:.40}")
+    digits = text.removeprefix("0x")
+    raw = bytes.fromhex(digits)
+    if len(digits) != 2 * len(raw):  # fromhex skips whitespace between pairs
+        raise ValueError(f"{what} must be hex digits only, got {text!r:.40}")
+    if len(raw) != length:
+        raise ValueError(f"{what} must be {length} bytes, got {len(raw)}")
+    return raw
 
 
 def parse_address(text: str) -> bytes:
-    if type(text) is not str:
-        raise ValueError(f"address must be a hex string, got {text!r:.40}")
-    raw = bytes.fromhex(text.removeprefix("0x"))
-    if len(raw) != ADDRESS_LEN:
-        raise ValueError(f"address must be {ADDRESS_LEN} bytes, got {len(raw)}")
-    return raw
-
-
-def format_address(raw: bytes) -> str:
-    return "0x" + raw.hex()
+    return _parse_hex(text, ADDRESS_LEN, "address")
 
 
 def parse_tx_hash(text: str) -> bytes:
-    if type(text) is not str:
-        raise ValueError(f"tx hash must be a hex string, got {text!r:.40}")
-    raw = bytes.fromhex(text.removeprefix("0x"))
-    if len(raw) != HASH_LEN:
-        raise ValueError(f"tx hash must be {HASH_LEN} bytes, got {len(raw)}")
-    return raw
+    return _parse_hex(text, HASH_LEN, "tx hash")
 
 
-def format_hash(raw: bytes) -> str:
+def format_address(raw: bytes) -> str:
+    """0x-prefixed lowercase hex of an address or a tx hash."""
     return "0x" + raw.hex()
 
 
@@ -227,53 +277,40 @@ def token_to_obj(token: TokenId) -> dict:
 
 
 def token_from_obj(obj: Mapping) -> TokenId:
-    if type(obj) is not dict:
-        raise ValueError(f"token is not an object but {type(obj).__name__}")
-    symbol = obj["symbol"]
-    if type(symbol) is not str:
-        raise ValueError(f"symbol: expected a string, got {symbol!r:.40}")
-    symbol.encode("utf-8")  # a lone surrogate, escaped as "\ud800", could not be written out
-    return TokenId(symbol=symbol, address=parse_address(obj["address"]), decimals=read_int(obj["decimals"], "decimals"))
+    obj = read_json(obj, "token", dict)
+    symbol = read_json(obj["symbol"], "symbol", str)
+    return TokenId(symbol=symbol, address=parse_address(obj["address"]), decimals=read_json(obj["decimals"], "decimals", int))
 
 
 def _event_from_obj(obj: Mapping) -> TraceEvent:
-    kind = _KIND_BY_NAME[obj["kind"]]
-    token_in = token_from_obj(obj["token_in"]) if "token_in" in obj else None
-    token_out = token_from_obj(obj["token_out"]) if "token_out" in obj else None
-    amount = read_int(obj["amount"], "amount", digits=True) if "amount" in obj else None
-    pool_sink = obj.get("pool_sink", False)
-    if type(pool_sink) is not bool:
-        raise ValueError(f"pool_sink: expected a boolean, got {pool_sink!r:.40}")
     return TraceEvent(
-        kind=kind,
+        kind=_KIND_BY_NAME[obj["kind"]],
         pool=parse_address(obj["pool"]) if "pool" in obj else None,
-        token_in=token_in,
-        token_out=token_out,
-        amount_in=read_int(obj["amount_in"], "amount_in", digits=True) if "amount_in" in obj else 0,
-        amount_out=read_int(obj["amount_out"], "amount_out", digits=True) if "amount_out" in obj else 0,
+        token_in=token_from_obj(obj["token_in"]) if "token_in" in obj else None,
+        token_out=token_from_obj(obj["token_out"]) if "token_out" in obj else None,
+        amount_in=read_json(obj["amount_in"], "amount_in", int, digits=True) if "amount_in" in obj else 0,
+        amount_out=read_json(obj["amount_out"], "amount_out", int, digits=True) if "amount_out" in obj else 0,
         to=parse_address(obj["to"]) if "to" in obj else None,
-        amount=amount,
-        pool_sink=pool_sink,
+        amount=read_json(obj["amount"], "amount", int, digits=True) if "amount" in obj else None,
+        pool_sink=read_json(obj["pool_sink"], "pool_sink", bool) if "pool_sink" in obj else False,
     )
 
 
 def _transaction_from_obj(obj: Mapping, line_no: int, stats: ParseStats) -> Transaction:
     try:
         events = []
-        for raw in obj["events"]:
-            if not isinstance(raw, dict):
-                raise TypeError(f"event is not an object but {type(raw).__name__}")
-            if raw.get("kind") not in _KIND_BY_NAME:
+        for raw in read_json(obj["events"], "events", list):
+            if read_json(raw, "event", dict).get("kind") not in _KIND_BY_NAME:
                 stats.unknown_events += 1
                 continue
             events.append(_event_from_obj(raw))
         return Transaction(
             hash=parse_tx_hash(obj["hash"]),
-            block_number=read_int(obj["block"], "block"),
+            block_number=read_json(obj["block"], "block", int),
             initiator=parse_address(obj["from"]),
             events=tuple(events),
-            gas_used=read_int(obj["gas_used"], "gas_used"),
-            gas_price=read_int(obj["gas_price"], "gas_price"),
+            gas_used=read_json(obj["gas_used"], "gas_used", int),
+            gas_price=read_json(obj["gas_price"], "gas_price", int),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceParseError(line_no, str(exc)) from exc
@@ -283,13 +320,12 @@ def iter_transactions(stream: IO | Iterable[str | bytes], stats: ParseStats | No
     """Yield transactions from a newline-delimited trace stream in input order.
     Lines are text, or bytes read strictly as UTF-8."""
     stats = stats if stats is not None else ParseStats()
-    for line_no, line in enumerate(stream, start=1):
+    for line_no, line in read_lines(stream, TraceParseError):
+        if not line.strip():
+            continue
         try:
-            line = (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
-            if not line:
-                continue
             obj = json.loads(line)
-        except ValueError as exc:  # not UTF-8, not JSON, or an integer past int's digit limit
+        except ValueError as exc:  # not JSON, or an integer past int's digit limit
             raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
         tx = _transaction_from_obj(obj, line_no, stats)
         stats.transactions += 1
@@ -319,7 +355,7 @@ def _event_to_obj(event: TraceEvent) -> dict:
 
 def transaction_to_line(tx: Transaction) -> str:
     obj = {
-        "hash": format_hash(tx.hash),
+        "hash": format_address(tx.hash),
         "block": tx.block_number,
         "from": format_address(tx.initiator),
         "gas_used": tx.gas_used,
@@ -378,7 +414,7 @@ class LabelSet:
         strictly as UTF-8.  Any fault raises LabelFileError naming the line
         it is on: 1 for the header, the second occurrence for a duplicate
         address."""
-        reader = csv.reader(line.decode("utf-8") if isinstance(line, bytes) else line for line in stream)
+        reader = csv.reader(text for _line_no, text in read_lines(stream, LabelFileError))
 
         def labels() -> Iterator[BuilderLabel]:
             for row in reader:
@@ -393,8 +429,8 @@ class LabelSet:
             if header is None or [h.strip() for h in header] != ["brand", "instance", "address"]:
                 raise ValueError("label file must start with header: brand,instance,address")
             return cls(labels())
-        except UnicodeDecodeError as exc:  # raised before the reader counts the line
-            raise LabelFileError(reader.line_num + 1, str(exc)) from exc
+        except LabelFileError:
+            raise
         except (ValueError, csv.Error) as exc:
             raise LabelFileError(max(reader.line_num, 1), str(exc)) from exc
 

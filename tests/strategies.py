@@ -70,3 +70,43 @@ def transactions(draw, events_strategy=None, min_events=0, max_events=8):
         gas_used=draw(st.integers(min_value=0, max_value=10**8)),
         gas_price=draw(st.integers(min_value=0, max_value=10**12)),
     )
+
+
+# -- hostile JSON values ------------------------------------------------------
+
+# text that is often number-like, hex-like or a lone surrogate, else any string
+hostile_text = st.text(
+    st.sampled_from("0123456789-+./eE_x \ud800") | st.characters(exclude_categories=()),
+    max_size=12,
+)
+json_scalars = st.one_of(
+    hostile_text,
+    st.sampled_from(["5", "1e3", "+5", " 5", "5_0", "1/0", "0.5", "al\ud800", ""]),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+)
+json_values = json_scalars | st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(hostile_text, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def json_paths(doc, path=()):
+    """The path of doc itself and of every value nested in it, as tuples of
+    object keys and array indices."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_paths(value, (*path, key))
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the value at path replaced."""
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = replaced(doc[path[0]], path[1:], value)
+    return copy

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mevforge import fixtures, pools
 from mevforge.cli import main
@@ -360,6 +362,68 @@ def config_with_bad_byte(tmp_path):
     return [*argv, "--config", str(config)], f"{config}: line 2"
 
 
+def records_text_with(column, text) -> str:
+    """records_text() with one column of its record replaced by text."""
+    rows = list(csv.reader(records_text().splitlines()))
+    rows[2][column] = text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def records_with(column, text):
+    def make_input(tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(records_text_with(column, text).encode("utf-8"))
+        return ["analyze", "--records", str(path)], f"{path}: row 3"
+
+    return make_input
+
+
+def config_with(line):
+    def make_input(tmp_path):
+        records_file, config = tmp_path / "records.csv", tmp_path / "run.cfg"
+        records_file.write_text(records_text())
+        config.write_text("# prices\n" + line + "\n")
+        return ["analyze", "--records", str(records_file), "--config", str(config)], f"{config}: line 2"
+
+    return make_input
+
+
+def scenario_with(edit, where):
+    def make_input(tmp_path):
+        obj = json.loads((SCENARIOS / "bsc_duopoly.json").read_text())
+        edit(obj)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(obj))
+        return ["simulate", "--scenario", str(scenario), "--slots", "3"], f"invalid scenario keys: {where}"
+
+    return make_input
+
+
+SPACED_ADDRESS = "0x" + " ".join(["01"] * 20)
+
+
+def labels_with_spaced_hex(tmp_path):
+    labels = tmp_path / "labels.csv"
+    labels.write_text(f"brand,instance,address\nX,x-1,0x{'02' * 20}\nY,y-1,{SPACED_ADDRESS}\n")
+    return ["extract", "--traces", str(DATA / "worked_example_trace.ndjson"), "--labels", str(labels)], f"{labels}: line 3"
+
+
+def traces_with_spaced_hex(tmp_path):
+    traces = tmp_path / "traces.ndjson"
+    traces.write_text(worked_example_with(lambda o: o.__setitem__("from", SPACED_ADDRESS)))
+    return ["extract", "--traces", str(traces), "--labels", str(DATA / "builder_labels.csv")], f"{traces}: line 1"
+
+
+def pool_file_with_bad_byte(tmp_path):
+    scenario = embodied_scenario(tmp_path, pool_lines_with(json.dumps))
+    lines = (tmp_path / "pools.ndjson").read_bytes().split(b"\n")
+    lines[1] += b" \xff"
+    (tmp_path / "pools.ndjson").write_bytes(b"\n".join(lines))
+    return ["simulate", "--scenario", str(scenario), "--slots", "1"], "invalid scenario keys: pools: line 2"
+
+
 @pytest.mark.parametrize(
     "make_input",
     [
@@ -368,12 +432,47 @@ def config_with_bad_byte(tmp_path):
         pytest.param(records_with_bad_byte, id="records-not-utf8"),
         pytest.param(records_with_long_field, id="records-field-over-csv-limit"),
         pytest.param(config_with_bad_byte, id="config-not-utf8"),
+        # values outside the shared value grammar (README "Values")
+        pytest.param(records_with(1, "5_0000_0001"), id="records-block-underscores"),
+        pytest.param(records_with(1, "\u0661\u0662"), id="records-block-arabic-indic-digits"),
+        pytest.param(records_with(1, "+100"), id="records-block-plus"),
+        pytest.param(records_with(9, "1e3"), id="records-usd-exponent"),
+        pytest.param(records_with(0, "0x" + " ".join(["01"] * 32)), id="records-tx-hash-spaced-hex"),
+        pytest.param(config_with("price_table.WBNB = 1e3"), id="config-price-exponent"),
+        pytest.param(config_with("genesis_unix = 1_000"), id="config-genesis-underscores"),
+        pytest.param(config_with("risk.X = +1,0,1"), id="config-risk-plus"),
+        pytest.param(config_with(f"share_addresses = {SPACED_ADDRESS}"), id="config-share-address-spaced-hex"),
+        # range checks name their line too
+        pytest.param(config_with("price_table.WBNB = 0"), id="config-price-zero"),
+        pytest.param(config_with("alpha = 2"), id="config-alpha-above-one"),
+        pytest.param(config_with("risk.X = 1,0,2"), id="config-risk-bit-two"),
+        pytest.param(
+            scenario_with(lambda o: o["builders"][0].update(latency_ms="1e3"), "builders[0]: latency_ms"),
+            id="scenario-latency-exponent",
+        ),
+        pytest.param(
+            scenario_with(lambda o: o["builders"][1].update(id="al\ud800"), "builders[1]: id"),
+            id="scenario-id-lone-surrogate",
+        ),
+        pytest.param(labels_with_spaced_hex, id="labels-spaced-hex"),
+        pytest.param(traces_with_spaced_hex, id="traces-spaced-hex"),
+        pytest.param(pool_file_with_bad_byte, id="pools-not-utf8"),
     ],
 )
 def test_undecodable_or_oversized_input_names_file_and_line(tmp_path, capsys, make_input):
     argv, where = make_input(tmp_path)
     assert main([*argv, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {where}: ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(column=st.integers(min_value=0, max_value=11), text=st.text(max_size=30))
+def test_any_text_in_any_records_column_reads_or_is_a_schema_error(column, text):
+    try:
+        rows_read = read_records(io.BytesIO(records_text_with(column, text).encode("utf-8")))
+    except RecordSchemaError:
+        return
+    assert len(rows_read) == 1
 
 
 @pytest.mark.parametrize("block, genesis", [(10**15, 0), (50636154, 10**20)], ids=["block", "genesis"])
@@ -638,6 +737,7 @@ def duopoly_text(edit) -> str:
         pytest.param(duopoly_text(lambda o: o.update(relay=None)), id="relay-not-object"),
         pytest.param(duopoly_text(lambda o: o.update(base_compute_ms=-1000)), id="negative-base-compute"),
         pytest.param(duopoly_text(lambda o: o["proposers"].update(rotation="random")), id="unknown-rotation"),
+        pytest.param(duopoly_text(lambda o: o["builders"][0].update(id="al\ud800")), id="builder-id-lone-surrogate"),
     ],
 )
 def test_simulate_broken_scenario_is_a_config_error(tmp_path, capsys, text):
@@ -847,6 +947,19 @@ def test_simulate_outputs_match_pinned_digests(tmp_path, name, seed):
     assert main(["simulate", "--scenario", str(scenario), "--slots", "2000", "--seed", str(seed), "--out", str(out)]) == 0
     digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("slots.csv", "summary.csv"))
     assert digests == PINNED_SIMULATE_DIGESTS[name][seed]
+
+
+def test_simulate_makes_a_proposer_blacklist_only_when_it_proposes(tmp_path):
+    """A trillion proposers cost nothing until they propose: ten slots
+    read the same as with ten proposers."""
+    outputs = []
+    for count in (10, 10**12):
+        scenario = tmp_path / f"proposers-{count}.json"
+        scenario.write_text(json.dumps({**FLAKY_SCENARIO, "proposers": {"count": count, "blacklist_slots": 20}}))
+        out = tmp_path / f"sim-{count}"
+        assert main(["simulate", "--scenario", str(scenario), "--slots", "10", "--seed", "7", "--out", str(out)]) == 0
+        outputs.append(read_all(out))
+    assert outputs[0] == outputs[1]
 
 
 # -- gen-fixtures -------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mevforge import fixtures, pools
@@ -29,6 +29,8 @@ from mevforge.pbs import (
     run_slot_bsc,
     run_slot_eth,
 )
+
+import strategies
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -556,6 +558,26 @@ def test_fraction_keys_accept_floats_and_integers(tmp_path):
     beta = scenario.builders[1]
     assert (beta.infra_tier, beta.latency_ms) == (Fraction(5, 2), Fraction(1, 2))
     assert load_scenario(SCENARIOS / "eth_duopoly.json").builders[1].infra_tier == 3
+
+
+BUNDLED_SCENARIOS = {name: json.loads((SCENARIOS / name).read_text()) for name in ("bsc_duopoly.json", "eth_duopoly.json")}
+SCENARIO_SITES = [(name, path) for name, doc in BUNDLED_SCENARIOS.items() for path in strategies.json_paths(doc)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(site=st.sampled_from(SCENARIO_SITES), value=strategies.json_values)
+@example(site=("bsc_duopoly.json", ("builders", 0, "id")), value="al\ud800")
+def test_any_json_value_at_any_scenario_key_loads_or_is_a_config_error(tmp_path, site, value):
+    name, path = site
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(strategies.replaced(BUNDLED_SCENARIOS[name], path, value)))
+    try:
+        scenario = load_scenario(scenario_file)
+    except ConfigError:
+        return
+    assert isinstance(scenario, SimScenario)
+    for builder in scenario.builders:
+        builder.id.encode("utf-8")  # slots.csv can name every builder
 
 
 def test_rebids_enabled_false_is_read_as_false(tmp_path):

@@ -2,10 +2,11 @@
 
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mevforge import fixtures
@@ -25,6 +26,8 @@ from mevforge.traces import (
     iter_transactions,
     mark_pool_sinks,
     parse_address,
+    parse_tx_hash,
+    read_json,
     serialize_transactions,
 )
 
@@ -97,7 +100,7 @@ def test_non_object_event_reports_line_number():
     with pytest.raises(TraceParseError) as excinfo:
         list(iter_transactions(io.StringIO(good + bad + "\n")))
     assert excinfo.value.line_no == 2
-    assert "event is not an object" in str(excinfo.value)
+    assert "event: expected an object" in str(excinfo.value)
 
 
 def test_missing_field_reports_line_number():
@@ -150,6 +153,91 @@ def test_address_parsing_is_canonical():
     assert format_address(raw) == "0xabcd" + "00" * 18
     with pytest.raises(ValueError):
         parse_address("0x1234")
+
+
+@pytest.mark.parametrize("parse, size", [(parse_address, 20), (parse_tx_hash, 32)])
+@pytest.mark.parametrize("text", ["0x{} {}", "0x{}\t{}", "{} {}", " 0x{}{}", "0x{}{}\n"])
+def test_hex_is_digits_only(parse, size, text):
+    half = "ab" * (size // 2)
+    assert parse("0x" + half + half) == bytes.fromhex(half + half)
+    with pytest.raises(ValueError):
+        parse(text.format(half, half))
+
+
+@pytest.mark.parametrize(
+    "value, kind, digits, expected",
+    [
+        (-7, int, False, -7),
+        ("-12", int, True, -12),
+        ("007", int, True, 7),
+        (2, float, False, 2.0),
+        (0.1, float, False, 0.1),
+        (3, Fraction, False, Fraction(3)),
+        (0.1, Fraction, False, Fraction(1, 10)),
+        ("600.50", Fraction, False, Fraction("600.50")),
+        ("-1/3", Fraction, False, Fraction(-1, 3)),
+        ("al", str, False, "al"),
+        (False, bool, False, False),
+        ([1], list, False, [1]),
+        ({}, dict, False, {}),
+        ("swap", EventKind, False, EventKind.SWAP),
+    ],
+)
+def test_read_json_reads_the_value_grammar(value, kind, digits, expected):
+    read = read_json(value, "key", kind, digits)
+    assert read == expected and type(read) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "value, kind, digits",
+    [
+        (True, int, True),
+        (5.0, int, False),
+        ("5", int, False),
+        *(
+            (text, int, True)
+            for text in ("+5", " 5", "5 ", "5_000", "\u0661\u0662", "1e3", "0x10", "5.0", "", "-", "5\n")
+        ),
+        (True, float, False),
+        ("0.5", float, False),
+        *(
+            (text, Fraction, False)
+            for text in ("1e3", "1E3", "+1", ".5", "5.", "1/0", "1 /2", "inf", "nan", "1_0", "\u0661", "")
+        ),
+        (float("inf"), Fraction, False),
+        (float("nan"), Fraction, False),
+        (True, Fraction, False),
+        ("al\ud800", str, False),
+        (5, str, False),
+        (0, bool, False),
+        ("true", bool, False),
+        ([], dict, False),
+        ({}, list, False),
+        ("SWAP", EventKind, False),
+        (1, EventKind, False),
+    ],
+)
+def test_read_json_rejects_all_else_naming_the_key(value, kind, digits):
+    with pytest.raises(ValueError, match="^key: expected "):
+        read_json(value, "key", kind, digits)
+
+
+WORKED_EXAMPLE = json.loads((DATA / "worked_example_trace.ndjson").read_text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(list(strategies.json_paths(WORKED_EXAMPLE))), value=strategies.json_values)
+@example(path=("events", 0, "token_in", "symbol"), value="US\ud800")
+@example(path=("events", 0, "amount_in"), value="+5")
+def test_any_json_value_at_any_trace_field_parses_or_is_a_parse_error(path, value):
+    line = json.dumps(strategies.replaced(WORKED_EXAMPLE, path, value))
+    try:
+        txs = list(iter_transactions([line]))
+    except TraceParseError as exc:
+        assert exc.line_no == 1
+    else:
+        assert len(txs) == 1
+        serialize_transactions(txs).encode("utf-8")  # whatever parses can be written out
 
 
 # -- labels -----------------------------------------------------------------
