@@ -21,7 +21,7 @@ def main() -> None:
     for name in ("bsc_duopoly.json", "eth_duopoly.json"):
         scenario = pbs.load_scenario(SCENARIOS / name)
         result = pbs.run_campaign(scenario, args.slots, args.seed)
-        print(f"\n== {name} ({scenario.protocol.value}, horizon {scenario.proposer.horizon_ms} ms)")
+        print(f"\n== {name} ({scenario.protocol.value}, horizon {scenario.horizon_ms} ms)")
         print(f"{'builder':<10} {'wins':>8} {'win_share':>10} {'profit':>16} {'proposer_rev':>14}")
         for row in result.summary.builders:
             print(

@@ -19,25 +19,19 @@ function of (scenario, seed).  A campaign is single-threaded by design;
 parallelize across campaigns, not within one.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import random
 import sys
 from collections import defaultdict
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, get_type_hints
+from typing import Callable, Mapping, Optional, Sequence, get_args, get_origin
 
 from . import pools as pools_mod
-from .traces import PathDescriptor, TokenId, read_json
-
-DEFAULT_BSC_HORIZON_MS = Fraction(3000)
-DEFAULT_ETH_HORIZON_MS = Fraction(12000)
-DEFAULT_BASE_COMPUTE_MS = Fraction(10)
+from .traces import PathDescriptor, TokenId, read_json, unique_keys
 
 
 class ConfigError(ValueError):
@@ -47,6 +41,17 @@ class ConfigError(ValueError):
 class Protocol(Enum):
     BSC_DIRECT = "bsc_direct"
     ETH_RELAY = "eth_relay"
+
+
+# The horizon of a scenario that names none: one slot of the protocol's chain.
+DEFAULT_HORIZON_MS = {Protocol.BSC_DIRECT: Fraction(3000), Protocol.ETH_RELAY: Fraction(12000)}
+# Scenario keys a protocol's flow never reads, so a file may not give them:
+# the direct flow has no relay, and the relay proposer signs the best header
+# at slot end, which the relay always delivers.
+UNREAD_KEYS = {
+    Protocol.BSC_DIRECT: frozenset({"relay"}),
+    Protocol.ETH_RELAY: frozenset({"listen_window_ms", "non_delivery_prob"}),
+}
 
 
 class Strategy(Enum):
@@ -130,7 +135,7 @@ class OpportunityModel:
         if self.decay is DecayShape.EXPONENTIAL and self.peak_value > sys.float_info.max:
             problems.append("peak_value (too large for exponential decay)")
         if problems:
-            raise ConfigError(f"opportunity: invalid {', '.join(problems)}")
+            raise ConfigError(f"invalid {', '.join(problems)}")
 
     def value(self, t_ms: Fraction) -> int:
         elapsed = t_ms - self.birth_ms
@@ -183,13 +188,19 @@ class SlotOutcome:
 
 @dataclass(frozen=True)
 class ProposerConfig:
-    horizon_ms: Fraction = DEFAULT_BSC_HORIZON_MS
-    listen_window_ms: Fraction = Fraction(50)
+    """Proposers take slots in turn (round robin, the only rotation); a
+    builder that fails to deliver is on that proposer's blacklist for
+    blacklist_slots slots."""
+
+    count: int = 1
+    rotation: str = "round_robin"
     blacklist_slots: int = 100
 
     def __post_init__(self) -> None:
-        if self.horizon_ms <= 0 or self.listen_window_ms < 0 or self.blacklist_slots < 0:
-            raise ConfigError("proposer: invalid horizon_ms/listen_window_ms/blacklist_slots")
+        if self.count < 1 or self.blacklist_slots < 0:
+            raise ConfigError("invalid count/blacklist_slots")
+        if self.rotation != "round_robin":
+            raise ConfigError(f"unknown rotation {self.rotation!r}")
 
 
 @dataclass(frozen=True)
@@ -201,7 +212,36 @@ class RelayConfig:
 
     def __post_init__(self) -> None:
         if self.delay_ms < 0 or self.rebid_interval_ms <= 0 or self.optimization_rounds < 1:
-            raise ConfigError("relay: invalid delay_ms/rebid_interval_ms/optimization_rounds")
+            raise ConfigError("invalid delay_ms/rebid_interval_ms/optimization_rounds")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SimScenario:
+    """A scenario file: each field is the top-level key of its name, except
+    that the file's pools key names the pool file that pools is read from."""
+
+    protocol: Protocol
+    # None takes DEFAULT_HORIZON_MS[protocol]; the type is not Optional, so
+    # a file's null is an error
+    horizon_ms: Fraction = None
+    listen_window_ms: Fraction = Fraction(50)
+    base_compute_ms: Fraction = Fraction(10)
+    builders: tuple[BuilderAgent, ...] = ()
+    opportunity: OpportunityModel
+    proposers: ProposerConfig = ProposerConfig()
+    relay: RelayConfig = RelayConfig()
+    pools: Optional[dict[bytes, "pools_mod.PoolState"]] = None
+    embodied_base_symbol: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.horizon_ms is None:
+            object.__setattr__(self, "horizon_ms", DEFAULT_HORIZON_MS[self.protocol])
+        if self.horizon_ms <= 0 or self.listen_window_ms < 0:
+            raise ConfigError("invalid horizon_ms/listen_window_ms")
+        if len({b.id for b in self.builders}) != len(self.builders):
+            raise ConfigError("builders: duplicate ids")
+        if self.base_compute_ms < 0:
+            raise ConfigError("base_compute_ms must be >= 0")
 
 
 # A bid-value function maps (builder, delivery time) to the raw opportunity
@@ -254,7 +294,7 @@ def _schedule(scenario: SimScenario, blacklisted: frozenset[str], value_at: BidV
     relay proposer signs the best header at slot end and the relay always
     delivers it: the cutoff is the horizon and nothing fails.
     """
-    opportunity, proposer, relay = scenario.opportunity, scenario.proposer, scenario.relay
+    opportunity, relay, horizon = scenario.opportunity, scenario.relay, scenario.horizon_ms
     relayed = scenario.protocol is Protocol.ETH_RELAY
     rebids = relayed and relay.rebids_enabled
     delay_ms = relay.delay_ms if relayed else 0
@@ -263,7 +303,7 @@ def _schedule(scenario: SimScenario, blacklisted: frozenset[str], value_at: BidV
         if agent.id in blacklisted:
             continue
         first = opportunity.birth_ms + 2 * agent.latency_ms + agent.compute_ms(scenario.base_compute_ms) + delay_ms
-        if first > proposer.horizon_ms:
+        if first > horizon:
             continue
         raw = value_at(agent, first)
         if not rebids:
@@ -279,7 +319,7 @@ def _schedule(scenario: SimScenario, blacklisted: frozenset[str], value_at: BidV
         rounds = relay.optimization_rounds
         t = first + relay.rebid_interval_ms
         k = 1
-        while t <= proposer.horizon_ms:
+        while t <= horizon:
             improved = max(locked, ceiling * min(k, rounds) // rounds)
             bids.append(_make_bid(agent, t, improved))
             if improved >= ceiling:
@@ -289,9 +329,9 @@ def _schedule(scenario: SimScenario, blacklisted: frozenset[str], value_at: BidV
 
     bids.sort(key=lambda b: (b.timestamp_ms, b.builder_id))
     if relayed:
-        cutoff, non_delivery = proposer.horizon_ms, {}
+        cutoff, non_delivery = horizon, {}
     else:
-        cutoff = max(proposer.listen_window_ms, bids[0].timestamp_ms if bids else 0)
+        cutoff = max(scenario.listen_window_ms, bids[0].timestamp_ms if bids else 0)
         non_delivery = {a.id: a.non_delivery_prob for a in scenario.builders}
     competing = sorted((b for b in bids if b.timestamp_ms <= cutoff), key=_best_first)
     return BidSchedule(tuple(bids), tuple((b, non_delivery.get(b.builder_id, 0.0)) for b in competing))
@@ -318,32 +358,39 @@ def _resolve_slot(schedule: BidSchedule, height: int, rng_seed: int) -> SlotOutc
 
 def run_slot_bsc(
     builders: Sequence[BuilderAgent],
-    proposer: ProposerConfig,
     opportunity: OpportunityModel,
     rng_seed: int,
     *,
     height: int = 0,
-    base_compute_ms: Fraction = DEFAULT_BASE_COMPUTE_MS,
+    horizon_ms: Optional[Fraction] = None,
+    listen_window_ms: Fraction = SimScenario.listen_window_ms,
+    base_compute_ms: Fraction = SimScenario.base_compute_ms,
     blacklisted: frozenset[str] = frozenset(),
 ) -> SlotOutcome:
-    """One direct single-round slot: its bid schedule, then its resolution."""
-    scenario = SimScenario(Protocol.BSC_DIRECT, tuple(builders), opportunity, proposer, base_compute_ms=base_compute_ms)
+    """One direct single-round slot: its bid schedule, then its resolution.
+    The timing keywords are SimScenario's fields."""
+    scenario = SimScenario(
+        protocol=Protocol.BSC_DIRECT, builders=tuple(builders), opportunity=opportunity,
+        horizon_ms=horizon_ms, listen_window_ms=listen_window_ms, base_compute_ms=base_compute_ms,
+    )
     return _resolve_slot(_schedule(scenario, blacklisted, _bid_value_fn(scenario)), height, rng_seed)
 
 
 def run_slot_eth(
     builders: Sequence[BuilderAgent],
     relay: RelayConfig,
-    proposer: ProposerConfig,
     opportunity: OpportunityModel,
     rng_seed: int,
     *,
     height: int = 0,
-    base_compute_ms: Fraction = DEFAULT_BASE_COMPUTE_MS,
+    horizon_ms: Optional[Fraction] = None,
+    base_compute_ms: Fraction = SimScenario.base_compute_ms,
 ) -> SlotOutcome:
-    """One relay-mediated slot: its bid schedule, then its resolution."""
+    """One relay-mediated slot: its bid schedule, then its resolution.
+    The timing keywords are SimScenario's fields."""
     scenario = SimScenario(
-        Protocol.ETH_RELAY, tuple(builders), opportunity, proposer, relay, base_compute_ms=base_compute_ms
+        protocol=Protocol.ETH_RELAY, builders=tuple(builders), opportunity=opportunity, relay=relay,
+        horizon_ms=horizon_ms, base_compute_ms=base_compute_ms,
     )
     return _resolve_slot(_schedule(scenario, frozenset(), _bid_value_fn(scenario)), height, rng_seed)
 
@@ -377,142 +424,74 @@ def missing_horizon(h_eth_ms: Fraction, h_bsc_ms: Fraction) -> Fraction:
 # scenarios and campaigns
 
 
-@dataclass(frozen=True)
-class SimScenario:
-    protocol: Protocol
-    builders: tuple[BuilderAgent, ...]
-    opportunity: OpportunityModel
-    proposer: ProposerConfig
-    relay: RelayConfig = RelayConfig()
-    proposer_count: int = 1
-    base_compute_ms: Fraction = DEFAULT_BASE_COMPUTE_MS
-    pools: Optional[dict[bytes, "pools_mod.PoolState"]] = None
-    embodied_base_symbol: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if len({b.id for b in self.builders}) != len(self.builders):
-            raise ConfigError("builders: duplicate ids")
-        if self.proposer_count < 1:
-            raise ConfigError("proposers: count must be >= 1")
-        if self.base_compute_ms < 0:
-            raise ConfigError("base_compute_ms must be >= 0")
-
-
-_REQUIRED = object()
-_SCENARIO_KEYS = (
-    "protocol", "horizon_ms", "listen_window_ms", "base_compute_ms", "builders",
-    "opportunity", "proposers", "relay", "pools", "embodied_base_symbol",
-)
-
-
-def _typed(section: Mapping, key: str, kind: type, default=_REQUIRED):
-    """section[key] read as kind by traces.read_json, or default when the
-    key is absent (or null, for a key whose default is None)."""
-    if key not in section or (default is None and section[key] is None):
-        if default is _REQUIRED:
-            raise ConfigError(f"missing {key}")
-        return default
-    return read_json(section[key], key, kind)
-
-
-def _check_keys(section: Mapping, known) -> None:
-    unknown = sorted(set(section).difference(known))
+def _from_json(kind, value, unread: frozenset[str], problems: list[str], where: str = ""):
+    """A JSON value read as kind, or None once a fault, named by where it
+    is (``builders[1]: latency_ms: ...``), is added to problems.  A
+    dataclass is read from an object whose keys are its fields, each by its
+    annotation; an absent key takes the field's default, and a key that is
+    no field, or is in unread, is an error.  ``tuple[X, ...]`` is read from
+    an array of X, ``Optional[X]`` from null or X, and any other type by
+    traces.read_json."""
+    if type(None) in get_args(kind):
+        if value is None:
+            return None
+        kind = get_args(kind)[0]
+    try:
+        if get_origin(kind) is tuple:
+            entries = read_json(value, where, list)
+            return tuple(_from_json(get_args(kind)[0], v, unread, problems, f"{where}[{i}]") for i, v in enumerate(entries))
+        if not is_dataclass(kind):
+            return read_json(value, where, get_origin(kind) or kind)
+        section = read_json(value, where, dict)
+    except ValueError as exc:
+        problems.append(str(exc))
+        return None
+    at = f"{where}: " if where else ""
+    found = len(problems)
+    unknown = sorted(set(section).difference(f.name for f in fields(kind) if f.name not in unread))
     if unknown:
-        raise ConfigError(f"unknown keys {', '.join(unknown)}")
-
-
-def _from_json(cls: type, section, extra: tuple[str, ...] = (), **given):
-    """A cls built from a JSON object: each field not given is read under
-    its own name as its annotated type, and defaults as the dataclass does.
-    Any other key, unless listed in extra, is an error."""
-    if not isinstance(section, dict):
-        raise ConfigError("expected an object")
-    _check_keys(section, [f.name for f in fields(cls) if f.name not in given] + list(extra))
-    kinds = get_type_hints(cls)
-    for field in fields(cls):
-        if field.name not in given:
-            default = _REQUIRED if field.default is MISSING else field.default
-            given[field.name] = _typed(section, field.name, kinds[field.name], default)
-    return cls(**given)
+        problems.append(f"{at}unknown keys {', '.join(unknown)}")
+    values = {}
+    for field in fields(kind):
+        if field.name in section and field.name not in unread:
+            values[field.name] = _from_json(field.type, section[field.name], unread, problems, at + field.name)
+        elif field.default is MISSING:
+            problems.append(f"{at}missing {field.name}")
+    if len(problems) == found:
+        try:
+            return kind(**values)
+        except ConfigError as exc:
+            problems.append(f"{at}{exc}")
+    return None
 
 
 def load_scenario(path: str | Path) -> SimScenario:
-    """Load and validate a scenario JSON file, each value strictly by type
-    (see traces.read_json); absent keys take the dataclass defaults and
-    unknown keys are errors, as are keys the protocol's flow never reads:
-    ``relay`` for bsc_direct, and ``listen_window_ms`` and a builder's
-    ``non_delivery_prob`` for eth_relay.  Every broken key or section is
-    reported together in one ConfigError, as is a file that cannot be read
-    or does not hold a JSON object."""
+    """A scenario JSON file read as a SimScenario (see _from_json), where a
+    key its protocol's flow never reads (UNREAD_KEYS) is an error.  Every
+    fault, a pool file's included, is raised together in one ConfigError,
+    as is a file that cannot be read, is not a JSON object or repeats a key."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = read_json(json.load(fh), "scenario", dict)
+            obj = read_json(json.load(fh, object_pairs_hook=unique_keys), "scenario", dict)
     except (OSError, ValueError) as exc:  # ConfigError and JSONDecodeError are ValueErrors
         raise ConfigError(f"invalid scenario keys: {path}: {exc}") from None
+    try:
+        unread = UNREAD_KEYS[Protocol(obj.get("protocol"))]
+    except ValueError:  # reported when the protocol is read
+        unread = UNREAD_KEYS[Protocol.BSC_DIRECT]
     problems: list[str] = []
-
-    def read(where: str, build: Callable, fallback=None):
-        try:
-            return build()
-        except (KeyError, ValueError, OSError) as exc:  # ConfigError is a ValueError
-            message = str(exc)
-            problems.append(message if message.startswith(f"{where}:") else f"{where}: {message}")
-            return fallback
-
-    def pool_fixture():
-        pool_file = _typed(obj, "pools", str, None)
-        if not pool_file:
-            return None
-        with open(Path(path).parent / pool_file, "rb") as fh:
-            return pools_mod.load_pool_file(fh)
-
-    def top(key: str, kind: type, default):
-        return read(key, lambda: _typed(obj, key, kind, default), default)
-
-    protocol = read("protocol", lambda: _typed(obj, "protocol", Protocol), Protocol.BSC_DIRECT)
-    relayed = protocol is Protocol.ETH_RELAY
-    unread = "listen_window_ms" if relayed else "relay"
-    read("scenario", lambda: _check_keys(obj, [key for key in _SCENARIO_KEYS if key != unread]))
-    horizon = top("horizon_ms", Fraction, DEFAULT_ETH_HORIZON_MS if relayed else DEFAULT_BSC_HORIZON_MS)
-    listen = top("listen_window_ms", Fraction, ProposerConfig.listen_window_ms)
-    entries = top("builders", list, [])
-    # the relay always delivers, so its builders' non_delivery_prob is 0 and not a key
-    unread_by_builders = {"non_delivery_prob": 0.0} if relayed else {}
-    builders = [
-        read(f"builders[{i}]", lambda: _from_json(BuilderAgent, entry, **unread_by_builders))
-        for i, entry in enumerate(entries)
-    ]
-    opportunity = read("opportunity", lambda: _from_json(OpportunityModel, obj.get("opportunity", {})))
-    relay = read("relay", lambda: _from_json(RelayConfig, obj.get("relay", {})))
-    proposers = top("proposers", dict, {})
-    proposer = read(
-        "proposers",
-        lambda: _from_json(ProposerConfig, proposers, ("count", "rotation"), horizon_ms=horizon, listen_window_ms=listen),
-    )
-    count = read("proposers", lambda: _typed(proposers, "count", int, SimScenario.proposer_count))
-    # proposers always rotate round robin; files may still name that rotation
-    rotation = read("proposers", lambda: _typed(proposers, "rotation", str, "round_robin"), "round_robin")
-    if rotation != "round_robin":
-        problems.append(f"proposers: unknown rotation {rotation!r}")
-    compute_ms = top("base_compute_ms", Fraction, SimScenario.base_compute_ms)
-    base_symbol = top("embodied_base_symbol", str, None)
-    pools = read("pools", pool_fixture)
-    if not problems:
-        try:
-            return SimScenario(
-                protocol=protocol,
-                builders=tuple(builders),
-                opportunity=opportunity,
-                proposer=proposer,
-                relay=relay,
-                proposer_count=count,
-                base_compute_ms=compute_ms,
-                pools=pools,
-                embodied_base_symbol=base_symbol,
-            )
-        except ConfigError as exc:
-            problems.append(str(exc))
-    raise ConfigError("invalid scenario keys: " + "; ".join(problems))
+    # the one key whose value is not its field's: it names the pool file
+    pool_file, obj["pools"] = obj.get("pools"), None
+    try:
+        if pool_file is not None and read_json(pool_file, "path", str):  # "" names no file
+            with open(Path(path).parent / pool_file, "rb") as fh:
+                obj["pools"] = pools_mod.load_pool_file(fh)
+    except (OSError, ValueError) as exc:  # a LineError is a ValueError
+        problems.append(f"pools: {exc}")
+    scenario = _from_json(SimScenario, obj, unread, problems)
+    if problems:
+        raise ConfigError("invalid scenario keys: " + "; ".join(problems))
+    return scenario
 
 
 def _bid_value_fn(scenario: SimScenario) -> BidValueFn:
@@ -635,14 +614,14 @@ def run_campaign(scenario: SimScenario, n_slots: int, rng_seed: int) -> Campaign
     wins: dict[str, int] = {b.id: 0 for b in scenario.builders}
     profit, revenue = dict(wins), dict(wins)
     for height in range(n_slots):
-        blacklist = blacklists[height % scenario.proposer_count]
+        blacklist = blacklists[height % scenario.proposers.count]
         active = frozenset(builder for builder, expiry in blacklist.items() if expiry > height)
         schedule = schedules.get(active)
         if schedule is None:
             schedule = schedules[active] = _schedule(scenario, active, value_at)
         outcome = _resolve_slot(schedule, height, rng_seed)
         for offender in outcome.blacklist_events:
-            blacklist[offender] = height + scenario.proposer.blacklist_slots
+            blacklist[offender] = height + scenario.proposers.blacklist_slots
         if outcome.winner is not None:
             wins[outcome.winner] += 1
             profit[outcome.winner] += outcome.realized_builder_profit

@@ -30,6 +30,7 @@ from typing import IO, Callable, Iterable, Mapping, Optional
 
 from .traces import (
     LineError, PathDescriptor, TokenId, format_address, parse_address, read_json, read_lines, token_from_obj, token_to_obj,
+    unique_keys,
 )
 
 FEE_SCALE = 10**6           # fee denominator, parts per million
@@ -452,7 +453,7 @@ def load_pool_file(stream: IO | Iterable[str | bytes]) -> dict[bytes, PoolState]
         if not line.strip():
             continue
         try:
-            pool = pool_from_obj(json.loads(line))
+            pool = pool_from_obj(json.loads(line, object_pairs_hook=unique_keys))
         except (KeyError, TypeError, ValueError) as exc:
             raise LineError(line_no, str(exc)) from None
         pools[pool.address] = pool

@@ -25,7 +25,8 @@ _TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z
 
 
 class RecordSchemaError(LineError):
-    """Schema violation at a 1-based row number."""
+    """Schema violation at a 1-based file line; a row whose quoted field
+    holds a newline is named by the line it ends on."""
 
     unit = "row"
 
@@ -145,7 +146,7 @@ def _records(reader) -> Iterator[ArbitrageRecord]:
     header = next(reader, None)
     if header != _HEADER:
         raise RecordSchemaError(2, f"bad header, expected {','.join(_HEADER)}")
-    for row_no, row in enumerate(reader, start=3):
+    for row in reader:
         if not row:
             continue
         try:
@@ -156,7 +157,7 @@ def _records(reader) -> Iterator[ArbitrageRecord]:
             tx_hash, *values = map(read_json, row, _HEADER, _KINDS, repeat(True))
             yield ArbitrageRecord(parse_tx_hash(tx_hash), *values)
         except ValueError as exc:
-            raise RecordSchemaError(row_no, str(exc)) from exc
+            raise RecordSchemaError(reader.line_num, str(exc)) from exc
 
 
 def read_records(stream: IO | Iterable[str | bytes]) -> list[ArbitrageRecord]:

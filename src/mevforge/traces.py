@@ -103,6 +103,18 @@ def read_json(value, key: str, kind: type, digits: bool = False):
     raise ValueError(f"{key}: expected {expected}, got {value!r:.40}{reason}")
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are distinct strings without a lone
+    surrogate (``object_pairs_hook`` for files edited by hand); json alone
+    keeps a repeated key's last value."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r:.40}")
+        obj[read_json(key, "object key", str)] = value
+    return obj
+
+
 def _parse_hex(text, length: int, what: str) -> bytes:
     """length bytes from hex digits with an optional 0x prefix."""
     if type(text) is not str:

@@ -103,10 +103,17 @@ def json_paths(doc, path=()):
         yield from json_paths(value, (*path, key))
 
 
+ABSENT = object()  # as a replaced() value: remove the key or item at path
+
+
 def replaced(doc, path, value):
-    """A copy of doc with the value at path replaced."""
+    """A copy of doc with the value at path replaced, or removed if value is
+    ABSENT (path must then be nonempty)."""
     if not path:
         return value
     copy = dict(doc) if isinstance(doc, dict) else list(doc)
-    copy[path[0]] = replaced(doc[path[0]], path[1:], value)
+    if value is ABSENT and len(path) == 1:
+        del copy[path[0]]
+    else:
+        copy[path[0]] = replaced(doc[path[0]], path[1:], value)
     return copy

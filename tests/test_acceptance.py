@@ -126,10 +126,10 @@ def test_criterion_5_winner_takes_all_vs_value_wins():
             )
             for b, other in zip(eth_scenario.builders, reversed(eth_scenario.builders))
         ),
+        horizon_ms=eth_scenario.horizon_ms,
         opportunity=eth_scenario.opportunity,
-        proposer=eth_scenario.proposer,
+        proposers=eth_scenario.proposers,
         relay=eth_scenario.relay,
-        proposer_count=eth_scenario.proposer_count,
     )
     eth_flipped = pbs.run_campaign(flipped, 10_000, rng_seed=42)
     flipped_by_id = {row.builder_id: row for row in eth_flipped.summary.builders}

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mevforge import fixtures, pools
@@ -24,6 +24,8 @@ from mevforge.records import (
     timestamp_for_block,
     write_records,
 )
+
+import strategies
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -465,6 +467,20 @@ def test_undecodable_or_oversized_input_names_file_and_line(tmp_path, capsys, ma
     assert capsys.readouterr().err.startswith(f"error: {where}: ")
 
 
+def test_records_faults_name_the_file_line(tmp_path, capsys):
+    """A quoted newline in the first record makes it span lines 3 and 4, so
+    the next record is line 5, for a bad value and a bad byte alike."""
+    text = records_text(sample_record(base_token="US\nDT"), sample_record(block_number=101))
+    for name, data in (
+        ("value", text.replace(",101,", ",1x1,").encode()),
+        ("byte", text.encode().replace(b",101,", b",1\xff1,")),
+    ):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        assert main(["analyze", "--records", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: row 5: ")
+
+
 @settings(max_examples=300, deadline=None)
 @given(column=st.integers(min_value=0, max_value=11), text=st.text(max_size=30))
 def test_any_text_in_any_records_column_reads_or_is_a_schema_error(column, text):
@@ -738,6 +754,7 @@ def duopoly_text(edit) -> str:
         pytest.param(duopoly_text(lambda o: o.update(base_compute_ms=-1000)), id="negative-base-compute"),
         pytest.param(duopoly_text(lambda o: o["proposers"].update(rotation="random")), id="unknown-rotation"),
         pytest.param(duopoly_text(lambda o: o["builders"][0].update(id="al\ud800")), id="builder-id-lone-surrogate"),
+        pytest.param(duopoly_text(lambda o: o["proposers"].update({"\ud800": 1})), id="key-lone-surrogate"),
     ],
 )
 def test_simulate_broken_scenario_is_a_config_error(tmp_path, capsys, text):
@@ -776,6 +793,23 @@ def test_simulate_unknown_scenario_key_is_a_config_error(tmp_path, capsys, edit,
     err = capsys.readouterr().err
     assert err.startswith("error: invalid scenario keys: ")
     assert f"unknown keys {key}" in err
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        pytest.param("bsc_duopoly.json", "horizon_ms", "3000", id="top-level"),
+        pytest.param("eth_duopoly.json", "rebids_enabled", "true", id="relay"),
+    ],
+)
+def test_simulate_repeated_scenario_key_is_a_config_error(tmp_path, capsys, name, key, value):
+    """json keeps a repeated key's last value: a second horizon_ms of 40
+    would make every slot fall back."""
+    bad = tmp_path / "bad.json"
+    given = f'"{key}": {value}'
+    bad.write_text((SCENARIOS / name).read_text().replace(given, f'{given}, "{key}": 40', 1))
+    assert main(["simulate", "--scenario", str(bad), "--slots", "1", "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: invalid scenario keys: {bad}: duplicate key '{key}'\n"
 
 
 def embodied_scenario(directory: Path, pool_text: str, scenario_obj=None) -> Path:
@@ -818,6 +852,7 @@ def v3_line_with(**values):
         pytest.param(v3_line_with(sqrt_price_x96=str(2**160 + 1)), id="sqrt-price-above-max"),
         pytest.param(lambda o: json.dumps({**o, "token0": {**o["token0"], "symbol": None}}), id="symbol-null"),
         pytest.param(lambda o: json.dumps({**o, "token1": {**o["token1"], "symbol": 5}}), id="symbol-number"),
+        pytest.param(lambda o: json.dumps(o)[:-1] + ', "fee_ppm": 3000}', id="repeated-key"),
     ],
 )
 def test_simulate_malformed_pool_file_names_the_line(tmp_path, capsys, edit):
@@ -960,6 +995,64 @@ def test_simulate_makes_a_proposer_blacklist_only_when_it_proposes(tmp_path):
         assert main(["simulate", "--scenario", str(scenario), "--slots", "10", "--seed", "7", "--out", str(out)]) == 0
         outputs.append(read_all(out))
     assert outputs[0] == outputs[1]
+
+
+# -- hostile input, end to end ------------------------------------------------
+
+# One valid input of each format, edited at one site by the no-traceback
+# property: a JSON value at a path of a trace line, a pool line or a
+# scenario, and text in a cell of a label or records file or as a config
+# line.
+HOSTILE_JSON = {
+    "trace": json.loads((DATA / "worked_example_trace.ndjson").read_text()),
+    "pools": [json.loads(line) for line in pools.dump_pool_file(fixtures.gen_pool_fixture(seed=13).pools).splitlines()],
+    **{name: json.loads((SCENARIOS / name).read_text()) for name in ("bsc_duopoly.json", "eth_duopoly.json")},
+    "embodied.json": EMBODIED_SCENARIO,
+}
+HOSTILE_ROWS = {
+    "labels": list(csv.reader((DATA / "builder_labels.csv").read_text().splitlines())),
+    "records": list(csv.reader(records_text(sample_record(), sample_record(block_number=101, builder_brand="X")).splitlines())),
+    "config": [[line] for line in ("share_addresses = 0x" + "ff" * 19 + "fe", "price_table.WBNB = 600.50", "alpha = 0.01")],
+}
+HOSTILE_SITES = [
+    *((name, path) for name, doc in HOSTILE_JSON.items() for path in strategies.json_paths(doc) if name != "pools" or path),
+    *((name, (i, j)) for name, rows in HOSTILE_ROWS.items() for i, row in enumerate(rows) for j in range(len(row))),
+]
+
+
+def hostile_argv(tmp_path: Path, name: str, path: tuple, value) -> list[str]:
+    """The command that reads the input name with value at path, every
+    other input valid; simulate runs 3 slots."""
+    docs, rows = dict(HOSTILE_JSON), dict(HOSTILE_ROWS)
+    edited = docs if name in docs else rows
+    edited[name] = strategies.replaced(edited[name], path, value)
+    for kind, kind_rows in rows.items():
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(kind_rows)
+        text = "".join(line + "\n" for line, in kind_rows) if kind == "config" else buffer.getvalue()
+        (tmp_path / kind).write_bytes(text.encode("utf-8", "surrogatepass"))  # a lone surrogate is not UTF-8
+    (tmp_path / "trace").write_text(json.dumps(docs["trace"]) + "\n")
+    (tmp_path / "pools.ndjson").write_text("".join(json.dumps(line) + "\n" for line in docs["pools"]))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(docs[name if name.endswith(".json") else "embodied.json"]))
+    if name in ("trace", "labels", "config"):
+        return ["extract", "--traces", str(tmp_path / "trace"), "--labels", str(tmp_path / "labels"), "--config", str(tmp_path / "config")]
+    if name == "records":
+        return ["analyze", "--records", str(tmp_path / "records")]
+    return ["simulate", "--scenario", str(scenario), "--slots", "3"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(site=st.sampled_from(HOSTILE_SITES), data=st.data())
+def test_any_edit_of_any_input_exits_0_or_1(tmp_path, capsys, site, data):
+    """capsys makes stderr strict UTF-8, so no error message may carry a
+    lone surrogate either.  Bids stay few: one site changes, so either
+    optimization_rounds or horizon_ms over rebid_interval_ms keeps its
+    bundled size."""
+    name, path = site
+    value = data.draw(strategies.json_values if name in HOSTILE_JSON else st.text(max_size=30), label="value")
+    assert main([*hostile_argv(tmp_path, name, path, value), "--out", str(tmp_path / "o")]) in (0, 1)
+    capsys.readouterr()
 
 
 # -- gen-fixtures -------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from mevforge import fixtures, pools
@@ -47,7 +47,6 @@ def agent(aid, latency, tier=1, bp=2500, nd=0.0, strategy=Strategy.SHORT_HOP):
 
 
 OPP = OpportunityModel(peak_value=10**9, gas_floor=1000)
-PROPOSER = ProposerConfig()
 
 
 # -- horizons -----------------------------------------------------------------
@@ -146,7 +145,7 @@ def test_agent_validation():
 
 
 def test_zero_builders_falls_back():
-    outcome = run_slot_bsc([], PROPOSER, OPP, rng_seed=1)
+    outcome = run_slot_bsc([], OPP, rng_seed=1)
     assert outcome.fallback_used and outcome.winner is None
     assert outcome.proposer_payment == 0
 
@@ -154,7 +153,7 @@ def test_zero_builders_falls_back():
 def test_slow_builder_decayed_below_floor_always_loses():
     fast, slow = agent("fast", 10), agent("slow", 120)
     for height in range(1000):
-        outcome = run_slot_bsc([fast, slow], PROPOSER, OPP, rng_seed=7, height=height)
+        outcome = run_slot_bsc([fast, slow], OPP, rng_seed=7, height=height)
         assert outcome.winner == "fast"
     # the slow builder's bundle would land after the deadline, worthless
     assert OPP.value(Fraction(0) + 2 * slow.latency_ms + slow.compute_ms(Fraction(10))) == 0
@@ -162,8 +161,8 @@ def test_slow_builder_decayed_below_floor_always_loses():
 
 def test_identical_builders_tie_break_lexicographic_and_deterministic():
     a, b = agent("aardvark", 20), agent("bison", 20)
-    first = run_slot_bsc([a, b], PROPOSER, OPP, rng_seed=3, height=5)
-    again = run_slot_bsc([b, a], PROPOSER, OPP, rng_seed=3, height=5)
+    first = run_slot_bsc([a, b], OPP, rng_seed=3, height=5)
+    again = run_slot_bsc([b, a], OPP, rng_seed=3, height=5)
     assert first == again
     assert first.winner == "aardvark"
 
@@ -171,14 +170,14 @@ def test_identical_builders_tie_break_lexicographic_and_deterministic():
 def test_listen_window_collects_equal_arrivals():
     # both arrive inside the 50 ms listen window; the better payment wins
     generous, stingy = agent("generous", 10, bp=9000), agent("stingy", 5, bp=100)
-    outcome = run_slot_bsc([generous, stingy], PROPOSER, OPP, rng_seed=1)
+    outcome = run_slot_bsc([generous, stingy], OPP, rng_seed=1)
     assert outcome.winner == "generous"
     assert len(outcome.bids_received) == 2
 
 
 def test_bid_after_cutoff_is_recorded_but_cannot_win():
     early, late = agent("early", 20), agent("late", 40, bp=9000)
-    outcome = run_slot_bsc([early, late], PROPOSER, OPP, rng_seed=1)
+    outcome = run_slot_bsc([early, late], OPP, rng_seed=1)
     assert {b.builder_id for b in outcome.bids_received} == {"early", "late"}
     assert outcome.winner == "early"  # late pays more but arrives past the cutoff
 
@@ -186,14 +185,14 @@ def test_bid_after_cutoff_is_recorded_but_cannot_win():
 def test_non_delivery_blacklists_and_advances():
     flaky = agent("flaky", 10, bp=9000, nd=1.0)
     backup = agent("backup", 12, bp=100)
-    outcome = run_slot_bsc([flaky, backup], PROPOSER, OPP, rng_seed=11)
+    outcome = run_slot_bsc([flaky, backup], OPP, rng_seed=11)
     assert outcome.blacklist_events == ("flaky",)
     assert outcome.winner == "backup"
 
 
 def test_all_deliveries_fail_falls_back():
     flaky = agent("flaky", 10, nd=1.0)
-    outcome = run_slot_bsc([flaky], PROPOSER, OPP, rng_seed=11)
+    outcome = run_slot_bsc([flaky], OPP, rng_seed=11)
     assert outcome.fallback_used and outcome.winner is None
     assert outcome.blacklist_events == ("flaky",)
 
@@ -210,27 +209,25 @@ def test_schedule_candidate_missing_from_received_is_rejected():
 
 def test_duplicate_builder_ids_are_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="builders: duplicate ids"):
-        run_slot_bsc([agent("a", 10), agent("a", 20)], PROPOSER, OPP, rng_seed=1)
+        run_slot_bsc([agent("a", 10), agent("a", 20)], OPP, rng_seed=1)
     path = write_scenario(tmp_path, lambda o: o["builders"][1].update(id="alpha"))
     with pytest.raises(ConfigError, match="invalid scenario keys: builders: duplicate ids"):
         load_scenario(path)
 
 
 def test_realized_profit_never_negative():
-    outcome = run_slot_bsc([agent("a", 10, bp=10000)], PROPOSER, OPP, rng_seed=2)
+    outcome = run_slot_bsc([agent("a", 10, bp=10000)], OPP, rng_seed=2)
     assert outcome.realized_builder_profit >= 0
     assert outcome.proposer_payment >= 0
 
 
 # -- relay (long-horizon) flow ------------------------------------------------
 
-ETH_PROPOSER = ProposerConfig(horizon_ms=Fraction(12000))
-
 
 def test_single_builder_wins_with_its_single_bid():
     solo = agent("solo", 30, tier=2)
     relay = RelayConfig(rebids_enabled=False)
-    outcome = run_slot_eth([solo], relay, ETH_PROPOSER, OPP, rng_seed=1)
+    outcome = run_slot_eth([solo], relay, OPP, rng_seed=1)
     assert outcome.winner == "solo"
     assert len(outcome.bids_received) == 1
     assert outcome.proposer_payment == outcome.bids_received[0].offered_payment
@@ -239,20 +236,19 @@ def test_single_builder_wins_with_its_single_bid():
 def test_higher_tier_builder_wins_despite_latency():
     fast_small = agent("fast", 20, tier=1)
     slow_big = agent("slow", 120, tier=3, strategy=Strategy.MIXED)
-    outcome = run_slot_eth([fast_small, slow_big], RelayConfig(), ETH_PROPOSER, OPP, rng_seed=1)
+    outcome = run_slot_eth([fast_small, slow_big], RelayConfig(), OPP, rng_seed=1)
     assert outcome.winner == "slow"
     # and flipping the latencies does not change the winner
     flipped = [agent("fast", 120, tier=1), agent("slow", 20, tier=3)]
-    assert run_slot_eth(flipped, RelayConfig(), ETH_PROPOSER, OPP, rng_seed=1).winner == "slow"
+    assert run_slot_eth(flipped, RelayConfig(), OPP, rng_seed=1).winner == "slow"
 
 
 def test_degenerates_to_direct_flow_without_rebids():
     builders = [agent("alpha", 20, tier=1), agent("beta", 120, tier=3)]
-    short = ProposerConfig(horizon_ms=Fraction(3000))
     relay = RelayConfig(delay_ms=Fraction(0), rebids_enabled=False)
     for height in range(200):
-        direct = run_slot_bsc(builders, short, OPP, rng_seed=5, height=height)
-        relayed = run_slot_eth(builders, relay, short, OPP, rng_seed=5, height=height)
+        direct = run_slot_bsc(builders, OPP, rng_seed=5, height=height)
+        relayed = run_slot_eth(builders, relay, OPP, rng_seed=5, height=height, horizon_ms=Fraction(3000))
         assert direct.winner == relayed.winner
 
 
@@ -266,7 +262,7 @@ def test_latency_neutrality_with_unbounded_rebids():
             agent(f"b{i}", rng.randint(1, 900), tier=tiers[i], bp=rng.choice((100, 2500, 8000)))
             for i in range(3)
         ]
-        outcome = run_slot_eth(builders, RelayConfig(delay_ms=Fraction(0)), ETH_PROPOSER, OPP, rng_seed=9)
+        outcome = run_slot_eth(builders, RelayConfig(delay_ms=Fraction(0)), OPP, rng_seed=9)
         expected = max(
             builders,
             key=lambda b: (
@@ -316,8 +312,7 @@ def test_twenty_ms_gap_still_winner_takes_all():
         protocol=Protocol.BSC_DIRECT,
         builders=(agent("near", 20, bp=2500), agent("far", 40, bp=2500)),
         opportunity=OPP,
-        proposer=PROPOSER,
-        proposer_count=3,
+        proposers=ProposerConfig(count=3),
     )
     result = run_campaign(scenario, 2000, rng_seed=2)
     by_id = {row.builder_id: row for row in result.summary.builders}
@@ -366,7 +361,6 @@ def test_latency_monotonicity_in_win_count():
                 agent("rival2", 40, bp=500),
             ),
             opportunity=OPP,
-            proposer=PROPOSER,
         )
         result = run_campaign(scenario, 200, rng_seed=6)
         return {r.builder_id: r.wins for r in result.summary.builders}["mover"]
@@ -392,22 +386,26 @@ def test_scenario_error_lists_offending_keys(tmp_path):
 # -- embodied mode ------------------------------------------------------------
 
 
+# A direct-flow scenario priced by pool search over EMBODIED_POOLS, which it
+# names as pools.ndjson beside it.
+EMBODIED_SCENARIO = {
+    "protocol": "bsc_direct",
+    "horizon_ms": 3000,
+    "builders": [
+        {"id": "tri", "latency_ms": 10, "share_ratio_bp": 2500, "strategy": "mixed"},
+        {"id": "pair", "latency_ms": 10, "share_ratio_bp": 2500, "strategy": "short_hop"},
+    ],
+    "opportunity": {"peak_value": 10**9, "gas_floor": 1000},
+    "pools": "pools.ndjson",
+    "embodied_base_symbol": "WBNB",
+}
+EMBODIED_POOLS = pools.dump_pool_file(fixtures.gen_pool_fixture(seed=13, mispricing_pct=5).pools)
+
+
 def test_embodied_campaign_uses_pool_search(tmp_path):
-    fixture = fixtures.gen_pool_fixture(seed=13, mispricing_pct=5)
-    (tmp_path / "pools.ndjson").write_text(pools.dump_pool_file(fixture.pools))
-    scenario_obj = {
-        "protocol": "bsc_direct",
-        "horizon_ms": 3000,
-        "builders": [
-            {"id": "tri", "latency_ms": 10, "share_ratio_bp": 2500, "strategy": "mixed"},
-            {"id": "pair", "latency_ms": 10, "share_ratio_bp": 2500, "strategy": "short_hop"},
-        ],
-        "opportunity": {"peak_value": 10**9, "gas_floor": 1000},
-        "pools": "pools.ndjson",
-        "embodied_base_symbol": "WBNB",
-    }
+    (tmp_path / "pools.ndjson").write_text(EMBODIED_POOLS)
     path = tmp_path / "embodied.json"
-    path.write_text(json.dumps(scenario_obj))
+    path.write_text(json.dumps(EMBODIED_SCENARIO))
     result = run_campaign(load_scenario(path), 5, rng_seed=2)
     # only the triangle route is mispriced, so the short-hop builder never bids
     assert all(o.winner == "tri" for o in result.outcomes)
@@ -429,31 +427,32 @@ def test_enumerate_cycles_finds_planted_triangle():
 def slot_by_slot_campaign(scenario, n_slots, rng_seed):
     """Reference campaign: every slot runs the public slot flow from scratch
     with its proposer's active blacklist."""
-    blacklists = [dict() for _ in range(scenario.proposer_count)]
+    blacklists = [dict() for _ in range(scenario.proposers.count)]
     outcomes = []
     for height in range(n_slots):
-        blacklist = blacklists[height % scenario.proposer_count]
+        blacklist = blacklists[height % scenario.proposers.count]
         active = frozenset(builder for builder, expiry in blacklist.items() if expiry > height)
         if scenario.protocol is Protocol.BSC_DIRECT:
             outcome = run_slot_bsc(
                 scenario.builders,
-                scenario.proposer,
                 scenario.opportunity,
                 rng_seed,
                 height=height,
+                horizon_ms=scenario.horizon_ms,
+                listen_window_ms=scenario.listen_window_ms,
                 base_compute_ms=scenario.base_compute_ms,
                 blacklisted=active,
             )
             for offender in outcome.blacklist_events:
-                blacklist[offender] = height + scenario.proposer.blacklist_slots
+                blacklist[offender] = height + scenario.proposers.blacklist_slots
         else:
             outcome = run_slot_eth(
                 scenario.builders,
                 scenario.relay,
-                scenario.proposer,
                 scenario.opportunity,
                 rng_seed,
                 height=height,
+                horizon_ms=scenario.horizon_ms,
                 base_compute_ms=scenario.base_compute_ms,
             )
         outcomes.append(outcome)
@@ -493,9 +492,9 @@ def test_campaign_equals_slot_by_slot_reference(
         protocol=protocol,
         builders=tuple(builders),
         opportunity=OPP,
-        proposer=ProposerConfig(horizon_ms=horizon, blacklist_slots=blacklist_slots),
+        horizon_ms=horizon,
+        proposers=ProposerConfig(count=proposer_count, blacklist_slots=blacklist_slots),
         relay=RelayConfig(rebids_enabled=rebids_enabled),
-        proposer_count=proposer_count,
     )
     assert run_campaign(scenario, n_slots, rng_seed).outcomes == slot_by_slot_campaign(scenario, n_slots, rng_seed)
 
@@ -545,6 +544,9 @@ def direct(edit):
         pytest.param(direct(lambda o: o["builders"][0].update(non_delivery_prob="0.1")), "non_delivery_prob", id="nd-string"),
         pytest.param(lambda o: o["builders"][0].update(id=7), "id", id="id-int"),
         pytest.param(lambda o: o.update(horizon_ms="abc"), "horizon_ms", id="horizon-string"),
+        # null is no horizon, though an absent horizon_ms takes the protocol's
+        pytest.param(lambda o: o.update(horizon_ms=None), "horizon_ms", id="horizon-null"),
+        pytest.param(lambda o: o.update(protocol=[]), "protocol", id="protocol-array"),
         pytest.param(direct(lambda o: o.update(listen_window_ms=True)), "listen_window_ms", id="listen-bool"),
     ],
 )
@@ -560,17 +562,29 @@ def test_fraction_keys_accept_floats_and_integers(tmp_path):
     assert load_scenario(SCENARIOS / "eth_duopoly.json").builders[1].infra_tier == 3
 
 
-BUNDLED_SCENARIOS = {name: json.loads((SCENARIOS / name).read_text()) for name in ("bsc_duopoly.json", "eth_duopoly.json")}
-SCENARIO_SITES = [(name, path) for name, doc in BUNDLED_SCENARIOS.items() for path in strategies.json_paths(doc)]
+def test_an_empty_pools_path_names_no_pool_file(tmp_path):
+    assert load_scenario(write_scenario(tmp_path, lambda o: o.update(pools=""))).pools is None
+
+
+BASE_SCENARIOS = {
+    **{name: json.loads((SCENARIOS / name).read_text()) for name in ("bsc_duopoly.json", "eth_duopoly.json")},
+    "embodied.json": EMBODIED_SCENARIO,
+}
+SCENARIO_SITES = [(name, path) for name, doc in BASE_SCENARIOS.items() for path in strategies.json_paths(doc)]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(site=st.sampled_from(SCENARIO_SITES), value=strategies.json_values)
+@given(site=st.sampled_from(SCENARIO_SITES), value=strategies.json_values | st.just(strategies.ABSENT))
 @example(site=("bsc_duopoly.json", ("builders", 0, "id")), value="al\ud800")
+@example(site=("bsc_duopoly.json", ("horizon_ms",)), value=None)
+@example(site=("embodied.json", ("pools",)), value="")
+@example(site=("eth_duopoly.json", ("protocol",)), value=[])
 def test_any_json_value_at_any_scenario_key_loads_or_is_a_config_error(tmp_path, site, value):
     name, path = site
+    assume(path or value is not strategies.ABSENT)
+    (tmp_path / "pools.ndjson").write_text(EMBODIED_POOLS)
     scenario_file = tmp_path / "scenario.json"
-    scenario_file.write_text(json.dumps(strategies.replaced(BUNDLED_SCENARIOS[name], path, value)))
+    scenario_file.write_text(json.dumps(strategies.replaced(BASE_SCENARIOS[name], path, value)))
     try:
         scenario = load_scenario(scenario_file)
     except ConfigError:
