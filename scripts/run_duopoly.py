@@ -4,13 +4,9 @@ who wins, plus the coordination-window arithmetic behind the outcome."""
 
 import argparse
 from fractions import Fraction
-from pathlib import Path
 
 from mevforge import pbs
 from mevforge.reports import decimal_str
-
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -19,7 +15,7 @@ def main() -> None:
     args = parser.parse_args()
 
     for name in ("bsc_duopoly.json", "eth_duopoly.json"):
-        scenario = pbs.load_scenario(SCENARIOS / name)
+        scenario = pbs.load_scenario(pbs.BUNDLED_SCENARIOS / name)
         result = pbs.run_campaign(scenario, args.slots, args.seed)
         print(f"\n== {name} ({scenario.protocol.value}, horizon {scenario.horizon_ms} ms)")
         print(f"{'builder':<10} {'wins':>8} {'win_share':>10} {'profit':>16} {'proposer_rev':>14}")

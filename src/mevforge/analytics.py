@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .records import ArbitrageRecord
 
@@ -40,7 +40,6 @@ class UndefinedCorrelationError(ValueError):
 class ShareRow:
     brand: str
     block_count: int
-    validator_count: int
     share: Fraction
 
 
@@ -52,26 +51,14 @@ class ShareTable:
         return sum((row.share for row in self.rows[:k]), Fraction(0))
 
 
-def market_share(
-    block_counts: Mapping[str, int],
-    validator_counts: Optional[Mapping[str, int]] = None,
-) -> ShareTable:
+def market_share(block_counts: Mapping[str, int]) -> ShareTable:
     """Exact rational market shares, ordered non-increasing."""
     if any(c < 0 for c in block_counts.values()):
         raise ValueError("block counts must be non-negative")
     total = sum(block_counts.values())
     if total == 0:
         raise EmptyMarketError("no blocks produced by any brand")
-    validator_counts = validator_counts or {}
-    rows = [
-        ShareRow(
-            brand=brand,
-            block_count=count,
-            validator_count=validator_counts.get(brand, 0),
-            share=Fraction(count, total),
-        )
-        for brand, count in block_counts.items()
-    ]
+    rows = [ShareRow(brand, count, Fraction(count, total)) for brand, count in block_counts.items()]
     rows.sort(key=lambda r: (-r.share, r.brand))
     return ShareTable(rows=tuple(rows))
 

@@ -156,13 +156,3 @@ def to_usd(amount: int, token: TokenId, price_table: Mapping[str, Fraction]) -> 
         raise MissingPriceError(f"no price for {token.symbol}")
     price = Fraction(price_table[token.symbol])
     return Fraction(amount) * price / 10**token.decimals
-
-
-def profit_to_fee_ratio(breakdown: ProfitBreakdown) -> Optional[Fraction]:
-    """Net profit per unit of deductions (gas in base units plus share).
-    Undefined (None) when there were no deductions at all."""
-    fees = breakdown.gas_in_base_units + breakdown.share
-    if fees == 0:
-        return None
-    return Fraction(breakdown.net, fees)
-

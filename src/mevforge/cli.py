@@ -24,7 +24,7 @@ from .arbitrage import (
     extract_arbitrage_cycle,
     to_usd,
 )
-from .config import BLOCK_INTERVAL_S, ConfigFileError, RunConfig, load_config
+from .config import ConfigFileError, RunConfig, load_config
 from .traces import (
     LabelFileError,
     LabelSet,
@@ -85,7 +85,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
                     breakdown = attribute_profit(tx, cycle, config.share_addresses, config.price_table)
                     usd_value = to_usd(breakdown.net, cycle.base_token, config.price_table)
                     share_usd = to_usd(breakdown.share, cycle.base_token, config.price_table)
-                    timestamp = records.timestamp_for_block(tx.block_number, config.genesis_unix, BLOCK_INTERVAL_S)
+                    timestamp = records.timestamp_for_block(tx.block_number, config.genesis_unix)
                 except (MissingPriceError, records.TimestampRangeError) as exc:
                     errors_rows.append((format_address(tx.hash), str(exc)))
                     continue
@@ -238,39 +238,6 @@ def _write_manifest(out: Path, manifest: dict) -> None:
         fh.write("\n")
 
 
-DUOPOLY_BUILDERS = [
-    {"id": "alpha", "latency_ms": 20, "strategy": "short_hop", "share_ratio_bp": 2500, "infra_tier": 1.0, "non_delivery_prob": 0.0},
-    {"id": "beta", "latency_ms": 120, "strategy": "mixed", "share_ratio_bp": 2500, "infra_tier": 3.0, "non_delivery_prob": 0.0},
-]
-
-
-def duopoly_scenario(protocol: str) -> dict:
-    """The bundled duopoly scenario of a protocol, holding only the keys
-    its flow reads."""
-    direct = protocol == "bsc_direct"
-    scenario = {
-        "protocol": protocol,
-        "horizon_ms": 3000 if direct else 12000,
-        "listen_window_ms": 50,
-        "base_compute_ms": 10,
-        "builders": [b if direct else {k: v for k, v in b.items() if k != "non_delivery_prob"} for b in DUOPOLY_BUILDERS],
-        "opportunity": {
-            "decay": "piecewise",
-            "peak_value": 10**9,
-            "gas_floor": 1000,
-            "knee_ms": 100,
-            "deadline_ms": 200,
-            "birth_ms": 0,
-            "tail_value": 0,
-        },
-        "proposers": {"count": 5, "rotation": "round_robin", "blacklist_slots": 100},
-        "relay": {"delay_ms": 0, "rebid_interval_ms": 500, "optimization_rounds": 8, "rebids_enabled": True},
-        "pools": None,
-    }
-    del scenario["relay" if direct else "listen_window_ms"]
-    return scenario
-
-
 def cmd_gen_fixtures(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
     if args.kind == "traces":
@@ -297,12 +264,10 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
             count = records.write_records(fh, fixtures.gen_records(args.seed, 500 if args.count is None else args.count))
         _write_manifest(out, {"kind": "records", "seed": args.seed, "rows": count})
     elif args.kind == "scenario":
-        for protocol in ("bsc_direct", "eth_relay"):
-            name = "bsc_duopoly.json" if protocol == "bsc_direct" else "eth_duopoly.json"
-            with open(out / name, "w", encoding="utf-8") as fh:
-                json.dump(duopoly_scenario(protocol), fh, indent=2)
-                fh.write("\n")
-        _write_manifest(out, {"kind": "scenario", "seed": args.seed, "files": ["bsc_duopoly.json", "eth_duopoly.json"]})
+        names = ["bsc_duopoly.json", "eth_duopoly.json"]
+        for name in names:
+            (out / name).write_bytes((pbs.BUNDLED_SCENARIOS / name).read_bytes())
+        _write_manifest(out, {"kind": "scenario", "seed": args.seed, "files": names})
     else:  # pragma: no cover - argparse restricts choices
         print(f"error: unknown fixture kind {args.kind}", file=sys.stderr)
         return 2

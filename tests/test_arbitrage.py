@@ -17,7 +17,6 @@ from mevforge.arbitrage import (
     attribute_profit,
     extract_arbitrage_cycle,
     gas_cost_in_base_units,
-    profit_to_fee_ratio,
     to_usd,
 )
 from mevforge.traces import (
@@ -278,12 +277,9 @@ def test_missing_price_is_an_error_not_zero():
         to_usd(breakdown.net, breakdown.base_token, {"WBNB": Fraction(600)})
 
 
-def test_usd_and_fee_ratio():
+def test_usd_values():
     tx = cycle_tx(gross=3040, share_transfers=(820,))
     breakdown = attribute_profit(tx, extract_arbitrage_cycle(tx))
     assert to_usd(breakdown.net, breakdown.base_token, {"AAA": Fraction(1)}) == Fraction(2220, 10**18)
     assert to_usd(breakdown.share, breakdown.base_token, {"AAA": Fraction(1)}) == Fraction(820, 10**18)
-    assert profit_to_fee_ratio(breakdown) == Fraction(2220, 820)
-    no_fees = attribute_profit(cycle_tx(gross=7), extract_arbitrage_cycle(cycle_tx(gross=7)))
-    assert profit_to_fee_ratio(no_fees) is None
 

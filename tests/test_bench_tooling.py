@@ -57,8 +57,7 @@ EMBODIED_SEARCH_DIGESTS = {
 def test_embodied_search_matches_pinned_digest(seed):
     """best_input_search over every cycle of the generated V2/V3 graph, with
     the input bounds the embodied simulation uses."""
-    from mevforge.pbs import _v2_reserve_scale, enumerate_cycles
-    from mevforge.pools import best_input_search
+    from mevforge.pools import _v2_reserve_scale, best_input_search, enumerate_cycles
 
     pools = load_perfbench("gen_embodied").pool_graph(seed)
     cycles = enumerate_cycles(pools, "WBNB")

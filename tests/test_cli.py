@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mevforge import fixtures, pools
 from mevforge.cli import main
 from mevforge.config import ConfigFileError, RunConfig, load_config
+from mevforge.pbs import BUNDLED_SCENARIOS as SCENARIOS
 from mevforge.records import (
     ArbitrageRecord,
     RecordSchemaError,
@@ -27,8 +28,8 @@ from mevforge.records import (
 
 import strategies
 
-DATA = Path(__file__).resolve().parent.parent / "data"
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 
 def read_all(directory: Path) -> dict[str, bytes]:
@@ -82,7 +83,7 @@ def test_bad_row_reports_row_number():
     broken = buffer.getvalue().replace(",2220,", ",99,", 1)
     with pytest.raises(RecordSchemaError) as excinfo:
         read_records(io.StringIO(broken))
-    assert excinfo.value.row_no == 3
+    assert excinfo.value.line_no == 3
 
 
 def test_fraction_rendering_is_exact():
@@ -95,7 +96,7 @@ def test_fraction_rendering_is_exact():
 
 def test_timestamps_derived_from_blocks():
     assert timestamp_for_block(0, 0) == "1970-01-01T00:00:00Z"
-    assert timestamp_for_block(10, 3, block_interval_s=3) == "1970-01-01T00:00:33Z"
+    assert timestamp_for_block(10, 3) == "1970-01-01T00:00:33Z"
 
 
 def test_timestamps_span_years_1_to_9999_with_four_digits():
@@ -448,6 +449,10 @@ def pool_file_with_bad_byte(tmp_path):
         pytest.param(config_with("price_table.WBNB = 0"), id="config-price-zero"),
         pytest.param(config_with("alpha = 2"), id="config-alpha-above-one"),
         pytest.param(config_with("risk.X = 1,0,2"), id="config-risk-bit-two"),
+        # a boolean is a JSON literal, as in scenario files
+        pytest.param(config_with("infer_pool_sinks = yes"), id="config-boolean-yes"),
+        pytest.param(config_with("infer_pool_sinks = 1"), id="config-boolean-one"),
+        pytest.param(config_with("infer_pool_sinks = TRUE"), id="config-boolean-upper-case"),
         pytest.param(
             scenario_with(lambda o: o["builders"][0].update(latency_ms="1e3"), "builders[0]: latency_ms"),
             id="scenario-latency-exponent",
@@ -668,14 +673,25 @@ PINNED_PIPELINE_DIGESTS = {
         "shares.csv": "f6f3096e3a8798683ad38855d2fe8b449adbd8d91dae0e3ac62a3614114d1afc",
         "trends.csv": _HEADER_ONLY_TRENDS,
     },
+    # four days of records, so trends.csv holds a Mann-Kendall row per series
+    "records-5-5000": {
+        "complexity_ecdf.csv": "4d8f38936f7ad176b3a6707115aaf6bb9df9b44dd585fd4396ddad307119830a",
+        "complexity_hist.csv": "1f054fb6c8c2a6eae000bfc4df3d45a565492aa54db1752bd92c169643f9ad30",
+        "correlations.csv": "6c0df6ce6e9226058e2c8d0137d13b428a73ad42bf766f634563300b007858ab",
+        "profit_matrix.csv": "3dc2015aced50e09d68677d03840cc7c9a4a5de6b05741ca675cf852af069926",
+        "proposer_split.csv": "5d70aedf6d954a2c6dada059fb1079c6a9de15228b78a185adf068c68bcbcee6",
+        "risk_scores.csv": _MAJORS_RISK,
+        "shares.csv": "517852ca63e149305d9ff938bdd24c4f009b08cce105250c190a639256db3a89",
+        "trends.csv": "a327670a80fc9d3db2b613e880e0c6c14da85d1ecad6e277dbf62df3b78859f5",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_PIPELINE_DIGESTS))
 def test_extract_and_analyze_outputs_match_pinned_digests(tmp_path, name):
-    kind, seed = name.split("-")
+    kind, seed, *given = name.split("-")  # kind-seed, or kind-seed-count
     fixture = tmp_path / "fx"
-    count = "2000" if kind == "traces" else "500"
+    count = given[0] if given else "2000" if kind == "traces" else "500"
     assert main(["gen-fixtures", "--kind", kind, "--seed", seed, "--count", count, "--out", str(fixture)]) == 0
     records_path, outputs = fixture / "records.csv", {}
     if kind == "traces":
@@ -1103,6 +1119,8 @@ def test_gen_fixtures_scenario_equals_the_bundled_files(tmp_path):
     assert main(["gen-fixtures", "--kind", "scenario", "--out", str(out)]) == 0
     for name in ("bsc_duopoly.json", "eth_duopoly.json"):
         assert (out / name).read_bytes() == (SCENARIOS / name).read_bytes()
+        # the repository's scenarios/ holds links to the packaged files, not copies
+        assert (ROOT / "scenarios" / name).resolve() == (SCENARIOS / name).resolve()
 
 
 def test_gen_fixtures_scenario_loads(tmp_path):

@@ -2,7 +2,6 @@
 
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -21,8 +20,8 @@ from mevforge.pbs import (
     RelayConfig,
     SimScenario,
     Strategy,
+    BUNDLED_SCENARIOS as SCENARIOS,
     contestable_window,
-    enumerate_cycles,
     load_scenario,
     missing_horizon,
     run_campaign,
@@ -31,8 +30,6 @@ from mevforge.pbs import (
 )
 
 import strategies
-
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def agent(aid, latency, tier=1, bp=2500, nd=0.0, strategy=Strategy.SHORT_HOP):
@@ -410,15 +407,6 @@ def test_embodied_campaign_uses_pool_search(tmp_path):
     # only the triangle route is mispriced, so the short-hop builder never bids
     assert all(o.winner == "tri" for o in result.outcomes)
     assert result.outcomes[0].proposer_payment > 0
-
-
-def test_enumerate_cycles_finds_planted_triangle():
-    fixture = fixtures.gen_pool_fixture(seed=13)
-    cycles = enumerate_cycles(fixture.pools, "WBNB")
-    lengths = {c.n_hops for c in cycles}
-    assert 2 in lengths and 3 in lengths
-    planted = fixture.descriptor
-    assert any(c.pools == planted.pools for c in cycles)
 
 
 # -- bid schedules vs slot-by-slot campaigns ----------------------------------

@@ -23,6 +23,7 @@ from mevforge.pools import (
     best_input_search,
     cycle_delta,
     dump_pool_file,
+    enumerate_cycles,
     load_pool_file,
     quote_v2,
     split_delta,
@@ -579,6 +580,15 @@ def test_search_matches_a_search_threaded_by_hand(path):
     descriptor, pools, amount0 = path
     hi = max(amount0, 2)
     assert best_input_search(descriptor, pools, 1, hi) == search_threaded_by_hand(descriptor, pools, 1, hi)
+
+
+def test_enumerate_cycles_finds_planted_triangle():
+    fixture = fixtures.gen_pool_fixture(seed=13)
+    cycles = enumerate_cycles(fixture.pools, "WBNB")
+    lengths = {c.n_hops for c in cycles}
+    assert 2 in lengths and 3 in lengths
+    planted = fixture.descriptor
+    assert any(c.pools == planted.pools for c in cycles)
 
 
 # -- fixture files ------------------------------------------------------------
