@@ -3,14 +3,15 @@
 Market shares, per-builder/per-token profit matrices, proposer payout
 splits, swap-path complexity, path-length/profit correlation, a
 tie-corrected Mann-Kendall trend test and a three-feature centralisation
-risk score.  Aggregation runs in exact rational arithmetic; decimal
-rounding happens only when reports are rendered.
+risk score.  Aggregation runs in exact rational arithmetic, in one pass
+over the records (RecordTotals); decimal rounding happens only when
+reports are rendered.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -64,16 +65,28 @@ def market_share(block_counts: Mapping[str, int]) -> ShareTable:
 
 
 # ---------------------------------------------------------------------------
-# profit matrix and proposer split
+# exact sums, profit matrix and proposer split
+
+
+class ExactSum:
+    """An exact sum of rationals, kept as one integer numerator sum per
+    denominator: adding n/d costs an integer add, and a Fraction is built
+    once per denominator, by value().  d need not be reduced."""
+
+    def __init__(self) -> None:
+        self.numerators: dict[int, int] = {}
+
+    def add(self, numerator: int, denominator: int) -> None:
+        numerators = self.numerators
+        numerators[denominator] = numerators.get(denominator, 0) + numerator
+
+    def value(self) -> Fraction:
+        return sum((Fraction(n, d) for d, n in self.numerators.items()), Fraction(0))
 
 
 def profit_matrix(records: Iterable[ArbitrageRecord]) -> dict[tuple[str, str], Fraction]:
     """Sum net USD profit per (brand, token) cell."""
-    matrix: dict[tuple[str, str], Fraction] = {}
-    for record in records:
-        key = (record.builder_brand, record.base_token)
-        matrix[key] = matrix.get(key, Fraction(0)) + record.usd_value
-    return matrix
+    return RecordTotals(records).profit_matrix()
 
 
 def matrix_token_totals(matrix: Mapping[tuple[str, str], Fraction]) -> dict[str, Fraction]:
@@ -101,18 +114,7 @@ class ProposerSplit:
 def proposer_split(records: Iterable[ArbitrageRecord]) -> dict[str, ProposerSplit]:
     """Per brand: dollars kept (net) vs dollars paid onward (share), and the
     payout fraction paid / (paid + kept)."""
-    paid: dict[str, Fraction] = {}
-    kept: dict[str, Fraction] = {}
-    for record in records:
-        brand = record.builder_brand
-        paid[brand] = paid.get(brand, Fraction(0)) + record.share_usd
-        kept[brand] = kept.get(brand, Fraction(0)) + record.usd_value
-    out: dict[str, ProposerSplit] = {}
-    for brand in sorted(paid):
-        p, n = paid[brand], kept[brand]
-        fraction = p / (p + n) if (p + n) != 0 else Fraction(0)
-        out[brand] = ProposerSplit(kept_usd=n, paid_usd=p, payout_fraction=fraction)
-    return out
+    return RecordTotals(records).proposer_split()
 
 
 # ---------------------------------------------------------------------------
@@ -204,30 +206,60 @@ def path_complexity(hop_counts: Iterable[int]) -> PathComplexity:
     return PathComplexity(histogram=histogram, ecdf=tuple(ecdf))
 
 
-def pathlen_profit_correlation(points: Iterable[tuple]) -> float:
-    """Pearson correlation of (hop count, profit per swap) pairs.
+class PearsonMoments:
+    """Moments of (x, y) points, grouped by x: per x, the count and the
+    exact sums of y and y^2.  A point's y is given as a numerator and a
+    denominator, which need not be reduced."""
 
-    Sums are accumulated exactly and only the final square root leaves
-    rational arithmetic, so perfectly linear inputs give exactly +/-1.0.
-    """
-    xs, ys = [], []
+    def __init__(self) -> None:
+        self.groups: dict = {}  # x -> [count, sum of y, sum of y^2]
+
+    def add(self, x, numerator: int, denominator: int) -> None:
+        group = self.groups.get(x)
+        if group is None:
+            group = self.groups[x] = [0, ExactSum(), ExactSum()]
+        group[0] += 1
+        group[1].add(numerator, denominator)
+        group[2].add(numerator * numerator, denominator * denominator)
+
+    def correlation(self) -> float:
+        """Pearson correlation of the points added.
+
+        sxx = sum(x^2) - sum(x)^2 / n, and likewise syy and sxy, are the same
+        rationals as the two-pass sums of squared deviations; only the final
+        square root leaves rational arithmetic, so perfectly linear inputs
+        give exactly +/-1.0.
+        """
+        n = sum(count for count, _sy, _syy in self.groups.values())
+        if n < 2:
+            raise UndefinedCorrelationError("need at least 2 points")
+        sum_x = sum_xx = sum_y = sum_yy = sum_xy = Fraction(0)
+        for x, (count, sy, syy) in self.groups.items():
+            group_y = sy.value()
+            sum_x += x * count
+            sum_xx += x * x * count
+            sum_y += group_y
+            sum_yy += syy.value()
+            sum_xy += x * group_y
+        sxx = sum_xx - sum_x * sum_x / n
+        syy = sum_yy - sum_y * sum_y / n
+        sxy = sum_xy - sum_x * sum_y / n
+        if sxx == 0 or syy == 0:
+            raise UndefinedCorrelationError("zero variance in one coordinate")
+        if sxy == 0:
+            return 0.0
+        magnitude = math.sqrt(float(Fraction(sxy * sxy, sxx * syy)))
+        return magnitude if sxy > 0 else -magnitude
+
+
+def pathlen_profit_correlation(points: Iterable[tuple]) -> float:
+    """Pearson correlation of (hop count, profit per swap) pairs, computed
+    exactly from their PearsonMoments."""
+    moments = PearsonMoments()
     for x, y in points:
-        xs.append(Fraction(x))
-        ys.append(Fraction(y))
-    n = len(xs)
-    if n < 2:
-        raise UndefinedCorrelationError("need at least 2 points")
-    mean_x = sum(xs, Fraction(0)) / n
-    mean_y = sum(ys, Fraction(0)) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    syy = sum((y - mean_y) ** 2 for y in ys)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    if sxx == 0 or syy == 0:
-        raise UndefinedCorrelationError("zero variance in one coordinate")
-    if sxy == 0:
-        return 0.0
-    magnitude = math.sqrt(float(Fraction(sxy * sxy, sxx * syy)))
-    return magnitude if sxy > 0 else -magnitude
+        y = Fraction(y)
+        moments.add(Fraction(x), y.numerator, y.denominator)
+    return moments.correlation()
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +287,62 @@ def risk_score(symbol: str, freezable: int, custodial: int, external_chain: int)
         external_chain=external_chain,
         score=Fraction(sum(bits), 3),
     )
+
+
+# ---------------------------------------------------------------------------
+# the one-pass fold of records
+
+
+class RecordTotals:
+    """What the analyze reports need from records, folded one record at a
+    time: distinct blocks and Pearson moments per brand, dollars per
+    (brand, token) cell and per (brand, day), hop counts and payouts.  No
+    record is held, so memory grows with brands x tokens x days plus
+    distinct blocks (and distinct dollar denominators), not with rows."""
+
+    def __init__(self, records: Iterable[ArbitrageRecord]) -> None:
+        self.rows = 0
+        self.blocks: dict[str, set[int]] = {}
+        self.hops: Counter[int] = Counter()
+        self.moments: dict[str, PearsonMoments] = defaultdict(PearsonMoments)
+        self._cells: dict[tuple[str, str], ExactSum] = defaultdict(ExactSum)
+        self._paid: dict[str, ExactSum] = defaultdict(ExactSum)
+        self._day_usd: dict[tuple[str, str], ExactSum] = defaultdict(ExactSum)
+        self._day_txs: Counter[tuple[str, str]] = Counter()
+        for record in records:
+            self.rows += 1
+            brand, hops, usd, share = record.builder_brand, record.hop_count, record.usd_value, record.share_usd
+            day = (brand, record.timestamp_utc[:10])
+            self.blocks.setdefault(brand, set()).add(record.block_number)
+            self.hops[hops] += 1
+            self.moments[brand].add(hops, usd.numerator, usd.denominator * hops)  # (h, usd / h)
+            self._cells[brand, record.base_token].add(usd.numerator, usd.denominator)
+            self._paid[brand].add(share.numerator, share.denominator)
+            self._day_usd[day].add(usd.numerator, usd.denominator)
+            self._day_txs[day] += 1
+
+    def profit_matrix(self) -> dict[tuple[str, str], Fraction]:
+        return {cell: usd.value() for cell, usd in self._cells.items()}
+
+    def proposer_split(self) -> dict[str, ProposerSplit]:
+        kept: dict[str, Fraction] = {}
+        for (brand, _token), usd in self.profit_matrix().items():
+            kept[brand] = kept.get(brand, Fraction(0)) + usd
+        out: dict[str, ProposerSplit] = {}
+        for brand in sorted(self._paid):
+            p, n = self._paid[brand].value(), kept[brand]
+            fraction = p / (p + n) if (p + n) != 0 else Fraction(0)
+            out[brand] = ProposerSplit(kept_usd=n, paid_usd=p, payout_fraction=fraction)
+        return out
+
+    def daily_series(self) -> dict[str, list]:
+        """Daily UTC profit (usd_<brand>) and activity (txs_<brand>) series,
+        one value per observed date: a date with no record at all is in no
+        series, and a brand absent on an observed date reads 0 there."""
+        ordered = sorted({day for _brand, day in self._day_txs})
+        usd = {key: total.value() for key, total in self._day_usd.items()}
+        series: dict[str, list] = {}
+        for brand in sorted(self.blocks):
+            series[f"usd_{brand}"] = [usd.get((brand, day), Fraction(0)) for day in ordered]
+            series[f"txs_{brand}"] = [self._day_txs[brand, day] for day in ordered]
+        return series

@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import analytics, fixtures, pbs, pools, records, reports
@@ -129,68 +128,43 @@ def cmd_extract(args: argparse.Namespace) -> int:
 # analyze
 
 
-def _daily_series(rows: list[records.ArbitrageRecord]) -> dict[str, list[Fraction]]:
-    """Daily UTC profit and activity series per builder, dense over the
-    observed date range."""
-    by_key: dict[tuple[str, str], dict[str, Fraction]] = {}
-    dates: set[str] = set()
-    for row in rows:
-        day = row.timestamp_utc[:10]
-        dates.add(day)
-        usd = by_key.setdefault(("usd", row.builder_brand), {})
-        usd[day] = usd.get(day, Fraction(0)) + row.usd_value
-        count = by_key.setdefault(("txs", row.builder_brand), {})
-        count[day] = count.get(day, Fraction(0)) + 1
-    ordered = sorted(dates)
-    return {
-        f"{metric}_{brand}": [per_day.get(day, Fraction(0)) for day in ordered]
-        for (metric, brand), per_day in sorted(by_key.items())
-    }
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else RunConfig()
     out = _out_dir(args.out)
     try:
         with open(args.records, "rb") as fh:
-            rows = records.read_records(fh)
+            totals = analytics.RecordTotals(records.iter_records(fh))
     except records.RecordSchemaError as exc:
         print(f"error: {args.records}: {exc}", file=sys.stderr)
         return 1
 
     # market share from distinct blocks per brand
-    blocks_by_brand: dict[str, set[int]] = {}
-    for row in rows:
-        blocks_by_brand.setdefault(row.builder_brand, set()).add(row.block_number)
     table = analytics.ShareTable(())
-    if blocks_by_brand:
-        table = analytics.market_share({b: len(s) for b, s in blocks_by_brand.items()})
+    if totals.blocks:
+        table = analytics.market_share({b: len(s) for b, s in totals.blocks.items()})
     reports.write_text(out / "shares.csv", lambda fh: reports.write_share_table(fh, table))
 
-    matrix = analytics.profit_matrix(rows)
+    matrix = totals.profit_matrix()
     reports.write_text(out / "profit_matrix.csv", lambda fh: reports.write_profit_matrix(fh, matrix))
-    splits = analytics.proposer_split(rows)
+    splits = totals.proposer_split()
     reports.write_text(out / "proposer_split.csv", lambda fh: reports.write_proposer_split(fh, splits))
 
-    complexity = analytics.path_complexity(row.hop_count for row in rows)
+    complexity = analytics.path_complexity(totals.hops.elements())
     with open(out / "complexity_hist.csv", "w", encoding="utf-8", newline="") as hist_fh, open(
         out / "complexity_ecdf.csv", "w", encoding="utf-8", newline=""
     ) as ecdf_fh:
         reports.write_complexity(hist_fh, ecdf_fh, complexity)
 
     correlations: list[tuple[str, float | None]] = []
-    for brand in sorted({row.builder_brand for row in rows}):
-        points = [
-            (row.hop_count, row.usd_value / row.hop_count) for row in rows if row.builder_brand == brand
-        ]
+    for brand, moments in totals.moments.items():
         try:
-            correlations.append((brand, analytics.pathlen_profit_correlation(points)))
+            correlations.append((brand, moments.correlation()))
         except analytics.UndefinedCorrelationError:
             correlations.append((brand, None))
     reports.write_text(out / "correlations.csv", lambda fh: reports.write_correlations(fh, correlations))
 
     trends: dict[str, analytics.TrendResult] = {}
-    for name, series in _daily_series(rows).items():
+    for name, series in totals.daily_series().items():
         try:
             trends[name] = analytics.mann_kendall(series, config.alpha)
         except analytics.InsufficientDataError:
@@ -199,12 +173,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     scores = [
         analytics.risk_score(symbol, *config.risk_bits[symbol])
-        for symbol in sorted({row.base_token for row in rows})
+        for symbol in sorted({token for _brand, token in matrix})
         if symbol in config.risk_bits
     ]
     reports.write_text(out / "risk_scores.csv", lambda fh: reports.write_risk_scores(fh, scores))
 
-    print(f"analyzed={len(rows)} brands={len(blocks_by_brand)} reports={out}")
+    print(f"analyzed={totals.rows} brands={len(totals.blocks)} reports={out}")
     return 0
 
 

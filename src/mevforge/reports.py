@@ -1,7 +1,7 @@
 """Deterministic report emitters.
 
 Every table is written with a fixed column order, fixed row ordering and
-fixed decimal rendering (round half up), so identical inputs always
+fixed decimal rendering (round half away from zero), so identical inputs always
 produce byte-identical files regardless of input row order.
 """
 
@@ -17,12 +17,14 @@ from .pbs import CampaignSummary, SlotOutcome
 
 
 def decimal_str(value: Fraction, places: int) -> str:
-    """Render a rational as a decimal string, round half up at `places`."""
-    sign = "-" if value < 0 else ""
+    """Render a rational as a decimal string at `places`, rounding half away
+    from zero (-0.005 at 2 places is -0.01); a value that rounds to zero is
+    written without a sign."""
     scaled = abs(value) * 10**places
     units, remainder = divmod(scaled.numerator, scaled.denominator)
     if 2 * remainder >= scaled.denominator:
         units += 1
+    sign = "-" if value < 0 and units else ""
     digits = str(units).rjust(places + 1, "0")
     if places == 0:
         return sign + digits

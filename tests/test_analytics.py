@@ -1,16 +1,23 @@
-"""Shares, profit matrices, trend test, correlation, risk scores."""
+"""Shares, profit matrices, trend test, correlation, risk scores, decimal
+rendering, and analyze's one-pass sums against the two-pass reference."""
 
+import io
 import itertools
+import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mevforge import reports
 from mevforge.analytics import (
     EmptyMarketError,
     InsufficientDataError,
+    ProposerSplit,
+    ShareTable,
     TrendDirection,
     UndefinedCorrelationError,
     mann_kendall,
@@ -23,8 +30,10 @@ from mevforge.analytics import (
     risk_score,
     token_builder_share,
 )
-from mevforge.records import ArbitrageRecord
-from mevforge.reports import percent_str
+from mevforge.cli import main
+from mevforge.config import RunConfig
+from mevforge.records import SCHEMA_VERSION, ArbitrageRecord, read_records
+from mevforge.reports import decimal_str, percent_str
 
 PUBLISHED_BLOCK_COUNTS = {
     "48Club": 6_119_452,
@@ -137,6 +146,30 @@ def test_empty_and_single_cell_matrices():
     assert profit_matrix([]) == {}
     matrix = profit_matrix([record("X", "USDT", usd=5, net=5)])
     assert matrix == {("X", "USDT"): 5}
+
+
+@pytest.mark.parametrize(
+    "value, places, text",
+    [
+        (Fraction(-1, 1000), 2, "0.00"),
+        (Fraction(-4999, 10**6), 2, "0.00"),
+        (Fraction(-5, 1000), 2, "-0.01"),
+        (Fraction(5, 1000), 2, "0.01"),
+        (Fraction(-1, 2), 0, "-1"),
+        (Fraction(-1, 3), 0, "0"),
+        (Fraction(0), 2, "0.00"),
+        (Fraction(-1234565, 1000), 2, "-1234.57"),
+    ],
+)
+def test_decimal_str_rounds_half_away_from_zero_and_signs_no_zero(value, places, text):
+    assert decimal_str(value, places) == text
+
+
+def test_a_loss_under_half_a_cent_renders_as_unsigned_zero():
+    assert percent_str(Fraction(-1, 10**7)) == "0.00"
+    buffer = io.StringIO()
+    reports.write_profit_matrix(buffer, profit_matrix([record("X", "USDT", usd=Fraction(-1, 1000), net=-1)]))
+    assert buffer.getvalue().splitlines()[1] == "X,USDT,0.00,100.00"
 
 
 # -- proposer split -----------------------------------------------------------
@@ -283,6 +316,51 @@ def test_matches_two_pass_float_oracle():
     assert abs(ours - two_pass_float_pearson(points)) < 1e-12
 
 
+def two_pass_exact_pearson(points):
+    """Pearson by exact sums of squared deviations from the means, as
+    computed before the moments form."""
+    xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) for _, y in points]
+    n = len(xs)
+    if n < 2:
+        raise UndefinedCorrelationError("need at least 2 points")
+    mean_x, mean_y = sum(xs, Fraction(0)) / n, sum(ys, Fraction(0)) / n
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    syy = sum((y - mean_y) ** 2 for y in ys)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    if sxx == 0 or syy == 0:
+        raise UndefinedCorrelationError("zero variance in one coordinate")
+    if sxy == 0:
+        return 0.0
+    magnitude = math.sqrt(float(Fraction(sxy * sxy, sxx * syy)))
+    return magnitude if sxy > 0 else -magnitude
+
+
+def pearson_or_none(pearson, points):
+    try:
+        return pearson(points)
+    except UndefinedCorrelationError:
+        return None
+
+
+rationals = st.builds(
+    Fraction, st.integers(min_value=-(10**6), max_value=10**6), st.integers(min_value=1, max_value=10**4)
+)
+
+
+@given(
+    hops=st.lists(st.integers(min_value=2, max_value=6), max_size=30),
+    ys=st.lists(rationals, min_size=30, max_size=30),
+    a=rationals,
+    b=rationals,
+)
+def test_moments_equal_the_two_pass_form_exactly(hops, ys, a, b):
+    """On points with few distinct x, as (hop count, profit per swap) has,
+    and on their affine images, including a = 0."""
+    for points in ([(h, y) for h, y in zip(hops, ys)], [(a * h + b, y) for h, y in zip(hops, ys)]):
+        assert pearson_or_none(pathlen_profit_correlation, points) == pearson_or_none(two_pass_exact_pearson, points)
+
+
 @given(
     a=st.integers(min_value=1, max_value=50),
     b=st.integers(min_value=-50, max_value=50),
@@ -294,6 +372,137 @@ def test_affine_invariance_positive_scale(a, b):
     flipped = pathlen_profit_correlation([(-a * x + b, y) for x, y in points])
     assert scaled == base
     assert flipped == -base
+
+
+# -- the analyze pass against the two-pass reference ---------------------------
+
+
+def two_pass_reports(rows, config=RunConfig()):
+    """The eight analyze reports as analyze computed them before it folded
+    records in one pass: every row held, and each report, and each brand's
+    correlation, summing its own Fractions over the rows."""
+
+    def render(write, *args):
+        buffer = io.StringIO()
+        write(buffer, *args)
+        return buffer.getvalue().encode()
+
+    brands = sorted({row.builder_brand for row in rows})
+    blocks = {brand: len({row.block_number for row in rows if row.builder_brand == brand}) for brand in brands}
+    matrix, paid, kept, per_day, dates = {}, {}, {}, {}, set()
+    for row in rows:
+        cell = (row.builder_brand, row.base_token)
+        matrix[cell] = matrix.get(cell, Fraction(0)) + row.usd_value
+        paid[row.builder_brand] = paid.get(row.builder_brand, Fraction(0)) + row.share_usd
+        kept[row.builder_brand] = kept.get(row.builder_brand, Fraction(0)) + row.usd_value
+        day = row.timestamp_utc[:10]
+        dates.add(day)
+        for metric, value in (("usd", row.usd_value), ("txs", 1)):
+            series = per_day.setdefault(f"{metric}_{row.builder_brand}", {})
+            series[day] = series.get(day, Fraction(0)) + value
+    splits = {}
+    for brand in brands:
+        p, n = paid[brand], kept[brand]
+        splits[brand] = ProposerSplit(n, p, p / (p + n) if p + n != 0 else Fraction(0))
+    correlations = [
+        (
+            brand,
+            pearson_or_none(
+                two_pass_exact_pearson,
+                [(row.hop_count, row.usd_value / row.hop_count) for row in rows if row.builder_brand == brand],
+            ),
+        )
+        for brand in brands
+    ]
+    trends = {}
+    for name, by_day in per_day.items():
+        series = [by_day.get(day, Fraction(0)) for day in sorted(dates)]
+        if len(series) >= 3:
+            trends[name] = mann_kendall(series, config.alpha)
+    hist, ecdf = io.StringIO(), io.StringIO()
+    reports.write_complexity(hist, ecdf, path_complexity(row.hop_count for row in rows))
+    scores = [
+        risk_score(symbol, *config.risk_bits[symbol])
+        for symbol in sorted({row.base_token for row in rows})
+        if symbol in config.risk_bits
+    ]
+    return {
+        "shares.csv": render(reports.write_share_table, market_share(blocks) if blocks else ShareTable(())),
+        "profit_matrix.csv": render(reports.write_profit_matrix, matrix),
+        "proposer_split.csv": render(reports.write_proposer_split, splits),
+        "complexity_hist.csv": hist.getvalue().encode(),
+        "complexity_ecdf.csv": ecdf.getvalue().encode(),
+        "correlations.csv": render(reports.write_correlations, correlations),
+        "trends.csv": render(reports.write_trends, trends),
+        "risk_scores.csv": render(reports.write_risk_scores, scores),
+    }
+
+
+# dollar text in each form the records reader takes: -D, -D.D and -D/D
+dollar_text = st.one_of(
+    st.integers(min_value=-(10**12), max_value=10**12).map(str),
+    st.builds(
+        "{}{}.{}".format,
+        st.sampled_from(["", "-"]),
+        st.integers(min_value=0, max_value=10**9),
+        st.text("0123456789", min_size=1, max_size=20),
+    ),
+    st.builds(
+        "{}{}/{}".format,
+        st.sampled_from(["", "-"]),
+        st.integers(min_value=0, max_value=10**9),
+        st.integers(min_value=1, max_value=10**6),
+    ),
+)
+
+
+@st.composite
+def records_rows(draw):
+    """CSV rows of a records file: 2-4 brands and tokens over up to five
+    days, with nets of either sign (gas may exceed gross - share)."""
+    brands = draw(st.lists(st.sampled_from(["48Club", "Blockrazor", "Jetbldr", "Unknown"]), min_size=2, unique=True))
+    tokens = draw(st.lists(st.sampled_from(["WBNB", "USDT", "USDC", "CAKE"]), min_size=2, unique=True))
+    rows = []
+    for index in range(draw(st.integers(min_value=0, max_value=40))):
+        gross, share, gas = (draw(st.integers(min_value=0, max_value=10**6)) for _ in range(3))
+        day, hour = draw(st.integers(min_value=1, max_value=5)), draw(st.integers(min_value=0, max_value=23))
+        rows.append(
+            [
+                f"0x{index:064x}",
+                str(draw(st.integers(min_value=1, max_value=30))),
+                draw(st.sampled_from(brands)),
+                draw(st.sampled_from(tokens)),
+                str(draw(st.integers(min_value=2, max_value=6))),
+                str(gross),
+                str(share),
+                str(gas),
+                str(gross - share - gas),
+                draw(dollar_text),
+                draw(dollar_text),
+                f"2025-06-0{day}T{hour:02}:00:00Z",
+            ]
+        )
+    return rows
+
+
+def records_text(rows):
+    header = ",".join(field.name for field in fields(ArbitrageRecord))
+    return "".join(f"{line}\n" for line in [f"schema_version,{SCHEMA_VERSION}", header, *map(",".join, rows)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=records_rows(), order=st.randoms(use_true_random=False))
+def test_analyze_equals_the_two_pass_reference(tmp_path_factory, rows, order):
+    """analyze's one-pass sums give the bytes of the two-pass Fraction code,
+    whatever the row order."""
+    directory = tmp_path_factory.mktemp("analyze")
+    expected = two_pass_reports(read_records(io.StringIO(records_text(rows))))
+    order.shuffle(rows)
+    (directory / "records.csv").write_text(records_text(rows), encoding="utf-8")
+    assert main(["analyze", "--records", str(directory / "records.csv"), "--out", str(directory / "out")]) == 0
+    written = {path.name: path.read_bytes() for path in (directory / "out").iterdir()}
+    assert sorted(written) == sorted(expected)
+    assert [name for name in sorted(expected) if written[name] != expected[name]] == []
 
 
 # -- risk scores --------------------------------------------------------------

@@ -8,7 +8,10 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,6 +37,25 @@ def test_traced_cli_wraps_resolve():
         if not callable(getattr(importlib.import_module(module_name), attribute, None))
     ]
     assert missing == []
+
+
+def test_traced_analyze_writes_the_untraced_bytes(tmp_path):
+    """install() replaces module attributes, so the traced run goes through
+    a fresh interpreter, as the benchmark runs it."""
+    from mevforge.cli import main
+
+    assert main(["gen-fixtures", "--kind", "records", "--seed", "5", "--count", "300", "--out", str(tmp_path)]) == 0
+    analyze = ["analyze", "--records", str(tmp_path / "records.csv"), "--out"]
+    assert main([*analyze, str(tmp_path / "untraced")]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    spans = tmp_path / "spans.json"
+    command = [sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans), *analyze, str(tmp_path / "traced")]
+    result = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "cli.analyze" in {name for name, *_times in json.loads(spans.read_text())["spans"]}
+    traced, untraced = ({p.name: p.read_bytes() for p in (tmp_path / side).iterdir()} for side in ("traced", "untraced"))
+    assert traced == untraced
 
 
 def test_generated_embodied_scenario_loads(tmp_path):

