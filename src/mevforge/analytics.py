@@ -84,24 +84,16 @@ class ExactSum:
         return sum((Fraction(n, d) for d, n in self.numerators.items()), Fraction(0))
 
 
-def profit_matrix(records: Iterable[ArbitrageRecord]) -> dict[tuple[str, str], Fraction]:
-    """Sum net USD profit per (brand, token) cell."""
-    return RecordTotals(records).profit_matrix()
-
-
-def matrix_token_totals(matrix: Mapping[tuple[str, str], Fraction]) -> dict[str, Fraction]:
+def token_shares(matrix: Mapping[tuple[str, str], Fraction]) -> dict[tuple[str, str], Fraction]:
+    """Each (brand, token) cell's fraction of the profit extracted in its
+    token; a token whose cells sum to 0 gives each of its cells 0."""
     totals: dict[str, Fraction] = {}
     for (_brand, token), usd in matrix.items():
         totals[token] = totals.get(token, Fraction(0)) + usd
-    return totals
-
-
-def token_builder_share(matrix: Mapping[tuple[str, str], Fraction], brand: str, token: str) -> Fraction:
-    """Brand's fraction of the total profit extracted in one token."""
-    total = matrix_token_totals(matrix).get(token, Fraction(0))
-    if total == 0:
-        raise ZeroDivisionError(f"no profit recorded for token {token}")
-    return matrix.get((brand, token), Fraction(0)) / total
+    return {
+        (brand, token): usd / totals[token] if totals[token] != 0 else Fraction(0)
+        for (brand, token), usd in matrix.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -109,12 +101,6 @@ class ProposerSplit:
     kept_usd: Fraction
     paid_usd: Fraction
     payout_fraction: Fraction
-
-
-def proposer_split(records: Iterable[ArbitrageRecord]) -> dict[str, ProposerSplit]:
-    """Per brand: dollars kept (net) vs dollars paid onward (share), and the
-    payout fraction paid / (paid + kept)."""
-    return RecordTotals(records).proposer_split()
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +179,8 @@ class PathComplexity:
     ecdf: tuple[tuple[int, Fraction], ...]
 
 
-def path_complexity(hop_counts: Iterable[int]) -> PathComplexity:
-    """Histogram and empirical CDF of hop counts."""
-    counts = Counter(hop_counts)
+def path_complexity(counts: Mapping[int, int]) -> PathComplexity:
+    """Histogram and empirical CDF from the number of cycles per hop count."""
     total = sum(counts.values())
     histogram = dict(sorted(counts.items()))
     ecdf: list[tuple[int, Fraction]] = []
@@ -325,6 +310,8 @@ class RecordTotals:
         return {cell: usd.value() for cell, usd in self._cells.items()}
 
     def proposer_split(self) -> dict[str, ProposerSplit]:
+        """Per brand: dollars kept (net) vs dollars paid onward (share), and
+        the payout fraction paid / (paid + kept)."""
         kept: dict[str, Fraction] = {}
         for (brand, _token), usd in self.profit_matrix().items():
             kept[brand] = kept.get(brand, Fraction(0)) + usd

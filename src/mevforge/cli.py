@@ -64,19 +64,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
         return 1
 
     stats = ParseStats()
-    skipped = 0
-    emitted = 0
     errors: list[tuple[str, str]] = []
 
-    def produce(errors_rows):
-        nonlocal skipped, emitted
+    def produce():
         with open(args.traces, "rb") as fh:
             for tx in iter_transactions(fh, stats):
                 if config.infer_pool_sinks:
                     tx = mark_pool_sinks(tx)
                 cycle = extract_arbitrage_cycle(tx)
                 if cycle is None:
-                    skipped += 1
                     continue
                 label = labels.lookup(tx.initiator)
                 brand = label.brand if label else "Unknown"
@@ -86,9 +82,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
                     share_usd = to_usd(breakdown.share, cycle.base_token, config.price_table)
                     timestamp = records.timestamp_for_block(tx.block_number, config.genesis_unix)
                 except (MissingPriceError, records.TimestampRangeError) as exc:
-                    errors_rows.append((format_address(tx.hash), str(exc)))
+                    errors.append((format_address(tx.hash), str(exc)))
                     continue
-                record = records.ArbitrageRecord(
+                yield records.ArbitrageRecord(
                     tx_hash=tx.hash,
                     block_number=tx.block_number,
                     builder_brand=brand,
@@ -102,12 +98,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
                     share_usd=share_usd,
                     timestamp_utc=timestamp,
                 )
-                emitted += 1
-                yield record
 
     try:
         with open(out / "records.csv", "w", encoding="utf-8", newline="") as fh:
-            records.write_records(fh, produce(errors))
+            emitted = records.write_records(fh, produce())
     except TraceParseError as exc:
         print(f"error: {args.traces}: {exc}", file=sys.stderr)
         return 1
@@ -119,6 +113,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             writer.writerows(errors)
     else:
         (out / "errors.csv").unlink(missing_ok=True)
+    skipped = stats.transactions - emitted - len(errors)
     log.info("extract: %d records, %d non-cycles skipped, %d unknown events", emitted, skipped, stats.unknown_events)
     print(f"records={emitted} skipped={skipped} unknown_events={stats.unknown_events} errors={len(errors)}")
     return 1 if errors else 0
@@ -149,7 +144,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     splits = totals.proposer_split()
     reports.write_text(out / "proposer_split.csv", lambda fh: reports.write_proposer_split(fh, splits))
 
-    complexity = analytics.path_complexity(totals.hops.elements())
+    complexity = analytics.path_complexity(totals.hops)
     with open(out / "complexity_hist.csv", "w", encoding="utf-8", newline="") as hist_fh, open(
         out / "complexity_ecdf.csv", "w", encoding="utf-8", newline=""
     ) as ecdf_fh:
@@ -188,12 +183,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
-    try:
-        scenario = pbs.load_scenario(args.scenario)
-        result = pbs.run_campaign(scenario, args.slots, args.seed)
-    except pbs.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = pbs.run_campaign(pbs.load_scenario(args.scenario), args.slots, args.seed)
     reports.write_text(out / "slots.csv", lambda fh: reports.write_slot_log(fh, result.outcomes))
     reports.write_text(out / "summary.csv", lambda fh: reports.write_campaign_summary(fh, result.summary))
     top = max(result.summary.builders, key=lambda b: b.wins, default=None)

@@ -177,16 +177,11 @@ class Bid:
 @dataclass(frozen=True)
 class SlotOutcome:
     height: int
-    winner: Optional[str]
+    winner: Optional[str]  # None: no builder won, so the proposer built its own block
     proposer_payment: int
     blacklist_events: tuple[str, ...]
     bids_received: tuple[Bid, ...]
     realized_builder_profit: int
-
-    @property
-    def fallback_used(self) -> bool:
-        """No builder won, so the proposer built its own block."""
-        return self.winner is None
 
 
 @dataclass(frozen=True)

@@ -498,9 +498,11 @@ def pool_from_obj(obj: Mapping) -> PoolState:
 
 
 def load_pool_file(stream: IO | Iterable[str | bytes]) -> dict[bytes, PoolState]:
-    """Pools by address from newline-delimited JSON records, as text or as
-    bytes read strictly as UTF-8; a malformed line raises LineError."""
+    """Pools by address from newline-delimited JSON records, as text or as bytes read strictly
+    as UTF-8; a malformed line, a repeated address or a symbol naming two tokens raises LineError."""
     pools: dict[bytes, PoolState] = {}
+    pool_lines: dict[bytes, int] = {}
+    tokens: dict[str, tuple[TokenId, int]] = {}  # symbol -> (token, first line): cycles pick tokens by symbol
     for line_no, line in read_lines(stream):
         if not line.strip():
             continue
@@ -508,7 +510,14 @@ def load_pool_file(stream: IO | Iterable[str | bytes]) -> dict[bytes, PoolState]
             pool = pool_from_obj(json.loads(line, object_pairs_hook=unique_keys))
         except (KeyError, TypeError, ValueError) as exc:
             raise LineError(line_no, str(exc)) from None
+        if pool.address in pools:
+            raise LineError(line_no, f"pool {format_address(pool.address)} repeats line {pool_lines[pool.address]}")
+        for token in (pool.token0, pool.token1):
+            known, first = tokens.setdefault(token.symbol, (token, line_no))
+            if known != token:
+                raise LineError(line_no, f"token symbol {token.symbol!r} names another token on line {first}")
         pools[pool.address] = pool
+        pool_lines[pool.address] = line_no
     return pools
 
 

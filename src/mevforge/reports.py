@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Optional
 
-from .analytics import PathComplexity, ProposerSplit, RiskScore, ShareTable, TrendResult, matrix_token_totals
+from .analytics import PathComplexity, ProposerSplit, RiskScore, ShareTable, TrendResult, token_shares
 from .pbs import CampaignSummary, SlotOutcome
 
 
@@ -47,14 +47,11 @@ def write_share_table(stream: IO[str], table: ShareTable) -> None:
 
 
 def write_profit_matrix(stream: IO[str], matrix: Mapping[tuple[str, str], Fraction]) -> None:
-    token_totals = matrix_token_totals(matrix)
+    shares = token_shares(matrix)
     writer = _writer(stream)
     writer.writerow(["brand", "token", "usd", "token_share_pct"])
-    for (brand, token) in sorted(matrix):
-        usd = matrix[(brand, token)]
-        total = token_totals[token]
-        share = usd / total if total != 0 else Fraction(0)
-        writer.writerow([brand, token, decimal_str(usd, 2), percent_str(share)])
+    for cell in sorted(matrix):
+        writer.writerow([*cell, decimal_str(matrix[cell], 2), percent_str(shares[cell])])
 
 
 def write_proposer_split(stream: IO[str], splits: Mapping[str, ProposerSplit]) -> None:
@@ -123,7 +120,7 @@ def write_slot_log(stream: IO[str], outcomes: Iterable[SlotOutcome]) -> None:
                 o.height,
                 o.winner or "",
                 o.proposer_payment,
-                int(o.fallback_used),
+                int(o.winner is None),
                 len(o.bids_received),
                 "|".join(o.blacklist_events),
                 o.realized_builder_profit,

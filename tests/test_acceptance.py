@@ -88,7 +88,7 @@ def test_criterion_3_dominant_token_share():
         ("48Club", "USDC"): Fraction(50_000),
         ("Blockrazor", "WBNB"): Fraction(480_000),
     }
-    share = analytics.token_builder_share(cells, "48Club", "WBNB")
+    share = analytics.token_shares(cells)["48Club", "WBNB"]
     assert abs(share - Fraction("0.711")) <= Fraction("0.005")  # 71.1% +/- 0.5pp
     _report(3, f"dominant builder holds {percent_str(share)}% of the WBNB profit cell")
 

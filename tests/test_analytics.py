@@ -1,10 +1,12 @@
 """Shares, profit matrices, trend test, correlation, risk scores, decimal
 rendering, and analyze's one-pass sums against the two-pass reference."""
 
+import csv
 import io
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 
@@ -17,18 +19,16 @@ from mevforge.analytics import (
     EmptyMarketError,
     InsufficientDataError,
     ProposerSplit,
+    RecordTotals,
     ShareTable,
     TrendDirection,
     UndefinedCorrelationError,
     mann_kendall,
     market_share,
-    matrix_token_totals,
     path_complexity,
     pathlen_profit_correlation,
-    profit_matrix,
-    proposer_split,
     risk_score,
-    token_builder_share,
+    token_shares,
 )
 from mevforge.cli import main
 from mevforge.config import RunConfig
@@ -126,25 +126,42 @@ def reported_profit_fixture():
 
 def test_reported_totals_and_dominant_token_share():
     cycles, cells = reported_profit_fixture()
-    matrix = profit_matrix(cycles)
+    matrix = RecordTotals(cycles).profit_matrix()
     for brand, symbol, usd in cells:
         assert matrix[(brand, symbol)] == usd
-    share = token_builder_share(matrix, "48Club", "WBNB")
+    share = token_shares(matrix)["48Club", "WBNB"]
     assert abs(share - Fraction("0.711")) < Fraction(1, 200)  # 71.1% within half a point
     assert share == Fraction(1_180_000, 1_660_000)
 
 
 def test_matrix_grand_total_is_exact():
     cycles, _ = reported_profit_fixture()
-    matrix = profit_matrix(cycles)
+    matrix = RecordTotals(cycles).profit_matrix()
     grand = sum(matrix.values(), Fraction(0))
     assert grand == sum((c.usd_value for c in cycles), Fraction(0))
-    assert sum(matrix_token_totals(matrix).values(), Fraction(0)) == grand
+
+
+def test_a_token_whose_cells_sum_to_zero_gives_each_cell_zero():
+    matrix = RecordTotals([record("A", "USDT", usd=5, net=5), record("B", "USDT", usd=-5, net=-5)]).profit_matrix()
+    assert token_shares(matrix) == {("A", "USDT"): 0, ("B", "USDT"): 0}
+    buffer = io.StringIO()
+    reports.write_profit_matrix(buffer, matrix)
+    assert buffer.getvalue().splitlines()[1:] == ["A,USDT,5.00,0.00", "B,USDT,-5.00,0.00"]
+
+
+def test_profit_matrix_report_renders_token_shares(tmp_path):
+    assert main(["gen-fixtures", "--kind", "records", "--seed", "5", "--out", str(tmp_path)]) == 0
+    assert main(["analyze", "--records", str(tmp_path / "records.csv"), "--out", str(tmp_path / "reports")]) == 0
+    with open(tmp_path / "records.csv", "rb") as fh:
+        shares = token_shares(RecordTotals(read_records(fh)).profit_matrix())
+    with open(tmp_path / "reports" / "profit_matrix.csv", encoding="utf-8") as fh:
+        rendered = {(row["brand"], row["token"]): row["token_share_pct"] for row in csv.DictReader(fh)}
+    assert rendered == {cell: percent_str(share) for cell, share in shares.items()}
 
 
 def test_empty_and_single_cell_matrices():
-    assert profit_matrix([]) == {}
-    matrix = profit_matrix([record("X", "USDT", usd=5, net=5)])
+    assert RecordTotals([]).profit_matrix() == {}
+    matrix = RecordTotals([record("X", "USDT", usd=5, net=5)]).profit_matrix()
     assert matrix == {("X", "USDT"): 5}
 
 
@@ -168,7 +185,8 @@ def test_decimal_str_rounds_half_away_from_zero_and_signs_no_zero(value, places,
 def test_a_loss_under_half_a_cent_renders_as_unsigned_zero():
     assert percent_str(Fraction(-1, 10**7)) == "0.00"
     buffer = io.StringIO()
-    reports.write_profit_matrix(buffer, profit_matrix([record("X", "USDT", usd=Fraction(-1, 1000), net=-1)]))
+    loss = record("X", "USDT", usd=Fraction(-1, 1000), net=-1)
+    reports.write_profit_matrix(buffer, RecordTotals([loss]).profit_matrix())
     assert buffer.getvalue().splitlines()[1] == "X,USDT,0.00,100.00"
 
 
@@ -177,7 +195,7 @@ def test_a_loss_under_half_a_cent_renders_as_unsigned_zero():
 
 def test_split_fraction_from_worked_example_numbers():
     cycle = record("48Club", "USDT", usd=2220, share_usd=820, net=2220, share=820)
-    splits = proposer_split([cycle])
+    splits = RecordTotals([cycle]).proposer_split()
     split = splits["48Club"]
     assert split.paid_usd == 820
     assert split.kept_usd == 2220
@@ -185,14 +203,14 @@ def test_split_fraction_from_worked_example_numbers():
 
 
 def test_split_zero_share_means_zero_fraction():
-    splits = proposer_split([record("A", "USDT", usd=10, net=10)])
+    splits = RecordTotals([record("A", "USDT", usd=10, net=10)]).proposer_split()
     assert splits["A"].payout_fraction == 0
 
 
 def test_split_ordering_between_builder_styles():
     generous = record("Giver", "USDT", usd=73, share_usd=27, net=73, share=27)
     stingy = record("Keeper", "USDT", usd=95, share_usd=5, net=95, share=5)
-    splits = proposer_split([generous, stingy])
+    splits = RecordTotals([generous, stingy]).proposer_split()
     assert splits["Giver"].payout_fraction == Fraction(27, 100)
     assert splits["Keeper"].payout_fraction == Fraction(5, 100)
     assert splits["Giver"].payout_fraction > splits["Keeper"].payout_fraction
@@ -261,14 +279,14 @@ def test_negating_series_negates_s_and_z(series):
 
 
 def test_histogram_and_ecdf_example():
-    result = path_complexity([2, 2, 3])
+    result = path_complexity(Counter([2, 2, 3]))
     assert result.histogram == {2: 2, 3: 1}
     assert result.ecdf[0] == (2, Fraction(2, 3))
     assert result.ecdf[-1] == (3, Fraction(1))
 
 
 def test_empty_complexity():
-    result = path_complexity([])
+    result = path_complexity(Counter())
     assert result.histogram == {}
     assert result.ecdf == ()
 
@@ -276,7 +294,7 @@ def test_empty_complexity():
 def test_counts_total_matches_input():
     rng = random.Random(1)
     hops = [rng.randint(2, 20) for _ in range(10_000)]
-    result = path_complexity(hops)
+    result = path_complexity(Counter(hops))
     assert sum(result.histogram.values()) == len(hops)
     values = [c for _, c in result.ecdf]
     assert all(a <= b for a, b in zip(values, values[1:]))
@@ -420,7 +438,7 @@ def two_pass_reports(rows, config=RunConfig()):
         if len(series) >= 3:
             trends[name] = mann_kendall(series, config.alpha)
     hist, ecdf = io.StringIO(), io.StringIO()
-    reports.write_complexity(hist, ecdf, path_complexity(row.hop_count for row in rows))
+    reports.write_complexity(hist, ecdf, path_complexity(Counter(row.hop_count for row in rows)))
     scores = [
         risk_score(symbol, *config.risk_bits[symbol])
         for symbol in sorted({row.base_token for row in rows})

@@ -39,22 +39,42 @@ def test_traced_cli_wraps_resolve():
     assert missing == []
 
 
-def test_traced_analyze_writes_the_untraced_bytes(tmp_path):
+def traced_argv(command, tmp_path):
+    """The command's arguments, less --out, over small inputs it writes to tmp_path."""
+    from mevforge.cli import main
+    from mevforge.pbs import BUNDLED_SCENARIOS
+
+    if command == "simulate":
+        return ["simulate", "--scenario", str(BUNDLED_SCENARIOS / "eth_duopoly.json"), "--slots", "50"]
+    kind, count = {"analyze": ("records", "300"), "extract": ("traces", "200")}[command]
+    assert main(["gen-fixtures", "--kind", kind, "--seed", "5", "--count", count, "--out", str(tmp_path)]) == 0
+    if command == "analyze":
+        return ["analyze", "--records", str(tmp_path / "records.csv")]
+    traces, labels, config = (str(tmp_path / name) for name in ("traces.ndjson", "labels.csv", "run.cfg"))
+    return ["extract", "--traces", traces, "--labels", labels, "--config", config]
+
+
+@pytest.mark.parametrize("command", ["analyze", "extract", "simulate"])
+def test_traced_run_writes_the_untraced_bytes(tmp_path, capsys, command):
     """install() replaces module attributes, so the traced run goes through
-    a fresh interpreter, as the benchmark runs it."""
+    a fresh interpreter, as the benchmark runs it.  The three commands run
+    every kind of wrap: call, iter and consumer."""
     from mevforge.cli import main
 
-    assert main(["gen-fixtures", "--kind", "records", "--seed", "5", "--count", "300", "--out", str(tmp_path)]) == 0
-    analyze = ["analyze", "--records", str(tmp_path / "records.csv"), "--out"]
-    assert main([*analyze, str(tmp_path / "untraced")]) == 0
+    argv = traced_argv(command, tmp_path)
+    untraced_dir, traced_dir = tmp_path / "untraced", tmp_path / "traced"
+    capsys.readouterr()
+    code = main([*argv, "--out", str(untraced_dir)])
+    untraced_stdout = capsys.readouterr().out
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     spans = tmp_path / "spans.json"
-    command = [sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans), *analyze, str(tmp_path / "traced")]
-    result = subprocess.run(command, env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert "cli.analyze" in {name for name, *_times in json.loads(spans.read_text())["spans"]}
-    traced, untraced = ({p.name: p.read_bytes() for p in (tmp_path / side).iterdir()} for side in ("traced", "untraced"))
+    command_line = [sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans), *argv, "--out", str(traced_dir)]
+    result = subprocess.run(command_line, env=env, capture_output=True, text=True)
+    assert result.returncode == code == 0, result.stderr
+    assert result.stdout.replace(str(traced_dir), str(untraced_dir)) == untraced_stdout
+    assert f"cli.{command}" in {name for name, *_times in json.loads(spans.read_text())["spans"]}
+    traced, untraced = ({p.name: p.read_bytes() for p in side.iterdir()} for side in (traced_dir, untraced_dir))
     assert traced == untraced
 
 

