@@ -12,7 +12,6 @@ Everything here is a pure function over immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -30,66 +29,17 @@ class MissingPriceError(LookupError):
     """A token needed for USD or gas conversion has no quoted price."""
 
 
-class CycleMismatchError(ValueError):
-    """The cycle handed to attribution came from a different transaction."""
-
-
-@dataclass(frozen=True)
-class ArbitrageCycle:
-    """The swap route of one transaction, starting and ending at its base
-    token."""
-
-    tx_hash: bytes
-    path: PathDescriptor
-
-    def __post_init__(self) -> None:
-        if self.path.n_hops < 2:
-            raise ValueError("a cycle needs at least two hops")
-
-    @property
-    def base_token(self) -> TokenId:
-        return self.path.tokens[0]
-
-    @property
-    def hop_count(self) -> int:
-        return self.path.n_hops
-
-
-def extract_arbitrage_cycle(tx: Transaction) -> Optional[ArbitrageCycle]:
-    """Collect the transaction's swaps in order and return the cycle they
-    form, or None when there is no swap, the entry and exit assets differ,
-    or the hops do not chain into a single route."""
+def extract_arbitrage_cycle(tx: Transaction) -> Optional[PathDescriptor]:
+    """The route of the transaction's swaps in order, or None when there is
+    no swap, the entry and exit assets differ, or the hops do not chain into
+    a single route.  A swap never has token_in == token_out, so a cycle has
+    at least two hops."""
     swaps = [e for e in tx.events if e.kind is EventKind.SWAP]
-    if not swaps:
+    if not swaps or swaps[0].token_in != swaps[-1].token_out:
         return None
-    if swaps[0].token_in != swaps[-1].token_out:
+    if any(a.token_out != b.token_in for a, b in zip(swaps, swaps[1:])):
         return None
-    for a, b in zip(swaps, swaps[1:]):
-        if a.token_out != b.token_in:
-            return None
-    path = PathDescriptor(tokens=(swaps[0].token_in, *(e.token_out for e in swaps)), pools=tuple(e.pool for e in swaps))
-    return ArbitrageCycle(tx_hash=tx.hash, path=path)
-
-
-@dataclass(frozen=True)
-class ProfitBreakdown:
-    """Profit components of one cycle, in base-token units except gas_cost
-    (wei).  net = gross - share - gas-in-base-units holds exactly; gross may
-    be negative for losing cycles."""
-
-    base_token: TokenId
-    gross: int
-    share: int
-    gas_cost: int
-    net: int
-
-    def __post_init__(self) -> None:
-        if self.share < 0 or self.gas_cost < 0:
-            raise ValueError("share and gas_cost must be non-negative")
-
-    @property
-    def gas_in_base_units(self) -> int:
-        return self.gross - self.share - self.net
+    return PathDescriptor(tokens=(swaps[0].token_in, *(e.token_out for e in swaps)), pools=tuple(e.pool for e in swaps))
 
 
 def gas_cost_in_base_units(gas_wei: int, base_token: TokenId, price_table: Optional[Mapping[str, Fraction]]) -> int:
@@ -112,41 +62,39 @@ def gas_cost_in_base_units(gas_wei: int, base_token: TokenId, price_table: Optio
 
 def attribute_profit(
     tx: Transaction,
-    cycle: ArbitrageCycle,
     share_addresses: Iterable[bytes] = (DEFAULT_SHARE_ADDRESS,),
     price_table: Optional[Mapping[str, Fraction]] = None,
-) -> ProfitBreakdown:
-    """Compute (gross, share, net) for an extracted cycle.
+    infer_pool_sinks: bool = False,
+) -> tuple[int, int, int]:
+    """(gross, share, gas) of a cycle, in base units of its first swap's
+    input token; the builder keeps net = gross - share - gas.
 
-    gross is the base-token output of the last swap minus the input of the
-    first; share sums transfers to the configured endpoints plus surplus
-    flagged as routed into pools; net subtracts both share and the gas cost
-    converted into base units.
+    gross is the last swap's output minus the first swap's input, and may
+    be negative.  share sums transfers to the share addresses or flagged
+    pool_sink, and the surplus of swaps flagged pool_sink.  With
+    infer_pool_sinks, for feeds that omit the flags, a transfer into a pool
+    that an earlier swap in the transaction touched counts as share too.
+    gas is the transaction's wei cost converted through the price table.
     """
-    if cycle.tx_hash != tx.hash:
-        raise CycleMismatchError(
-            f"cycle from {format_address(cycle.tx_hash)} does not match tx {format_address(tx.hash)}"
-        )
     share_set = frozenset(share_addresses)
-    swaps = [e for e in tx.events if e.kind is EventKind.SWAP]
-    gross = swaps[-1].amount_out - swaps[0].amount_in
-
+    seen_pools: set[bytes] = set()
+    first = last = None
     share = 0
     for event in tx.events:
-        if event.kind is EventKind.TRANSFER and (event.to in share_set or event.pool_sink):
+        if event.kind is EventKind.SWAP:
+            if first is None:
+                first = event
+            last = event
+            if infer_pool_sinks:
+                seen_pools.add(event.pool)
+            if event.pool_sink and event.amount is not None:
+                share += event.amount
+        elif event.kind is EventKind.TRANSFER and (event.to in share_set or event.pool_sink or event.to in seen_pools):
             share += event.amount
-        elif event.kind is EventKind.SWAP and event.pool_sink and event.amount is not None:
-            share += event.amount
-
-    gas_wei = tx.gas_cost
-    gas_base = gas_cost_in_base_units(gas_wei, cycle.base_token, price_table)
-    return ProfitBreakdown(
-        base_token=cycle.base_token,
-        gross=gross,
-        share=share,
-        gas_cost=gas_wei,
-        net=gross - share - gas_base,
-    )
+    if first is None or first.token_in != last.token_out:
+        raise ValueError(f"tx {format_address(tx.hash)} is not a cycle")
+    gas = gas_cost_in_base_units(tx.gas_cost, first.token_in, price_table)
+    return last.amount_out - first.amount_in, share, gas
 
 
 def to_usd(amount: int, token: TokenId, price_table: Mapping[str, Fraction]) -> Fraction:

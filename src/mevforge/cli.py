@@ -31,7 +31,6 @@ from .traces import (
     TraceParseError,
     format_address,
     iter_transactions,
-    mark_pool_sinks,
     serialize_transactions,
 )
 
@@ -69,17 +68,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
     def produce():
         with open(args.traces, "rb") as fh:
             for tx in iter_transactions(fh, stats):
-                if config.infer_pool_sinks:
-                    tx = mark_pool_sinks(tx)
-                cycle = extract_arbitrage_cycle(tx)
-                if cycle is None:
+                path = extract_arbitrage_cycle(tx)
+                if path is None:
                     continue
+                base_token = path.tokens[0]
                 label = labels.lookup(tx.initiator)
-                brand = label.brand if label else "Unknown"
                 try:
-                    breakdown = attribute_profit(tx, cycle, config.share_addresses, config.price_table)
-                    usd_value = to_usd(breakdown.net, cycle.base_token, config.price_table)
-                    share_usd = to_usd(breakdown.share, cycle.base_token, config.price_table)
+                    gross, share, gas = attribute_profit(tx, config.share_addresses, config.price_table, config.infer_pool_sinks)
+                    net = gross - share - gas
+                    usd_value = to_usd(net, base_token, config.price_table)
+                    share_usd = to_usd(share, base_token, config.price_table)
                     timestamp = records.timestamp_for_block(tx.block_number, config.genesis_unix)
                 except (MissingPriceError, records.TimestampRangeError) as exc:
                     errors.append((format_address(tx.hash), str(exc)))
@@ -87,13 +85,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 yield records.ArbitrageRecord(
                     tx_hash=tx.hash,
                     block_number=tx.block_number,
-                    builder_brand=brand,
-                    base_token=cycle.base_token.symbol,
-                    hop_count=cycle.hop_count,
-                    gross=breakdown.gross,
-                    share=breakdown.share,
-                    gas=breakdown.gas_in_base_units,
-                    net=breakdown.net,
+                    builder_brand=label.brand if label else "Unknown",
+                    base_token=base_token.symbol,
+                    hop_count=path.n_hops,
+                    gross=gross,
+                    share=share,
+                    gas=gas,
+                    net=net,
                     usd_value=usd_value,
                     share_usd=share_usd,
                     timestamp_utc=timestamp,

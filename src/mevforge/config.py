@@ -2,9 +2,9 @@
 
 The config file is flat ``key = value`` lines with ``#`` comments.
 Recognized keys: ``share_addresses`` (comma-separated hex addresses),
-``price_table.<SYMBOL>`` (decimal dollars), ``risk.<SYMBOL>`` (three
-comma-separated bits), ``alpha``, ``genesis_unix`` and ``infer_pool_sinks``
-(``true`` or ``false``).
+``price_table.<SYMBOL>`` (dollars, with a terminating decimal expansion),
+``risk.<SYMBOL>`` (three comma-separated bits), ``alpha``, ``genesis_unix``
+and ``infer_pool_sinks`` (``true`` or ``false``).
 Token decimals come from the traces themselves, never from the config.
 """
 
@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .arbitrage import DEFAULT_SHARE_ADDRESS
+from .records import fraction_to_decimal
 from .traces import LineError, parse_address, read_json, read_lines
 
 DEFAULT_PRICE_TABLE: dict[str, Fraction] = {
@@ -62,7 +63,12 @@ def _setting(key: str, value: str) -> tuple[str, object]:
     line gives a table of one entry."""
     table, _, symbol = key.partition(".")
     if table == "price_table" and symbol:
-        return "price_table", {symbol: read_json(value, key, Fraction)}
+        price = read_json(value, key, Fraction)
+        try:
+            fraction_to_decimal(price)  # dollar columns are written as exact decimals
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+        return "price_table", {symbol: price}
     if table == "risk" and symbol:
         return "risk_bits", {symbol: tuple(read_json(bit.strip(), key, int, digits=True) for bit in value.split(","))}
     if key == "share_addresses":

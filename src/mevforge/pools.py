@@ -402,10 +402,11 @@ def best_input_search(
         else:
             # Equal probes: the peak lies inside [m1, m2] or within one
             # floor-quantization plateau of it, so shrinking here can miss
-            # the integer argmax by a few base units of delta.  Over the 140
-            # profitable V2-only cycles of perfbench/gen_embodied.py seeds
-            # 1, 3 and 7, 89 picks were 1-4 units below the best integer
-            # input near the closed-form optimum.
+            # the integer argmax by a few base units of delta.  Against the
+            # best integer within 3,000 of the closed-form optimum, on the
+            # 1,397 profitable V2-only cycles of perfbench/gen_embodied.py
+            # seeds 0-29, picks were 0 units below on 559 cycles, 1 on 678,
+            # 2 on 134, 3 on 18, 4 on 5 and 5 on 2, and beat the window on 1.
             lo, hi = m1, m2
     best_amount = min(range(lo, hi + 1), key=lambda a: (-evaluate(a), a))
     best_delta = evaluate(best_amount)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, Mapping, Optional
@@ -380,26 +380,6 @@ def transaction_to_line(tx: Transaction) -> str:
 def serialize_transactions(transactions: Iterable[Transaction]) -> str:
     lines = [transaction_to_line(tx) for tx in transactions]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def mark_pool_sinks(tx: Transaction) -> Transaction:
-    """Opt-in ingestion heuristic for feeds that omit explicit pool_sink flags.
-
-    A transfer whose recipient is a pool already touched by an earlier swap
-    in the same transaction is surplus routed back into the pool; flag it so
-    profit attribution counts it as redistributed.
-    """
-    seen_pools: set[bytes] = set()
-    out: list[TraceEvent] = []
-    changed = False
-    for event in tx.events:
-        if event.kind is EventKind.SWAP and event.pool is not None:
-            seen_pools.add(event.pool)
-        if event.kind is EventKind.TRANSFER and not event.pool_sink and event.to in seen_pools:
-            event = replace(event, pool_sink=True)
-            changed = True
-        out.append(event)
-    return replace(tx, events=tuple(out)) if changed else tx
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from mevforge import fixtures
 from mevforge.arbitrage import (
     DEFAULT_SHARE_ADDRESS,
-    CycleMismatchError,
     MissingPriceError,
     attribute_profit,
     extract_arbitrage_cycle,
@@ -66,15 +66,12 @@ def transfer(to, amount):
 def test_worked_example_extraction_and_attribution():
     with open(DATA / "worked_example_trace.ndjson", encoding="utf-8") as fh:
         tx = next(iter_transactions(fh))
-    cycle = extract_arbitrage_cycle(tx)
-    assert cycle is not None
-    symbols = [t.symbol for t in cycle.path.tokens]
+    path = extract_arbitrage_cycle(tx)
+    assert path is not None
+    symbols = [t.symbol for t in path.tokens]
     assert symbols == ["USDT", "WBNB", "USD1", "USDT"]
-    assert cycle.base_token.symbol == "USDT"
-    assert cycle.hop_count == 3
-
-    breakdown = attribute_profit(tx, cycle)
-    assert (breakdown.gross, breakdown.share, breakdown.net) == (3040, 820, 2220)
+    assert path.n_hops == 3
+    assert attribute_profit(tx) == (3040, 820, 0)
 
 
 def test_no_swaps_yields_no_cycle():
@@ -113,9 +110,9 @@ def test_planted_corpus_paths_recovered_exactly():
         if key in planted:
             expected = planted[key]
             assert cycle is not None
-            assert [t.symbol for t in cycle.path.tokens] == expected["path"]
-            assert ["0x" + pool.hex() for pool in cycle.path.pools] == expected["pools"]
-            assert cycle.hop_count == expected["hop_count"]
+            assert [t.symbol for t in cycle.tokens] == expected["path"]
+            assert ["0x" + pool.hex() for pool in cycle.pools] == expected["pools"]
+            assert cycle.n_hops == expected["hop_count"]
             found += 1
         else:
             assert cycle is None
@@ -139,7 +136,7 @@ def test_permuting_non_swap_events_never_changes_the_path():
             if baseline is None:
                 assert cycle is None
             else:
-                assert cycle is not None and cycle.path == baseline.path
+                assert cycle == baseline
 
 
 # -- attribution --------------------------------------------------------------
@@ -158,32 +155,49 @@ def cycle_tx(gross=0, amount_in=1000, share_transfers=(), pool_sink=None, gas_us
 
 
 def test_zero_profit_identity():
-    tx = cycle_tx(gross=0)
-    breakdown = attribute_profit(tx, extract_arbitrage_cycle(tx))
-    assert (breakdown.gross, breakdown.share, breakdown.net) == (0, 0, 0)
+    assert attribute_profit(cycle_tx(gross=0)) == (0, 0, 0)
 
 
 def test_share_sums_transfers_and_pool_sink():
     tx = cycle_tx(gross=5000, share_transfers=(300, 200), pool_sink=100)
-    breakdown = attribute_profit(tx, extract_arbitrage_cycle(tx))
-    assert breakdown.gross == 5000
-    assert breakdown.share == 600
-    assert breakdown.net == 4400
+    assert attribute_profit(tx) == (5000, 600, 0)
 
 
 def test_negative_gross_is_reported_not_clamped():
-    tx = cycle_tx(gross=-250)
-    breakdown = attribute_profit(tx, extract_arbitrage_cycle(tx))
-    assert breakdown.gross == -250
-    assert breakdown.net == -250
+    assert attribute_profit(cycle_tx(gross=-250)) == (-250, 0, 0)
 
 
-def test_cycle_tx_mismatch_raises():
-    tx = cycle_tx(gross=10)
-    other = cycle_tx(gross=10)
-    cycle = extract_arbitrage_cycle(make_tx(list(tx.events), tx_hash=bytes([1]) * 32))
-    with pytest.raises(CycleMismatchError):
-        attribute_profit(other, cycle)
+@pytest.mark.parametrize(
+    "events",
+    [
+        pytest.param([transfer(DEFAULT_SHARE_ADDRESS, 5)], id="no-swap"),
+        pytest.param([swap(TOKEN_A, TOKEN_B, POOL_1, 100, 90), swap(TOKEN_B, TOKEN_C, POOL_2, 90, 80)], id="open-path"),
+    ],
+)
+def test_attributing_a_non_cycle_raises(events):
+    tx = make_tx(events, tx_hash=bytes([7]) * 32)
+    with pytest.raises(ValueError, match=f"tx 0x{'07' * 32} is not a cycle"):
+        attribute_profit(tx)
+
+
+def test_inferred_pool_sinks_count_transfers_into_pools_an_earlier_swap_touched():
+    events = [
+        transfer(POOL_1, 11),  # before the swap that touches POOL_1: not share
+        swap(TOKEN_A, TOKEN_B, POOL_1, 1000, 500),
+        transfer(POOL_1, 3),
+        transfer(bytes([6]) * 20, 4),
+        transfer(POOL_2, 5),  # POOL_2 is touched only by the next swap
+        swap(TOKEN_B, TOKEN_A, POOL_2, 500, 1100),
+        transfer(POOL_2, 7),
+        transfer(DEFAULT_SHARE_ADDRESS, 20),
+    ]
+    tx = make_tx(events)
+    assert attribute_profit(tx, infer_pool_sinks=True) == (100, 30, 0)
+    assert attribute_profit(tx) == (100, 20, 0)
+    # a transfer already flagged counts once, inferred or not
+    flagged = make_tx([replace(e, pool_sink=True) if e == events[2] else e for e in events])
+    assert attribute_profit(flagged, infer_pool_sinks=True) == (100, 30, 0)
+    assert attribute_profit(flagged) == (100, 23, 0)
 
 
 def test_brute_force_share_oracle_on_planted_corpus():
@@ -200,9 +214,8 @@ def test_brute_force_share_oracle_on_planted_corpus():
                 expected_share += event.amount
             elif event.kind is EventKind.SWAP and event.pool_sink:
                 expected_share += event.amount
-        breakdown = attribute_profit(tx, cycle, share_set)
-        assert breakdown.share == expected_share
-        assert breakdown.net + breakdown.share + breakdown.gas_in_base_units == breakdown.gross
+        _gross, share, _gas = attribute_profit(tx, share_set)
+        assert share == expected_share
         checked += 1
     assert checked > 100
 
@@ -215,10 +228,8 @@ def test_planted_profit_triples_match_manifest():
         if cycle is None:
             continue
         expected = planted["0x" + tx.hash.hex()]
-        breakdown = attribute_profit(tx, cycle)
-        assert (breakdown.gross, breakdown.share, breakdown.net) == (
-            expected["gross"], expected["share"], expected["net"],
-        )
+        gross, share, gas = attribute_profit(tx)
+        assert (gross, share, gross - share - gas) == (expected["gross"], expected["share"], expected["net"])
 
 
 def test_gas_conversion_uses_price_table():
@@ -234,10 +245,10 @@ def test_gas_conversion_uses_price_table():
 def test_attribution_with_nonzero_gas():
     price_table = {"WBNB": Fraction(600), "AAA": Fraction(3)}
     tx = cycle_tx(gross=10**18, gas_used=10**6, gas_price=10**9)
-    breakdown = attribute_profit(tx, extract_arbitrage_cycle(tx), price_table=price_table)
+    assert tx.gas_cost == 10**15
     gas_base = gas_cost_in_base_units(10**15, TOKEN_A, price_table)
-    assert breakdown.gas_cost == 10**15
-    assert breakdown.net == breakdown.gross - breakdown.share - gas_base
+    assert gas_base > 0
+    assert attribute_profit(tx, price_table=price_table) == (10**18, 0, gas_base)
 
 
 # -- USD conversion -----------------------------------------------------------
@@ -249,37 +260,30 @@ def test_to_usd_wbnb_price():
         swap(wbnb, TOKEN_B, POOL_1, 10**18, 500),
         swap(TOKEN_B, wbnb, POOL_2, 500, 3 * 10**18),
     ]
-    tx = make_tx(tx_events)
-    breakdown = attribute_profit(tx, extract_arbitrage_cycle(tx))
-    assert breakdown.net == 2 * 10**18
-    usd = to_usd(breakdown.net, wbnb, {"WBNB": Fraction("891.78")})
+    assert attribute_profit(make_tx(tx_events)) == (2 * 10**18, 0, 0)
+    usd = to_usd(2 * 10**18, wbnb, {"WBNB": Fraction("891.78")})
     assert usd == Fraction("1783.56")
 
 
 def test_to_usd_zero_and_unit_price():
-    tx = cycle_tx(gross=0)
-    breakdown = attribute_profit(tx, extract_arbitrage_cycle(tx))
-    assert to_usd(breakdown.net, breakdown.base_token, {"AAA": Fraction(1)}) == 0
+    assert to_usd(0, TOKEN_A, {"AAA": Fraction(1)}) == 0
 
     usdt = TokenId("USDT", bytes([5]) * 20, 18)
     events = [
         swap(usdt, TOKEN_B, POOL_1, 10**18, 500),
         swap(TOKEN_B, usdt, POOL_2, 500, 10**18 + 15 * 10**17),
     ]
-    breakdown = attribute_profit(make_tx(events), extract_arbitrage_cycle(make_tx(events)))
-    assert to_usd(breakdown.net, usdt, {"USDT": Fraction(1)}) == Fraction(3, 2)
+    gross, share, gas = attribute_profit(make_tx(events))
+    assert to_usd(gross - share - gas, usdt, {"USDT": Fraction(1)}) == Fraction(3, 2)
 
 
 def test_missing_price_is_an_error_not_zero():
-    tx = cycle_tx(gross=5)
-    breakdown = attribute_profit(tx, extract_arbitrage_cycle(tx))
     with pytest.raises(MissingPriceError):
-        to_usd(breakdown.net, breakdown.base_token, {"WBNB": Fraction(600)})
+        to_usd(5, TOKEN_A, {"WBNB": Fraction(600)})
 
 
 def test_usd_values():
-    tx = cycle_tx(gross=3040, share_transfers=(820,))
-    breakdown = attribute_profit(tx, extract_arbitrage_cycle(tx))
-    assert to_usd(breakdown.net, breakdown.base_token, {"AAA": Fraction(1)}) == Fraction(2220, 10**18)
-    assert to_usd(breakdown.share, breakdown.base_token, {"AAA": Fraction(1)}) == Fraction(820, 10**18)
+    gross, share, gas = attribute_profit(cycle_tx(gross=3040, share_transfers=(820,)))
+    assert to_usd(gross - share - gas, TOKEN_A, {"AAA": Fraction(1)}) == Fraction(2220, 10**18)
+    assert to_usd(share, TOKEN_A, {"AAA": Fraction(1)}) == Fraction(820, 10**18)
 

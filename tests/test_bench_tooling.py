@@ -1,7 +1,8 @@
 """The benchmark's traced run patches mevforge at fixed module attributes,
 and its embodied workload loads a generated scenario; both must keep
 working, or the benchmark breaks silently.  The pool search over that
-scenario's graph is pinned by digest.  The READMEs name only API that
+scenario's graph is pinned by digest and bounded against the closed-form
+optimum.  The READMEs name only API that
 exists, and the package imports nothing outside the standard library."""
 
 import ast
@@ -9,7 +10,10 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import keyword
+import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -110,6 +114,46 @@ def test_embodied_search_matches_pinned_digest(seed):
     assert hashlib.sha256(text.encode()).hexdigest() == EMBODIED_SEARCH_DIGESTS[seed]
 
 
+def mobius_map(descriptor, pools):
+    """(A, B, C) of the V2-only cycle's output A*x / (B + C*x), in integers:
+    a hop is x -> g*R_out*x / (R_in*FEE_SCALE + g*x) with g = FEE_SCALE - fee,
+    and such maps compose to one.  None when a hop is not V2."""
+    from mevforge.pools import FEE_SCALE, PoolKind
+
+    A, B, C = 1, 1, 0
+    for token_in, address in zip(descriptor.tokens, descriptor.pools):
+        pool = pools[address]
+        if pool.kind is not PoolKind.V2:
+            return None
+        r_in, r_out = (pool.reserve0, pool.reserve1) if token_in == pool.token0 else (pool.reserve1, pool.reserve0)
+        g = FEE_SCALE - pool.fee_ppm
+        A, B, C = A * g * r_out, B * r_in * FEE_SCALE, C * r_in * FEE_SCALE + A * g
+    return A, B, C
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_embodied_search_is_within_five_units_of_the_closed_form_optimum(seed):
+    """On each profitable V2-only cycle, the ternary pick's delta is at most
+    5 base units below the best integer input within 3,000 of the real
+    optimum x* = (sqrt(AB) - B) / C (Wang et al., arXiv 2105.02784).  Seeds
+    0 and 2 hold the two widest gaps of seeds 0-29, both exactly 5."""
+    from mevforge.pools import _delta_fn, _v2_reserve_scale, best_input_search, enumerate_cycles
+
+    pools = load_perfbench("gen_embodied").pool_graph(seed)
+    gaps = []
+    for descriptor in enumerate_cycles(pools, "WBNB"):
+        mobius = mobius_map(descriptor, pools)
+        if mobius is None or mobius[0] <= mobius[1]:
+            continue
+        A, B, C = mobius
+        x_star = (math.isqrt(A * B) - B) // C
+        _, picked = best_input_search(descriptor, pools, 1, max(_v2_reserve_scale(pools, descriptor) // 4, 16))
+        best = max(map(_delta_fn(descriptor, pools), range(max(x_star - 3000, 1), x_star + 3001)))
+        gaps.append(best - picked)
+    assert len(gaps) > 40
+    assert max(gaps) <= 5
+
+
 def resolves(dotted: str) -> bool:
     """dotted imports as a module, or as a module plus attributes."""
     parts = dotted.split(".")
@@ -127,11 +171,24 @@ def resolves(dotted: str) -> bool:
 
 
 def test_documented_names_resolve():
+    """Dotted mevforge names in both READMEs resolve, and so does each
+    backticked bare name in README's Library layout: as an attribute of the
+    package or of one of its submodules, or as a CLI command."""
+    import mevforge
+    from mevforge.cli import build_parser
+
     names = set()
     for doc in (ROOT / "README.md", PERFBENCH / "README.md"):
         names.update(re.findall(r"\bmevforge(?:\.[A-Za-z_]\w*)+", doc.read_text(encoding="utf-8")))
     assert names
     assert [name for name in sorted(names) if not resolves(name)] == []
+
+    layout = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    bare = {name for name in re.findall(r"`([^`]+)`", layout) if name.isidentifier() and not keyword.iskeyword(name)}
+    modules = [mevforge, *(importlib.import_module(f"mevforge.{m.name}") for m in pkgutil.iter_modules(mevforge.__path__))]
+    commands = {name for action in build_parser()._actions if isinstance(action.choices, dict) for name in action.choices}
+    assert bare
+    assert [name for name in sorted(bare) if name not in commands and not any(hasattr(m, name) for m in modules)] == []
 
 
 def test_package_imports_only_the_standard_library():

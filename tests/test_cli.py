@@ -464,6 +464,7 @@ def pool_file_with_bad_byte(tmp_path):
         pytest.param(config_with(f"share_addresses = {SPACED_ADDRESS}"), id="config-share-address-spaced-hex"),
         # range checks name their line too
         pytest.param(config_with("price_table.WBNB = 0"), id="config-price-zero"),
+        pytest.param(config_with("price_table.USDT = 1/3"), id="config-price-no-terminating-decimal"),
         pytest.param(config_with("alpha = 2"), id="config-alpha-above-one"),
         pytest.param(config_with("risk.X = 1,0,2"), id="config-risk-bit-two"),
         # a boolean is a JSON literal, as in scenario files
@@ -538,6 +539,37 @@ def test_extract_timestamps_before_year_1000_read_back(tmp_path):
     assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
     with open(out / "records.csv", encoding="utf-8") as fh:
         assert [row.timestamp_utc for row in read_records(fh)] == ["0036-12-26T11:33:20Z"]
+
+
+def with_pool_transfers(obj):
+    """Three USDT transfers into the worked example's pools: 11 into the
+    last hop's pool before any swap, 100 into the first hop's pool after
+    its swap, and 7 into the last hop's pool at the end."""
+    usdt = obj["events"][0]["token_in"]
+
+    def into(pool, amount):
+        return {"kind": "transfer", "token_out": usdt, "to": pool, "amount": amount}
+
+    first_pool, last_pool = obj["events"][0]["pool"], obj["events"][2]["pool"]
+    obj["events"][1:1] = [into(first_pool, "100")]
+    obj["events"][:0] = [into(last_pool, "11")]
+    obj["events"].append(into(last_pool, "7"))
+
+
+@pytest.mark.parametrize("infer, share", [("true", 927), ("false", 820)])
+def test_extract_infers_pool_sinks_only_when_configured(tmp_path, infer, share):
+    """With infer_pool_sinks, a transfer into a pool that an earlier swap
+    touched is share: 100 + 7 on top of the 820 share transfer, while the
+    11 sent before its pool's swap is not."""
+    trace, config, out = tmp_path / "traces.ndjson", tmp_path / "run.cfg", tmp_path / "out"
+    trace.write_text(worked_example_with(with_pool_transfers))
+    config.write_text(f"infer_pool_sinks = {infer}\n")
+    argv = ["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--config", str(config)]
+    assert main([*argv, "--out", str(out)]) == 0
+    with open(out / "records.csv", encoding="utf-8") as fh:
+        [row] = read_records(fh)
+    assert (row.gross, row.share, row.gas, row.net) == (3040, share, 0, 3040 - share)
+    assert (row.usd_value, row.share_usd) == (3040 - share, share)
 
 
 def test_extract_matches_planted_manifest(tmp_path):

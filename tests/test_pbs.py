@@ -1,6 +1,7 @@
 """Slot auctions: decay model, both market flows, horizons, campaigns."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -491,6 +492,87 @@ def test_campaign_slots_share_their_schedule_bids():
     outcomes = run_campaign(duopoly(Protocol.ETH_RELAY), 3, rng_seed=1).outcomes
     assert outcomes[0].bids_received is outcomes[2].bids_received
     assert len(outcomes[0].bids_received) == 11
+
+
+# -- metamorphic properties of the two slot markets ---------------------------
+
+
+@st.composite
+def opportunities(draw):
+    deadline = draw(st.integers(min_value=1, max_value=3000))
+    return OpportunityModel(
+        peak_value=draw(st.integers(min_value=10**6, max_value=10**12)),
+        gas_floor=draw(st.integers(min_value=1, max_value=10**6)),
+        decay=draw(st.sampled_from(list(DecayShape))),
+        knee_ms=Fraction(draw(st.integers(min_value=0, max_value=deadline - 1))),
+        deadline_ms=Fraction(deadline),
+    )
+
+
+def scenario_builders(max_latency, nd, min_size=0):
+    """min_size to 4 builders, with ids "b0", "b1", ... in order."""
+    params = st.tuples(
+        st.integers(min_value=0, max_value=max_latency),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([0, 2500, 9000, 10000]),
+        nd,
+    )
+    return st.lists(params, min_size=min_size, max_size=4).map(
+        lambda rows: [agent(f"b{i}", *row) for i, row in enumerate(rows)]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    builders=scenario_builders(1500, st.just(0.0), min_size=2),
+    opportunity=opportunities(),
+    listen_window=st.integers(min_value=0, max_value=400),
+    compute=st.integers(min_value=0, max_value=300),
+    cut_percent=st.integers(min_value=0, max_value=99),
+)
+def test_direct_flow_winner_keeps_the_slot_when_its_latency_is_cut(
+    builders, opportunity, listen_window, compute, cut_percent
+):
+    def winner(agents):
+        scenario = SimScenario(
+            protocol=Protocol.BSC_DIRECT, builders=tuple(agents), opportunity=opportunity,
+            listen_window_ms=Fraction(listen_window), base_compute_ms=Fraction(compute),
+        )
+        return run_campaign(scenario, 1, rng_seed=0).outcomes[0].winner
+
+    won = winner(builders)
+    assume(won is not None)
+    faster = [replace(b, latency_ms=b.latency_ms * cut_percent / 100) if b.id == won else b for b in builders]
+    assert winner(faster) == won
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    builders=scenario_builders(150, st.sampled_from([0.0, 0.3, 1.0])),
+    protocol=st.sampled_from(list(Protocol)),
+    opportunity=opportunities(),
+    proposer_count=st.integers(min_value=1, max_value=3),
+    blacklist_slots=st.integers(min_value=0, max_value=5),
+    rebids_enabled=st.booleans(),
+    rng_seed=st.integers(min_value=0, max_value=2**32),
+    data=st.data(),
+)
+def test_builder_order_never_changes_a_campaign(
+    builders, protocol, opportunity, proposer_count, blacklist_slots, rebids_enabled, rng_seed, data
+):
+    def campaign(agents):
+        scenario = SimScenario(
+            protocol=protocol,
+            builders=tuple(agents),
+            opportunity=opportunity,
+            proposers=ProposerConfig(count=proposer_count, blacklist_slots=blacklist_slots),
+            relay=RelayConfig(rebids_enabled=rebids_enabled),
+        )
+        return run_campaign(scenario, 12, rng_seed)
+
+    reordered = data.draw(st.permutations(builders))
+    first, second = campaign(builders), campaign(reordered)
+    assert (first.outcomes, first.summary) == (second.outcomes, second.summary)
 
 
 # -- scenario value types -----------------------------------------------------

@@ -24,7 +24,6 @@ from mevforge.traces import (
     Transaction,
     format_address,
     iter_transactions,
-    mark_pool_sinks,
     parse_address,
     parse_tx_hash,
     read_json,
@@ -268,7 +267,7 @@ def test_label_csv_requires_header():
         LabelSet.from_csv(io.StringIO("A,a-1,0x" + "00" * 20 + "\n"))
 
 
-# -- path descriptors and pool-sink heuristic --------------------------------
+# -- path descriptors ---------------------------------------------------------
 
 
 def test_path_descriptor_lengths_and_cycle_flag():
@@ -280,19 +279,3 @@ def test_path_descriptor_lengths_and_cycle_flag():
     assert not open_path.is_cycle
     with pytest.raises(ValueError):
         PathDescriptor(tokens=(a, b, a), pools=(bytes(20),))
-
-
-def test_mark_pool_sinks_flags_transfer_into_seen_pool():
-    a = TokenId("AAA", bytes(20), 18)
-    b = TokenId("BBB", bytes([1]) * 20, 18)
-    pool = bytes([5]) * 20
-    events = (
-        TraceEvent(kind=EventKind.SWAP, pool=pool, token_in=a, token_out=b, amount_in=10, amount_out=9),
-        TraceEvent(kind=EventKind.TRANSFER, to=pool, amount=3),
-        TraceEvent(kind=EventKind.TRANSFER, to=bytes([6]) * 20, amount=4),
-    )
-    tx = Transaction(hash=bytes(32), block_number=0, initiator=bytes(20), events=events, gas_used=0, gas_price=0)
-    marked = mark_pool_sinks(tx)
-    assert marked.events[1].pool_sink is True
-    assert marked.events[2].pool_sink is False
-    assert mark_pool_sinks(marked) == marked
