@@ -16,15 +16,17 @@ def main() -> None:
 
     for name in ("bsc_duopoly.json", "eth_duopoly.json"):
         scenario = pbs.load_scenario(pbs.BUNDLED_SCENARIOS / name)
-        result = pbs.run_campaign(scenario, args.slots, args.seed)
+        summary = pbs.CampaignSummary(scenario.builders)
+        for outcome in pbs.run_campaign(scenario, args.slots, args.seed):
+            summary.add(outcome)
         print(f"\n== {name} ({scenario.protocol.value}, horizon {scenario.horizon_ms} ms)")
         print(f"{'builder':<10} {'wins':>8} {'win_share':>10} {'profit':>16} {'proposer_rev':>14}")
-        for row in result.summary.builders:
+        for builder_id, wins in summary.wins.items():
             print(
-                f"{row.builder_id:<10} {row.wins:>8} {decimal_str(row.win_share, 4):>10} "
-                f"{row.profit:>16} {row.proposer_revenue:>14}"
+                f"{builder_id:<10} {wins:>8} {decimal_str(Fraction(wins, summary.n_slots), 4):>10} "
+                f"{summary.profit[builder_id]:>16} {summary.revenue[builder_id]:>14}"
             )
-        print(f"fallback rate: {decimal_str(result.summary.fallback_rate, 6)}")
+        print(f"fallback rate: {decimal_str(summary.fallback_rate, 6)}")
 
     print("\n== coordination windows")
     for protocol, horizon in ((pbs.Protocol.BSC_DIRECT, 3000), (pbs.Protocol.ETH_RELAY, 12000)):

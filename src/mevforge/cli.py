@@ -3,7 +3,6 @@
 All randomness flows from --seed; outputs are deterministic byte streams,
 so rerunning a command over the same inputs rewrites identical files.
 Exit status is nonzero iff an error row or a config error was produced.
-Set MEVFORGE_LOG to control verbosity (DEBUG/INFO/WARNING/ERROR).
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -33,14 +30,6 @@ from .traces import (
     iter_transactions,
     serialize_transactions,
 )
-
-log = logging.getLogger("mevforge")
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("MEVFORGE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
-
 
 def _out_dir(path: str) -> Path:
     out = Path(path)
@@ -66,41 +55,44 @@ def cmd_extract(args: argparse.Namespace) -> int:
     errors: list[tuple[str, str]] = []
 
     def produce():
-        with open(args.traces, "rb") as fh:
-            for tx in iter_transactions(fh, stats):
-                path = extract_arbitrage_cycle(tx)
-                if path is None:
-                    continue
-                base_token = path.tokens[0]
-                label = labels.lookup(tx.initiator)
-                try:
-                    gross, share, gas = attribute_profit(tx, config.share_addresses, config.price_table, config.infer_pool_sinks)
-                    net = gross - share - gas
-                    usd_value = to_usd(net, base_token, config.price_table)
-                    share_usd = to_usd(share, base_token, config.price_table)
-                    timestamp = records.timestamp_for_block(tx.block_number, config.genesis_unix)
-                except (MissingPriceError, records.TimestampRangeError) as exc:
-                    errors.append((format_address(tx.hash), str(exc)))
-                    continue
-                yield records.ArbitrageRecord(
-                    tx_hash=tx.hash,
-                    block_number=tx.block_number,
-                    builder_brand=label.brand if label else "Unknown",
-                    base_token=base_token.symbol,
-                    hop_count=path.n_hops,
-                    gross=gross,
-                    share=share,
-                    gas=gas,
-                    net=net,
-                    usd_value=usd_value,
-                    share_usd=share_usd,
-                    timestamp_utc=timestamp,
-                )
+        for tx in iter_transactions(traces, stats):
+            path = extract_arbitrage_cycle(tx)
+            if path is None:
+                continue
+            base_token = path.tokens[0]
+            label = labels.lookup(tx.initiator)
+            try:
+                gross, share, gas = attribute_profit(tx, config.share_addresses, config.price_table, config.infer_pool_sinks)
+                net = gross - share - gas
+                usd_value = to_usd(net, base_token, config.price_table)
+                share_usd = to_usd(share, base_token, config.price_table)
+                timestamp = records.timestamp_for_block(tx.block_number, config.genesis_unix)
+            except (MissingPriceError, records.TimestampRangeError) as exc:
+                errors.append((format_address(tx.hash), str(exc)))
+                continue
+            yield records.ArbitrageRecord(
+                tx_hash=tx.hash,
+                block_number=tx.block_number,
+                builder_brand=label.brand if label else "Unknown",
+                base_token=base_token.symbol,
+                hop_count=path.n_hops,
+                gross=gross,
+                share=share,
+                gas=gas,
+                net=net,
+                usd_value=usd_value,
+                share_usd=share_usd,
+                timestamp_utc=timestamp,
+            )
 
     try:
-        with open(out / "records.csv", "w", encoding="utf-8", newline="") as fh:
+        # the trace file opens first, so a missing one leaves records.csv as it was
+        with open(args.traces, "rb") as traces, open(out / "records.csv", "w", encoding="utf-8", newline="") as fh:
             emitted = records.write_records(fh, produce())
     except TraceParseError as exc:
+        # a bad trace line leaves neither report, as analyze writes none on a bad row
+        (out / "records.csv").unlink()
+        (out / "errors.csv").unlink(missing_ok=True)
         print(f"error: {args.traces}: {exc}", file=sys.stderr)
         return 1
 
@@ -112,7 +104,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
     else:
         (out / "errors.csv").unlink(missing_ok=True)
     skipped = stats.transactions - emitted - len(errors)
-    log.info("extract: %d records, %d non-cycles skipped, %d unknown events", emitted, skipped, stats.unknown_events)
     print(f"records={emitted} skipped={skipped} unknown_events={stats.unknown_events} errors={len(errors)}")
     return 1 if errors else 0
 
@@ -181,12 +172,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
-    result = pbs.run_campaign(pbs.load_scenario(args.scenario), args.slots, args.seed)
-    reports.write_text(out / "slots.csv", lambda fh: reports.write_slot_log(fh, result.outcomes))
-    reports.write_text(out / "summary.csv", lambda fh: reports.write_campaign_summary(fh, result.summary))
-    top = max(result.summary.builders, key=lambda b: b.wins, default=None)
-    top_text = f"{top.builder_id}:{top.wins}" if top else "-"
-    print(f"slots={args.slots} top={top_text} fallback_rate={reports.decimal_str(result.summary.fallback_rate, 6)}")
+    scenario = pbs.load_scenario(args.scenario)
+    outcomes = pbs.run_campaign(scenario, args.slots, args.seed)
+    summary = pbs.CampaignSummary(scenario.builders)
+
+    def folded():
+        for outcome in outcomes:
+            summary.add(outcome)
+            yield outcome
+
+    reports.write_text(out / "slots.csv", lambda fh: reports.write_slot_log(fh, folded()))
+    reports.write_text(out / "summary.csv", lambda fh: reports.write_campaign_summary(fh, summary))
+    top = max(summary.wins, key=summary.wins.get, default=None)
+    top_text = "-" if top is None else f"{top}:{summary.wins[top]}"
+    print(f"slots={args.slots} top={top_text} fallback_rate={reports.decimal_str(summary.fallback_rate, 6)}")
     return 0
 
 
@@ -281,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -28,7 +28,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Sequence, get_args, get_origin
+from typing import Callable, Iterable, Iterator, Optional, Sequence, get_args, get_origin
 
 from . import pools as pools_mod
 from .pools import _v2_reserve_scale, enumerate_cycles
@@ -527,71 +527,51 @@ def _bid_value_fn(scenario: SimScenario) -> BidValueFn:
     return value_at
 
 
-@dataclass(frozen=True)
-class BuilderSummary:
-    builder_id: str
-    wins: int
-    win_share: Fraction
-    profit: int
-    proposer_revenue: int
-
-
-@dataclass(frozen=True)
 class CampaignSummary:
-    n_slots: int
-    builders: tuple[BuilderSummary, ...]
-    fallback_rate: Fraction
-    total_proposer_revenue: int
+    """The fold of a campaign's slots: the slot count and, per builder
+    (sorted by id), its wins, realized profit and proposer revenue."""
+
+    def __init__(self, builders: Iterable[BuilderAgent]) -> None:
+        self.n_slots = 0
+        self.wins = {builder_id: 0 for builder_id in sorted(b.id for b in builders)}
+        self.profit, self.revenue = dict(self.wins), dict(self.wins)
+
+    def add(self, outcome: SlotOutcome) -> None:
+        self.n_slots += 1
+        if outcome.winner is not None:
+            self.wins[outcome.winner] += 1
+            self.profit[outcome.winner] += outcome.realized_builder_profit
+            self.revenue[outcome.winner] += outcome.proposer_payment
+
+    @property
+    def fallback_rate(self) -> Fraction:
+        """Share of slots no builder won."""
+        return Fraction(self.n_slots - sum(self.wins.values()), self.n_slots)
 
 
-@dataclass
-class CampaignResult:
-    outcomes: list[SlotOutcome]
-    summary: CampaignSummary
-
-
-def run_campaign(scenario: SimScenario, n_slots: int, rng_seed: int) -> CampaignResult:
-    """Run sequential slots with round-robin proposers and per-proposer,
-    time-limited blacklists.  Bids depend only on the scenario and the
-    active blacklist, so each distinct blacklist gets one bid schedule and
-    every slot is resolved against its cached schedule."""
+def run_campaign(scenario: SimScenario, n_slots: int, rng_seed: int) -> Iterator[SlotOutcome]:
+    """The outcomes of sequential slots, in height order, with round-robin
+    proposers and per-proposer, time-limited blacklists.  Bids depend only
+    on the scenario and the active blacklist, so each distinct blacklist
+    gets one bid schedule and every slot is resolved against its cached
+    schedule.  A bad n_slots or pool fixture raises here, before the first
+    slot is asked for."""
     if n_slots < 1:
         raise ConfigError("n_slots must be >= 1")
     value_at = _bid_value_fn(scenario)
-    schedules: dict[frozenset[str], BidSchedule] = {}
-    blacklists: defaultdict[int, dict[str, int]] = defaultdict(dict)  # by proposer, made on first use
-    outcomes: list[SlotOutcome] = []
-    wins: dict[str, int] = {b.id: 0 for b in scenario.builders}
-    profit, revenue = dict(wins), dict(wins)
-    for height in range(n_slots):
-        blacklist = blacklists[height % scenario.proposers.count]
-        active = frozenset(builder for builder, expiry in blacklist.items() if expiry > height)
-        schedule = schedules.get(active)
-        if schedule is None:
-            schedule = schedules[active] = _schedule(scenario, active, value_at)
-        outcome = _resolve_slot(schedule, height, rng_seed)
-        for offender in outcome.blacklist_events:
-            blacklist[offender] = height + scenario.proposers.blacklist_slots
-        if outcome.winner is not None:
-            wins[outcome.winner] += 1
-            profit[outcome.winner] += outcome.realized_builder_profit
-            revenue[outcome.winner] += outcome.proposer_payment
-        outcomes.append(outcome)
 
-    builders = tuple(
-        BuilderSummary(
-            builder_id=bid,
-            wins=wins[bid],
-            win_share=Fraction(wins[bid], n_slots),
-            profit=profit[bid],
-            proposer_revenue=revenue[bid],
-        )
-        for bid in sorted(wins)
-    )
-    summary = CampaignSummary(
-        n_slots=n_slots,
-        builders=builders,
-        fallback_rate=Fraction(n_slots - sum(wins.values()), n_slots),
-        total_proposer_revenue=sum(revenue.values()),
-    )
-    return CampaignResult(outcomes=outcomes, summary=summary)
+    def slots() -> Iterator[SlotOutcome]:
+        schedules: dict[frozenset[str], BidSchedule] = {}
+        blacklists: defaultdict[int, dict[str, int]] = defaultdict(dict)  # by proposer, made on first use
+        for height in range(n_slots):
+            blacklist = blacklists[height % scenario.proposers.count]
+            active = frozenset(builder for builder, expiry in blacklist.items() if expiry > height)
+            schedule = schedules.get(active)
+            if schedule is None:
+                schedule = schedules[active] = _schedule(scenario, active, value_at)
+            outcome = _resolve_slot(schedule, height, rng_seed)
+            for offender in outcome.blacklist_events:
+                blacklist[offender] = height + scenario.proposers.blacklist_slots
+            yield outcome
+
+    return slots()

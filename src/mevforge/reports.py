@@ -131,11 +131,11 @@ def write_slot_log(stream: IO[str], outcomes: Iterable[SlotOutcome]) -> None:
 def write_campaign_summary(stream: IO[str], summary: CampaignSummary) -> None:
     writer = _writer(stream)
     writer.writerow(["builder_id", "wins", "win_share", "profit", "proposer_revenue"])
-    for row in summary.builders:
-        writer.writerow(
-            [row.builder_id, row.wins, decimal_str(row.win_share, 6), row.profit, row.proposer_revenue]
-        )
-    writer.writerow(["_fallback_rate", "", decimal_str(summary.fallback_rate, 6), "", summary.total_proposer_revenue])
+    for builder_id, wins in summary.wins.items():
+        win_share = decimal_str(Fraction(wins, summary.n_slots), 6)
+        writer.writerow([builder_id, wins, win_share, summary.profit[builder_id], summary.revenue[builder_id]])
+    total_revenue = sum(summary.revenue.values())
+    writer.writerow(["_fallback_rate", "", decimal_str(summary.fallback_rate, 6), "", total_revenue])
 
 
 def write_text(path: Path, render) -> None:

@@ -324,7 +324,9 @@ def _transaction_from_obj(obj: Mapping, line_no: int, stats: ParseStats) -> Tran
             gas_used=read_json(obj["gas_used"], "gas_used", int),
             gas_price=read_json(obj["gas_price"], "gas_price", int),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:  # its str is only the quoted key
+        raise TraceParseError(line_no, f"missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise TraceParseError(line_no, str(exc)) from exc
 
 

@@ -301,12 +301,30 @@ def test_extract_errors_csv_quotes_hostile_symbols(tmp_path):
 
 
 def test_extract_non_object_event_fails_with_line(tmp_path, capsys):
+    """A bad trace line leaves no report: neither the records written
+    before it nor an errors.csv from an earlier run."""
     trace = tmp_path / "traces.ndjson"
     header = {"hash": "0x" + "00" * 32, "block": 1, "from": "0x" + "11" * 20, "gas_used": 0, "gas_price": 0}
     trace.write_text(json.dumps({**header, "events": []}) + "\n" + json.dumps({**header, "events": ["x"]}) + "\n")
-    code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "errors.csv").write_text("tx_hash,error\n")
+    code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {trace}: line 2: ")
+    assert list(out.iterdir()) == []
+
+
+def test_extract_missing_trace_file_leaves_the_records_as_they_were(tmp_path, capsys):
+    out = tmp_path / "o"
+    labels = str(DATA / "builder_labels.csv")
+    assert main(["extract", "--traces", str(DATA / "worked_example_trace.ndjson"), "--labels", labels, "--out", str(out)]) == 0
+    written = read_all(out)
+    missing = tmp_path / "missing.ndjson"
+    capsys.readouterr()
+    assert main(["extract", "--traces", str(missing), "--labels", labels, "--out", str(out)]) == 1
+    assert str(missing) in capsys.readouterr().err
+    assert read_all(out) == written
 
 
 def worked_example_with(edit) -> str:
@@ -320,28 +338,29 @@ def set_event(index, **values):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, message",
     [
-        pytest.param(lambda o: o.update(block=50636154.7), id="block-float"),
-        pytest.param(lambda o: o.update(gas_used=True), id="gas-used-bool"),
-        pytest.param(lambda o: o.update(gas_price="0"), id="gas-price-string"),
-        pytest.param(lambda o: o["events"][0]["token_in"].update(decimals=False), id="decimals-bool"),
-        pytest.param(set_event(0, amount_in="+1000000"), id="amount-in-signed-string"),
-        pytest.param(set_event(0, amount_out="2_980_000_000_000_000_000"), id="amount-out-underscores"),
-        pytest.param(set_event(3, amount=" 820"), id="amount-padded-string"),
-        pytest.param(set_event(0, pool_sink="false", amount="5"), id="pool-sink-string"),
-        pytest.param(set_event(0, pool=5), id="pool-address-number"),
-        pytest.param(lambda o: o["events"][0]["token_in"].update(symbol=None), id="symbol-null"),
-        pytest.param(lambda o: o["events"][0]["token_out"].update(symbol=5), id="symbol-number"),
-        pytest.param(lambda o: o["events"][0]["token_in"].update(symbol="US\ud800"), id="symbol-lone-surrogate"),
+        pytest.param(lambda o: o.pop("events"), "missing key 'events'", id="missing-key"),
+        pytest.param(lambda o: o.update(block=50636154.7), "", id="block-float"),
+        pytest.param(lambda o: o.update(gas_used=True), "", id="gas-used-bool"),
+        pytest.param(lambda o: o.update(gas_price="0"), "", id="gas-price-string"),
+        pytest.param(lambda o: o["events"][0]["token_in"].update(decimals=False), "", id="decimals-bool"),
+        pytest.param(set_event(0, amount_in="+1000000"), "", id="amount-in-signed-string"),
+        pytest.param(set_event(0, amount_out="2_980_000_000_000_000_000"), "", id="amount-out-underscores"),
+        pytest.param(set_event(3, amount=" 820"), "", id="amount-padded-string"),
+        pytest.param(set_event(0, pool_sink="false", amount="5"), "", id="pool-sink-string"),
+        pytest.param(set_event(0, pool=5), "", id="pool-address-number"),
+        pytest.param(lambda o: o["events"][0]["token_in"].update(symbol=None), "", id="symbol-null"),
+        pytest.param(lambda o: o["events"][0]["token_out"].update(symbol=5), "", id="symbol-number"),
+        pytest.param(lambda o: o["events"][0]["token_in"].update(symbol="US\ud800"), "", id="symbol-lone-surrogate"),
     ],
 )
-def test_extract_rejects_loosely_typed_trace_fields(tmp_path, capsys, edit):
+def test_extract_rejects_loosely_typed_trace_fields(tmp_path, capsys, edit, message):
     trace = tmp_path / "traces.ndjson"
     trace.write_text(worked_example_with(edit))
     code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(tmp_path / "o")])
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: {trace}: line 1: ")
+    assert capsys.readouterr().err.startswith(f"error: {trace}: line 1: {message}")
 
 
 def records_text(*records) -> str:
@@ -821,6 +840,34 @@ def test_simulate_single_slot(tmp_path):
     assert len(slots) == 2  # header plus exactly one slot
 
 
+def test_simulate_holds_no_slots(tmp_path):
+    """Traced Python allocations of a 20,000-slot relay campaign peak near
+    0.2 MiB; holding every slot's outcome took 4 MiB."""
+    argv = ["simulate", "--scenario", str(SCENARIOS / "eth_duopoly.json"), "--slots", "20000", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**20
+
+
+def test_simulate_faults_stop_it_before_slots_csv(tmp_path, capsys):
+    """Slots are resolved while slots.csv is written, but a bad slot count
+    or a pool fixture without a cycle is found before it is opened."""
+    one_pool = pools.dump_pool_file(fixtures.gen_pool_fixture(seed=13).pools).splitlines()[0] + "\n"
+    for scenario, slots, message in [
+        (SCENARIOS / "eth_duopoly.json", "0", "n_slots must be >= 1"),
+        (embodied_scenario(tmp_path, one_pool), "1", "pools: fixture contains no executable cycle"),
+    ]:
+        out = tmp_path / f"out{slots}"
+        assert main(["simulate", "--scenario", str(scenario), "--slots", slots, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
+
+
 def test_simulate_invalid_scenario_fails(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"protocol": "nope", "opportunity": {}}))
@@ -930,30 +977,31 @@ def v3_line_with(**values):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, message",
     [
-        pytest.param(lambda o: json.dumps(list(o.values())), id="array"),
-        pytest.param(lambda o: json.dumps({**o, "token0": "WBNB"}), id="token0-not-object"),
-        pytest.param(lambda o: json.dumps({**o, "address": 5}), id="address-number"),
-        pytest.param(lambda o: json.dumps({**o, "fee_ppm": 2500.9}), id="fee-float"),
-        pytest.param(lambda o: json.dumps(o)[:-1], id="invalid-json"),
-        pytest.param(lambda o: json.dumps({**o, "reserve0": True}), id="reserve-bool"),
-        pytest.param(lambda o: json.dumps({**o, "reserve1": "1e21"}), id="reserve-exponent-string"),
-        pytest.param(v3_line_with(liquidity=10.0**21), id="liquidity-float"),
-        pytest.param(v3_line_with(sqrt_price_x96="-1"), id="sqrt-price-signed-string"),
-        pytest.param(v3_line_with(sqrt_price_x96=str(2**160 + 1)), id="sqrt-price-above-max"),
-        pytest.param(lambda o: json.dumps({**o, "token0": {**o["token0"], "symbol": None}}), id="symbol-null"),
-        pytest.param(lambda o: json.dumps({**o, "token1": {**o["token1"], "symbol": 5}}), id="symbol-number"),
-        pytest.param(lambda o: json.dumps(o)[:-1] + ', "fee_ppm": 3000}', id="repeated-key"),
+        pytest.param(lambda o: json.dumps({k: v for k, v in o.items() if k != "token1"}), "missing key 'token1'", id="missing-key"),
+        pytest.param(lambda o: json.dumps(list(o.values())), "", id="array"),
+        pytest.param(lambda o: json.dumps({**o, "token0": "WBNB"}), "", id="token0-not-object"),
+        pytest.param(lambda o: json.dumps({**o, "address": 5}), "", id="address-number"),
+        pytest.param(lambda o: json.dumps({**o, "fee_ppm": 2500.9}), "", id="fee-float"),
+        pytest.param(lambda o: json.dumps(o)[:-1], "", id="invalid-json"),
+        pytest.param(lambda o: json.dumps({**o, "reserve0": True}), "", id="reserve-bool"),
+        pytest.param(lambda o: json.dumps({**o, "reserve1": "1e21"}), "", id="reserve-exponent-string"),
+        pytest.param(v3_line_with(liquidity=10.0**21), "", id="liquidity-float"),
+        pytest.param(v3_line_with(sqrt_price_x96="-1"), "", id="sqrt-price-signed-string"),
+        pytest.param(v3_line_with(sqrt_price_x96=str(2**160 + 1)), "", id="sqrt-price-above-max"),
+        pytest.param(lambda o: json.dumps({**o, "token0": {**o["token0"], "symbol": None}}), "", id="symbol-null"),
+        pytest.param(lambda o: json.dumps({**o, "token1": {**o["token1"], "symbol": 5}}), "", id="symbol-number"),
+        pytest.param(lambda o: json.dumps(o)[:-1] + ', "fee_ppm": 3000}', "", id="repeated-key"),
         # line 1 holds pool 0x1221... over WBNB/USDT; line 2 is a USDT/USD1 pool
-        pytest.param(lambda o: json.dumps({**o, "address": "0x1221b5a22155a41c2ff7c0fcbbe8f88da415c4c8"}), id="address-repeated"),
-        pytest.param(lambda o: json.dumps({**o, "token0": {**o["token0"], "address": "0x" + "ee" * 20}}), id="symbol-reused"),
+        pytest.param(lambda o: json.dumps({**o, "address": "0x1221b5a22155a41c2ff7c0fcbbe8f88da415c4c8"}), "", id="address-repeated"),
+        pytest.param(lambda o: json.dumps({**o, "token0": {**o["token0"], "address": "0x" + "ee" * 20}}), "", id="symbol-reused"),
     ],
 )
-def test_simulate_malformed_pool_file_names_the_line(tmp_path, capsys, edit):
+def test_simulate_malformed_pool_file_names_the_line(tmp_path, capsys, edit, message):
     scenario = embodied_scenario(tmp_path, pool_lines_with(edit))
     assert main(["simulate", "--scenario", str(scenario), "--slots", "1", "--seed", "1", "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("error: invalid scenario keys: pools: line 2: ")
+    assert capsys.readouterr().err.startswith(f"error: invalid scenario keys: pools: line 2: {message}")
 
 
 # A direct-flow scenario whose slots depend on the non-delivery draws and on

@@ -22,6 +22,7 @@ from mevforge.pbs import (
     SimScenario,
     Strategy,
     BUNDLED_SCENARIOS as SCENARIOS,
+    CampaignSummary,
     contestable_window,
     load_scenario,
     missing_horizon,
@@ -280,29 +281,41 @@ def duopoly(protocol):
     return load_scenario(SCENARIOS / ("bsc_duopoly.json" if protocol is Protocol.BSC_DIRECT else "eth_duopoly.json"))
 
 
+def campaign(scenario, n_slots, rng_seed):
+    """A campaign's outcomes, collected, and their fold."""
+    summary = CampaignSummary(scenario.builders)
+    outcomes = list(run_campaign(scenario, n_slots, rng_seed))
+    for outcome in outcomes:
+        summary.add(outcome)
+    return outcomes, summary
+
+
+def counts(summary):
+    """The fold's counts, in its builder order."""
+    return summary.n_slots, [(b, summary.wins[b], summary.profit[b], summary.revenue[b]) for b in summary.wins]
+
+
 def test_campaign_single_slot_summary_matches_slot():
-    result = run_campaign(duopoly(Protocol.BSC_DIRECT), 1, rng_seed=4)
-    assert len(result.outcomes) == 1
-    winner = result.outcomes[0].winner
-    by_id = {row.builder_id: row for row in result.summary.builders}
-    assert by_id[winner].wins == 1
-    assert by_id[winner].win_share == 1
-    assert by_id[winner].proposer_revenue == result.outcomes[0].proposer_payment
+    outcomes, summary = campaign(duopoly(Protocol.BSC_DIRECT), 1, rng_seed=4)
+    assert len(outcomes) == 1
+    winner = outcomes[0].winner
+    assert summary.wins[winner] == 1
+    assert Fraction(summary.wins[winner], summary.n_slots) == 1
+    assert summary.revenue[winner] == outcomes[0].proposer_payment
 
 
 def test_campaign_is_deterministic():
-    first = run_campaign(duopoly(Protocol.BSC_DIRECT), 500, rng_seed=42)
-    second = run_campaign(duopoly(Protocol.BSC_DIRECT), 500, rng_seed=42)
-    assert first.outcomes == second.outcomes
-    assert first.summary == second.summary
+    first, first_summary = campaign(duopoly(Protocol.BSC_DIRECT), 500, rng_seed=42)
+    second, second_summary = campaign(duopoly(Protocol.BSC_DIRECT), 500, rng_seed=42)
+    assert first == second
+    assert counts(first_summary) == counts(second_summary)
 
 
 def test_dominant_builder_wins_with_latency_gap():
     scenario = duopoly(Protocol.BSC_DIRECT)
-    result = run_campaign(scenario, 2000, rng_seed=1)
-    by_id = {row.builder_id: row for row in result.summary.builders}
-    assert by_id["alpha"].win_share >= Fraction(95, 100)
-    assert result.summary.fallback_rate == 0
+    _outcomes, summary = campaign(scenario, 2000, rng_seed=1)
+    assert Fraction(summary.wins["alpha"], summary.n_slots) >= Fraction(95, 100)
+    assert summary.fallback_rate == 0
 
 
 def test_twenty_ms_gap_still_winner_takes_all():
@@ -312,9 +325,8 @@ def test_twenty_ms_gap_still_winner_takes_all():
         opportunity=OPP,
         proposers=ProposerConfig(count=3),
     )
-    result = run_campaign(scenario, 2000, rng_seed=2)
-    by_id = {row.builder_id: row for row in result.summary.builders}
-    assert by_id["near"].win_share >= Fraction(95, 100)
+    _outcomes, summary = campaign(scenario, 2000, rng_seed=2)
+    assert Fraction(summary.wins["near"], summary.n_slots) >= Fraction(95, 100)
 
 
 def test_blacklist_makes_next_best_win_for_its_duration():
@@ -338,15 +350,15 @@ def test_blacklist_makes_next_best_win_for_its_duration():
         forced_path = os.path.join(tmp, "forced.json")
         json.dump(base, open(clean_path, "w"))
         json.dump(forced, open(forced_path, "w"))
-        clean = run_campaign(load_scenario(clean_path), 60, rng_seed=8)
-        broken = run_campaign(load_scenario(forced_path), 60, rng_seed=8)
+        clean, _summary = campaign(load_scenario(clean_path), 60, rng_seed=8)
+        broken, _summary = campaign(load_scenario(forced_path), 60, rng_seed=8)
 
-    assert all(o.winner == "alpha" for o in clean.outcomes)
+    assert all(o.winner == "alpha" for o in clean)
     # slot 0: alpha fails delivery, beta is next-best; afterwards alpha is
     # blacklisted and beta keeps winning for the blacklist duration
-    assert broken.outcomes[0].blacklist_events == ("alpha",)
-    assert broken.outcomes[0].winner == "beta"
-    assert all(o.winner == "beta" for o in broken.outcomes[:50])
+    assert broken[0].blacklist_events == ("alpha",)
+    assert broken[0].winner == "beta"
+    assert all(o.winner == "beta" for o in broken[:50])
 
 
 def test_latency_monotonicity_in_win_count():
@@ -360,8 +372,8 @@ def test_latency_monotonicity_in_win_count():
             ),
             opportunity=OPP,
         )
-        result = run_campaign(scenario, 200, rng_seed=6)
-        return {r.builder_id: r.wins for r in result.summary.builders}["mover"]
+        _outcomes, summary = campaign(scenario, 200, rng_seed=6)
+        return summary.wins["mover"]
 
     counts = [wins_at(latency) for latency in (120, 60, 30, 24, 12, 5)]
     assert counts == sorted(counts)
@@ -404,10 +416,10 @@ def test_embodied_campaign_uses_pool_search(tmp_path):
     (tmp_path / "pools.ndjson").write_text(EMBODIED_POOLS)
     path = tmp_path / "embodied.json"
     path.write_text(json.dumps(EMBODIED_SCENARIO))
-    result = run_campaign(load_scenario(path), 5, rng_seed=2)
+    outcomes, _summary = campaign(load_scenario(path), 5, rng_seed=2)
     # only the triangle route is mispriced, so the short-hop builder never bids
-    assert all(o.winner == "tri" for o in result.outcomes)
-    assert result.outcomes[0].proposer_payment > 0
+    assert all(o.winner == "tri" for o in outcomes)
+    assert outcomes[0].proposer_payment > 0
 
 
 # -- bid schedules vs slot-by-slot campaigns ----------------------------------
@@ -485,11 +497,11 @@ def test_campaign_equals_slot_by_slot_reference(
         proposers=ProposerConfig(count=proposer_count, blacklist_slots=blacklist_slots),
         relay=RelayConfig(rebids_enabled=rebids_enabled),
     )
-    assert run_campaign(scenario, n_slots, rng_seed).outcomes == slot_by_slot_campaign(scenario, n_slots, rng_seed)
+    assert campaign(scenario, n_slots, rng_seed)[0] == slot_by_slot_campaign(scenario, n_slots, rng_seed)
 
 
 def test_campaign_slots_share_their_schedule_bids():
-    outcomes = run_campaign(duopoly(Protocol.ETH_RELAY), 3, rng_seed=1).outcomes
+    outcomes, _summary = campaign(duopoly(Protocol.ETH_RELAY), 3, rng_seed=1)
     assert outcomes[0].bids_received is outcomes[2].bids_received
     assert len(outcomes[0].bids_received) == 11
 
@@ -538,12 +550,54 @@ def test_direct_flow_winner_keeps_the_slot_when_its_latency_is_cut(
             protocol=Protocol.BSC_DIRECT, builders=tuple(agents), opportunity=opportunity,
             listen_window_ms=Fraction(listen_window), base_compute_ms=Fraction(compute),
         )
-        return run_campaign(scenario, 1, rng_seed=0).outcomes[0].winner
+        outcomes, _summary = campaign(scenario, 1, rng_seed=0)
+        return outcomes[0].winner
 
     won = winner(builders)
     assume(won is not None)
     faster = [replace(b, latency_ms=b.latency_ms * cut_percent / 100) if b.id == won else b for b in builders]
     assert winner(faster) == won
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    builders=scenario_builders(1500, st.just(0.0), min_size=2),
+    opportunity=opportunities(),
+    horizon=st.integers(min_value=4000, max_value=12000),
+    delay=st.integers(min_value=0, max_value=200),
+    rebid_interval=st.integers(min_value=1, max_value=1000),
+    rounds=st.integers(min_value=1, max_value=8),
+    compute=st.integers(min_value=0, max_value=300),
+    data=st.data(),
+)
+def test_relay_flow_winner_ignores_latency_once_every_ladder_tops_out(
+    builders, opportunity, horizon, delay, rebid_interval, rounds, compute, data
+):
+    relay = RelayConfig(delay_ms=Fraction(delay), rebid_interval_ms=Fraction(rebid_interval), optimization_rounds=rounds)
+
+    def scenario(agents):
+        return SimScenario(
+            protocol=Protocol.ETH_RELAY, builders=tuple(agents), opportunity=opportunity,
+            horizon_ms=Fraction(horizon), base_compute_ms=Fraction(compute), relay=relay,
+        )
+
+    def tops_out(agents):
+        """Every builder's last rebid, its ceiling, lands by the horizon."""
+        return all(
+            opportunity.birth_ms + 2 * b.latency_ms + b.compute_ms(Fraction(compute)) + delay + rounds * rebid_interval
+            <= horizon
+            for b in agents
+        )
+
+    def winner(agents):
+        outcomes, _summary = campaign(scenario(agents), 1, rng_seed=0)
+        return outcomes[0].winner
+
+    ceilings = [pools.split_delta(int(opportunity.peak_value * b.efficiency), b.share_ratio_bp)[0] for b in builders]
+    assume(len(set(ceilings)) == len(ceilings) and tops_out(builders))
+    redrawn = [replace(b, latency_ms=Fraction(data.draw(st.integers(min_value=0, max_value=1500)))) for b in builders]
+    assume(tops_out(redrawn))
+    assert winner(redrawn) == winner(builders)
 
 
 @settings(max_examples=150, deadline=None)
@@ -560,7 +614,7 @@ def test_direct_flow_winner_keeps_the_slot_when_its_latency_is_cut(
 def test_builder_order_never_changes_a_campaign(
     builders, protocol, opportunity, proposer_count, blacklist_slots, rebids_enabled, rng_seed, data
 ):
-    def campaign(agents):
+    def run(agents):
         scenario = SimScenario(
             protocol=protocol,
             builders=tuple(agents),
@@ -568,11 +622,11 @@ def test_builder_order_never_changes_a_campaign(
             proposers=ProposerConfig(count=proposer_count, blacklist_slots=blacklist_slots),
             relay=RelayConfig(rebids_enabled=rebids_enabled),
         )
-        return run_campaign(scenario, 12, rng_seed)
+        outcomes, summary = campaign(scenario, 12, rng_seed)
+        return outcomes, counts(summary)
 
     reordered = data.draw(st.permutations(builders))
-    first, second = campaign(builders), campaign(reordered)
-    assert (first.outcomes, first.summary) == (second.outcomes, second.summary)
+    assert run(builders) == run(reordered)
 
 
 # -- scenario value types -----------------------------------------------------
@@ -667,4 +721,5 @@ def test_any_json_value_at_any_scenario_key_loads_or_is_a_config_error(tmp_path,
 def test_rebids_enabled_false_is_read_as_false(tmp_path):
     scenario = load_scenario(write_scenario(tmp_path, lambda o: o["relay"].update(rebids_enabled=False)))
     assert scenario.relay.rebids_enabled is False
-    assert {o.winner for o in run_campaign(scenario, 50, rng_seed=1).outcomes} == {"alpha"}
+    outcomes, _summary = campaign(scenario, 50, rng_seed=1)
+    assert {o.winner for o in outcomes} == {"alpha"}
