@@ -43,7 +43,6 @@ def _out_dir(path: str) -> Path:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else RunConfig()
-    out = _out_dir(args.out)
     try:
         with open(args.labels, "rb") as fh:
             labels = LabelSet.from_csv(fh)
@@ -86,9 +85,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
             )
 
     try:
-        # the trace file opens first, so a missing one leaves records.csv as it was
-        with open(args.traces, "rb") as traces, open(out / "records.csv", "w", encoding="utf-8", newline="") as fh:
-            emitted = records.write_records(fh, produce())
+        # the trace file opens first, so a missing one leaves --out as it was, or absent
+        with open(args.traces, "rb") as traces:
+            out = _out_dir(args.out)
+            with open(out / "records.csv", "w", encoding="utf-8", newline="") as fh:
+                emitted = records.write_records(fh, produce())
     except TraceParseError as exc:
         # a bad trace line leaves neither report, as analyze writes none on a bad row
         (out / "records.csv").unlink()
@@ -114,13 +115,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else RunConfig()
-    out = _out_dir(args.out)
     try:
         with open(args.records, "rb") as fh:
             totals = analytics.RecordTotals(records.iter_records(fh))
     except records.RecordSchemaError as exc:
         print(f"error: {args.records}: {exc}", file=sys.stderr)
         return 1
+    out = _out_dir(args.out)
 
     # market share from distinct blocks per brand
     table = analytics.ShareTable(())
@@ -171,9 +172,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    out = _out_dir(args.out)
     scenario = pbs.load_scenario(args.scenario)
     outcomes = pbs.run_campaign(scenario, args.slots, args.seed)
+    out = _out_dir(args.out)
     summary = pbs.CampaignSummary(scenario.builders)
 
     def folded():
@@ -204,7 +205,7 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
     if args.kind == "traces":
         corpus = fixtures.gen_trace_corpus(args.seed, 1000 if args.count is None else args.count)
         with open(out / "traces.ndjson", "w", encoding="utf-8") as fh:
-            fh.write(serialize_transactions(corpus.transactions))
+            fh.writelines(serialize_transactions(corpus.transactions))
         with open(out / "labels.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write("brand,instance,address\n")
             for label in corpus.labels:

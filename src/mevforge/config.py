@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .arbitrage import DEFAULT_SHARE_ADDRESS
-from .records import fraction_to_decimal
+from .records import decimal_places
 from .traces import LineError, parse_address, read_json, read_lines
 
 DEFAULT_PRICE_TABLE: dict[str, Fraction] = {
@@ -65,7 +65,7 @@ def _setting(key: str, value: str) -> tuple[str, object]:
     if table == "price_table" and symbol:
         price = read_json(value, key, Fraction)
         try:
-            fraction_to_decimal(price)  # dollar columns are written as exact decimals
+            decimal_places(price)  # dollar columns are written as exact decimals
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
         return "price_table", {symbol: price}

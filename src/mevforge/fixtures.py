@@ -50,7 +50,7 @@ def make_token_universe(rng: random.Random, extra: int = 6) -> list[TokenId]:
 
 @dataclass
 class TraceCorpus:
-    transactions: list[Transaction]
+    transactions: Iterator[Transaction]  # drawn as consumed; the manifest is complete once it is exhausted
     labels: list[BuilderLabel]
     manifest: dict
 
@@ -85,16 +85,30 @@ def gen_trace_corpus(seed: int, n_transactions: int, cycle_fraction: float = 0.7
     `cycle_fraction` of them; swap order is fixed, noise interleaves freely."""
     rng = random.Random(seed)
     tokens = make_token_universe(rng)
-    pools: dict[tuple[bytes, bytes], bytes] = {}
     labels = [BuilderLabel(brand, f"{brand.lower()}-1", _rand_address(rng)) for brand in GEN_BRANDS]
-    label_addresses = [l.address for l in labels]
+    manifest = {
+        "kind": "traces",
+        "seed": seed,
+        "transactions": n_transactions,
+        "share_address": format_address(DEFAULT_SHARE_ADDRESS),
+        "tokens": sorted({t.symbol for t in tokens}),
+        "planted": [],
+    }
+    transactions = _draw_transactions(rng, tokens, [l.address for l in labels], n_transactions, cycle_fraction, manifest)
+    return TraceCorpus(transactions=transactions, labels=labels, manifest=manifest)
 
-    transactions: list[Transaction] = []
-    planted: list[dict] = []
+
+def _draw_transactions(
+    rng: random.Random, tokens: list[TokenId], label_addresses: list[bytes], count: int, cycle_fraction: float, manifest: dict
+) -> Iterator[Transaction]:
+    """gen_trace_corpus's transactions, one at a time: each planted cycle is
+    appended to the manifest as it is drawn, and the counts are set last."""
+    pools: dict[tuple[bytes, bytes], bytes] = {}
+    planted = manifest["planted"]
     non_cycles = 0
     block = 50_000_000
 
-    for _ in range(n_transactions):
+    for _ in range(count):
         block += rng.randint(1, 3)
         tx_hash = _rand_hash(rng)
         initiator = rng.choice(label_addresses + [_rand_address(rng)])
@@ -184,28 +198,16 @@ def gen_trace_corpus(seed: int, n_transactions: int, cycle_fraction: float = 0.7
                 events.insert(rng.randint(0, len(events)), extra)
             non_cycles += 1
 
-        transactions.append(
-            Transaction(
-                hash=tx_hash,
-                block_number=block,
-                initiator=initiator,
-                events=tuple(events),
-                gas_used=rng.choice((0, 21_000, 180_000)),
-                gas_price=0,  # the zero-gas regime; profit identities stay integral
-            )
+        yield Transaction(
+            hash=tx_hash,
+            block_number=block,
+            initiator=initiator,
+            events=tuple(events),
+            gas_used=rng.choice((0, 21_000, 180_000)),
+            gas_price=0,  # the zero-gas regime; profit identities stay integral
         )
-
-    manifest = {
-        "kind": "traces",
-        "seed": seed,
-        "transactions": n_transactions,
-        "planted_cycles": len(planted),
-        "non_cycles": non_cycles,
-        "share_address": format_address(DEFAULT_SHARE_ADDRESS),
-        "tokens": sorted({t.symbol for t in tokens}),
-        "planted": planted,
-    }
-    return TraceCorpus(transactions=transactions, labels=labels, manifest=manifest)
+    manifest["planted_cycles"] = len(planted)
+    manifest["non_cycles"] = non_cycles
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,11 @@ class ArbitrageRecord:
             raise ValueError("record identity violated: net != gross - share - gas")
         if self.hop_count < 2:
             raise ValueError("cycles have at least two hops")
+        for key in ("usd_value", "share_usd"):  # the writer's form: an exact decimal
+            try:
+                decimal_places(getattr(self, key))
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
 
 
 # the columns of a records file are a record's fields, in order, each read
@@ -74,8 +79,9 @@ def timestamp_for_block(block_number: int, genesis_unix: int) -> str:
     return moment.replace(tzinfo=None).isoformat() + "Z"
 
 
-def fraction_to_decimal(value: Fraction) -> str:
-    """Exact decimal text for a fraction with a 2^a * 5^b denominator."""
+def decimal_places(value: Fraction) -> int:
+    """Digits after the point in value's exact decimal text; a ValueError
+    unless its denominator is 2^a * 5^b."""
     denominator = value.denominator
     twos = fives = 0
     while denominator % 2 == 0:
@@ -86,7 +92,12 @@ def fraction_to_decimal(value: Fraction) -> str:
         fives += 1
     if denominator != 1:
         raise ValueError(f"{value} has no terminating decimal expansion")
-    places = max(twos, fives)
+    return max(twos, fives)
+
+
+def fraction_to_decimal(value: Fraction) -> str:
+    """Exact decimal text for a fraction with a 2^a * 5^b denominator."""
+    places = decimal_places(value)
     scaled = value.numerator * 10**places // value.denominator
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(places + 1, "0")

@@ -367,21 +367,19 @@ def _event_to_obj(event: TraceEvent) -> dict:
     return obj
 
 
-def transaction_to_line(tx: Transaction) -> str:
-    obj = {
-        "hash": format_address(tx.hash),
-        "block": tx.block_number,
-        "from": format_address(tx.initiator),
-        "gas_used": tx.gas_used,
-        "gas_price": tx.gas_price,
-        "events": [_event_to_obj(e) for e in tx.events],
-    }
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def serialize_transactions(transactions: Iterable[Transaction]) -> str:
-    lines = [transaction_to_line(tx) for tx in transactions]
-    return "\n".join(lines) + ("\n" if lines else "")
+def serialize_transactions(transactions: Iterable[Transaction]) -> Iterator[str]:
+    """One canonical NDJSON line, newline included, per transaction, made
+    as the transaction is taken; "".join(...) is the whole file."""
+    for tx in transactions:
+        obj = {
+            "hash": format_address(tx.hash),
+            "block": tx.block_number,
+            "from": format_address(tx.initiator),
+            "gas_used": tx.gas_used,
+            "gas_price": tx.gas_price,
+            "events": [_event_to_obj(e) for e in tx.events],
+        }
+        yield json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------

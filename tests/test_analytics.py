@@ -118,9 +118,9 @@ def reported_profit_fixture():
     ]
     cycles = []
     for brand, symbol, usd in cells:
-        # split each cell into two cycles to exercise summation
-        cycles.append(record(brand, symbol, usd=Fraction(usd, 3)))
-        cycles.append(record(brand, symbol, usd=Fraction(2 * usd, 3)))
+        # split each cell into two cycles with fractional dollars to exercise summation
+        cycles.append(record(brand, symbol, usd=usd - Fraction(3, 8)))
+        cycles.append(record(brand, symbol, usd=Fraction(3, 8)))
     return cycles, cells
 
 
@@ -456,7 +456,8 @@ def two_pass_reports(rows, config=RunConfig()):
     }
 
 
-# dollar text in each form the records reader takes: -D, -D.D and -D/D
+# dollar text in each form the records reader takes: -D, -D.D and -D/D, the
+# last with a 2^a * 5^b denominator, so that it has an exact decimal
 dollar_text = st.one_of(
     st.integers(min_value=-(10**12), max_value=10**12).map(str),
     st.builds(
@@ -469,7 +470,7 @@ dollar_text = st.one_of(
         "{}{}/{}".format,
         st.sampled_from(["", "-"]),
         st.integers(min_value=0, max_value=10**9),
-        st.integers(min_value=1, max_value=10**6),
+        st.builds(lambda twos, fives: 2**twos * 5**fives, st.integers(0, 20), st.integers(0, 9)),
     ),
 )
 

@@ -102,9 +102,10 @@ def test_same_endpoints_but_broken_chain_is_not_a_cycle():
 
 def test_planted_corpus_paths_recovered_exactly():
     corpus = fixtures.gen_trace_corpus(seed=17, n_transactions=400)
+    transactions = list(corpus.transactions)  # the manifest is complete once they are drawn
     planted = {p["tx_hash"]: p for p in corpus.manifest["planted"]}
     found = 0
-    for tx in corpus.transactions:
+    for tx in transactions:
         cycle = extract_arbitrage_cycle(tx)
         key = "0x" + tx.hash.hex()
         if key in planted:
@@ -222,8 +223,9 @@ def test_brute_force_share_oracle_on_planted_corpus():
 
 def test_planted_profit_triples_match_manifest():
     corpus = fixtures.gen_trace_corpus(seed=37, n_transactions=300)
+    transactions = list(corpus.transactions)
     planted = {p["tx_hash"]: p for p in corpus.manifest["planted"]}
-    for tx in corpus.transactions:
+    for tx in transactions:
         cycle = extract_arbitrage_cycle(tx)
         if cycle is None:
             continue

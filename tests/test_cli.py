@@ -71,6 +71,20 @@ def test_record_identity_enforced():
         sample_record(net=1)
 
 
+def test_a_record_holds_only_dollars_its_writer_can_write():
+    """A dollar value with no exact decimal fails the record itself, so
+    write_records is never handed a row it would stop at part-way."""
+    with pytest.raises(ValueError, match="^usd_value: 2/3 has no terminating decimal expansion$"):
+        sample_record(usd_value=Fraction(2, 3))
+    with pytest.raises(ValueError, match="^share_usd: "):
+        sample_record(share_usd=Fraction(-1, 30))
+    buffer = io.StringIO()
+    with pytest.raises(ValueError):
+        write_records(buffer, [sample_record(), sample_record(block_number=101, usd_value=Fraction(2, 3))])
+    assert buffer.getvalue() == ""
+    assert sample_record(usd_value=Fraction(-3, 8), share_usd=Fraction(1, 2**40)).usd_value == Fraction(-3, 8)
+
+
 def test_schema_version_is_checked():
     with pytest.raises(RecordSchemaError):
         read_records(io.StringIO("schema_version,99\n"))
@@ -476,6 +490,7 @@ def pool_file_with_bad_byte(tmp_path):
         pytest.param(records_with(1, "\u0661\u0662"), id="records-block-arabic-indic-digits"),
         pytest.param(records_with(1, "+100"), id="records-block-plus"),
         pytest.param(records_with(9, "1e3"), id="records-usd-exponent"),
+        pytest.param(records_with(10, "1/3"), id="records-share-usd-no-terminating-decimal"),
         pytest.param(records_with(0, "0x" + " ".join(["01"] * 32)), id="records-tx-hash-spaced-hex"),
         pytest.param(config_with("price_table.WBNB = 1e3"), id="config-price-exponent"),
         pytest.param(config_with("genesis_unix = 1_000"), id="config-genesis-underscores"),
@@ -701,7 +716,7 @@ def test_analyze_rejects_v1_records(tmp_path, capsys):
 
 
 def test_analyze_a_malformed_last_row_writes_no_report(tmp_path, capsys):
-    """Every row is read before any report is written."""
+    """Every row is read before --out is made."""
     bad = tmp_path / "bad.csv"
     buffer = io.StringIO()
     write_records(buffer, [sample_record(block_number=100 + i) for i in range(5)])
@@ -709,7 +724,7 @@ def test_analyze_a_malformed_last_row_writes_no_report(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["analyze", "--records", str(bad), "--out", str(out)]) == 1
     assert "row 7: timestamp_utc" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_analyze_holds_no_rows(tmp_path):
@@ -856,7 +871,7 @@ def test_simulate_holds_no_slots(tmp_path):
 
 def test_simulate_faults_stop_it_before_slots_csv(tmp_path, capsys):
     """Slots are resolved while slots.csv is written, but a bad slot count
-    or a pool fixture without a cycle is found before it is opened."""
+    or a pool fixture without a cycle is found before --out is made."""
     one_pool = pools.dump_pool_file(fixtures.gen_pool_fixture(seed=13).pools).splitlines()[0] + "\n"
     for scenario, slots, message in [
         (SCENARIOS / "eth_duopoly.json", "0", "n_slots must be >= 1"),
@@ -865,7 +880,7 @@ def test_simulate_faults_stop_it_before_slots_csv(tmp_path, capsys):
         out = tmp_path / f"out{slots}"
         assert main(["simulate", "--scenario", str(scenario), "--slots", slots, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 def test_simulate_invalid_scenario_fails(tmp_path):
@@ -1198,6 +1213,24 @@ def test_any_edit_of_any_input_exits_0_or_1(tmp_path, capsys, site, data):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["extract", "--traces", "missing", "--labels", str(DATA / "builder_labels.csv")], id="extract-no-traces"),
+        pytest.param(["extract", "--traces", str(DATA / "worked_example_trace.ndjson"), "--labels", "missing"], id="extract-no-labels"),
+        pytest.param(["analyze", "--records", "missing"], id="analyze-no-records"),
+        pytest.param(["simulate", "--scenario", "missing", "--slots", "1"], id="simulate-no-scenario"),
+        pytest.param(["simulate", "--scenario", str(DATA / "builder_labels.csv"), "--slots", "1"], id="simulate-bad-scenario"),
+    ],
+)
+def test_a_run_that_fails_on_its_input_makes_no_out_directory(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = [str(tmp_path / "missing") if arg == "missing" else arg for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 # -- gen-fixtures -------------------------------------------------------------
 
 
@@ -1206,6 +1239,49 @@ def test_gen_fixtures_deterministic(tmp_path):
     for out in (out1, out2):
         assert main(["gen-fixtures", "--kind", "traces", "--seed", "11", "--count", "50", "--out", str(out)]) == 0
     assert read_all(out1) == read_all(out2)
+
+
+# SHA-256 of gen-fixtures --kind traces output, taken while the generator
+# still held the whole corpus; drawing and writing it a transaction at a
+# time moves no byte.  At --count 0 the planted list renders as [].
+_GEN_LABELS = "d10d29d8c597c3ee1f5b50e8bd9d97b3d82e3b05f1fcbe963342d149dc07487b"
+_GEN_RUN_CFG = "20bf986f5f279bbc2e65cf529d541437fadc954607b7dcf013cf0c5c9af1e6f3"
+PINNED_TRACE_FIXTURE_DIGESTS = {
+    "2000": {
+        "labels.csv": _GEN_LABELS,
+        "manifest.json": "4daa40fbdc591fa095232f4c60d764e8b7698218e09ccc318ab20b015b410f34",
+        "run.cfg": _GEN_RUN_CFG,
+        "traces.ndjson": "f51f31cf8e2fdaa83174bf130d21b01c07997dcd7fda2773e75fea45eafe5b6c",
+    },
+    "0": {
+        "labels.csv": _GEN_LABELS,
+        "manifest.json": "47f17453639b60b2fb358250e831ba4aa5fd1b2292ac064bd5b1e514ac98e173",
+        "run.cfg": _GEN_RUN_CFG,
+        "traces.ndjson": hashlib.sha256(b"").hexdigest(),
+    },
+}
+
+
+@pytest.mark.parametrize("count", sorted(PINNED_TRACE_FIXTURE_DIGESTS))
+def test_gen_fixtures_traces_match_pinned_digests(tmp_path, count):
+    assert main(["gen-fixtures", "--kind", "traces", "--seed", "1", "--count", count, "--out", str(tmp_path)]) == 0
+    written = {name: hashlib.sha256(data).hexdigest() for name, data in read_all(tmp_path).items()}
+    assert written == PINNED_TRACE_FIXTURE_DIGESTS[count]
+
+
+def test_gen_fixtures_traces_holds_no_corpus(tmp_path):
+    """Traced Python allocations of a 5,000-transaction trace corpus peak
+    near 4 MiB, most of it the manifest's planted list; holding every
+    transaction and the whole file as one string took 37 MiB."""
+    argv = ["gen-fixtures", "--kind", "traces", "--seed", "101", "--count", "5000", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 6 * 2**20
 
 
 def test_gen_fixtures_pools_pass_invariants(tmp_path):

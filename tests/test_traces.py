@@ -52,40 +52,54 @@ def test_empty_stream_parses_to_empty_list():
 
 
 def test_generated_corpus_round_trips_identically():
-    corpus = fixtures.gen_trace_corpus(seed=11, n_transactions=1000)
-    text = serialize_transactions(corpus.transactions)
+    transactions = list(fixtures.gen_trace_corpus(seed=11, n_transactions=1000).transactions)
+    text = "".join(serialize_transactions(transactions))
     reparsed = list(iter_transactions(io.StringIO(text)))
     assert len(reparsed) == 1000
-    assert reparsed == corpus.transactions
-    assert serialize_transactions(reparsed) == text
+    assert reparsed == transactions
+    assert "".join(serialize_transactions(reparsed)) == text
+
+
+def test_trace_corpus_is_drawn_and_written_a_transaction_at_a_time():
+    """Each transaction is drawn, and its line made, only when asked for;
+    the manifest's counts are set once the last one is drawn."""
+    corpus = fixtures.gen_trace_corpus(seed=3, n_transactions=4)
+    lines = serialize_transactions(corpus.transactions)
+    first = next(lines)
+    assert first.endswith("}\n") and first.count("\n") == 1
+    assert "planted_cycles" not in corpus.manifest
+    rest = list(lines)
+    assert len(rest) == 3
+    assert corpus.manifest["planted_cycles"] + corpus.manifest["non_cycles"] == 4
+    assert list(serialize_transactions([])) == []
 
 
 @settings(max_examples=100)
 @given(txs=st.lists(strategies.transactions(), max_size=5))
 def test_round_trip_property(txs):
-    text = serialize_transactions(txs)
+    text = "".join(serialize_transactions(txs))
     assert list(iter_transactions(io.StringIO(text))) == txs
 
 
 def test_parse_normalizes_whitespace_variants():
     corpus = fixtures.gen_trace_corpus(seed=3, n_transactions=5)
-    canonical = serialize_transactions(corpus.transactions)
+    canonical = "".join(serialize_transactions(corpus.transactions))
     import json
 
     loose_lines = [json.dumps(json.loads(line), indent=None, separators=(", ", ": ")) for line in canonical.splitlines()]
     loose = "\n\n".join(loose_lines) + "\n"
-    assert serialize_transactions(iter_transactions(io.StringIO(loose))) == canonical
+    assert "".join(serialize_transactions(iter_transactions(io.StringIO(loose)))) == canonical
 
 
 def test_parse_preserves_event_order():
-    corpus = fixtures.gen_trace_corpus(seed=5, n_transactions=50)
-    text = serialize_transactions(corpus.transactions)
-    for original, parsed in zip(corpus.transactions, iter_transactions(io.StringIO(text))):
+    transactions = list(fixtures.gen_trace_corpus(seed=5, n_transactions=50).transactions)
+    text = "".join(serialize_transactions(transactions))
+    for original, parsed in zip(transactions, iter_transactions(io.StringIO(text))):
         assert [e.kind for e in parsed.events] == [e.kind for e in original.events]
 
 
 def test_malformed_line_reports_line_number():
-    good = serialize_transactions(fixtures.gen_trace_corpus(seed=1, n_transactions=1).transactions)
+    good = "".join(serialize_transactions(fixtures.gen_trace_corpus(seed=1, n_transactions=1).transactions))
     stream = io.StringIO(good + "{not json\n")
     with pytest.raises(TraceParseError) as excinfo:
         list(iter_transactions(stream))
@@ -94,7 +108,7 @@ def test_malformed_line_reports_line_number():
 
 
 def test_non_object_event_reports_line_number():
-    good = serialize_transactions(fixtures.gen_trace_corpus(seed=1, n_transactions=1).transactions)
+    good = "".join(serialize_transactions(fixtures.gen_trace_corpus(seed=1, n_transactions=1).transactions))
     bad = json.dumps({**json.loads(good), "events": ["x"]})
     with pytest.raises(TraceParseError) as excinfo:
         list(iter_transactions(io.StringIO(good + bad + "\n")))
@@ -109,17 +123,17 @@ def test_missing_field_reports_line_number():
 
 
 def test_unknown_event_kind_skipped_with_counter():
-    corpus = fixtures.gen_trace_corpus(seed=2, n_transactions=1)
+    [tx] = fixtures.gen_trace_corpus(seed=2, n_transactions=1).transactions
     import json
 
-    line = serialize_transactions(corpus.transactions).strip()
+    [line] = serialize_transactions([tx])
     obj = json.loads(line)
     obj["events"].insert(0, {"kind": "mint", "pool": "0x" + "00" * 20})
     stats = ParseStats()
     txs = list(iter_transactions(io.StringIO(json.dumps(obj) + "\n"), stats))
     assert stats.unknown_events == 1
     assert len(txs) == 1
-    assert len(txs[0].events) == len(corpus.transactions[0].events)
+    assert len(txs[0].events) == len(tx.events)
 
 
 @given(tx=strategies.transactions())
@@ -236,7 +250,7 @@ def test_any_json_value_at_any_trace_field_parses_or_is_a_parse_error(path, valu
         assert exc.line_no == 1
     else:
         assert len(txs) == 1
-        serialize_transactions(txs).encode("utf-8")  # whatever parses can be written out
+        "".join(serialize_transactions(txs)).encode("utf-8")  # whatever parses can be written out
 
 
 # -- labels -----------------------------------------------------------------
