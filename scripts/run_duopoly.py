@@ -1,12 +1,23 @@
 #!/usr/bin/env python3
-"""Run the bundled duopoly scenario under both market designs and print
-who wins, plus the coordination-window arithmetic behind the outcome."""
+"""Run the bundled duopoly scenario under both market designs with
+`mevforge simulate`, print each campaign's summary.csv, then the
+coordination-window arithmetic behind the outcome."""
 
 import argparse
+import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from mevforge import pbs
-from mevforge.reports import decimal_str
+from mevforge.cli import main as mevforge_main
+
+
+def run(argv: list[str]) -> None:
+    code = mevforge_main(argv)
+    if code != 0:
+        sys.exit(code)
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -14,19 +25,13 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    for name in ("bsc_duopoly.json", "eth_duopoly.json"):
-        scenario = pbs.load_scenario(pbs.BUNDLED_SCENARIOS / name)
-        summary = pbs.CampaignSummary(scenario.builders)
-        for outcome in pbs.run_campaign(scenario, args.slots, args.seed):
-            summary.add(outcome)
-        print(f"\n== {name} ({scenario.protocol.value}, horizon {scenario.horizon_ms} ms)")
-        print(f"{'builder':<10} {'wins':>8} {'win_share':>10} {'profit':>16} {'proposer_rev':>14}")
-        for builder_id, wins in summary.wins.items():
-            print(
-                f"{builder_id:<10} {wins:>8} {decimal_str(Fraction(wins, summary.n_slots), 4):>10} "
-                f"{summary.profit[builder_id]:>16} {summary.revenue[builder_id]:>14}"
-            )
-        print(f"fallback rate: {decimal_str(summary.fallback_rate, 6)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("bsc_duopoly.json", "eth_duopoly.json"):
+            out = Path(tmp) / name.removesuffix(".json")
+            print(f"\n== {name}")
+            run(["simulate", "--scenario", str(pbs.BUNDLED_SCENARIOS / name), "--slots", str(args.slots),
+                 "--seed", str(args.seed), "--out", str(out)])
+            print((out / "summary.csv").read_text(encoding="utf-8"), end="")
 
     print("\n== coordination windows")
     for protocol, horizon in ((pbs.Protocol.BSC_DIRECT, 3000), (pbs.Protocol.ETH_RELAY, 12000)):

@@ -296,14 +296,15 @@ class RecordTotals:
         self._day_txs: Counter[tuple[str, str]] = Counter()
         for record in records:
             self.rows += 1
-            brand, hops, usd, share = record.builder_brand, record.hop_count, record.usd_value, record.share_usd
+            brand, hops = record.builder_brand, record.hop_count
+            usd, usd_denominator = record.usd_value.as_integer_ratio()
             day = (brand, record.timestamp_utc[:10])
             self.blocks.setdefault(brand, set()).add(record.block_number)
             self.hops[hops] += 1
-            self.moments[brand].add(hops, usd.numerator, usd.denominator * hops)  # (h, usd / h)
-            self._cells[brand, record.base_token].add(usd.numerator, usd.denominator)
-            self._paid[brand].add(share.numerator, share.denominator)
-            self._day_usd[day].add(usd.numerator, usd.denominator)
+            self.moments[brand].add(hops, usd, usd_denominator * hops)  # (h, usd / h)
+            self._cells[brand, record.base_token].add(usd, usd_denominator)
+            self._paid[brand].add(*record.share_usd.as_integer_ratio())
+            self._day_usd[day].add(usd, usd_denominator)
             self._day_txs[day] += 1
 
     def profit_matrix(self) -> dict[tuple[str, str], Fraction]:

@@ -12,9 +12,11 @@ Everything here is a pure function over immutable inputs.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
+from .records import EXACT
 from .traces import EventKind, PathDescriptor, TokenId, Transaction, format_address
 
 # Validator-income endpoint commonly seen in share transfers.  Not the
@@ -42,7 +44,7 @@ def extract_arbitrage_cycle(tx: Transaction) -> Optional[PathDescriptor]:
     return PathDescriptor(tokens=(swaps[0].token_in, *(e.token_out for e in swaps)), pools=tuple(e.pool for e in swaps))
 
 
-def gas_cost_in_base_units(gas_wei: int, base_token: TokenId, price_table: Optional[Mapping[str, Fraction]]) -> int:
+def gas_cost_in_base_units(gas_wei: int, base_token: TokenId, price_table: Optional[Mapping[str, Decimal]]) -> int:
     """Convert a wei gas cost into base-token units via the price table.
 
     Zero gas (the usual 0 Gwei regime) needs no prices at all.
@@ -63,7 +65,7 @@ def gas_cost_in_base_units(gas_wei: int, base_token: TokenId, price_table: Optio
 def attribute_profit(
     tx: Transaction,
     share_addresses: Iterable[bytes] = (DEFAULT_SHARE_ADDRESS,),
-    price_table: Optional[Mapping[str, Fraction]] = None,
+    price_table: Optional[Mapping[str, Decimal]] = None,
     infer_pool_sinks: bool = False,
 ) -> tuple[int, int, int]:
     """(gross, share, gas) of a cycle, in base units of its first swap's
@@ -97,10 +99,9 @@ def attribute_profit(
     return last.amount_out - first.amount_in, share, gas
 
 
-def to_usd(amount: int, token: TokenId, price_table: Mapping[str, Fraction]) -> Fraction:
-    """Dollar value of `amount` base units of `token`; never silently zero
-    on a missing price."""
+def to_usd(amount: int, token: TokenId, price_table: Mapping[str, Decimal]) -> Decimal:
+    """Exact dollar value of `amount` base units of `token`; never silently
+    zero on a missing price."""
     if token.symbol not in price_table:
         raise MissingPriceError(f"no price for {token.symbol}")
-    price = Fraction(price_table[token.symbol])
-    return Fraction(amount) * price / 10**token.decimals
+    return EXACT.multiply(amount, price_table[token.symbol]).scaleb(-token.decimals, EXACT)

@@ -87,13 +87,17 @@ def cmd_extract(args: argparse.Namespace) -> int:
     try:
         # the trace file opens first, so a missing one leaves --out as it was, or absent
         with open(args.traces, "rb") as traces:
+            made = [d for d in (Path(args.out), *Path(args.out).parents) if not d.exists()]  # deepest first
             out = _out_dir(args.out)
             with open(out / "records.csv", "w", encoding="utf-8", newline="") as fh:
                 emitted = records.write_records(fh, produce())
     except TraceParseError as exc:
-        # a bad trace line leaves neither report, as analyze writes none on a bad row
+        # a bad trace line leaves neither report, as analyze writes none on a
+        # bad row, nor a directory this run made
         (out / "records.csv").unlink()
         (out / "errors.csv").unlink(missing_ok=True)
+        for directory in made:
+            directory.rmdir()
         print(f"error: {args.traces}: {exc}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,8 @@
 
 The config file is flat ``key = value`` lines with ``#`` comments.
 Recognized keys: ``share_addresses`` (comma-separated hex addresses),
-``price_table.<SYMBOL>`` (dollars, with a terminating decimal expansion),
+``price_table.<SYMBOL>`` (dollars: a number with a terminating decimal
+expansion, held as an exact ``Decimal``),
 ``risk.<SYMBOL>`` (three comma-separated bits), ``alpha``, ``genesis_unix``
 and ``infer_pool_sinks`` (``true`` or ``false``).
 Token decimals come from the traces themselves, never from the config.
@@ -11,18 +12,19 @@ Token decimals come from the traces themselves, never from the config.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 from .arbitrage import DEFAULT_SHARE_ADDRESS
-from .records import decimal_places
+from .records import EXACT
 from .traces import LineError, parse_address, read_json, read_lines
 
-DEFAULT_PRICE_TABLE: dict[str, Fraction] = {
-    "WBNB": Fraction("891.78"),
-    "USDT": Fraction(1),
-    "USD1": Fraction(1),
-    "USDC": Fraction(1),
+DEFAULT_PRICE_TABLE: dict[str, Decimal] = {
+    "WBNB": Decimal("891.78"),
+    "USDT": Decimal(1),
+    "USD1": Decimal(1),
+    "USDC": Decimal(1),
 }
 
 # (freezable, custodial, external_chain) defaults; override via risk.<SYM>
@@ -43,7 +45,7 @@ class ConfigFileError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     share_addresses: tuple[bytes, ...] = (DEFAULT_SHARE_ADDRESS,)
-    price_table: dict[str, Fraction] = field(default_factory=lambda: dict(DEFAULT_PRICE_TABLE))
+    price_table: dict[str, Decimal] = field(default_factory=lambda: dict(DEFAULT_PRICE_TABLE))
     risk_bits: dict[str, tuple[int, int, int]] = field(default_factory=lambda: dict(DEFAULT_RISK_BITS))
     alpha: Fraction = Fraction(1, 20)
     genesis_unix: int = 0
@@ -64,11 +66,11 @@ def _setting(key: str, value: str) -> tuple[str, object]:
     table, _, symbol = key.partition(".")
     if table == "price_table" and symbol:
         price = read_json(value, key, Fraction)
-        try:
-            decimal_places(price)  # dollar columns are written as exact decimals
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
-        return "price_table", {symbol: price}
+        places = price.denominator.bit_length()  # a 2^a * 5^b denominator divides 10^places
+        units, rest = divmod(price.numerator * 10**places, price.denominator)
+        if rest:  # the one terminating-decimal check: every dollar is a Decimal from here on
+            raise ValueError(f"{key}: {price} has no terminating decimal expansion")
+        return "price_table", {symbol: EXACT.scaleb(units, -places)}
     if table == "risk" and symbol:
         return "risk_bits", {symbol: tuple(read_json(bit.strip(), key, int, digits=True) for bit in value.split(","))}
     if key == "share_addresses":

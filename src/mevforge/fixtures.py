@@ -14,7 +14,7 @@ from typing import Iterator
 from .arbitrage import DEFAULT_SHARE_ADDRESS
 from .config import DEFAULT_PRICE_TABLE
 from .pools import PoolKind, PoolState, Q96
-from .records import ArbitrageRecord, timestamp_for_block
+from .records import EXACT, ArbitrageRecord, timestamp_for_block
 from .traces import (
     BuilderLabel,
     EventKind,
@@ -329,7 +329,7 @@ def gen_records(seed: int, n_rows: int) -> Iterator[ArbitrageRecord]:
             share=share * unit,
             gas=0,
             net=(gross - share) * unit,
-            usd_value=(gross - share) * price,
-            share_usd=share * price,
+            usd_value=EXACT.multiply(gross - share, price),
+            share_usd=EXACT.multiply(share, price),
             timestamp_utc=timestamp_for_block(block, genesis_unix),
         )

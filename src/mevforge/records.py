@@ -5,7 +5,8 @@ externally published schema stays detectable, then a header row, then one
 row per cycle.  The base-unit identity net = gross - share - gas must hold
 on every row and is revalidated on load.  The dollar columns (``usd_value``
 for net, ``share_usd`` for share) are fixed when the record is built, with
-the token's real decimals; analytics only sum them.
+the token's real decimals; analytics only sum them.  They are ``Decimal``s,
+which always have an exact decimal text, computed only in ``EXACT``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from fractions import Fraction
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from itertools import repeat
 from typing import IO, Iterable, Iterator, get_type_hints
 
@@ -23,6 +24,11 @@ from .traces import LineError, format_address, parse_tx_hash, read_json, read_li
 SCHEMA_VERSION = "2"
 BLOCK_INTERVAL_S = 3  # seconds per BSC block; timestamp_for_block counts from genesis by it
 _TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")  # timestamp_for_block's form
+
+# The one context for dollar arithmetic: products and scalings are exact at
+# any size, and a result that would round raises Inexact.  Nothing divides
+# in it, since a quotient such as 1/3 exhausts memory before it is inexact.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
 class RecordSchemaError(LineError):
@@ -47,8 +53,8 @@ class ArbitrageRecord:
     share: int
     gas: int  # base units, already converted from wei
     net: int
-    usd_value: Fraction  # net in dollars
-    share_usd: Fraction  # share in dollars
+    usd_value: Decimal  # net in dollars
+    share_usd: Decimal  # share in dollars
     timestamp_utc: str
 
     def __post_init__(self) -> None:
@@ -56,11 +62,9 @@ class ArbitrageRecord:
             raise ValueError("record identity violated: net != gross - share - gas")
         if self.hop_count < 2:
             raise ValueError("cycles have at least two hops")
-        for key in ("usd_value", "share_usd"):  # the writer's form: an exact decimal
-            try:
-                decimal_places(getattr(self, key))
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
+        if self.block_number < 0 or self.share < 0 or self.gas < 0 or self.share_usd < 0:  # extract writes none
+            key = next(key for key in ("block_number", "share", "gas", "share_usd") if getattr(self, key) < 0)
+            raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
 
 
 # the columns of a records file are a record's fields, in order, each read
@@ -79,31 +83,10 @@ def timestamp_for_block(block_number: int, genesis_unix: int) -> str:
     return moment.replace(tzinfo=None).isoformat() + "Z"
 
 
-def decimal_places(value: Fraction) -> int:
-    """Digits after the point in value's exact decimal text; a ValueError
-    unless its denominator is 2^a * 5^b."""
-    denominator = value.denominator
-    twos = fives = 0
-    while denominator % 2 == 0:
-        denominator //= 2
-        twos += 1
-    while denominator % 5 == 0:
-        denominator //= 5
-        fives += 1
-    if denominator != 1:
-        raise ValueError(f"{value} has no terminating decimal expansion")
-    return max(twos, fives)
-
-
-def fraction_to_decimal(value: Fraction) -> str:
-    """Exact decimal text for a fraction with a 2^a * 5^b denominator."""
-    places = decimal_places(value)
-    scaled = value.numerator * 10**places // value.denominator
-    sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(places + 1, "0")
-    if places == 0:
-        return sign + digits
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+def dollar_text(value: Decimal) -> str:
+    """The shortest exact text of a dollar value: no exponent, no trailing
+    zero after the point, and no sign on zero."""
+    return f"{value.normalize(EXACT):f}" if value else "0"
 
 
 def record_to_row(record: ArbitrageRecord) -> list[str]:
@@ -117,8 +100,8 @@ def record_to_row(record: ArbitrageRecord) -> list[str]:
         str(record.share),
         str(record.gas),
         str(record.net),
-        fraction_to_decimal(record.usd_value),
-        fraction_to_decimal(record.share_usd),
+        dollar_text(record.usd_value),
+        dollar_text(record.share_usd),
         record.timestamp_utc,
     ]
 

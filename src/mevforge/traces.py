@@ -15,6 +15,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, Mapping, Optional
@@ -59,9 +60,12 @@ def read_lines(stream: IO | Iterable[str | bytes], error: type[LineError] = Line
         yield line_no, line
 
 
-_NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
+_NUMBER_TEXT = {
+    Fraction: re.compile(r"-?[0-9]+(?:\.[0-9]+|/[0-9]+)?"),
+    Decimal: re.compile(r"-?[0-9]+(?:\.[0-9]+)?"),
+}
 _KIND_NAMES = {
-    int: "an integer", bool: "a boolean", float: "a number", Fraction: "a number",
+    int: "an integer", bool: "a boolean", float: "a number", Fraction: "a number", Decimal: "a decimal number",
     str: "a string", dict: "an object", list: "an array",
 }
 
@@ -73,8 +77,9 @@ def read_json(value, key: str, kind: type, digits: bool = False):
     (for formats that carry text), ASCII digits with at most a leading
     minus; a float any JSON number; a Fraction any JSON number (a float as
     its exact shortest decimal) or text ``-D``, ``-D.D`` or ``-D/D`` with the
-    minus optional and no exponent; a str any string that is valid Unicode
-    (no lone surrogate, escaped as "\\ud800"); an Enum one of its values.
+    minus optional and no exponent; a Decimal only text ``-D`` or ``-D.D``;
+    a str any string that is valid Unicode (no lone surrogate, escaped as
+    "\\ud800"); an Enum one of its values.
     """
     if type(value) is kind and (kind is not str or value.isascii()):
         return value
@@ -86,8 +91,8 @@ def read_json(value, key: str, kind: type, digits: bool = False):
                 return value
             if kind is int and digits and value.isascii() and value.removeprefix("-").isdigit():
                 return int(value)
-            if kind is Fraction and _NUMBER.fullmatch(value):
-                return Fraction(value)
+            if kind in _NUMBER_TEXT and _NUMBER_TEXT[kind].fullmatch(value):
+                return kind(value)
             if issubclass(kind, Enum):
                 return kind(value)
         elif type(value) is int and kind in (float, Fraction):

@@ -280,10 +280,11 @@ def test_criterion_9_proposer_split_agrees_with_records_and_matrix(tmp_path):
     paid: dict[str, Fraction] = {}
     cells: dict[tuple[str, str], Fraction] = {}
     for row in rows:
-        kept[row.builder_brand] = kept.get(row.builder_brand, Fraction(0)) + row.usd_value
-        paid[row.builder_brand] = paid.get(row.builder_brand, Fraction(0)) + row.share_usd
+        usd, share_usd = Fraction(row.usd_value), Fraction(row.share_usd)
+        kept[row.builder_brand] = kept.get(row.builder_brand, Fraction(0)) + usd
+        paid[row.builder_brand] = paid.get(row.builder_brand, Fraction(0)) + share_usd
         key = (row.builder_brand, row.base_token)
-        cells[key] = cells.get(key, Fraction(0)) + row.usd_value
+        cells[key] = cells.get(key, Fraction(0)) + usd
 
     def report(name):
         with open(out / name, encoding="utf-8", newline="") as fh:

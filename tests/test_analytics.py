@@ -8,6 +8,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from mevforge.analytics import (
 )
 from mevforge.cli import main
 from mevforge.config import RunConfig
-from mevforge.records import SCHEMA_VERSION, ArbitrageRecord, read_records
+from mevforge.records import SCHEMA_VERSION, ArbitrageRecord, RecordSchemaError, read_records
 from mevforge.reports import decimal_str, percent_str
 
 PUBLISHED_BLOCK_COUNTS = {
@@ -56,8 +57,8 @@ def record(brand, symbol, usd, share_usd=0, net=1, share=0):
         share=share,
         gas=0,
         net=net,
-        usd_value=Fraction(usd),
-        share_usd=Fraction(share_usd),
+        usd_value=Decimal(usd),
+        share_usd=Decimal(share_usd),
         timestamp_utc="2025-06-01T00:00:00Z",
     )
 
@@ -119,8 +120,8 @@ def reported_profit_fixture():
     cycles = []
     for brand, symbol, usd in cells:
         # split each cell into two cycles with fractional dollars to exercise summation
-        cycles.append(record(brand, symbol, usd=usd - Fraction(3, 8)))
-        cycles.append(record(brand, symbol, usd=Fraction(3, 8)))
+        cycles.append(record(brand, symbol, usd=usd - Decimal("0.375")))
+        cycles.append(record(brand, symbol, usd=Decimal("0.375")))
     return cycles, cells
 
 
@@ -138,7 +139,7 @@ def test_matrix_grand_total_is_exact():
     cycles, _ = reported_profit_fixture()
     matrix = RecordTotals(cycles).profit_matrix()
     grand = sum(matrix.values(), Fraction(0))
-    assert grand == sum((c.usd_value for c in cycles), Fraction(0))
+    assert grand == sum((Fraction(c.usd_value) for c in cycles), Fraction(0))
 
 
 def test_a_token_whose_cells_sum_to_zero_gives_each_cell_zero():
@@ -185,7 +186,7 @@ def test_decimal_str_rounds_half_away_from_zero_and_signs_no_zero(value, places,
 def test_a_loss_under_half_a_cent_renders_as_unsigned_zero():
     assert percent_str(Fraction(-1, 10**7)) == "0.00"
     buffer = io.StringIO()
-    loss = record("X", "USDT", usd=Fraction(-1, 1000), net=-1)
+    loss = record("X", "USDT", usd="-0.001", net=-1)
     reports.write_profit_matrix(buffer, RecordTotals([loss]).profit_matrix())
     assert buffer.getvalue().splitlines()[1] == "X,USDT,0.00,100.00"
 
@@ -409,13 +410,13 @@ def two_pass_reports(rows, config=RunConfig()):
     blocks = {brand: len({row.block_number for row in rows if row.builder_brand == brand}) for brand in brands}
     matrix, paid, kept, per_day, dates = {}, {}, {}, {}, set()
     for row in rows:
-        cell = (row.builder_brand, row.base_token)
-        matrix[cell] = matrix.get(cell, Fraction(0)) + row.usd_value
-        paid[row.builder_brand] = paid.get(row.builder_brand, Fraction(0)) + row.share_usd
-        kept[row.builder_brand] = kept.get(row.builder_brand, Fraction(0)) + row.usd_value
+        usd, cell = Fraction(row.usd_value), (row.builder_brand, row.base_token)
+        matrix[cell] = matrix.get(cell, Fraction(0)) + usd
+        paid[row.builder_brand] = paid.get(row.builder_brand, Fraction(0)) + Fraction(row.share_usd)
+        kept[row.builder_brand] = kept.get(row.builder_brand, Fraction(0)) + usd
         day = row.timestamp_utc[:10]
         dates.add(day)
-        for metric, value in (("usd", row.usd_value), ("txs", 1)):
+        for metric, value in (("usd", usd), ("txs", 1)):
             series = per_day.setdefault(f"{metric}_{row.builder_brand}", {})
             series[day] = series.get(day, Fraction(0)) + value
     splits = {}
@@ -427,7 +428,7 @@ def two_pass_reports(rows, config=RunConfig()):
             brand,
             pearson_or_none(
                 two_pass_exact_pearson,
-                [(row.hop_count, row.usd_value / row.hop_count) for row in rows if row.builder_brand == brand],
+                [(row.hop_count, Fraction(row.usd_value) / row.hop_count) for row in rows if row.builder_brand == brand],
             ),
         )
         for brand in brands
@@ -456,29 +457,35 @@ def two_pass_reports(rows, config=RunConfig()):
     }
 
 
-# dollar text in each form the records reader takes: -D, -D.D and -D/D, the
-# last with a 2^a * 5^b denominator, so that it has an exact decimal
-dollar_text = st.one_of(
-    st.integers(min_value=-(10**12), max_value=10**12).map(str),
-    st.builds(
-        "{}{}.{}".format,
-        st.sampled_from(["", "-"]),
-        st.integers(min_value=0, max_value=10**9),
-        st.text("0123456789", min_size=1, max_size=20),
-    ),
-    st.builds(
-        "{}{}/{}".format,
-        st.sampled_from(["", "-"]),
-        st.integers(min_value=0, max_value=10**9),
-        st.builds(lambda twos, fives: 2**twos * 5**fives, st.integers(0, 20), st.integers(0, 9)),
-    ),
+def dollar_text(signs=("", "-")):
+    """Dollar text in each form the records reader takes: -D and -D.D, the
+    minus drawn from signs."""
+    return st.one_of(
+        st.builds("{}{}".format, st.sampled_from(signs), st.integers(min_value=0, max_value=10**12)),
+        st.builds(
+            "{}{}.{}".format,
+            st.sampled_from(signs),
+            st.integers(min_value=0, max_value=10**9),
+            st.text("0123456789", min_size=1, max_size=20),
+        ),
+    )
+
+
+# -D/D text whose value has an exact decimal (a 2^a * 5^b denominator), a
+# form extract has never written to a records file
+fraction_dollar_text = st.builds(
+    "{}{}/{}".format,
+    st.sampled_from(["", "-"]),
+    st.integers(min_value=0, max_value=10**9),
+    st.builds(lambda twos, fives: 2**twos * 5**fives, st.integers(0, 20), st.integers(0, 9)),
 )
 
 
 @st.composite
 def records_rows(draw):
     """CSV rows of a records file: 2-4 brands and tokens over up to five
-    days, with nets of either sign (gas may exceed gross - share)."""
+    days, with nets and their dollars of either sign (gas may exceed
+    gross - share)."""
     brands = draw(st.lists(st.sampled_from(["48Club", "Blockrazor", "Jetbldr", "Unknown"]), min_size=2, unique=True))
     tokens = draw(st.lists(st.sampled_from(["WBNB", "USDT", "USDC", "CAKE"]), min_size=2, unique=True))
     rows = []
@@ -496,8 +503,8 @@ def records_rows(draw):
                 str(share),
                 str(gas),
                 str(gross - share - gas),
-                draw(dollar_text),
-                draw(dollar_text),
+                draw(dollar_text()),
+                draw(dollar_text(signs=("",))),
                 f"2025-06-0{day}T{hour:02}:00:00Z",
             ]
         )
@@ -522,6 +529,21 @@ def test_analyze_equals_the_two_pass_reference(tmp_path_factory, rows, order):
     written = {path.name: path.read_bytes() for path in (directory / "out").iterdir()}
     assert sorted(written) == sorted(expected)
     assert [name for name in sorted(expected) if written[name] != expected[name]] == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=records_rows().filter(bool), data=st.data())
+def test_a_fraction_dollar_cell_is_a_row_error(rows, data):
+    """Dollar columns take -D and -D.D only, the form the writer gives them:
+    -D/D is rejected even when its value has an exact decimal."""
+    index = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    column = data.draw(st.sampled_from([9, 10]))
+    rows[index][column] = data.draw(fraction_dollar_text)
+    with pytest.raises(RecordSchemaError) as excinfo:
+        read_records(io.StringIO(records_text(rows)))
+    assert excinfo.value.line_no == index + 3
+    name = fields(ArbitrageRecord)[column].name
+    assert str(excinfo.value).startswith(f"row {index + 3}: {name}: expected a decimal number, got {rows[index][column]!r}")
 
 
 # -- risk scores --------------------------------------------------------------

@@ -3,7 +3,7 @@
 import io
 import random
 from dataclasses import replace
-from fractions import Fraction
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -236,16 +236,16 @@ def test_planted_profit_triples_match_manifest():
 
 def test_gas_conversion_uses_price_table():
     # 10^18 wei of gas at parity prices equals one whole base token
-    price_table = {"WBNB": Fraction(600), "AAA": Fraction(3)}
+    price_table = {"WBNB": Decimal(600), "AAA": Decimal(3)}
     gas_base = gas_cost_in_base_units(10**18, TOKEN_A, price_table)
     assert gas_base == 10**18 * 600 // (3 * 1)  # decimals cancel at 18
     assert gas_cost_in_base_units(0, TOKEN_A, None) == 0
     with pytest.raises(MissingPriceError):
-        gas_cost_in_base_units(5, TOKEN_A, {"WBNB": Fraction(600)})
+        gas_cost_in_base_units(5, TOKEN_A, {"WBNB": Decimal(600)})
 
 
 def test_attribution_with_nonzero_gas():
-    price_table = {"WBNB": Fraction(600), "AAA": Fraction(3)}
+    price_table = {"WBNB": Decimal(600), "AAA": Decimal(3)}
     tx = cycle_tx(gross=10**18, gas_used=10**6, gas_price=10**9)
     assert tx.gas_cost == 10**15
     gas_base = gas_cost_in_base_units(10**15, TOKEN_A, price_table)
@@ -263,12 +263,12 @@ def test_to_usd_wbnb_price():
         swap(TOKEN_B, wbnb, POOL_2, 500, 3 * 10**18),
     ]
     assert attribute_profit(make_tx(tx_events)) == (2 * 10**18, 0, 0)
-    usd = to_usd(2 * 10**18, wbnb, {"WBNB": Fraction("891.78")})
-    assert usd == Fraction("1783.56")
+    usd = to_usd(2 * 10**18, wbnb, {"WBNB": Decimal("891.78")})
+    assert usd == Decimal("1783.56")
 
 
 def test_to_usd_zero_and_unit_price():
-    assert to_usd(0, TOKEN_A, {"AAA": Fraction(1)}) == 0
+    assert to_usd(0, TOKEN_A, {"AAA": Decimal(1)}) == 0
 
     usdt = TokenId("USDT", bytes([5]) * 20, 18)
     events = [
@@ -276,16 +276,16 @@ def test_to_usd_zero_and_unit_price():
         swap(TOKEN_B, usdt, POOL_2, 500, 10**18 + 15 * 10**17),
     ]
     gross, share, gas = attribute_profit(make_tx(events))
-    assert to_usd(gross - share - gas, usdt, {"USDT": Fraction(1)}) == Fraction(3, 2)
+    assert to_usd(gross - share - gas, usdt, {"USDT": Decimal(1)}) == Decimal("1.5")
 
 
 def test_missing_price_is_an_error_not_zero():
     with pytest.raises(MissingPriceError):
-        to_usd(5, TOKEN_A, {"WBNB": Fraction(600)})
+        to_usd(5, TOKEN_A, {"WBNB": Decimal(600)})
 
 
 def test_usd_values():
     gross, share, gas = attribute_profit(cycle_tx(gross=3040, share_transfers=(820,)))
-    assert to_usd(gross - share - gas, TOKEN_A, {"AAA": Fraction(1)}) == Fraction(2220, 10**18)
-    assert to_usd(share, TOKEN_A, {"AAA": Fraction(1)}) == Fraction(820, 10**18)
+    assert to_usd(gross - share - gas, TOKEN_A, {"AAA": Decimal(1)}) == Decimal("2220E-18")
+    assert to_usd(share, TOKEN_A, {"AAA": Decimal(1)}) == Decimal("820E-18")
 

@@ -6,6 +6,7 @@ import io
 import json
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,11 +22,12 @@ from mevforge.records import (
     ArbitrageRecord,
     RecordSchemaError,
     TimestampRangeError,
-    fraction_to_decimal,
+    dollar_text,
     read_records,
     timestamp_for_block,
     write_records,
 )
+from mevforge.reports import decimal_str, percent_str
 
 import strategies
 
@@ -51,8 +53,8 @@ def sample_record(**overrides):
         share=820,
         gas=0,
         net=2220,
-        usd_value=Fraction(2220),
-        share_usd=Fraction(820),
+        usd_value=Decimal(2220),
+        share_usd=Decimal(820),
         timestamp_utc="2025-06-01T00:00:00Z",
     )
     fields.update(overrides)
@@ -60,7 +62,7 @@ def sample_record(**overrides):
 
 
 def test_record_round_trip():
-    records = [sample_record(), sample_record(block_number=101, usd_value=Fraction("12.345"), share_usd=Fraction("0.5"))]
+    records = [sample_record(), sample_record(block_number=101, usd_value=Decimal("12.345"), share_usd=Decimal("0.5"))]
     buffer = io.StringIO()
     write_records(buffer, records)
     assert read_records(io.StringIO(buffer.getvalue())) == records
@@ -72,17 +74,20 @@ def test_record_identity_enforced():
 
 
 def test_a_record_holds_only_dollars_its_writer_can_write():
-    """A dollar value with no exact decimal fails the record itself, so
-    write_records is never handed a row it would stop at part-way."""
-    with pytest.raises(ValueError, match="^usd_value: 2/3 has no terminating decimal expansion$"):
-        sample_record(usd_value=Fraction(2, 3))
-    with pytest.raises(ValueError, match="^share_usd: "):
-        sample_record(share_usd=Fraction(-1, 30))
+    """A dollar value is a Decimal, which always has an exact decimal text,
+    at any size; a value no record field can hold fails the record itself,
+    so write_records is never handed a row it would stop at part-way."""
+    with pytest.raises(ValueError, match="^share_usd must be non-negative, got -0.0333$"):
+        sample_record(share_usd=Decimal("-0.0333"))
     buffer = io.StringIO()
     with pytest.raises(ValueError):
-        write_records(buffer, [sample_record(), sample_record(block_number=101, usd_value=Fraction(2, 3))])
+        write_records(buffer, [sample_record(), sample_record(block_number=101, share_usd=Decimal(-1))])
     assert buffer.getvalue() == ""
-    assert sample_record(usd_value=Fraction(-3, 8), share_usd=Fraction(1, 2**40)).usd_value == Fraction(-3, 8)
+    tiny, wide = Decimal(1).scaleb(-40), Decimal("-1234567890123456789012345678901234567890.375")
+    written = records_text(sample_record(usd_value=wide, share_usd=tiny))
+    assert ",-1234567890123456789012345678901234567890.375,0.0000000000000000000000000000000000000001," in written
+    [read] = read_records(io.StringIO(written))
+    assert (read.usd_value, read.share_usd) == (wide, tiny)
 
 
 def test_schema_version_is_checked():
@@ -101,12 +106,15 @@ def test_bad_row_reports_row_number():
     assert excinfo.value.line_no == 3
 
 
-def test_fraction_rendering_is_exact():
-    assert fraction_to_decimal(Fraction(2220)) == "2220"
-    assert fraction_to_decimal(Fraction("891.78")) == "891.78"
-    assert fraction_to_decimal(Fraction(-3, 8)) == "-0.375"
-    with pytest.raises(ValueError):
-        fraction_to_decimal(Fraction(1, 3))
+def test_dollar_rendering_is_exact():
+    """The shortest exact text: no exponent, no trailing zero, no -0."""
+    assert dollar_text(Decimal(2220)) == "2220"
+    assert dollar_text(Decimal("891.78")) == "891.78"
+    assert dollar_text(Decimal("-0.375")) == "-0.375"
+    assert dollar_text(Decimal("2.220E+3")) == dollar_text(Decimal("2220.000")) == "2220"
+    assert dollar_text(Decimal("-0.00")) == dollar_text(Decimal("0E-18")) == "0"
+    wide = Decimal("1234567890123456789012345678901234567890E-41")
+    assert dollar_text(wide) == "0.0123456789012345678901234567890123456789"
 
 
 def test_timestamps_derived_from_blocks():
@@ -127,7 +135,7 @@ def test_timestamps_span_years_1_to_9999_with_four_digits():
 
 def test_config_defaults():
     config = RunConfig()
-    assert config.price_table["WBNB"] == Fraction("891.78")
+    assert config.price_table["WBNB"] == Decimal("891.78")
     assert config.share_addresses[0].hex().endswith("fffe")
 
 
@@ -139,6 +147,7 @@ def test_config_file_parsing(tmp_path):
 share_addresses = 0x{fe}, 0x{aa}
 price_table.WBNB = 600.50
 price_table.NEW = 2
+price_table.EIGHTH = 1/8
 risk.NEW = 1,0,1
 alpha = 0.01
 genesis_unix = 1000
@@ -147,8 +156,10 @@ infer_pool_sinks = true
     )
     config = load_config(path)
     assert len(config.share_addresses) == 2
-    assert config.price_table["WBNB"] == Fraction("600.50")
+    assert config.price_table["WBNB"] == Decimal("600.50")
     assert config.price_table["NEW"] == 2
+    assert config.price_table["EIGHTH"] == Decimal("0.125")
+    assert all(type(price) is Decimal for price in config.price_table.values())
     assert config.risk_bits["NEW"] == (1, 0, 1)
     assert config.alpha == Fraction(1, 100)
     assert config.genesis_unix == 1000
@@ -339,6 +350,21 @@ def test_extract_missing_trace_file_leaves_the_records_as_they_were(tmp_path, ca
     assert main(["extract", "--traces", str(missing), "--labels", labels, "--out", str(out)]) == 1
     assert str(missing) in capsys.readouterr().err
     assert read_all(out) == written
+
+
+def test_extract_a_bad_trace_line_removes_only_the_out_it_made(tmp_path, capsys):
+    """extract streams, so --out exists when a bad line past the first is
+    read: a directory the run made is removed again, with the parents it
+    made, and one that was there before is left, empty."""
+    trace = tmp_path / "traces.ndjson"
+    trace.write_text((DATA / "worked_example_trace.ndjson").read_text() + '{"bad\n')
+    argv = ["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out"]
+    assert main([*argv, str(tmp_path / "new" / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {trace}: line 2: ")
+    assert list(tmp_path.iterdir()) == [trace]
+    (tmp_path / "kept").mkdir()
+    assert main([*argv, str(tmp_path / "kept")]) == 1
+    assert list((tmp_path / "kept").iterdir()) == []
 
 
 def worked_example_with(edit) -> str:
@@ -606,6 +632,45 @@ def test_extract_infers_pool_sinks_only_when_configured(tmp_path, infer, share):
     assert (row.usd_value, row.share_usd) == (3040 - share, share)
 
 
+def test_dollars_wider_than_28_digits_stay_exact_from_extract_to_analyze(tmp_path):
+    """A WBNB cycle (18 decimals, priced 891.78) with a 50-digit net and a
+    48-digit share: all 53 or 54 digits of their dollars reach records.csv,
+    and the reports render the exact sums, which 28-digit decimal arithmetic
+    would round in the integer digits."""
+    net, share = 12345678901234567890123456789012345678901234567890, 987654321098765432109876543210987654321098765432
+    share_address = "0x" + "ff" * 19 + "fe"
+
+    def wide_cycle(obj):
+        usdt, wbnb = obj["events"][0]["token_in"], obj["events"][0]["token_out"]
+        obj["events"] = [
+            {"kind": "swap", "pool": "0x" + "a1" * 20, "token_in": wbnb, "token_out": usdt,
+             "amount_in": str(10**50), "amount_out": "5"},
+            {"kind": "swap", "pool": "0x" + "a2" * 20, "token_in": usdt, "token_out": wbnb,
+             "amount_in": "5", "amount_out": str(10**50 + net + share)},
+            {"kind": "transfer", "token_out": wbnb, "to": share_address, "amount": str(share)},
+        ]
+
+    trace, out = tmp_path / "traces.ndjson", tmp_path / "out"
+    trace.write_text(worked_example_with(wide_cycle))
+    assert main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(out)]) == 0
+    assert main(["analyze", "--records", str(out / "records.csv"), "--out", str(out)]) == 0
+
+    usd, share_usd = (Fraction(units) * Fraction("891.78") / 10**18 for units in (net, share))
+    with open(out / "records.csv", encoding="utf-8", newline="") as fh:
+        [row] = list(csv.reader(fh))[2:]
+    assert (row[8], row[6]) == (str(net), str(share))
+    assert row[9:11] == [
+        "11009629530542962953054296295305429.6295305429629529442",
+        "880770370469457037046945703704694.57037046945703694896",
+    ]
+    assert (Fraction(row[9]), Fraction(row[10])) == (usd, share_usd)
+    matrix = (out / "profit_matrix.csv").read_text().splitlines()
+    assert matrix[1:] == [f"48Club,WBNB,{decimal_str(usd, 2)},100.00"]
+    split = (out / "proposer_split.csv").read_text().splitlines()
+    payout = percent_str(share_usd / (usd + share_usd))
+    assert split[1:] == [f"48Club,{decimal_str(usd, 2)},{decimal_str(share_usd, 2)},{payout}"]
+
+
 def test_extract_matches_planted_manifest(tmp_path):
     fixture_dir = tmp_path / "fx"
     assert main(["gen-fixtures", "--kind", "traces", "--seed", "9", "--count", "400", "--out", str(fixture_dir)]) == 0
@@ -724,6 +789,30 @@ def test_analyze_a_malformed_last_row_writes_no_report(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["analyze", "--records", str(bad), "--out", str(out)]) == 1
     assert "row 7: timestamp_utc" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "changes, key",
+    [
+        pytest.param({1: "-5"}, "block_number", id="block-number"),
+        pytest.param({6: "-10", 8: "3050"}, "share", id="share"),
+        pytest.param({7: "-7", 8: "2227"}, "gas", id="gas"),
+        pytest.param({10: "-10"}, "share_usd", id="share-usd"),
+        pytest.param({1: "-5", 6: "-10", 7: "-7", 8: "3057", 10: "-10"}, "block_number", id="all-four"),
+    ],
+)
+def test_analyze_rejects_a_negative_value_extract_never_writes(tmp_path, capsys, changes, key):
+    """Each row keeps net = gross - share - gas, so only a sign is wrong; all
+    four at once used to pass, for a negative payout fraction."""
+    rows = list(csv.reader(records_text().splitlines()))
+    for column, text in changes.items():
+        rows[2][column] = text
+    path, out = tmp_path / "records.csv", tmp_path / "out"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    assert main(["analyze", "--records", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: row 3: {key} must be non-negative, got -")
     assert not out.exists()
 
 
