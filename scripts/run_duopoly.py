@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Run the bundled duopoly scenario under both market designs with
-`mevforge simulate`, print each campaign's summary.csv, then the
-coordination-window arithmetic behind the outcome."""
+`mevforge simulate`, print each campaign's summary.csv, then how long
+each scenario's slot stays contested, measured on its first slot's bid
+schedule, and the horizon the short-slot chain lacks."""
 
 import argparse
 import sys
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 from mevforge import pbs
 from mevforge.cli import main as mevforge_main
+
+SCENARIOS = ("bsc_duopoly.json", "eth_duopoly.json")
 
 
 def run(argv: list[str]) -> None:
@@ -26,18 +28,20 @@ def main() -> None:
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name in ("bsc_duopoly.json", "eth_duopoly.json"):
+        for name in SCENARIOS:
             out = Path(tmp) / name.removesuffix(".json")
             print(f"\n== {name}")
             run(["simulate", "--scenario", str(pbs.BUNDLED_SCENARIOS / name), "--slots", str(args.slots),
                  "--seed", str(args.seed), "--out", str(out)])
             print((out / "summary.csv").read_text(encoding="utf-8"), end="")
 
-    print("\n== coordination windows")
-    for protocol, horizon in ((pbs.Protocol.BSC_DIRECT, 3000), (pbs.Protocol.ETH_RELAY, 12000)):
-        window = pbs.contestable_window(protocol, Fraction(horizon), Fraction(100))
-        print(f"{protocol.value:<12} horizon {horizon:>6} ms  contestable {window} ms")
-    print(f"missing horizon: {pbs.missing_horizon(Fraction(12000), Fraction(3000))} ms")
+    print("\n== contested windows")
+    for name in SCENARIOS:
+        scenario = pbs.load_scenario(pbs.BUNDLED_SCENARIOS / name)
+        window = next(pbs.run_campaign(scenario, 1, args.seed)).schedule.contested_ms
+        print(f"{scenario.protocol.value:<12} horizon {scenario.horizon_ms!s:>6} ms  contested {window} ms")
+    gap = pbs.DEFAULT_HORIZON_MS[pbs.Protocol.ETH_RELAY] - pbs.DEFAULT_HORIZON_MS[pbs.Protocol.BSC_DIRECT]
+    print(f"missing horizon: {gap} ms")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 The direct flow models a short-horizon chain where builders race an
 opportunity that decays within a few hundred milliseconds and the proposer
 takes the best bid seen by a narrow listen window, so arrival time decides
-slots.  The relay flow is the same race plus a relay delay, rebids through
+slots; a better payment still wins when several bids land inside the
+window.  The relay flow is the same race plus a relay delay, rebids through
 a long commit-reveal window, and a proposer that signs the best header at
 slot end, so achievable value decides slots.
 
@@ -12,7 +13,8 @@ arrival, payment, backing surplus) in arrival order and the proposer's
 ranked candidates, a pure function of the scenario, active blacklist and
 bid-value function.  A campaign builds one schedule per distinct blacklist
 set and resolves each slot against it, so a slot costs only its
-non-delivery draws, seeded from (seed, height).
+non-delivery draws, seeded from (seed, height).  How long a slot stayed
+contested is read off its schedule (BidSchedule.contested_ms).
 
 Event timing is rational milliseconds throughout; every outcome is a pure
 function of (scenario, seed).  A campaign is single-threaded by design;
@@ -175,16 +177,6 @@ class Bid:
 
 
 @dataclass(frozen=True)
-class SlotOutcome:
-    height: int
-    winner: Optional[str]  # None: no builder won, so the proposer built its own block
-    proposer_payment: int
-    blacklist_events: tuple[str, ...]
-    bids_received: tuple[Bid, ...]
-    realized_builder_profit: int
-
-
-@dataclass(frozen=True)
 class ProposerConfig:
     """Proposers take slots in turn (round robin, the only rotation); a
     builder that fails to deliver is on that proposer's blacklist for
@@ -263,6 +255,34 @@ class BidSchedule:
         received = set(self.received)
         if any(bid not in received for bid, _prob in self.candidates):
             raise ValueError("candidate bids must appear among received bids")
+
+    @property
+    def contested_ms(self) -> Fraction:
+        """How long the slot stayed contested: from the first candidate's
+        arrival to the last candidate arrival that changed the best
+        candidate's builder (best first, as the proposer tries them; a
+        builder that outbids itself changes nothing), or 0 with no
+        candidates."""
+        arrivals = sorted((bid for bid, _prob in self.candidates), key=lambda b: (b.timestamp_ms, b.builder_id))
+        if not arrivals:
+            return Fraction(0)
+        best = last_change = arrivals[0]
+        for bid in arrivals[1:]:
+            if _best_first(bid) < _best_first(best):
+                if bid.builder_id != best.builder_id:
+                    last_change = bid
+                best = bid
+        return last_change.timestamp_ms - arrivals[0].timestamp_ms
+
+
+@dataclass(frozen=True)
+class SlotOutcome:
+    height: int
+    winner: Optional[str]  # None: no builder won, so the proposer built its own block
+    proposer_payment: int
+    blacklist_events: tuple[str, ...]
+    schedule: BidSchedule  # the schedule the slot was resolved against
+    realized_builder_profit: int
 
 
 def _make_bid(agent: BuilderAgent, t: Fraction, delta: int) -> Bid:
@@ -350,8 +370,8 @@ def _resolve_slot(schedule: BidSchedule, height: int, rng_seed: int) -> SlotOutc
                 events.append(bid.builder_id)
                 continue
         profit = bid.delta - bid.offered_payment
-        return SlotOutcome(height, bid.builder_id, bid.offered_payment, tuple(events), schedule.received, profit)
-    return SlotOutcome(height, None, 0, tuple(events), schedule.received, 0)
+        return SlotOutcome(height, bid.builder_id, bid.offered_payment, tuple(events), schedule, profit)
+    return SlotOutcome(height, None, 0, tuple(events), schedule, 0)
 
 
 def run_slot_bsc(
@@ -391,31 +411,6 @@ def run_slot_eth(
         horizon_ms=horizon_ms, base_compute_ms=base_compute_ms,
     )
     return _resolve_slot(_schedule(scenario, frozenset(), _bid_value_fn(scenario)), height, rng_seed)
-
-
-# ---------------------------------------------------------------------------
-# horizons
-
-
-def contestable_window(protocol: Protocol, horizon_ms: Fraction, delta_lat_ms: Fraction) -> Fraction:
-    """Length of the coordination window in which bids can still be improved.
-
-    The relay flow leaves horizon minus the latency race; the direct flow
-    accepts the first valid bid, so its window is structurally empty.
-    """
-    if horizon_ms <= 0:
-        raise ValueError("horizon_ms must be positive")
-    if protocol is Protocol.BSC_DIRECT:
-        return Fraction(0)
-    return max(Fraction(0), Fraction(horizon_ms) - Fraction(delta_lat_ms))
-
-
-def missing_horizon(h_eth_ms: Fraction, h_bsc_ms: Fraction) -> Fraction:
-    """Coordination time present on the long-slot chain but absent on the
-    short-slot one."""
-    if h_eth_ms < h_bsc_ms:
-        raise ValueError("long horizon must be at least the short horizon")
-    return Fraction(h_eth_ms) - Fraction(h_bsc_ms)
 
 
 # ---------------------------------------------------------------------------

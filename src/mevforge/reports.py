@@ -121,7 +121,7 @@ def write_slot_log(stream: IO[str], outcomes: Iterable[SlotOutcome]) -> None:
                 o.winner or "",
                 o.proposer_payment,
                 int(o.winner is None),
-                len(o.bids_received),
+                len(o.schedule.received),
                 "|".join(o.blacklist_events),
                 o.realized_builder_profit,
             ]

@@ -94,10 +94,15 @@ def test_criterion_3_dominant_token_share():
 
 
 def test_criterion_4_horizon_arithmetic():
-    assert pbs.contestable_window(pbs.Protocol.ETH_RELAY, Fraction(12000), Fraction(100)) == 11900
-    assert pbs.contestable_window(pbs.Protocol.BSC_DIRECT, Fraction(3000), Fraction(100)) == 0
-    assert pbs.missing_horizon(Fraction(12000), Fraction(3000)) == 9000
-    _report(4, "contestable windows 11900/0 ms and missing horizon 9000 ms, exact")
+    windows = {}
+    for name in ("bsc_duopoly.json", "eth_duopoly.json"):
+        scenario = pbs.load_scenario(SCENARIOS / name)
+        assert scenario.horizon_ms == pbs.DEFAULT_HORIZON_MS[scenario.protocol]
+        windows[scenario.protocol] = next(pbs.run_campaign(scenario, 1, rng_seed=42)).schedule.contested_ms
+    assert windows == {pbs.Protocol.BSC_DIRECT: 0, pbs.Protocol.ETH_RELAY: Fraction(9580, 3)}
+    missing = pbs.DEFAULT_HORIZON_MS[pbs.Protocol.ETH_RELAY] - pbs.DEFAULT_HORIZON_MS[pbs.Protocol.BSC_DIRECT]
+    assert missing == 9000
+    _report(4, "measured contested windows 0 ms (direct) and 9580/3 ms (relay), missing horizon 9000 ms, exact")
 
 
 def test_criterion_5_winner_takes_all_vs_value_wins():

@@ -1,4 +1,4 @@
-"""Slot auctions: decay model, both market flows, horizons, campaigns."""
+"""Slot auctions: decay model, both market flows, campaigns, contested windows."""
 
 import json
 from dataclasses import replace
@@ -23,9 +23,7 @@ from mevforge.pbs import (
     Strategy,
     BUNDLED_SCENARIOS as SCENARIOS,
     CampaignSummary,
-    contestable_window,
     load_scenario,
-    missing_horizon,
     run_campaign,
     run_slot_bsc,
     run_slot_eth,
@@ -46,25 +44,6 @@ def agent(aid, latency, tier=1, bp=2500, nd=0.0, strategy=Strategy.SHORT_HOP):
 
 
 OPP = OpportunityModel(peak_value=10**9, gas_floor=1000)
-
-
-# -- horizons -----------------------------------------------------------------
-
-
-def test_contestable_window_values():
-    assert contestable_window(Protocol.ETH_RELAY, Fraction(12000), Fraction(100)) == 11900
-    assert contestable_window(Protocol.BSC_DIRECT, Fraction(3000), Fraction(100)) == 0
-    assert contestable_window(Protocol.ETH_RELAY, Fraction(100), Fraction(100)) == 0
-    with pytest.raises(ValueError):
-        contestable_window(Protocol.ETH_RELAY, Fraction(0), Fraction(1))
-
-
-def test_missing_horizon_values():
-    assert missing_horizon(Fraction(12000), Fraction(3000)) == 9000
-    assert missing_horizon(Fraction(3000), Fraction(3000)) == 0
-    assert missing_horizon(Fraction(12000), Fraction(0)) == 12000
-    with pytest.raises(ValueError):
-        missing_horizon(Fraction(3000), Fraction(12000))
 
 
 # -- opportunity decay --------------------------------------------------------
@@ -171,13 +150,13 @@ def test_listen_window_collects_equal_arrivals():
     generous, stingy = agent("generous", 10, bp=9000), agent("stingy", 5, bp=100)
     outcome = run_slot_bsc([generous, stingy], OPP, rng_seed=1)
     assert outcome.winner == "generous"
-    assert len(outcome.bids_received) == 2
+    assert len(outcome.schedule.received) == 2
 
 
 def test_bid_after_cutoff_is_recorded_but_cannot_win():
     early, late = agent("early", 20), agent("late", 40, bp=9000)
     outcome = run_slot_bsc([early, late], OPP, rng_seed=1)
-    assert {b.builder_id for b in outcome.bids_received} == {"early", "late"}
+    assert {b.builder_id for b in outcome.schedule.received} == {"early", "late"}
     assert outcome.winner == "early"  # late pays more but arrives past the cutoff
 
 
@@ -228,8 +207,8 @@ def test_single_builder_wins_with_its_single_bid():
     relay = RelayConfig(rebids_enabled=False)
     outcome = run_slot_eth([solo], relay, OPP, rng_seed=1)
     assert outcome.winner == "solo"
-    assert len(outcome.bids_received) == 1
-    assert outcome.proposer_payment == outcome.bids_received[0].offered_payment
+    assert len(outcome.schedule.received) == 1
+    assert outcome.proposer_payment == outcome.schedule.received[0].offered_payment
 
 
 def test_higher_tier_builder_wins_despite_latency():
@@ -502,8 +481,8 @@ def test_campaign_equals_slot_by_slot_reference(
 
 def test_campaign_slots_share_their_schedule_bids():
     outcomes, _summary = campaign(duopoly(Protocol.ETH_RELAY), 3, rng_seed=1)
-    assert outcomes[0].bids_received is outcomes[2].bids_received
-    assert len(outcomes[0].bids_received) == 11
+    assert outcomes[0].schedule is outcomes[2].schedule
+    assert len(outcomes[0].schedule.received) == 11
 
 
 # -- metamorphic properties of the two slot markets ---------------------------
@@ -627,6 +606,101 @@ def test_builder_order_never_changes_a_campaign(
 
     reordered = data.draw(st.permutations(builders))
     assert run(builders) == run(reordered)
+
+
+# -- contested windows ---------------------------------------------------------
+
+
+def first_schedule(scenario):
+    """The bid schedule slot 0 of a campaign was resolved against."""
+    return next(run_campaign(scenario, 1, rng_seed=0)).schedule
+
+
+def test_bundled_duopoly_contested_windows():
+    # direct: alpha's lone bid lands at 50 ms, past the listen window
+    assert first_schedule(duopoly(Protocol.BSC_DIRECT)).contested_ms == 0
+    # relay: alpha bids at 50 ms, and beta's rebid at 9730/3 ms is the last to take the lead
+    assert first_schedule(duopoly(Protocol.ETH_RELAY)).contested_ms == Fraction(9580, 3)
+
+
+def test_direct_bids_inside_the_listen_window_are_contested():
+    # alpha lands at 20 ms and beta at 40 ms, both inside the 50 ms window; beta pays more
+    scenario = duopoly(Protocol.BSC_DIRECT)
+    alpha, beta = scenario.builders
+    scenario = replace(scenario, builders=(
+        replace(alpha, latency_ms=Fraction(5)),
+        replace(beta, latency_ms=Fraction(15), infra_tier=Fraction(1), share_ratio_bp=5000),
+    ))
+    schedule = first_schedule(scenario)
+    assert [(b.builder_id, b.timestamp_ms) for b in schedule.received] == [("alpha", 20), ("beta", 40)]
+    assert schedule.candidates[0][0].builder_id == "beta"
+    assert schedule.contested_ms == 20
+
+
+def test_a_builder_outbidding_itself_contests_nothing():
+    solo = SimScenario(protocol=Protocol.ETH_RELAY, builders=(agent("solo", 30),), opportunity=OPP)
+    ladder = first_schedule(solo)
+    assert len(ladder.received) > 1
+    assert ladder.contested_ms == 0
+    assert BidSchedule((), ()).contested_ms == 0
+    # only a rival taking the lead extends the window: b at 5 ms and a at 10 ms do, a at 15 ms does not
+    bids = [Bid("a", Fraction(0), 10, 40), Bid("b", Fraction(5), 20, 40), Bid("a", Fraction(10), 30, 40),
+            Bid("a", Fraction(15), 40, 40), Bid("b", Fraction(20), 5, 40)]
+    assert BidSchedule(tuple(bids), tuple((b, 0.0) for b in bids)).contested_ms == 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    builders=builder_lists,
+    opportunity=opportunities(),
+    listen_window=st.integers(min_value=0, max_value=400),
+    compute=st.integers(min_value=0, max_value=300),
+)
+def test_direct_contested_window_ends_with_the_listen_window(builders, opportunity, listen_window, compute):
+    schedule = first_schedule(SimScenario(
+        protocol=Protocol.BSC_DIRECT, builders=tuple(builders), opportunity=opportunity,
+        listen_window_ms=Fraction(listen_window), base_compute_ms=Fraction(compute),
+    ))
+    if not schedule.received:
+        assert schedule.contested_ms == 0
+        return
+    first = schedule.received[0].timestamp_ms
+    assert 0 <= schedule.contested_ms <= max(0, listen_window - first)
+    if listen_window < first:
+        assert schedule.contested_ms == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    builders=scenario_builders(1500, st.just(0.0)),
+    opportunity=opportunities(),
+    horizon=st.integers(min_value=1, max_value=12000),
+    delay=st.integers(min_value=0, max_value=200),
+    rebid_interval=st.integers(min_value=1, max_value=1000),
+    rounds=st.integers(min_value=1, max_value=8),
+    rebids_enabled=st.booleans(),
+    compute=st.integers(min_value=0, max_value=300),
+)
+# b0's rebid to its ceiling, which would take the lead from b1, is due at 1810/3 ms, past the horizon
+@example(
+    builders=[agent("b0", 50, 3, 9000), agent("b1", 0, 2, 10000)], opportunity=OPP, horizon=200, delay=0,
+    rebid_interval=500, rounds=1, rebids_enabled=True, compute=10,
+)
+def test_relay_contested_window_ends_by_the_horizon(
+    builders, opportunity, horizon, delay, rebid_interval, rounds, rebids_enabled, compute
+):
+    relay = RelayConfig(
+        delay_ms=Fraction(delay), rebid_interval_ms=Fraction(rebid_interval), optimization_rounds=rounds,
+        rebids_enabled=rebids_enabled,
+    )
+    schedule = first_schedule(SimScenario(
+        protocol=Protocol.ETH_RELAY, builders=tuple(builders), opportunity=opportunity,
+        horizon_ms=Fraction(horizon), base_compute_ms=Fraction(compute), relay=relay,
+    ))
+    if not schedule.received:
+        assert schedule.contested_ms == 0
+        return
+    assert 0 <= schedule.contested_ms <= horizon - schedule.received[0].timestamp_ms
 
 
 # -- scenario value types -----------------------------------------------------
