@@ -31,6 +31,10 @@ class MissingPriceError(LookupError):
     """A token needed for USD or gas conversion has no quoted price."""
 
 
+class ShareTokenError(ValueError):
+    """A share transfer moves a token other than the cycle's base token."""
+
+
 def extract_arbitrage_cycle(tx: Transaction) -> Optional[PathDescriptor]:
     """The route of the transaction's swaps in order, or None when there is
     no swap, the entry and exit assets differ, or the hops do not chain into
@@ -75,11 +79,14 @@ def attribute_profit(
     be negative.  share sums transfers to the share addresses or flagged
     pool_sink, and the surplus of swaps flagged pool_sink.  With
     infer_pool_sinks, for feeds that omit the flags, a transfer into a pool
-    that an earlier swap in the transaction touched counts as share too.
+    that an earlier swap in the transaction touched counts as share too.  A
+    share transfer whose token_out names another token than the base token
+    raises ShareTokenError, since its amount is in that token's units.
     gas is the transaction's wei cost converted through the price table.
     """
     share_set = frozenset(share_addresses)
     seen_pools: set[bytes] = set()
+    share_tokens: list[TokenId] = []  # the token_out of share transfers that name one, in event order
     first = last = None
     share = 0
     for event in tx.events:
@@ -93,8 +100,13 @@ def attribute_profit(
                 share += event.amount
         elif event.kind is EventKind.TRANSFER and (event.to in share_set or event.pool_sink or event.to in seen_pools):
             share += event.amount
+            if event.token_out is not None:
+                share_tokens.append(event.token_out)
     if first is None or first.token_in != last.token_out:
         raise ValueError(f"tx {format_address(tx.hash)} is not a cycle")
+    stray = next((token for token in share_tokens if token != first.token_in), None)
+    if stray is not None:
+        raise ShareTokenError(f"share transfer moves {stray.symbol}, not the base token {first.token_in.symbol}")
     gas = gas_cost_in_base_units(tx.gas_cost, first.token_in, price_table)
     return last.amount_out - first.amount_in, share, gas
 

@@ -16,6 +16,7 @@ from pathlib import Path
 from . import analytics, fixtures, pbs, pools, records, reports
 from .arbitrage import (
     MissingPriceError,
+    ShareTokenError,
     attribute_profit,
     extract_arbitrage_cycle,
     to_usd,
@@ -66,7 +67,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 usd_value = to_usd(net, base_token, config.price_table)
                 share_usd = to_usd(share, base_token, config.price_table)
                 timestamp = records.timestamp_for_block(tx.block_number, config.genesis_unix)
-            except (MissingPriceError, records.TimestampRangeError) as exc:
+            except (MissingPriceError, ShareTokenError, records.TimestampRangeError) as exc:
                 errors.append((format_address(tx.hash), str(exc)))
                 continue
             yield records.ArbitrageRecord(
@@ -229,14 +230,11 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
         with open(out / "records.csv", "w", encoding="utf-8", newline="") as fh:
             count = records.write_records(fh, fixtures.gen_records(args.seed, 500 if args.count is None else args.count))
         _write_manifest(out, {"kind": "records", "seed": args.seed, "rows": count})
-    elif args.kind == "scenario":
+    else:  # "scenario": argparse restricts --kind to the four kinds
         names = ["bsc_duopoly.json", "eth_duopoly.json"]
         for name in names:
             (out / name).write_bytes((pbs.BUNDLED_SCENARIOS / name).read_bytes())
         _write_manifest(out, {"kind": "scenario", "seed": args.seed, "files": names})
-    else:  # pragma: no cover - argparse restricts choices
-        print(f"error: unknown fixture kind {args.kind}", file=sys.stderr)
-        return 2
     print(f"kind={args.kind} seed={args.seed} out={out}")
     return 0
 

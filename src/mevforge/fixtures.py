@@ -26,6 +26,7 @@ from .traces import (
 )
 
 GEN_BRANDS = ("GenAlpha", "GenBeta")
+CYCLE_FRACTION = 0.7  # roughly the share of generated transactions that hold a planted cycle
 
 
 def _rand_address(rng: random.Random) -> bytes:
@@ -36,14 +37,15 @@ def _rand_hash(rng: random.Random) -> bytes:
     return rng.getrandbits(256).to_bytes(32, "big")
 
 
-def make_token_universe(rng: random.Random, extra: int = 6) -> list[TokenId]:
+def make_token_universe(rng: random.Random) -> list[TokenId]:
+    """The four majors and six generated tokens TK0-TK5."""
     tokens = [
         TokenId("WBNB", _rand_address(rng), 18),
         TokenId("USDT", _rand_address(rng), 18),
         TokenId("USD1", _rand_address(rng), 18),
         TokenId("USDC", _rand_address(rng), 18),
     ]
-    for i in range(extra):
+    for i in range(6):
         tokens.append(TokenId(f"TK{i}", _rand_address(rng), rng.choice((0, 6, 8, 18))))
     return tokens
 
@@ -80,9 +82,9 @@ def _noise_events(rng: random.Random, tokens: list[TokenId], count: int) -> list
     return out
 
 
-def gen_trace_corpus(seed: int, n_transactions: int, cycle_fraction: float = 0.7) -> TraceCorpus:
+def gen_trace_corpus(seed: int, n_transactions: int) -> TraceCorpus:
     """Random transactions, a planted arbitrage cycle in roughly
-    `cycle_fraction` of them; swap order is fixed, noise interleaves freely."""
+    CYCLE_FRACTION of them; swap order is fixed, noise interleaves freely."""
     rng = random.Random(seed)
     tokens = make_token_universe(rng)
     labels = [BuilderLabel(brand, f"{brand.lower()}-1", _rand_address(rng)) for brand in GEN_BRANDS]
@@ -94,12 +96,12 @@ def gen_trace_corpus(seed: int, n_transactions: int, cycle_fraction: float = 0.7
         "tokens": sorted({t.symbol for t in tokens}),
         "planted": [],
     }
-    transactions = _draw_transactions(rng, tokens, [l.address for l in labels], n_transactions, cycle_fraction, manifest)
+    transactions = _draw_transactions(rng, tokens, [l.address for l in labels], n_transactions, manifest)
     return TraceCorpus(transactions=transactions, labels=labels, manifest=manifest)
 
 
 def _draw_transactions(
-    rng: random.Random, tokens: list[TokenId], label_addresses: list[bytes], count: int, cycle_fraction: float, manifest: dict
+    rng: random.Random, tokens: list[TokenId], label_addresses: list[bytes], count: int, manifest: dict
 ) -> Iterator[Transaction]:
     """gen_trace_corpus's transactions, one at a time: each planted cycle is
     appended to the manifest as it is drawn, and the counts are set last."""
@@ -114,7 +116,7 @@ def _draw_transactions(
         initiator = rng.choice(label_addresses + [_rand_address(rng)])
         roll = rng.random()
         events: list[TraceEvent]
-        if roll < cycle_fraction:
+        if roll < CYCLE_FRACTION:
             base = rng.choice(tokens)
             hops = rng.randint(2, 8)
             middle: list[TokenId] = []
@@ -171,7 +173,7 @@ def _draw_transactions(
                     "net": gross - share_total,
                 }
             )
-        elif roll < cycle_fraction + 0.15 or len(tokens) < 3:
+        elif roll < CYCLE_FRACTION + 0.15:
             # no swaps at all
             events = _noise_events(rng, tokens, rng.randint(1, 5))
             non_cycles += 1

@@ -11,10 +11,11 @@ slot end, so achievable value decides slots.
 One builder makes a slot's bid schedule for both flows: its bids (builder,
 arrival, payment, backing surplus) in arrival order and the proposer's
 ranked candidates, a pure function of the scenario, active blacklist and
-bid-value function.  A campaign builds one schedule per distinct blacklist
-set and resolves each slot against it, so a slot costs only its
-non-delivery draws, seeded from (seed, height).  How long a slot stayed
-contested is read off its schedule (BidSchedule.contested_ms).
+the value each strategy realizes at birth (_strategy_values).  A campaign
+builds one schedule per distinct blacklist set and resolves each slot
+against it, so a slot costs only its non-delivery draws, seeded from
+(seed, height).  How long a slot stayed contested is read off its schedule
+(BidSchedule.contested_ms).
 
 Event timing is rational milliseconds throughout; every outcome is a pure
 function of (scenario, seed).  A campaign is single-threaded by design;
@@ -30,10 +31,10 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, get_args, get_origin
+from typing import Iterable, Iterator, Optional, Sequence, get_args, get_origin
 
 from . import pools as pools_mod
-from .pools import _v2_reserve_scale, enumerate_cycles
+from .pools import enumerate_cycles
 from .traces import read_json, unique_keys
 
 
@@ -232,13 +233,11 @@ class SimScenario:
             raise ConfigError("builders: duplicate ids")
         if self.base_compute_ms < 0:
             raise ConfigError("base_compute_ms must be >= 0")
-
-
-# A bid-value function maps (builder, delivery time) to the raw opportunity
-# value the builder would realize at that instant, before the efficiency
-# haircut: the analytic decay curve, or pool-simulation results for an
-# embodied scenario (see _bid_value_fn).
-BidValueFn = Callable[[BuilderAgent, Fraction], int]
+        symbol = self.embodied_base_symbol
+        if symbol is not None and self.pools is None:
+            raise ConfigError(f"embodied_base_symbol {symbol!r} is given, but no pools are loaded")
+        if symbol is not None and not any(symbol in (p.token0.symbol, p.token1.symbol) for p in self.pools.values()):
+            raise ConfigError(f"embodied_base_symbol {symbol!r} names no token of the pool file")
 
 
 @dataclass(frozen=True)
@@ -294,15 +293,17 @@ def _best_first(bid: Bid) -> tuple:
     return (-bid.offered_payment, bid.timestamp_ms, bid.builder_id)
 
 
-def _schedule(scenario: SimScenario, blacklisted: frozenset[str], value_at: BidValueFn) -> BidSchedule:
+def _schedule(scenario: SimScenario, blacklisted: frozenset[str], values: dict[Strategy, int]) -> BidSchedule:
     """Bids of one slot in either flow.
 
-    A builder sees the opportunity one latency after birth and computes for
+    A builder's undecayed value is values[its strategy]; at time t it has
+    decayed in the opportunity's proportion, value(t) / peak_value.  A
+    builder sees the opportunity one latency after birth and computes for
     base_compute/tier; its first bid lands another latency later, plus the
     relay delay in the relay flow, and is never made past the horizon.  A
     sealed bid, the direct flow's and the relay flow's without rebids, is
-    the opportunity as decayed at landing, times the builder's efficiency,
-    and is made only above gas_floor.  With rebids, a relay builder whose
+    the value as decayed at landing, times the builder's efficiency, and is
+    made only above gas_floor.  With rebids, a relay builder whose
     undecayed value clears gas_floor locks in what the race left at
     delivery, and each rebid through the window unlocks more of its ceiling
     (undecayed value times efficiency) as optimization rounds complete.
@@ -313,6 +314,7 @@ def _schedule(scenario: SimScenario, blacklisted: frozenset[str], value_at: BidV
     delivers it: the cutoff is the horizon and nothing fails.
     """
     opportunity, relay, horizon = scenario.opportunity, scenario.relay, scenario.horizon_ms
+    peak = opportunity.peak_value
     relayed = scenario.protocol is Protocol.ETH_RELAY
     rebids = relayed and relay.rebids_enabled
     delay_ms = relay.delay_ms if relayed else 0
@@ -323,17 +325,17 @@ def _schedule(scenario: SimScenario, blacklisted: frozenset[str], value_at: BidV
         first = opportunity.birth_ms + 2 * agent.latency_ms + agent.compute_ms(scenario.base_compute_ms) + delay_ms
         if first > horizon:
             continue
-        raw = value_at(agent, first)
+        base = values[agent.strategy]
+        raw = int(base * Fraction(opportunity.value(first), peak)) if base else 0
         if not rebids:
             if raw > opportunity.gas_floor:  # worth executing once it lands
                 bids.append(_make_bid(agent, first, int(raw * agent.efficiency)))
             continue
-        full = value_at(agent, opportunity.birth_ms)  # undecayed opportunity
-        if full <= opportunity.gas_floor:
+        if base <= opportunity.gas_floor:
             continue  # nothing worth building around this slot
         locked = int(raw * agent.efficiency)
         bids.append(_make_bid(agent, first, locked))
-        ceiling = int(full * agent.efficiency)
+        ceiling = int(base * agent.efficiency)
         rounds = relay.optimization_rounds
         t = first + relay.rebid_interval_ms
         k = 1
@@ -391,7 +393,7 @@ def run_slot_bsc(
         protocol=Protocol.BSC_DIRECT, builders=tuple(builders), opportunity=opportunity,
         horizon_ms=horizon_ms, listen_window_ms=listen_window_ms, base_compute_ms=base_compute_ms,
     )
-    return _resolve_slot(_schedule(scenario, blacklisted, _bid_value_fn(scenario)), height, rng_seed)
+    return _resolve_slot(_schedule(scenario, blacklisted, _strategy_values(scenario)), height, rng_seed)
 
 
 def run_slot_eth(
@@ -410,7 +412,7 @@ def run_slot_eth(
         protocol=Protocol.ETH_RELAY, builders=tuple(builders), opportunity=opportunity, relay=relay,
         horizon_ms=horizon_ms, base_compute_ms=base_compute_ms,
     )
-    return _resolve_slot(_schedule(scenario, frozenset(), _bid_value_fn(scenario)), height, rng_seed)
+    return _resolve_slot(_schedule(scenario, frozenset(), _strategy_values(scenario)), height, rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -487,39 +489,27 @@ def load_scenario(path: str | Path) -> SimScenario:
     return scenario
 
 
-def _bid_value_fn(scenario: SimScenario) -> BidValueFn:
-    """The scenario's bid values: the analytic decay curve, or, when the
-    scenario has pools, values backed by pool simulation.
-
-    For pools, the best achievable surplus over the fixture's cycles is
-    searched once per strategy, then scaled by the opportunity's remaining
-    fraction at delivery time: pools drift back toward balance as the race
-    ages.
-    """
+def _strategy_values(scenario: SimScenario) -> dict[Strategy, int]:
+    """The value each strategy realizes at birth, before the efficiency
+    haircut: peak_value in an analytic scenario.  With pools, it is the best
+    surplus searched over the strategy's cycles (short_hop's 2-hop, long_hop's
+    3-hop, mixed's either), each searched once over its search_range, or 0
+    when none is profitable; the schedule decays it as pools drift back
+    toward balance, in the opportunity's proportion.  Every value is 0 when
+    peak_value is."""
+    peak = scenario.opportunity.peak_value
     if scenario.pools is None:
-        return lambda _agent, t: scenario.opportunity.value(t)
+        return dict.fromkeys(Strategy, peak)
     cycles = enumerate_cycles(scenario.pools, scenario.embodied_base_symbol)
     if not cycles:
         raise ConfigError("pools: fixture contains no executable cycle")
-    by_length: dict[int, int] = {}
+    if peak == 0:
+        return dict.fromkeys(Strategy, 0)
+    best = {2: 0, 3: 0}  # by hop count, the only two enumerate_cycles lists
     for descriptor in cycles:
-        hi = max(_v2_reserve_scale(scenario.pools, descriptor) // 4, 16)
-        _, delta = pools_mod.best_input_search(descriptor, scenario.pools, 1, hi)
-        n = descriptor.n_hops
-        by_length[n] = max(by_length.get(n, 0), delta)
-    short = max((d for n, d in by_length.items() if n <= 2), default=0)
-    long_ = max((d for n, d in by_length.items() if n >= 3), default=0)
-    best = max(by_length.values())
-    peak = scenario.opportunity.peak_value
-
-    def value_at(agent: BuilderAgent, t: Fraction) -> int:
-        base = {Strategy.SHORT_HOP: short, Strategy.LONG_HOP: long_, Strategy.MIXED: best}[agent.strategy]
-        if base <= 0 or peak <= 0:
-            return 0
-        remaining = Fraction(scenario.opportunity.value(t), peak)
-        return int(base * remaining)
-
-    return value_at
+        _, delta = pools_mod.best_input_search(descriptor, scenario.pools, *pools_mod.search_range(scenario.pools, descriptor))
+        best[descriptor.n_hops] = max(best[descriptor.n_hops], delta)
+    return {Strategy.SHORT_HOP: best[2], Strategy.LONG_HOP: best[3], Strategy.MIXED: max(best.values())}
 
 
 class CampaignSummary:
@@ -553,7 +543,7 @@ def run_campaign(scenario: SimScenario, n_slots: int, rng_seed: int) -> Iterator
     slot is asked for."""
     if n_slots < 1:
         raise ConfigError("n_slots must be >= 1")
-    value_at = _bid_value_fn(scenario)
+    values = _strategy_values(scenario)
 
     def slots() -> Iterator[SlotOutcome]:
         schedules: dict[frozenset[str], BidSchedule] = {}
@@ -563,7 +553,7 @@ def run_campaign(scenario: SimScenario, n_slots: int, rng_seed: int) -> Iterator
             active = frozenset(builder for builder, expiry in blacklist.items() if expiry > height)
             schedule = schedules.get(active)
             if schedule is None:
-                schedule = schedules[active] = _schedule(scenario, active, value_at)
+                schedule = schedules[active] = _schedule(scenario, active, values)
             outcome = _resolve_slot(schedule, height, rng_seed)
             for offender in outcome.blacklist_events:
                 blacklist[offender] = height + scenario.proposers.blacklist_slots

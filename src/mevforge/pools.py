@@ -18,7 +18,8 @@ rather than compensating arithmetic, and runs may share one pool map.
 The input search needs no post-swap state when a path's pools are
 distinct: it checks the path against the map once and probes on the
 amount functions alone.  enumerate_cycles lists the 2-hop and 3-hop
-cycles of a pool map for the search to run on.
+cycles of a pool map for the search to run on, and search_range the input
+range a simulation searches each over.
 """
 
 from __future__ import annotations
@@ -216,8 +217,6 @@ def swap_v3(
         raise ValueError("swap_v3 requires a V3 pool")
     if direction not in (0, 1):
         raise ValueError("direction must be 0 or 1")
-    if pool.liquidity <= 0:
-        raise InactivePoolError("no liquidity in range")
     amount_out, new_sqrt, unused = step_v3(
         pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm, direction, amount_in, price_limit
     )
@@ -383,18 +382,11 @@ def best_input_search(
     if not 1 <= lo < hi:
         raise ValueError("need 1 <= lo < hi")
     delta = _delta_fn(descriptor, pools)
-    cache: dict[int, int] = {}
-
-    def evaluate(amount: int) -> int:
-        if amount not in cache:
-            cache[amount] = delta(amount)
-        return cache[amount]
-
     lo0 = lo
     while hi - lo > 32:
         third = (hi - lo) // 3
         m1, m2 = lo + third, hi - third
-        f1, f2 = evaluate(m1), evaluate(m2)
+        f1, f2 = delta(m1), delta(m2)
         if f1 < f2:
             lo = m1 + 1
         elif f1 > f2:
@@ -408,26 +400,19 @@ def best_input_search(
             # seeds 0-29, picks were 0 units below on 559 cycles, 1 on 678,
             # 2 on 134, 3 on 18, 4 on 5 and 5 on 2, and beat the window on 1.
             lo, hi = m1, m2
-    best_amount = min(range(lo, hi + 1), key=lambda a: (-evaluate(a), a))
-    best_delta = evaluate(best_amount)
-    if best_delta <= 0:
-        return lo0, best_delta
-    return best_amount, best_delta
+    best_delta, neg_amount = max((delta(a), -a) for a in range(lo, hi + 1))  # ties go to the smallest amount
+    return (-neg_amount if best_delta > 0 else lo0), best_delta
 
 
-# ---------------------------------------------------------------------------
-# pool fixture files (newline-delimited JSON records)
-
-
-def _v2_reserve_scale(pools: Mapping[bytes, PoolState], descriptor: PathDescriptor) -> int:
-    reserves = []
-    for address in descriptor.pools:
-        pool = pools[address]
-        if pool.kind is PoolKind.V2:
-            reserves.append(min(pool.reserve0, pool.reserve1))
-        else:
-            reserves.append(pool.liquidity)
-    return min(reserves)
+def search_range(pools: Mapping[bytes, PoolState], descriptor: PathDescriptor) -> tuple[int, int]:
+    """The (lo, hi) input range a simulation searches the path over: 1 to a
+    quarter of its shallowest pool's depth (a V2 pool's smaller reserve, a
+    V3 pool's liquidity), and at least to 16."""
+    depth = min(
+        min(pool.reserve0, pool.reserve1) if pool.kind is PoolKind.V2 else pool.liquidity
+        for pool in map(pools.__getitem__, descriptor.pools)
+    )
+    return 1, max(depth // 4, 16)
 
 
 def enumerate_cycles(
@@ -465,6 +450,10 @@ def enumerate_cycles(
                         continue
                     found.append(PathDescriptor((start, mid, far, start), (p1.address, p2.address, p3.address)))
     return found
+
+
+# ---------------------------------------------------------------------------
+# pool fixture files (newline-delimited JSON records)
 
 
 def pool_to_obj(pool: PoolState) -> dict:

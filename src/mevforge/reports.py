@@ -139,7 +139,8 @@ def write_campaign_summary(stream: IO[str], summary: CampaignSummary) -> None:
 
 
 def write_text(path: Path, render) -> None:
-    """Write a report through a stream-rendering callable, atomically enough
-    for our purposes (full rewrite)."""
+    """Write a report through a stream-rendering callable, rewriting the
+    file in place; the write is not atomic, so a render that fails midway
+    leaves the file partly written."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         render(fh)

@@ -14,6 +14,7 @@ from mevforge import fixtures
 from mevforge.arbitrage import (
     DEFAULT_SHARE_ADDRESS,
     MissingPriceError,
+    ShareTokenError,
     attribute_profit,
     extract_arbitrage_cycle,
     gas_cost_in_base_units,
@@ -162,6 +163,23 @@ def test_zero_profit_identity():
 def test_share_sums_transfers_and_pool_sink():
     tx = cycle_tx(gross=5000, share_transfers=(300, 200), pool_sink=100)
     assert attribute_profit(tx) == (5000, 600, 0)
+
+
+def test_a_share_transfer_in_another_token_is_an_error():
+    """A 5 USDT (6-decimal) payment to the share address inside a WBNB
+    cycle is in USDT units, so it cannot be summed into share."""
+    wbnb, usdt = TokenId("WBNB", bytes([4]) * 20, 18), TokenId("USDT", bytes([5]) * 20, 6)
+    events = [
+        swap(wbnb, TOKEN_B, POOL_1, 1000, 500),
+        replace(transfer(DEFAULT_SHARE_ADDRESS, 5_000_000), token_out=usdt),
+        swap(TOKEN_B, wbnb, POOL_2, 500, 1100),
+    ]
+    with pytest.raises(ShareTokenError, match="share transfer moves USDT, not the base token WBNB"):
+        attribute_profit(make_tx(events))
+    # in the base token, or with no token named, the transfer is share
+    for token in (wbnb, None):
+        events[1] = replace(events[1], token_out=token)
+        assert attribute_profit(make_tx(events)) == (100, 5_000_000, 0)
 
 
 def test_negative_gross_is_reported_not_clamped():

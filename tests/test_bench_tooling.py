@@ -103,14 +103,12 @@ EMBODIED_SEARCH_DIGESTS = {
 def test_embodied_search_matches_pinned_digest(seed):
     """best_input_search over every cycle of the generated V2/V3 graph, with
     the input bounds the embodied simulation uses."""
-    from mevforge.pools import _v2_reserve_scale, best_input_search, enumerate_cycles
+    from mevforge.pools import best_input_search, enumerate_cycles, search_range
 
     pools = load_perfbench("gen_embodied").pool_graph(seed)
     cycles = enumerate_cycles(pools, "WBNB")
     assert len(cycles) == 330
-    text = "".join(
-        "{},{}\n".format(*best_input_search(d, pools, 1, max(_v2_reserve_scale(pools, d) // 4, 16))) for d in cycles
-    )
+    text = "".join("{},{}\n".format(*best_input_search(d, pools, *search_range(pools, d))) for d in cycles)
     assert hashlib.sha256(text.encode()).hexdigest() == EMBODIED_SEARCH_DIGESTS[seed]
 
 
@@ -137,7 +135,7 @@ def test_embodied_search_is_within_five_units_of_the_closed_form_optimum(seed):
     5 base units below the best integer input within 3,000 of the real
     optimum x* = (sqrt(AB) - B) / C (Wang et al., arXiv 2105.02784).  Seeds
     0 and 2 hold the two widest gaps of seeds 0-29, both exactly 5."""
-    from mevforge.pools import _delta_fn, _v2_reserve_scale, best_input_search, enumerate_cycles
+    from mevforge.pools import _delta_fn, best_input_search, enumerate_cycles, search_range
 
     pools = load_perfbench("gen_embodied").pool_graph(seed)
     gaps = []
@@ -147,7 +145,7 @@ def test_embodied_search_is_within_five_units_of_the_closed_form_optimum(seed):
             continue
         A, B, C = mobius
         x_star = (math.isqrt(A * B) - B) // C
-        _, picked = best_input_search(descriptor, pools, 1, max(_v2_reserve_scale(pools, descriptor) // 4, 16))
+        _, picked = best_input_search(descriptor, pools, *search_range(pools, descriptor))
         best = max(map(_delta_fn(descriptor, pools), range(max(x_star - 3000, 1), x_star + 3001)))
         gaps.append(best - picked)
     assert len(gaps) > 40

@@ -325,6 +325,40 @@ def test_extract_errors_csv_quotes_hostile_symbols(tmp_path):
     assert rows == [["tx_hash", "error"], ["0x" + "01" * 32, 'no price for EVIL,"T']]
 
 
+def test_extract_sends_a_share_transfer_in_another_token_to_errors_csv(tmp_path):
+    """A WBNB cycle that pays 5 USDT (6 decimals) to the share address is an
+    error row, not a share of 5,000,000 wei."""
+    wbnb = {"symbol": "WBNB", "address": "0x" + "bb" * 20, "decimals": 18}
+    usdt = {"symbol": "USDT", "address": "0x" + "55" * 20, "decimals": 6}
+    trace = tmp_path / "traces.ndjson"
+    trace.write_text(
+        json.dumps(
+            {
+                "hash": "0x" + "01" * 32,
+                "block": 1,
+                "from": "0x" + "11" * 20,
+                "gas_used": 0,
+                "gas_price": 0,
+                "events": [
+                    {"kind": "swap", "pool": "0x" + "a1" * 20, "token_in": wbnb, "token_out": usdt,
+                     "amount_in": "10", "amount_out": "20"},
+                    {"kind": "swap", "pool": "0x" + "a2" * 20, "token_in": usdt, "token_out": wbnb,
+                     "amount_in": "20", "amount_out": "12"},
+                    {"kind": "transfer", "token_out": usdt, "to": "0x" + "ff" * 19 + "fe", "amount": "5000000"},
+                ],
+            }
+        )
+        + "\n"
+    )
+    out = tmp_path / "out"
+    code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(out)])
+    assert code == 1
+    with open(out / "errors.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["tx_hash", "error"], ["0x" + "01" * 32, "share transfer moves USDT, not the base token WBNB"]]
+    assert (out / "records.csv").read_text().count("\n") == 2  # the schema row and the header only
+
+
 def test_extract_non_object_event_fails_with_line(tmp_path, capsys):
     """A bad trace line leaves no report: neither the records written
     before it nor an errors.csv from an earlier run."""
@@ -970,6 +1004,23 @@ def test_simulate_faults_stop_it_before_slots_csv(tmp_path, capsys):
         assert main(["simulate", "--scenario", str(scenario), "--slots", slots, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param({"embodied_base_symbol": "BUSD"}, "embodied_base_symbol 'BUSD' names no token of the pool file", id="unknown-symbol"),
+        pytest.param({"pools": None}, "embodied_base_symbol 'WBNB' is given, but no pools are loaded", id="pools-null"),
+        pytest.param({"pools": ""}, "embodied_base_symbol 'WBNB' is given, but no pools are loaded", id="pools-empty"),
+    ],
+)
+def test_simulate_embodied_base_symbol_must_name_a_pool_token(tmp_path, capsys, edit, message):
+    pool_text = pools.dump_pool_file(fixtures.gen_pool_fixture(seed=13).pools)
+    scenario = embodied_scenario(tmp_path, pool_text, {**EMBODIED_SCENARIO, **edit})
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(scenario), "--slots", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: invalid scenario keys: {message}\n"
+    assert not out.exists()
 
 
 def test_simulate_invalid_scenario_fails(tmp_path):

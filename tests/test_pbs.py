@@ -401,6 +401,34 @@ def test_embodied_campaign_uses_pool_search(tmp_path):
     assert outcomes[0].proposer_payment > 0
 
 
+def without_usdt_usd1(pool_map):
+    """The pool map without its USDT/USD1 pool, so the triangle is gone and
+    only the 2-hop WBNB/USDT cycles are left."""
+    return {a: p for a, p in pool_map.items() if {p.token0.symbol, p.token1.symbol} != {"USDT", "USD1"}}
+
+
+@pytest.mark.parametrize("protocol", ["bsc_direct", "eth_relay"])
+@pytest.mark.parametrize(
+    "mispricing_pct, keys, pool_edit",
+    [
+        pytest.param(5, {"opportunity": {"peak_value": 0, "gas_floor": 1000}}, lambda m: m, id="peak-value-0"),
+        pytest.param(0, {}, lambda m: m, id="no-profitable-cycle"),
+        pytest.param(
+            5, {"builders": [{"id": "tri", "latency_ms": 10, "strategy": "long_hop"}]}, without_usdt_usd1,
+            id="long-hop-without-3-hop-cycle",
+        ),
+    ],
+)
+def test_pooled_scenarios_without_value_make_no_bids(tmp_path, protocol, mispricing_pct, keys, pool_edit):
+    pool_map = pool_edit(fixtures.gen_pool_fixture(seed=13, mispricing_pct=mispricing_pct).pools)
+    (tmp_path / "pools.ndjson").write_text(pools.dump_pool_file(pool_map))
+    path = tmp_path / "embodied.json"
+    path.write_text(json.dumps({**EMBODIED_SCENARIO, "protocol": protocol, **keys}))
+    outcomes, summary = campaign(load_scenario(path), 20, rng_seed=3)
+    assert all(o.schedule.received == () and o.winner is None for o in outcomes)
+    assert summary.fallback_rate == 1
+
+
 # -- bid schedules vs slot-by-slot campaigns ----------------------------------
 
 
