@@ -3,22 +3,27 @@
 Market shares, per-builder/per-token profit matrices, proposer payout
 splits, swap-path complexity, path-length/profit correlation, a
 tie-corrected Mann-Kendall trend test and a three-feature centralisation
-risk score.  Aggregation runs in exact rational arithmetic, in one pass
-over the records (RecordTotals); decimal rounding happens only when
-reports are rendered.
+risk score.  Aggregation is one pass over the records (RecordTotals)
+that adds their Decimal dollars in records.EXACT, so every sum is exact;
+a sum becomes a Fraction only where a ratio is taken of it (token shares,
+the payout fraction, profit per hop and Pearson), and decimal rounding
+happens only when reports are rendered.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from statistics import NormalDist
 from typing import Iterable, Mapping, Sequence
 
-from .records import ArbitrageRecord
+from .records import EXACT, ArbitrageRecord
+
+ZERO = Decimal(0)
 
 
 class EmptyMarketError(ValueError):
@@ -65,23 +70,7 @@ def market_share(block_counts: Mapping[str, int]) -> ShareTable:
 
 
 # ---------------------------------------------------------------------------
-# exact sums, profit matrix and proposer split
-
-
-class ExactSum:
-    """An exact sum of rationals, kept as one integer numerator sum per
-    denominator: adding n/d costs an integer add, and a Fraction is built
-    once per denominator, by value().  d need not be reduced."""
-
-    def __init__(self) -> None:
-        self.numerators: dict[int, int] = {}
-
-    def add(self, numerator: int, denominator: int) -> None:
-        numerators = self.numerators
-        numerators[denominator] = numerators.get(denominator, 0) + numerator
-
-    def value(self) -> Fraction:
-        return sum((Fraction(n, d) for d, n in self.numerators.items()), Fraction(0))
+# profit matrix and proposer split
 
 
 def token_shares(matrix: Mapping[tuple[str, str], Fraction]) -> dict[tuple[str, str], Fraction]:
@@ -192,20 +181,21 @@ def path_complexity(counts: Mapping[int, int]) -> PathComplexity:
 
 
 class PearsonMoments:
-    """Moments of (x, y) points, grouped by x: per x, the count and the
-    exact sums of y and y^2.  A point's y is given as a numerator and a
-    denominator, which need not be reduced."""
+    """Moments of (x, y) points, grouped by x: per x, the count and the sums
+    of y and y^2.  x and y are exact numbers, such as ints and Fractions."""
 
     def __init__(self) -> None:
         self.groups: dict = {}  # x -> [count, sum of y, sum of y^2]
 
-    def add(self, x, numerator: int, denominator: int) -> None:
-        group = self.groups.get(x)
-        if group is None:
-            group = self.groups[x] = [0, ExactSum(), ExactSum()]
-        group[0] += 1
-        group[1].add(numerator, denominator)
-        group[2].add(numerator * numerator, denominator * denominator)
+    def add(self, x, y) -> None:
+        self.add_group(x, 1, y, y * y)
+
+    def add_group(self, x, count: int, sum_y, sum_yy) -> None:
+        """Add count points at x whose y sum to sum_y, and their squares to sum_yy."""
+        group = self.groups.setdefault(x, [0, 0, 0])
+        group[0] += count
+        group[1] += sum_y
+        group[2] += sum_yy
 
     def correlation(self) -> float:
         """Pearson correlation of the points added.
@@ -219,12 +209,11 @@ class PearsonMoments:
         if n < 2:
             raise UndefinedCorrelationError("need at least 2 points")
         sum_x = sum_xx = sum_y = sum_yy = sum_xy = Fraction(0)
-        for x, (count, sy, syy) in self.groups.items():
-            group_y = sy.value()
+        for x, (count, group_y, group_yy) in self.groups.items():
             sum_x += x * count
             sum_xx += x * x * count
             sum_y += group_y
-            sum_yy += syy.value()
+            sum_yy += group_yy
             sum_xy += x * group_y
         sxx = sum_xx - sum_x * sum_x / n
         syy = sum_yy - sum_y * sum_y / n
@@ -242,8 +231,7 @@ def pathlen_profit_correlation(points: Iterable[tuple]) -> float:
     exactly from their PearsonMoments."""
     moments = PearsonMoments()
     for x, y in points:
-        y = Fraction(y)
-        moments.add(Fraction(x), y.numerator, y.denominator)
+        moments.add(Fraction(x), Fraction(y))
     return moments.correlation()
 
 
@@ -280,57 +268,66 @@ def risk_score(symbol: str, freezable: int, custodial: int, external_chain: int)
 
 class RecordTotals:
     """What the analyze reports need from records, folded one record at a
-    time: distinct blocks and Pearson moments per brand, dollars per
-    (brand, token) cell and per (brand, day), hop counts and payouts.  No
-    record is held, so memory grows with brands x tokens x days plus
-    distinct blocks (and distinct dollar denominators), not with rows."""
+    time: distinct blocks per brand, hop counts, and dollars per (brand,
+    token) cell, per (brand, day), paid onward per brand, and per (brand,
+    hop count) with their squares, for Pearson.  Dollars are added as the
+    records' Decimals in records.EXACT (the default context rounds past 28
+    digits).  No record is held, so memory grows with brands x tokens x
+    days plus distinct blocks, not with rows."""
 
     def __init__(self, records: Iterable[ArbitrageRecord]) -> None:
         self.rows = 0
         self.blocks: dict[str, set[int]] = {}
         self.hops: Counter[int] = Counter()
-        self.moments: dict[str, PearsonMoments] = defaultdict(PearsonMoments)
-        self._cells: dict[tuple[str, str], ExactSum] = defaultdict(ExactSum)
-        self._paid: dict[str, ExactSum] = defaultdict(ExactSum)
-        self._day_usd: dict[tuple[str, str], ExactSum] = defaultdict(ExactSum)
+        self._cells: dict[tuple[str, str], Decimal] = {}
+        self._paid: dict[str, Decimal] = {}
+        self._day_usd: dict[tuple[str, str], Decimal] = {}
         self._day_txs: Counter[tuple[str, str]] = Counter()
+        hop_groups: dict[tuple[str, int], list] = {}  # (brand, hops) -> [count, sum of usd, sum of usd^2]
+        add, multiply = EXACT.add, EXACT.multiply
         for record in records:
             self.rows += 1
-            brand, hops = record.builder_brand, record.hop_count
-            usd, usd_denominator = record.usd_value.as_integer_ratio()
-            day = (brand, record.timestamp_utc[:10])
+            brand, hops, usd = record.builder_brand, record.hop_count, record.usd_value
+            cell, day = (brand, record.base_token), (brand, record.timestamp_utc[:10])
             self.blocks.setdefault(brand, set()).add(record.block_number)
             self.hops[hops] += 1
-            self.moments[brand].add(hops, usd, usd_denominator * hops)  # (h, usd / h)
-            self._cells[brand, record.base_token].add(usd, usd_denominator)
-            self._paid[brand].add(*record.share_usd.as_integer_ratio())
-            self._day_usd[day].add(usd, usd_denominator)
+            group = hop_groups.setdefault((brand, hops), [0, ZERO, ZERO])
+            group[0] += 1
+            group[1] = add(group[1], usd)
+            group[2] = add(group[2], multiply(usd, usd))
+            self._cells[cell] = add(self._cells.get(cell, ZERO), usd)
+            self._paid[brand] = add(self._paid.get(brand, ZERO), record.share_usd)
+            self._day_usd[day] = add(self._day_usd.get(day, ZERO), usd)
             self._day_txs[day] += 1
+        # the points are (h, usd / h), so per h y sums to sum(usd) / h and y^2 to sum(usd^2) / h^2
+        self.moments: dict[str, PearsonMoments] = {}
+        for (brand, h), (count, sum_usd, sum_usd2) in hop_groups.items():
+            moments = self.moments.setdefault(brand, PearsonMoments())
+            moments.add_group(h, count, Fraction(sum_usd) / h, Fraction(sum_usd2) / (h * h))
 
     def profit_matrix(self) -> dict[tuple[str, str], Fraction]:
-        return {cell: usd.value() for cell, usd in self._cells.items()}
+        return {cell: Fraction(usd) for cell, usd in self._cells.items()}
 
     def proposer_split(self) -> dict[str, ProposerSplit]:
         """Per brand: dollars kept (net) vs dollars paid onward (share), and
         the payout fraction paid / (paid + kept)."""
-        kept: dict[str, Fraction] = {}
-        for (brand, _token), usd in self.profit_matrix().items():
-            kept[brand] = kept.get(brand, Fraction(0)) + usd
+        kept: dict[str, Decimal] = {}
+        for (brand, _token), usd in self._cells.items():
+            kept[brand] = EXACT.add(kept.get(brand, ZERO), usd)
         out: dict[str, ProposerSplit] = {}
         for brand in sorted(self._paid):
-            p, n = self._paid[brand].value(), kept[brand]
+            p, n = Fraction(self._paid[brand]), Fraction(kept[brand])
             fraction = p / (p + n) if (p + n) != 0 else Fraction(0)
             out[brand] = ProposerSplit(kept_usd=n, paid_usd=p, payout_fraction=fraction)
         return out
 
     def daily_series(self) -> dict[str, list]:
-        """Daily UTC profit (usd_<brand>) and activity (txs_<brand>) series,
-        one value per observed date: a date with no record at all is in no
-        series, and a brand absent on an observed date reads 0 there."""
+        """Daily UTC profit (usd_<brand>, Decimals) and activity (txs_<brand>)
+        series, one value per observed date: a date with no record at all is
+        in no series, and a brand absent on an observed date reads 0 there."""
         ordered = sorted({day for _brand, day in self._day_txs})
-        usd = {key: total.value() for key, total in self._day_usd.items()}
         series: dict[str, list] = {}
         for brand in sorted(self.blocks):
-            series[f"usd_{brand}"] = [usd.get((brand, day), Fraction(0)) for day in ordered]
+            series[f"usd_{brand}"] = [self._day_usd.get((brand, day), ZERO) for day in ordered]
             series[f"txs_{brand}"] = [self._day_txs[brand, day] for day in ordered]
         return series

@@ -483,6 +483,11 @@ def load_scenario(path: str | Path) -> SimScenario:
                 obj["pools"] = pools_mod.load_pool_file(fh)
     except (OSError, ValueError) as exc:  # a LineError is a ValueError
         problems.append(f"pools: {exc}")
+        try:  # a symbol is not checked against pools that did not load
+            read_json(obj.get("embodied_base_symbol"), "embodied_base_symbol", str)
+            obj["embodied_base_symbol"] = None
+        except ValueError:
+            pass  # reported when the scenario's keys are read
     scenario = _from_json(SimScenario, obj, unread, problems)
     if problems:
         raise ConfigError("invalid scenario keys: " + "; ".join(problems))

@@ -456,34 +456,43 @@ def enumerate_cycles(
 # pool fixture files (newline-delimited JSON records)
 
 
+# a pool line's keys: these, its kind's amounts, and each token's keys as
+# traces.token_to_obj writes them; any other key is an error
+_POOL_KEYS = ("address", "kind", "token0", "token1", "fee_ppm")
+_AMOUNT_KEYS = {PoolKind.V2: ("reserve0", "reserve1"), PoolKind.V3: ("liquidity", "sqrt_price_x96")}
+_TOKEN_KEYS = ("symbol", "address", "decimals")
+
+
 def pool_to_obj(pool: PoolState) -> dict:
-    obj = {
+    return {
         "address": format_address(pool.address),
         "kind": pool.kind.value,
         "token0": token_to_obj(pool.token0),
         "token1": token_to_obj(pool.token1),
         "fee_ppm": pool.fee_ppm,
+        **{key: str(getattr(pool, key)) for key in _AMOUNT_KEYS[pool.kind]},
     }
-    if pool.kind is PoolKind.V2:
-        obj["reserve0"] = str(pool.reserve0)
-        obj["reserve1"] = str(pool.reserve1)
-    else:
-        obj["liquidity"] = str(pool.liquidity)
-        obj["sqrt_price_x96"] = str(pool.sqrt_price_x96)
-    return obj
+
+
+def _only_keys(obj, keys: tuple[str, ...], what: str) -> None:
+    unknown = sorted(set(obj).difference(keys)) if type(obj) is dict else ()
+    if unknown:
+        raise ValueError(f"{what}: unknown keys {', '.join(map(repr, unknown))}")
 
 
 def pool_from_obj(obj: Mapping) -> PoolState:
     obj = read_json(obj, "pool", dict)
     kind = read_json(obj["kind"], "kind", PoolKind)
-    keys = ("reserve0", "reserve1") if kind is PoolKind.V2 else ("liquidity", "sqrt_price_x96")
+    _only_keys(obj, _POOL_KEYS + _AMOUNT_KEYS[kind], f"{kind.value} pool")
+    for side in ("token0", "token1"):
+        _only_keys(obj[side], _TOKEN_KEYS, side)
     return PoolState(
         address=parse_address(obj["address"]),
         kind=kind,
         token0=token_from_obj(obj["token0"]),
         token1=token_from_obj(obj["token1"]),
         fee_ppm=read_json(obj["fee_ppm"], "fee_ppm", int),
-        **{key: read_json(obj[key], key, int, digits=True) for key in keys},
+        **{key: read_json(obj[key], key, int, digits=True) for key in _AMOUNT_KEYS[kind]},
     )
 
 

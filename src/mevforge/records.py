@@ -145,6 +145,10 @@ def _records(reader) -> Iterator[ArbitrageRecord]:
                 raise ValueError(f"expected {len(_HEADER)} columns, got {len(row)}")
             if not _TIMESTAMP.fullmatch(row[-1]):
                 raise ValueError(f"timestamp_utc: expected YYYY-MM-DDTHH:MM:SSZ, got {row[-1]!r:.40}")
+            try:  # and name a moment that exists: 2025-02-30 and 24:00 have the form but do not
+                datetime.fromisoformat(row[-1][:-1])
+            except ValueError as exc:
+                raise ValueError(f"timestamp_utc: {exc}, got {row[-1]!r}") from None
             tx_hash, *values = map(read_json, row, _HEADER, _KINDS, repeat(True))
             yield ArbitrageRecord(parse_tx_hash(tx_hash), *values)
         except ValueError as exc:

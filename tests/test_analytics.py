@@ -7,7 +7,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -529,6 +529,63 @@ def test_analyze_equals_the_two_pass_reference(tmp_path_factory, rows, order):
     written = {path.name: path.read_bytes() for path in (directory / "out").iterdir()}
     assert sorted(written) == sorted(expected)
     assert [name for name in sorted(expected) if written[name] != expected[name]] == []
+
+
+def long_dollars(signs=("", "-")):
+    """Dollars of 30 to 45 significant digits, past the 28 that the default
+    decimal context keeps."""
+    return st.builds(
+        "{}{}E-{}".format,
+        st.sampled_from(signs),
+        st.integers(min_value=10**29, max_value=10**44),
+        st.integers(min_value=0, max_value=30),
+    ).map(Decimal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(["A", "B"]),
+            st.sampled_from(["WBNB", "USDT"]),
+            st.integers(min_value=1, max_value=3),
+            st.integers(min_value=2, max_value=4),
+            long_dollars(),
+            long_dollars(signs=("",)),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_the_fold_sums_long_dollars_exactly(rows):
+    """RecordTotals' cell, paid, kept, day and per-hop sums of usd and usd^2
+    equal the Fraction sums of the same dollars, compared as sums: a
+    rounded sum of squares can leave a 12-place pearson_r unchanged."""
+    records = [
+        replace(record(brand, token, usd, share_usd), hop_count=hops, timestamp_utc=f"2025-06-0{day}T00:00:00Z")
+        for brand, token, day, hops, usd, share_usd in rows
+    ]
+    cells, paid, kept, by_day, groups = {}, {}, {}, {}, {}
+    for brand, token, day, hops, usd, share_usd in rows:
+        usd = Fraction(usd)
+        cells[brand, token] = cells.get((brand, token), 0) + usd
+        paid[brand] = paid.get(brand, 0) + Fraction(share_usd)
+        kept[brand] = kept.get(brand, 0) + usd
+        by_day[brand, day] = by_day.get((brand, day), 0) + usd
+        group = groups.setdefault((brand, hops), [0, 0, 0])
+        group[0], group[1], group[2] = group[0] + 1, group[1] + usd, group[2] + usd * usd
+    totals = RecordTotals(records)
+    assert totals.profit_matrix() == cells
+    assert {brand: (split.kept_usd, split.paid_usd) for brand, split in totals.proposer_split().items()} == {
+        brand: (kept[brand], paid[brand]) for brand in paid
+    }
+    days = sorted({day for _brand, day in by_day})
+    assert {name: values for name, values in totals.daily_series().items() if name.startswith("usd_")} == {
+        f"usd_{brand}": [by_day.get((brand, day), 0) for day in days] for brand in paid
+    }
+    assert {(brand, h): group for brand, moments in totals.moments.items() for h, group in moments.groups.items()} == {
+        (brand, h): [count, sum_usd / h, sum_usd2 / (h * h)] for (brand, h), (count, sum_usd, sum_usd2) in groups.items()
+    }
 
 
 @settings(max_examples=40, deadline=None)

@@ -938,10 +938,20 @@ def test_extract_and_analyze_outputs_match_pinned_digests(tmp_path, name):
     assert {f: hashlib.sha256(data).hexdigest() for f, data in outputs.items()} == PINNED_PIPELINE_DIGESTS[name]
 
 
-def test_analyze_rejects_a_malformed_timestamp(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "timestamp",
+    [
+        pytest.param("garbage", id="garbage"),
+        pytest.param("2025-13-45T99:99:99Z", id="month-13"),
+        pytest.param("2025-02-30T00:00:00Z", id="february-30"),
+        pytest.param("2025-06-01T24:00:00Z", id="hour-24"),
+        pytest.param("0000-06-01T00:00:00Z", id="year-0"),
+    ],
+)
+def test_analyze_rejects_a_malformed_timestamp(tmp_path, capsys, timestamp):
     bad = tmp_path / "bad.csv"
     buffer = io.StringIO()
-    write_records(buffer, [sample_record(), sample_record(block_number=101, timestamp_utc="garbage")])
+    write_records(buffer, [sample_record(), sample_record(block_number=101, timestamp_utc=timestamp)])
     bad.write_text(buffer.getvalue())
     assert main(["analyze", "--records", str(bad), "--out", str(tmp_path / "out")]) == 1
     assert "row 4: timestamp_utc" in capsys.readouterr().err
@@ -1151,12 +1161,38 @@ def v3_line_with(**values):
         # line 1 holds pool 0x1221... over WBNB/USDT; line 2 is a USDT/USD1 pool
         pytest.param(lambda o: json.dumps({**o, "address": "0x1221b5a22155a41c2ff7c0fcbbe8f88da415c4c8"}), "", id="address-repeated"),
         pytest.param(lambda o: json.dumps({**o, "token0": {**o["token0"], "address": "0x" + "ee" * 20}}), "", id="symbol-reused"),
+        pytest.param(lambda o: json.dumps({**o, "bogus": 1}), "v2 pool: unknown keys 'bogus'", id="unknown-key"),
+        pytest.param(
+            lambda o: json.dumps({**o, "liquidity": "5", "bogus": 1}), "v2 pool: unknown keys 'bogus', 'liquidity'", id="other-kind-key"
+        ),
+        pytest.param(v3_line_with(reserve0="5"), "v3 pool: unknown keys 'reserve0'", id="other-kind-key-v3"),
+        pytest.param(lambda o: json.dumps({**o, "token1": {**o["token1"], "name": "x"}}), "token1: unknown keys 'name'", id="token-unknown-key"),
     ],
 )
 def test_simulate_malformed_pool_file_names_the_line(tmp_path, capsys, edit, message):
     scenario = embodied_scenario(tmp_path, pool_lines_with(edit))
     assert main(["simulate", "--scenario", str(scenario), "--slots", "1", "--seed", "1", "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"error: invalid scenario keys: pools: line 2: {message}")
+
+
+@pytest.mark.parametrize(
+    "edit, faults",
+    [
+        pytest.param({}, [], id="pool-fault-only"),
+        pytest.param({"horizon_ms": "soon"}, ["horizon_ms: expected a number, got 'soon'"], id="horizon-text"),
+        pytest.param({"horizon_ms": -5}, ["invalid horizon_ms/listen_window_ms"], id="horizon-negative"),
+        pytest.param({"embodied_base_symbol": 5}, ["embodied_base_symbol: expected a string, got 5"], id="symbol-number"),
+    ],
+)
+def test_simulate_pool_file_fault_adds_no_symbol_fault(tmp_path, capsys, edit, faults):
+    """A pool file cut mid-line is its own fault; the symbol that could
+    name none of its tokens adds none, and every other fault is listed."""
+    cut = pools.dump_pool_file(fixtures.gen_pool_fixture(seed=13).pools)[:60]
+    scenario = embodied_scenario(tmp_path, cut, {**EMBODIED_SCENARIO, **edit})
+    assert main(["simulate", "--scenario", str(scenario), "--slots", "1", "--out", str(tmp_path / "o")]) == 1
+    pool_fault, *others = capsys.readouterr().err.removesuffix("\n").split("; ")
+    assert pool_fault.startswith("error: invalid scenario keys: pools: line 1: Unterminated string")
+    assert others == faults
 
 
 # A direct-flow scenario whose slots depend on the non-delivery draws and on
