@@ -1,0 +1,207 @@
+#!/usr/bin/env python3
+"""Mutation register: deliberate bugs that named tests must catch.
+
+Each mutant is a source file, an exact ``old`` snippet that occurs once in
+it, the ``new`` text that replaces it, and the test ids that must fail once
+it is replaced.  For each mutant the script copies the tree (without .git
+or caches) to a temporary directory, applies the edit there and runs only
+the named tests.  A mutant is killed when every named test fails, and
+survives when one passes; a run that ends in neither (a test id that is not
+collected, an edit that does not apply) is an error.  The exit status is
+nonzero if any mutant survives or errs.
+
+    python3 scripts/mutants.py             # every mutant
+    python3 scripts/mutants.py M1 M5       # the named ones
+
+Hypothesis runs with a fixed seed, so a verdict is reproducible.  Mutants
+that change no behaviour (such as relay rebids past the horizon alone,
+which the relay cutoff at the horizon already keeps out of the candidates)
+are not registered.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PBS, ANALYTICS, RECORDS = "src/mevforge/pbs.py", "src/mevforge/analytics.py", "src/mevforge/records.py"
+CLI_TESTS, PBS_TESTS = "tests/test_cli.py", "tests/test_pbs.py"
+FOLD_TEST = "tests/test_analytics.py::test_the_fold_sums_long_dollars_exactly"
+HYPOTHESIS_SEED = "0"
+
+MUTANTS = [
+    {
+        "name": "check-first-fault-only",
+        "why": "a section's _check raises at its first fault",
+        "file": PBS,
+        "old": "    if faults := [message for fault, message in checks if fault]:",
+        "new": "    if faults := [message for fault, message in checks if fault][:1]:",
+        "tests": [
+            f"{PBS_TESTS}::test_a_section_names_every_failing_key_in_one_config_error[scenario]",
+            f"{CLI_TESTS}::test_simulate_lists_every_value_fault_by_its_key[three-top-level]",
+        ],
+    },
+    {
+        "name": "unread-keys-of-bsc-direct",
+        "why": "a protocol that does not read takes bsc_direct's unread keys, so relay reads as unknown",
+        "file": PBS,
+        "old": 'obj.get("protocol")), frozenset())',
+        "new": 'obj.get("protocol")), UNREAD_KEYS[Protocol.BSC_DIRECT])',
+        "tests": [
+            f"{CLI_TESTS}::test_simulate_lists_every_value_fault_by_its_key[protocol-mistyped]",
+            f"{CLI_TESTS}::test_simulate_lists_every_value_fault_by_its_key[protocol-missing]",
+        ],
+    },
+    {
+        "name": "symbol-after-failed-pool-file",
+        "why": "the symbol is checked even when the pool file failed to load",
+        "file": PBS,
+        "old": '        problems.append(f"pools: {exc}")\n    else:',
+        "new": '        problems.append(f"pools: {exc}")\n    if True:',
+        "tests": [f"{CLI_TESTS}::test_simulate_pool_file_fault_adds_no_symbol_fault[pool-fault-only]"],
+    },
+    {
+        "name": "fold-plain-add",
+        "why": "the fold adds dollars with + in the default 28-digit context, not EXACT.add",
+        "file": ANALYTICS,
+        "old": "        add, multiply = EXACT.add, EXACT.multiply",
+        "new": "        add, multiply = Decimal.__add__, EXACT.multiply",
+        "tests": [FOLD_TEST],
+    },
+    {
+        "name": "kept-plain-add",
+        "why": "proposer_split adds each brand's kept dollars with + in the default context",
+        "file": ANALYTICS,
+        "old": "            kept[brand] = EXACT.add(kept.get(brand, ZERO), usd)",
+        "new": "            kept[brand] = kept.get(brand, ZERO) + usd",
+        "tests": [FOLD_TEST],
+    },
+    {
+        "name": "square-default-context",
+        "why": "the fold squares usd as usd * usd in the default context, not EXACT.multiply",
+        "file": ANALYTICS,
+        "old": "group[2] = add(group[2], multiply(usd, usd))",
+        "new": "group[2] = add(group[2], usd * usd)",
+        "tests": [FOLD_TEST],
+    },
+    {
+        "name": "exact-28-digits",
+        "why": "EXACT is the default 28-digit context",
+        "file": RECORDS,
+        "old": "EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])",
+        "new": "EXACT = Context()",
+        "tests": [f"{CLI_TESTS}::test_dollars_wider_than_28_digits_stay_exact_from_extract_to_analyze"],
+    },
+    {
+        "name": "M1",
+        "why": "the direct proposer's cutoff is the horizon, not the listen window",
+        "file": PBS,
+        "old": "        cutoff = max(scenario.listen_window_ms, bids[0].timestamp_ms if bids else 0)",
+        "new": "        cutoff = horizon",
+        "tests": [f"{PBS_TESTS}::test_direct_contested_window_ends_with_the_listen_window"],
+    },
+    {
+        "name": "M2",
+        "why": "the contested window is measured from birth (0 ms), not from the first arrival",
+        "file": PBS,
+        "old": "        return last_change.timestamp_ms - arrivals[0].timestamp_ms",
+        "new": "        return last_change.timestamp_ms",
+        "tests": [
+            f"{PBS_TESTS}::test_bundled_duopoly_contested_windows",
+            f"{PBS_TESTS}::test_direct_bids_inside_the_listen_window_are_contested",
+            f"{PBS_TESTS}::test_direct_contested_window_ends_with_the_listen_window",
+        ],
+    },
+    {
+        "name": "M4",
+        "why": "relay rebids and the relay cutoff run one rebid interval past the horizon",
+        "file": PBS,
+        "old": """        while t <= horizon:
+            improved = max(locked, ceiling * min(k, rounds) // rounds)
+            bids.append(_make_bid(agent, t, improved))
+            if improved >= ceiling:
+                break
+            k += 1
+            t += relay.rebid_interval_ms
+
+    bids.sort(key=lambda b: (b.timestamp_ms, b.builder_id))
+    if relayed:
+        cutoff, non_delivery = horizon, {}""",
+        "new": """        while t <= horizon + relay.rebid_interval_ms:
+            improved = max(locked, ceiling * min(k, rounds) // rounds)
+            bids.append(_make_bid(agent, t, improved))
+            if improved >= ceiling:
+                break
+            k += 1
+            t += relay.rebid_interval_ms
+
+    bids.sort(key=lambda b: (b.timestamp_ms, b.builder_id))
+    if relayed:
+        cutoff, non_delivery = horizon + relay.rebid_interval_ms, {}""",
+        "tests": [f"{PBS_TESTS}::test_relay_contested_window_ends_by_the_horizon"],
+    },
+    {
+        "name": "M5",
+        "why": "a builder outbidding itself extends the contested window",
+        "file": PBS,
+        "old": "                if bid.builder_id != best.builder_id:",
+        "new": "                if True:",
+        "tests": [f"{PBS_TESTS}::test_a_builder_outbidding_itself_contests_nothing"],
+    },
+]
+
+
+def failed_ids(output: str) -> list[str]:
+    """The test ids pytest's -rfE summary names as failed or errored."""
+    return [line.split()[1] for line in output.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+
+
+def run_mutant(mutant: dict) -> tuple[str, str]:
+    """(verdict, detail): verdict is killed, survived or error."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench-work", "demo_out")
+        shutil.copytree(ROOT, tree, symlinks=True, ignore=ignore)
+        source = tree / mutant["file"]
+        text = source.read_text(encoding="utf-8")
+        if text.count(mutant["old"]) != 1:
+            return "error", f"the old snippet occurs {text.count(mutant['old'])} times in {mutant['file']}"
+        source.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+             f"--hypothesis-seed={HYPOTHESIS_SEED}", *mutant["tests"]],
+            cwd=tree, env=env, capture_output=True, text=True,
+        )
+    if result.returncode not in (0, 1):
+        return "error", f"pytest exited {result.returncode}:\n{result.stdout}{result.stderr}"
+    failed = failed_ids(result.stdout)
+    passed = [t for t in mutant["tests"] if not any(f == t or f.startswith(t + "[") for f in failed)]
+    if passed:
+        return "survived", "passed: " + ", ".join(passed)
+    return "killed", f"{len(mutant['tests'])} named test(s) failed"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args()
+    unknown = sorted(set(args.names) - {m["name"] for m in MUTANTS})
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [m for m in MUTANTS if not args.names or m["name"] in args.names]
+    bad = 0
+    for m in chosen:
+        verdict, detail = run_mutant(m)
+        bad += verdict != "killed"
+        print(f"{verdict:8} {m['name']:26} {m['why']}: {detail}", flush=True)
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    sys.exit(1 if bad else 0)
+
+
+if __name__ == "__main__":
+    main()

@@ -283,7 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "gen-fixtures" and args.count is not None and args.kind not in ("traces", "records"):
+        parser.error(f"argument --count: --kind {args.kind} writes fixed files, not a count of items")
     try:
         return args.func(args)
     except (ConfigFileError, pbs.ConfigError, OSError) as exc:

@@ -25,21 +25,30 @@ parallelize across campaigns, not within one.
 import json
 import math
 import random
-import sys
 from collections import defaultdict
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
+from sys import float_info
 from typing import Iterable, Iterator, Optional, Sequence, get_args, get_origin
 
 from . import pools as pools_mod
-from .pools import enumerate_cycles
+from .pools import SHARE_RATIO_SCALE, enumerate_cycles
 from .traces import read_json, unique_keys
 
 
 class ConfigError(ValueError):
-    """Invalid scenario or agent configuration; message lists offending keys."""
+    """Invalid scenario or agent configuration; str() joins its messages, one per fault, with "; "."""
+
+    def __str__(self) -> str:
+        return "; ".join(map(str, self.args))
+
+
+def _check(*checks: tuple[bool, str]) -> None:
+    """Raise one ConfigError of the message of every check whose fault holds."""
+    if faults := [message for fault, message in checks if fault]:
+        raise ConfigError(*faults)
 
 
 class Protocol(Enum):
@@ -81,19 +90,13 @@ class BuilderAgent:
     non_delivery_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        problems = []
-        if not self.id:
-            problems.append("id")
-        if self.latency_ms < 0:
-            problems.append("latency_ms")
-        if not 0 <= self.share_ratio_bp <= pools_mod.SHARE_RATIO_SCALE:
-            problems.append("share_ratio_bp")
-        if self.infra_tier <= 0:
-            problems.append("infra_tier")
-        if not 0.0 <= self.non_delivery_prob <= 1.0:
-            problems.append("non_delivery_prob")
-        if problems:
-            raise ConfigError(f"builder {self.id!r}: invalid {', '.join(problems)}")
+        _check(
+            (not self.id, "id: must not be empty"),
+            (self.latency_ms < 0, "latency_ms: must be >= 0"),
+            (not 0 <= self.share_ratio_bp <= SHARE_RATIO_SCALE, f"share_ratio_bp: must be in [0, {SHARE_RATIO_SCALE}]"),
+            (self.infra_tier <= 0, "infra_tier: must be > 0"),
+            (not 0.0 <= self.non_delivery_prob <= 1.0, "non_delivery_prob: must be in [0, 1]"),
+        )
 
     @property
     def efficiency(self) -> Fraction:
@@ -129,19 +132,14 @@ class OpportunityModel:
     tail_value: int = 0
 
     def __post_init__(self) -> None:
-        problems = []
-        if self.peak_value < 0:
-            problems.append("peak_value")
-        if not 0 <= self.tail_value < max(self.gas_floor, 1) or self.gas_floor < 0:
-            problems.append("gas_floor/tail_value")
-        if self.tail_value > self.peak_value:
-            problems.append("tail_value (above peak_value)")
-        if not 0 <= self.knee_ms < self.deadline_ms:
-            problems.append("knee_ms/deadline_ms")
-        if self.decay is DecayShape.EXPONENTIAL and self.peak_value > sys.float_info.max:
-            problems.append("peak_value (too large for exponential decay)")
-        if problems:
-            raise ConfigError(f"invalid {', '.join(problems)}")
+        _check(
+            (self.peak_value < 0, "peak_value: must be >= 0"),
+            (self.decay is DecayShape.EXPONENTIAL and self.peak_value > float_info.max, "peak_value: too large for a float"),
+            (self.gas_floor < 0, "gas_floor: must be >= 0"),
+            (not 0 <= self.tail_value < max(self.gas_floor, 1), "tail_value: must be >= 0 and below gas_floor, unless 0"),
+            (self.tail_value > self.peak_value, "tail_value: must be <= peak_value"),
+            (not 0 <= self.knee_ms < self.deadline_ms, "knee_ms: must be >= 0 and below deadline_ms"),
+        )
 
     def value(self, t_ms: Fraction) -> int:
         elapsed = t_ms - self.birth_ms
@@ -188,10 +186,11 @@ class ProposerConfig:
     blacklist_slots: int = 100
 
     def __post_init__(self) -> None:
-        if self.count < 1 or self.blacklist_slots < 0:
-            raise ConfigError("invalid count/blacklist_slots")
-        if self.rotation != "round_robin":
-            raise ConfigError(f"unknown rotation {self.rotation!r}")
+        _check(
+            (self.count < 1, "count: must be >= 1"),
+            (self.rotation != "round_robin", f"rotation: expected 'round_robin', got {self.rotation!r:.40}"),
+            (self.blacklist_slots < 0, "blacklist_slots: must be >= 0"),
+        )
 
 
 @dataclass(frozen=True)
@@ -202,8 +201,11 @@ class RelayConfig:
     rebids_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.delay_ms < 0 or self.rebid_interval_ms <= 0 or self.optimization_rounds < 1:
-            raise ConfigError("invalid delay_ms/rebid_interval_ms/optimization_rounds")
+        _check(
+            (self.delay_ms < 0, "delay_ms: must be >= 0"),
+            (self.rebid_interval_ms <= 0, "rebid_interval_ms: must be > 0"),
+            (self.optimization_rounds < 1, "optimization_rounds: must be >= 1"),
+        )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -227,17 +229,12 @@ class SimScenario:
     def __post_init__(self) -> None:
         if self.horizon_ms is None:
             object.__setattr__(self, "horizon_ms", DEFAULT_HORIZON_MS[self.protocol])
-        if self.horizon_ms <= 0 or self.listen_window_ms < 0:
-            raise ConfigError("invalid horizon_ms/listen_window_ms")
-        if len({b.id for b in self.builders}) != len(self.builders):
-            raise ConfigError("builders: duplicate ids")
-        if self.base_compute_ms < 0:
-            raise ConfigError("base_compute_ms must be >= 0")
-        symbol = self.embodied_base_symbol
-        if symbol is not None and self.pools is None:
-            raise ConfigError(f"embodied_base_symbol {symbol!r} is given, but no pools are loaded")
-        if symbol is not None and not any(symbol in (p.token0.symbol, p.token1.symbol) for p in self.pools.values()):
-            raise ConfigError(f"embodied_base_symbol {symbol!r} names no token of the pool file")
+        _check(
+            (self.horizon_ms <= 0, "horizon_ms: must be > 0"),
+            (self.listen_window_ms < 0, "listen_window_ms: must be >= 0"),
+            (self.base_compute_ms < 0, "base_compute_ms: must be >= 0"),
+            (len({b.id for b in self.builders}) != len(self.builders), "builders: duplicate ids"),
+        )
 
 
 @dataclass(frozen=True)
@@ -456,24 +453,22 @@ def _from_json(kind, value, unread: frozenset[str], problems: list[str], where: 
         try:
             return kind(**values)
         except ConfigError as exc:
-            problems.append(f"{at}{exc}")
+            problems.extend(at + fault for fault in exc.args)
     return None
 
 
 def load_scenario(path: str | Path) -> SimScenario:
-    """A scenario JSON file read as a SimScenario (see _from_json), where a
-    key its protocol's flow never reads (UNREAD_KEYS) is an error.  Every
-    fault, a pool file's included, is raised together in one ConfigError,
-    as is a file that cannot be read, is not a JSON object or repeats a key."""
+    """A scenario JSON file read as a SimScenario (see _from_json).  One
+    ConfigError lists every fault: a file that does not read as one JSON
+    object of distinct keys, a pool file's fault, each key's, a key its
+    protocol's flow never reads (UNREAD_KEYS), a symbol of no loaded pool."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = read_json(json.load(fh, object_pairs_hook=unique_keys), "scenario", dict)
     except (OSError, ValueError) as exc:  # ConfigError and JSONDecodeError are ValueErrors
         raise ConfigError(f"invalid scenario keys: {path}: {exc}") from None
-    try:
-        unread = UNREAD_KEYS[Protocol(obj.get("protocol"))]
-    except ValueError:  # reported when the protocol is read
-        unread = UNREAD_KEYS[Protocol.BSC_DIRECT]
+    # a protocol that does not read is a fault of its own, which leaves no key unread
+    unread = next((keys for protocol, keys in UNREAD_KEYS.items() if protocol.value == obj.get("protocol")), frozenset())
     problems: list[str] = []
     # the one key whose value is not its field's: it names the pool file
     pool_file, obj["pools"] = obj.get("pools"), None
@@ -483,11 +478,12 @@ def load_scenario(path: str | Path) -> SimScenario:
                 obj["pools"] = pools_mod.load_pool_file(fh)
     except (OSError, ValueError) as exc:  # a LineError is a ValueError
         problems.append(f"pools: {exc}")
-        try:  # a symbol is not checked against pools that did not load
-            read_json(obj.get("embodied_base_symbol"), "embodied_base_symbol", str)
-            obj["embodied_base_symbol"] = None
-        except ValueError:
-            pass  # reported when the scenario's keys are read
+    else:  # a symbol that does not read is reported when the scenario's keys are read
+        symbol, loaded = _from_json(Optional[str], obj.get("embodied_base_symbol"), unread, []), obj["pools"]
+        if symbol is not None and loaded is None:
+            problems.append(f"embodied_base_symbol {symbol!r} is given, but no pools are loaded")
+        elif symbol is not None and all(symbol not in (p.token0.symbol, p.token1.symbol) for p in loaded.values()):
+            problems.append(f"embodied_base_symbol {symbol!r} names no token of the pool file")
     scenario = _from_json(SimScenario, obj, unread, problems)
     if problems:
         raise ConfigError("invalid scenario keys: " + "; ".join(problems))

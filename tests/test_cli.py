@@ -1180,7 +1180,7 @@ def test_simulate_malformed_pool_file_names_the_line(tmp_path, capsys, edit, mes
     [
         pytest.param({}, [], id="pool-fault-only"),
         pytest.param({"horizon_ms": "soon"}, ["horizon_ms: expected a number, got 'soon'"], id="horizon-text"),
-        pytest.param({"horizon_ms": -5}, ["invalid horizon_ms/listen_window_ms"], id="horizon-negative"),
+        pytest.param({"horizon_ms": -5}, ["horizon_ms: must be > 0"], id="horizon-negative"),
         pytest.param({"embodied_base_symbol": 5}, ["embodied_base_symbol: expected a string, got 5"], id="symbol-number"),
     ],
 )
@@ -1193,6 +1193,47 @@ def test_simulate_pool_file_fault_adds_no_symbol_fault(tmp_path, capsys, edit, f
     pool_fault, *others = capsys.readouterr().err.removesuffix("\n").split("; ")
     assert pool_fault.startswith("error: invalid scenario keys: pools: line 1: Unterminated string")
     assert others == faults
+
+
+def repeat_first_builder(obj):
+    obj["builders"][1]["id"] = obj["builders"][0]["id"]
+
+
+@pytest.mark.parametrize(
+    "edit, faults",
+    [
+        pytest.param(
+            lambda o: (o.update(horizon_ms=-5, base_compute_ms=-1), repeat_first_builder(o)),
+            ["horizon_ms: must be > 0", "base_compute_ms: must be >= 0", "builders: duplicate ids"],
+            id="three-top-level",
+        ),
+        pytest.param(lambda o: o["relay"].update(delay_ms=-1), ["relay: delay_ms: must be >= 0"], id="relay-delay"),
+        pytest.param(
+            lambda o: o["proposers"].update(count=0, rotation="x"),
+            ["proposers: count: must be >= 1", "proposers: rotation: expected 'round_robin', got 'x'"],
+            id="proposers-count-rotation",
+        ),
+        pytest.param(
+            lambda o: o["builders"][1].update(latency_ms=-1, infra_tier=0),
+            ["builders[1]: latency_ms: must be >= 0", "builders[1]: infra_tier: must be > 0"],
+            id="builder-named-once",
+        ),
+        # a protocol that does not read leaves no key unread, so relay is no unknown key
+        pytest.param(
+            lambda o: o.update(protocol="eth_rely"),
+            ["protocol: expected 'bsc_direct' or 'eth_relay', got 'eth_rely' ('eth_rely' is not a valid Protocol)"],
+            id="protocol-mistyped",
+        ),
+        pytest.param(lambda o: o.pop("protocol"), ["missing protocol"], id="protocol-missing"),
+    ],
+)
+def test_simulate_lists_every_value_fault_by_its_key(tmp_path, capsys, edit, faults):
+    bad = tmp_path / "bad.json"
+    bad.write_text(duopoly_text(edit))
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(bad), "--slots", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: invalid scenario keys: {'; '.join(faults)}\n"
+    assert not out.exists()
 
 
 # A direct-flow scenario whose slots depend on the non-delivery draws and on
@@ -1491,6 +1532,16 @@ def test_gen_fixtures_count_means_what_it_says(tmp_path, capsys):
         assert excinfo.value.code == 2
         assert "--count: must be >= 0, got -5" in capsys.readouterr().err
     assert not (tmp_path / "negative").exists()
+
+
+@pytest.mark.parametrize("kind", ["pools", "scenario"])
+def test_gen_fixtures_count_of_a_fixed_kind_is_a_usage_error(tmp_path, capsys, kind):
+    """pools and scenario write fixed files, so a count there would be ignored."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen-fixtures", "--kind", kind, "--count", "5", "--out", str(tmp_path / "out")])
+    assert excinfo.value.code == 2
+    assert f"argument --count: --kind {kind} writes fixed files" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gen_fixtures_scenario_equals_the_bundled_files(tmp_path):

@@ -119,6 +119,56 @@ def test_agent_validation():
         BuilderAgent(id="x", latency_ms=Fraction(1), share_ratio_bp=10001)
 
 
+@pytest.mark.parametrize(
+    "make, keys",
+    [
+        pytest.param(
+            lambda: BuilderAgent(
+                id="", latency_ms=Fraction(-1), share_ratio_bp=-1, infra_tier=Fraction(0), non_delivery_prob=1.5
+            ),
+            ["id", "latency_ms", "share_ratio_bp", "infra_tier", "non_delivery_prob"],
+            id="builder",
+        ),
+        pytest.param(
+            lambda: OpportunityModel(peak_value=-1, gas_floor=-1, tail_value=-1, knee_ms=Fraction(300)),
+            ["peak_value", "gas_floor", "tail_value", "knee_ms"],
+            id="opportunity",
+        ),
+        pytest.param(
+            lambda: OpportunityModel(
+                peak_value=10**400, gas_floor=10**401, tail_value=10**400 + 1, decay=DecayShape.EXPONENTIAL
+            ),
+            ["peak_value", "tail_value"],
+            id="opportunity-exponential",
+        ),
+        pytest.param(
+            lambda: ProposerConfig(count=0, rotation="x", blacklist_slots=-1),
+            ["count", "rotation", "blacklist_slots"],
+            id="proposers",
+        ),
+        pytest.param(
+            lambda: RelayConfig(delay_ms=Fraction(-1), rebid_interval_ms=Fraction(0), optimization_rounds=0),
+            ["delay_ms", "rebid_interval_ms", "optimization_rounds"],
+            id="relay",
+        ),
+        pytest.param(
+            lambda: SimScenario(
+                protocol=Protocol.BSC_DIRECT, horizon_ms=Fraction(-1), listen_window_ms=Fraction(-1),
+                base_compute_ms=Fraction(-1), builders=(agent("a", 10), agent("a", 20)), opportunity=OPP,
+            ),
+            ["horizon_ms", "listen_window_ms", "base_compute_ms", "builders"],
+            id="scenario",
+        ),
+    ],
+)
+def test_a_section_names_every_failing_key_in_one_config_error(make, keys):
+    with pytest.raises(ConfigError) as excinfo:
+        make()
+    faults = excinfo.value.args
+    assert [fault.split(":")[0] for fault in faults] == keys
+    assert str(excinfo.value) == "; ".join(faults)
+
+
 # -- direct (short-horizon) flow ----------------------------------------------
 
 

@@ -1,5 +1,7 @@
-"""The example scripts run end to end against the public API."""
+"""The example scripts run end to end against the public API, and the
+mutation register names code and tests that exist."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -35,3 +37,20 @@ def test_script_exits_zero(tmp_path, argv, lines):
     )
     assert result.returncode == 0, result.stderr
     assert [line for line in lines if line not in result.stdout.splitlines()] == []
+
+
+def test_each_registered_mutant_edits_code_that_exists():
+    """Each mutant's old snippet occurs exactly once in its file, and each
+    test it names is defined, so moving the code means updating the
+    register.  The mutant runs themselves are `scripts/mutants.py`."""
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    mutants = module.MUTANTS
+    assert len({m["name"] for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert (ROOT / m["file"]).read_text(encoding="utf-8").count(m["old"]) == 1, m["name"]
+        assert m["new"] != m["old"] and m["tests"], m["name"]
+        for test_id in m["tests"]:
+            path, name = test_id.split("::")
+            assert f"\ndef {name.split('[')[0]}(" in (ROOT / path).read_text(encoding="utf-8"), test_id
