@@ -29,7 +29,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PBS, ANALYTICS, RECORDS = "src/mevforge/pbs.py", "src/mevforge/analytics.py", "src/mevforge/records.py"
-CLI_TESTS, PBS_TESTS = "tests/test_cli.py", "tests/test_pbs.py"
+POOLS = "src/mevforge/pools.py"
+CLI_TESTS, PBS_TESTS, POOLS_TESTS = "tests/test_cli.py", "tests/test_pbs.py", "tests/test_pools.py"
+EXHAUSTIVE_TEST = "tests/test_bench_tooling.py::test_strategy_values_equal_an_exhaustive_search"
 FOLD_TEST = "tests/test_analytics.py::test_the_fold_sums_long_dollars_exactly"
 HYPOTHESIS_SEED = "0"
 
@@ -95,6 +97,57 @@ MUTANTS = [
         "old": "EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])",
         "new": "EXACT = Context()",
         "tests": [f"{CLI_TESTS}::test_dollars_wider_than_28_digits_stay_exact_from_extract_to_analyze"],
+    },
+    {
+        "name": "bound-v3-directions-swapped",
+        "why": "a V3 hop's map takes the other direction's, so the bound can fall below a cycle's delta",
+        "file": POOLS,
+        "old": "    near, far = (pool.sqrt_price_x96, Q96) if direction == 0 else (Q96, pool.sqrt_price_x96)",
+        "new": "    near, far = (Q96, pool.sqrt_price_x96) if direction == 0 else (pool.sqrt_price_x96, Q96)",
+        "tests": [f"{POOLS_TESTS}::test_no_delta_exceeds_the_profit_bound", f"{EXHAUSTIVE_TEST}[embodied-0]"],
+    },
+    {
+        "name": "prune-against-every-hop-count",
+        "why": "a cycle is searched only if its bound beats the best of any hop count, not of its own",
+        "file": PBS,
+        "old": "        if bound > best[descriptor.n_hops]:",
+        "new": "        if bound > max(best.values()):",
+        "tests": [f"{EXHAUSTIVE_TEST}[embodied-0]", f"{EXHAUSTIVE_TEST}[embodied-1]"],
+    },
+    {
+        "name": "v2-map-without-fee",
+        "why": "a V2 hop's map leaves out the fee: a looser bound, which prunes less",
+        "file": POOLS,
+        "old": "        return g * r_out, r_in * FEE_SCALE, g",
+        "new": "        return FEE_SCALE * r_out, r_in * FEE_SCALE, FEE_SCALE",
+        "tests": ["tests/test_bench_tooling.py::test_v2_cycle_map_equals_the_mobius_reference"],
+    },
+    {
+        "name": "dead-v3-hop-passes-zero",
+        "why": "a V3 hop that pays out 0 hands 0 to the next hop, which raises ValueError",
+        "file": POOLS,
+        "old": "    if amount_out == 0:\n        raise DustError(\"V3 hop output is zero\")",
+        "new": "    if False:\n        raise DustError(\"V3 hop output is zero\")",
+        "tests": [
+            f"{POOLS_TESTS}::test_a_dead_v3_hop_ends_the_path_as_dust",
+            f"{CLI_TESTS}::test_simulate_over_a_v3_pool_at_the_end_of_its_range",
+        ],
+    },
+    {
+        "name": "tail-against-failed-peak",
+        "why": "tail_value is checked against a peak_value that failed its own check",
+        "file": PBS,
+        "old": "            (peak_ok and self.tail_value > self.peak_value,",
+        "new": "            (self.tail_value > self.peak_value,",
+        "tests": [f"{CLI_TESTS}::test_simulate_lists_every_value_fault_by_its_key[opportunity-peak-and-floor]"],
+    },
+    {
+        "name": "tail-against-failed-floor",
+        "why": "tail_value is checked against a gas_floor that failed its own check",
+        "file": PBS,
+        "old": "                self.tail_value < 0 or floor_ok and self.tail_value >= max(self.gas_floor, 1),",
+        "new": "                self.tail_value < 0 or self.tail_value >= max(self.gas_floor, 1),",
+        "tests": [f"{CLI_TESTS}::test_simulate_lists_every_value_fault_by_its_key[opportunity-floor-with-tail]"],
     },
     {
         "name": "M1",

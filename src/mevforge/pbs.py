@@ -29,6 +29,7 @@ from collections import defaultdict
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from sys import float_info
 from typing import Iterable, Iterator, Optional, Sequence, get_args, get_origin
@@ -132,12 +133,17 @@ class OpportunityModel:
     tail_value: int = 0
 
     def __post_init__(self) -> None:
+        # tail_value is checked only against a peak_value or gas_floor that passed its own check
+        peak_ok, floor_ok = self.peak_value >= 0, self.gas_floor >= 0
         _check(
-            (self.peak_value < 0, "peak_value: must be >= 0"),
+            (not peak_ok, "peak_value: must be >= 0"),
             (self.decay is DecayShape.EXPONENTIAL and self.peak_value > float_info.max, "peak_value: too large for a float"),
-            (self.gas_floor < 0, "gas_floor: must be >= 0"),
-            (not 0 <= self.tail_value < max(self.gas_floor, 1), "tail_value: must be >= 0 and below gas_floor, unless 0"),
-            (self.tail_value > self.peak_value, "tail_value: must be <= peak_value"),
+            (not floor_ok, "gas_floor: must be >= 0"),
+            (
+                self.tail_value < 0 or floor_ok and self.tail_value >= max(self.gas_floor, 1),
+                "tail_value: must be >= 0 and below gas_floor, unless 0",
+            ),
+            (peak_ok and self.tail_value > self.peak_value, "tail_value: must be <= peak_value"),
             (not 0 <= self.knee_ms < self.deadline_ms, "knee_ms: must be >= 0 and below deadline_ms"),
         )
 
@@ -497,7 +503,9 @@ def _strategy_values(scenario: SimScenario) -> dict[Strategy, int]:
     3-hop, mixed's either), each searched once over its search_range, or 0
     when none is profitable; the schedule decays it as pools drift back
     toward balance, in the opportunity's proportion.  Every value is 0 when
-    peak_value is."""
+    peak_value is.  A cycle is searched only if its profit_bound, visited
+    falling, is above the best found for its hop count: a skipped cycle's
+    pick, at most its bound, could not have raised that best."""
     peak = scenario.opportunity.peak_value
     if scenario.pools is None:
         return dict.fromkeys(Strategy, peak)
@@ -507,9 +515,11 @@ def _strategy_values(scenario: SimScenario) -> dict[Strategy, int]:
     if peak == 0:
         return dict.fromkeys(Strategy, 0)
     best = {2: 0, 3: 0}  # by hop count, the only two enumerate_cycles lists
-    for descriptor in cycles:
-        _, delta = pools_mod.best_input_search(descriptor, scenario.pools, *pools_mod.search_range(scenario.pools, descriptor))
-        best[descriptor.n_hops] = max(best[descriptor.n_hops], delta)
+    bounded = [(pools_mod.profit_bound(descriptor, scenario.pools), descriptor) for descriptor in cycles]
+    for bound, descriptor in sorted(bounded, key=itemgetter(0), reverse=True):
+        if bound > best[descriptor.n_hops]:
+            _, delta = pools_mod.best_input_search(descriptor, scenario.pools, *pools_mod.search_range(scenario.pools, descriptor))
+            best[descriptor.n_hops] = max(best[descriptor.n_hops], delta)
     return {Strategy.SHORT_HOP: best[2], Strategy.LONG_HOP: best[3], Strategy.MIXED: max(best.values())}
 
 

@@ -17,9 +17,11 @@ a successful one lays over the input map.  Rollback is thus structural
 rather than compensating arithmetic, and runs may share one pool map.
 The input search needs no post-swap state when a path's pools are
 distinct: it checks the path against the map once and probes on the
-amount functions alone.  enumerate_cycles lists the 2-hop and 3-hop
-cycles of a pool map for the search to run on, and search_range the input
-range a simulation searches each over.
+amount functions alone; a hop that pays out 0 ends the path as dust.
+enumerate_cycles lists the 2-hop and 3-hop cycles of a pool map for the
+search to run on, search_range the input range a simulation searches each
+over, and profit_bound an exact bound on a cycle's surplus, so a caller can
+skip the cycles that cannot win.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 import json
+import math
 from typing import IO, Callable, Iterable, Mapping, Optional
 
 from .traces import (
@@ -246,11 +249,18 @@ def split_delta(delta: int, share_ratio_bp: int) -> tuple[int, int]:
     return payout, delta - payout
 
 
+def _v3_hop_out(amount_out: int) -> int:
+    # a V3 pool at the end of its price range keeps the input and pays out 0
+    if amount_out == 0:
+        raise DustError("V3 hop output is zero")
+    return amount_out
+
+
 def _hop_swap(pool: PoolState, token_in: TokenId, amount: int) -> tuple[int, PoolState]:
     if pool.kind is PoolKind.V2:
         return swap_v2(pool, token_in, amount)
     amount_out, new_pool, _unused = swap_v3(pool, _direction(pool, token_in), amount)
-    return amount_out, new_pool
+    return _v3_hop_out(amount_out), new_pool
 
 
 def _hop_quote(pool: PoolState, token_in: TokenId) -> Callable[[int], int]:
@@ -261,7 +271,7 @@ def _hop_quote(pool: PoolState, token_in: TokenId) -> Callable[[int], int]:
         reserves = (pool.reserve0, pool.reserve1) if direction == 0 else (pool.reserve1, pool.reserve0)
         return partial(quote_v2, *reserves, pool.fee_ppm)
     step = partial(step_v3, pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm, direction)
-    return lambda amount: step(amount)[0]
+    return lambda amount: _v3_hop_out(step(amount)[0])
 
 
 def _execute_path(
@@ -413,6 +423,38 @@ def search_range(pools: Mapping[bytes, PoolState], descriptor: PathDescriptor) -
         for pool in map(pools.__getitem__, descriptor.pools)
     )
     return 1, max(depth // 4, 16)
+
+
+def _hop_map(pool: PoolState, token_in: TokenId) -> tuple[int, int, int]:
+    """(a, b, c) of an increasing real map x -> a*x / (b + c*x) that the
+    hop's output never exceeds: a V2 quote floors it, and a V3 step floors
+    its fee, rounds its price up and floors its output, or stops short at
+    the end of its range."""
+    g = FEE_SCALE - pool.fee_ppm
+    direction = _direction(pool, token_in)
+    if pool.kind is PoolKind.V2:
+        r_in, r_out = (pool.reserve0, pool.reserve1) if direction == 0 else (pool.reserve1, pool.reserve0)
+        return g * r_out, r_in * FEE_SCALE, g
+    # token0 in: L*P^2*g*x / (L*Q^2*S + Q*P*g*x) at sqrt price P; token1 in swaps P and Q
+    near, far = (pool.sqrt_price_x96, Q96) if direction == 0 else (Q96, pool.sqrt_price_x96)
+    return pool.liquidity * near * near * g, pool.liquidity * far * far * FEE_SCALE, far * near * g
+
+
+def cycle_map(descriptor: PathDescriptor, pools: Mapping[bytes, PoolState]) -> tuple[int, int, int]:
+    """(A, B, C) of the path's hop maps composed into x -> A*x / (B + C*x)."""
+    A, B, C = 1, 1, 0
+    for token_in, address in zip(descriptor.tokens, descriptor.pools):
+        a, b, c = _hop_map(pools[address], token_in)
+        A, B, C = A * a, B * b, C * b + A * c
+    return A, B, C
+
+
+def profit_bound(descriptor: PathDescriptor, pools: Mapping[bytes, PoolState]) -> int:
+    """No cycle_delta of the cycle, its pools distinct, exceeds this at any
+    input: the floor of max A*x / (B + C*x) - x = (sqrt(A) - sqrt(B))**2 / C
+    (Wang et al., arXiv 2105.02784), which isqrt only raises; 0 if A <= B."""
+    A, B, C = cycle_map(descriptor, pools)
+    return (A + B - 2 * math.isqrt(A * B)) // C if A > B else 0
 
 
 def enumerate_cycles(

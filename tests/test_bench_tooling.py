@@ -2,8 +2,10 @@
 and its embodied workload loads a generated scenario; both must keep
 working, or the benchmark breaks silently.  The pool search over that
 scenario's graph is pinned by digest and bounded against the closed-form
-optimum.  The READMEs name only API that
-exists, and the package imports nothing outside the standard library."""
+optimum, and the strategy values that search only the cycles whose profit
+bound could win equal those of searching every cycle.  The READMEs name
+only API that exists, and the package imports nothing outside the
+standard library."""
 
 import ast
 import hashlib
@@ -150,6 +152,45 @@ def test_embodied_search_is_within_five_units_of_the_closed_form_optimum(seed):
         gaps.append(best - picked)
     assert len(gaps) > 40
     assert max(gaps) <= 5
+
+
+@pytest.mark.parametrize(
+    "source, seed", [*(("embodied", seed) for seed in range(30)), *(("fixture", seed) for seed in (2, 7, 13, 21))]
+)
+def test_strategy_values_equal_an_exhaustive_search(source, seed):
+    """_strategy_values, which searches only the cycles whose profit bound
+    could beat the best found so far for their hop count, gives what
+    searching every cycle gives: on the generated graph at seeds 0-29 and
+    on the pool fixture."""
+    from mevforge import fixtures
+    from mevforge.pbs import OpportunityModel, Protocol, SimScenario, Strategy, _strategy_values
+    from mevforge.pools import best_input_search, enumerate_cycles, search_range
+
+    if source == "embodied":
+        pools = load_perfbench("gen_embodied").pool_graph(seed)
+    else:
+        pools = fixtures.gen_pool_fixture(seed).pools
+    best = {2: 0, 3: 0}
+    for d in enumerate_cycles(pools, "WBNB"):
+        best[d.n_hops] = max(best[d.n_hops], best_input_search(d, pools, *search_range(pools, d))[1])
+    scenario = SimScenario(
+        protocol=Protocol.BSC_DIRECT, opportunity=OpportunityModel(peak_value=10**9, gas_floor=1000),
+        pools=pools, embodied_base_symbol="WBNB",
+    )
+    expected = {Strategy.SHORT_HOP: best[2], Strategy.LONG_HOP: best[3], Strategy.MIXED: max(best.values())}
+    assert _strategy_values(scenario) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_v2_cycle_map_equals_the_mobius_reference(seed):
+    """pools.cycle_map, which profit_bound rests on, composes a V2-only
+    cycle's hops into the same (A, B, C) as mobius_map."""
+    from mevforge.pools import cycle_map, enumerate_cycles
+
+    pools = load_perfbench("gen_embodied").pool_graph(seed)
+    v2_only = [(d, m) for d in enumerate_cycles(pools, "WBNB") if (m := mobius_map(d, pools)) is not None]
+    assert len(v2_only) > 100
+    assert [d for d, m in v2_only if cycle_map(d, pools) != m] == []
 
 
 def resolves(dotted: str) -> bool:

@@ -28,6 +28,7 @@ from mevforge.records import (
     write_records,
 )
 from mevforge.reports import decimal_str, percent_str
+from mevforge.traces import TokenId
 
 import strategies
 
@@ -1195,6 +1196,26 @@ def test_simulate_pool_file_fault_adds_no_symbol_fault(tmp_path, capsys, edit, f
     assert others == faults
 
 
+def test_simulate_over_a_v3_pool_at_the_end_of_its_range(tmp_path, capsys):
+    """CAKE/USDT sits at the top sqrt price, so USDT in pays out 0 and the
+    WBNB -> USDT -> CAKE -> WBNB cycle dies at that hop as dust.  The two
+    V2 pools are so lopsided that this cycle has the highest profit bound,
+    so it is searched; no cycle is profitable and every slot falls back."""
+    wbnb, usdt, cake = (TokenId(symbol, bytes([i]) * 20, 18) for i, symbol in enumerate(("WBNB", "USDT", "CAKE"), 1))
+    pool_map = {
+        p.address: p for p in (
+            pools.PoolState(bytes([11]) * 20, pools.PoolKind.V2, wbnb, usdt, 3000, reserve0=10**6, reserve1=10**30),
+            pools.PoolState(bytes([12]) * 20, pools.PoolKind.V3, cake, usdt, 3000, liquidity=10**22, sqrt_price_x96=2**160),
+            pools.PoolState(bytes([13]) * 20, pools.PoolKind.V2, wbnb, cake, 3000, reserve0=10**30, reserve1=10**6),
+        )
+    }
+    scenario = embodied_scenario(tmp_path, pools.dump_pool_file(pool_map))
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(scenario), "--slots", "50", "--seed", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("slots=50 top=pair:0 fallback_rate=1.000000\n", "")
+    assert (out / "slots.csv").exists() and (out / "summary.csv").exists()
+
+
 def repeat_first_builder(obj):
     obj["builders"][1]["id"] = obj["builders"][0]["id"]
 
@@ -1225,6 +1246,21 @@ def repeat_first_builder(obj):
             id="protocol-mistyped",
         ),
         pytest.param(lambda o: o.pop("protocol"), ["missing protocol"], id="protocol-missing"),
+        # tail_value is checked only against a peak_value or gas_floor that passed its own check
+        pytest.param(
+            lambda o: o.update(opportunity={"peak_value": -1, "gas_floor": -3, "knee_ms": 500}),
+            [
+                "opportunity: peak_value: must be >= 0",
+                "opportunity: gas_floor: must be >= 0",
+                "opportunity: knee_ms: must be >= 0 and below deadline_ms",
+            ],
+            id="opportunity-peak-and-floor",
+        ),
+        pytest.param(
+            lambda o: o["opportunity"].update(gas_floor=-1, tail_value=5),
+            ["opportunity: gas_floor: must be >= 0"],
+            id="opportunity-floor-with-tail",
+        ),
     ],
 )
 def test_simulate_lists_every_value_fault_by_its_key(tmp_path, capsys, edit, faults):

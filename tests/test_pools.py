@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from mevforge import fixtures
 from mevforge.pools import (
     FEE_SCALE,
+    MAX_SQRT_PRICE_X96,
+    MIN_SQRT_PRICE_X96,
     Q96,
     DustError,
     ExecutionResult,
@@ -26,7 +28,9 @@ from mevforge.pools import (
     dump_pool_file,
     enumerate_cycles,
     load_pool_file,
+    profit_bound,
     quote_v2,
+    search_range,
     split_delta,
     step_v3,
     swap_v2,
@@ -467,6 +471,64 @@ def test_runs_match_hops_threaded_by_hand(path, ratio):
     payout = delta * ratio // 10000
     assert result == ExecutionResult(delta=delta, payout=payout, kept=delta - payout, hop_amounts=tuple(hop_amounts))
     assert list(new_pools.items()) == list(state.items())  # same keys, order and states
+
+
+TOKEN_C = PATH_TOKENS[2]
+
+
+@pytest.mark.parametrize(
+    "v3_tokens, sqrt_price", [((TOKEN_B, TOKEN_C), MIN_SQRT_PRICE_X96), ((TOKEN_C, TOKEN_B), MAX_SQRT_PRICE_X96)],
+    ids=["token0-in-at-min", "token1-in-at-max"],
+)
+def test_a_dead_v3_hop_ends_the_path_as_dust(v3_tokens, sqrt_price):
+    """A V3 pool at the end of its price range in the direction of the swap
+    pays out 0 and keeps the whole input: the path dies there, as at a dust
+    output, in a probe, a search and a run alike."""
+    pools = {
+        p.address: p for p in (
+            v2_pool(10**21, 3 * 10**23, address=bytes([31]) * 20, token0=TOKEN_A, token1=TOKEN_B),
+            v3_pool(10**22, sqrt_price, 3000, bytes([32]) * 20, *v3_tokens),
+            v2_pool(10**21, 15 * 10**22, address=bytes([33]) * 20, token0=TOKEN_A, token1=TOKEN_C),
+        )
+    }
+    descriptor = PathDescriptor((TOKEN_A, TOKEN_B, TOKEN_C, TOKEN_A), tuple(pools))
+    for amount in (1, 10**6, 10**18):
+        assert cycle_delta(descriptor, pools, amount) == -amount
+        assert arbitrage_run(descriptor, pools, amount, 2500) is None
+    amount, delta = best_input_search(descriptor, pools, *search_range(pools, descriptor))
+    assert amount == 1 and delta < 0
+
+
+DEPTHS = st.integers(1, 10**30)
+
+
+@st.composite
+def bounded_cycles(draw):
+    """(descriptor, pools): a 2- or 3-hop cycle over distinct V2 and V3
+    pools, each either way round and drawn over every fee, depth and sqrt
+    price a pool file accepts."""
+    tokens = (TOKEN_A, TOKEN_B, TOKEN_A) if draw(st.booleans()) else (TOKEN_A, TOKEN_B, TOKEN_C, TOKEN_A)
+    pools = {}
+    for i, (token_in, token_out) in enumerate(zip(tokens, tokens[1:])):
+        pair = (token_in, token_out) if draw(st.booleans()) else (token_out, token_in)
+        address, fee = bytes([40 + i]) * 20, draw(st.integers(0, FEE_SCALE - 1))
+        if draw(st.booleans()):
+            pool = v2_pool(draw(DEPTHS), draw(DEPTHS), fee, address, *pair)
+        else:
+            pool = v3_pool(draw(DEPTHS), draw(st.integers(MIN_SQRT_PRICE_X96, MAX_SQRT_PRICE_X96)), fee, address, *pair)
+        pools[address] = pool
+    return PathDescriptor(tokens, tuple(pools)), pools
+
+
+@settings(max_examples=300)
+@given(cycle=bounded_cycles(), amounts=st.lists(st.integers(1, 10**30), max_size=8))
+def test_no_delta_exceeds_the_profit_bound(cycle, amounts):
+    """profit_bound is at least cycle_delta at random inputs and at the search's pick."""
+    descriptor, pools = cycle
+    bound = profit_bound(descriptor, pools)
+    assert bound >= 0
+    assert [a for a in amounts if cycle_delta(descriptor, pools, a) > bound] == []
+    assert best_input_search(descriptor, pools, *search_range(pools, descriptor))[1] <= bound
 
 
 # -- input search -------------------------------------------------------------
