@@ -134,6 +134,34 @@ MUTANTS = [
         ],
     },
     {
+        "name": "v2-post-reserves-swapped",
+        "why": "swap's V2 post-state for token1 in credits the input to reserve0 and debits the output from reserve1",
+        "file": POOLS,
+        "old": "        return amount_out, replace(pool, reserve1=pool.reserve1 + amount_in, reserve0=pool.reserve0 - amount_out)",
+        "new": "        return amount_out, replace(pool, reserve0=pool.reserve1 + amount_in, reserve1=pool.reserve0 - amount_out)",
+        "tests": [f"{POOLS_TESTS}::test_v2_basic_quote", f"{POOLS_TESTS}::test_v2_product_never_decreases"],
+    },
+    {
+        "name": "v3-range-ends-reversed",
+        "why": "step_v3 runs a downward swap toward MAX_SQRT_PRICE_X96 and an upward one toward MIN_SQRT_PRICE_X96",
+        "file": POOLS,
+        "old": "    end = MIN_SQRT_PRICE_X96 if direction == 0 else MAX_SQRT_PRICE_X96",
+        "new": "    end = MAX_SQRT_PRICE_X96 if direction == 0 else MIN_SQRT_PRICE_X96",
+        "tests": [
+            f"{POOLS_TESTS}::test_v3_closed_form_oracle_fixture",
+            f"{POOLS_TESTS}::test_v3_degenerate_limit_no_move",
+            f"{POOLS_TESTS}::test_v3_price_limit_partial_consumption",
+        ],
+    },
+    {
+        "name": "path-lookup-skips-tokens",
+        "why": "a path's pool lookup checks only that each pool is in the map, so a hop whose pool lacks its token fails mid-run",
+        "file": POOLS,
+        "old": "        _direction(pool, token_in)\n        path.append(pool)",
+        "new": "        path.append(pool)",
+        "tests": [f"{POOLS_TESTS}::test_search_rejects_a_misfit_descriptor_like_a_run[token]"],
+    },
+    {
         "name": "tail-against-failed-peak",
         "why": "tail_value is checked against a peak_value that failed its own check",
         "file": PBS,

@@ -8,16 +8,17 @@ matching on-chain behavior.  Fees are parts per million so both the
 
 Each swap has two layers.  quote_v2 and step_v3 hold the formulas and
 return amounts only (step_v3 also the new sqrt price and the unused
-input); swap_v2 and swap_v3 validate the pool and wrap them to build the
-post-swap PoolState.
+input); swap runs the one its pool's kind names and builds the post-swap
+PoolState.
 
 PoolState is immutable and a run never writes to the caller's pool map: it
 keeps a map of the pools it touched, which an aborted run simply drops and
 a successful one lays over the input map.  Rollback is thus structural
 rather than compensating arithmetic, and runs may share one pool map.
-The input search needs no post-swap state when a path's pools are
-distinct: it checks the path against the map once and probes on the
-amount functions alone; a hop that pays out 0 ends the path as dust.
+Every entry point takes a path's pools from the map through _path_pools,
+which checks each hop before any hop runs.  The input search needs no
+post-swap state when a path's pools are distinct: it probes on the amount
+functions alone; a hop that pays out 0 ends the path as dust.
 enumerate_cycles lists the 2-hop and 3-hop cycles of a pool map for the
 search to run on, search_range the input range a simulation searches each
 over, and profit_bound an exact bound on a cycle's surplus, so a caller can
@@ -51,10 +52,6 @@ class DustError(ArithmeticError):
 
 class InactivePoolError(ValueError):
     """V3 pool has no liquidity in range."""
-
-
-class PriceLimitError(ValueError):
-    """price_limit sits on the wrong side of the current price."""
 
 
 class PoolLookupError(KeyError):
@@ -127,17 +124,6 @@ def quote_v2(reserve_in: int, reserve_out: int, fee_ppm: int, amount_in: int) ->
     return amount_out
 
 
-def swap_v2(pool: PoolState, token_in: TokenId, amount_in: int) -> tuple[int, PoolState]:
-    """quote_v2 on the pool, with its post-swap state."""
-    if pool.kind is not PoolKind.V2:
-        raise ValueError("swap_v2 requires a V2 pool")
-    if _direction(pool, token_in) == 0:
-        amount_out = quote_v2(pool.reserve0, pool.reserve1, pool.fee_ppm, amount_in)
-        return amount_out, replace(pool, reserve0=pool.reserve0 + amount_in, reserve1=pool.reserve1 - amount_out)
-    amount_out = quote_v2(pool.reserve1, pool.reserve0, pool.fee_ppm, amount_in)
-    return amount_out, replace(pool, reserve1=pool.reserve1 + amount_in, reserve0=pool.reserve0 - amount_out)
-
-
 def _next_sqrt_price_down(liquidity: int, sqrt_p: int, amount0: int) -> int:
     # token0 in, price falls: P' = L*Q*P / (L*Q + dx*P), rounded up so the
     # pool never pays out more than the curve allows.
@@ -155,36 +141,24 @@ def _amount1_to_reach(liquidity: int, sqrt_from: int, sqrt_to: int) -> int:
     return _ceil_div(liquidity * (sqrt_to - sqrt_from), Q96)
 
 
-def step_v3(
-    liquidity: int,
-    sqrt_p: int,
-    fee_ppm: int,
-    direction: int,
-    amount_in: int,
-    price_limit: Optional[int] = None,
-) -> tuple[int, int, int]:
+def step_v3(liquidity: int, sqrt_p: int, fee_ppm: int, direction: int, amount_in: int) -> tuple[int, int, int]:
     """Single-range concentrated-liquidity exact-input step.
 
     direction 0 swaps token0 for token1 (price falls), 1 swaps token1 for
     token0 (price rises).  The fee is charged on the consumed input.  When
-    the implied move would cross price_limit the swap stops at the limit
-    and leaves input unconsumed.  Returns (amount_out, new sqrt price,
-    unused input).
+    the implied move would cross the end of the range (MIN_SQRT_PRICE_X96
+    going down, MAX_SQRT_PRICE_X96 going up) the swap stops there and
+    leaves input unconsumed.  Returns (amount_out, new sqrt price, unused
+    input).
     """
     if amount_in <= 0:
         raise ValueError("amount_in must be positive")
-    if price_limit is None:
-        price_limit = MIN_SQRT_PRICE_X96 if direction == 0 else MAX_SQRT_PRICE_X96
-    if direction == 0 and price_limit > sqrt_p:
-        raise PriceLimitError("limit above current price for a downward swap")
-    if direction == 1 and price_limit < sqrt_p:
-        raise PriceLimitError("limit below current price for an upward swap")
-
+    end = MIN_SQRT_PRICE_X96 if direction == 0 else MAX_SQRT_PRICE_X96
     available = amount_in * (FEE_SCALE - fee_ppm) // FEE_SCALE
     if direction == 0:
-        max_net = _amount0_to_reach(liquidity, sqrt_p, price_limit)
+        max_net = _amount0_to_reach(liquidity, sqrt_p, end)
     else:
-        max_net = _amount1_to_reach(liquidity, sqrt_p, price_limit)
+        max_net = _amount1_to_reach(liquidity, sqrt_p, end)
 
     if available <= max_net:
         consumed_net = available
@@ -197,7 +171,7 @@ def step_v3(
         consumed_net = max_net
         gross = _ceil_div(consumed_net * FEE_SCALE, FEE_SCALE - fee_ppm) if consumed_net else 0
         unused = amount_in - gross
-        new_sqrt = price_limit
+        new_sqrt = end
 
     if direction == 0:
         amount_out = liquidity * (sqrt_p - new_sqrt) // Q96
@@ -209,21 +183,26 @@ def step_v3(
     return amount_out, new_sqrt, unused
 
 
-def swap_v3(
-    pool: PoolState,
-    direction: int,
-    amount_in: int,
-    price_limit: Optional[int] = None,
-) -> tuple[int, PoolState, int]:
-    """step_v3 on the pool: (amount_out, post-swap state, unused input)."""
-    if pool.kind is not PoolKind.V3:
-        raise ValueError("swap_v3 requires a V3 pool")
-    if direction not in (0, 1):
-        raise ValueError("direction must be 0 or 1")
-    amount_out, new_sqrt, unused = step_v3(
-        pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm, direction, amount_in, price_limit
-    )
-    return amount_out, replace(pool, sqrt_price_x96=new_sqrt), unused
+def _v3_hop_out(amount_out: int) -> int:
+    # a V3 pool at the end of its price range keeps the input and pays out 0
+    if amount_out == 0:
+        raise DustError("V3 hop output is zero")
+    return amount_out
+
+
+def swap(pool: PoolState, token_in: TokenId, amount_in: int) -> tuple[int, PoolState]:
+    """(amount_out, post-swap state) of one hop: quote_v2 on a V2 pool,
+    step_v3 on a V3 one, where a zero output is dust.  The input step_v3
+    leaves unconsumed at the end of its range is not returned."""
+    direction = _direction(pool, token_in)
+    if pool.kind is PoolKind.V2:
+        if direction == 0:
+            amount_out = quote_v2(pool.reserve0, pool.reserve1, pool.fee_ppm, amount_in)
+            return amount_out, replace(pool, reserve0=pool.reserve0 + amount_in, reserve1=pool.reserve1 - amount_out)
+        amount_out = quote_v2(pool.reserve1, pool.reserve0, pool.fee_ppm, amount_in)
+        return amount_out, replace(pool, reserve1=pool.reserve1 + amount_in, reserve0=pool.reserve0 - amount_out)
+    amount_out, new_sqrt, _unused = step_v3(pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm, direction, amount_in)
+    return _v3_hop_out(amount_out), replace(pool, sqrt_price_x96=new_sqrt)
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +228,19 @@ def split_delta(delta: int, share_ratio_bp: int) -> tuple[int, int]:
     return payout, delta - payout
 
 
-def _v3_hop_out(amount_out: int) -> int:
-    # a V3 pool at the end of its price range keeps the input and pays out 0
-    if amount_out == 0:
-        raise DustError("V3 hop output is zero")
-    return amount_out
-
-
-def _hop_swap(pool: PoolState, token_in: TokenId, amount: int) -> tuple[int, PoolState]:
-    if pool.kind is PoolKind.V2:
-        return swap_v2(pool, token_in, amount)
-    amount_out, new_pool, _unused = swap_v3(pool, _direction(pool, token_in), amount)
-    return _v3_hop_out(amount_out), new_pool
+def _path_pools(descriptor: PathDescriptor, pools: Mapping[bytes, PoolState]) -> list[PoolState]:
+    """The descriptor's pools in hop order, taken from the map and checked
+    before any hop runs: a pool missing from the map raises PoolLookupError
+    naming it, and a hop whose pool lacks its input token _direction's
+    ValueError."""
+    path = []
+    for token_in, address in zip(descriptor.tokens, descriptor.pools):
+        pool = pools.get(address)
+        if pool is None:
+            raise PoolLookupError(format_address(address))
+        _direction(pool, token_in)
+        path.append(pool)
+    return path
 
 
 def _hop_quote(pool: PoolState, token_in: TokenId) -> Callable[[int], int]:
@@ -275,9 +255,10 @@ def _hop_quote(pool: PoolState, token_in: TokenId) -> Callable[[int], int]:
 
 
 def _execute_path(
-    descriptor: PathDescriptor, pools: Mapping[bytes, PoolState], amount0: int
+    descriptor: PathDescriptor, path: list[PoolState], amount0: int
 ) -> tuple[int, list[int], dict[bytes, PoolState]]:
-    """Thread amount0 through every hop without changing `pools`.
+    """Thread amount0 through every hop, starting from the pool states in
+    `path` (_path_pools), without changing them.
 
     Returns (delta, hop_amounts, touched): touched maps each pool the run
     visited to its post-run state, and delta is the entry-token balance the
@@ -287,11 +268,8 @@ def _execute_path(
     touched: dict[bytes, PoolState] = {}
     amount = amount0
     hop_amounts: list[int] = []
-    for token_in, address in zip(descriptor.tokens, descriptor.pools):
-        pool = touched.get(address) or pools.get(address)
-        if pool is None:
-            raise PoolLookupError(format_address(address))
-        amount, touched[address] = _hop_swap(pool, token_in, amount)
+    for token_in, pool in zip(descriptor.tokens, path):
+        amount, touched[pool.address] = swap(touched.get(pool.address, pool), token_in, amount)
         hop_amounts.append(amount)
     delta = amount - amount0 if descriptor.is_cycle else -amount0
     return delta, hop_amounts, touched
@@ -316,8 +294,9 @@ def arbitrage_run(
         raise ValueError("amount0 must be positive")
     if not 0 <= share_ratio_bp <= SHARE_RATIO_SCALE:
         raise ValueError("share ratio must be within [0, 10000] bp")
+    path = _path_pools(descriptor, pools)
     try:
-        delta, hop_amounts, touched = _execute_path(descriptor, pools, amount0)
+        delta, hop_amounts, touched = _execute_path(descriptor, path, amount0)
     except DustError:
         return None  # a dead hop cannot yield profit; treat as an abort
     if delta <= 0:
@@ -329,22 +308,18 @@ def arbitrage_run(
 def _delta_fn(descriptor: PathDescriptor, pools: Mapping[bytes, PoolState]) -> Callable[[int], int]:
     """cycle_delta of the descriptor on `pools` as a function of amount0.
 
-    When the descriptor's pools are distinct, every hop sees its pool's
-    state in `pools`, so the descriptor is checked against the map here,
-    once, and each call then runs on the hops' amount functions alone.  A
-    descriptor that repeats a pool runs on _execute_path, which threads the
-    post-swap states from hop to hop.
+    The descriptor is checked against the map here, once.  When its pools
+    are distinct, every hop sees its pool's state in `pools`, so each call
+    runs on the hops' amount functions alone.  A descriptor that repeats a
+    pool runs on _execute_path, which threads the post-swap states from hop
+    to hop.
     """
+    path = _path_pools(descriptor, pools)
     if len(set(descriptor.pools)) < descriptor.n_hops:
         def run(amount0: int) -> int:
-            return _execute_path(descriptor, pools, amount0)[0]
+            return _execute_path(descriptor, path, amount0)[0]
     else:
-        quotes = []
-        for token_in, address in zip(descriptor.tokens, descriptor.pools):
-            pool = pools.get(address)
-            if pool is None:
-                raise PoolLookupError(format_address(address))
-            quotes.append(_hop_quote(pool, token_in))
+        quotes = [_hop_quote(pool, token_in) for token_in, pool in zip(descriptor.tokens, path)]
         is_cycle = descriptor.is_cycle
 
         def run(amount0: int) -> int:
@@ -385,9 +360,9 @@ def best_input_search(
 
     Returns (amount, delta); when no input in [lo, hi] is profitable the
     result is (lo, best-delta) with a non-positive delta.  Each probe is a
-    cycle_delta; a descriptor whose pools are distinct is checked against
-    the pool map once, before the first probe, and its probes compute
-    amounts only.
+    cycle_delta; the descriptor is checked against the pool map once,
+    before the first probe, and a descriptor whose pools are distinct
+    probes on amounts only.
     """
     if not 1 <= lo < hi:
         raise ValueError("need 1 <= lo < hi")
@@ -420,7 +395,7 @@ def search_range(pools: Mapping[bytes, PoolState], descriptor: PathDescriptor) -
     V3 pool's liquidity), and at least to 16."""
     depth = min(
         min(pool.reserve0, pool.reserve1) if pool.kind is PoolKind.V2 else pool.liquidity
-        for pool in map(pools.__getitem__, descriptor.pools)
+        for pool in _path_pools(descriptor, pools)
     )
     return 1, max(depth // 4, 16)
 
@@ -443,8 +418,8 @@ def _hop_map(pool: PoolState, token_in: TokenId) -> tuple[int, int, int]:
 def cycle_map(descriptor: PathDescriptor, pools: Mapping[bytes, PoolState]) -> tuple[int, int, int]:
     """(A, B, C) of the path's hop maps composed into x -> A*x / (B + C*x)."""
     A, B, C = 1, 1, 0
-    for token_in, address in zip(descriptor.tokens, descriptor.pools):
-        a, b, c = _hop_map(pools[address], token_in)
+    for token_in, pool in zip(descriptor.tokens, _path_pools(descriptor, pools)):
+        a, b, c = _hop_map(pool, token_in)
         A, B, C = A * a, B * b, C * b + A * c
     return A, B, C
 

@@ -20,8 +20,8 @@ from mevforge.pools import (
     InactivePoolError,
     PoolKind,
     PoolState,
-    PriceLimitError,
     PoolLookupError,
+    _hop_quote,
     arbitrage_run,
     best_input_search,
     cycle_delta,
@@ -33,8 +33,7 @@ from mevforge.pools import (
     search_range,
     split_delta,
     step_v3,
-    swap_v2,
-    swap_v3,
+    swap,
 )
 from mevforge.traces import LineError, PathDescriptor, TokenId
 
@@ -63,22 +62,25 @@ def v2_oracle(reserve_in, reserve_out, fee_ppm, amount_in):
 
 
 def test_v2_basic_quote():
-    out, new_pool = swap_v2(v2_pool(1000, 1000, fee_ppm=3000), TOKEN_A, 100)
+    out, new_pool = swap(v2_pool(1000, 1000, fee_ppm=3000), TOKEN_A, 100)
     assert out == 90  # floor(99700*1000 / 1099700)
     assert (new_pool.reserve0, new_pool.reserve1) == (1100, 910)
+    out, new_pool = swap(v2_pool(1000, 2000, fee_ppm=3000), TOKEN_B, 100)
+    assert out == 47  # floor(99700*1000 / 2099700)
+    assert (new_pool.reserve0, new_pool.reserve1) == (953, 2100)
 
 
 def test_v2_zero_amount_rejected():
     with pytest.raises(ValueError):
-        swap_v2(v2_pool(10**6, 10**6, fee_ppm=0), TOKEN_A, 0)
+        swap(v2_pool(10**6, 10**6, fee_ppm=0), TOKEN_A, 0)
 
 
 def test_v2_fee_free_round_trip_never_gains():
     pool = v2_pool(10**9, 10**9, fee_ppm=0)
     for x in (2, 17, 10**3, 10**6, 10**8):
         try:
-            out, mid = swap_v2(pool, TOKEN_A, x)
-            back, _ = swap_v2(mid, TOKEN_B, out)
+            out, mid = swap(pool, TOKEN_A, x)
+            back, _ = swap(mid, TOKEN_B, out)
         except DustError:
             continue  # rounded to nothing, which certainly did not gain
         assert back <= x
@@ -87,12 +89,12 @@ def test_v2_fee_free_round_trip_never_gains():
 def test_v2_token_not_in_pool():
     stranger = TokenId("ZZZ", bytes([9]) * 20, 18)
     with pytest.raises(ValueError):
-        swap_v2(v2_pool(10, 10), stranger, 1)
+        swap(v2_pool(10, 10), stranger, 1)
 
 
 def test_v2_dust_error():
     with pytest.raises(DustError):
-        swap_v2(v2_pool(10**12, 10), TOKEN_A, 1)
+        swap(v2_pool(10**12, 10), TOKEN_A, 1)
 
 
 def test_v2_oracle_equivalence_randomized():
@@ -106,9 +108,9 @@ def test_v2_oracle_equivalence_randomized():
         pool = v2_pool(r_in, r_out, fee_ppm=fee)
         if expected == 0:
             with pytest.raises(DustError):
-                swap_v2(pool, TOKEN_A, x)
+                swap(pool, TOKEN_A, x)
         else:
-            out, new_pool = swap_v2(pool, TOKEN_A, x)
+            out, new_pool = swap(pool, TOKEN_A, x)
             assert out == expected
             assert new_pool.reserve0 * new_pool.reserve1 >= r_in * r_out
             assert new_pool.reserve1 == r_out - out  # conservation
@@ -119,15 +121,19 @@ def test_v2_oracle_equivalence_randomized():
     r_out=st.integers(min_value=1, max_value=10**30),
     fee=st.integers(min_value=0, max_value=FEE_SCALE - 1),
     x=st.integers(min_value=1, max_value=10**30),
+    token0_in=st.booleans(),
 )
-def test_v2_product_never_decreases(r_in, r_out, fee, x):
-    pool = v2_pool(r_in, r_out, fee_ppm=fee)
+def test_v2_product_never_decreases(r_in, r_out, fee, x, token0_in):
+    pool = v2_pool(r_in, r_out, fee_ppm=fee) if token0_in else v2_pool(r_out, r_in, fee_ppm=fee)
     try:
-        out, new_pool = swap_v2(pool, TOKEN_A, x)
+        out, new_pool = swap(pool, TOKEN_A if token0_in else TOKEN_B, x)
     except DustError:
         return
     assert new_pool.reserve0 * new_pool.reserve1 >= r_in * r_out
     assert out == v2_oracle(r_in, r_out, fee, x)
+    # the input reserve gains the whole input, the output reserve loses the output
+    expected = (r_in + x, r_out - out) if token0_in else (r_out - out, r_in + x)
+    assert (new_pool.reserve0, new_pool.reserve1) == expected
 
 
 # -- V3 -----------------------------------------------------------------------
@@ -144,19 +150,16 @@ def v3_oracle_down(liquidity, sqrt_p, fee_ppm, amount_in):
 
 def test_v3_closed_form_oracle_fixture():
     pool = v3_pool(liquidity=10**12, sqrt_price_x96=Q96, fee_ppm=0)
-    out, new_pool, unused = swap_v3(pool, 0, 10**6)
-    assert unused == 0
+    out, new_pool = swap(pool, TOKEN_A, 10**6)
     assert out == v3_oracle_down(10**12, Q96, 0, 10**6) == 999_999
     assert new_pool.sqrt_price_x96 < Q96
+    assert step_v3(10**12, Q96, 0, 0, 10**6) == (out, new_pool.sqrt_price_x96, 0)
 
 
 def test_v3_degenerate_limit_no_move():
-    pool = v3_pool(liquidity=10**12, sqrt_price_x96=Q96, fee_ppm=0)
-    for direction in (0, 1):
-        out, new_pool, unused = swap_v3(pool, direction, 10**6, price_limit=Q96)
-        assert out == 0
-        assert new_pool.sqrt_price_x96 == Q96
-        assert unused == 10**6
+    # at the end of its range in the swap's direction the price cannot move
+    for direction, end in ((0, MIN_SQRT_PRICE_X96), (1, MAX_SQRT_PRICE_X96)):
+        assert step_v3(10**12, end, 0, direction, 10**6) == (0, end, 10**6)
 
 
 def test_v3_mirror_symmetry():
@@ -165,47 +168,41 @@ def test_v3_mirror_symmetry():
         down = v3_pool(liquidity=liquidity, sqrt_price_x96=sqrt_p)
         mirrored = v3_pool(liquidity=liquidity, sqrt_price_x96=Q96 * Q96 // sqrt_p,
                            token0=TOKEN_B, token1=TOKEN_A)
-        out_down, _, _ = swap_v3(down, 0, amount)
-        out_up, _, _ = swap_v3(mirrored, 1, amount)
+        out_down, _ = swap(down, TOKEN_A, amount)
+        out_up, _ = swap(mirrored, TOKEN_A, amount)
         assert out_down == out_up
 
 
 def test_v3_price_limit_partial_consumption():
-    liquidity = 10**12
-    pool = v3_pool(liquidity=liquidity, sqrt_price_x96=Q96, fee_ppm=0)
-    limit = Q96 - Q96 // 1000  # allow a 0.1% sqrt-price move
-    out, capped, unused = swap_v3(pool, 0, 10**10, price_limit=limit)
-    assert capped.sqrt_price_x96 == limit
-    need = -(-(liquidity * Q96 * (Q96 - limit)) // (Q96 * limit))  # ceil of the input to hit the limit
-    assert unused == 10**10 - need
-    assert out == liquidity * (Q96 - limit) // Q96
-
-    up_limit = Q96 + Q96 // 1000
-    out_up, capped_up, unused_up = swap_v3(pool, 1, 10**10, price_limit=up_limit)
-    assert capped_up.sqrt_price_x96 == up_limit
-    need_up = -(-(liquidity * (up_limit - Q96)) // Q96)
-    assert unused_up == 10**10 - need_up
-    assert out_up == liquidity * Q96 * (up_limit - Q96) // (up_limit * Q96)
+    # a swap that would cross the end of the range stops there and leaves
+    # the rest of its input unconsumed
+    liquidity = 2**40
+    # going up from Q96 to 2**160 takes L * (2**160 - 2**96) / 2**96 of net token1
+    need_up = 2**104 - 2**40
+    assert step_v3(liquidity, Q96, 0, 1, 2**104) == (
+        liquidity * Q96 * (MAX_SQRT_PRICE_X96 - Q96) // (MAX_SQRT_PRICE_X96 * Q96),  # 2**40 - 1
+        MAX_SQRT_PRICE_X96,
+        2**104 - need_up,
+    )
+    # going down from Q96 to 1 takes L * Q96 * (Q96 - 1) / Q96 of net token0
+    need_down = liquidity * (Q96 - 1)
+    assert step_v3(liquidity, Q96, 0, 0, 2**137) == (
+        liquidity * (Q96 - MIN_SQRT_PRICE_X96) // Q96,  # 2**40 - 1
+        MIN_SQRT_PRICE_X96,
+        2**137 - need_down,
+    )
+    # an input that just reaches the end is used up
+    assert step_v3(liquidity, Q96, 0, 1, need_up)[1:] == (MAX_SQRT_PRICE_X96, 0)
 
 
 def test_v3_price_limit_fee_charged_on_consumed_only():
-    liquidity = 10**12
+    liquidity = 2**40
     fee = 500
-    pool = v3_pool(liquidity=liquidity, sqrt_price_x96=Q96, fee_ppm=fee)
-    limit = Q96 - Q96 // 1000
-    _, capped, unused = swap_v3(pool, 0, 10**10, price_limit=limit)
-    assert capped.sqrt_price_x96 == limit
-    need = -(-(liquidity * Q96 * (Q96 - limit)) // (Q96 * limit))
+    need = 2**104 - 2**40  # net token1 from Q96 to the top of the range
     gross = -(-(need * FEE_SCALE) // (FEE_SCALE - fee))
-    assert unused == 10**10 - gross
-
-
-def test_v3_wrong_side_limit_rejected():
-    pool = v3_pool(liquidity=10**12, sqrt_price_x96=Q96)
-    with pytest.raises(PriceLimitError):
-        swap_v3(pool, 0, 100, price_limit=2 * Q96)
-    with pytest.raises(PriceLimitError):
-        swap_v3(pool, 1, 100, price_limit=Q96 // 2)
+    _, end, unused = step_v3(liquidity, Q96, fee, 1, 2**105)
+    assert end == MAX_SQRT_PRICE_X96
+    assert unused == 2**105 - gross
 
 
 def test_v3_inactive_pool_rejected():
@@ -214,28 +211,27 @@ def test_v3_inactive_pool_rejected():
 
 
 def test_v3_fee_reduces_output():
-    free, _, _ = swap_v3(v3_pool(10**15), 0, 10**9)
-    taxed, _, _ = swap_v3(v3_pool(10**15, fee_ppm=3000), 0, 10**9)
+    free, _ = swap(v3_pool(10**15), TOKEN_A, 10**9)
+    taxed, _ = swap(v3_pool(10**15, fee_ppm=3000), TOKEN_A, 10**9)
     assert taxed < free
 
 
 # -- amount functions against the state-building swaps ----------------------
 
 
-def swap_amounts(pool, direction, amount, limit):
-    """swap_v2/swap_v3 results in step_v3's shape: (amount_out, new sqrt
-    price, unused input), the price and unused input only for V3."""
-    if pool.kind is PoolKind.V2:
-        return swap_v2(pool, (pool.token0, pool.token1)[direction], amount)[0], None, None
-    amount_out, state, unused = swap_v3(pool, direction, amount, limit)
-    return amount_out, state.sqrt_price_x96, unused
+def swap_amounts(pool, direction, amount):
+    """swap's amount_out and, for V3, its post-swap sqrt price."""
+    amount_out, state = swap(pool, (pool.token0, pool.token1)[direction], amount)
+    return amount_out, state.sqrt_price_x96 if pool.kind is PoolKind.V3 else None
 
 
-def quote_amounts(pool, direction, amount, limit):
+def quote_amounts(pool, direction, amount):
+    """The search's amount function for the hop and, for V3, step_v3's new
+    sqrt price."""
+    amount_out = _hop_quote(pool, (pool.token0, pool.token1)[direction])(amount)
     if pool.kind is PoolKind.V2:
-        reserves = (pool.reserve0, pool.reserve1) if direction == 0 else (pool.reserve1, pool.reserve0)
-        return quote_v2(*reserves, pool.fee_ppm, amount), None, None
-    return step_v3(pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm, direction, amount, limit)
+        return amount_out, None
+    return amount_out, step_v3(pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm, direction, amount)[1]
 
 
 @settings(max_examples=400)
@@ -246,31 +242,26 @@ def quote_amounts(pool, direction, amount, limit):
     skew=st.integers(1, 10**6),
     fee=st.sampled_from((0, 500, 3000, 10000)),
     amount=st.integers(0, 90).map(lambda k: 10**k // 3 + 1),
-    limit_bp=st.none() | st.integers(0, 300),
 )
-@example(v2=False, direction=0, depth=10**12, skew=10**3, fee=500, amount=10**10, limit_bp=10)  # stops at the limit
-@example(v2=False, direction=1, depth=10**12, skew=10**3, fee=0, amount=10**6, limit_bp=0)  # limit at the price
-@example(v2=False, direction=0, depth=10**12, skew=10**3, fee=3000, amount=1, limit_bp=None)  # dust
-@example(v2=True, direction=0, depth=10**12, skew=1, fee=3000, amount=1, limit_bp=None)  # dust
-def test_quotes_equal_the_swaps_amount_out(v2, direction, depth, skew, fee, amount, limit_bp):
-    """quote_v2 and step_v3 give exactly the amount_out of swap_v2 and
-    swap_v3 (step_v3 also the new price and unused input), or raise the
-    same error.  skew sets the pool price in thousandths, limit_bp the
-    price limit's distance in basis points (None: no limit)."""
+@example(v2=False, direction=0, depth=10**12, skew=10**3, fee=500, amount=10**45)  # stops at the range end
+@example(v2=False, direction=1, depth=1, skew=10**3, fee=0, amount=10**30)  # pays out 0 at the range end
+@example(v2=False, direction=0, depth=10**12, skew=10**3, fee=3000, amount=1)  # dust
+@example(v2=True, direction=0, depth=10**12, skew=1, fee=3000, amount=1)  # dust
+def test_quotes_equal_the_swaps_amount_out(v2, direction, depth, skew, fee, amount):
+    """The amount function a search probes on gives exactly swap's
+    amount_out, and step_v3 the sqrt price of swap's post-swap state, or
+    both raise the same error.  skew sets the pool price in thousandths."""
     if v2:
         pool = v2_pool(depth, depth * skew // 1000 + 1, fee_ppm=fee)
-        limit = None
     else:
         pool = v3_pool(depth, sqrt_price_x96=Q96 * skew // 1000 + 1, fee_ppm=fee)
-        sign = 1 if direction == 1 else -1  # the price rises for token1 in
-        limit = None if limit_bp is None else pool.sqrt_price_x96 * (10**4 + sign * limit_bp) // 10**4
     try:
-        expected = swap_amounts(pool, direction, amount, limit)
+        expected = swap_amounts(pool, direction, amount)
     except (DustError, ValueError) as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            quote_amounts(pool, direction, amount, limit)
+            quote_amounts(pool, direction, amount)
         return
-    assert quote_amounts(pool, direction, amount, limit) == expected
+    assert quote_amounts(pool, direction, amount) == expected
 
 
 def test_quote_rejects_zero_input():
@@ -326,7 +317,7 @@ def test_profitable_triangle_replay_oracle():
     hop_amounts = []
     for i in range(descriptor.n_hops):
         pool = pools[descriptor.pools[i]]
-        amount, _ = swap_v2(pool, descriptor.tokens[i], amount)
+        amount, _ = swap(pool, descriptor.tokens[i], amount)
         hop_amounts.append(amount)
     delta = amount - amount0
     assert delta > 0
@@ -443,12 +434,8 @@ def threaded_by_hand(descriptor, pools, amount0):
     state = dict(pools)
     amount, hop_amounts = amount0, []
     for token, address in zip(descriptor.tokens, descriptor.pools):
-        pool = state[address]
         try:
-            if pool.kind is PoolKind.V2:
-                amount, state[address] = swap_v2(pool, token, amount)
-            else:
-                amount, state[address], _ = swap_v3(pool, 0 if token == pool.token0 else 1, amount)
+            amount, state[address] = swap(state[address], token, amount)
         except DustError:
             return None, hop_amounts, state
         hop_amounts.append(amount)
@@ -584,7 +571,8 @@ def test_unimodality_of_profit_curve_on_fixture():
 
 def misfit_descriptors():
     """(descriptor, pools) params: the seed-9 triangle with one fault each
-    on its last hop, so earlier hops swap before the executor meets it."""
+    on its last hop, so earlier hops could swap, or die of dust at an input
+    of 1, before a hop-by-hop executor met it."""
     fixture = fixtures.gen_pool_fixture(seed=9)
     d, pools = fixture.descriptor, fixture.pools
     stranger = TokenId("ZZZ", bytes([9]) * 20, 18)
@@ -596,11 +584,21 @@ def misfit_descriptors():
 
 @pytest.mark.parametrize("descriptor, pools", misfit_descriptors())
 def test_search_rejects_a_misfit_descriptor_like_a_run(descriptor, pools):
+    """Every entry point that reads a path's pools raises the run's error,
+    of the same type and with the same message, before any hop runs."""
     with pytest.raises((KeyError, ValueError)) as run_error:
         arbitrage_run(descriptor, pools, 10**18, 0)
-    with pytest.raises(type(run_error.value)) as search_error:
-        best_input_search(descriptor, pools, 1, 10**22)
-    assert str(search_error.value) == str(run_error.value)
+    calls = {
+        "dust run": lambda: arbitrage_run(descriptor, pools, 1, 0),
+        "cycle_delta": lambda: cycle_delta(descriptor, pools, 10**18),
+        "best_input_search": lambda: best_input_search(descriptor, pools, 1, 10**22),
+        "profit_bound": lambda: profit_bound(descriptor, pools),
+        "search_range": lambda: search_range(pools, descriptor),
+    }
+    for name, call in calls.items():
+        with pytest.raises(Exception) as error:
+            call()
+        assert (type(error.value), str(error.value)) == (type(run_error.value), str(run_error.value)), name
 
 
 def search_threaded_by_hand(descriptor, pools, lo, hi):
