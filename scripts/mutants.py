@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PBS, ANALYTICS, RECORDS = "src/mevforge/pbs.py", "src/mevforge/analytics.py", "src/mevforge/records.py"
 POOLS = "src/mevforge/pools.py"
+CLI, CONFIG, TRACES = "src/mevforge/cli.py", "src/mevforge/config.py", "src/mevforge/traces.py"
 CLI_TESTS, PBS_TESTS, POOLS_TESTS = "tests/test_cli.py", "tests/test_pbs.py", "tests/test_pools.py"
 EXHAUSTIVE_TEST = "tests/test_bench_tooling.py::test_strategy_values_equal_an_exhaustive_search"
 FOLD_TEST = "tests/test_analytics.py::test_the_fold_sums_long_dollars_exactly"
@@ -160,6 +161,30 @@ MUTANTS = [
         "old": "        _direction(pool, token_in)\n        path.append(pool)",
         "new": "        path.append(pool)",
         "tests": [f"{POOLS_TESTS}::test_search_rejects_a_misfit_descriptor_like_a_run[token]"],
+    },
+    {
+        "name": "input-fault-without-path",
+        "why": "a fault in an input file is reported without the file's path",
+        "file": CLI,
+        "old": '        raise _InputError(f"{path}: {exc}") from exc',
+        "new": "        raise _InputError(str(exc)) from exc",
+        "tests": [f"{CLI_TESTS}::test_undecodable_or_oversized_input_names_file_and_line"],
+    },
+    {
+        "name": "labels-keep-first-repeat",
+        "why": "read_labels keeps the first of two rows for one address instead of rejecting the second",
+        "file": TRACES,
+        "old": "                other = labels[label.address]\n",
+        "new": "                continue\n",
+        "tests": [f"{CLI_TESTS}::test_extract_malformed_label_file_names_the_line[duplicate-address]"],
+    },
+    {
+        "name": "config-repeat-unchecked",
+        "why": "load_config keeps the last of two lines that set one key",
+        "file": CONFIG,
+        "old": "            if key in key_lines:",
+        "new": "            if False:",
+        "tests": [f"{CLI_TESTS}::test_extract_config_key_set_twice_names_both_lines"],
     },
     {
         "name": "tail-against-failed-peak",

@@ -11,7 +11,9 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import IO, Callable, Iterator, TypeVar
 
 from . import analytics, fixtures, pbs, pools, records, reports
 from .arbitrage import (
@@ -21,16 +23,39 @@ from .arbitrage import (
     extract_arbitrage_cycle,
     to_usd,
 )
-from .config import ConfigFileError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .traces import (
-    LabelFileError,
-    LabelSet,
+    LineError,
     ParseStats,
-    TraceParseError,
     format_address,
     iter_transactions,
+    read_labels,
     serialize_transactions,
 )
+
+T = TypeVar("T")
+
+
+class _InputError(Exception):
+    """A fault in an input file, as "<path>: line|row N: ..."."""
+
+
+@contextmanager
+def _input(path: str) -> Iterator[IO[bytes]]:
+    """The file at path, opened as bytes for a reader; a LineError raised
+    while it is open names the file in an _InputError."""
+    try:
+        with open(path, "rb") as fh:
+            yield fh
+    except LineError as exc:
+        raise _InputError(f"{path}: {exc}") from exc
+
+
+def _read(path: str, reader: Callable[[IO[bytes]], T]) -> T:
+    """What reader reads from the file at path."""
+    with _input(path) as fh:
+        return reader(fh)
+
 
 def _out_dir(path: str) -> Path:
     out = Path(path)
@@ -43,13 +68,8 @@ def _out_dir(path: str) -> Path:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    config = load_config(args.config) if args.config else RunConfig()
-    try:
-        with open(args.labels, "rb") as fh:
-            labels = LabelSet.from_csv(fh)
-    except LabelFileError as exc:
-        print(f"error: {args.labels}: {exc}", file=sys.stderr)
-        return 1
+    config = _read(args.config, load_config) if args.config else RunConfig()
+    labels = _read(args.labels, read_labels)
 
     stats = ParseStats()
     errors: list[tuple[str, str]] = []
@@ -60,7 +80,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             if path is None:
                 continue
             base_token = path.tokens[0]
-            label = labels.lookup(tx.initiator)
+            label = labels.get(tx.initiator)
             try:
                 gross, share, gas = attribute_profit(tx, config.share_addresses, config.price_table, config.infer_pool_sinks)
                 net = gross - share - gas
@@ -87,20 +107,19 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     try:
         # the trace file opens first, so a missing one leaves --out as it was, or absent
-        with open(args.traces, "rb") as traces:
+        with _input(args.traces) as traces:
             made = [d for d in (Path(args.out), *Path(args.out).parents) if not d.exists()]  # deepest first
             out = _out_dir(args.out)
             with open(out / "records.csv", "w", encoding="utf-8", newline="") as fh:
                 emitted = records.write_records(fh, produce())
-    except TraceParseError as exc:
+    except _InputError:
         # a bad trace line leaves neither report, as analyze writes none on a
         # bad row, nor a directory this run made
         (out / "records.csv").unlink()
         (out / "errors.csv").unlink(missing_ok=True)
         for directory in made:
             directory.rmdir()
-        print(f"error: {args.traces}: {exc}", file=sys.stderr)
-        return 1
+        raise
 
     if errors:
         with open(out / "errors.csv", "w", encoding="utf-8", newline="") as fh:
@@ -119,13 +138,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    config = load_config(args.config) if args.config else RunConfig()
-    try:
-        with open(args.records, "rb") as fh:
-            totals = analytics.RecordTotals(records.iter_records(fh))
-    except records.RecordSchemaError as exc:
-        print(f"error: {args.records}: {exc}", file=sys.stderr)
-        return 1
+    config = _read(args.config, load_config) if args.config else RunConfig()
+    totals = _read(args.records, lambda fh: analytics.RecordTotals(records.iter_records(fh)))
     out = _out_dir(args.out)
 
     # market share from distinct blocks per brand
@@ -231,10 +245,10 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
             count = records.write_records(fh, fixtures.gen_records(args.seed, 500 if args.count is None else args.count))
         _write_manifest(out, {"kind": "records", "seed": args.seed, "rows": count})
     else:  # "scenario": argparse restricts --kind to the four kinds
-        names = ["bsc_duopoly.json", "eth_duopoly.json"]
-        for name in names:
-            (out / name).write_bytes((pbs.BUNDLED_SCENARIOS / name).read_bytes())
-        _write_manifest(out, {"kind": "scenario", "seed": args.seed, "files": names})
+        bundled = sorted(pbs.BUNDLED_SCENARIOS.glob("*.json"))
+        for path in bundled:
+            (out / path.name).write_bytes(path.read_bytes())
+        _write_manifest(out, {"kind": "scenario", "seed": args.seed, "files": [path.name for path in bundled]})
     print(f"kind={args.kind} seed={args.seed} out={out}")
     return 0
 
@@ -289,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --count: --kind {args.kind} writes fixed files, not a count of items")
     try:
         return args.func(args)
-    except (ConfigFileError, pbs.ConfigError, OSError) as exc:
+    except (_InputError, pbs.ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

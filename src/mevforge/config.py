@@ -6,6 +6,8 @@ Recognized keys: ``share_addresses`` (comma-separated hex addresses),
 expansion, held as an exact ``Decimal``),
 ``risk.<SYMBOL>`` (three comma-separated bits), ``alpha``, ``genesis_unix``
 and ``infer_pool_sinks`` (``true`` or ``false``).
+Each key is set on one line only.  ``load_config`` reads the file from a
+stream and raises a LineError naming a faulty line.
 Token decimals come from the traces themselves, never from the config.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
+from typing import IO, Iterable
 
 from .arbitrage import DEFAULT_SHARE_ADDRESS
 from .records import EXACT
@@ -38,10 +40,6 @@ DEFAULT_RISK_BITS: dict[str, tuple[int, int, int]] = {
 }
 
 
-class ConfigFileError(ValueError):
-    """Unparseable or unknown configuration content."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     share_addresses: tuple[bytes, ...] = (DEFAULT_SHARE_ADDRESS,)
@@ -53,11 +51,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if any(p <= 0 for p in self.price_table.values()):
-            raise ConfigFileError("price_table values must be positive")
+            raise ValueError("price_table values must be positive")
         if any(len(bits) != 3 or not set(bits) <= {0, 1} for bits in self.risk_bits.values()):
-            raise ConfigFileError("risk needs three 0/1 bits")
+            raise ValueError("risk needs three 0/1 bits")
         if not 0 < self.alpha < 1:
-            raise ConfigFileError("alpha must be in (0, 1)")
+            raise ValueError("alpha must be in (0, 1)")
 
 
 def _setting(key: str, value: str) -> tuple[str, object]:
@@ -86,28 +84,29 @@ def _setting(key: str, value: str) -> tuple[str, object]:
     raise ValueError(f"unknown key {key!r}")
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """The defaults overridden line by line; a fault, range checks
-    included, raises ConfigFileError naming the file and line."""
+def load_config(stream: IO | Iterable[str | bytes]) -> RunConfig:
+    """The defaults overridden line by line, from a config file whose lines
+    are text, or bytes read strictly as UTF-8; a fault, range checks and a
+    repeated key included, raises LineError naming its line."""
     settings: dict = {"price_table": dict(DEFAULT_PRICE_TABLE), "risk_bits": dict(DEFAULT_RISK_BITS)}
-    with open(path, "rb") as fh:
+    key_lines: dict[str, int] = {}
+    for line_no, line in read_lines(stream):
         try:
-            for line_no, line in read_lines(fh):
-                try:
-                    line = line.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    if "=" not in line:
-                        raise ValueError("expected key = value")
-                    key, _, value = (part.strip() for part in line.partition("="))
-                    name, setting = _setting(key, value)
-                    RunConfig(**{name: setting})  # the range checks, on this line's value alone
-                    if name in ("price_table", "risk_bits"):
-                        settings[name].update(setting)
-                    else:
-                        settings[name] = setting
-                except ValueError as exc:  # ConfigFileError is a ValueError
-                    raise LineError(line_no, str(exc)) from exc
-        except LineError as exc:
-            raise ConfigFileError(f"{path}: {exc}") from exc
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError("expected key = value")
+            key, _, value = (part.strip() for part in line.partition("="))
+            name, setting = _setting(key, value)
+            RunConfig(**{name: setting})  # the range checks, on this line's value alone
+            if key in key_lines:
+                raise ValueError(f"{key} repeats line {key_lines[key]}")
+            key_lines[key] = line_no
+            if name in ("price_table", "risk_bits"):
+                settings[name].update(setting)
+            else:
+                settings[name] = setting
+        except ValueError as exc:
+            raise LineError(line_no, str(exc)) from exc
     return RunConfig(**settings)

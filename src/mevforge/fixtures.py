@@ -27,6 +27,7 @@ from .traces import (
 
 GEN_BRANDS = ("GenAlpha", "GenBeta")
 CYCLE_FRACTION = 0.7  # roughly the share of generated transactions that hold a planted cycle
+MISPRICING_PCT = 5  # how far the pool fixture's USDT/USD1 pair sits off par
 
 
 def _rand_address(rng: random.Random) -> bytes:
@@ -223,7 +224,7 @@ class PoolFixture:
     manifest: dict = field(default_factory=dict)
 
 
-def gen_pool_fixture(seed: int, mispricing_pct: int = 5) -> PoolFixture:
+def gen_pool_fixture(seed: int) -> PoolFixture:
     """A small pool graph with one deliberately mispriced V2 pair, so a
     triangular route through it is profitable, plus one V3 pool."""
     rng = random.Random(seed)
@@ -239,7 +240,7 @@ def gen_pool_fixture(seed: int, mispricing_pct: int = 5) -> PoolFixture:
         pools[pool.address] = pool
         return pool
 
-    # WBNB/USDT and WBNB/USD1 at par; USDT/USD1 off par by mispricing_pct.
+    # WBNB/USDT and WBNB/USD1 at par; USDT/USD1 off par by MISPRICING_PCT.
     p1 = add(
         PoolState(
             address=_rand_address(rng),
@@ -259,7 +260,7 @@ def gen_pool_fixture(seed: int, mispricing_pct: int = 5) -> PoolFixture:
             token1=usd1,
             fee_ppm=500,
             reserve0=depth * unit,
-            reserve1=depth * unit * (100 + mispricing_pct) // 100,
+            reserve1=depth * unit * (100 + MISPRICING_PCT) // 100,
         )
     )
     p3 = add(
@@ -292,7 +293,7 @@ def gen_pool_fixture(seed: int, mispricing_pct: int = 5) -> PoolFixture:
     manifest = {
         "kind": "pools",
         "seed": seed,
-        "mispricing_pct": mispricing_pct,
+        "mispricing_pct": MISPRICING_PCT,
         "planted_cycle": [t.symbol for t in descriptor.tokens],
         "pools": len(pools),
     }

@@ -313,6 +313,10 @@ def _delta_fn(descriptor: PathDescriptor, pools: Mapping[bytes, PoolState]) -> C
     runs on the hops' amount functions alone.  A descriptor that repeats a
     pool runs on _execute_path, which threads the post-swap states from hop
     to hop.
+
+    The amount-only fork serves the tests' exhaustive search references,
+    not simulate's pruned search: with every probe on _execute_path,
+    test_bench_tooling and test_pools took 81-83 s, not 21 s (2-vCPU VM).
     """
     path = _path_pools(descriptor, pools)
     if len(set(descriptor.pools)) < descriptor.n_hops:

@@ -40,10 +40,6 @@ class TraceParseError(LineError):
     """Malformed trace record."""
 
 
-class DuplicateLabelError(ValueError):
-    """A builder address appears more than once in a label set."""
-
-
 class LabelFileError(LineError):
     """Malformed label file."""
 
@@ -391,45 +387,29 @@ def serialize_transactions(transactions: Iterable[Transaction]) -> Iterator[str]
 # builder labels (CSV columns: brand,instance,address)
 
 
-class LabelSet:
-    """Builder identity labels with unique-address validation at load time."""
-
-    def __init__(self, labels: Iterable[BuilderLabel]):
-        self._by_address: dict[bytes, BuilderLabel] = {}
-        for label in labels:
-            if label.address in self._by_address:
-                other = self._by_address[label.address]
-                raise DuplicateLabelError(
-                    f"address {format_address(label.address)} labeled under both "
-                    f"{other.brand!r} and {label.brand!r}"
-                )
-            self._by_address[label.address] = label
-
-    @classmethod
-    def from_csv(cls, stream: IO | Iterable[str | bytes]) -> "LabelSet":
-        """Labels from a CSV file whose lines are text, or bytes read
-        strictly as UTF-8.  Any fault raises LabelFileError naming the line
-        it is on: 1 for the header, the second occurrence for a duplicate
-        address."""
-        reader = csv.reader(text for _line_no, text in read_lines(stream, LabelFileError))
-
-        def labels() -> Iterator[BuilderLabel]:
-            for row in reader:
-                if not row or not "".join(row).strip():
-                    continue
-                if len(row) != 3:
-                    raise ValueError(f"label row must have 3 columns, got {row!r}")
-                yield BuilderLabel(brand=row[0].strip(), instance_name=row[1].strip(), address=parse_address(row[2].strip()))
-
-        try:
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["brand", "instance", "address"]:
-                raise ValueError("label file must start with header: brand,instance,address")
-            return cls(labels())
-        except LabelFileError:
-            raise
-        except (ValueError, csv.Error) as exc:
-            raise LabelFileError(max(reader.line_num, 1), str(exc)) from exc
-
-    def lookup(self, address: bytes) -> Optional[BuilderLabel]:
-        return self._by_address.get(address)
+def read_labels(stream: IO | Iterable[str | bytes]) -> dict[bytes, BuilderLabel]:
+    """Builder labels by address, from a CSV file whose lines are text, or
+    bytes read strictly as UTF-8.  Any fault raises LabelFileError naming
+    the line it is on: 1 for the header, the second occurrence for a
+    repeated address."""
+    reader = csv.reader(text for _line_no, text in read_lines(stream, LabelFileError))
+    labels: dict[bytes, BuilderLabel] = {}
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["brand", "instance", "address"]:
+            raise ValueError("label file must start with header: brand,instance,address")
+        for row in reader:
+            if not row or not "".join(row).strip():
+                continue
+            if len(row) != 3:
+                raise ValueError(f"label row must have 3 columns, got {row!r}")
+            label = BuilderLabel(brand=row[0].strip(), instance_name=row[1].strip(), address=parse_address(row[2].strip()))
+            if label.address in labels:
+                other = labels[label.address]
+                raise ValueError(f"address {format_address(label.address)} labeled under both {other.brand!r} and {label.brand!r}")
+            labels[label.address] = label
+    except LabelFileError:
+        raise
+    except (ValueError, csv.Error) as exc:
+        raise LabelFileError(max(reader.line_num, 1), str(exc)) from exc
+    return labels

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from mevforge import fixtures, pools
 from mevforge.cli import main
-from mevforge.config import ConfigFileError, RunConfig, load_config
+from mevforge.config import RunConfig, load_config
 from mevforge.pbs import BUNDLED_SCENARIOS as SCENARIOS
 from mevforge.records import (
     ArbitrageRecord,
@@ -28,7 +28,7 @@ from mevforge.records import (
     write_records,
 )
 from mevforge.reports import decimal_str, percent_str
-from mevforge.traces import TokenId
+from mevforge.traces import LineError, TokenId
 
 import strategies
 
@@ -155,7 +155,8 @@ genesis_unix = 1000
 infer_pool_sinks = true
 """.format(fe="ff" * 19 + "fe", aa="aa" * 20)
     )
-    config = load_config(path)
+    with open(path, "rb") as fh:
+        config = load_config(fh)
     assert len(config.share_addresses) == 2
     assert config.price_table["WBNB"] == Decimal("600.50")
     assert config.price_table["NEW"] == 2
@@ -170,8 +171,8 @@ infer_pool_sinks = true
 def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("mystery = 1\n")
-    with pytest.raises(ConfigFileError) as excinfo:
-        load_config(path)
+    with pytest.raises(LineError) as excinfo, open(path, "rb") as fh:
+        load_config(fh)
     assert "line 1" in str(excinfo.value)
 
 
@@ -179,8 +180,8 @@ def test_config_unknown_key_rejected(tmp_path):
 def test_config_keys_nothing_reads_are_unknown(tmp_path, line):
     path = tmp_path / "old.cfg"
     path.write_text("alpha = 0.01\n" + line + "\n")
-    with pytest.raises(ConfigFileError) as excinfo:
-        load_config(path)
+    with pytest.raises(LineError) as excinfo, open(path, "rb") as fh:
+        load_config(fh)
     assert "line 2: unknown key" in str(excinfo.value)
 
 
@@ -234,6 +235,24 @@ def test_extract_malformed_label_file_names_the_line(tmp_path, capsys, text, lin
     argv = ["extract", "--traces", str(DATA / "worked_example_trace.ndjson"), "--labels", str(labels)]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {labels}: line {line}: ")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        pytest.param("alpha = 0.01\nalpha = 0.5\n", "alpha", id="alpha"),
+        pytest.param("price_table.WBNB = 600\nprice_table.WBNB = 700\n", "price_table.WBNB", id="price"),
+    ],
+)
+def test_extract_config_key_set_twice_names_both_lines(tmp_path, capsys, text, key):
+    """A key set twice is a fault, not a silent override; price_table.A and
+    price_table.B are different keys."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    argv = ["extract", "--traces", str(DATA / "worked_example_trace.ndjson"), "--labels", str(DATA / "builder_labels.csv")]
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: line 2: {key} repeats line 1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_extract_counts_non_cycles(tmp_path, capsys):
@@ -1552,6 +1571,26 @@ def test_gen_fixtures_records_load_cleanly(tmp_path):
     assert main(["gen-fixtures", "--kind", "records", "--seed", "2", "--count", "40", "--out", str(out)]) == 0
     with open(out / "records.csv", encoding="utf-8") as fh:
         assert len(read_records(fh)) == 40
+
+
+# SHA-256 of gen-fixtures --kind pools and --kind records output at seed 2.
+PINNED_FIXTURE_DIGESTS = {
+    "pools": {
+        "manifest.json": "4c15f2e89f87005ffb0502fcff622c7611ea2d0a8415a46962975b18435d92e5",
+        "pools.ndjson": "08513805b3ae1dcdfeb664cf8aca82cfe1f546e05dc74bbfcf678f69d1968095",
+    },
+    "records": {
+        "manifest.json": "d569939ab8ed7b6f8bc69c0b69735fd34e1201cb5f688de40d1fe92216827f57",
+        "records.csv": "4f994475f6ac68edc616b8d3d2caf88e42362068372e9aa75c494f5b6a6d4838",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", [["--kind", "pools"], ["--kind", "records", "--count", "40"]], ids=["pools", "records"])
+def test_gen_fixtures_pools_and_records_match_pinned_digests(tmp_path, argv):
+    assert main(["gen-fixtures", *argv, "--seed", "2", "--out", str(tmp_path)]) == 0
+    written = {name: hashlib.sha256(data).hexdigest() for name, data in read_all(tmp_path).items()}
+    assert written == PINNED_FIXTURE_DIGESTS[argv[1]]
 
 
 def test_gen_fixtures_count_means_what_it_says(tmp_path, capsys):

@@ -438,7 +438,7 @@ EMBODIED_SCENARIO = {
     "pools": "pools.ndjson",
     "embodied_base_symbol": "WBNB",
 }
-EMBODIED_POOLS = pools.dump_pool_file(fixtures.gen_pool_fixture(seed=13, mispricing_pct=5).pools)
+EMBODIED_POOLS = pools.dump_pool_file(fixtures.gen_pool_fixture(seed=13).pools)
 
 
 def test_embodied_campaign_uses_pool_search(tmp_path):
@@ -457,20 +457,26 @@ def without_usdt_usd1(pool_map):
     return {a: p for a, p in pool_map.items() if {p.token0.symbol, p.token1.symbol} != {"USDT", "USD1"}}
 
 
+def at_par(pool_map):
+    """The pool map with every V2 pair at par, as the fixture is apart from
+    its mispriced USDT/USD1 pair, so no cycle is profitable."""
+    return {a: replace(p, reserve1=p.reserve0) if p.kind is pools.PoolKind.V2 else p for a, p in pool_map.items()}
+
+
 @pytest.mark.parametrize("protocol", ["bsc_direct", "eth_relay"])
 @pytest.mark.parametrize(
-    "mispricing_pct, keys, pool_edit",
+    "keys, pool_edit",
     [
-        pytest.param(5, {"opportunity": {"peak_value": 0, "gas_floor": 1000}}, lambda m: m, id="peak-value-0"),
-        pytest.param(0, {}, lambda m: m, id="no-profitable-cycle"),
+        pytest.param({"opportunity": {"peak_value": 0, "gas_floor": 1000}}, lambda m: m, id="peak-value-0"),
+        pytest.param({}, at_par, id="no-profitable-cycle"),
         pytest.param(
-            5, {"builders": [{"id": "tri", "latency_ms": 10, "strategy": "long_hop"}]}, without_usdt_usd1,
+            {"builders": [{"id": "tri", "latency_ms": 10, "strategy": "long_hop"}]}, without_usdt_usd1,
             id="long-hop-without-3-hop-cycle",
         ),
     ],
 )
-def test_pooled_scenarios_without_value_make_no_bids(tmp_path, protocol, mispricing_pct, keys, pool_edit):
-    pool_map = pool_edit(fixtures.gen_pool_fixture(seed=13, mispricing_pct=mispricing_pct).pools)
+def test_pooled_scenarios_without_value_make_no_bids(tmp_path, protocol, keys, pool_edit):
+    pool_map = pool_edit(fixtures.gen_pool_fixture(seed=13).pools)
     (tmp_path / "pools.ndjson").write_text(pools.dump_pool_file(pool_map))
     path = tmp_path / "embodied.json"
     path.write_text(json.dumps({**EMBODIED_SCENARIO, "protocol": protocol, **keys}))

@@ -282,7 +282,7 @@ def test_split_delta_examples():
 
 
 def balanced_triangle(fee_ppm=2500):
-    fixture = fixtures.gen_pool_fixture(seed=1, mispricing_pct=0)
+    fixture = fixtures.gen_pool_fixture(seed=1)
     pools = {}
     for address, pool in fixture.pools.items():
         if pool.kind is PoolKind.V2:
@@ -302,7 +302,7 @@ def test_balanced_pools_with_fees_abort():
 
 
 def test_profitable_triangle_replay_oracle():
-    fixture = fixtures.gen_pool_fixture(seed=7, mispricing_pct=5)
+    fixture = fixtures.gen_pool_fixture(seed=7)
     descriptor, pools = fixture.descriptor, fixture.pools
     lo, hi = 1, 10**22
     grid_step = (hi - lo) // 10**4
@@ -332,7 +332,7 @@ def test_profitable_triangle_replay_oracle():
 
 
 def test_share_ratio_zero_keeps_everything():
-    fixture = fixtures.gen_pool_fixture(seed=9, mispricing_pct=5)
+    fixture = fixtures.gen_pool_fixture(seed=9)
     amount, delta = best_input_search(fixture.descriptor, fixture.pools, 1, 10**22)
     assert delta > 0
     result, _ = arbitrage_run(fixture.descriptor, fixture.pools, amount, share_ratio_bp=0)
@@ -529,7 +529,7 @@ def test_balanced_cycle_has_no_profitable_input():
 
 
 def test_search_matches_grid_scan():
-    fixture = fixtures.gen_pool_fixture(seed=21, mispricing_pct=5)
+    fixture = fixtures.gen_pool_fixture(seed=21)
     lo, hi = 1, 10**22
     amount, delta = best_input_search(fixture.descriptor, fixture.pools, lo, hi)
     step = (hi - lo) // 10**4
@@ -541,7 +541,7 @@ def test_search_matches_grid_scan():
 
 
 def test_search_scales_homogeneously():
-    fixture = fixtures.gen_pool_fixture(seed=5, mispricing_pct=5)
+    fixture = fixtures.gen_pool_fixture(seed=5)
     _, delta1 = best_input_search(fixture.descriptor, fixture.pools, 1, 10**22)
     doubled = {
         addr: PoolState(
@@ -561,7 +561,7 @@ def test_search_scales_homogeneously():
 
 
 def test_unimodality_of_profit_curve_on_fixture():
-    fixture = fixtures.gen_pool_fixture(seed=3, mispricing_pct=5)
+    fixture = fixtures.gen_pool_fixture(seed=3)
     step = 10**21 // 200
     values = [cycle_delta(fixture.descriptor, fixture.pools, a) for a in range(step, 10**21, step)]
     peak = values.index(max(values))
@@ -625,7 +625,7 @@ def search_threaded_by_hand(descriptor, pools, lo, hi):
 
 
 def test_search_on_a_repeated_pool_threads_its_state():
-    fixture = fixtures.gen_pool_fixture(seed=7, mispricing_pct=5)
+    fixture = fixtures.gen_pool_fixture(seed=7)
     d = fixture.descriptor
     twice = PathDescriptor(tokens=d.tokens + d.tokens[1:], pools=d.pools * 2)
     amount, delta = best_input_search(twice, fixture.pools, 1, 10**22)

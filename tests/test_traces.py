@@ -11,11 +11,8 @@ from hypothesis import strategies as st
 
 from mevforge import fixtures
 from mevforge.traces import (
-    BuilderLabel,
-    DuplicateLabelError,
     EventKind,
     LabelFileError,
-    LabelSet,
     ParseStats,
     PathDescriptor,
     TokenId,
@@ -27,6 +24,7 @@ from mevforge.traces import (
     parse_address,
     parse_tx_hash,
     read_json,
+    read_labels,
     serialize_transactions,
 )
 
@@ -258,27 +256,28 @@ def test_any_json_value_at_any_trace_field_parses_or_is_a_parse_error(path, valu
 
 def test_builder_registry_lookup_by_address():
     with open(DATA / "builder_labels.csv", encoding="utf-8") as fh:
-        labels = LabelSet.from_csv(fh)
-    found = labels.lookup(parse_address("0x487e5dfe70119c1b320b8219b190a6fa95a5bb48"))
+        labels = read_labels(fh)
+    found = labels.get(parse_address("0x487e5dfe70119c1b320b8219b190a6fa95a5bb48"))
     assert found is not None
     assert found.brand == "48Club"
     assert found.instance_name == "48Club-puissant-1"
 
 
 def test_unlabeled_address_returns_none():
-    labels = LabelSet([BuilderLabel("X", "x-1", bytes(20))])
-    assert labels.lookup(bytes([7]) * 20) is None
+    labels = read_labels(io.StringIO("brand,instance,address\nX,x-1,0x" + "00" * 20 + "\n"))
+    assert labels.get(bytes([7]) * 20) is None
 
 
 def test_duplicate_address_across_brands_fails_at_load():
-    addr = bytes([9]) * 20
-    with pytest.raises(DuplicateLabelError):
-        LabelSet([BuilderLabel("A", "a-1", addr), BuilderLabel("B", "b-1", addr)])
+    addr = "0x" + "09" * 20
+    text = f"brand,instance,address\nA,a-1,{addr}\nB,b-1,{addr}\n"
+    with pytest.raises(LabelFileError, match=f"^line 3: address {addr} labeled under both 'A' and 'B'$"):
+        read_labels(io.StringIO(text))
 
 
 def test_label_csv_requires_header():
     with pytest.raises(LabelFileError, match="^line 1: "):
-        LabelSet.from_csv(io.StringIO("A,a-1,0x" + "00" * 20 + "\n"))
+        read_labels(io.StringIO("A,a-1,0x" + "00" * 20 + "\n"))
 
 
 # -- path descriptors ---------------------------------------------------------
