@@ -32,6 +32,7 @@ PBS, ANALYTICS, RECORDS = "src/mevforge/pbs.py", "src/mevforge/analytics.py", "s
 POOLS = "src/mevforge/pools.py"
 CLI, CONFIG, TRACES = "src/mevforge/cli.py", "src/mevforge/config.py", "src/mevforge/traces.py"
 CLI_TESTS, PBS_TESTS, POOLS_TESTS = "tests/test_cli.py", "tests/test_pbs.py", "tests/test_pools.py"
+TRACES_TESTS = "tests/test_traces.py"
 EXHAUSTIVE_TEST = "tests/test_bench_tooling.py::test_strategy_values_equal_an_exhaustive_search"
 FOLD_TEST = "tests/test_analytics.py::test_the_fold_sums_long_dollars_exactly"
 HYPOTHESIS_SEED = "0"
@@ -177,6 +178,25 @@ MUTANTS = [
         "old": "                other = labels[label.address]\n",
         "new": "                continue\n",
         "tests": [f"{CLI_TESTS}::test_extract_malformed_label_file_names_the_line[duplicate-address]"],
+    },
+    {
+        "name": "token-memo-any-key",
+        "why": "iter_transactions shares a token on any equal key, so decimals true or 18.0 reuses a good token",
+        "file": TRACES,
+        "old": "        if type(key[0]) is str and type(key[1]) is str and type(key[2]) is int:\n",
+        "new": "        if True:\n",
+        "tests": [
+            f"{TRACES_TESTS}::test_a_loose_repeat_of_a_good_token_reports_line_number[{case}]"
+            for case in ("true", "false", "float")
+        ],
+    },
+    {
+        "name": "token-memo-unbounded",
+        "why": "iter_transactions keeps every distinct token, so a stream of ever-new tokens grows without bound",
+        "file": TRACES,
+        "old": "                if len(tokens) < MAX_SHARED_TOKENS:\n",
+        "new": "                if True:\n",
+        "tests": [f"{TRACES_TESTS}::test_a_stream_of_ever_new_tokens_holds_a_bounded_number"],
     },
     {
         "name": "config-repeat-unchecked",

@@ -2,7 +2,10 @@
 
 All randomness flows from --seed; outputs are deterministic byte streams,
 so rerunning a command over the same inputs rewrites identical files.
-Exit status is nonzero iff an error row or a config error was produced.
+Exit status is 1 when extract writes an error row, or when a command stops
+with an "error:" line on standard error (a missing or malformed config,
+label, trace, records or scenario file, or an output it cannot write); 2 on
+a usage error; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Callable, Iterator, TypeVar
 
-from . import analytics, fixtures, pbs, pools, records, reports
+# each command imports the other modules it needs, so extract loads no
+# analytics, fixtures, pbs, pools or reports
+from . import records
 from .arbitrage import (
     MissingPriceError,
     ShareTokenError,
@@ -25,6 +30,7 @@ from .arbitrage import (
 )
 from .config import RunConfig, load_config
 from .traces import (
+    ConfigError,
     LineError,
     ParseStats,
     format_address,
@@ -138,6 +144,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import analytics, reports
+
     config = _read(args.config, load_config) if args.config else RunConfig()
     totals = _read(args.records, lambda fh: analytics.RecordTotals(records.iter_records(fh)))
     out = _out_dir(args.out)
@@ -191,6 +199,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import pbs, reports
+
     scenario = pbs.load_scenario(args.scenario)
     outcomes = pbs.run_campaign(scenario, args.slots, args.seed)
     out = _out_dir(args.out)
@@ -220,6 +230,8 @@ def _write_manifest(out: Path, manifest: dict) -> None:
 
 
 def cmd_gen_fixtures(args: argparse.Namespace) -> int:
+    from . import fixtures, pools
+
     out = _out_dir(args.out)
     if args.kind == "traces":
         corpus = fixtures.gen_trace_corpus(args.seed, 1000 if args.count is None else args.count)
@@ -245,7 +257,9 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
             count = records.write_records(fh, fixtures.gen_records(args.seed, 500 if args.count is None else args.count))
         _write_manifest(out, {"kind": "records", "seed": args.seed, "rows": count})
     else:  # "scenario": argparse restricts --kind to the four kinds
-        bundled = sorted(pbs.BUNDLED_SCENARIOS.glob("*.json"))
+        from .pbs import BUNDLED_SCENARIOS
+
+        bundled = sorted(BUNDLED_SCENARIOS.glob("*.json"))
         for path in bundled:
             (out / path.name).write_bytes(path.read_bytes())
         _write_manifest(out, {"kind": "scenario", "seed": args.seed, "files": [path.name for path in bundled]})
@@ -303,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --count: --kind {args.kind} writes fixed files, not a count of items")
     try:
         return args.func(args)
-    except (_InputError, pbs.ConfigError, OSError) as exc:
+    except (_InputError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,14 +36,7 @@ from typing import Iterable, Iterator, Optional, Sequence, get_args, get_origin
 
 from . import pools as pools_mod
 from .pools import SHARE_RATIO_SCALE, enumerate_cycles
-from .traces import read_json, unique_keys
-
-
-class ConfigError(ValueError):
-    """Invalid scenario or agent configuration; str() joins its messages, one per fault, with "; "."""
-
-    def __str__(self) -> str:
-        return "; ".join(map(str, self.args))
+from .traces import ConfigError, read_json, unique_keys
 
 
 def _check(*checks: tuple[bool, str]) -> None:

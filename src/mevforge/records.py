@@ -42,7 +42,7 @@ class TimestampRangeError(ValueError):
     """A block's moment falls outside the years 1 to 9999."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArbitrageRecord:
     tx_hash: bytes
     block_number: int

@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional
+from typing import IO, TYPE_CHECKING, Iterable, Mapping, Optional
 
-from .analytics import PathComplexity, ProposerSplit, RiskScore, ShareTable, TrendResult, token_shares
-from .pbs import CampaignSummary, SlotOutcome
+if TYPE_CHECKING:  # analyze needs no pbs, simulate no analytics
+    from .analytics import PathComplexity, ProposerSplit, RiskScore, ShareTable, TrendResult
+    from .pbs import CampaignSummary, SlotOutcome
 
 
 def decimal_str(value: Fraction, places: int) -> str:
@@ -47,6 +48,8 @@ def write_share_table(stream: IO[str], table: ShareTable) -> None:
 
 
 def write_profit_matrix(stream: IO[str], matrix: Mapping[tuple[str, str], Fraction]) -> None:
+    from .analytics import token_shares
+
     shares = token_shares(matrix)
     writer = _writer(stream)
     writer.writerow(["brand", "token", "usd", "token_share_pct"])

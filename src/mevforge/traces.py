@@ -5,8 +5,11 @@ Token amounts travel as decimal strings and are held as arbitrary-precision
 ints (EVM quantities overflow 64-bit), addresses as raw 20-byte values.
 Parsing preserves event order; serialization is canonical (fixed key order,
 no padding), so parse followed by serialize is a normalizing round trip.
+The transactions of one parsed stream share one TokenId per distinct token
+(up to MAX_SHARED_TOKENS distinct tokens).
 
-All types here are frozen and safe to share across threads.
+The token, event, transaction, label and path types are frozen, slotted
+dataclasses, safe to share across threads.
 """
 
 from __future__ import annotations
@@ -34,6 +37,13 @@ class LineError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"{self.unit} {line_no}: {message}")
         self.line_no = line_no
+
+
+class ConfigError(ValueError):
+    """Invalid scenario or agent configuration; str() joins its messages, one per fault, with "; "."""
+
+    def __str__(self) -> str:
+        return "; ".join(map(str, self.args))
 
 
 class TraceParseError(LineError):
@@ -149,7 +159,7 @@ class EventKind(Enum):
     INTERNAL = "internal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenId:
     """A token: display symbol, contract address, base-unit scale."""
 
@@ -164,7 +174,7 @@ class TokenId:
             raise ValueError("token decimals out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One decoded event inside a transaction; its position in
     ``Transaction.events`` is its order of execution.
@@ -203,7 +213,7 @@ class TraceEvent:
                 raise ValueError("event address must be 20 bytes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     hash: bytes
     block_number: int
@@ -227,7 +237,7 @@ class Transaction:
         return self.gas_used * self.gas_price
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BuilderLabel:
     brand: str
     instance_name: str
@@ -238,7 +248,7 @@ class BuilderLabel:
             raise ValueError("builder address must be 20 bytes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathDescriptor:
     """A multi-hop route: a traced cycle, or a path to run on pools.
 
@@ -295,12 +305,35 @@ def token_from_obj(obj: Mapping) -> TokenId:
     return TokenId(symbol=symbol, address=parse_address(obj["address"]), decimals=read_json(obj["decimals"], "decimals", int))
 
 
-def _event_from_obj(obj: Mapping) -> TraceEvent:
+# One stream's token memo keeps at most this many tokens (about 1.6 MB);
+# past them a new token is parsed at each mention, so a stream of ever-new
+# tokens holds no more.
+MAX_SHARED_TOKENS = 4096
+
+
+def _shared_token(obj, tokens: dict[tuple[str, str, int], TokenId]) -> TokenId:
+    """token_from_obj(obj), the same TokenId for each equal token object
+    kept in tokens.  Only exactly str, str and int values key it: True == 1
+    == 1.0 hash alike, so a looser key would let "decimals": true or 18.0
+    past token_from_obj's check once a good token had been read."""
+    if type(obj) is dict:
+        key = obj.get("symbol"), obj.get("address"), obj.get("decimals")
+        if type(key[0]) is str and type(key[1]) is str and type(key[2]) is int:
+            token = tokens.get(key)
+            if token is None:
+                token = token_from_obj(obj)
+                if len(tokens) < MAX_SHARED_TOKENS:
+                    tokens[key] = token
+            return token
+    return token_from_obj(obj)
+
+
+def _event_from_obj(obj: Mapping, tokens: dict) -> TraceEvent:
     return TraceEvent(
         kind=_KIND_BY_NAME[obj["kind"]],
         pool=parse_address(obj["pool"]) if "pool" in obj else None,
-        token_in=token_from_obj(obj["token_in"]) if "token_in" in obj else None,
-        token_out=token_from_obj(obj["token_out"]) if "token_out" in obj else None,
+        token_in=_shared_token(obj["token_in"], tokens) if "token_in" in obj else None,
+        token_out=_shared_token(obj["token_out"], tokens) if "token_out" in obj else None,
         amount_in=read_json(obj["amount_in"], "amount_in", int, digits=True) if "amount_in" in obj else 0,
         amount_out=read_json(obj["amount_out"], "amount_out", int, digits=True) if "amount_out" in obj else 0,
         to=parse_address(obj["to"]) if "to" in obj else None,
@@ -309,14 +342,14 @@ def _event_from_obj(obj: Mapping) -> TraceEvent:
     )
 
 
-def _transaction_from_obj(obj: Mapping, line_no: int, stats: ParseStats) -> Transaction:
+def _transaction_from_obj(obj: Mapping, line_no: int, stats: ParseStats, tokens: dict) -> Transaction:
     try:
         events = []
         for raw in read_json(obj["events"], "events", list):
             if read_json(raw, "event", dict).get("kind") not in _KIND_BY_NAME:
                 stats.unknown_events += 1
                 continue
-            events.append(_event_from_obj(raw))
+            events.append(_event_from_obj(raw, tokens))
         return Transaction(
             hash=parse_tx_hash(obj["hash"]),
             block_number=read_json(obj["block"], "block", int),
@@ -333,8 +366,11 @@ def _transaction_from_obj(obj: Mapping, line_no: int, stats: ParseStats) -> Tran
 
 def iter_transactions(stream: IO | Iterable[str | bytes], stats: ParseStats | None = None) -> Iterator[Transaction]:
     """Yield transactions from a newline-delimited trace stream in input order.
-    Lines are text, or bytes read strictly as UTF-8."""
+    Lines are text, or bytes read strictly as UTF-8.  Equal token objects
+    parse to one shared TokenId, for the first MAX_SHARED_TOKENS distinct
+    tokens of the stream."""
     stats = stats if stats is not None else ParseStats()
+    tokens: dict[tuple[str, str, int], TokenId] = {}
     for line_no, line in read_lines(stream, TraceParseError):
         if not line.strip():
             continue
@@ -342,7 +378,7 @@ def iter_transactions(stream: IO | Iterable[str | bytes], stats: ParseStats | No
             obj = json.loads(line)
         except ValueError as exc:  # not JSON, or an integer past int's digit limit
             raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
-        tx = _transaction_from_obj(obj, line_no, stats)
+        tx = _transaction_from_obj(obj, line_no, stats, tokens)
         stats.transactions += 1
         yield tx
 

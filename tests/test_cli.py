@@ -4,7 +4,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -1635,3 +1638,49 @@ def test_gen_fixtures_scenario_loads(tmp_path):
 
     scenario = load_scenario(out / "bsc_duopoly.json")
     assert len(scenario.builders) == 2
+
+
+# -- start-up -----------------------------------------------------------------
+
+# Run a command in a fresh interpreter, then print its exit code and the
+# mevforge modules it loaded.
+_FOOTPRINT = (
+    "import json, sys\n"
+    "from mevforge.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('mevforge.'))]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, unloaded",
+    [
+        ("extract", {"analytics", "fixtures", "pbs", "pools", "reports"}),
+        ("analyze", {"fixtures", "pbs", "pools"}),
+        ("simulate", {"analytics", "fixtures"}),
+    ],
+    ids=["extract", "analyze", "simulate"],
+)
+def test_a_command_imports_only_the_modules_it_uses(tmp_path, command, unloaded):
+    """Each command imports its own modules, so a short run compiles and
+    builds no module it never calls."""
+    records = tmp_path / "records.csv"
+    with open(records, "w", encoding="utf-8", newline="") as fh:
+        write_records(fh, [sample_record()])
+    argv = {
+        "extract": ["--traces", DATA / "worked_example_trace.ndjson", "--labels", DATA / "builder_labels.csv"],
+        "analyze": ["--records", records],
+        "simulate": ["--scenario", SCENARIOS / "eth_duopoly.json", "--slots", "3"],
+    }[command]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, command, *map(str, argv), "--out", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    code, modules = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0, result.stderr
+    assert "mevforge.cli" in modules
+    assert unloaded.isdisjoint(name.removeprefix("mevforge.") for name in modules)

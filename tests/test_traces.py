@@ -1,8 +1,10 @@
 """Trace model: parsing, canonical serialization, labels, invariants."""
 
+import gc
 import io
 import json
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from mevforge import fixtures
 from mevforge.traces import (
+    MAX_SHARED_TOKENS,
     EventKind,
     LabelFileError,
     ParseStats,
@@ -103,6 +106,47 @@ def test_malformed_line_reports_line_number():
         list(iter_transactions(stream))
     assert excinfo.value.line_no == 2
     assert "line 2" in str(excinfo.value)
+
+
+def swap_line(decimals, n=0) -> str:
+    """A one-swap transaction from token 2n, which has the given decimals,
+    to token 2n + 1."""
+    token_in = {"symbol": f"T{2 * n}", "address": f"0x{2 * n:040x}", "decimals": decimals}
+    token_out = {"symbol": f"T{2 * n + 1}", "address": f"0x{2 * n + 1:040x}", "decimals": 18}
+    swap = {"kind": "swap", "pool": "0x" + "03" * 20, "token_in": token_in, "token_out": token_out, "amount_in": "1"}
+    tx = {"hash": "0x" + "01" * 32, "block": 1, "from": "0x" + "02" * 20, "gas_used": 0, "gas_price": 0, "events": [swap]}
+    return json.dumps(tx) + "\n"
+
+
+@pytest.mark.parametrize("good, loose", [(1, True), (0, False), (18, 18.0)], ids=["true", "false", "float"])
+def test_a_loose_repeat_of_a_good_token_reports_line_number(good, loose):
+    """Equal tokens share one TokenId, but a repeat whose decimals only
+    compare equal (True == 1, 18.0 == 18) is still checked and rejected."""
+    with pytest.raises(TraceParseError, match="^line 2: decimals: expected an integer") as excinfo:
+        list(iter_transactions([swap_line(good), swap_line(loose)]))
+    assert excinfo.value.line_no == 2
+
+
+def test_equal_tokens_in_one_stream_share_one_token_id():
+    text = "".join(serialize_transactions(fixtures.gen_trace_corpus(seed=4, n_transactions=50).transactions))
+    events = [event for tx in iter_transactions(io.StringIO(text)) for event in tx.events]
+    tokens = [token for event in events for token in (event.token_in, event.token_out) if token is not None]
+    assert len(tokens) > len(set(tokens)) > 1
+    assert len({id(token) for token in tokens}) == len(set(tokens))
+
+
+def test_a_stream_of_ever_new_tokens_holds_a_bounded_number():
+    """Past MAX_SHARED_TOKENS distinct tokens none is kept, so a streamed parse
+    of ever-new tokens holds no more of them however long it runs."""
+
+    def live_tokens() -> int:
+        return sum(type(obj) is TokenId for obj in gc.get_objects())
+
+    before = live_tokens()
+    transactions = iter_transactions(swap_line(18, n) for n in range(3 * MAX_SHARED_TOKENS))
+    for _tx in islice(transactions, 3 * MAX_SHARED_TOKENS - 1):  # six times the bound, the parse still open
+        pass
+    assert live_tokens() - before <= MAX_SHARED_TOKENS + 2
 
 
 def test_non_object_event_reports_line_number():
