@@ -37,7 +37,31 @@ EXHAUSTIVE_TEST = "tests/test_bench_tooling.py::test_strategy_values_equal_an_ex
 FOLD_TEST = "tests/test_analytics.py::test_the_fold_sums_long_dollars_exactly"
 HYPOTHESIS_SEED = "0"
 
+SERIALIZER_TEST = f"{TRACES_TESTS}::test_lines_equal_json_dumps_of_dicts"
+# the serializer's token-fragment memo, from its lookup to its store
+FRAGMENT_MEMO = """fragments.get(token)
+        if text is None:
+            text = '{"symbol":%s,"address":"0x%s","decimals":%d}' % (json.dumps(token.symbol), token.address.hex(), token.decimals)
+            if len(fragments) < MAX_SHARED_TOKENS:
+                fragments[token] = text"""
+
 MUTANTS = [
+    {
+        "name": "symbol-written-unescaped",
+        "why": "a token's symbol is written between quotes as it is, not through json.dumps",
+        "file": TRACES,
+        "old": "% (json.dumps(token.symbol), token.address.hex()",
+        "new": "% ('\"' + token.symbol + '\"', token.address.hex()",
+        "tests": [SERIALIZER_TEST],
+    },
+    {
+        "name": "fragment-memo-by-symbol",
+        "why": "the serializer's token fragments are keyed by symbol, so a same-symbol token reuses another's text",
+        "file": TRACES,
+        "old": FRAGMENT_MEMO,
+        "new": FRAGMENT_MEMO.replace("(token)", "(token.symbol)").replace("[token]", "[token.symbol]"),
+        "tests": [SERIALIZER_TEST],
+    },
     {
         "name": "check-first-fault-only",
         "why": "a section's _check raises at its first fault",

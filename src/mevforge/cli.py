@@ -230,9 +230,9 @@ def _write_manifest(out: Path, manifest: dict) -> None:
 
 
 def cmd_gen_fixtures(args: argparse.Namespace) -> int:
-    from . import fixtures, pools
-
     out = _out_dir(args.out)
+    if args.kind in ("traces", "pools", "records"):
+        from . import fixtures
     if args.kind == "traces":
         corpus = fixtures.gen_trace_corpus(args.seed, 1000 if args.count is None else args.count)
         with open(out / "traces.ndjson", "w", encoding="utf-8") as fh:
@@ -243,11 +243,14 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
                 fh.write(f"{label.brand},{label.instance_name},0x{label.address.hex()}\n")
         with open(out / "run.cfg", "w", encoding="utf-8") as fh:
             fh.write("# prices for the generated token universe (majors use defaults)\n")
+            prices = RunConfig().price_table
             for symbol in corpus.manifest["tokens"]:
-                if symbol not in RunConfig().price_table:
+                if symbol not in prices:
                     fh.write(f"price_table.{symbol} = 1\n")
         _write_manifest(out, corpus.manifest)
     elif args.kind == "pools":
+        from . import pools
+
         fixture = fixtures.gen_pool_fixture(args.seed)
         with open(out / "pools.ndjson", "w", encoding="utf-8") as fh:
             fh.write(pools.dump_pool_file(fixture.pools))
@@ -257,7 +260,7 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
             count = records.write_records(fh, fixtures.gen_records(args.seed, 500 if args.count is None else args.count))
         _write_manifest(out, {"kind": "records", "seed": args.seed, "rows": count})
     else:  # "scenario": argparse restricts --kind to the four kinds
-        from .pbs import BUNDLED_SCENARIOS
+        from . import BUNDLED_SCENARIOS
 
         bundled = sorted(BUNDLED_SCENARIOS.glob("*.json"))
         for path in bundled:

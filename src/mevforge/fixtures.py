@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .arbitrage import DEFAULT_SHARE_ADDRESS
 from .config import DEFAULT_PRICE_TABLE
-from .pools import PoolKind, PoolState, Q96
 from .records import EXACT, ArbitrageRecord, timestamp_for_block
 from .traces import (
     BuilderLabel,
@@ -24,6 +23,9 @@ from .traces import (
     Transaction,
     format_address,
 )
+
+if TYPE_CHECKING:
+    from .pools import PoolState
 
 GEN_BRANDS = ("GenAlpha", "GenBeta")
 CYCLE_FRACTION = 0.7  # roughly the share of generated transactions that hold a planted cycle
@@ -107,6 +109,8 @@ def _draw_transactions(
     """gen_trace_corpus's transactions, one at a time: each planted cycle is
     appended to the manifest as it is drawn, and the counts are set last."""
     pools: dict[tuple[bytes, bytes], bytes] = {}
+    # each token's others, in universe order; the symbols are distinct, so `is not` is !=
+    others = {t: [u for u in tokens if u is not t] for t in tokens}
     planted = manifest["planted"]
     non_cycles = 0
     block = 50_000_000
@@ -120,13 +124,11 @@ def _draw_transactions(
         if roll < CYCLE_FRACTION:
             base = rng.choice(tokens)
             hops = rng.randint(2, 8)
-            middle: list[TokenId] = []
-            prev = base
-            for _i in range(hops - 1):
-                nxt = rng.choice([t for t in tokens if t != prev and (len(middle) < hops - 2 or t != base)])
-                middle.append(nxt)
-                prev = nxt
-            route = [base] + middle + [base]
+            route = [base]
+            for _i in range(hops - 2):
+                route.append(rng.choice(others[route[-1]]))
+            route.append(rng.choice([t for t in others[route[-1]] if t is not base]))  # the last hop closes on base
+            route.append(base)
             amount_in0 = rng.randint(10**3, 10**9)
             gross = rng.randint(-(amount_in0 // 10), 10**8)
             amounts = [amount_in0]
@@ -227,6 +229,7 @@ class PoolFixture:
 def gen_pool_fixture(seed: int) -> PoolFixture:
     """A small pool graph with one deliberately mispriced V2 pair, so a
     triangular route through it is profitable, plus one V3 pool."""
+    from .pools import Q96, PoolKind, PoolState
     rng = random.Random(seed)
     wbnb = TokenId("WBNB", _rand_address(rng), 18)
     usdt = TokenId("USDT", _rand_address(rng), 18)

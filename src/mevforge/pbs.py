@@ -34,6 +34,7 @@ from pathlib import Path
 from sys import float_info
 from typing import Iterable, Iterator, Optional, Sequence, get_args, get_origin
 
+from . import BUNDLED_SCENARIOS  # kept here too, as pbs.BUNDLED_SCENARIOS
 from . import pools as pools_mod
 from .pools import SHARE_RATIO_SCALE, enumerate_cycles
 from .traces import ConfigError, read_json, unique_keys
@@ -50,8 +51,6 @@ class Protocol(Enum):
     ETH_RELAY = "eth_relay"
 
 
-# The duopoly pair, one file per protocol, shipped as package data.
-BUNDLED_SCENARIOS = Path(__file__).with_name("scenarios")
 # The horizon of a scenario that names none: one slot of the protocol's chain.
 DEFAULT_HORIZON_MS = {Protocol.BSC_DIRECT: Fraction(3000), Protocol.ETH_RELAY: Fraction(12000)}
 # Scenario keys a protocol's flow never reads, so a file may not give them:

@@ -4,7 +4,9 @@ Trace files are newline-delimited JSON, one object per transaction.
 Token amounts travel as decimal strings and are held as arbitrary-precision
 ints (EVM quantities overflow 64-bit), addresses as raw 20-byte values.
 Parsing preserves event order; serialization is canonical (fixed key order,
-no padding), so parse followed by serialize is a normalizing round trip.
+no padding, json's escapes), so parse followed by serialize is a normalizing
+round trip.  Lines are built from format strings; only a token's symbol goes
+through json.dumps, once per distinct token.
 The transactions of one parsed stream share one TokenId per distinct token
 (up to MAX_SHARED_TOKENS distinct tokens).
 
@@ -305,9 +307,9 @@ def token_from_obj(obj: Mapping) -> TokenId:
     return TokenId(symbol=symbol, address=parse_address(obj["address"]), decimals=read_json(obj["decimals"], "decimals", int))
 
 
-# One stream's token memo keeps at most this many tokens (about 1.6 MB);
-# past them a new token is parsed at each mention, so a stream of ever-new
-# tokens holds no more.
+# One stream's token memo, read or written, keeps at most this many tokens
+# (about 1.6 MB); past them a new token is parsed or formatted at each
+# mention, so a stream of ever-new tokens holds no more.
 MAX_SHARED_TOKENS = 4096
 
 
@@ -383,40 +385,44 @@ def iter_transactions(stream: IO | Iterable[str | bytes], stats: ParseStats | No
         yield tx
 
 
-def _event_to_obj(event: TraceEvent) -> dict:
-    obj: dict = {"kind": event.kind.value}
-    if event.pool is not None:
-        obj["pool"] = format_address(event.pool)
-    if event.token_in is not None:
-        obj["token_in"] = token_to_obj(event.token_in)
-    if event.token_out is not None:
-        obj["token_out"] = token_to_obj(event.token_out)
-    if event.amount_in:
-        obj["amount_in"] = str(event.amount_in)
-    if event.amount_out:
-        obj["amount_out"] = str(event.amount_out)
-    if event.to is not None:
-        obj["to"] = format_address(event.to)
-    if event.amount is not None:
-        obj["amount"] = str(event.amount)
-    if event.pool_sink:
-        obj["pool_sink"] = True
-    return obj
-
-
 def serialize_transactions(transactions: Iterable[Transaction]) -> Iterator[str]:
     """One canonical NDJSON line, newline included, per transaction, made
-    as the transaction is taken; "".join(...) is the whole file."""
+    as the transaction is taken; "".join(...) is the whole file.  Each line
+    is what compact json.dumps of its fields writes, byte for byte."""
+    fragments: dict[TokenId, str] = {}  # each token's text, for MAX_SHARED_TOKENS tokens
+
+    def token_text(token: TokenId) -> str:
+        text = fragments.get(token)
+        if text is None:
+            text = '{"symbol":%s,"address":"0x%s","decimals":%d}' % (json.dumps(token.symbol), token.address.hex(), token.decimals)
+            if len(fragments) < MAX_SHARED_TOKENS:
+                fragments[token] = text
+        return text
+
     for tx in transactions:
-        obj = {
-            "hash": format_address(tx.hash),
-            "block": tx.block_number,
-            "from": format_address(tx.initiator),
-            "gas_used": tx.gas_used,
-            "gas_price": tx.gas_price,
-            "events": [_event_to_obj(e) for e in tx.events],
-        }
-        yield json.dumps(obj, separators=(",", ":")) + "\n"
+        events = []
+        for event in tx.events:
+            text = '{"kind":"' + event.kind.value + '"'
+            if event.pool is not None:
+                text += ',"pool":"0x' + event.pool.hex() + '"'
+            if event.token_in is not None:
+                text += ',"token_in":' + token_text(event.token_in)
+            if event.token_out is not None:
+                text += ',"token_out":' + token_text(event.token_out)
+            if event.amount_in:
+                text += ',"amount_in":"%d"' % event.amount_in
+            if event.amount_out:
+                text += ',"amount_out":"%d"' % event.amount_out
+            if event.to is not None:
+                text += ',"to":"0x' + event.to.hex() + '"'
+            if event.amount is not None:
+                text += ',"amount":"%d"' % event.amount
+            if event.pool_sink:
+                text += ',"pool_sink":true'
+            events.append(text + "}")
+        yield '{"hash":"0x%s","block":%d,"from":"0x%s","gas_used":%d,"gas_price":%d,"events":[%s]}\n' % (
+            tx.hash.hex(), tx.block_number, tx.initiator.hex(), tx.gas_used, tx.gas_price, ",".join(events)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,8 @@ def events():
 
 @st.composite
 def transactions(draw, events_strategy=None, min_events=0, max_events=8):
-    raw_events = draw(st.lists(events_strategy or events(), min_size=min_events, max_size=max_events))
+    events_strategy = events() if events_strategy is None else events_strategy
+    raw_events = draw(st.lists(events_strategy, min_size=min_events, max_size=max_events))
     return Transaction(
         hash=draw(tx_hashes),
         block_number=draw(st.integers(min_value=0, max_value=10**9)),

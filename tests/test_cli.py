@@ -1652,30 +1652,39 @@ _FOOTPRINT = (
 )
 
 
-@pytest.mark.parametrize(
-    "command, unloaded",
-    [
-        ("extract", {"analytics", "fixtures", "pbs", "pools", "reports"}),
-        ("analyze", {"fixtures", "pbs", "pools"}),
-        ("simulate", {"analytics", "fixtures"}),
-    ],
-    ids=["extract", "analyze", "simulate"],
-)
-def test_a_command_imports_only_the_modules_it_uses(tmp_path, command, unloaded):
-    """Each command imports its own modules, so a short run compiles and
-    builds no module it never calls."""
+# The mevforge modules that each command, and each kind of gen-fixtures,
+# never loads.
+_UNLOADED = {
+    "extract": {"analytics", "fixtures", "pbs", "pools", "reports"},
+    "analyze": {"fixtures", "pbs", "pools"},
+    "simulate": {"analytics", "fixtures"},
+    "gen-fixtures-traces": {"analytics", "pbs", "pools", "reports"},
+    "gen-fixtures-records": {"analytics", "pbs", "pools", "reports"},
+    "gen-fixtures-scenario": {"analytics", "fixtures", "pbs", "pools", "reports"},
+    "gen-fixtures-pools": {"analytics", "pbs", "reports"},
+}
+
+
+@pytest.mark.parametrize("command", _UNLOADED)
+def test_a_command_imports_only_the_modules_it_uses(tmp_path, command):
+    """Each command, and each kind of gen-fixtures, imports its own modules,
+    so a short run compiles and builds no module it never calls."""
     records = tmp_path / "records.csv"
     with open(records, "w", encoding="utf-8", newline="") as fh:
         write_records(fh, [sample_record()])
     argv = {
-        "extract": ["--traces", DATA / "worked_example_trace.ndjson", "--labels", DATA / "builder_labels.csv"],
-        "analyze": ["--records", records],
-        "simulate": ["--scenario", SCENARIOS / "eth_duopoly.json", "--slots", "3"],
+        "extract": ["extract", "--traces", DATA / "worked_example_trace.ndjson", "--labels", DATA / "builder_labels.csv"],
+        "analyze": ["analyze", "--records", records],
+        "simulate": ["simulate", "--scenario", SCENARIOS / "eth_duopoly.json", "--slots", "3"],
+        "gen-fixtures-traces": ["gen-fixtures", "--kind", "traces", "--count", "3"],
+        "gen-fixtures-records": ["gen-fixtures", "--kind", "records", "--count", "3"],
+        "gen-fixtures-scenario": ["gen-fixtures", "--kind", "scenario"],
+        "gen-fixtures-pools": ["gen-fixtures", "--kind", "pools"],
     }[command]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT, command, *map(str, argv), "--out", str(tmp_path / "out")],
+        [sys.executable, "-c", _FOOTPRINT, *map(str, argv), "--out", str(tmp_path / "out")],
         env=env,
         capture_output=True,
         text=True,
@@ -1683,4 +1692,4 @@ def test_a_command_imports_only_the_modules_it_uses(tmp_path, command, unloaded)
     code, modules = json.loads(result.stdout.splitlines()[-1])
     assert code == 0, result.stderr
     assert "mevforge.cli" in modules
-    assert unloaded.isdisjoint(name.removeprefix("mevforge.") for name in modules)
+    assert _UNLOADED[command].isdisjoint(name.removeprefix("mevforge.") for name in modules)

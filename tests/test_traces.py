@@ -277,6 +277,119 @@ def test_read_json_rejects_all_else_naming_the_key(value, kind, digits):
         read_json(value, "key", kind, digits)
 
 
+# -- the canonical line against json.dumps --------------------------------
+
+
+def reference_line(tx: Transaction) -> str:
+    """tx's canonical line as json.dumps writes it from one dict per event,
+    the form the serializer was built on before it used format strings."""
+
+    def token(t: TokenId) -> dict:
+        return {"symbol": t.symbol, "address": format_address(t.address), "decimals": t.decimals}
+
+    def event(e: TraceEvent) -> dict:
+        obj: dict = {"kind": e.kind.value}
+        if e.pool is not None:
+            obj["pool"] = format_address(e.pool)
+        if e.token_in is not None:
+            obj["token_in"] = token(e.token_in)
+        if e.token_out is not None:
+            obj["token_out"] = token(e.token_out)
+        if e.amount_in:
+            obj["amount_in"] = str(e.amount_in)
+        if e.amount_out:
+            obj["amount_out"] = str(e.amount_out)
+        if e.to is not None:
+            obj["to"] = format_address(e.to)
+        if e.amount is not None:
+            obj["amount"] = str(e.amount)
+        if e.pool_sink:
+            obj["pool_sink"] = True
+        return obj
+
+    obj = {
+        "hash": format_address(tx.hash),
+        "block": tx.block_number,
+        "from": format_address(tx.initiator),
+        "gas_used": tx.gas_used,
+        "gas_price": tx.gas_price,
+        "events": [event(e) for e in tx.events],
+    }
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+# symbols json must escape: quote, backslash, control characters, non-ASCII
+# text and a lone surrogate, else any text
+escaped_symbols = st.text(st.sampled_from('"\\\x00\n\x1f\x7fA\u00e9\u4e2d\ud800\U0001f600') | st.characters(exclude_categories=()), max_size=5)
+
+
+@st.composite
+def any_events(draw, tokens):
+    """Any event the types allow: a swap's or a transfer's own fields, each
+    other field present or not, zero amounts, and pool_sink with or without
+    an amount."""
+    kind = draw(st.sampled_from(EventKind))
+    swap, moves = kind is EventKind.SWAP, kind in (EventKind.TRANSFER, EventKind.INTERNAL)
+    token_in = draw(tokens if swap else st.none() | tokens)
+    return TraceEvent(
+        kind=kind,
+        pool=draw(strategies.addresses if swap else st.none() | strategies.addresses),
+        token_in=token_in,
+        token_out=draw(tokens.filter(lambda t: t != token_in) if swap else st.none() | tokens),
+        amount_in=draw(strategies.AMOUNTS),
+        amount_out=draw(strategies.AMOUNTS),
+        to=draw(strategies.addresses if moves else st.none() | strategies.addresses),
+        amount=draw(strategies.AMOUNTS if moves else st.none() | strategies.AMOUNTS),
+        pool_sink=draw(st.booleans()),
+    )
+
+
+@st.composite
+def transactions_sharing_symbols(draw):
+    """Transactions over a few symbols, so that tokens which share a symbol
+    but differ in address or decimals meet in one stream."""
+    symbols = draw(st.lists(escaped_symbols, min_size=1, max_size=3))
+    tokens = st.builds(
+        TokenId,
+        symbol=st.sampled_from(symbols),
+        address=st.sampled_from([b"\x00" * 20, b"\xff" * 20]) | strategies.addresses,
+        decimals=st.sampled_from([0, 18]) | st.integers(min_value=0, max_value=36),
+    )
+    return draw(st.lists(strategies.transactions(events_strategy=any_events(tokens)), max_size=4))
+
+
+_SAME_SYMBOL = [TokenId('W"\\\x01\u00e9\ud800', address, decimals) for address, decimals in [(b"\x01" * 20, 18), (b"\x02" * 20, 18), (b"\x01" * 20, 6)]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(txs=transactions_sharing_symbols())
+@example(
+    txs=[
+        Transaction(
+            hash=b"\x03" * 32,
+            block_number=0,
+            initiator=b"\x04" * 20,
+            events=(
+                TraceEvent(EventKind.SWAP, pool=b"\x05" * 20, token_in=_SAME_SYMBOL[0], token_out=_SAME_SYMBOL[1]),
+                TraceEvent(EventKind.SWAP, pool=b"\x05" * 20, token_in=_SAME_SYMBOL[2], token_out=_SAME_SYMBOL[0],
+                           amount_in=7, pool_sink=True),
+                TraceEvent(EventKind.SWAP, pool=b"\x06" * 20, token_in=_SAME_SYMBOL[1], token_out=_SAME_SYMBOL[2],
+                           amount_out=9, amount=0, pool_sink=True),
+                TraceEvent(EventKind.TRANSFER, to=b"\x07" * 20, amount=0, token_out=_SAME_SYMBOL[2]),
+                TraceEvent(EventKind.INTERNAL, to=b"\x07" * 20, amount=0),
+                TraceEvent(EventKind.SYNC, pool=b"\x06" * 20),
+            ),
+            gas_used=0,
+            gas_price=0,
+        )
+    ]
+)
+def test_lines_equal_json_dumps_of_dicts(txs):
+    """Each line is what compact json.dumps writes from the transaction's
+    fields, escapes included, even where tokens share a symbol."""
+    assert list(serialize_transactions(txs)) == [reference_line(tx) for tx in txs]
+
+
 WORKED_EXAMPLE = json.loads((DATA / "worked_example_trace.ndjson").read_text())
 
 
