@@ -38,12 +38,13 @@ FOLD_TEST = "tests/test_analytics.py::test_the_fold_sums_long_dollars_exactly"
 HYPOTHESIS_SEED = "0"
 
 SERIALIZER_TEST = f"{TRACES_TESTS}::test_lines_equal_json_dumps_of_dicts"
+MANIFEST_TEST = f"{CLI_TESTS}::test_write_manifest_writes_what_json_dump_writes"
 # the serializer's token-fragment memo, from its lookup to its store
-FRAGMENT_MEMO = """fragments.get(token)
-        if text is None:
-            text = '{"symbol":%s,"address":"0x%s","decimals":%d}' % (json.dumps(token.symbol), token.address.hex(), token.decimals)
+FRAGMENT_MEMO = """fragments.get(id(token))
+        if entry is None:
+            entry = token, '{"symbol":%s,"address":"0x%s","decimals":%d}' % (json.dumps(token.symbol), token.address.hex(), token.decimals)
             if len(fragments) < MAX_SHARED_TOKENS:
-                fragments[token] = text"""
+                fragments[id(token)] = entry"""
 
 MUTANTS = [
     {
@@ -59,8 +60,32 @@ MUTANTS = [
         "why": "the serializer's token fragments are keyed by symbol, so a same-symbol token reuses another's text",
         "file": TRACES,
         "old": FRAGMENT_MEMO,
-        "new": FRAGMENT_MEMO.replace("(token)", "(token.symbol)").replace("[token]", "[token.symbol]"),
+        "new": FRAGMENT_MEMO.replace("(id(token))", "(token.symbol)").replace("[id(token)]", "[token.symbol]"),
         "tests": [SERIALIZER_TEST],
+    },
+    {
+        "name": "memo-forgets-token",
+        "why": "the serializer's memo stores only a token's text under id(token), so a freed token's id, taken by a new token, finds the old text",
+        "file": TRACES,
+        "old": FRAGMENT_MEMO,
+        "new": FRAGMENT_MEMO.replace("entry = token, ", "entry = None, "),
+        "tests": [f"{TRACES_TESTS}::test_a_token_freed_after_its_line_lends_its_id_no_text"],
+    },
+    {
+        "name": "manifest-entry-comma-dropped",
+        "why": "manifest.json's planted entries are written without the comma between them",
+        "file": CLI,
+        "old": '                sep = ","',
+        "new": '                sep = ""',
+        "tests": [MANIFEST_TEST],
+    },
+    {
+        "name": "manifest-net-and-share-swapped",
+        "why": "a planted entry's net is written under share and its share under net",
+        "file": CLI,
+        "old": 'entry["net"], entry["share"]',
+        "new": 'entry["share"], entry["net"]',
+        "tests": [MANIFEST_TEST],
     },
     {
         "name": "check-first-fault-only",

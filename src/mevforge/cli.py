@@ -15,6 +15,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Callable, Iterator, TypeVar
 
@@ -223,9 +224,66 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # gen-fixtures
 
 
+_PLANTED_KEYS = frozenset(("base_token", "gross", "hop_count", "net", "path", "pools", "share", "tx_hash"))
+# a separator, then one planted cycle as json.dump(indent=2, sort_keys=True)
+# writes it inside a trace manifest
+_PLANTED_ENTRY = """%s
+    {
+      "base_token": %s,
+      "gross": %d,
+      "hop_count": %d,
+      "net": %d,
+      "path": [
+        %s
+      ],
+      "pools": [
+        %s
+      ],
+      "share": %d,
+      "tx_hash": %s
+    }"""
+
+
+def _planted_text(sep: str, entry: dict) -> str:
+    """sep, then entry as _PLANTED_ENTRY writes it; ValueError or TypeError
+    for an entry whose text json would write otherwise."""
+    if type(entry) is not dict or entry.keys() != _PLANTED_KEYS:
+        raise ValueError(f"planted entry: expected the keys {sorted(_PLANTED_KEYS)}, got {entry!r:.80}")
+    path, pools = entry["path"], entry["pools"]
+    amounts = entry["gross"], entry["hop_count"], entry["net"], entry["share"]
+    if not (type(path) is list and path and type(pools) is list and pools) or any(type(n) is not int for n in amounts):
+        raise ValueError(f"planted entry: expected nonempty path and pools lists and int amounts, got {entry!r:.80}")
+    text = encode_basestring_ascii
+    gross, hop_count, net, share = amounts
+    return _PLANTED_ENTRY % (
+        sep, text(entry["base_token"]), gross, hop_count, net,
+        ",\n        ".join(map(text, path)), ",\n        ".join(map(text, pools)), share, text(entry["tx_hash"]),
+    )
+
+
 def _write_manifest(out: Path, manifest: dict) -> None:
+    """Write out/manifest.json as exactly json.dump(manifest, fh, indent=2,
+    sort_keys=True) then "\\n" writes it.  json's indenting encoder is pure
+    Python, so a nonempty "planted" list (a trace corpus's ground truth,
+    nearly all of its bytes) is streamed one entry per write instead.  An
+    entry the format string cannot write as json would raises ValueError or
+    TypeError before any of its text is written, so the file then holds a
+    prefix of json's text."""
+    planted = manifest.get("planted")
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        if type(planted) is not list or not planted:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+        else:
+            # nested lines are indented deeper and strings hold no newline, so
+            # the marker matches the top-level key only
+            text = json.dumps({**manifest, "planted": None}, indent=2, sort_keys=True)
+            head, _, tail = text.partition('\n  "planted": null')
+            fh.write(head + '\n  "planted": ')
+            sep = "["
+            for entry in planted:
+                fh.write(_planted_text(sep, entry))
+                sep = ","
+            fh.write("\n  ]" + tail)
         fh.write("\n")
 
 

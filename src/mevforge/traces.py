@@ -6,7 +6,7 @@ ints (EVM quantities overflow 64-bit), addresses as raw 20-byte values.
 Parsing preserves event order; serialization is canonical (fixed key order,
 no padding, json's escapes), so parse followed by serialize is a normalizing
 round trip.  Lines are built from format strings; only a token's symbol goes
-through json.dumps, once per distinct token.
+through json.dumps, once per token object.
 The transactions of one parsed stream share one TokenId per distinct token
 (up to MAX_SHARED_TOKENS distinct tokens).
 
@@ -388,21 +388,26 @@ def iter_transactions(stream: IO | Iterable[str | bytes], stats: ParseStats | No
 def serialize_transactions(transactions: Iterable[Transaction]) -> Iterator[str]:
     """One canonical NDJSON line, newline included, per transaction, made
     as the transaction is taken; "".join(...) is the whole file.  Each line
-    is what compact json.dumps of its fields writes, byte for byte."""
-    fragments: dict[TokenId, str] = {}  # each token's text, for MAX_SHARED_TOKENS tokens
+    is what compact json.dumps of its fields writes, byte for byte.  A
+    token's text is made once per token object, so tokens shared as
+    iter_transactions shares them are formatted once each."""
+    # (token, its text) by id(token), for MAX_SHARED_TOKENS token objects:
+    # an id is C-level to hash where TokenId.__hash__ is Python, and the
+    # entry holds its token so that no other object can take that id
+    fragments: dict[int, tuple[TokenId, str]] = {}
 
     def token_text(token: TokenId) -> str:
-        text = fragments.get(token)
-        if text is None:
-            text = '{"symbol":%s,"address":"0x%s","decimals":%d}' % (json.dumps(token.symbol), token.address.hex(), token.decimals)
+        entry = fragments.get(id(token))
+        if entry is None:
+            entry = token, '{"symbol":%s,"address":"0x%s","decimals":%d}' % (json.dumps(token.symbol), token.address.hex(), token.decimals)
             if len(fragments) < MAX_SHARED_TOKENS:
-                fragments[token] = text
-        return text
+                fragments[id(token)] = entry
+        return entry[1]
 
     for tx in transactions:
         events = []
         for event in tx.events:
-            text = '{"kind":"' + event.kind.value + '"'
+            text = '{"kind":"' + event.kind._value_ + '"'  # _value_ skips the Enum value property
             if event.pool is not None:
                 text += ',"pool":"0x' + event.pool.hex() + '"'
             if event.token_in is not None:

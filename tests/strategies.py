@@ -7,6 +7,10 @@ from mevforge.traces import EventKind, TokenId, TraceEvent, Transaction
 AMOUNTS = st.integers(min_value=0, max_value=10**30)
 POSITIVE_AMOUNTS = st.integers(min_value=1, max_value=10**30)
 
+# text json must escape: quote, backslash, control characters, non-ASCII
+# text and a lone surrogate, else any text
+escaped_text = st.text(st.sampled_from('"\\\x00\n\x1f\x7fA\u00e9\u4e2d\ud800\U0001f600') | st.characters(exclude_categories=()), max_size=5)
+
 addresses = st.binary(min_size=20, max_size=20)
 tx_hashes = st.binary(min_size=32, max_size=32)
 

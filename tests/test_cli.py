@@ -14,11 +14,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mevforge import fixtures, pools
-from mevforge.cli import main
+from mevforge.cli import _write_manifest, main
 from mevforge.config import RunConfig, load_config
 from mevforge.pbs import BUNDLED_SCENARIOS as SCENARIOS
 from mevforge.records import (
@@ -1542,6 +1542,82 @@ def test_gen_fixtures_traces_match_pinned_digests(tmp_path, count):
     assert main(["gen-fixtures", "--kind", "traces", "--seed", "1", "--count", count, "--out", str(tmp_path)]) == 0
     written = {name: hashlib.sha256(data).hexdigest() for name, data in read_all(tmp_path).items()}
     assert written == PINNED_TRACE_FIXTURE_DIGESTS[count]
+
+
+# a trace manifest's shape, over text json must escape and any integers
+_MANIFEST_INTS = st.integers() | st.sampled_from([-(10**80), -1, 0, 10**80])
+_PLANTED_ENTRIES = st.fixed_dictionaries(
+    {
+        "tx_hash": strategies.escaped_text,
+        "base_token": strategies.escaped_text,
+        "path": st.lists(strategies.escaped_text, min_size=1, max_size=4),
+        "pools": st.lists(strategies.escaped_text, min_size=1, max_size=3),
+        "hop_count": _MANIFEST_INTS,
+        "gross": _MANIFEST_INTS,
+        "share": _MANIFEST_INTS,
+        "net": _MANIFEST_INTS,
+    }
+)
+_TRACE_MANIFESTS = st.fixed_dictionaries(
+    {
+        "kind": st.just("traces"),
+        "seed": _MANIFEST_INTS,
+        "transactions": _MANIFEST_INTS,
+        "share_address": strategies.escaped_text,
+        "tokens": st.lists(strategies.escaped_text, max_size=3),
+        "planted": st.lists(_PLANTED_ENTRIES, max_size=4),
+        "planted_cycles": _MANIFEST_INTS,
+        "non_cycles": _MANIFEST_INTS,
+    }
+)
+_ONE_ENTRY = {
+    "tx_hash": "0x" + "ab" * 32, "base_token": 'W"\\\x01\u00e9\ud800', "path": ["\U0001f600", "\n"], "pools": ["0x" + "00" * 20],
+    "hop_count": 1, "gross": -(10**80), "share": 0, "net": 10**80,
+}
+
+
+def json_manifest(manifest: dict) -> str:
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(manifest=_TRACE_MANIFESTS)
+@example(manifest={"kind": "traces", "planted": []})
+@example(manifest={"kind": "traces", "planted": [_ONE_ENTRY]})
+@example(manifest={"kind": "traces", "planted": [_ONE_ENTRY, {**_ONE_ENTRY, "share": 1}]})
+def test_write_manifest_writes_what_json_dump_writes(tmp_path_factory, manifest):
+    out = tmp_path_factory.mktemp("manifest")
+    _write_manifest(out, manifest)
+    assert (out / "manifest.json").read_text(encoding="utf-8") == json_manifest(manifest)
+
+
+# edits after which json.dump would write a planted entry other than as the format string does
+_MISFIT_ENTRIES = {
+    "extra-key": lambda e: {**e, "extra": 0},
+    "missing-key": lambda e: {k: v for k, v in e.items() if k != "share"},
+    "empty-path": lambda e: {**e, "path": []},
+    "empty-pools": lambda e: {**e, "pools": []},
+    "path-as-tuple": lambda e: {**e, "path": tuple(e["path"])},
+    "path-as-text": lambda e: {**e, "path": "ab"},
+    "int-in-pools": lambda e: {**e, "pools": [*e["pools"], 7]},
+    "int-symbol": lambda e: {**e, "base_token": 7},
+    "bool-gross": lambda e: {**e, "gross": True},
+    "float-net": lambda e: {**e, "net": 1.0},
+    "not-a-dict": lambda e: sorted(e.items()),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(manifest=_TRACE_MANIFESTS.filter(lambda m: m["planted"]), edit=st.sampled_from(sorted(_MISFIT_ENTRIES)), data=st.data())
+def test_write_manifest_raises_on_a_misfit_entry_leaving_a_prefix_of_json(tmp_path_factory, manifest, edit, data):
+    """A misfit entry raises before its text is written, so what was
+    written is the start of json's text."""
+    at = data.draw(st.integers(0, len(manifest["planted"]) - 1), label="at")
+    manifest["planted"][at] = _MISFIT_ENTRIES[edit](manifest["planted"][at])
+    out = tmp_path_factory.mktemp("manifest")
+    with pytest.raises((ValueError, TypeError)):
+        _write_manifest(out, manifest)
+    assert json_manifest(manifest).startswith((out / "manifest.json").read_text(encoding="utf-8"))
 
 
 def test_gen_fixtures_traces_holds_no_corpus(tmp_path):

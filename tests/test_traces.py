@@ -6,6 +6,7 @@ import json
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import example, given, settings
@@ -318,11 +319,6 @@ def reference_line(tx: Transaction) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-# symbols json must escape: quote, backslash, control characters, non-ASCII
-# text and a lone surrogate, else any text
-escaped_symbols = st.text(st.sampled_from('"\\\x00\n\x1f\x7fA\u00e9\u4e2d\ud800\U0001f600') | st.characters(exclude_categories=()), max_size=5)
-
-
 @st.composite
 def any_events(draw, tokens):
     """Any event the types allow: a swap's or a transfer's own fields, each
@@ -348,7 +344,7 @@ def any_events(draw, tokens):
 def transactions_sharing_symbols(draw):
     """Transactions over a few symbols, so that tokens which share a symbol
     but differ in address or decimals meet in one stream."""
-    symbols = draw(st.lists(escaped_symbols, min_size=1, max_size=3))
+    symbols = draw(st.lists(strategies.escaped_text, min_size=1, max_size=3))
     tokens = st.builds(
         TokenId,
         symbol=st.sampled_from(symbols),
@@ -388,6 +384,29 @@ def test_lines_equal_json_dumps_of_dicts(txs):
     """Each line is what compact json.dumps writes from the transaction's
     fields, escapes included, even where tokens share a symbol."""
     assert list(serialize_transactions(txs)) == [reference_line(tx) for tx in txs]
+
+
+def test_a_token_freed_after_its_line_lends_its_id_no_text():
+    """Each transaction holds a fresh token that is freed once its line is
+    taken, so a later token can have a freed one's id; the memo holds every
+    token it keys by id, so no line takes another token's text."""
+
+    def transfer(n: int) -> Transaction:
+        token = TokenId(f"T{n}", n.to_bytes(20, "big"), n % 37)
+        return Transaction(n.to_bytes(32, "big"), n, b"\x01" * 20, (TraceEvent(EventKind.TRANSFER, to=b"\x02" * 20, amount=n, token_out=token),), 0, 0)
+
+    ids = []
+
+    def fresh(count: int) -> Iterator[Transaction]:
+        for n in range(count):
+            tx = transfer(n)
+            ids.append(id(tx.events[0].token_out))
+            yield tx
+
+    count = MAX_SHARED_TOKENS + 500
+    for n, line in enumerate(serialize_transactions(fresh(count))):
+        assert line == reference_line(transfer(n))
+    assert len(set(ids)) < count  # ids were taken again past the memo's bound, so the hazard was live
 
 
 WORKED_EXAMPLE = json.loads((DATA / "worked_example_trace.ndjson").read_text())
