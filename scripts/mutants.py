@@ -46,6 +46,14 @@ FRAGMENT_MEMO = """fragments.get(id(token))
             if len(fragments) < MAX_SHARED_TOKENS:
                 fragments[id(token)] = entry"""
 
+# gen-fixtures's planted spool: each entry is written as it is drawn
+SPOOL_LOOP = """    sep = "["
+    for item, entry in drawn:
+        if entry is not None:
+            spool.write(_planted_text(sep, entry))
+            sep = ","
+        yield item"""
+
 MUTANTS = [
     {
         "name": "symbol-written-unescaped",
@@ -75,9 +83,25 @@ MUTANTS = [
         "name": "manifest-entry-comma-dropped",
         "why": "manifest.json's planted entries are written without the comma between them",
         "file": CLI,
-        "old": '                sep = ","',
-        "new": '                sep = ""',
+        "old": '            sep = ","',
+        "new": '            sep = ""',
         "tests": [MANIFEST_TEST],
+    },
+    {
+        "name": "planted-entries-held",
+        "why": "gen-fixtures holds every planted entry in a list and spools them once the draw ends",
+        "file": CLI,
+        "old": SPOOL_LOOP,
+        "new": """    held = []
+    for item, entry in drawn:
+        if entry is not None:
+            held.append(entry)
+        yield item
+    sep = "["
+    for entry in held:
+        spool.write(_planted_text(sep, entry))
+        sep = ','""",
+        "tests": [f"{CLI_TESTS}::test_gen_fixtures_traces_peak_is_flat_in_count"],
     },
     {
         "name": "manifest-net-and-share-swapped",

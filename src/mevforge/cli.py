@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Callable, Iterator, TypeVar
@@ -79,9 +79,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     labels = _read(args.labels, read_labels)
 
     stats = ParseStats()
-    errors: list[tuple[str, str]] = []
+    errors = 0  # rows written to errors.csv, which opens at the first
 
     def produce():
+        nonlocal errors
         for tx in iter_transactions(traces, stats):
             path = extract_arbitrage_cycle(tx)
             if path is None:
@@ -95,7 +96,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 share_usd = to_usd(share, base_token, config.price_table)
                 timestamp = records.timestamp_for_block(tx.block_number, config.genesis_unix)
             except (MissingPriceError, ShareTokenError, records.TimestampRangeError) as exc:
-                errors.append((format_address(tx.hash), str(exc)))
+                if not errors:
+                    error_fh = files.enter_context(open(out / "errors.csv", "w", encoding="utf-8", newline=""))
+                    error_rows = csv.writer(error_fh, lineterminator="\n")
+                    error_rows.writerow(["tx_hash", "error"])
+                error_rows.writerow([format_address(tx.hash), str(exc)])
+                errors += 1
                 continue
             yield records.ArbitrageRecord(
                 tx_hash=tx.hash,
@@ -114,7 +120,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     try:
         # the trace file opens first, so a missing one leaves --out as it was, or absent
-        with _input(args.traces) as traces:
+        with _input(args.traces) as traces, ExitStack() as files:
             made = [d for d in (Path(args.out), *Path(args.out).parents) if not d.exists()]  # deepest first
             out = _out_dir(args.out)
             with open(out / "records.csv", "w", encoding="utf-8", newline="") as fh:
@@ -128,15 +134,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
             directory.rmdir()
         raise
 
-    if errors:
-        with open(out / "errors.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["tx_hash", "error"])
-            writer.writerows(errors)
-    else:
+    if not errors:
         (out / "errors.csv").unlink(missing_ok=True)
-    skipped = stats.transactions - emitted - len(errors)
-    print(f"records={emitted} skipped={skipped} unknown_events={stats.unknown_events} errors={len(errors)}")
+    skipped = stats.transactions - emitted - errors
+    print(f"records={emitted} skipped={skipped} unknown_events={stats.unknown_events} errors={errors}")
     return 1 if errors else 0
 
 
@@ -261,17 +262,29 @@ def _planted_text(sep: str, entry: dict) -> str:
     )
 
 
-def _write_manifest(out: Path, manifest: dict) -> None:
+def _spool_planted(spool: IO[str], drawn: Iterator[tuple[T, dict | None]]) -> Iterator[T]:
+    """Each item drawn, in turn; each planted entry drawn with one is written
+    to spool as it comes, as _planted_text writes it after "[" (the first) or
+    "," (the rest), so spool holds json's text of the planted list but its
+    "\\n  ]" end."""
+    sep = "["
+    for item, entry in drawn:
+        if entry is not None:
+            spool.write(_planted_text(sep, entry))
+            sep = ","
+        yield item
+
+
+def _write_manifest(out: Path, manifest: dict, planted: IO[str] | None = None) -> None:
     """Write out/manifest.json as exactly json.dump(manifest, fh, indent=2,
-    sort_keys=True) then "\\n" writes it.  json's indenting encoder is pure
-    Python, so a nonempty "planted" list (a trace corpus's ground truth,
-    nearly all of its bytes) is streamed one entry per write instead.  An
-    entry the format string cannot write as json would raises ValueError or
-    TypeError before any of its text is written, so the file then holds a
-    prefix of json's text."""
-    planted = manifest.get("planted")
+    sort_keys=True) then "\\n" writes it.  With a planted spool (a trace
+    corpus's ground truth, as _spool_planted wrote it, nearly all of the
+    file's bytes), "planted" is the list the spool holds: json.dump's text
+    before that key is written, then the spool copied as it is, then the
+    text after it.  The head waits for the spool, since the keys before
+    "planted" include counts known only once every entry is drawn."""
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        if type(planted) is not list or not planted:
+        if planted is None:
             json.dump(manifest, fh, indent=2, sort_keys=True)
         else:
             # nested lines are indented deeper and strings hold no newline, so
@@ -279,11 +292,14 @@ def _write_manifest(out: Path, manifest: dict) -> None:
             text = json.dumps({**manifest, "planted": None}, indent=2, sort_keys=True)
             head, _, tail = text.partition('\n  "planted": null')
             fh.write(head + '\n  "planted": ')
-            sep = "["
-            for entry in planted:
-                fh.write(_planted_text(sep, entry))
-                sep = ","
-            fh.write("\n  ]" + tail)
+            if planted.tell():
+                import shutil
+
+                planted.seek(0)
+                shutil.copyfileobj(planted, fh)
+                fh.write("\n  ]" + tail)
+            else:
+                fh.write("[]" + tail)
         fh.write("\n")
 
 
@@ -292,9 +308,9 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
     if args.kind in ("traces", "pools", "records"):
         from . import fixtures
     if args.kind == "traces":
+        import tempfile
+
         corpus = fixtures.gen_trace_corpus(args.seed, 1000 if args.count is None else args.count)
-        with open(out / "traces.ndjson", "w", encoding="utf-8") as fh:
-            fh.writelines(serialize_transactions(corpus.transactions))
         with open(out / "labels.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write("brand,instance,address\n")
             for label in corpus.labels:
@@ -305,7 +321,11 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
             for symbol in corpus.manifest["tokens"]:
                 if symbol not in prices:
                     fh.write(f"price_table.{symbol} = 1\n")
-        _write_manifest(out, corpus.manifest)
+        # the spool goes under --out, since on a tmpfs /tmp its pages would be memory
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=out) as planted:
+            with open(out / "traces.ndjson", "w", encoding="utf-8") as fh:
+                fh.writelines(serialize_transactions(_spool_planted(planted, corpus.transactions)))
+            _write_manifest(out, corpus.manifest, planted)
     elif args.kind == "pools":
         from . import pools
 

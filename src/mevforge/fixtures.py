@@ -55,7 +55,13 @@ def make_token_universe(rng: random.Random) -> list[TokenId]:
 
 @dataclass
 class TraceCorpus:
-    transactions: Iterator[Transaction]  # drawn as consumed; the manifest is complete once it is exhausted
+    """A trace corpus drawn as it is consumed.  Each transaction comes with
+    its planted cycle's manifest entry, or None when it plants none; no
+    entry is kept, so manifest holds every key but "planted", and its
+    planted_cycles and non_cycles counts are set once transactions is
+    exhausted."""
+
+    transactions: Iterator[tuple[Transaction, dict | None]]
     labels: list[BuilderLabel]
     manifest: dict
 
@@ -97,7 +103,6 @@ def gen_trace_corpus(seed: int, n_transactions: int) -> TraceCorpus:
         "transactions": n_transactions,
         "share_address": format_address(DEFAULT_SHARE_ADDRESS),
         "tokens": sorted({t.symbol for t in tokens}),
-        "planted": [],
     }
     transactions = _draw_transactions(rng, tokens, [l.address for l in labels], n_transactions, manifest)
     return TraceCorpus(transactions=transactions, labels=labels, manifest=manifest)
@@ -105,13 +110,13 @@ def gen_trace_corpus(seed: int, n_transactions: int) -> TraceCorpus:
 
 def _draw_transactions(
     rng: random.Random, tokens: list[TokenId], label_addresses: list[bytes], count: int, manifest: dict
-) -> Iterator[Transaction]:
-    """gen_trace_corpus's transactions, one at a time: each planted cycle is
-    appended to the manifest as it is drawn, and the counts are set last."""
+) -> Iterator[tuple[Transaction, dict | None]]:
+    """gen_trace_corpus's transactions, one at a time, each paired with the
+    manifest entry of the cycle planted in it (None if none); only the
+    counts go into the manifest, once the last transaction is drawn."""
     pools: dict[tuple[bytes, bytes], bytes] = {}
     # each token's others, in universe order; the symbols are distinct, so `is not` is !=
     others = {t: [u for u in tokens if u is not t] for t in tokens}
-    planted = manifest["planted"]
     non_cycles = 0
     block = 50_000_000
 
@@ -121,6 +126,7 @@ def _draw_transactions(
         initiator = rng.choice(label_addresses + [_rand_address(rng)])
         roll = rng.random()
         events: list[TraceEvent]
+        entry = None
         if roll < CYCLE_FRACTION:
             base = rng.choice(tokens)
             hops = rng.randint(2, 8)
@@ -164,18 +170,16 @@ def _draw_transactions(
             events = list(swaps)
             for extra in extras + _noise_events(rng, tokens, rng.randint(0, 4)):
                 events.insert(rng.randint(0, len(events)), extra)
-            planted.append(
-                {
-                    "tx_hash": format_address(tx_hash),
-                    "base_token": base.symbol,
-                    "path": [t.symbol for t in route],
-                    "pools": [format_address(s.pool) for s in swaps],
-                    "hop_count": hops,
-                    "gross": gross,
-                    "share": share_total,
-                    "net": gross - share_total,
-                }
-            )
+            entry = {
+                "tx_hash": format_address(tx_hash),
+                "base_token": base.symbol,
+                "path": [t.symbol for t in route],
+                "pools": [format_address(s.pool) for s in swaps],
+                "hop_count": hops,
+                "gross": gross,
+                "share": share_total,
+                "net": gross - share_total,
+            }
         elif roll < CYCLE_FRACTION + 0.15:
             # no swaps at all
             events = _noise_events(rng, tokens, rng.randint(1, 5))
@@ -203,7 +207,7 @@ def _draw_transactions(
                 events.insert(rng.randint(0, len(events)), extra)
             non_cycles += 1
 
-        yield Transaction(
+        tx = Transaction(
             hash=tx_hash,
             block_number=block,
             initiator=initiator,
@@ -211,7 +215,8 @@ def _draw_transactions(
             gas_used=rng.choice((0, 21_000, 180_000)),
             gas_price=0,  # the zero-gas regime; profit identities stay integral
         )
-    manifest["planted_cycles"] = len(planted)
+        yield tx, entry
+    manifest["planted_cycles"] = count - non_cycles
     manifest["non_cycles"] = non_cycles
 
 

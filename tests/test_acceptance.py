@@ -154,13 +154,10 @@ def test_criterion_6_oracle_equivalence_suites():
     # (a) + (b): cycle extraction and share attribution against the
     # planted-path generator on >= 10^4 transactions
     corpus = fixtures.gen_trace_corpus(seed=606, n_transactions=10_000)
-    transactions = list(corpus.transactions)  # the manifest is complete once they are drawn
-    planted = {p["tx_hash"]: p for p in corpus.manifest["planted"]}
     share_set = {DEFAULT_SHARE_ADDRESS}
     extraction_mismatches = share_mismatches = cycles_checked = 0
-    for tx in transactions:
+    for tx, expected in corpus.transactions:
         cycle = extract_arbitrage_cycle(tx)
-        expected = planted.get("0x" + tx.hash.hex())
         if expected is None:
             if cycle is not None:
                 extraction_mismatches += 1

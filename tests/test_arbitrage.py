@@ -103,14 +103,11 @@ def test_same_endpoints_but_broken_chain_is_not_a_cycle():
 
 def test_planted_corpus_paths_recovered_exactly():
     corpus = fixtures.gen_trace_corpus(seed=17, n_transactions=400)
-    transactions = list(corpus.transactions)  # the manifest is complete once they are drawn
-    planted = {p["tx_hash"]: p for p in corpus.manifest["planted"]}
     found = 0
-    for tx in transactions:
+    for tx, expected in corpus.transactions:
         cycle = extract_arbitrage_cycle(tx)
-        key = "0x" + tx.hash.hex()
-        if key in planted:
-            expected = planted[key]
+        if expected is not None:
+            assert expected["tx_hash"] == "0x" + tx.hash.hex()
             assert cycle is not None
             assert [t.symbol for t in cycle.tokens] == expected["path"]
             assert ["0x" + pool.hex() for pool in cycle.pools] == expected["pools"]
@@ -124,7 +121,7 @@ def test_planted_corpus_paths_recovered_exactly():
 def test_permuting_non_swap_events_never_changes_the_path():
     corpus = fixtures.gen_trace_corpus(seed=23, n_transactions=60)
     rng = random.Random(99)
-    for tx in corpus.transactions:
+    for tx, _entry in corpus.transactions:
         baseline = extract_arbitrage_cycle(tx)
         swaps = [e for e in tx.events if e.kind is EventKind.SWAP]
         others = [e for e in tx.events if e.kind is not EventKind.SWAP]
@@ -223,7 +220,7 @@ def test_brute_force_share_oracle_on_planted_corpus():
     corpus = fixtures.gen_trace_corpus(seed=31, n_transactions=500)
     share_set = {DEFAULT_SHARE_ADDRESS}
     checked = 0
-    for tx in corpus.transactions:
+    for tx, _entry in corpus.transactions:
         cycle = extract_arbitrage_cycle(tx)
         if cycle is None:
             continue
@@ -241,13 +238,11 @@ def test_brute_force_share_oracle_on_planted_corpus():
 
 def test_planted_profit_triples_match_manifest():
     corpus = fixtures.gen_trace_corpus(seed=37, n_transactions=300)
-    transactions = list(corpus.transactions)
-    planted = {p["tx_hash"]: p for p in corpus.manifest["planted"]}
-    for tx in transactions:
+    for tx, expected in corpus.transactions:
         cycle = extract_arbitrage_cycle(tx)
         if cycle is None:
             continue
-        expected = planted["0x" + tx.hash.hex()]
+        assert expected is not None and expected["tx_hash"] == "0x" + tx.hash.hex()
         gross, share, gas = attribute_profit(tx)
         assert (gross, share, gross - share - gas) == (expected["gross"], expected["share"], expected["net"])
 

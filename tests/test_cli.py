@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mevforge import fixtures, pools
-from mevforge.cli import _write_manifest, main
+from mevforge.cli import _spool_planted, _write_manifest, main
 from mevforge.config import RunConfig, load_config
 from mevforge.pbs import BUNDLED_SCENARIOS as SCENARIOS
 from mevforge.records import (
@@ -407,6 +407,27 @@ def test_extract_missing_trace_file_leaves_the_records_as_they_were(tmp_path, ca
     assert main(["extract", "--traces", str(missing), "--labels", labels, "--out", str(out)]) == 1
     assert str(missing) in capsys.readouterr().err
     assert read_all(out) == written
+
+
+def test_extract_a_bad_trace_line_after_an_error_row_leaves_no_report(tmp_path, capsys):
+    """errors.csv opens at its first row, so a bad line read after it
+    removes that file too, as it does the records."""
+    unpriced = json.loads((DATA / "worked_example_trace.ndjson").read_text())
+    for event in unpriced["events"]:
+        for key in ("token_in", "token_out"):
+            if event.get(key, {}).get("symbol") == "USDT":
+                event[key]["symbol"] = "NOPRICE"
+    trace = tmp_path / "traces.ndjson"
+    trace.write_text(json.dumps(unpriced) + "\n" + '{"bad\n')
+    out = tmp_path / "o"
+    out.mkdir()
+    code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {trace}: line 2: ")
+    assert list(out.iterdir()) == []
+    trace.write_text(json.dumps(unpriced) + "\n")
+    assert main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(out)]) == 1
+    assert (out / "errors.csv").read_text().startswith("tx_hash,error\n")
 
 
 def test_extract_a_bad_trace_line_removes_only_the_out_it_made(tmp_path, capsys):
@@ -886,6 +907,37 @@ def test_analyze_holds_no_rows(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 2 * 2**20
+
+
+def test_extract_holds_no_error_rows(tmp_path):
+    """1,000 unpriced cycles make 1,000 error rows whose messages alone take
+    2 MiB; each row is written as it comes, so the traced peak stays far
+    below that."""
+    symbol = "X" * 2048
+    token = {"symbol": symbol, "address": "0x" + "e1" * 20, "decimals": 18}
+    wbnb = {"symbol": "WBNB", "address": "0x" + "bb" * 20, "decimals": 18}
+    events = [
+        {"kind": "swap", "pool": "0x" + "a1" * 20, "token_in": token, "token_out": wbnb, "amount_in": "10", "amount_out": "20"},
+        {"kind": "swap", "pool": "0x" + "a2" * 20, "token_in": wbnb, "token_out": token, "amount_in": "20", "amount_out": "12"},
+    ]
+    trace = tmp_path / "traces.ndjson"
+    with open(trace, "w", encoding="utf-8") as fh:
+        for i in range(1000):
+            header = {"hash": f"0x{i:064x}", "block": i + 1, "from": "0x" + "11" * 20, "gas_used": 0, "gas_price": 0}
+            fh.write(json.dumps({**header, "events": events}) + "\n")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(out)])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    with open(out / "errors.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["tx_hash", "error"] and len(rows) == 1001
+    assert rows[-1] == [f"0x{999:064x}", f"no price for {symbol}"]
+    assert peak < 2**20
 
 
 # SHA-256 of extract's records.csv and analyze's eight reports, taken before
@@ -1518,7 +1570,9 @@ def test_gen_fixtures_deterministic(tmp_path):
 
 # SHA-256 of gen-fixtures --kind traces output, taken while the generator
 # still held the whole corpus; drawing and writing it a transaction at a
-# time moves no byte.  At --count 0 the planted list renders as [].
+# time moves no byte.  At --count 0 the planted list renders as [].  At
+# --count 1 (taken while the manifest held the planted list) the one
+# transaction plants no cycle, so an empty spool must also render as [].
 _GEN_LABELS = "d10d29d8c597c3ee1f5b50e8bd9d97b3d82e3b05f1fcbe963342d149dc07487b"
 _GEN_RUN_CFG = "20bf986f5f279bbc2e65cf529d541437fadc954607b7dcf013cf0c5c9af1e6f3"
 PINNED_TRACE_FIXTURE_DIGESTS = {
@@ -1533,6 +1587,12 @@ PINNED_TRACE_FIXTURE_DIGESTS = {
         "manifest.json": "47f17453639b60b2fb358250e831ba4aa5fd1b2292ac064bd5b1e514ac98e173",
         "run.cfg": _GEN_RUN_CFG,
         "traces.ndjson": hashlib.sha256(b"").hexdigest(),
+    },
+    "1": {
+        "labels.csv": _GEN_LABELS,
+        "manifest.json": "0ce7d63debc658cf791c4318b2eb0b10ceea447f9a11897e8ad46157585bf9c0",
+        "run.cfg": _GEN_RUN_CFG,
+        "traces.ndjson": "a53d4c71259f30323617117763545704191f11a7d4dd81ea2d40a69a16719a9a",
     },
 }
 
@@ -1580,14 +1640,25 @@ def json_manifest(manifest: dict) -> str:
     return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
+def spool(fh, planted: list) -> None:
+    """Write the entries to fh through _spool_planted, each drawn with a
+    transaction that is None."""
+    list(_spool_planted(fh, ((None, entry) for entry in planted)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(manifest=_TRACE_MANIFESTS)
 @example(manifest={"kind": "traces", "planted": []})
 @example(manifest={"kind": "traces", "planted": [_ONE_ENTRY]})
 @example(manifest={"kind": "traces", "planted": [_ONE_ENTRY, {**_ONE_ENTRY, "share": 1}]})
 def test_write_manifest_writes_what_json_dump_writes(tmp_path_factory, manifest):
+    """The manifest's other keys, with the planted entries spooled, write
+    as json.dump writes the manifest with its planted list."""
     out = tmp_path_factory.mktemp("manifest")
-    _write_manifest(out, manifest)
+    head = {key: value for key, value in manifest.items() if key != "planted"}
+    with open(out / "spool", "w+", encoding="utf-8", newline="") as planted:
+        spool(planted, manifest["planted"])
+        _write_manifest(out, head, planted)
     assert (out / "manifest.json").read_text(encoding="utf-8") == json_manifest(manifest)
 
 
@@ -1610,29 +1681,51 @@ _MISFIT_ENTRIES = {
 @settings(max_examples=100, deadline=None)
 @given(manifest=_TRACE_MANIFESTS.filter(lambda m: m["planted"]), edit=st.sampled_from(sorted(_MISFIT_ENTRIES)), data=st.data())
 def test_write_manifest_raises_on_a_misfit_entry_leaving_a_prefix_of_json(tmp_path_factory, manifest, edit, data):
-    """A misfit entry raises before its text is written, so what was
-    written is the start of json's text."""
+    """A misfit entry raises before its text reaches the spool, so the
+    spool holds the start of json's text of the planted list."""
     at = data.draw(st.integers(0, len(manifest["planted"]) - 1), label="at")
     manifest["planted"][at] = _MISFIT_ENTRIES[edit](manifest["planted"][at])
-    out = tmp_path_factory.mktemp("manifest")
-    with pytest.raises((ValueError, TypeError)):
-        _write_manifest(out, manifest)
-    assert json_manifest(manifest).startswith((out / "manifest.json").read_text(encoding="utf-8"))
+    tmp = tmp_path_factory.mktemp("manifest")
+    with open(tmp / "spool", "w", encoding="utf-8", newline="") as planted, pytest.raises((ValueError, TypeError)):
+        spool(planted, manifest["planted"])
+    _head, _, planted_text = json_manifest(manifest).partition('\n  "planted": ')
+    assert planted_text.startswith((tmp / "spool").read_text(encoding="utf-8"))
 
 
-def test_gen_fixtures_traces_holds_no_corpus(tmp_path):
+@pytest.fixture(scope="module")
+def gen_traces_peaks(tmp_path_factory):
+    """Traced Python allocation peak of gen-fixtures --kind traces (seed
+    101) by --count, after an untraced run has done any first-call work."""
+    def run(count, out):
+        return main(["gen-fixtures", "--kind", "traces", "--seed", "101", "--count", str(count), "--out", str(out)])
+
+    assert run(500, tmp_path_factory.mktemp("warm")) == 0
+    peaks = {}
+    for count in (500, 5000):
+        out = tmp_path_factory.mktemp(f"gen{count}")
+        tracemalloc.start()
+        try:
+            code = run(count, out)
+            _current, peaks[count] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["labels.csv", "manifest.json", "run.cfg", "traces.ndjson"]
+    return peaks
+
+
+def test_gen_fixtures_traces_holds_no_corpus(gen_traces_peaks):
     """Traced Python allocations of a 5,000-transaction trace corpus peak
-    near 4 MiB, most of it the manifest's planted list; holding every
-    transaction and the whole file as one string took 37 MiB."""
-    argv = ["gen-fixtures", "--kind", "traces", "--seed", "101", "--count", "5000", "--out", str(tmp_path)]
-    tracemalloc.start()
-    try:
-        code = main(argv)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak < 6 * 2**20
+    near 0.3 MiB, since the planted entries go to a spool file as they are
+    drawn; holding them in the manifest took 3.9 MiB, and holding every
+    transaction and the whole file as one string 37 MiB."""
+    assert gen_traces_peaks[5000] < 2 * 2**20
+
+
+def test_gen_fixtures_traces_peak_is_flat_in_count(gen_traces_peaks):
+    """Ten times the transactions raise the traced peak by under 0.25 MiB:
+    nothing gen-fixtures holds grows with --count."""
+    assert abs(gen_traces_peaks[5000] - gen_traces_peaks[500]) < 2**20 / 4
 
 
 def test_gen_fixtures_pools_pass_invariants(tmp_path):

@@ -54,7 +54,7 @@ def test_empty_stream_parses_to_empty_list():
 
 
 def test_generated_corpus_round_trips_identically():
-    transactions = list(fixtures.gen_trace_corpus(seed=11, n_transactions=1000).transactions)
+    transactions = [tx for tx, _entry in fixtures.gen_trace_corpus(seed=11, n_transactions=1000).transactions]
     text = "".join(serialize_transactions(transactions))
     reparsed = list(iter_transactions(io.StringIO(text)))
     assert len(reparsed) == 1000
@@ -66,7 +66,7 @@ def test_trace_corpus_is_drawn_and_written_a_transaction_at_a_time():
     """Each transaction is drawn, and its line made, only when asked for;
     the manifest's counts are set once the last one is drawn."""
     corpus = fixtures.gen_trace_corpus(seed=3, n_transactions=4)
-    lines = serialize_transactions(corpus.transactions)
+    lines = serialize_transactions(tx for tx, _entry in corpus.transactions)
     first = next(lines)
     assert first.endswith("}\n") and first.count("\n") == 1
     assert "planted_cycles" not in corpus.manifest
@@ -85,7 +85,7 @@ def test_round_trip_property(txs):
 
 def test_parse_normalizes_whitespace_variants():
     corpus = fixtures.gen_trace_corpus(seed=3, n_transactions=5)
-    canonical = "".join(serialize_transactions(corpus.transactions))
+    canonical = "".join(serialize_transactions(tx for tx, _entry in corpus.transactions))
     import json
 
     loose_lines = [json.dumps(json.loads(line), indent=None, separators=(", ", ": ")) for line in canonical.splitlines()]
@@ -94,14 +94,14 @@ def test_parse_normalizes_whitespace_variants():
 
 
 def test_parse_preserves_event_order():
-    transactions = list(fixtures.gen_trace_corpus(seed=5, n_transactions=50).transactions)
+    transactions = [tx for tx, _entry in fixtures.gen_trace_corpus(seed=5, n_transactions=50).transactions]
     text = "".join(serialize_transactions(transactions))
     for original, parsed in zip(transactions, iter_transactions(io.StringIO(text))):
         assert [e.kind for e in parsed.events] == [e.kind for e in original.events]
 
 
 def test_malformed_line_reports_line_number():
-    good = "".join(serialize_transactions(fixtures.gen_trace_corpus(seed=1, n_transactions=1).transactions))
+    good = "".join(serialize_transactions(tx for tx, _entry in fixtures.gen_trace_corpus(seed=1, n_transactions=1).transactions))
     stream = io.StringIO(good + "{not json\n")
     with pytest.raises(TraceParseError) as excinfo:
         list(iter_transactions(stream))
@@ -129,7 +129,7 @@ def test_a_loose_repeat_of_a_good_token_reports_line_number(good, loose):
 
 
 def test_equal_tokens_in_one_stream_share_one_token_id():
-    text = "".join(serialize_transactions(fixtures.gen_trace_corpus(seed=4, n_transactions=50).transactions))
+    text = "".join(serialize_transactions(tx for tx, _entry in fixtures.gen_trace_corpus(seed=4, n_transactions=50).transactions))
     events = [event for tx in iter_transactions(io.StringIO(text)) for event in tx.events]
     tokens = [token for event in events for token in (event.token_in, event.token_out) if token is not None]
     assert len(tokens) > len(set(tokens)) > 1
@@ -151,7 +151,7 @@ def test_a_stream_of_ever_new_tokens_holds_a_bounded_number():
 
 
 def test_non_object_event_reports_line_number():
-    good = "".join(serialize_transactions(fixtures.gen_trace_corpus(seed=1, n_transactions=1).transactions))
+    good = "".join(serialize_transactions(tx for tx, _entry in fixtures.gen_trace_corpus(seed=1, n_transactions=1).transactions))
     bad = json.dumps({**json.loads(good), "events": ["x"]})
     with pytest.raises(TraceParseError) as excinfo:
         list(iter_transactions(io.StringIO(good + bad + "\n")))
@@ -166,7 +166,7 @@ def test_missing_field_reports_line_number():
 
 
 def test_unknown_event_kind_skipped_with_counter():
-    [tx] = fixtures.gen_trace_corpus(seed=2, n_transactions=1).transactions
+    [(tx, _entry)] = fixtures.gen_trace_corpus(seed=2, n_transactions=1).transactions
     import json
 
     [line] = serialize_transactions([tx])
