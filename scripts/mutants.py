@@ -199,13 +199,33 @@ MUTANTS = [
     },
     {
         "name": "dead-v3-hop-passes-zero",
-        "why": "a V3 hop that pays out 0 hands 0 to the next hop, which raises ValueError",
+        "why": "a first-hop V3 pool that pays out 0 hands 0 to the next hop, which raises ValueError",
         "file": POOLS,
         "old": "    if amount_out == 0:\n        raise DustError(\"V3 hop output is zero\")",
         "new": "    if False:\n        raise DustError(\"V3 hop output is zero\")",
+        "tests": [f"{POOLS_TESTS}::test_a_dead_v3_hop_ends_the_path_as_dust"],
+    },
+    {
+        "name": "no-refund",
+        "why": "a first-hop remainder is not refunded, so the run counts all of amount0 as spent",
+        "file": POOLS,
+        "old": "    spent = amount0 - remainder\n",
+        "new": "    spent = amount0\n",
         "tests": [
-            f"{POOLS_TESTS}::test_a_dead_v3_hop_ends_the_path_as_dust",
-            f"{CLI_TESTS}::test_simulate_over_a_v3_pool_at_the_end_of_its_range",
+            f"{POOLS_TESTS}::test_a_v3_remainder_is_refunded_at_the_first_hop_and_ends_a_later_one",
+            f"{POOLS_TESTS}::test_executor_equals_probe_near_range_ends",
+        ],
+    },
+    {
+        "name": "refund-at-every-hop",
+        "why": "a later hop's remainder, in another token than the delta, is refunded as if it were the entry token",
+        "file": POOLS,
+        "old": """        if remainder:
+            raise DustError("a later hop left input unconsumed")""",
+        "new": """        spent -= remainder""",
+        "tests": [
+            f"{POOLS_TESTS}::test_a_v3_remainder_is_refunded_at_the_first_hop_and_ends_a_later_one",
+            f"{POOLS_TESTS}::test_no_delta_exceeds_the_profit_bound_near_range_ends",
         ],
     },
     {
@@ -278,6 +298,14 @@ MUTANTS = [
         "old": "            if key in key_lines:",
         "new": "            if False:",
         "tests": [f"{CLI_TESTS}::test_extract_config_key_set_twice_names_both_lines"],
+    },
+    {
+        "name": "decay-any-text",
+        "why": "the opportunity's decay takes any text, so a curve nothing computes reads as piecewise",
+        "file": PBS,
+        "old": """            (self.decay != "piecewise", f"decay: expected 'piecewise', got {self.decay!r:.40}"),\n""",
+        "new": "",
+        "tests": [f"{CLI_TESTS}::test_simulate_lists_every_value_fault_by_its_key[opportunity-decay]"],
     },
     {
         "name": "tail-against-failed-peak",

@@ -17,13 +17,13 @@ against it, so a slot costs only its non-delivery draws, seeded from
 (seed, height).  How long a slot stayed contested is read off its schedule
 (BidSchedule.contested_ms).
 
-Event timing is rational milliseconds throughout; every outcome is a pure
-function of (scenario, seed).  A campaign is single-threaded by design;
-parallelize across campaigns, not within one.
+Event timing is rational milliseconds and the opportunity's one piecewise
+curve (OpportunityModel) exact rational arithmetic throughout; every
+outcome is a pure function of (scenario, seed).  A campaign is
+single-threaded by design; parallelize across campaigns, not within one.
 """
 
 import json
-import math
 import random
 from collections import defaultdict
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -31,7 +31,6 @@ from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from sys import float_info
 from typing import Iterable, Iterator, Optional, Sequence, get_args, get_origin
 
 from . import BUNDLED_SCENARIOS  # kept here too, as pbs.BUNDLED_SCENARIOS
@@ -66,11 +65,6 @@ class Strategy(Enum):
     SHORT_HOP = "short_hop"
     LONG_HOP = "long_hop"
     MIXED = "mixed"
-
-
-class DecayShape(Enum):
-    PIECEWISE = "piecewise"
-    EXPONENTIAL = "exponential"
 
 
 @dataclass(frozen=True)
@@ -108,18 +102,17 @@ class BuilderAgent:
 class OpportunityModel:
     """Value of an arbitrage opportunity as a function of time.
 
-    Piecewise default: flat at peak_value until knee_ms after birth, linear
-    down to gas_floor at deadline_ms, then tail_value (below gas_floor, at
-    most peak_value).  The exponential alternative decays continuously and
-    is clamped to tail_value from the deadline on; its peak must fit a
-    float.  value() is non-increasing either way and exactly peak_value at
-    birth.
+    One piecewise curve (decay "piecewise", the only shape): flat at
+    peak_value until knee_ms after birth, linear down to gas_floor at
+    deadline_ms, then tail_value (below gas_floor, at most peak_value).
+    value() is exact rational arithmetic, non-increasing and exactly
+    peak_value at birth.
     """
 
     peak_value: int
     gas_floor: int
     birth_ms: Fraction = Fraction(0)
-    decay: DecayShape = DecayShape.PIECEWISE
+    decay: str = "piecewise"
     knee_ms: Fraction = Fraction(100)
     deadline_ms: Fraction = Fraction(200)
     tail_value: int = 0
@@ -129,8 +122,8 @@ class OpportunityModel:
         peak_ok, floor_ok = self.peak_value >= 0, self.gas_floor >= 0
         _check(
             (not peak_ok, "peak_value: must be >= 0"),
-            (self.decay is DecayShape.EXPONENTIAL and self.peak_value > float_info.max, "peak_value: too large for a float"),
             (not floor_ok, "gas_floor: must be >= 0"),
+            (self.decay != "piecewise", f"decay: expected 'piecewise', got {self.decay!r:.40}"),
             (
                 self.tail_value < 0 or floor_ok and self.tail_value >= max(self.gas_floor, 1),
                 "tail_value: must be >= 0 and below gas_floor, unless 0",
@@ -145,20 +138,11 @@ class OpportunityModel:
             return 0
         if elapsed >= self.deadline_ms:
             return self.tail_value
-        if self.decay is DecayShape.PIECEWISE:
-            if elapsed <= self.knee_ms:
-                return self.peak_value
-            # the peak clamp keeps a peak below gas_floor from rising toward it
-            slope = Fraction(self.peak_value - self.gas_floor) / (self.deadline_ms - self.knee_ms)
-            return min(self.peak_value, int(self.peak_value - slope * (elapsed - self.knee_ms)))
-        # exponential: reach gas_floor at the deadline, clamp to tail after;
-        # the peak clamp keeps float rounding above 2**53 from overshooting
-        if elapsed == 0:
+        if elapsed <= self.knee_ms:
             return self.peak_value
-        if self.peak_value <= self.gas_floor or self.gas_floor == 0:
-            return self.tail_value
-        rate = math.log(self.peak_value / self.gas_floor) / float(self.deadline_ms)
-        return min(self.peak_value, max(self.tail_value, int(self.peak_value * math.exp(-rate * float(elapsed)))))
+        # the peak clamp keeps a peak below gas_floor from rising toward it
+        slope = Fraction(self.peak_value - self.gas_floor) / (self.deadline_ms - self.knee_ms)
+        return min(self.peak_value, int(self.peak_value - slope * (elapsed - self.knee_ms)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ matching on-chain behavior.  Fees are parts per million so both the
 Each swap has two layers.  quote_v2 and step_v3 hold the formulas and
 return amounts only (step_v3 also the new sqrt price and the unused
 input); swap runs the one its pool's kind names and builds the post-swap
-PoolState.
+PoolState.  A V3 pool that reaches the end of its price range leaves the
+rest of its input with the payer; _thread_hops states once what a path
+does with that remainder.
 
 PoolState is immutable and a run never writes to the caller's pool map: it
 keeps a map of the pools it touched, which an aborted run simply drops and
@@ -184,25 +186,26 @@ def step_v3(liquidity: int, sqrt_p: int, fee_ppm: int, direction: int, amount_in
 
 
 def _v3_hop_out(amount_out: int) -> int:
-    # a V3 pool at the end of its price range keeps the input and pays out 0
+    # a V3 pool already at the end of its price range pays out 0
     if amount_out == 0:
         raise DustError("V3 hop output is zero")
     return amount_out
 
 
-def swap(pool: PoolState, token_in: TokenId, amount_in: int) -> tuple[int, PoolState]:
-    """(amount_out, post-swap state) of one hop: quote_v2 on a V2 pool,
-    step_v3 on a V3 one, where a zero output is dust.  The input step_v3
-    leaves unconsumed at the end of its range is not returned."""
+def swap(pool: PoolState, token_in: TokenId, amount_in: int) -> tuple[int, PoolState, int]:
+    """(amount_out, post-swap state, remainder) of one hop: quote_v2 on a V2
+    pool, step_v3 on a V3 one, where a zero output is dust.  The remainder
+    is the input step_v3 leaves unconsumed at the end of its range; 0 on a
+    V2 pool."""
     direction = _direction(pool, token_in)
     if pool.kind is PoolKind.V2:
         if direction == 0:
             amount_out = quote_v2(pool.reserve0, pool.reserve1, pool.fee_ppm, amount_in)
-            return amount_out, replace(pool, reserve0=pool.reserve0 + amount_in, reserve1=pool.reserve1 - amount_out)
+            return amount_out, replace(pool, reserve0=pool.reserve0 + amount_in, reserve1=pool.reserve1 - amount_out), 0
         amount_out = quote_v2(pool.reserve1, pool.reserve0, pool.fee_ppm, amount_in)
-        return amount_out, replace(pool, reserve1=pool.reserve1 + amount_in, reserve0=pool.reserve0 - amount_out)
-    amount_out, new_sqrt, _unused = step_v3(pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm, direction, amount_in)
-    return _v3_hop_out(amount_out), replace(pool, sqrt_price_x96=new_sqrt)
+        return amount_out, replace(pool, reserve1=pool.reserve1 + amount_in, reserve0=pool.reserve0 - amount_out), 0
+    amount_out, new_sqrt, unused = step_v3(pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm, direction, amount_in)
+    return _v3_hop_out(amount_out), replace(pool, sqrt_price_x96=new_sqrt), unused
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +246,41 @@ def _path_pools(descriptor: PathDescriptor, pools: Mapping[bytes, PoolState]) ->
     return path
 
 
-def _hop_quote(pool: PoolState, token_in: TokenId) -> Callable[[int], int]:
-    """The hop's output amount as a function of its input, on the pool's
-    current state."""
+def _hop_quote(pool: PoolState, token_in: TokenId) -> Callable[[int], tuple[int, int]]:
+    """The hop's (output, remainder) as a function of its input, on the
+    pool's current state, as swap gives them."""
     direction = _direction(pool, token_in)
     if pool.kind is PoolKind.V2:
         reserves = (pool.reserve0, pool.reserve1) if direction == 0 else (pool.reserve1, pool.reserve0)
-        return partial(quote_v2, *reserves, pool.fee_ppm)
+        quote = partial(quote_v2, *reserves, pool.fee_ppm)
+        return lambda amount: (quote(amount), 0)
     step = partial(step_v3, pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm, direction)
-    return lambda amount: _v3_hop_out(step(amount)[0])
+
+    def hop(amount: int) -> tuple[int, int]:
+        amount_out, _sqrt, unused = step(amount)
+        return _v3_hop_out(amount_out), unused
+
+    return hop
+
+
+def _thread_hops(hops: Iterable[Callable[[int], tuple[int, int]]], amount0: int, is_cycle: bool) -> int:
+    """The delta of amount0 threaded through hops, each a function of its
+    input to (output, remainder): the entry-token balance the run gains.
+
+    A first-hop remainder is refunded to the entry balance, so the run
+    spends amount0 - remainder: delta is the last output less that spend
+    on a cycle, and minus the spend on an open path.  A later hop's
+    remainder is in another token than the delta, so it ends the run as
+    dust does.
+    """
+    hops = iter(hops)
+    amount, remainder = next(hops)(amount0)
+    spent = amount0 - remainder
+    for hop in hops:
+        amount, remainder = hop(amount)
+        if remainder:
+            raise DustError("a later hop left input unconsumed")
+    return amount - spent if is_cycle else -spent
 
 
 def _execute_path(
@@ -261,18 +290,19 @@ def _execute_path(
     `path` (_path_pools), without changing them.
 
     Returns (delta, hop_amounts, touched): touched maps each pool the run
-    visited to its post-run state, and delta is the entry-token balance the
-    run gains, the last output minus amount0 on a cycle and -amount0 on an
-    open path.
+    visited to its post-run state, and delta is _thread_hops' entry-token
+    balance the run gains.
     """
     touched: dict[bytes, PoolState] = {}
-    amount = amount0
     hop_amounts: list[int] = []
-    for token_in, pool in zip(descriptor.tokens, path):
-        amount, touched[pool.address] = swap(touched.get(pool.address, pool), token_in, amount)
-        hop_amounts.append(amount)
-    delta = amount - amount0 if descriptor.is_cycle else -amount0
-    return delta, hop_amounts, touched
+
+    def hop(token_in: TokenId, pool: PoolState, amount: int) -> tuple[int, int]:
+        amount_out, touched[pool.address], remainder = swap(touched.get(pool.address, pool), token_in, amount)
+        hop_amounts.append(amount_out)
+        return amount_out, remainder
+
+    hops = (partial(hop, token_in, pool) for token_in, pool in zip(descriptor.tokens, path))
+    return _thread_hops(hops, amount0, descriptor.is_cycle), hop_amounts, touched
 
 
 def arbitrage_run(
@@ -284,8 +314,9 @@ def arbitrage_run(
     """Execute a path atomically, requiring a strictly positive surplus.
 
     Hops run in descriptor order, each on the V2 or V3 formula of its
-    pool's kind, each output feeding the next input.  If the surplus delta
-    is not positive the whole run aborts and None is returned with every
+    pool's kind, each output feeding the next input, and a V3 remainder
+    goes as _thread_hops says.  If the surplus delta is not positive, or a
+    hop dies as dust, the whole run aborts and None is returned with every
     pool untouched.  On success the surplus is split as
     payout = floor(delta * share_ratio_bp / 10000), kept = delta - payout,
     and the post-run pool map is returned alongside the result.
@@ -327,10 +358,7 @@ def _delta_fn(descriptor: PathDescriptor, pools: Mapping[bytes, PoolState]) -> C
         is_cycle = descriptor.is_cycle
 
         def run(amount0: int) -> int:
-            amount = amount0
-            for quote in quotes:
-                amount = quote(amount)
-            return amount - amount0 if is_cycle else -amount0
+            return _thread_hops(quotes, amount0, is_cycle)
 
     def delta(amount0: int) -> int:
         try:
@@ -344,10 +372,10 @@ def _delta_fn(descriptor: PathDescriptor, pools: Mapping[bytes, PoolState]) -> C
 def cycle_delta(descriptor: PathDescriptor, pools: Mapping[bytes, PoolState], amount0: int) -> int:
     """Surplus of executing the path, without the profit gate or payouts.
 
-    Used when searching for the best input; a run that dies mid-path (dust)
-    counts as losing the whole input.  Only the hops' output amounts are
-    worked out, no post-swap pool state, unless the descriptor repeats a
-    pool (see _delta_fn).
+    Used when searching for the best input; a run that dies mid-path (dust,
+    or a later hop's remainder) counts as losing the whole input.  Only the
+    hops' output amounts are worked out, no post-swap pool state, unless
+    the descriptor repeats a pool (see _delta_fn).
     """
     if amount0 <= 0:
         raise ValueError("amount0 must be positive")

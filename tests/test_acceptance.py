@@ -191,7 +191,7 @@ def test_criterion_6_oracle_equivalence_suites():
         expected = test_pools.v2_oracle(r_in, r_out, fee, amount)
         pool = test_pools.v2_pool(r_in, r_out, fee_ppm=fee)
         try:
-            out, _ = pools.swap(pool, test_pools.TOKEN_A, amount)
+            out, _, _ = pools.swap(pool, test_pools.TOKEN_A, amount)
         except pools.DustError:
             out = 0
         assert out == expected

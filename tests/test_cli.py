@@ -1335,6 +1335,12 @@ def repeat_first_builder(obj):
             ["opportunity: gas_floor: must be >= 0"],
             id="opportunity-floor-with-tail",
         ),
+        # decay takes the one curve's name, as rotation takes round_robin
+        pytest.param(
+            lambda o: o["opportunity"].update(decay="exponential"),
+            ["opportunity: decay: expected 'piecewise', got 'exponential'"],
+            id="opportunity-decay",
+        ),
     ],
 )
 def test_simulate_lists_every_value_fault_by_its_key(tmp_path, capsys, edit, faults):

@@ -14,7 +14,6 @@ from mevforge.pbs import (
     BidSchedule,
     BuilderAgent,
     ConfigError,
-    DecayShape,
     OpportunityModel,
     ProposerConfig,
     Protocol,
@@ -55,12 +54,13 @@ def test_piecewise_decay_shape():
     assert OPP.gas_floor < OPP.value(Fraction(150)) < OPP.peak_value
     assert OPP.value(Fraction(200)) == 0  # tail below the gas floor
     assert OPP.value(Fraction(10**6)) == 0
+    # exact rational arithmetic: a peak no float holds is still exact
+    assert OpportunityModel(peak_value=10**400, gas_floor=1000).value(Fraction(0)) == 10**400
 
 
 @given(
     t1=st.fractions(min_value=0, max_value=1000),
     t2=st.fractions(min_value=0, max_value=1000),
-    decay=st.sampled_from(list(DecayShape)),
     # odd peaks above 2**53 have no exact float; peaks below the floor must not rise to it
     peak=st.one_of(
         st.just(10**9),
@@ -69,37 +69,15 @@ def test_piecewise_decay_shape():
     ),
     data=st.data(),
 )
-def test_decay_is_non_increasing_and_crosses_floor(t1, t2, decay, peak, data):
+def test_decay_is_non_increasing_and_crosses_floor(t1, t2, peak, data):
     tail = data.draw(st.integers(min_value=0, max_value=min(peak, 999)), label="tail_value")
-    model = OpportunityModel(peak_value=peak, gas_floor=1000, decay=decay, tail_value=tail)
+    model = OpportunityModel(peak_value=peak, gas_floor=1000, tail_value=tail)
     lo, hi = sorted((t1, t2))
     assert model.value(lo) >= model.value(hi)
     assert model.tail_value <= model.value(hi) <= model.value(lo) <= model.peak_value
     assert model.value(model.birth_ms) == model.peak_value
     assert model.value(model.birth_ms + (model.knee_ms + model.deadline_ms) / 2) <= model.peak_value
     assert model.value(model.birth_ms + model.deadline_ms) < model.gas_floor
-
-
-@pytest.mark.parametrize("peak", [2**60 - 1, 2**60 + 1, 2**53 + 1])
-def test_exponential_decay_is_exact_at_birth_above_float_precision(peak):
-    model = OpportunityModel(peak_value=peak, gas_floor=1000, decay=DecayShape.EXPONENTIAL)
-    assert model.value(Fraction(0)) == peak
-    assert model.value(Fraction(1, 10**9)) <= peak
-
-
-def test_exponential_decay_values_below_float_precision_are_unchanged():
-    # values of int(peak * exp(-rate * t)); the [tail, peak] clamp leaves them as they are
-    model = OpportunityModel(peak_value=10**9, gas_floor=1000, decay=DecayShape.EXPONENTIAL)
-    assert [model.value(Fraction(t)) for t in (0, 1, 50, 100, 199, 200)] == [
-        10**9, 933254300, 31622776, 1000000, 1071, 0
-    ]
-
-
-def test_exponential_peak_too_large_for_a_float_is_a_config_error():
-    with pytest.raises(ConfigError, match="peak_value"):
-        OpportunityModel(peak_value=10**400, gas_floor=1000, decay=DecayShape.EXPONENTIAL)
-    # the piecewise curve is exact rational arithmetic and has no such limit
-    assert OpportunityModel(peak_value=10**400, gas_floor=1000).value(Fraction(0)) == 10**400
 
 
 def test_opportunity_validation():
@@ -135,11 +113,9 @@ def test_agent_validation():
             id="opportunity",
         ),
         pytest.param(
-            lambda: OpportunityModel(
-                peak_value=10**400, gas_floor=10**401, tail_value=10**400 + 1, decay=DecayShape.EXPONENTIAL
-            ),
-            ["peak_value", "tail_value"],
-            id="opportunity-exponential",
+            lambda: OpportunityModel(peak_value=10**400, gas_floor=10**401, tail_value=10**400 + 1),
+            ["tail_value"],
+            id="opportunity-tail-above-peak",
         ),
         pytest.param(
             lambda: ProposerConfig(count=0, rotation="x", blacklist_slots=-1),
@@ -578,7 +554,6 @@ def opportunities(draw):
     return OpportunityModel(
         peak_value=draw(st.integers(min_value=10**6, max_value=10**12)),
         gas_floor=draw(st.integers(min_value=1, max_value=10**6)),
-        decay=draw(st.sampled_from(list(DecayShape))),
         knee_ms=Fraction(draw(st.integers(min_value=0, max_value=deadline - 1))),
         deadline_ms=Fraction(deadline),
     )

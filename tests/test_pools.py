@@ -21,7 +21,9 @@ from mevforge.pools import (
     PoolKind,
     PoolState,
     PoolLookupError,
+    _execute_path,
     _hop_quote,
+    _path_pools,
     arbitrage_run,
     best_input_search,
     cycle_delta,
@@ -62,10 +64,10 @@ def v2_oracle(reserve_in, reserve_out, fee_ppm, amount_in):
 
 
 def test_v2_basic_quote():
-    out, new_pool = swap(v2_pool(1000, 1000, fee_ppm=3000), TOKEN_A, 100)
+    out, new_pool, _ = swap(v2_pool(1000, 1000, fee_ppm=3000), TOKEN_A, 100)
     assert out == 90  # floor(99700*1000 / 1099700)
     assert (new_pool.reserve0, new_pool.reserve1) == (1100, 910)
-    out, new_pool = swap(v2_pool(1000, 2000, fee_ppm=3000), TOKEN_B, 100)
+    out, new_pool, _ = swap(v2_pool(1000, 2000, fee_ppm=3000), TOKEN_B, 100)
     assert out == 47  # floor(99700*1000 / 2099700)
     assert (new_pool.reserve0, new_pool.reserve1) == (953, 2100)
 
@@ -79,8 +81,8 @@ def test_v2_fee_free_round_trip_never_gains():
     pool = v2_pool(10**9, 10**9, fee_ppm=0)
     for x in (2, 17, 10**3, 10**6, 10**8):
         try:
-            out, mid = swap(pool, TOKEN_A, x)
-            back, _ = swap(mid, TOKEN_B, out)
+            out, mid, _ = swap(pool, TOKEN_A, x)
+            back, _, _ = swap(mid, TOKEN_B, out)
         except DustError:
             continue  # rounded to nothing, which certainly did not gain
         assert back <= x
@@ -110,7 +112,7 @@ def test_v2_oracle_equivalence_randomized():
             with pytest.raises(DustError):
                 swap(pool, TOKEN_A, x)
         else:
-            out, new_pool = swap(pool, TOKEN_A, x)
+            out, new_pool, _ = swap(pool, TOKEN_A, x)
             assert out == expected
             assert new_pool.reserve0 * new_pool.reserve1 >= r_in * r_out
             assert new_pool.reserve1 == r_out - out  # conservation
@@ -126,7 +128,7 @@ def test_v2_oracle_equivalence_randomized():
 def test_v2_product_never_decreases(r_in, r_out, fee, x, token0_in):
     pool = v2_pool(r_in, r_out, fee_ppm=fee) if token0_in else v2_pool(r_out, r_in, fee_ppm=fee)
     try:
-        out, new_pool = swap(pool, TOKEN_A if token0_in else TOKEN_B, x)
+        out, new_pool, _ = swap(pool, TOKEN_A if token0_in else TOKEN_B, x)
     except DustError:
         return
     assert new_pool.reserve0 * new_pool.reserve1 >= r_in * r_out
@@ -150,7 +152,7 @@ def v3_oracle_down(liquidity, sqrt_p, fee_ppm, amount_in):
 
 def test_v3_closed_form_oracle_fixture():
     pool = v3_pool(liquidity=10**12, sqrt_price_x96=Q96, fee_ppm=0)
-    out, new_pool = swap(pool, TOKEN_A, 10**6)
+    out, new_pool, _ = swap(pool, TOKEN_A, 10**6)
     assert out == v3_oracle_down(10**12, Q96, 0, 10**6) == 999_999
     assert new_pool.sqrt_price_x96 < Q96
     assert step_v3(10**12, Q96, 0, 0, 10**6) == (out, new_pool.sqrt_price_x96, 0)
@@ -168,8 +170,8 @@ def test_v3_mirror_symmetry():
         down = v3_pool(liquidity=liquidity, sqrt_price_x96=sqrt_p)
         mirrored = v3_pool(liquidity=liquidity, sqrt_price_x96=Q96 * Q96 // sqrt_p,
                            token0=TOKEN_B, token1=TOKEN_A)
-        out_down, _ = swap(down, TOKEN_A, amount)
-        out_up, _ = swap(mirrored, TOKEN_A, amount)
+        out_down, _, _ = swap(down, TOKEN_A, amount)
+        out_up, _, _ = swap(mirrored, TOKEN_A, amount)
         assert out_down == out_up
 
 
@@ -211,8 +213,8 @@ def test_v3_inactive_pool_rejected():
 
 
 def test_v3_fee_reduces_output():
-    free, _ = swap(v3_pool(10**15), TOKEN_A, 10**9)
-    taxed, _ = swap(v3_pool(10**15, fee_ppm=3000), TOKEN_A, 10**9)
+    free, _, _ = swap(v3_pool(10**15), TOKEN_A, 10**9)
+    taxed, _, _ = swap(v3_pool(10**15, fee_ppm=3000), TOKEN_A, 10**9)
     assert taxed < free
 
 
@@ -220,18 +222,18 @@ def test_v3_fee_reduces_output():
 
 
 def swap_amounts(pool, direction, amount):
-    """swap's amount_out and, for V3, its post-swap sqrt price."""
-    amount_out, state = swap(pool, (pool.token0, pool.token1)[direction], amount)
-    return amount_out, state.sqrt_price_x96 if pool.kind is PoolKind.V3 else None
+    """swap's amount_out and remainder and, for V3, its post-swap sqrt price."""
+    amount_out, state, remainder = swap(pool, (pool.token0, pool.token1)[direction], amount)
+    return amount_out, remainder, state.sqrt_price_x96 if pool.kind is PoolKind.V3 else None
 
 
 def quote_amounts(pool, direction, amount):
     """The search's amount function for the hop and, for V3, step_v3's new
     sqrt price."""
-    amount_out = _hop_quote(pool, (pool.token0, pool.token1)[direction])(amount)
+    amount_out, remainder = _hop_quote(pool, (pool.token0, pool.token1)[direction])(amount)
     if pool.kind is PoolKind.V2:
-        return amount_out, None
-    return amount_out, step_v3(pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm, direction, amount)[1]
+        return amount_out, remainder, None
+    return amount_out, remainder, step_v3(pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm, direction, amount)[1]
 
 
 @settings(max_examples=400)
@@ -317,7 +319,7 @@ def test_profitable_triangle_replay_oracle():
     hop_amounts = []
     for i in range(descriptor.n_hops):
         pool = pools[descriptor.pools[i]]
-        amount, _ = swap(pool, descriptor.tokens[i], amount)
+        amount, _, _ = swap(pool, descriptor.tokens[i], amount)
         hop_amounts.append(amount)
     delta = amount - amount0
     assert delta > 0
@@ -430,16 +432,21 @@ def pool_paths(draw):
 
 def threaded_by_hand(descriptor, pools, amount0):
     """(delta, hop_amounts, post-run map), swapping hop by hop on a copy of
-    the map; delta is None when a hop rounds to dust."""
+    the map.  The first hop's remainder goes back to the entry balance;
+    delta is None when a hop rounds to dust or a later hop leaves a
+    remainder."""
     state = dict(pools)
-    amount, hop_amounts = amount0, []
+    amount, spent, hop_amounts = amount0, amount0, []
     for token, address in zip(descriptor.tokens, descriptor.pools):
         try:
-            amount, state[address] = swap(state[address], token, amount)
+            amount, state[address], remainder = swap(state[address], token, amount)
         except DustError:
             return None, hop_amounts, state
+        if remainder and hop_amounts:
+            return None, hop_amounts, state
+        spent -= remainder
         hop_amounts.append(amount)
-    return (amount - amount0 if descriptor.is_cycle else -amount0), hop_amounts, state
+    return (amount - spent if descriptor.is_cycle else -spent), hop_amounts, state
 
 
 @settings(max_examples=300)
@@ -469,8 +476,9 @@ TOKEN_C = PATH_TOKENS[2]
 )
 def test_a_dead_v3_hop_ends_the_path_as_dust(v3_tokens, sqrt_price):
     """A V3 pool at the end of its price range in the direction of the swap
-    pays out 0 and keeps the whole input: the path dies there, as at a dust
-    output, in a probe, a search and a run alike."""
+    pays out 0 and leaves the whole input unconsumed: the path dies there,
+    as at a dust output, in a probe, a search and a run alike, whether the
+    pool is a later hop or the first."""
     pools = {
         p.address: p for p in (
             v2_pool(10**21, 3 * 10**23, address=bytes([31]) * 20, token0=TOKEN_A, token1=TOKEN_B),
@@ -478,12 +486,15 @@ def test_a_dead_v3_hop_ends_the_path_as_dust(v3_tokens, sqrt_price):
             v2_pool(10**21, 15 * 10**22, address=bytes([33]) * 20, token0=TOKEN_A, token1=TOKEN_C),
         )
     }
-    descriptor = PathDescriptor((TOKEN_A, TOKEN_B, TOKEN_C, TOKEN_A), tuple(pools))
-    for amount in (1, 10**6, 10**18):
-        assert cycle_delta(descriptor, pools, amount) == -amount
-        assert arbitrage_run(descriptor, pools, amount, 2500) is None
-    amount, delta = best_input_search(descriptor, pools, *search_range(pools, descriptor))
-    assert amount == 1 and delta < 0
+    ab, bc, ca = tuple(pools)
+    later = PathDescriptor((TOKEN_A, TOKEN_B, TOKEN_C, TOKEN_A), (ab, bc, ca))
+    first = PathDescriptor((TOKEN_B, TOKEN_C, TOKEN_A, TOKEN_B), (bc, ca, ab))
+    for descriptor in (later, first):
+        for amount in (1, 10**6, 10**18):
+            assert cycle_delta(descriptor, pools, amount) == -amount
+            assert arbitrage_run(descriptor, pools, amount, 2500) is None
+        amount, delta = best_input_search(descriptor, pools, *search_range(pools, descriptor))
+        assert amount == 1 and delta < 0
 
 
 DEPTHS = st.integers(1, 10**30)
@@ -516,6 +527,89 @@ def test_no_delta_exceeds_the_profit_bound(cycle, amounts):
     assert bound >= 0
     assert [a for a in amounts if cycle_delta(descriptor, pools, a) > bound] == []
     assert best_input_search(descriptor, pools, *search_range(pools, descriptor))[1] <= bound
+
+
+# -- a V3 hop stopped at the end of its price range ---------------------------
+
+
+def test_a_v3_remainder_is_refunded_at_the_first_hop_and_ends_a_later_one():
+    """A V3 pool at L = 2**40 and sqrt price Q96, fed 2**137 of token0,
+    stops at the bottom of its range and leaves about 8.7e40 unconsumed.
+    At a cycle's first hop that remainder goes back to the entry balance,
+    so more input changes nothing; at a later hop it is in another token
+    than the delta, so the run ends there as at dust."""
+    v3, v2 = v3_pool(2**40), v2_pool(10**60, 10**12, fee_ppm=0)
+    pools = {v3.address: v3, v2.address: v2}
+    amount0 = 2**137
+    out, _end, remainder = step_v3(2**40, Q96, 0, 0, amount0)
+    assert remainder > 8 * 10**40
+    back = quote_v2(10**12, 10**60, 0, out)
+    delta = back - (amount0 - remainder)
+    first = PathDescriptor((TOKEN_A, TOKEN_B, TOKEN_A), (v3.address, v2.address))
+    assert cycle_delta(first, pools, amount0) == cycle_delta(first, pools, 2 * amount0) == delta
+    result, _ = arbitrage_run(first, pools, amount0, 2500)
+    assert result == ExecutionResult(delta, delta // 4, delta - delta // 4, (out, back))
+    later = PathDescriptor((TOKEN_B, TOKEN_A, TOKEN_B), (v2.address, v3.address))
+    assert cycle_delta(later, pools, 10**12) == -(10**12)
+    assert arbitrage_run(later, pools, 10**12, 2500) is None
+
+
+@st.composite
+def range_end_cycles(draw):
+    """(descriptor, pools, amounts): a 2- or 3-hop cycle over distinct pools,
+    each either way round, whose first pool is V3 and any other V2 or V3,
+    every V3 pool at most 2**64 deep; and inputs from half to four times
+    the one that takes the first pool to the end of its price range, so a
+    run may stop there, and a shallow later pool may stop too."""
+    tokens = (TOKEN_A, TOKEN_B, TOKEN_A) if draw(st.booleans()) else (TOKEN_A, TOKEN_B, TOKEN_C, TOKEN_A)
+    pools = {}
+    for i, (token_in, token_out) in enumerate(zip(tokens, tokens[1:])):
+        pair = (token_in, token_out) if draw(st.booleans()) else (token_out, token_in)
+        address, fee = bytes([50 + i]) * 20, draw(st.sampled_from((0, 500, 3000)))
+        if i and draw(st.booleans()):
+            pool = v2_pool(draw(DEPTHS), draw(DEPTHS), fee, address, *pair)
+        else:
+            sqrt_price = draw(st.integers(MIN_SQRT_PRICE_X96, MAX_SQRT_PRICE_X96))
+            pool = v3_pool(draw(st.integers(1, 2**64)), sqrt_price, fee, address, *pair)
+        pools[address] = pool
+    first = next(iter(pools.values()))
+    direction = 0 if tokens[0] == first.token0 else 1
+    flood = 2**300  # more than any pool here can take
+    to_end = max(flood - step_v3(first.liquidity, first.sqrt_price_x96, first.fee_ppm, direction, flood)[2], 1)
+    amounts = draw(st.lists(st.integers(max(to_end // 2, 1), 4 * to_end), min_size=1, max_size=8))
+    return PathDescriptor(tokens, tuple(pools)), pools, amounts
+
+
+def executed_delta(descriptor, pools, amount0):
+    """_execute_path's delta, or -amount0 when the run ends as dust."""
+    try:
+        return _execute_path(descriptor, _path_pools(descriptor, pools), amount0)[0]
+    except DustError:
+        return -amount0
+
+
+@settings(max_examples=300)
+@given(cycle=range_end_cycles())
+def test_executor_equals_probe_near_range_ends(cycle):
+    """The executor, the amount-only probe and hops threaded by hand give
+    one delta when a V3 pool stops at the end of its range."""
+    descriptor, pools, amounts = cycle
+    for amount in amounts:
+        delta = threaded_by_hand(descriptor, pools, amount)[0]
+        expected = -amount if delta is None else delta
+        assert executed_delta(descriptor, pools, amount) == cycle_delta(descriptor, pools, amount) == expected
+        outcome = arbitrage_run(descriptor, pools, amount, 0)
+        assert (outcome and outcome[0].delta) == (expected if expected > 0 else None)
+
+
+@settings(max_examples=300)
+@given(cycle=range_end_cycles())
+def test_no_delta_exceeds_the_profit_bound_near_range_ends(cycle):
+    """profit_bound stays a bound once remainders are refunded: past the end
+    of its range a first hop pays out what the input it took would."""
+    descriptor, pools, amounts = cycle
+    bound = profit_bound(descriptor, pools)
+    assert [a for a in amounts if cycle_delta(descriptor, pools, a) > bound] == []
 
 
 # -- input search -------------------------------------------------------------
