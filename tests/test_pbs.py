@@ -54,8 +54,13 @@ def test_piecewise_decay_shape():
     assert OPP.gas_floor < OPP.value(Fraction(150)) < OPP.peak_value
     assert OPP.value(Fraction(200)) == 0  # tail below the gas floor
     assert OPP.value(Fraction(10**6)) == 0
-    # exact rational arithmetic: a peak no float holds is still exact
-    assert OpportunityModel(peak_value=10**400, gas_floor=1000).value(Fraction(0)) == 10**400
+
+
+def test_peak_too_large_for_a_float_is_exact():
+    # exact rational arithmetic: a peak no float holds loads and is valued exactly
+    model = OpportunityModel(peak_value=10**400, gas_floor=1000)
+    assert model.value(Fraction(0)) == 10**400
+    assert model.value(model.knee_ms) == 10**400
 
 
 @given(
