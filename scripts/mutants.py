@@ -115,8 +115,8 @@ MUTANTS = [
         "name": "check-first-fault-only",
         "why": "a section's _check raises at its first fault",
         "file": PBS,
-        "old": "    if faults := [message for fault, message in checks if fault]:",
-        "new": "    if faults := [message for fault, message in checks if fault][:1]:",
+        "old": "            raise ConfigError(*faults)",
+        "new": "            raise ConfigError(*faults[:1])",
         "tests": [
             f"{PBS_TESTS}::test_a_section_names_every_failing_key_in_one_config_error[scenario]",
             f"{CLI_TESTS}::test_simulate_lists_every_value_fault_by_its_key[three-top-level]",
@@ -137,9 +137,28 @@ MUTANTS = [
         "name": "symbol-after-failed-pool-file",
         "why": "the symbol is checked even when the pool file failed to load",
         "file": PBS,
-        "old": '        problems.append(f"pools: {exc}")\n    else:',
-        "new": '        problems.append(f"pools: {exc}")\n    if True:',
+        "old": '        problems.append(f"pools: {exc}")\n        obj["pools"] = MISSING\n',
+        "new": '        problems.append(f"pools: {exc}")\n',
         "tests": [f"{CLI_TESTS}::test_simulate_pool_file_fault_adds_no_symbol_fault[pool-fault-only]"],
+    },
+    {
+        "name": "nested-fault-hides-parent",
+        "why": "a section's checks run only once every section inside it has passed",
+        "file": PBS,
+        "old": "        section = kind(**values)\n",
+        "new": "        section = kind(**values) if len(problems) == found else section\n",
+        "tests": [
+            f"{CLI_TESTS}::test_simulate_lists_every_value_fault_by_its_key[nested-and-top-level]",
+            f"{CLI_TESTS}::test_simulate_lists_a_nested_fault_and_a_top_level_one",
+        ],
+    },
+    {
+        "name": "unread-entry-keeps-its-array",
+        "why": "an array reads though an entry did not, so builders' ids are compared with one missing",
+        "file": PBS,
+        "old": "            return items if len(problems) == found else MISSING\n",
+        "new": "            return items\n",
+        "tests": [f"{CLI_TESTS}::test_simulate_lists_every_value_fault_by_its_key[builder-unread-beside-a-repeated-id]"],
     },
     {
         "name": "fold-plain-add",
@@ -303,7 +322,7 @@ MUTANTS = [
         "name": "decay-any-text",
         "why": "the opportunity's decay takes any text, so a curve nothing computes reads as piecewise",
         "file": PBS,
-        "old": """            (self.decay != "piecewise", f"decay: expected 'piecewise', got {self.decay!r:.40}"),\n""",
+        "old": """            (("decay",), lambda: self.decay != "piecewise", f"decay: expected 'piecewise', got {self.decay!r:.40}"),\n""",
         "new": "",
         "tests": [f"{CLI_TESTS}::test_simulate_lists_every_value_fault_by_its_key[opportunity-decay]"],
     },
@@ -311,16 +330,16 @@ MUTANTS = [
         "name": "tail-against-failed-peak",
         "why": "tail_value is checked against a peak_value that failed its own check",
         "file": PBS,
-        "old": "            (peak_ok and self.tail_value > self.peak_value,",
-        "new": "            (self.tail_value > self.peak_value,",
+        "old": '            (("tail_value", "peak_value"), lambda:',
+        "new": '            (("tail_value",), lambda:',
         "tests": [f"{CLI_TESTS}::test_simulate_lists_every_value_fault_by_its_key[opportunity-peak-and-floor]"],
     },
     {
         "name": "tail-against-failed-floor",
         "why": "tail_value is checked against a gas_floor that failed its own check",
         "file": PBS,
-        "old": "                self.tail_value < 0 or floor_ok and self.tail_value >= max(self.gas_floor, 1),",
-        "new": "                self.tail_value < 0 or self.tail_value >= max(self.gas_floor, 1),",
+        "old": '            (("tail_value", "gas_floor"), lambda:',
+        "new": '            (("tail_value",), lambda:',
         "tests": [f"{CLI_TESTS}::test_simulate_lists_every_value_fault_by_its_key[opportunity-floor-with-tail]"],
     },
     {

@@ -31,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, get_args, get_origin
+from typing import Callable, Iterable, Iterator, Optional, Sequence, get_args, get_origin
 
 from . import BUNDLED_SCENARIOS  # kept here too, as pbs.BUNDLED_SCENARIOS
 from . import pools as pools_mod
@@ -39,10 +39,18 @@ from .pools import SHARE_RATIO_SCALE, enumerate_cycles
 from .traces import ConfigError, read_json, unique_keys
 
 
-def _check(*checks: tuple[bool, str]) -> None:
-    """Raise one ConfigError of the message of every check whose fault holds."""
-    if faults := [message for fault, message in checks if fault]:
-        raise ConfigError(*faults)
+class _Section:
+    def _check(self, *checks: tuple[tuple[str, ...], Callable[[], bool], str]) -> None:
+        """Raise one ConfigError of every check (keys it reads, fault,
+        message) whose fault holds; it runs only if each key it reads did
+        read (is not MISSING) and passed its one-key checks, listed first."""
+        failed, faults = {key for key, value in vars(self).items() if value is MISSING}, []
+        for keys, fault, message in checks:
+            if failed.isdisjoint(keys) and fault():
+                faults.append(message)
+                failed.update(keys if len(keys) == 1 else ())
+        if faults:
+            raise ConfigError(*faults)
 
 
 class Protocol(Enum):
@@ -68,7 +76,7 @@ class Strategy(Enum):
 
 
 @dataclass(frozen=True)
-class BuilderAgent:
+class BuilderAgent(_Section):
     id: str
     latency_ms: Fraction
     strategy: Strategy = Strategy.SHORT_HOP
@@ -77,12 +85,13 @@ class BuilderAgent:
     non_delivery_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        _check(
-            (not self.id, "id: must not be empty"),
-            (self.latency_ms < 0, "latency_ms: must be >= 0"),
-            (not 0 <= self.share_ratio_bp <= SHARE_RATIO_SCALE, f"share_ratio_bp: must be in [0, {SHARE_RATIO_SCALE}]"),
-            (self.infra_tier <= 0, "infra_tier: must be > 0"),
-            (not 0.0 <= self.non_delivery_prob <= 1.0, "non_delivery_prob: must be in [0, 1]"),
+        self._check(
+            (("id",), lambda: not self.id, "id: must not be empty"),
+            (("latency_ms",), lambda: self.latency_ms < 0, "latency_ms: must be >= 0"),
+            (("share_ratio_bp",), lambda: not 0 <= self.share_ratio_bp <= SHARE_RATIO_SCALE,
+             f"share_ratio_bp: must be in [0, {SHARE_RATIO_SCALE}]"),
+            (("infra_tier",), lambda: self.infra_tier <= 0, "infra_tier: must be > 0"),
+            (("non_delivery_prob",), lambda: not 0.0 <= self.non_delivery_prob <= 1.0, "non_delivery_prob: must be in [0, 1]"),
         )
 
     @property
@@ -99,7 +108,7 @@ class BuilderAgent:
 
 
 @dataclass(frozen=True)
-class OpportunityModel:
+class OpportunityModel(_Section):
     """Value of an arbitrage opportunity as a function of time.
 
     One piecewise curve (decay "piecewise", the only shape): flat at
@@ -118,18 +127,15 @@ class OpportunityModel:
     tail_value: int = 0
 
     def __post_init__(self) -> None:
-        # tail_value is checked only against a peak_value or gas_floor that passed its own check
-        peak_ok, floor_ok = self.peak_value >= 0, self.gas_floor >= 0
-        _check(
-            (not peak_ok, "peak_value: must be >= 0"),
-            (not floor_ok, "gas_floor: must be >= 0"),
-            (self.decay != "piecewise", f"decay: expected 'piecewise', got {self.decay!r:.40}"),
-            (
-                self.tail_value < 0 or floor_ok and self.tail_value >= max(self.gas_floor, 1),
-                "tail_value: must be >= 0 and below gas_floor, unless 0",
-            ),
-            (peak_ok and self.tail_value > self.peak_value, "tail_value: must be <= peak_value"),
-            (not 0 <= self.knee_ms < self.deadline_ms, "knee_ms: must be >= 0 and below deadline_ms"),
+        tail = "tail_value: must be >= 0 and below gas_floor, unless 0"
+        self._check(
+            (("peak_value",), lambda: self.peak_value < 0, "peak_value: must be >= 0"),
+            (("gas_floor",), lambda: self.gas_floor < 0, "gas_floor: must be >= 0"),
+            (("decay",), lambda: self.decay != "piecewise", f"decay: expected 'piecewise', got {self.decay!r:.40}"),
+            (("tail_value",), lambda: self.tail_value < 0, tail),
+            (("tail_value", "gas_floor"), lambda: self.tail_value >= max(self.gas_floor, 1), tail),
+            (("tail_value", "peak_value"), lambda: self.tail_value > self.peak_value, "tail_value: must be <= peak_value"),
+            (("knee_ms", "deadline_ms"), lambda: not 0 <= self.knee_ms < self.deadline_ms, "knee_ms: must be >= 0 and below deadline_ms"),
         )
 
     def value(self, t_ms: Fraction) -> int:
@@ -158,7 +164,7 @@ class Bid:
 
 
 @dataclass(frozen=True)
-class ProposerConfig:
+class ProposerConfig(_Section):
     """Proposers take slots in turn (round robin, the only rotation); a
     builder that fails to deliver is on that proposer's blacklist for
     blacklist_slots slots."""
@@ -168,30 +174,30 @@ class ProposerConfig:
     blacklist_slots: int = 100
 
     def __post_init__(self) -> None:
-        _check(
-            (self.count < 1, "count: must be >= 1"),
-            (self.rotation != "round_robin", f"rotation: expected 'round_robin', got {self.rotation!r:.40}"),
-            (self.blacklist_slots < 0, "blacklist_slots: must be >= 0"),
+        self._check(
+            (("count",), lambda: self.count < 1, "count: must be >= 1"),
+            (("rotation",), lambda: self.rotation != "round_robin", f"rotation: expected 'round_robin', got {self.rotation!r:.40}"),
+            (("blacklist_slots",), lambda: self.blacklist_slots < 0, "blacklist_slots: must be >= 0"),
         )
 
 
 @dataclass(frozen=True)
-class RelayConfig:
+class RelayConfig(_Section):
     delay_ms: Fraction = Fraction(0)
     rebid_interval_ms: Fraction = Fraction(500)
     optimization_rounds: int = 8
     rebids_enabled: bool = True
 
     def __post_init__(self) -> None:
-        _check(
-            (self.delay_ms < 0, "delay_ms: must be >= 0"),
-            (self.rebid_interval_ms <= 0, "rebid_interval_ms: must be > 0"),
-            (self.optimization_rounds < 1, "optimization_rounds: must be >= 1"),
+        self._check(
+            (("delay_ms",), lambda: self.delay_ms < 0, "delay_ms: must be >= 0"),
+            (("rebid_interval_ms",), lambda: self.rebid_interval_ms <= 0, "rebid_interval_ms: must be > 0"),
+            (("optimization_rounds",), lambda: self.optimization_rounds < 1, "optimization_rounds: must be >= 1"),
         )
 
 
 @dataclass(frozen=True, kw_only=True)
-class SimScenario:
+class SimScenario(_Section):
     """A scenario file: each field is the top-level key of its name, except
     that the file's pools key names the pool file that pools is read from."""
 
@@ -209,13 +215,17 @@ class SimScenario:
     embodied_base_symbol: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.horizon_ms is None:
-            object.__setattr__(self, "horizon_ms", DEFAULT_HORIZON_MS[self.protocol])
-        _check(
-            (self.horizon_ms <= 0, "horizon_ms: must be > 0"),
-            (self.listen_window_ms < 0, "listen_window_ms: must be >= 0"),
-            (self.base_compute_ms < 0, "base_compute_ms: must be >= 0"),
-            (len({b.id for b in self.builders}) != len(self.builders), "builders: duplicate ids"),
+        if self.horizon_ms is None:  # a protocol that did not read gives no horizon to check
+            object.__setattr__(self, "horizon_ms", MISSING if self.protocol is MISSING else DEFAULT_HORIZON_MS[self.protocol])
+        symbol, loaded, reads = self.embodied_base_symbol, self.pools, ("embodied_base_symbol", "pools")
+        self._check(
+            (("horizon_ms",), lambda: self.horizon_ms <= 0, "horizon_ms: must be > 0"),
+            (("listen_window_ms",), lambda: self.listen_window_ms < 0, "listen_window_ms: must be >= 0"),
+            (("base_compute_ms",), lambda: self.base_compute_ms < 0, "base_compute_ms: must be >= 0"),
+            (("builders",), lambda: len({b.id for b in self.builders}) != len(self.builders), "builders: duplicate ids"),
+            (reads, lambda: symbol is not None and loaded is None, f"embodied_base_symbol {symbol!r} is given, but no pools are loaded"),
+            (reads, lambda: None not in (symbol, loaded) and all(symbol not in (p.token0.symbol, p.token1.symbol) for p in loaded.values()),
+             f"embodied_base_symbol {symbol!r} names no token of the pool file"),
         )
 
 
@@ -399,44 +409,43 @@ def run_slot_eth(
 
 
 def _from_json(kind, value, unread: frozenset[str], problems: list[str], where: str = ""):
-    """A JSON value read as kind, or None once a fault, named by where it
-    is (``builders[1]: latency_ms: ...``), is added to problems.  A
-    dataclass is read from an object whose keys are its fields, each by its
-    annotation; an absent key takes the field's default, and a key that is
-    no field, or is in unread, is an error.  ``tuple[X, ...]`` is read from
-    an array of X, ``Optional[X]`` from null or X, and any other type by
-    traces.read_json."""
-    if type(None) in get_args(kind):
-        if value is None:
-            return None
-        kind = get_args(kind)[0]
+    """A JSON value read as kind, or MISSING once a fault, named by where
+    it is (``builders[1]: latency_ms: ...``), is added to problems.  A
+    dataclass is read from an object whose keys are its fields, each by
+    its annotation (absent: the field's default; no field, or in unread:
+    an error), and built with MISSING in each field that did not read, so
+    its checks run on the rest.  ``tuple[X, ...]`` is read from an array
+    of X, ``Optional[X]`` from null or X, and any other type by read_json."""
+    if value is MISSING or value is None and type(None) in get_args(kind):
+        return value  # a value that failed before (a pool file), or null as Optional's none
+    kind = get_args(kind)[0] if type(None) in get_args(kind) else kind
+    found = len(problems)
     try:
         if get_origin(kind) is tuple:
             entries = read_json(value, where, list)
-            return tuple(_from_json(get_args(kind)[0], v, unread, problems, f"{where}[{i}]") for i, v in enumerate(entries))
+            items = tuple(_from_json(get_args(kind)[0], v, unread, problems, f"{where}[{i}]") for i, v in enumerate(entries))
+            return items if len(problems) == found else MISSING
         if not is_dataclass(kind):
             return read_json(value, where, get_origin(kind) or kind)
         section = read_json(value, where, dict)
     except ValueError as exc:
         problems.append(str(exc))
-        return None
+        return MISSING
     at = f"{where}: " if where else ""
-    found = len(problems)
     unknown = sorted(set(section).difference(f.name for f in fields(kind) if f.name not in unread))
     if unknown:
         problems.append(f"{at}unknown keys {', '.join(unknown)}")
-    values = {}
+    values = {field.name: MISSING for field in fields(kind) if field.default is MISSING}  # an absent one did not read
     for field in fields(kind):
         if field.name in section and field.name not in unread:
             values[field.name] = _from_json(field.type, section[field.name], unread, problems, at + field.name)
         elif field.default is MISSING:
             problems.append(f"{at}missing {field.name}")
-    if len(problems) == found:
-        try:
-            return kind(**values)
-        except ConfigError as exc:
-            problems.extend(at + fault for fault in exc.args)
-    return None
+    try:
+        section = kind(**values)
+    except ConfigError as exc:
+        problems.extend(at + fault for fault in exc.args)
+    return section if len(problems) == found else MISSING
 
 
 def load_scenario(path: str | Path) -> SimScenario:
@@ -460,12 +469,7 @@ def load_scenario(path: str | Path) -> SimScenario:
                 obj["pools"] = pools_mod.load_pool_file(fh)
     except (OSError, ValueError) as exc:  # a LineError is a ValueError
         problems.append(f"pools: {exc}")
-    else:  # a symbol that does not read is reported when the scenario's keys are read
-        symbol, loaded = _from_json(Optional[str], obj.get("embodied_base_symbol"), unread, []), obj["pools"]
-        if symbol is not None and loaded is None:
-            problems.append(f"embodied_base_symbol {symbol!r} is given, but no pools are loaded")
-        elif symbol is not None and all(symbol not in (p.token0.symbol, p.token1.symbol) for p in loaded.values()):
-            problems.append(f"embodied_base_symbol {symbol!r} names no token of the pool file")
+        obj["pools"] = MISSING
     scenario = _from_json(SimScenario, obj, unread, problems)
     if problems:
         raise ConfigError("invalid scenario keys: " + "; ".join(problems))

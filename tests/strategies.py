@@ -1,4 +1,7 @@
-"""Shared hypothesis strategies for trace-model objects."""
+"""Shared hypothesis strategies for trace-model objects, hostile JSON
+values and scenario value faults."""
+
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -122,3 +125,81 @@ def replaced(doc, path, value):
     else:
         copy[path[0]] = replaced(doc[path[0]], path[1:], value)
     return copy
+
+
+# -- scenario values that read but fail their key's own check ------------------
+
+
+def _json_fractions(fractions):
+    """Fractions as a scenario's millisecond keys and infra_tier read them:
+    JSON floats, number text such as ``-3/7`` and, when whole, JSON
+    integers."""
+
+    def forms(f: Fraction) -> list:
+        return [float(f), str(f)] + ([int(f)] if f.denominator == 1 else [])
+
+    return fractions.flatmap(lambda f: st.sampled_from(forms(f)))
+
+
+negative_numbers = _json_fractions(st.fractions(min_value=-(10**9), max_value=Fraction(-1, 10**6)))
+non_positive_numbers = _json_fractions(st.fractions(min_value=-(10**9), max_value=0))
+negative_ints = st.integers(max_value=-1)
+names = st.text("abcdefghijklmnopqrstuvwxyz_", max_size=50)
+
+# key: (JSON values that read but fail the key's one-key check, the fault's
+# message after "key: ", formatted with the value)
+TOP_LEVEL_FAULTS = {
+    "horizon_ms": (non_positive_numbers, "must be > 0"),
+    "listen_window_ms": (negative_numbers, "must be >= 0"),
+    "base_compute_ms": (negative_numbers, "must be >= 0"),
+}
+SECTION_FAULTS = {
+    "builders": {
+        "id": (st.just(""), "must not be empty"),
+        "latency_ms": (negative_numbers, "must be >= 0"),
+        "share_ratio_bp": (negative_ints | st.integers(min_value=10_001), "must be in [0, 10000]"),
+        "infra_tier": (non_positive_numbers, "must be > 0"),
+        "non_delivery_prob": (
+            st.floats(max_value=1e300, min_value=1, exclude_min=True) | st.floats(max_value=0, exclude_max=True, min_value=-1e300),
+            "must be in [0, 1]",
+        ),
+    },
+    "opportunity": {
+        "peak_value": (negative_ints, "must be >= 0"),
+        "gas_floor": (negative_ints, "must be >= 0"),
+        "decay": (names.filter(lambda text: text != "piecewise"), "expected 'piecewise', got {0!r:.40}"),
+        "tail_value": (negative_ints, "must be >= 0 and below gas_floor, unless 0"),
+    },
+    "proposers": {
+        "count": (st.integers(max_value=0), "must be >= 1"),
+        "rotation": (names.filter(lambda text: text != "round_robin"), "expected 'round_robin', got {0!r:.40}"),
+        "blacklist_slots": (negative_ints, "must be >= 0"),
+    },
+    "relay": {
+        "delay_ms": (negative_numbers, "must be >= 0"),
+        "rebid_interval_ms": (non_positive_numbers, "must be > 0"),
+        "optimization_rounds": (st.integers(max_value=0), "must be >= 1"),
+    },
+}
+
+
+@st.composite
+def one_key_faults(draw, doc, nested, unread=frozenset()):
+    """(path, value, fault): a key that the scenario doc's protocol reads,
+    top-level (TOP_LEVEL_FAULTS) or, with nested, in a section
+    (SECTION_FAULTS; builders: any of doc's), a value that fails its
+    one-key check, and the fault led by its path as simulate prints it."""
+    if nested:
+        section = draw(st.sampled_from(sorted(set(SECTION_FAULTS) - unread)))
+        key = draw(st.sampled_from(sorted(set(SECTION_FAULTS[section]) - unread)))
+        values, message = SECTION_FAULTS[section][key]
+        if section == "builders":
+            index = draw(st.integers(0, len(doc[section]) - 1))
+            path, where = (section, index, key), f"{section}[{index}]: {key}"
+        else:
+            path, where = (section, key), f"{section}: {key}"
+    else:
+        key = draw(st.sampled_from(sorted(set(TOP_LEVEL_FAULTS) - unread)))
+        (values, message), path, where = TOP_LEVEL_FAULTS[key], (key,), key
+    value = draw(values)
+    return path, value, f"{where}: {message.format(value)}"

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from mevforge import fixtures, pools
 from mevforge.cli import _spool_planted, _write_manifest, main
 from mevforge.config import RunConfig, load_config
-from mevforge.pbs import BUNDLED_SCENARIOS as SCENARIOS
+from mevforge.pbs import BUNDLED_SCENARIOS as SCENARIOS, UNREAD_KEYS, Protocol
 from mevforge.records import (
     ArbitrageRecord,
     RecordSchemaError,
@@ -1341,6 +1341,24 @@ def repeat_first_builder(obj):
             ["opportunity: decay: expected 'piecewise', got 'exponential'"],
             id="opportunity-decay",
         ),
+        # a nested fault hides no top-level check; nested faults come first, as they are read first
+        pytest.param(
+            lambda o: (o.update(horizon_ms=-5), o["builders"][1].update(latency_ms=-1), o["relay"].update(delay_ms=-1)),
+            ["builders[1]: latency_ms: must be >= 0", "relay: delay_ms: must be >= 0", "horizon_ms: must be > 0"],
+            id="nested-and-top-level",
+        ),
+        # a check reads no key that did not read: builders did not, so its ids are not compared
+        pytest.param(
+            lambda o: (o["builders"][1].update(latency_ms="x"), repeat_first_builder(o)),
+            ["builders[1]: latency_ms: expected a number, got 'x'"],
+            id="builder-unread-beside-a-repeated-id",
+        ),
+        # nor is an unread knee_ms taken as its default 100, which a deadline_ms of 50 would fault
+        pytest.param(
+            lambda o: o["opportunity"].update(knee_ms="soon", deadline_ms=50),
+            ["opportunity: knee_ms: expected a number, got 'soon'"],
+            id="knee-unread",
+        ),
     ],
 )
 def test_simulate_lists_every_value_fault_by_its_key(tmp_path, capsys, edit, faults):
@@ -1350,6 +1368,21 @@ def test_simulate_lists_every_value_fault_by_its_key(tmp_path, capsys, edit, fau
     assert main(["simulate", "--scenario", str(bad), "--slots", "1", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: invalid scenario keys: {'; '.join(faults)}\n"
     assert not out.exists()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["bsc_duopoly.json", "eth_duopoly.json"]), data=st.data())
+def test_simulate_lists_a_nested_fault_and_a_top_level_one(tmp_path, capsys, name, data):
+    """A fault in a section hides no top-level check: both are listed, the
+    nested one first, as it is read first."""
+    doc = json.loads((SCENARIOS / name).read_text())
+    unread = UNREAD_KEYS[Protocol(doc["protocol"])]
+    top_path, top_value, top_fault = data.draw(strategies.one_key_faults(doc, nested=False, unread=unread), label="top")
+    path, value, fault = data.draw(strategies.one_key_faults(doc, nested=True, unread=unread), label="nested")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(strategies.replaced(strategies.replaced(doc, top_path, top_value), path, value)))
+    assert main(["simulate", "--scenario", str(bad), "--slots", "1", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: invalid scenario keys: {fault}; {top_fault}\n"
 
 
 # A direct-flow scenario whose slots depend on the non-delivery draws and on

@@ -422,6 +422,24 @@ EMBODIED_SCENARIO = {
 EMBODIED_POOLS = pools.dump_pool_file(fixtures.gen_pool_fixture(seed=13).pools)
 
 
+@pytest.mark.parametrize(
+    "pool_map, fault",
+    [
+        pytest.param(
+            fixtures.gen_pool_fixture(seed=13).pools, "embodied_base_symbol 'BUSD' names no token of the pool file", id="symbol-of-no-pool"
+        ),
+        pytest.param(None, "embodied_base_symbol 'BUSD' is given, but no pools are loaded", id="no-pools"),
+    ],
+)
+def test_a_scenario_built_directly_checks_its_embodied_base_symbol(pool_map, fault):
+    """As load_scenario does: a symbol of no pool token would otherwise end
+    in "fixture contains no executable cycle", and with no pools it would be
+    ignored."""
+    with pytest.raises(ConfigError) as excinfo:
+        SimScenario(protocol=Protocol.BSC_DIRECT, opportunity=OPP, pools=pool_map, embodied_base_symbol="BUSD")
+    assert excinfo.value.args == (fault,)
+
+
 def test_embodied_campaign_uses_pool_search(tmp_path):
     (tmp_path / "pools.ndjson").write_text(EMBODIED_POOLS)
     path = tmp_path / "embodied.json"
