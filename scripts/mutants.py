@@ -32,7 +32,7 @@ PBS, ANALYTICS, RECORDS = "src/mevforge/pbs.py", "src/mevforge/analytics.py", "s
 POOLS = "src/mevforge/pools.py"
 CLI, CONFIG, TRACES = "src/mevforge/cli.py", "src/mevforge/config.py", "src/mevforge/traces.py"
 CLI_TESTS, PBS_TESTS, POOLS_TESTS = "tests/test_cli.py", "tests/test_pbs.py", "tests/test_pools.py"
-TRACES_TESTS = "tests/test_traces.py"
+TRACES_TESTS, VALUES_TESTS = "tests/test_traces.py", "tests/test_values.py"
 EXHAUSTIVE_TEST = "tests/test_bench_tooling.py::test_strategy_values_equal_an_exhaustive_search"
 FOLD_TEST = "tests/test_analytics.py::test_the_fold_sums_long_dollars_exactly"
 HYPOTHESIS_SEED = "0"
@@ -78,6 +78,42 @@ MUTANTS = [
         "old": FRAGMENT_MEMO,
         "new": FRAGMENT_MEMO.replace("entry = token, ", "entry = None, "),
         "tests": [f"{TRACES_TESTS}::test_a_token_freed_after_its_line_lends_its_id_no_text"],
+    },
+    {
+        "name": "replace-skips-checks",
+        "why": "a value type's _replace builds its tuple directly, past the checks in __new__",
+        "file": TRACES,
+        "old": "        return type(self)(**{**dict(zip(self._fields, self)), **changes})",
+        "new": "        return tuple.__new__(type(self), {**dict(zip(self._fields, self)), **changes}.values())",
+        "tests": [f"{VALUES_TESTS}::test_replace_and_make_run_the_constructor_checks"],
+    },
+    {
+        "name": "eq-ignores-type",
+        "why": "a value type compares as a bare tuple, so it equals a tuple or another type with the same fields",
+        "file": TRACES,
+        "old": "        return type(other) is type(self) and tuple.__eq__(self, other)",
+        "new": "        return tuple.__eq__(self, other)",
+        "tests": [f"{VALUES_TESTS}::test_an_instance_equals_only_its_own_type"],
+    },
+    {
+        "name": "records-column-count-unchecked",
+        "why": "a records row of 11 or 13 cells reaches the timestamp check, which names the wrong fault",
+        "file": RECORDS,
+        "old": """            if len(row) != len(_HEADER):
+                raise ValueError(f"expected {len(_HEADER)} columns, got {len(row)}")
+""",
+        "new": "",
+        "tests": [f"{CLI_TESTS}::test_analyze_names_a_row_of_the_wrong_width_by_its_column_count"],
+    },
+    {
+        "name": "zero-covariance-signed",
+        "why": "Pearson with zero covariance negates a zero square root, so correlations.csv writes -0.000000000000",
+        "file": ANALYTICS,
+        "old": """        if sxy == 0:
+            return 0.0
+""",
+        "new": "",
+        "tests": [f"{CLI_TESTS}::test_analyze_writes_an_unsigned_zero_for_a_brand_with_zero_covariance"],
     },
     {
         "name": "manifest-entry-comma-dropped",
@@ -251,8 +287,8 @@ MUTANTS = [
         "name": "v2-post-reserves-swapped",
         "why": "swap's V2 post-state for token1 in credits the input to reserve0 and debits the output from reserve1",
         "file": POOLS,
-        "old": "        return amount_out, replace(pool, reserve1=pool.reserve1 + amount_in, reserve0=pool.reserve0 - amount_out)",
-        "new": "        return amount_out, replace(pool, reserve0=pool.reserve1 + amount_in, reserve1=pool.reserve0 - amount_out)",
+        "old": "        return amount_out, pool._replace(reserve1=pool.reserve1 + amount_in, reserve0=pool.reserve0 - amount_out)",
+        "new": "        return amount_out, pool._replace(reserve0=pool.reserve1 + amount_in, reserve1=pool.reserve0 - amount_out)",
         "tests": [f"{POOLS_TESTS}::test_v2_basic_quote", f"{POOLS_TESTS}::test_v2_product_never_decreases"],
     },
     {

@@ -9,7 +9,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from mevforge import pbs
+from mevforge import BUNDLED_SCENARIOS, pbs
 from mevforge.cli import main as mevforge_main
 
 SCENARIOS = ("bsc_duopoly.json", "eth_duopoly.json")
@@ -31,13 +31,13 @@ def main() -> None:
         for name in SCENARIOS:
             out = Path(tmp) / name.removesuffix(".json")
             print(f"\n== {name}")
-            run(["simulate", "--scenario", str(pbs.BUNDLED_SCENARIOS / name), "--slots", str(args.slots),
+            run(["simulate", "--scenario", str(BUNDLED_SCENARIOS / name), "--slots", str(args.slots),
                  "--seed", str(args.seed), "--out", str(out)])
             print((out / "summary.csv").read_text(encoding="utf-8"), end="")
 
     print("\n== contested windows")
     for name in SCENARIOS:
-        scenario = pbs.load_scenario(pbs.BUNDLED_SCENARIOS / name)
+        scenario = pbs.load_scenario(BUNDLED_SCENARIOS / name)
         window = next(pbs.run_campaign(scenario, 1, args.seed)).schedule.contested_ms
         print(f"{scenario.protocol.value:<12} horizon {scenario.horizon_ms!s:>6} ms  contested {window} ms")
     gap = pbs.DEFAULT_HORIZON_MS[pbs.Protocol.ETH_RELAY] - pbs.DEFAULT_HORIZON_MS[pbs.Protocol.BSC_DIRECT]

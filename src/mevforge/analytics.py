@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .records import EXACT, ArbitrageRecord
+from .traces import Frozen
 
 ZERO = Decimal(0)
 
@@ -42,16 +42,22 @@ class UndefinedCorrelationError(ValueError):
 # market share
 
 
-@dataclass(frozen=True)
-class ShareRow:
+class _ShareRowFields(NamedTuple):
     brand: str
     block_count: int
     share: Fraction
 
 
-@dataclass(frozen=True)
-class ShareTable:
+class ShareRow(Frozen, _ShareRowFields):
+    __slots__ = ()
+
+
+class _ShareTableFields(NamedTuple):
     rows: tuple[ShareRow, ...]
+
+
+class ShareTable(Frozen, _ShareTableFields):
+    __slots__ = ()
 
     def top_share(self, k: int) -> Fraction:
         return sum((row.share for row in self.rows[:k]), Fraction(0))
@@ -85,11 +91,14 @@ def token_shares(matrix: Mapping[tuple[str, str], Fraction]) -> dict[tuple[str, 
     }
 
 
-@dataclass(frozen=True)
-class ProposerSplit:
+class _ProposerSplitFields(NamedTuple):
     kept_usd: Fraction
     paid_usd: Fraction
     payout_fraction: Fraction
+
+
+class ProposerSplit(Frozen, _ProposerSplitFields):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +111,17 @@ class TrendDirection(Enum):
     NO_TREND = "no_trend"
 
 
-@dataclass(frozen=True)
-class TrendResult:
+class _TrendResultFields(NamedTuple):
     s_statistic: int
     variance: Fraction
     z_score: float
     tau: Fraction
     direction: TrendDirection
     alpha: Fraction
+
+
+class TrendResult(Frozen, _TrendResultFields):
+    __slots__ = ()
 
 
 def mann_kendall(series: Sequence, alpha: Fraction = Fraction(1, 20)) -> TrendResult:
@@ -162,10 +174,13 @@ def mann_kendall(series: Sequence, alpha: Fraction = Fraction(1, 20)) -> TrendRe
 # path complexity and correlation
 
 
-@dataclass(frozen=True)
-class PathComplexity:
+class _PathComplexityFields(NamedTuple):
     histogram: dict[int, int]
     ecdf: tuple[tuple[int, Fraction], ...]
+
+
+class PathComplexity(Frozen, _PathComplexityFields):
+    __slots__ = ()
 
 
 def path_complexity(counts: Mapping[int, int]) -> PathComplexity:
@@ -239,13 +254,16 @@ def pathlen_profit_correlation(points: Iterable[tuple]) -> float:
 # centralisation risk
 
 
-@dataclass(frozen=True)
-class RiskScore:
+class _RiskScoreFields(NamedTuple):
     symbol: str
     freezable: int
     custodial: int
     external_chain: int
     score: Fraction
+
+
+class RiskScore(Frozen, _RiskScoreFields):
+    __slots__ = ()
 
 
 def risk_score(symbol: str, freezable: int, custodial: int, external_chain: int) -> RiskScore:

@@ -13,14 +13,13 @@ Token decimals come from the traces themselves, never from the config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple, Optional
 
 from .arbitrage import DEFAULT_SHARE_ADDRESS
 from .records import EXACT
-from .traces import LineError, parse_address, read_json, read_lines
+from .traces import Frozen, LineError, parse_address, read_json, read_lines
 
 DEFAULT_PRICE_TABLE: dict[str, Decimal] = {
     "WBNB": Decimal("891.78"),
@@ -40,22 +39,38 @@ DEFAULT_RISK_BITS: dict[str, tuple[int, int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    share_addresses: tuple[bytes, ...] = (DEFAULT_SHARE_ADDRESS,)
-    price_table: dict[str, Decimal] = field(default_factory=lambda: dict(DEFAULT_PRICE_TABLE))
-    risk_bits: dict[str, tuple[int, int, int]] = field(default_factory=lambda: dict(DEFAULT_RISK_BITS))
-    alpha: Fraction = Fraction(1, 20)
-    genesis_unix: int = 0
-    infer_pool_sinks: bool = False
+class _RunConfigFields(NamedTuple):
+    share_addresses: tuple[bytes, ...]
+    price_table: dict[str, Decimal]
+    risk_bits: dict[str, tuple[int, int, int]]
+    alpha: Fraction
+    genesis_unix: int
+    infer_pool_sinks: bool
 
-    def __post_init__(self) -> None:
-        if any(p <= 0 for p in self.price_table.values()):
+
+class RunConfig(Frozen, _RunConfigFields):
+    """A run's settings; a table left out is a fresh copy of its default."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        share_addresses: tuple[bytes, ...] = (DEFAULT_SHARE_ADDRESS,),
+        price_table: Optional[dict[str, Decimal]] = None,
+        risk_bits: Optional[dict[str, tuple[int, int, int]]] = None,
+        alpha: Fraction = Fraction(1, 20),
+        genesis_unix: int = 0,
+        infer_pool_sinks: bool = False,
+    ):
+        price_table = dict(DEFAULT_PRICE_TABLE) if price_table is None else price_table
+        risk_bits = dict(DEFAULT_RISK_BITS) if risk_bits is None else risk_bits
+        if any(p <= 0 for p in price_table.values()):
             raise ValueError("price_table values must be positive")
-        if any(len(bits) != 3 or not set(bits) <= {0, 1} for bits in self.risk_bits.values()):
+        if any(len(bits) != 3 or not set(bits) <= {0, 1} for bits in risk_bits.values()):
             raise ValueError("risk needs three 0/1 bits")
-        if not 0 < self.alpha < 1:
+        if not 0 < alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
+        return tuple.__new__(cls, (share_addresses, price_table, risk_bits, alpha, genesis_unix, infer_pool_sinks))
 
 
 def _setting(key: str, value: str) -> tuple[str, object]:

@@ -8,7 +8,6 @@ pipeline output against generator intent rather than against itself.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterator
 
 from .arbitrage import DEFAULT_SHARE_ADDRESS
@@ -53,7 +52,6 @@ def make_token_universe(rng: random.Random) -> list[TokenId]:
     return tokens
 
 
-@dataclass
 class TraceCorpus:
     """A trace corpus drawn as it is consumed.  Each transaction comes with
     its planted cycle's manifest entry, or None when it plants none; no
@@ -61,9 +59,15 @@ class TraceCorpus:
     planted_cycles and non_cycles counts are set once transactions is
     exhausted."""
 
-    transactions: Iterator[tuple[Transaction, dict | None]]
-    labels: list[BuilderLabel]
-    manifest: dict
+    __slots__ = ("transactions", "labels", "manifest")
+
+    def __init__(
+        self, transactions: Iterator[tuple[Transaction, dict | None]], labels: list[BuilderLabel], manifest: dict
+    ) -> None:
+        self.transactions, self.labels, self.manifest = transactions, labels, manifest
+
+    def __repr__(self) -> str:
+        return f"TraceCorpus(transactions={self.transactions!r}, labels={self.labels!r}, manifest={self.manifest!r})"
 
 
 def _pool_for(rng: random.Random, pools: dict[tuple[bytes, bytes], bytes], a: TokenId, b: TokenId) -> bytes:
@@ -166,7 +170,7 @@ def _draw_transactions(
                 sink_at = rng.randrange(hops)
                 amt = rng.randint(1, 10**6)
                 share_total += amt
-                swaps[sink_at] = replace(swaps[sink_at], pool_sink=True, amount=amt)
+                swaps[sink_at] = swaps[sink_at]._replace(pool_sink=True, amount=amt)
             events = list(swaps)
             for extra in extras + _noise_events(rng, tokens, rng.randint(0, 4)):
                 events.insert(rng.randint(0, len(events)), extra)
@@ -224,11 +228,16 @@ def _draw_transactions(
 # pool fixtures
 
 
-@dataclass
 class PoolFixture:
-    pools: dict[bytes, PoolState]
-    descriptor: PathDescriptor  # planted profitable V2 triangle
-    manifest: dict = field(default_factory=dict)
+    __slots__ = ("pools", "descriptor", "manifest")
+
+    def __init__(self, pools: dict[bytes, PoolState], descriptor: PathDescriptor, manifest: dict | None = None) -> None:
+        self.pools = pools
+        self.descriptor = descriptor  # planted profitable V2 triangle
+        self.manifest = {} if manifest is None else manifest
+
+    def __repr__(self) -> str:
+        return f"PoolFixture(pools={self.pools!r}, descriptor={self.descriptor!r}, manifest={self.manifest!r})"
 
 
 def gen_pool_fixture(seed: int) -> PoolFixture:

@@ -26,25 +26,31 @@ single-threaded by design; parallelize across campaigns, not within one.
 import json
 import random
 from collections import defaultdict
-from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, get_args, get_origin
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, get_args, get_origin, get_type_hints
 
-from . import BUNDLED_SCENARIOS  # kept here too, as pbs.BUNDLED_SCENARIOS
 from . import pools as pools_mod
 from .pools import SHARE_RATIO_SCALE, enumerate_cycles
-from .traces import ConfigError, read_json, unique_keys
+from .traces import ConfigError, Frozen, read_json, unique_keys
+
+# The value of a section field whose key did not read (or, as a default,
+# of a field that has none: SimScenario.opportunity)
+MISSING = object()
 
 
-class _Section:
+class _Section(Frozen):
+    """A scenario section: a Frozen type whose fields are its keys."""
+
+    __slots__ = ()
+
     def _check(self, *checks: tuple[tuple[str, ...], Callable[[], bool], str]) -> None:
         """Raise one ConfigError of every check (keys it reads, fault,
         message) whose fault holds; it runs only if each key it reads did
         read (is not MISSING) and passed its one-key checks, listed first."""
-        failed, faults = {key for key, value in vars(self).items() if value is MISSING}, []
+        failed, faults = {key for key in self._fields if getattr(self, key) is MISSING}, []
         for keys, fault, message in checks:
             if failed.isdisjoint(keys) and fault():
                 faults.append(message)
@@ -75,8 +81,7 @@ class Strategy(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class BuilderAgent(_Section):
+class _BuilderAgentFields(NamedTuple):
     id: str
     latency_ms: Fraction
     strategy: Strategy = Strategy.SHORT_HOP
@@ -84,7 +89,12 @@ class BuilderAgent(_Section):
     infra_tier: Fraction = Fraction(1)
     non_delivery_prob: float = 0.0
 
-    def __post_init__(self) -> None:
+
+class BuilderAgent(_Section, _BuilderAgentFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         self._check(
             (("id",), lambda: not self.id, "id: must not be empty"),
             (("latency_ms",), lambda: self.latency_ms < 0, "latency_ms: must be >= 0"),
@@ -93,6 +103,7 @@ class BuilderAgent(_Section):
             (("infra_tier",), lambda: self.infra_tier <= 0, "infra_tier: must be > 0"),
             (("non_delivery_prob",), lambda: not 0.0 <= self.non_delivery_prob <= 1.0, "non_delivery_prob: must be in [0, 1]"),
         )
+        return self
 
     @property
     def efficiency(self) -> Fraction:
@@ -107,8 +118,17 @@ class BuilderAgent(_Section):
         return base_compute_ms / self.infra_tier
 
 
-@dataclass(frozen=True)
-class OpportunityModel(_Section):
+class _OpportunityModelFields(NamedTuple):
+    peak_value: int
+    gas_floor: int
+    birth_ms: Fraction = Fraction(0)
+    decay: str = "piecewise"
+    knee_ms: Fraction = Fraction(100)
+    deadline_ms: Fraction = Fraction(200)
+    tail_value: int = 0
+
+
+class OpportunityModel(_Section, _OpportunityModelFields):
     """Value of an arbitrage opportunity as a function of time.
 
     One piecewise curve (decay "piecewise", the only shape): flat at
@@ -118,15 +138,10 @@ class OpportunityModel(_Section):
     peak_value at birth.
     """
 
-    peak_value: int
-    gas_floor: int
-    birth_ms: Fraction = Fraction(0)
-    decay: str = "piecewise"
-    knee_ms: Fraction = Fraction(100)
-    deadline_ms: Fraction = Fraction(200)
-    tail_value: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         tail = "tail_value: must be >= 0 and below gas_floor, unless 0"
         self._check(
             (("peak_value",), lambda: self.peak_value < 0, "peak_value: must be >= 0"),
@@ -137,6 +152,7 @@ class OpportunityModel(_Section):
             (("tail_value", "peak_value"), lambda: self.tail_value > self.peak_value, "tail_value: must be <= peak_value"),
             (("knee_ms", "deadline_ms"), lambda: not 0 <= self.knee_ms < self.deadline_ms, "knee_ms: must be >= 0 and below deadline_ms"),
         )
+        return self
 
     def value(self, t_ms: Fraction) -> int:
         elapsed = t_ms - self.birth_ms
@@ -151,56 +167,66 @@ class OpportunityModel(_Section):
         return min(self.peak_value, int(self.peak_value - slope * (elapsed - self.knee_ms)))
 
 
-@dataclass(frozen=True)
-class Bid:
+class _BidFields(NamedTuple):
     builder_id: str
     timestamp_ms: Fraction
     offered_payment: int
     delta: int  # the builder's realized surplus backing the bid
 
-    def __post_init__(self) -> None:
-        if self.offered_payment > self.delta:
+
+class Bid(Frozen, _BidFields):
+    __slots__ = ()
+
+    def __new__(cls, builder_id: str, timestamp_ms: Fraction, offered_payment: int, delta: int):
+        if offered_payment > delta:
             raise ValueError("insolvent bid: payment exceeds realized surplus")
+        return tuple.__new__(cls, (builder_id, timestamp_ms, offered_payment, delta))
 
 
-@dataclass(frozen=True)
-class ProposerConfig(_Section):
-    """Proposers take slots in turn (round robin, the only rotation); a
-    builder that fails to deliver is on that proposer's blacklist for
-    blacklist_slots slots."""
-
+class _ProposerConfigFields(NamedTuple):
     count: int = 1
     rotation: str = "round_robin"
     blacklist_slots: int = 100
 
-    def __post_init__(self) -> None:
+
+class ProposerConfig(_Section, _ProposerConfigFields):
+    """Proposers take slots in turn (round robin, the only rotation); a
+    builder that fails to deliver is on that proposer's blacklist for
+    blacklist_slots slots."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         self._check(
             (("count",), lambda: self.count < 1, "count: must be >= 1"),
             (("rotation",), lambda: self.rotation != "round_robin", f"rotation: expected 'round_robin', got {self.rotation!r:.40}"),
             (("blacklist_slots",), lambda: self.blacklist_slots < 0, "blacklist_slots: must be >= 0"),
         )
+        return self
 
 
-@dataclass(frozen=True)
-class RelayConfig(_Section):
+class _RelayConfigFields(NamedTuple):
     delay_ms: Fraction = Fraction(0)
     rebid_interval_ms: Fraction = Fraction(500)
     optimization_rounds: int = 8
     rebids_enabled: bool = True
 
-    def __post_init__(self) -> None:
+
+class RelayConfig(_Section, _RelayConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         self._check(
             (("delay_ms",), lambda: self.delay_ms < 0, "delay_ms: must be >= 0"),
             (("rebid_interval_ms",), lambda: self.rebid_interval_ms <= 0, "rebid_interval_ms: must be > 0"),
             (("optimization_rounds",), lambda: self.optimization_rounds < 1, "optimization_rounds: must be >= 1"),
         )
+        return self
 
 
-@dataclass(frozen=True, kw_only=True)
-class SimScenario(_Section):
-    """A scenario file: each field is the top-level key of its name, except
-    that the file's pools key names the pool file that pools is read from."""
-
+class _SimScenarioFields(NamedTuple):
     protocol: Protocol
     # None takes DEFAULT_HORIZON_MS[protocol]; the type is not Optional, so
     # a file's null is an error
@@ -208,15 +234,24 @@ class SimScenario(_Section):
     listen_window_ms: Fraction = Fraction(50)
     base_compute_ms: Fraction = Fraction(10)
     builders: tuple[BuilderAgent, ...] = ()
-    opportunity: OpportunityModel
+    opportunity: OpportunityModel = MISSING  # required all the same: see SimScenario.__new__
     proposers: ProposerConfig = ProposerConfig()
     relay: RelayConfig = RelayConfig()
     pools: Optional[dict[bytes, "pools_mod.PoolState"]] = None
     embodied_base_symbol: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.horizon_ms is None:  # a protocol that did not read gives no horizon to check
-            object.__setattr__(self, "horizon_ms", MISSING if self.protocol is MISSING else DEFAULT_HORIZON_MS[self.protocol])
+
+class SimScenario(_Section, _SimScenarioFields):
+    """A scenario file: each field is the top-level key of its name, except
+    that the file's pools key names the pool file that pools is read from.
+    Every field is keyword-only, and protocol and opportunity are required."""
+
+    __slots__ = ()
+
+    def __new__(cls, *, protocol: Protocol, opportunity: OpportunityModel, horizon_ms: Fraction = None, **fields):
+        if horizon_ms is None:  # a protocol that did not read gives no horizon to check
+            horizon_ms = MISSING if protocol is MISSING else DEFAULT_HORIZON_MS[protocol]
+        self = super().__new__(cls, protocol=protocol, horizon_ms=horizon_ms, opportunity=opportunity, **fields)
         symbol, loaded, reads = self.embodied_base_symbol, self.pools, ("embodied_base_symbol", "pools")
         self._check(
             (("horizon_ms",), lambda: self.horizon_ms <= 0, "horizon_ms: must be > 0"),
@@ -227,22 +262,27 @@ class SimScenario(_Section):
             (reads, lambda: None not in (symbol, loaded) and all(symbol not in (p.token0.symbol, p.token1.symbol) for p in loaded.values()),
              f"embodied_base_symbol {symbol!r} names no token of the pool file"),
         )
+        return self
 
 
-@dataclass(frozen=True)
-class BidSchedule:
+class _BidScheduleFields(NamedTuple):
+    received: tuple[Bid, ...]
+    candidates: tuple[tuple[Bid, float], ...]
+
+
+class BidSchedule(Frozen, _BidScheduleFields):
     """A slot's bids, which depend on neither its height nor its seed:
     every bid in arrival order, and the bids the proposer tries, best
     first, each with its builder's non-delivery probability."""
 
-    received: tuple[Bid, ...]
-    candidates: tuple[tuple[Bid, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, received: tuple[Bid, ...], candidates: tuple[tuple[Bid, float], ...]):
         # a slot's winner is a candidate, so it appears among received bids
-        received = set(self.received)
-        if any(bid not in received for bid, _prob in self.candidates):
+        received_set = set(received)
+        if any(bid not in received_set for bid, _prob in candidates):
             raise ValueError("candidate bids must appear among received bids")
+        return tuple.__new__(cls, (received, candidates))
 
     @property
     def contested_ms(self) -> Fraction:
@@ -263,14 +303,17 @@ class BidSchedule:
         return last_change.timestamp_ms - arrivals[0].timestamp_ms
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
+class _SlotOutcomeFields(NamedTuple):
     height: int
     winner: Optional[str]  # None: no builder won, so the proposer built its own block
     proposer_payment: int
     blacklist_events: tuple[str, ...]
     schedule: BidSchedule  # the schedule the slot was resolved against
     realized_builder_profit: int
+
+
+class SlotOutcome(Frozen, _SlotOutcomeFields):
+    __slots__ = ()
 
 
 def _make_bid(agent: BuilderAgent, t: Fraction, delta: int) -> Bid:
@@ -372,8 +415,8 @@ def run_slot_bsc(
     *,
     height: int = 0,
     horizon_ms: Optional[Fraction] = None,
-    listen_window_ms: Fraction = SimScenario.listen_window_ms,
-    base_compute_ms: Fraction = SimScenario.base_compute_ms,
+    listen_window_ms: Fraction = SimScenario._field_defaults["listen_window_ms"],
+    base_compute_ms: Fraction = SimScenario._field_defaults["base_compute_ms"],
     blacklisted: frozenset[str] = frozenset(),
 ) -> SlotOutcome:
     """One direct single-round slot: its bid schedule, then its resolution.
@@ -393,7 +436,7 @@ def run_slot_eth(
     *,
     height: int = 0,
     horizon_ms: Optional[Fraction] = None,
-    base_compute_ms: Fraction = SimScenario.base_compute_ms,
+    base_compute_ms: Fraction = SimScenario._field_defaults["base_compute_ms"],
 ) -> SlotOutcome:
     """One relay-mediated slot: its bid schedule, then its resolution.
     The timing keywords are SimScenario's fields."""
@@ -411,11 +454,11 @@ def run_slot_eth(
 def _from_json(kind, value, unread: frozenset[str], problems: list[str], where: str = ""):
     """A JSON value read as kind, or MISSING once a fault, named by where
     it is (``builders[1]: latency_ms: ...``), is added to problems.  A
-    dataclass is read from an object whose keys are its fields, each by
-    its annotation (absent: the field's default; no field, or in unread:
-    an error), and built with MISSING in each field that did not read, so
-    its checks run on the rest.  ``tuple[X, ...]`` is read from an array
-    of X, ``Optional[X]`` from null or X, and any other type by read_json."""
+    section is read from an object whose keys are its fields, each by its
+    type hint (absent: the field's default; no field, or in unread: an
+    error), and built with MISSING in each field that did not read, so its
+    checks run on the rest.  ``tuple[X, ...]`` is read from an array of X,
+    ``Optional[X]`` from null or X, and any other type by read_json."""
     if value is MISSING or value is None and type(None) in get_args(kind):
         return value  # a value that failed before (a pool file), or null as Optional's none
     kind = get_args(kind)[0] if type(None) in get_args(kind) else kind
@@ -425,22 +468,24 @@ def _from_json(kind, value, unread: frozenset[str], problems: list[str], where: 
             entries = read_json(value, where, list)
             items = tuple(_from_json(get_args(kind)[0], v, unread, problems, f"{where}[{i}]") for i, v in enumerate(entries))
             return items if len(problems) == found else MISSING
-        if not is_dataclass(kind):
+        if not (isinstance(kind, type) and issubclass(kind, _Section)):
             return read_json(value, where, get_origin(kind) or kind)
         section = read_json(value, where, dict)
     except ValueError as exc:
         problems.append(str(exc))
         return MISSING
     at = f"{where}: " if where else ""
-    unknown = sorted(set(section).difference(f.name for f in fields(kind) if f.name not in unread))
+    unknown = sorted(set(section).difference(key for key in kind._fields if key not in unread))
     if unknown:
         problems.append(f"{at}unknown keys {', '.join(unknown)}")
-    values = {field.name: MISSING for field in fields(kind) if field.default is MISSING}  # an absent one did not read
-    for field in fields(kind):
-        if field.name in section and field.name not in unread:
-            values[field.name] = _from_json(field.type, section[field.name], unread, problems, at + field.name)
-        elif field.default is MISSING:
-            problems.append(f"{at}missing {field.name}")
+    required = [key for key in kind._fields if kind._field_defaults.get(key, MISSING) is MISSING]
+    values = dict.fromkeys(required, MISSING)  # an absent one did not read
+    hints = get_type_hints(kind)
+    for key in kind._fields:
+        if key in section and key not in unread:
+            values[key] = _from_json(hints[key], section[key], unread, problems, at + key)
+        elif key in required:
+            problems.append(f"{at}missing {key}")
     try:
         section = kind(**values)
     except ConfigError as exc:
@@ -541,7 +586,7 @@ def run_campaign(scenario: SimScenario, n_slots: int, rng_seed: int) -> Iterator
         blacklists: defaultdict[int, dict[str, int]] = defaultdict(dict)  # by proposer, made on first use
         for height in range(n_slots):
             blacklist = blacklists[height % scenario.proposers.count]
-            active = frozenset(builder for builder, expiry in blacklist.items() if expiry > height)
+            active = frozenset(builder for builder, expiry in blacklist.items() if expiry > height) if blacklist else frozenset()
             schedule = schedules.get(active)
             if schedule is None:
                 schedule = schedules[active] = _schedule(scenario, active, values)

@@ -29,15 +29,14 @@ skip the cycles that cannot win.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 import json
 import math
-from typing import IO, Callable, Iterable, Mapping, Optional
+from typing import IO, Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .traces import (
-    LineError, PathDescriptor, TokenId, format_address, parse_address, read_json, read_lines, token_from_obj, token_to_obj,
+    Frozen, LineError, PathDescriptor, TokenId, format_address, parse_address, read_json, read_lines, token_from_obj, token_to_obj,
     unique_keys,
 )
 
@@ -65,31 +64,38 @@ class PoolKind(Enum):
     V3 = "v3"
 
 
-@dataclass(frozen=True)
-class PoolState:
+class _PoolStateFields(NamedTuple):
     address: bytes
     kind: PoolKind
     token0: TokenId
     token1: TokenId
     fee_ppm: int
-    reserve0: int = 0
-    reserve1: int = 0
-    liquidity: int = 0
-    sqrt_price_x96: int = 0
+    reserve0: int
+    reserve1: int
+    liquidity: int
+    sqrt_price_x96: int
 
-    def __post_init__(self) -> None:
-        if self.token0 == self.token1:
+
+class PoolState(Frozen, _PoolStateFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, address: bytes, kind: PoolKind, token0: TokenId, token1: TokenId, fee_ppm: int,
+        reserve0: int = 0, reserve1: int = 0, liquidity: int = 0, sqrt_price_x96: int = 0,
+    ):
+        if token0 == token1:
             raise ValueError("pool tokens must differ")
-        if not 0 <= self.fee_ppm < FEE_SCALE:
+        if not 0 <= fee_ppm < FEE_SCALE:
             raise ValueError("fee_ppm out of range")
-        if self.kind is PoolKind.V2:
-            if self.reserve0 <= 0 or self.reserve1 <= 0:
+        if kind is PoolKind.V2:
+            if reserve0 <= 0 or reserve1 <= 0:
                 raise ValueError("active V2 pool needs positive reserves")
         else:
-            if self.liquidity <= 0:
+            if liquidity <= 0:
                 raise InactivePoolError("V3 pool needs positive liquidity")
-            if not MIN_SQRT_PRICE_X96 <= self.sqrt_price_x96 <= MAX_SQRT_PRICE_X96:
+            if not MIN_SQRT_PRICE_X96 <= sqrt_price_x96 <= MAX_SQRT_PRICE_X96:
                 raise ValueError("V3 sqrt price out of range")
+        return tuple.__new__(cls, (address, kind, token0, token1, fee_ppm, reserve0, reserve1, liquidity, sqrt_price_x96))
 
     def has_token(self, token: TokenId) -> bool:
         return token in (self.token0, self.token1)
@@ -201,26 +207,29 @@ def swap(pool: PoolState, token_in: TokenId, amount_in: int) -> tuple[int, PoolS
     if pool.kind is PoolKind.V2:
         if direction == 0:
             amount_out = quote_v2(pool.reserve0, pool.reserve1, pool.fee_ppm, amount_in)
-            return amount_out, replace(pool, reserve0=pool.reserve0 + amount_in, reserve1=pool.reserve1 - amount_out), 0
+            return amount_out, pool._replace(reserve0=pool.reserve0 + amount_in, reserve1=pool.reserve1 - amount_out), 0
         amount_out = quote_v2(pool.reserve1, pool.reserve0, pool.fee_ppm, amount_in)
-        return amount_out, replace(pool, reserve1=pool.reserve1 + amount_in, reserve0=pool.reserve0 - amount_out), 0
+        return amount_out, pool._replace(reserve1=pool.reserve1 + amount_in, reserve0=pool.reserve0 - amount_out), 0
     amount_out, new_sqrt, unused = step_v3(pool.liquidity, pool.sqrt_price_x96, pool.fee_ppm, direction, amount_in)
-    return _v3_hop_out(amount_out), replace(pool, sqrt_price_x96=new_sqrt), unused
+    return _v3_hop_out(amount_out), pool._replace(sqrt_price_x96=new_sqrt), unused
 
 
 # ---------------------------------------------------------------------------
 # atomic multi-hop execution
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
-    """Successful run: delta split into the validator payout and the kept
-    remainder; kept + payout == delta and payout == floor(delta*r/10000)."""
-
+class _ExecutionResultFields(NamedTuple):
     delta: int
     payout: int
     kept: int
     hop_amounts: tuple[int, ...]
+
+
+class ExecutionResult(Frozen, _ExecutionResultFields):
+    """Successful run: delta split into the validator payout and the kept
+    remainder; kept + payout == delta and payout == floor(delta*r/10000)."""
+
+    __slots__ = ()
 
 
 def split_delta(delta: int, share_ratio_bp: int) -> tuple[int, int]:

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from itertools import repeat
-from typing import IO, Iterable, Iterator, get_type_hints
+from typing import IO, Iterable, Iterator, NamedTuple, get_type_hints
 
-from .traces import LineError, format_address, parse_tx_hash, read_json, read_lines
+from .traces import Frozen, LineError, format_address, parse_tx_hash, read_json, read_lines
 
 SCHEMA_VERSION = "2"
 BLOCK_INTERVAL_S = 3  # seconds per BSC block; timestamp_for_block counts from genesis by it
@@ -42,8 +41,7 @@ class TimestampRangeError(ValueError):
     """A block's moment falls outside the years 1 to 9999."""
 
 
-@dataclass(frozen=True, slots=True)
-class ArbitrageRecord:
+class _ArbitrageRecordFields(NamedTuple):
     tx_hash: bytes
     block_number: int
     builder_brand: str
@@ -57,19 +55,31 @@ class ArbitrageRecord:
     share_usd: Decimal  # share in dollars
     timestamp_utc: str
 
-    def __post_init__(self) -> None:
-        if self.net != self.gross - self.share - self.gas:
+
+class ArbitrageRecord(Frozen, _ArbitrageRecordFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, tx_hash: bytes, block_number: int, builder_brand: str, base_token: str, hop_count: int, gross: int,
+        share: int, gas: int, net: int, usd_value: Decimal, share_usd: Decimal, timestamp_utc: str,
+    ):
+        if net != gross - share - gas:
             raise ValueError("record identity violated: net != gross - share - gas")
-        if self.hop_count < 2:
+        if hop_count < 2:
             raise ValueError("cycles have at least two hops")
-        if self.block_number < 0 or self.share < 0 or self.gas < 0 or self.share_usd < 0:  # extract writes none
-            key = next(key for key in ("block_number", "share", "gas", "share_usd") if getattr(self, key) < 0)
-            raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
+        if block_number < 0 or share < 0 or gas < 0 or share_usd < 0:  # extract writes none
+            checked = {"block_number": block_number, "share": share, "gas": gas, "share_usd": share_usd}
+            key = next(key for key, value in checked.items() if value < 0)
+            raise ValueError(f"{key} must be non-negative, got {checked[key]}")
+        return tuple.__new__(
+            cls,
+            (tx_hash, block_number, builder_brand, base_token, hop_count, gross, share, gas, net, usd_value, share_usd, timestamp_utc),
+        )
 
 
 # the columns of a records file are a record's fields, in order, each read
 # as its field's type (the tx hash as hex text, parsed after)
-_HEADER = [field.name for field in fields(ArbitrageRecord)]
+_HEADER = list(ArbitrageRecord._fields)
 _KINDS = [str if key == "tx_hash" else kind for key, kind in get_type_hints(ArbitrageRecord).items()]
 
 

@@ -8,6 +8,7 @@ produce byte-identical files regardless of input row order.
 from __future__ import annotations
 
 import csv
+import io
 from fractions import Fraction
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Mapping, Optional
@@ -113,22 +114,27 @@ def write_risk_scores(stream: IO[str], scores: Iterable[RiskScore]) -> None:
 
 
 def write_slot_log(stream: IO[str], outcomes: Iterable[SlotOutcome]) -> None:
+    """One row per slot.  A row is its height, then the csv text of the
+    rest of its outcome, which is made once per distinct outcome: a
+    campaign's outcomes repeat, so the memo grows with the scenario, not
+    with the slots."""
     writer = _writer(stream)
     writer.writerow(
         ["height", "winner", "proposer_payment", "fallback", "bids", "blacklist_events", "realized_builder_profit"]
     )
+    buffer = io.StringIO()
+    rest = _writer(buffer)
+    texts: dict[tuple, str] = {}
     for o in outcomes:
-        writer.writerow(
-            [
-                o.height,
-                o.winner or "",
-                o.proposer_payment,
-                int(o.winner is None),
-                len(o.schedule.received),
-                "|".join(o.blacklist_events),
-                o.realized_builder_profit,
-            ]
-        )
+        key = o.winner, o.proposer_payment, len(o.schedule.received), o.blacklist_events, o.realized_builder_profit
+        text = texts.get(key)
+        if text is None:
+            buffer.seek(0)
+            buffer.truncate()
+            winner, payment, bids, events, profit = key
+            rest.writerow([winner or "", payment, int(winner is None), bids, "|".join(events), profit])
+            text = texts[key] = buffer.getvalue()
+        stream.write(f"{o.height},{text}")
 
 
 def write_campaign_summary(stream: IO[str], summary: CampaignSummary) -> None:

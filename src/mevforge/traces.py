@@ -10,8 +10,9 @@ through json.dumps, once per token object.
 The transactions of one parsed stream share one TokenId per distinct token
 (up to MAX_SHARED_TOKENS distinct tokens).
 
-The token, event, transaction, label and path types are frozen, slotted
-dataclasses, safe to share across threads.
+The token, event, transaction, label and path types are Frozen value
+types: immutable NamedTuples whose constructor checks their fields, safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, Mapping, Optional
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 ADDRESS_LEN = 20
 HASH_LEN = 32
@@ -161,23 +161,65 @@ class EventKind(Enum):
     INTERNAL = "internal"
 
 
-@dataclass(frozen=True, slots=True)
-class TokenId:
-    """A token: display symbol, contract address, base-unit scale."""
+class Frozen:
+    """The base of the package's value types, each a NamedTuple subclass:
+    ``class T(Frozen, _TFields)``, where ``_TFields(NamedTuple)`` declares
+    the fields and T's ``__new__`` checks them.  A field can be neither set
+    nor deleted.  An instance equals only an instance of its own type with
+    equal fields, never a bare tuple, and hashes as ``hash(tuple(self))``.
+    ``_make`` and ``_replace`` build through ``__new__``, so they run its
+    checks (the stock ones call ``tuple.__new__``)."""
 
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(**dict(zip(cls._fields, iterable, strict=True)))
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields, self)), **changes})
+
+
+class _TokenIdFields(NamedTuple):
     symbol: str
     address: bytes
     decimals: int
 
-    def __post_init__(self) -> None:
-        if len(self.address) != ADDRESS_LEN:
+
+class TokenId(Frozen, _TokenIdFields):
+    """A token: display symbol, contract address, base-unit scale."""
+
+    __slots__ = ()
+
+    def __new__(cls, symbol: str, address: bytes, decimals: int):
+        if len(address) != ADDRESS_LEN:
             raise ValueError("token address must be 20 bytes")
-        if not 0 <= self.decimals <= MAX_TOKEN_DECIMALS:
+        if not 0 <= decimals <= MAX_TOKEN_DECIMALS:
             raise ValueError("token decimals out of range")
+        return tuple.__new__(cls, (symbol, address, decimals))
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class _TraceEventFields(NamedTuple):
+    kind: EventKind
+    pool: Optional[bytes]
+    token_in: Optional[TokenId]
+    token_out: Optional[TokenId]
+    amount_in: int
+    amount_out: int
+    to: Optional[bytes]
+    amount: Optional[int]
+    pool_sink: bool
+
+
+class TraceEvent(Frozen, _TraceEventFields):
     """One decoded event inside a transaction; its position in
     ``Transaction.events`` is its order of execution.
 
@@ -187,36 +229,39 @@ class TraceEvent:
     in which case ``amount`` holds the routed surplus.
     """
 
-    kind: EventKind
-    pool: Optional[bytes] = None
-    token_in: Optional[TokenId] = None
-    token_out: Optional[TokenId] = None
-    amount_in: int = 0
-    amount_out: int = 0
-    to: Optional[bytes] = None
-    amount: Optional[int] = None
-    pool_sink: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.amount_in < 0 or self.amount_out < 0:
+    def __new__(
+        cls,
+        kind: EventKind,
+        pool: Optional[bytes] = None,
+        token_in: Optional[TokenId] = None,
+        token_out: Optional[TokenId] = None,
+        amount_in: int = 0,
+        amount_out: int = 0,
+        to: Optional[bytes] = None,
+        amount: Optional[int] = None,
+        pool_sink: bool = False,
+    ):
+        if amount_in < 0 or amount_out < 0:
             raise ValueError("amounts must be non-negative")
-        if self.amount is not None and self.amount < 0:
+        if amount is not None and amount < 0:
             raise ValueError("amount must be non-negative")
-        if self.kind is EventKind.SWAP:
-            if self.pool is None or self.token_in is None or self.token_out is None:
+        if kind is EventKind.SWAP:
+            if pool is None or token_in is None or token_out is None:
                 raise ValueError("swap requires pool, token_in and token_out")
-            if self.token_in == self.token_out:
+            if token_in == token_out:
                 raise ValueError("swap token_in must differ from token_out")
-        elif self.kind in (EventKind.TRANSFER, EventKind.INTERNAL):
-            if self.to is None or self.amount is None:
-                raise ValueError(f"{self.kind.value} requires to and amount")
-        for addr in (self.pool, self.to):
+        elif kind in (EventKind.TRANSFER, EventKind.INTERNAL):
+            if to is None or amount is None:
+                raise ValueError(f"{kind.value} requires to and amount")
+        for addr in (pool, to):
             if addr is not None and len(addr) != ADDRESS_LEN:
                 raise ValueError("event address must be 20 bytes")
+        return tuple.__new__(cls, (kind, pool, token_in, token_out, amount_in, amount_out, to, amount, pool_sink))
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
+class _TransactionFields(NamedTuple):
     hash: bytes
     block_number: int
     initiator: bytes
@@ -224,14 +269,20 @@ class Transaction:
     gas_used: int
     gas_price: int
 
-    def __post_init__(self) -> None:
-        if len(self.hash) != HASH_LEN:
+
+class Transaction(Frozen, _TransactionFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, hash: bytes, block_number: int, initiator: bytes, events: Iterable[TraceEvent], gas_used: int, gas_price: int
+    ):
+        if len(hash) != HASH_LEN:
             raise ValueError("tx hash must be 32 bytes")
-        if len(self.initiator) != ADDRESS_LEN:
+        if len(initiator) != ADDRESS_LEN:
             raise ValueError("initiator must be 20 bytes")
-        if self.block_number < 0 or self.gas_used < 0 or self.gas_price < 0:
+        if block_number < 0 or gas_used < 0 or gas_price < 0:
             raise ValueError("block number and gas fields must be non-negative")
-        object.__setattr__(self, "events", tuple(self.events))
+        return tuple.__new__(cls, (hash, block_number, initiator, tuple(events), gas_used, gas_price))
 
     @property
     def gas_cost(self) -> int:
@@ -239,19 +290,27 @@ class Transaction:
         return self.gas_used * self.gas_price
 
 
-@dataclass(frozen=True, slots=True)
-class BuilderLabel:
+class _BuilderLabelFields(NamedTuple):
     brand: str
     instance_name: str
     address: bytes
 
-    def __post_init__(self) -> None:
-        if len(self.address) != ADDRESS_LEN:
+
+class BuilderLabel(Frozen, _BuilderLabelFields):
+    __slots__ = ()
+
+    def __new__(cls, brand: str, instance_name: str, address: bytes):
+        if len(address) != ADDRESS_LEN:
             raise ValueError("builder address must be 20 bytes")
+        return tuple.__new__(cls, (brand, instance_name, address))
 
 
-@dataclass(frozen=True, slots=True)
-class PathDescriptor:
+class _PathDescriptorFields(NamedTuple):
+    tokens: tuple[TokenId, ...]
+    pools: tuple[bytes, ...]
+
+
+class PathDescriptor(Frozen, _PathDescriptorFields):
     """A multi-hop route: a traced cycle, or a path to run on pools.
 
     Hop i swaps ``tokens[i]`` for ``tokens[i + 1]`` in ``pools[i]``, so
@@ -260,17 +319,16 @@ class PathDescriptor:
     and are read from the pool map when the route runs.
     """
 
-    tokens: tuple[TokenId, ...]
-    pools: tuple[bytes, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "pools", tuple(self.pools))
-        n = len(self.pools)
+    def __new__(cls, tokens: Iterable[TokenId], pools: Iterable[bytes]):
+        tokens, pools = tuple(tokens), tuple(pools)
+        n = len(pools)
         if n < 1:
             raise ValueError("descriptor needs at least one hop")
-        if len(self.tokens) != n + 1:
+        if len(tokens) != n + 1:
             raise ValueError("descriptor length mismatch: need n+1 tokens for n pools")
+        return tuple.__new__(cls, (tokens, pools))
 
     @property
     def n_hops(self) -> int:
@@ -285,13 +343,17 @@ class PathDescriptor:
 # newline-delimited JSON trace format
 
 
-@dataclass
 class ParseStats:
     """Counters accumulated while parsing; unknown event kinds are skipped
     (the record is retained minus that event) rather than failing the file."""
 
-    transactions: int = 0
-    unknown_events: int = 0
+    __slots__ = ("transactions", "unknown_events")
+
+    def __init__(self, transactions: int = 0, unknown_events: int = 0) -> None:
+        self.transactions, self.unknown_events = transactions, unknown_events
+
+    def __repr__(self) -> str:
+        return f"ParseStats(transactions={self.transactions!r}, unknown_events={self.unknown_events!r})"
 
 
 _KIND_BY_NAME = {k.value: k for k in EventKind}
@@ -392,7 +454,7 @@ def serialize_transactions(transactions: Iterable[Transaction]) -> Iterator[str]
     token's text is made once per token object, so tokens shared as
     iter_transactions shares them are formatted once each."""
     # (token, its text) by id(token), for MAX_SHARED_TOKENS token objects:
-    # an id is C-level to hash where TokenId.__hash__ is Python, and the
+    # an id hashes and compares without reading the token's fields, and the
     # entry holds its token so that no other object can take that id
     fragments: dict[int, tuple[TokenId, str]] = {}
 

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from mevforge import analytics, fixtures, pbs, pools
+from mevforge import BUNDLED_SCENARIOS as SCENARIOS, analytics, fixtures, pbs, pools
 from mevforge.arbitrage import DEFAULT_SHARE_ADDRESS, attribute_profit, extract_arbitrage_cycle
 from mevforge.cli import main
 from mevforge.records import read_records
@@ -24,7 +24,6 @@ import test_pbs
 import test_pools
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-SCENARIOS = pbs.BUNDLED_SCENARIOS
 
 
 def _report(number: int, text: str) -> None:

@@ -7,7 +7,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -512,7 +511,7 @@ def records_rows(draw):
 
 
 def records_text(rows):
-    header = ",".join(field.name for field in fields(ArbitrageRecord))
+    header = ",".join(ArbitrageRecord._fields)
     return "".join(f"{line}\n" for line in [f"schema_version,{SCHEMA_VERSION}", header, *map(",".join, rows)])
 
 
@@ -562,7 +561,7 @@ def test_the_fold_sums_long_dollars_exactly(rows):
     equal the Fraction sums of the same dollars, compared as sums: a
     rounded sum of squares can leave a 12-place pearson_r unchanged."""
     records = [
-        replace(record(brand, token, usd, share_usd), hop_count=hops, timestamp_utc=f"2025-06-0{day}T00:00:00Z")
+        record(brand, token, usd, share_usd)._replace(hop_count=hops, timestamp_utc=f"2025-06-0{day}T00:00:00Z")
         for brand, token, day, hops, usd, share_usd in rows
     ]
     cells, paid, kept, by_day, groups = {}, {}, {}, {}, {}
@@ -599,7 +598,7 @@ def test_a_fraction_dollar_cell_is_a_row_error(rows, data):
     with pytest.raises(RecordSchemaError) as excinfo:
         read_records(io.StringIO(records_text(rows)))
     assert excinfo.value.line_no == index + 3
-    name = fields(ArbitrageRecord)[column].name
+    name = ArbitrageRecord._fields[column]
     assert str(excinfo.value).startswith(f"row {index + 3}: {name}: expected a decimal number, got {rows[index][column]!r}")
 
 

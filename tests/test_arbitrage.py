@@ -2,7 +2,6 @@
 
 import io
 import random
-from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -168,14 +167,14 @@ def test_a_share_transfer_in_another_token_is_an_error():
     wbnb, usdt = TokenId("WBNB", bytes([4]) * 20, 18), TokenId("USDT", bytes([5]) * 20, 6)
     events = [
         swap(wbnb, TOKEN_B, POOL_1, 1000, 500),
-        replace(transfer(DEFAULT_SHARE_ADDRESS, 5_000_000), token_out=usdt),
+        transfer(DEFAULT_SHARE_ADDRESS, 5_000_000)._replace(token_out=usdt),
         swap(TOKEN_B, wbnb, POOL_2, 500, 1100),
     ]
     with pytest.raises(ShareTokenError, match="share transfer moves USDT, not the base token WBNB"):
         attribute_profit(make_tx(events))
     # in the base token, or with no token named, the transfer is share
     for token in (wbnb, None):
-        events[1] = replace(events[1], token_out=token)
+        events[1] = events[1]._replace(token_out=token)
         assert attribute_profit(make_tx(events)) == (100, 5_000_000, 0)
 
 
@@ -211,7 +210,7 @@ def test_inferred_pool_sinks_count_transfers_into_pools_an_earlier_swap_touched(
     assert attribute_profit(tx, infer_pool_sinks=True) == (100, 30, 0)
     assert attribute_profit(tx) == (100, 20, 0)
     # a transfer already flagged counts once, inferred or not
-    flagged = make_tx([replace(e, pool_sink=True) if e == events[2] else e for e in events])
+    flagged = make_tx([e._replace(pool_sink=True) if e == events[2] else e for e in events])
     assert attribute_profit(flagged, infer_pool_sinks=True) == (100, 30, 0)
     assert attribute_profit(flagged) == (100, 23, 0)
 

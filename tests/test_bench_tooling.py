@@ -48,7 +48,7 @@ def test_traced_cli_wraps_resolve():
 def traced_argv(command, tmp_path):
     """The command's arguments, less --out, over small inputs it writes to tmp_path."""
     from mevforge.cli import main
-    from mevforge.pbs import BUNDLED_SCENARIOS
+    from mevforge import BUNDLED_SCENARIOS
 
     if command == "simulate":
         return ["simulate", "--scenario", str(BUNDLED_SCENARIOS / "eth_duopoly.json"), "--slots", "50"]

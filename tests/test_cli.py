@@ -17,10 +17,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mevforge import fixtures, pools
+from mevforge import BUNDLED_SCENARIOS as SCENARIOS, fixtures, pools
 from mevforge.cli import _spool_planted, _write_manifest, main
 from mevforge.config import RunConfig, load_config
-from mevforge.pbs import BUNDLED_SCENARIOS as SCENARIOS, UNREAD_KEYS, Protocol
+from mevforge.pbs import UNREAD_KEYS, Protocol
 from mevforge.records import (
     ArbitrageRecord,
     RecordSchemaError,
@@ -1032,6 +1032,34 @@ def test_analyze_rejects_a_malformed_timestamp(tmp_path, capsys, timestamp):
     assert "row 4: timestamp_utc" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cells", [11, 13])
+def test_analyze_names_a_row_of_the_wrong_width_by_its_column_count(tmp_path, capsys, cells):
+    """A row one cell short or one cell long fails the column count, not
+    the timestamp check, which would read a share_usd or an extra cell."""
+    rows = list(csv.reader(records_text().splitlines()))
+    rows[2] = rows[2][:11] if cells == 11 else [*rows[2], "extra"]
+    path = tmp_path / "records.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    assert main(["analyze", "--records", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: row 3: expected 12 columns, got {cells}\n"
+
+
+def test_analyze_writes_an_unsigned_zero_for_a_brand_with_zero_covariance(tmp_path):
+    """Profit per hop (usd / hops) averages 2 at two hops and at three, so
+    covariance is 0 though both coordinates vary: pearson_r is 0, and a
+    negated square root would write it as -0.000000000000."""
+    points = [(2, 2), (2, 6), (3, 6), (3, 6)]  # (hops, usd): per hop 1, 3, 2, 2
+    rows = [
+        sample_record(block_number=100 + i, hop_count=hops, usd_value=Decimal(usd))
+        for i, (hops, usd) in enumerate(points)
+    ]
+    path, out = tmp_path / "records.csv", tmp_path / "out"
+    path.write_text(records_text(*rows))
+    assert main(["analyze", "--records", str(path), "--out", str(out)]) == 0
+    assert (out / "correlations.csv").read_text() == "series,pearson_r\n48Club,0.000000000000\n"
+
+
 # -- simulate -----------------------------------------------------------------
 
 
@@ -1856,7 +1884,8 @@ _FOOTPRINT = (
     "import json, sys\n"
     "from mevforge.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('mevforge.'))]))\n"
+    "generators = sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('mevforge.')), generators]))\n"
 )
 
 
@@ -1876,7 +1905,9 @@ _UNLOADED = {
 @pytest.mark.parametrize("command", _UNLOADED)
 def test_a_command_imports_only_the_modules_it_uses(tmp_path, command):
     """Each command, and each kind of gen-fixtures, imports its own modules,
-    so a short run compiles and builds no module it never calls."""
+    so a short run compiles and builds no module it never calls; and none
+    loads dataclasses or the inspect it imports, since every run would pay
+    for importing them and generating each dataclass's methods."""
     records = tmp_path / "records.csv"
     with open(records, "w", encoding="utf-8", newline="") as fh:
         write_records(fh, [sample_record()])
@@ -1897,7 +1928,8 @@ def test_a_command_imports_only_the_modules_it_uses(tmp_path, command):
         capture_output=True,
         text=True,
     )
-    code, modules = json.loads(result.stdout.splitlines()[-1])
+    code, modules, generators = json.loads(result.stdout.splitlines()[-1])
     assert code == 0, result.stderr
     assert "mevforge.cli" in modules
     assert _UNLOADED[command].isdisjoint(name.removeprefix("mevforge.") for name in modules)
+    assert generators == []

@@ -1,14 +1,13 @@
 """Slot auctions: decay model, both market flows, campaigns, contested windows."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from mevforge import fixtures, pools
+from mevforge import BUNDLED_SCENARIOS as SCENARIOS, fixtures, pools
 from mevforge.pbs import (
     Bid,
     BidSchedule,
@@ -20,7 +19,6 @@ from mevforge.pbs import (
     RelayConfig,
     SimScenario,
     Strategy,
-    BUNDLED_SCENARIOS as SCENARIOS,
     CampaignSummary,
     load_scenario,
     run_campaign,
@@ -459,7 +457,7 @@ def without_usdt_usd1(pool_map):
 def at_par(pool_map):
     """The pool map with every V2 pair at par, as the fixture is apart from
     its mispriced USDT/USD1 pair, so no cycle is profitable."""
-    return {a: replace(p, reserve1=p.reserve0) if p.kind is pools.PoolKind.V2 else p for a, p in pool_map.items()}
+    return {a: p._replace(reserve1=p.reserve0) if p.kind is pools.PoolKind.V2 else p for a, p in pool_map.items()}
 
 
 @pytest.mark.parametrize("protocol", ["bsc_direct", "eth_relay"])
@@ -616,7 +614,7 @@ def test_direct_flow_winner_keeps_the_slot_when_its_latency_is_cut(
 
     won = winner(builders)
     assume(won is not None)
-    faster = [replace(b, latency_ms=b.latency_ms * cut_percent / 100) if b.id == won else b for b in builders]
+    faster = [b._replace(latency_ms=b.latency_ms * cut_percent / 100) if b.id == won else b for b in builders]
     assert winner(faster) == won
 
 
@@ -656,7 +654,7 @@ def test_relay_flow_winner_ignores_latency_once_every_ladder_tops_out(
 
     ceilings = [pools.split_delta(int(opportunity.peak_value * b.efficiency), b.share_ratio_bp)[0] for b in builders]
     assume(len(set(ceilings)) == len(ceilings) and tops_out(builders))
-    redrawn = [replace(b, latency_ms=Fraction(data.draw(st.integers(min_value=0, max_value=1500)))) for b in builders]
+    redrawn = [b._replace(latency_ms=Fraction(data.draw(st.integers(min_value=0, max_value=1500)))) for b in builders]
     assume(tops_out(redrawn))
     assert winner(redrawn) == winner(builders)
 
@@ -709,9 +707,9 @@ def test_direct_bids_inside_the_listen_window_are_contested():
     # alpha lands at 20 ms and beta at 40 ms, both inside the 50 ms window; beta pays more
     scenario = duopoly(Protocol.BSC_DIRECT)
     alpha, beta = scenario.builders
-    scenario = replace(scenario, builders=(
-        replace(alpha, latency_ms=Fraction(5)),
-        replace(beta, latency_ms=Fraction(15), infra_tier=Fraction(1), share_ratio_bp=5000),
+    scenario = scenario._replace(builders=(
+        alpha._replace(latency_ms=Fraction(5)),
+        beta._replace(latency_ms=Fraction(15), infra_tier=Fraction(1), share_ratio_bp=5000),
     ))
     schedule = first_schedule(scenario)
     assert [(b.builder_id, b.timestamp_ms) for b in schedule.received] == [("alpha", 20), ("beta", 40)]
