@@ -54,6 +54,13 @@ SPOOL_LOOP = """    sep = "["
             sep = ","
         yield item"""
 
+SPAN_PROPERTY = f"{CLI_TESTS}::test_extract_writes_the_same_bytes_over_any_number_of_spans"
+# extract's merge: each worker's report, in span order
+SPAN_MERGE = "            for start, end, pid, report, worker_rows, worker_errors in workers:"
+WORKER_FAILURE = """                if code or not text:
+                    ended = f"exited with status {code}" if code else "reported nothing"
+                    raise ChildProcessError(f"{path}: extract worker for bytes {start}-{end} {ended}")"""
+
 MUTANTS = [
     {
         "name": "symbol-written-unescaped",
@@ -104,6 +111,77 @@ MUTANTS = [
 """,
         "new": "",
         "tests": [f"{CLI_TESTS}::test_analyze_names_a_row_of_the_wrong_width_by_its_column_count"],
+    },
+    {
+        "name": "records-blank-row-read",
+        "why": "a blank line of a records file is read as a row of no cells",
+        "file": RECORDS,
+        "old": "        if not row:\n            continue\n",
+        "new": "",
+        "tests": [f"{CLI_TESTS}::test_blank_record_lines_are_skipped_and_counted"],
+    },
+    {
+        "name": "pool-blank-line-read",
+        "why": "a blank line of a pool file is read as JSON",
+        "file": POOLS,
+        "old": "    for line_no, line in read_lines(stream):\n        if not line.strip():\n            continue\n",
+        "new": "    for line_no, line in read_lines(stream):\n",
+        "tests": [f"{POOLS_TESTS}::test_pool_file_skips_blank_lines_and_counts_them"],
+    },
+    {
+        "name": "labels-blank-row-read",
+        "why": "a blank row of a label file is read as a label",
+        "file": TRACES,
+        "old": '            if not row or not "".join(row).strip():\n                continue\n',
+        "new": "",
+        "tests": [f"{TRACES_TESTS}::test_label_file_skips_blank_rows_and_counts_them"],
+    },
+    {
+        "name": "trace-blank-line-read",
+        "why": "a blank line of a trace file is read as JSON",
+        "file": TRACES,
+        "old": "        if not line.strip():\n            continue\n        try:\n            obj = json.loads(line)",
+        "new": "        try:\n            obj = json.loads(line)",
+        "tests": [
+            f"{TRACES_TESTS}::test_blank_lines_are_skipped_and_counted",
+            f"{CLI_TESTS}::test_extract_counts_a_blank_line_at_a_span_cut",
+        ],
+    },
+    {
+        "name": "base-symbol-unchecked",
+        "why": "enumerate_cycles looks up a base symbol that no pool holds",
+        "file": POOLS,
+        "old": "        if base not in tokens:\n            continue\n",
+        "new": "",
+        "tests": [f"{POOLS_TESTS}::test_enumerate_cycles_from_a_symbol_no_pool_holds_is_empty"],
+    },
+    {
+        "name": "span-line-offset-dropped",
+        "why": "a bad line in a later span of the trace file is named by its line within the span",
+        "file": CLI,
+        "old": 'raise TraceParseError(before + result["line"], result["message"])',
+        "new": 'raise TraceParseError(result["line"], result["message"])',
+        "tests": [
+            SPAN_PROPERTY,
+            f"{CLI_TESTS}::test_extract_names_a_bad_line_in_any_span_by_its_line_in_the_file",
+            f"{CLI_TESTS}::test_extract_counts_a_blank_line_at_a_span_cut",
+        ],
+    },
+    {
+        "name": "spans-merged-out-of-order",
+        "why": "extract appends its workers' rows in the reverse of span order",
+        "file": CLI,
+        "old": SPAN_MERGE,
+        "new": SPAN_MERGE.replace("in workers:", "in reversed(workers):"),
+        "tests": [SPAN_PROPERTY, f"{CLI_TESTS}::test_extract_writes_the_same_bytes_over_any_number_of_cpus"],
+    },
+    {
+        "name": "worker-failure-ignored",
+        "why": "extract leaves out the rows of a worker that exits nonzero or reports nothing, and ends without an error",
+        "file": CLI,
+        "old": WORKER_FAILURE,
+        "new": "                if code or not text:\n                    continue",
+        "tests": [f"{CLI_TESTS}::test_extract_stops_on_a_failed_worker"],
     },
     {
         "name": "zero-covariance-signed",

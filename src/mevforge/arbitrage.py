@@ -55,7 +55,7 @@ def gas_cost_in_base_units(gas_wei: int, base_token: TokenId, price_table: Optio
     """
     if gas_wei == 0:
         return 0
-    if price_table is None:
+    if price_table is None:  # a library contract: extract always passes a table
         raise MissingPriceError("gas conversion requires a price table")
     try:
         native_price = Fraction(price_table[NATIVE_PRICE_SYMBOL])

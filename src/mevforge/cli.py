@@ -13,11 +13,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import stat
 import sys
 from contextlib import ExitStack, contextmanager
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Callable, Iterator, TypeVar
+from typing import IO, Callable, Iterable, Iterator, NoReturn, TypeVar
 
 # each command imports the other modules it needs, so extract loads no
 # analytics, fixtures, pbs, pools or reports
@@ -34,6 +37,7 @@ from .traces import (
     ConfigError,
     LineError,
     ParseStats,
+    TraceParseError,
     format_address,
     iter_transactions,
     read_labels,
@@ -72,18 +76,77 @@ def _out_dir(path: str) -> Path:
 
 # ---------------------------------------------------------------------------
 # extract
+#
+# A regular trace file is read as one byte span per usable CPU, each cut
+# just after a newline.  This process extracts the first span straight into
+# the reports; a forked worker extracts each later one into unnamed
+# temporary files, which are appended to the reports in span order.  A
+# transaction needs nothing from other lines but its line number, so the
+# reports do not depend on how many spans there are.
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    config = _read(args.config, load_config) if args.config else RunConfig()
-    labels = _read(args.labels, read_labels)
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
 
-    stats = ParseStats()
-    errors = 0  # rows written to errors.csv, which opens at the first
 
-    def produce():
-        nonlocal errors
-        for tx in iter_transactions(traces, stats):
+def _spans(traces: IO[bytes], k: int) -> list[tuple[int, int | None]]:
+    """(start, end) byte offsets of k spans that cover the regular file
+    traces in order, each cut just after a newline, so any of them may be
+    empty; or one span, (0, None), read to its end, for a pipe or any other
+    file that is not regular.  traces is left at its start."""
+    info = os.fstat(traces.fileno())
+    if not stat.S_ISREG(info.st_mode):
+        return [(0, None)]
+    cuts = [0]
+    for i in range(1, k):
+        target = info.st_size * i // k
+        if target > cuts[-1]:
+            traces.seek(target - 1)
+            traces.readline()  # to just after the first newline at or past target - 1
+            target = traces.tell()
+        cuts.append(max(target, cuts[-1]))
+    traces.seek(0)
+    return list(zip(cuts, [*cuts[1:], info.st_size]))
+
+
+def _lines_to(fh: IO[bytes], end: int | None) -> Iterator[bytes]:
+    """The lines of fh from where it stands up to byte offset end, which
+    falls just after a newline or at the end of the file; to the end of the
+    file for None."""
+    if end is None:
+        yield from fh
+        return
+    left = end - fh.tell()
+    while left > 0:
+        line = fh.readline()
+        if not line:
+            return
+        left -= len(line)
+        yield line
+
+
+def _extract_span(
+    lines: Iterable[bytes], rows: IO[str], errors: IO[str], stats: ParseStats, header: bool, *,
+    config: RunConfig, labels: dict,
+) -> tuple[int, int]:
+    """Extract the transactions on lines, counting them in stats: a
+    records.csv row to rows for each cycle, and an errors.csv row to errors
+    for each cycle that cannot be priced or dated, each after its file's
+    header rows if header.  (records, error rows) written."""
+    error_rows = csv.writer(errors, lineterminator="\n")
+    if header:
+        error_rows.writerow(["tx_hash", "error"])
+    failed = 0
+
+    def cycles():
+        nonlocal failed
+        for tx in iter_transactions(lines, stats):
             path = extract_arbitrage_cycle(tx)
             if path is None:
                 continue
@@ -96,12 +159,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 share_usd = to_usd(share, base_token, config.price_table)
                 timestamp = records.timestamp_for_block(tx.block_number, config.genesis_unix)
             except (MissingPriceError, ShareTokenError, records.TimestampRangeError) as exc:
-                if not errors:
-                    error_fh = files.enter_context(open(out / "errors.csv", "w", encoding="utf-8", newline=""))
-                    error_rows = csv.writer(error_fh, lineterminator="\n")
-                    error_rows.writerow(["tx_hash", "error"])
                 error_rows.writerow([format_address(tx.hash), str(exc)])
-                errors += 1
+                failed += 1
                 continue
             yield records.ArbitrageRecord(
                 tx_hash=tx.hash,
@@ -118,27 +177,130 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 timestamp_utc=timestamp,
             )
 
+    return records.write_records(rows, cycles(), header), failed
+
+
+def _work(path: str, start: int, end: int, rows: IO[str], errors: IO[str], report: int, extract: Callable) -> NoReturn:
+    """The life of a forked worker: extract the span [start, end) of the
+    trace file at path into rows and errors, write its counts, or its first
+    bad line, as JSON to the pipe end report, and exit without returning
+    into its caller's code.  Any other fault exits 1 after an "error:" line."""
+    code = 1
+    try:
+        stats = ParseStats()
+        try:
+            with open(path, "rb") as fh:  # its own offset: a forked child shares its parent's
+                fh.seek(start)
+                emitted, failed = extract(_lines_to(fh, end), rows, errors, stats, False)
+            rows.flush()
+            errors.flush()
+            result = {"counts": [stats.transactions, stats.unknown_events, emitted, failed]}
+        except TraceParseError as exc:
+            result = {"line": exc.line_no, "message": exc.message}
+        with open(report, "w", encoding="utf-8") as fh:
+            json.dump(result, fh)
+        code = 0
+    except BaseException as exc:  # reported here, since a forked child must not unwind into its parent's code
+        os.write(2, f"error: {path}: extract worker for bytes {start}-{end}: {exc!r}\n".encode(errors="backslashreplace"))
+    finally:
+        os._exit(code)
+
+
+def _extract_spans(
+    traces: IO[bytes], path: str, spans: list[tuple[int, int | None]], out: Path, rows: IO[str], errors: IO[str],
+    extract: Callable,
+) -> tuple[ParseStats, int, int]:
+    """Run extract over each span of traces, the trace file at path: the
+    first in this process, into rows and errors, and each later nonempty one
+    in a forked worker whose rows are then appended, in span order and in
+    bounded blocks.  (stats, records, error rows), summed over the spans.
+
+    A bad line raises TraceParseError naming its line in the whole file; of
+    several, the first wins.  A worker that exits nonzero or reports nothing
+    raises ChildProcessError.  No worker outlives the call."""
+    import shutil
+    import signal
+    import tempfile
+
+    running: set[int] = set()
+    workers = []
+    with ExitStack() as files:
+        try:
+            for start, end in spans[1:]:
+                if start == end:
+                    continue
+                worker_rows, worker_errors = (
+                    files.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=out)) for _ in range(2)
+                )
+                read_end, write_end = os.pipe()
+                report = files.enter_context(open(read_end, "rb"))
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _work(path, start, end, worker_rows, worker_errors, write_end, extract)
+                    running.add(pid)
+                finally:
+                    os.close(write_end)
+                workers.append((start, end, pid, report, worker_rows, worker_errors))
+
+            stats = ParseStats()
+            emitted, failed = extract(_lines_to(traces, spans[0][1]), rows, errors, stats, True)
+            for start, end, pid, report, worker_rows, worker_errors in workers:
+                text = report.read()  # to the pipe's end, which comes when the worker exits
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                running.remove(pid)
+                if code or not text:
+                    ended = f"exited with status {code}" if code else "reported nothing"
+                    raise ChildProcessError(f"{path}: extract worker for bytes {start}-{end} {ended}")
+                result = json.loads(text)
+                if "line" in result:
+                    traces.seek(0)
+                    before = sum(1 for _ in _lines_to(traces, start))
+                    raise TraceParseError(before + result["line"], result["message"])
+                transactions, unknown_events, span_emitted, span_failed = result["counts"]
+                stats.transactions += transactions
+                stats.unknown_events += unknown_events
+                emitted += span_emitted
+                failed += span_failed
+                for worker_file, report_file in ((worker_rows, rows), (worker_errors, errors)):
+                    worker_file.seek(0)
+                    shutil.copyfileobj(worker_file, report_file)
+        finally:
+            for pid in running:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return stats, emitted, failed
+
+
+def cmd_extract(args: argparse.Namespace) -> int:
+    config = _read(args.config, load_config) if args.config else RunConfig()
+    labels = _read(args.labels, read_labels)
+    extract = partial(_extract_span, config=config, labels=labels)
+
     try:
         # the trace file opens first, so a missing one leaves --out as it was, or absent
-        with _input(args.traces) as traces, ExitStack() as files:
+        with _input(args.traces) as traces:
             made = [d for d in (Path(args.out), *Path(args.out).parents) if not d.exists()]  # deepest first
             out = _out_dir(args.out)
-            with open(out / "records.csv", "w", encoding="utf-8", newline="") as fh:
-                emitted = records.write_records(fh, produce())
-    except _InputError:
+            spans = _spans(traces, _usable_cpus())
+            with open(out / "records.csv", "w", encoding="utf-8", newline="") as rows, open(
+                out / "errors.csv", "w", encoding="utf-8", newline=""
+            ) as errors:
+                stats, emitted, failed = _extract_spans(traces, args.traces, spans, out, rows, errors, extract)
+    except (_InputError, ChildProcessError):
         # a bad trace line leaves neither report, as analyze writes none on a
-        # bad row, nor a directory this run made
+        # bad row, nor a directory this run made; so does a failed worker
         (out / "records.csv").unlink()
-        (out / "errors.csv").unlink(missing_ok=True)
+        (out / "errors.csv").unlink()
         for directory in made:
             directory.rmdir()
         raise
 
-    if not errors:
-        (out / "errors.csv").unlink(missing_ok=True)
-    skipped = stats.transactions - emitted - errors
-    print(f"records={emitted} skipped={skipped} unknown_events={stats.unknown_events} errors={errors}")
-    return 1 if errors else 0
+    if not failed:
+        (out / "errors.csv").unlink()
+    skipped = stats.transactions - emitted - failed
+    print(f"records={emitted} skipped={skipped} unknown_events={stats.unknown_events} errors={failed}")
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

@@ -116,10 +116,14 @@ def record_to_row(record: ArbitrageRecord) -> list[str]:
     ]
 
 
-def write_records(stream: IO[str], records: Iterable[ArbitrageRecord]) -> int:
+def write_records(stream: IO[str], records: Iterable[ArbitrageRecord], header: bool = True) -> int:
+    """Write a row per record, after the schema_version and header rows
+    unless header is false (for rows appended to a file that has them);
+    the number of records written."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["schema_version", SCHEMA_VERSION])
-    writer.writerow(_HEADER)
+    if header:
+        writer.writerow(["schema_version", SCHEMA_VERSION])
+        writer.writerow(_HEADER)
     count = 0
     for record in records:
         writer.writerow(record_to_row(record))

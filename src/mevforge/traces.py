@@ -38,7 +38,7 @@ class LineError(ValueError):
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"{self.unit} {line_no}: {message}")
-        self.line_no = line_no
+        self.line_no, self.message = line_no, message
 
 
 class ConfigError(ValueError):

@@ -256,6 +256,15 @@ def test_gas_conversion_uses_price_table():
         gas_cost_in_base_units(5, TOKEN_A, {"WBNB": Decimal(600)})
 
 
+def test_nonzero_gas_without_a_price_table_is_a_missing_price():
+    """extract always passes a price table; a library caller that passes
+    none gets a MissingPriceError for any gas to convert, never a zero."""
+    with pytest.raises(MissingPriceError, match="^gas conversion requires a price table$"):
+        gas_cost_in_base_units(1, TOKEN_A, None)
+    with pytest.raises(MissingPriceError, match="^gas conversion requires a price table$"):
+        attribute_profit(cycle_tx(gross=10**18, gas_used=1, gas_price=1))
+
+
 def test_attribution_with_nonzero_gas():
     price_table = {"WBNB": Decimal(600), "AAA": Decimal(3)}
     tx = cycle_tx(gross=10**18, gas_used=10**6, gas_price=10**9)

@@ -8,16 +8,19 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mevforge import BUNDLED_SCENARIOS as SCENARIOS, fixtures, pools
+from mevforge import BUNDLED_SCENARIOS as SCENARIOS, cli, fixtures, pools
 from mevforge.cli import _spool_planted, _write_manifest, main
 from mevforge.config import RunConfig, load_config
 from mevforge.pbs import UNREAD_KEYS, Protocol
@@ -99,6 +102,15 @@ def test_schema_version_is_checked():
         read_records(io.StringIO("schema_version,99\n"))
     with pytest.raises(RecordSchemaError):
         read_records(io.StringIO("tx_hash,block\n"))
+
+
+def test_blank_record_lines_are_skipped_and_counted():
+    buffer = io.StringIO()
+    write_records(buffer, [sample_record(), sample_record(block_number=101)])
+    schema, header, first, second = buffer.getvalue().splitlines(keepends=True)
+    assert read_records([schema, header, "\n", first, "\r\n", second, "\n"]) == read_records(buffer.getvalue().splitlines())
+    with pytest.raises(RecordSchemaError, match="^row 5: expected 12 columns, got 1$"):
+        read_records([schema, header, "\n", first, "x\n"])
 
 
 def test_bad_row_reports_row_number():
@@ -410,8 +422,8 @@ def test_extract_missing_trace_file_leaves_the_records_as_they_were(tmp_path, ca
 
 
 def test_extract_a_bad_trace_line_after_an_error_row_leaves_no_report(tmp_path, capsys):
-    """errors.csv opens at its first row, so a bad line read after it
-    removes that file too, as it does the records."""
+    """A bad line read after an error row removes errors.csv too, as it
+    does the records."""
     unpriced = json.loads((DATA / "worked_example_trace.ndjson").read_text())
     for event in unpriced["events"]:
         for key in ("token_in", "token_out"):
@@ -793,6 +805,195 @@ def test_extract_is_idempotent(tmp_path):
     assert read_all(out1) == read_all(out2)
 
 
+# -- extract spans ------------------------------------------------------------
+
+
+def extract_with(k: int, trace: Path, out: Path, *options: str) -> tuple[int, str, str, dict[str, bytes]]:
+    """(exit code, stdout, stderr, files left in out) of extract over trace
+    with k usable CPUs, so over k byte spans of a regular file."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_usable_cpus", return_value=k), redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), *options, "--out", str(out)])
+    return code, stdout.getvalue(), stderr.getvalue(), read_all(out) if out.exists() else {}
+
+
+WORKED_TX = json.loads((DATA / "worked_example_trace.ndjson").read_text())
+SPAN_KINDS = ("cycle", "unpriced", "non-cycle", "unknown-event", "unlabeled", "blank")
+
+
+def span_line(kind: str, n: int) -> str:
+    """Line n of a corpus, without its end: the worked example as a kind of
+    transaction with a hash and block of its own, a blank line, or a bad
+    line."""
+    if kind == "blank":
+        return " " * (n % 3)
+    if kind == "bad":
+        return '{"bad'
+    tx = json.loads(json.dumps(WORKED_TX))
+    tx.update(hash=f"0x{n:064x}", block=WORKED_TX["block"] + n)
+    if kind == "unpriced":
+        for event in tx["events"]:
+            for key in ("token_in", "token_out"):
+                if event.get(key, {}).get("symbol") == "USDT":
+                    event[key]["symbol"] = "NOPRICE"
+    elif kind == "non-cycle":
+        del tx["events"][1:]
+    elif kind == "unknown-event":
+        tx["events"].append({"kind": "mystery"})
+    elif kind == "unlabeled":
+        tx["from"] = f"0x{n:040x}"
+    return json.dumps(tx)
+
+
+def span_of(trace: Path, k: int, offset: int) -> int:
+    """The index of the span, of k, that holds byte offset of trace."""
+    with open(trace, "rb") as fh:
+        return next(j for j, (start, end) in enumerate(cli._spans(fh, k)) if start <= offset < end)
+
+
+def line_start(lines: list[str], n: int) -> int:
+    return len("".join(lines[:n]).encode())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lines=st.lists(st.tuples(st.sampled_from(SPAN_KINDS), st.sampled_from(["\n", "\r\n"])), max_size=10),
+    bad=st.lists(st.integers(min_value=0, max_value=9), max_size=2),
+    last_ends=st.booleans(),
+    k=st.integers(min_value=2, max_value=7),
+)
+@example(lines=[("cycle", "\n")] * 3, bad=[], last_ends=False, k=7)
+@example(lines=[("cycle", "\n"), ("blank", "\n"), ("unpriced", "\r\n"), ("cycle", "\n")] * 2, bad=[], last_ends=True, k=3)
+@example(lines=[("cycle", "\n")] * 6, bad=[5, 2], last_ends=True, k=3)
+def test_extract_writes_the_same_bytes_over_any_number_of_spans(tmp_path_factory, lines, bad, last_ends, k):
+    """Over 2 to 7 spans, which may be empty, cut next to a blank line or
+    outnumber the lines, extract writes the reports, summary, exit code and
+    error message of the one span that it runs in this process."""
+    kinds = [kind for kind, _end in lines]
+    for n in bad:
+        if n < len(kinds):
+            kinds[n] = "bad"
+    text = "".join(span_line(kind, n) + end for n, (kind, (_kind, end)) in enumerate(zip(kinds, lines)))
+    if lines and not last_ends:
+        text = text.removesuffix(lines[-1][1])
+    directory = tmp_path_factory.mktemp("spans")
+    trace = directory / "traces.ndjson"
+    trace.write_bytes(text.encode())
+    assert extract_with(k, trace, directory / "k") == extract_with(1, trace, directory / "one")
+
+
+def test_extract_writes_the_same_bytes_over_any_number_of_cpus(tmp_path):
+    fixture = tmp_path / "fx"
+    assert main(["gen-fixtures", "--kind", "traces", "--seed", "3", "--count", "60", "--out", str(fixture)]) == 0
+    config = fixture / "run.cfg"
+    config.write_text("".join(line for line in config.read_text().splitlines(True) if "TK0" not in line))
+    one = extract_with(1, fixture / "traces.ndjson", tmp_path / "one", "--config", str(config))
+    assert one[0] == 1 and len(one[3]["records.csv"].splitlines()) > 10 and len(one[3]["errors.csv"].splitlines()) > 2
+    for k in range(2, 8):
+        assert extract_with(k, fixture / "traces.ndjson", tmp_path / f"k{k}", "--config", str(config)) == one
+
+
+def test_extract_names_a_bad_line_in_any_span_by_its_line_in_the_file(tmp_path):
+    k = 3
+    kinds = ["cycle", "blank", "unpriced", "cycle", "non-cycle", "blank", "cycle", "unknown-event", "cycle"]
+    trace = tmp_path / "traces.ndjson"
+    spans_hit = set()
+    for bad in range(len(kinds)):
+        lines = [span_line("bad" if n == bad else kind, n) + "\n" for n, kind in enumerate(kinds)]
+        trace.write_text("".join(lines))
+        spans_hit.add(span_of(trace, k, line_start(lines, bad)))
+        code, stdout, stderr, files = extract_with(k, trace, tmp_path / f"k{bad}")
+        assert (code, stdout, files) == (1, "", {})
+        assert stderr.startswith(f"error: {trace}: line {bad + 1}: invalid JSON: ")
+        assert extract_with(1, trace, tmp_path / f"one{bad}") == (code, stdout, stderr, files)
+    assert spans_hit == set(range(k))
+
+
+@pytest.mark.parametrize("bad", [(4, 7), (1, 8), (0, 4, 8)])
+def test_extract_names_the_first_bad_line_of_several_spans(tmp_path, bad):
+    k = 3
+    lines = [span_line("bad" if n in bad else "cycle", n) + "\n" for n in range(9)]
+    trace = tmp_path / "traces.ndjson"
+    trace.write_text("".join(lines))
+    assert len({span_of(trace, k, line_start(lines, n)) for n in bad}) == len(bad)
+    code, stdout, stderr, files = extract_with(k, trace, tmp_path / "out")
+    assert (code, stdout, files) == (1, "", {})
+    assert stderr.startswith(f"error: {trace}: line {bad[0] + 1}: invalid JSON: ")
+
+
+def test_extract_counts_a_blank_line_at_a_span_cut(tmp_path):
+    """Two spans of a cycle, a blank line and a line as long as the first
+    are cut at the blank line, which the second span counts."""
+    first, second = span_line("cycle", 0), span_line("cycle", 1)
+    trace = tmp_path / "traces.ndjson"
+    for last in (second, ('{"bad' + " " * len(second))[: len(second)]):
+        trace.write_text(f"{first}\n\n{last}\n")
+        with open(trace, "rb") as fh:
+            assert cli._spans(fh, 2) == [(0, len(first) + 1), (len(first) + 1, 2 * len(first) + 3)]
+        assert extract_with(2, trace, tmp_path / "two") == extract_with(1, trace, tmp_path / "one")
+    assert extract_with(2, trace, tmp_path / "two")[2].startswith(f"error: {trace}: line 3: invalid JSON: ")
+    trace.write_text(f"{first}\n\n{second}\n")
+    code, stdout, _stderr, files = extract_with(2, trace, tmp_path / "two")
+    assert (code, stdout) == (0, "records=2 skipped=0 unknown_events=0 errors=0\n")
+    assert len(files["records.csv"].splitlines()) == 4
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("bad", [None, 7], ids=["success", "bad-line"])
+def test_extract_leaves_no_worker_behind(tmp_path, bad):
+    trace = tmp_path / "traces.ndjson"
+    trace.write_text("".join(span_line("bad" if n == bad else "cycle", n) + "\n" for n in range(9)))
+    assert extract_with(3, trace, tmp_path / "out")[0] == (0 if bad is None else 1)
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("fault", ["raises", "reports-nothing"])
+def test_extract_stops_on_a_failed_worker(tmp_path, fault):
+    """A worker that fails, or ends without a report, is an error: the
+    reports it would have added to are removed, never written without its
+    rows."""
+    parent, extract_span = os.getpid(), cli._extract_span
+
+    def failing(lines, rows, errors, stats, header, **kwargs):
+        if os.getpid() != parent:
+            if fault == "raises":
+                raise RuntimeError("worker fault")
+            os._exit(0)
+        return extract_span(lines, rows, errors, stats, header, **kwargs)
+
+    trace = tmp_path / "traces.ndjson"
+    trace.write_text("".join(span_line("cycle", n) + "\n" for n in range(6)))
+    with open(trace, "rb") as fh:
+        [_first, (start, end)] = cli._spans(fh, 2)
+    with mock.patch.object(cli, "_extract_span", failing):
+        result = extract_with(2, trace, tmp_path / "new" / "out")
+    ended = "exited with status 1" if fault == "raises" else "reported nothing"
+    assert result == (1, "", f"error: {trace}: extract worker for bytes {start}-{end} {ended}\n", {})
+    assert list(tmp_path.iterdir()) == [trace]
+    assert_no_child_process()
+
+
+def test_extract_reads_a_fifo_as_one_span(tmp_path):
+    fixture = tmp_path / "fx"
+    assert main(["gen-fixtures", "--kind", "traces", "--seed", "4", "--count", "60", "--out", str(fixture)]) == 0
+    fifo = tmp_path / "traces.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=((fixture / "traces.ndjson").read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        with mock.patch.object(os, "fork", side_effect=AssertionError("a FIFO is read as one span")):
+            from_fifo = extract_with(3, fifo, tmp_path / "from-fifo", "--config", str(fixture / "run.cfg"))
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    from_file = extract_with(3, fixture / "traces.ndjson", tmp_path / "from-file", "--config", str(fixture / "run.cfg"))
+    assert from_fifo[0] == 0 and from_fifo == from_file
+
+
 # -- analyze ------------------------------------------------------------------
 
 
@@ -909,10 +1110,9 @@ def test_analyze_holds_no_rows(tmp_path):
     assert peak < 2 * 2**20
 
 
-def test_extract_holds_no_error_rows(tmp_path):
-    """1,000 unpriced cycles make 1,000 error rows whose messages alone take
-    2 MiB; each row is written as it comes, so the traced peak stays far
-    below that."""
+def write_unpriced_cycles(trace: Path, count: int) -> str:
+    """Write count cycles in an unpriced token whose 2,048-character symbol
+    makes each error row take 2 KiB; that symbol."""
     symbol = "X" * 2048
     token = {"symbol": symbol, "address": "0x" + "e1" * 20, "decimals": 18}
     wbnb = {"symbol": "WBNB", "address": "0x" + "bb" * 20, "decimals": 18}
@@ -920,23 +1120,59 @@ def test_extract_holds_no_error_rows(tmp_path):
         {"kind": "swap", "pool": "0x" + "a1" * 20, "token_in": token, "token_out": wbnb, "amount_in": "10", "amount_out": "20"},
         {"kind": "swap", "pool": "0x" + "a2" * 20, "token_in": wbnb, "token_out": token, "amount_in": "20", "amount_out": "12"},
     ]
-    trace = tmp_path / "traces.ndjson"
     with open(trace, "w", encoding="utf-8") as fh:
-        for i in range(1000):
+        for i in range(count):
             header = {"hash": f"0x{i:064x}", "block": i + 1, "from": "0x" + "11" * 20, "gas_used": 0, "gas_price": 0}
             fh.write(json.dumps({**header, "events": events}) + "\n")
-    out = tmp_path / "out"
+    return symbol
+
+
+def traced_extract_peak(trace: Path, out: Path, k: int) -> tuple[int, int]:
+    """(exit code, traced peak of this process's Python allocations) of
+    extract over trace as k spans."""
     tracemalloc.start()
     try:
-        code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(out)])
+        with mock.patch.object(cli, "_usable_cpus", return_value=k):
+            code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(out)])
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return code, peak
+
+
+def test_extract_holds_no_error_rows(tmp_path):
+    """1,000 unpriced cycles make 1,000 error rows whose messages alone take
+    2 MiB; each row is written as it comes, so the traced peak stays far
+    below that.  They run as one span in this process, since tracemalloc
+    sees nothing that a worker allocates."""
+    trace, out = tmp_path / "traces.ndjson", tmp_path / "out"
+    symbol = write_unpriced_cycles(trace, 1000)
+    code, peak = traced_extract_peak(trace, out, 1)
     assert code == 1
     with open(out / "errors.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["tx_hash", "error"] and len(rows) == 1001
     assert rows[-1] == [f"0x{999:064x}", f"no price for {symbol}"]
+    assert peak < 2**20
+
+
+def test_extract_appends_a_workers_error_rows_in_blocks(tmp_path):
+    """As two spans, 2,100 unpriced cycles leave a worker over 2 MiB of
+    error rows, which this process appends to errors.csv in bounded blocks:
+    its traced peak stays far below their size."""
+    trace, out = tmp_path / "traces.ndjson", tmp_path / "out"
+    symbol = write_unpriced_cycles(trace, 2100)
+    with open(trace, "rb") as fh:
+        [_first, (start, end)] = cli._spans(fh, 2)
+        fh.seek(start)
+        assert sum(1 for _ in cli._lines_to(fh, end)) * len(symbol) > 2 * 2**20
+    code, peak = traced_extract_peak(trace, out, 2)
+    assert code == 1
+    with open(out / "errors.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["tx_hash", "error"]
+    assert [row[0] for row in rows[1:]] == [f"0x{i:064x}" for i in range(2100)]
+    assert rows[-1] == [f"0x{2099:064x}", f"no price for {symbol}"]
     assert peak < 2**20
 
 

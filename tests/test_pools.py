@@ -746,6 +746,12 @@ def test_enumerate_cycles_finds_planted_triangle():
     assert any(c.pools == planted.pools for c in cycles)
 
 
+def test_enumerate_cycles_from_a_symbol_no_pool_holds_is_empty():
+    pools = fixtures.gen_pool_fixture(seed=13).pools
+    assert enumerate_cycles(pools, "WBNB")
+    assert enumerate_cycles(pools, "NOSUCH") == []
+
+
 # -- fixture files ------------------------------------------------------------
 
 
@@ -755,6 +761,14 @@ def test_pool_file_round_trip(tmp_path):
     loaded = load_pool_file(text.splitlines())
     assert loaded == fixture.pools
     assert dump_pool_file(loaded) == text
+
+
+def test_pool_file_skips_blank_lines_and_counts_them():
+    lines = dump_pool_file(fixtures.gen_pool_fixture(seed=13).pools).splitlines(keepends=True)
+    spaced = [lines[0], "\n", " \t\r\n", *lines[1:]]
+    assert load_pool_file(spaced) == load_pool_file(lines)
+    with pytest.raises(LineError, match="^line 7: pool 0x1221b5a22155a41c2ff7c0fcbbe8f88da415c4c8 repeats line 1$"):
+        load_pool_file([*spaced, lines[0]])
 
 
 def test_pool_file_clash_names_both_lines():

@@ -109,6 +109,19 @@ def test_malformed_line_reports_line_number():
     assert "line 2" in str(excinfo.value)
 
 
+def test_blank_lines_are_skipped_and_counted():
+    """A line of whitespace alone, with a CRLF end or none, holds no
+    transaction but has a number."""
+    good = "".join(serialize_transactions(tx for tx, _entry in fixtures.gen_trace_corpus(seed=1, n_transactions=2).transactions))
+    first, second = good.splitlines(keepends=True)
+    stats = ParseStats()
+    spaced = ["\n", first, " \t\r\n", "\r\n", second, "  "]
+    assert list(iter_transactions(spaced, stats)) == list(iter_transactions([first, second]))
+    assert stats.transactions == 2
+    with pytest.raises(TraceParseError, match="^line 7: invalid JSON"):
+        list(iter_transactions([*spaced[:-1], "\n", "{not json\n"]))
+
+
 def swap_line(decimals, n=0) -> str:
     """A one-swap transaction from token 2n, which has the given decimals,
     to token 2n + 1."""
@@ -449,6 +462,16 @@ def test_duplicate_address_across_brands_fails_at_load():
     text = f"brand,instance,address\nA,a-1,{addr}\nB,b-1,{addr}\n"
     with pytest.raises(LabelFileError, match=f"^line 3: address {addr} labeled under both 'A' and 'B'$"):
         read_labels(io.StringIO(text))
+
+
+def test_label_file_skips_blank_rows_and_counts_them():
+    """An empty line and a row of blank cells hold no label but have a
+    line number."""
+    addr = "0x" + "09" * 20
+    labels = read_labels(io.StringIO(f"brand,instance,address\n\nA,a-1,{addr}\n , ,\t\n"))
+    assert [(label.brand, label.instance_name, format_address(label.address)) for label in labels.values()] == [("A", "a-1", addr)]
+    with pytest.raises(LabelFileError, match=f"^line 5: address {addr} labeled under both 'A' and 'B'$"):
+        read_labels(io.StringIO(f"brand,instance,address\n\nA,a-1,{addr}\n , ,\t\nB,b-1,{addr}\n"))
 
 
 def test_label_csv_requires_header():
