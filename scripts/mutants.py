@@ -38,7 +38,6 @@ FOLD_TEST = "tests/test_analytics.py::test_the_fold_sums_long_dollars_exactly"
 HYPOTHESIS_SEED = "0"
 
 SERIALIZER_TEST = f"{TRACES_TESTS}::test_lines_equal_json_dumps_of_dicts"
-MANIFEST_TEST = f"{CLI_TESTS}::test_write_manifest_writes_what_json_dump_writes"
 # the serializer's token-fragment memo, from its lookup to its store
 FRAGMENT_MEMO = """fragments.get(id(token))
         if entry is None:
@@ -46,12 +45,11 @@ FRAGMENT_MEMO = """fragments.get(id(token))
             if len(fragments) < MAX_SHARED_TOKENS:
                 fragments[id(token)] = entry"""
 
-# gen-fixtures's planted spool: each entry is written as it is drawn
-SPOOL_LOOP = """    sep = "["
-    for item, entry in drawn:
+# gen-fixtures's planted list: each entry is written to manifest.json as it is drawn
+PLANTED_LOOP = """    for item, entry in drawn:
         if entry is not None:
-            spool.write(_planted_text(sep, entry))
-            sep = ","
+            fh.write(sep + encode(entry))
+            sep = ",\\n"
         yield item"""
 
 SPAN_PROPERTY = f"{CLI_TESTS}::test_extract_writes_the_same_bytes_over_any_number_of_spans"
@@ -194,36 +192,27 @@ MUTANTS = [
         "tests": [f"{CLI_TESTS}::test_analyze_writes_an_unsigned_zero_for_a_brand_with_zero_covariance"],
     },
     {
-        "name": "manifest-entry-comma-dropped",
+        "name": "planted-separator-dropped",
         "why": "manifest.json's planted entries are written without the comma between them",
         "file": CLI,
-        "old": '            sep = ","',
-        "new": '            sep = ""',
-        "tests": [MANIFEST_TEST],
+        "old": '            sep = ",\\n"',
+        "new": '            sep = "\\n"',
+        "tests": [f"{CLI_TESTS}::test_gen_fixtures_traces_match_pinned_digests"],
     },
     {
         "name": "planted-entries-held",
-        "why": "gen-fixtures holds every planted entry in a list and spools them once the draw ends",
+        "why": "gen-fixtures holds every planted entry in a list and writes them once the draw ends",
         "file": CLI,
-        "old": SPOOL_LOOP,
-        "new": """    held = []
+        "old": PLANTED_LOOP,
+        "new": '''    held = []
     for item, entry in drawn:
         if entry is not None:
             held.append(entry)
         yield item
-    sep = "["
     for entry in held:
-        spool.write(_planted_text(sep, entry))
-        sep = ','""",
+        fh.write(sep + encode(entry))
+        sep = ",\\n"''',
         "tests": [f"{CLI_TESTS}::test_gen_fixtures_traces_peak_is_flat_in_count"],
-    },
-    {
-        "name": "manifest-net-and-share-swapped",
-        "why": "a planted entry's net is written under share and its share under net",
-        "file": CLI,
-        "old": 'entry["net"], entry["share"]',
-        "new": 'entry["share"], entry["net"]',
-        "tests": [MANIFEST_TEST],
     },
     {
         "name": "check-first-fault-only",

@@ -65,7 +65,7 @@ class ShareTable(Frozen, _ShareTableFields):
 
 def market_share(block_counts: Mapping[str, int]) -> ShareTable:
     """Exact rational market shares, ordered non-increasing."""
-    if any(c < 0 for c in block_counts.values()):
+    if any(c < 0 for c in block_counts.values()):  # a library contract: analyze counts blocks, never below 0
         raise ValueError("block counts must be non-negative")
     total = sum(block_counts.values())
     if total == 0:

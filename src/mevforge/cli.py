@@ -18,7 +18,6 @@ import stat
 import sys
 from contextlib import ExitStack, contextmanager
 from functools import partial
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NoReturn, TypeVar
 
@@ -387,81 +386,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # gen-fixtures
 
 
-_PLANTED_KEYS = frozenset(("base_token", "gross", "hop_count", "net", "path", "pools", "share", "tx_hash"))
-# a separator, then one planted cycle as json.dump(indent=2, sort_keys=True)
-# writes it inside a trace manifest
-_PLANTED_ENTRY = """%s
-    {
-      "base_token": %s,
-      "gross": %d,
-      "hop_count": %d,
-      "net": %d,
-      "path": [
-        %s
-      ],
-      "pools": [
-        %s
-      ],
-      "share": %d,
-      "tx_hash": %s
-    }"""
-
-
-def _planted_text(sep: str, entry: dict) -> str:
-    """sep, then entry as _PLANTED_ENTRY writes it; ValueError or TypeError
-    for an entry whose text json would write otherwise."""
-    if type(entry) is not dict or entry.keys() != _PLANTED_KEYS:
-        raise ValueError(f"planted entry: expected the keys {sorted(_PLANTED_KEYS)}, got {entry!r:.80}")
-    path, pools = entry["path"], entry["pools"]
-    amounts = entry["gross"], entry["hop_count"], entry["net"], entry["share"]
-    if not (type(path) is list and path and type(pools) is list and pools) or any(type(n) is not int for n in amounts):
-        raise ValueError(f"planted entry: expected nonempty path and pools lists and int amounts, got {entry!r:.80}")
-    text = encode_basestring_ascii
-    gross, hop_count, net, share = amounts
-    return _PLANTED_ENTRY % (
-        sep, text(entry["base_token"]), gross, hop_count, net,
-        ",\n        ".join(map(text, path)), ",\n        ".join(map(text, pools)), share, text(entry["tx_hash"]),
-    )
-
-
-def _spool_planted(spool: IO[str], drawn: Iterator[tuple[T, dict | None]]) -> Iterator[T]:
-    """Each item drawn, in turn; each planted entry drawn with one is written
-    to spool as it comes, as _planted_text writes it after "[" (the first) or
-    "," (the rest), so spool holds json's text of the planted list but its
-    "\\n  ]" end."""
-    sep = "["
+def _write_trace_manifest(fh: IO[str], drawn: Iterator[tuple[T, dict | None]], manifest: dict) -> Iterator[T]:
+    """Each item drawn, in turn, with a trace manifest written to fh: its
+    planted list first, one compact line per entry as it is drawn, then
+    manifest's own keys, whose counts are known only once the draw ends."""
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(sort_keys=True) builds one per call
+    fh.write('{"planted": [')
+    sep = "\n"
     for item, entry in drawn:
         if entry is not None:
-            spool.write(_planted_text(sep, entry))
-            sep = ","
+            fh.write(sep + encode(entry))
+            sep = ",\n"
         yield item
+    fh.write("\n], " + encode(manifest)[1:] + "\n")
 
 
-def _write_manifest(out: Path, manifest: dict, planted: IO[str] | None = None) -> None:
-    """Write out/manifest.json as exactly json.dump(manifest, fh, indent=2,
-    sort_keys=True) then "\\n" writes it.  With a planted spool (a trace
-    corpus's ground truth, as _spool_planted wrote it, nearly all of the
-    file's bytes), "planted" is the list the spool holds: json.dump's text
-    before that key is written, then the spool copied as it is, then the
-    text after it.  The head waits for the spool, since the keys before
-    "planted" include counts known only once every entry is drawn."""
+def _write_manifest(out: Path, manifest: dict) -> None:
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        if planted is None:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-        else:
-            # nested lines are indented deeper and strings hold no newline, so
-            # the marker matches the top-level key only
-            text = json.dumps({**manifest, "planted": None}, indent=2, sort_keys=True)
-            head, _, tail = text.partition('\n  "planted": null')
-            fh.write(head + '\n  "planted": ')
-            if planted.tell():
-                import shutil
-
-                planted.seek(0)
-                shutil.copyfileobj(planted, fh)
-                fh.write("\n  ]" + tail)
-            else:
-                fh.write("[]" + tail)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -470,8 +412,6 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
     if args.kind in ("traces", "pools", "records"):
         from . import fixtures
     if args.kind == "traces":
-        import tempfile
-
         corpus = fixtures.gen_trace_corpus(args.seed, 1000 if args.count is None else args.count)
         with open(out / "labels.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write("brand,instance,address\n")
@@ -483,11 +423,9 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
             for symbol in corpus.manifest["tokens"]:
                 if symbol not in prices:
                     fh.write(f"price_table.{symbol} = 1\n")
-        # the spool goes under --out, since on a tmpfs /tmp its pages would be memory
-        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=out) as planted:
+        with open(out / "manifest.json", "w", encoding="utf-8") as manifest:
             with open(out / "traces.ndjson", "w", encoding="utf-8") as fh:
-                fh.writelines(serialize_transactions(_spool_planted(planted, corpus.transactions)))
-            _write_manifest(out, corpus.manifest, planted)
+                fh.writelines(serialize_transactions(_write_trace_manifest(manifest, corpus.transactions, corpus.manifest)))
     elif args.kind == "pools":
         from . import pools
 

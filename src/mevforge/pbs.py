@@ -156,7 +156,7 @@ class OpportunityModel(_Section, _OpportunityModelFields):
 
     def value(self, t_ms: Fraction) -> int:
         elapsed = t_ms - self.birth_ms
-        if elapsed < 0:
+        if elapsed < 0:  # a library contract: a first arrival is birth plus latency and compute, never earlier
             return 0
         if elapsed >= self.deadline_ms:
             return self.tail_value

@@ -234,6 +234,7 @@ class ExecutionResult(Frozen, _ExecutionResultFields):
 
 def split_delta(delta: int, share_ratio_bp: int) -> tuple[int, int]:
     """Split a surplus into (payout, kept) at the basis-point share ratio."""
+    # a library contract: each caller passes an agent's ratio, checked when it was built or loaded
     if not 0 <= share_ratio_bp <= SHARE_RATIO_SCALE:
         raise ValueError("share ratio must be within [0, 10000] bp")
     payout = delta * share_ratio_bp // SHARE_RATIO_SCALE
@@ -386,7 +387,7 @@ def cycle_delta(descriptor: PathDescriptor, pools: Mapping[bytes, PoolState], am
     hops' output amounts are worked out, no post-swap pool state, unless
     the descriptor repeats a pool (see _delta_fn).
     """
-    if amount0 <= 0:
+    if amount0 <= 0:  # a library contract: no command calls it, and the search probes only its range
         raise ValueError("amount0 must be positive")
     return _delta_fn(descriptor, pools)(amount0)
 
@@ -405,7 +406,7 @@ def best_input_search(
     before the first probe, and a descriptor whose pools are distinct
     probes on amounts only.
     """
-    if not 1 <= lo < hi:
+    if not 1 <= lo < hi:  # a library contract: search_range gives 1 <= lo < hi
         raise ValueError("need 1 <= lo < hi")
     delta = _delta_fn(descriptor, pools)
     lo0 = lo

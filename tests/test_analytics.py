@@ -95,6 +95,13 @@ def test_empty_market_is_an_error():
         market_share({"A": 0, "B": 0})
 
 
+def test_a_negative_block_count_is_a_value_error():
+    """analyze counts blocks, so never passes a negative count; a library
+    caller that does gets a ValueError, not shares outside [0, 1]."""
+    with pytest.raises(ValueError, match="^block counts must be non-negative$"):
+        market_share({"A": 3, "B": -1})
+
+
 @given(st.dictionaries(st.text(min_size=1, max_size=6), st.integers(min_value=0, max_value=10**9), min_size=1))
 def test_shares_always_sum_to_one_exactly(counts):
     if sum(counts.values()) == 0:

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mevforge import BUNDLED_SCENARIOS as SCENARIOS, cli, fixtures, pools
-from mevforge.cli import _spool_planted, _write_manifest, main
+from mevforge.cli import main
 from mevforge.config import RunConfig, load_config
 from mevforge.pbs import UNREAD_KEYS, Protocol
 from mevforge.records import (
@@ -1871,29 +1871,30 @@ def test_gen_fixtures_deterministic(tmp_path):
     assert read_all(out1) == read_all(out2)
 
 
-# SHA-256 of gen-fixtures --kind traces output, taken while the generator
-# still held the whole corpus; drawing and writing it a transaction at a
-# time moves no byte.  At --count 0 the planted list renders as [].  At
-# --count 1 (taken while the manifest held the planted list) the one
-# transaction plants no cycle, so an empty spool must also render as [].
+# SHA-256 of gen-fixtures --kind traces output.  traces.ndjson, labels.csv
+# and run.cfg were taken while the generator still held the whole corpus;
+# drawing and writing it a transaction at a time moves no byte.  manifest.json
+# was taken once its planted list came first, one compact line per entry.
+# At --count 0, and at --count 1 (whose one transaction plants no cycle), the
+# planted list is empty.
 _GEN_LABELS = "d10d29d8c597c3ee1f5b50e8bd9d97b3d82e3b05f1fcbe963342d149dc07487b"
 _GEN_RUN_CFG = "20bf986f5f279bbc2e65cf529d541437fadc954607b7dcf013cf0c5c9af1e6f3"
 PINNED_TRACE_FIXTURE_DIGESTS = {
     "2000": {
         "labels.csv": _GEN_LABELS,
-        "manifest.json": "4daa40fbdc591fa095232f4c60d764e8b7698218e09ccc318ab20b015b410f34",
+        "manifest.json": "7e7bd0183491b9885abd339fa89dd29c831c73c7238b1a104cc4846f90f634df",
         "run.cfg": _GEN_RUN_CFG,
         "traces.ndjson": "f51f31cf8e2fdaa83174bf130d21b01c07997dcd7fda2773e75fea45eafe5b6c",
     },
     "0": {
         "labels.csv": _GEN_LABELS,
-        "manifest.json": "47f17453639b60b2fb358250e831ba4aa5fd1b2292ac064bd5b1e514ac98e173",
+        "manifest.json": "d795cf02e7fd8c60e2b301bd606b7b7b27f11857fe84f00218e6b39edf1dcb39",
         "run.cfg": _GEN_RUN_CFG,
         "traces.ndjson": hashlib.sha256(b"").hexdigest(),
     },
     "1": {
         "labels.csv": _GEN_LABELS,
-        "manifest.json": "0ce7d63debc658cf791c4318b2eb0b10ceea447f9a11897e8ad46157585bf9c0",
+        "manifest.json": "fce671787da5db8420010df661c847cf5c1f1768ac7da1d742b61f2a0955a874",
         "run.cfg": _GEN_RUN_CFG,
         "traces.ndjson": "a53d4c71259f30323617117763545704191f11a7d4dd81ea2d40a69a16719a9a",
     },
@@ -1902,97 +1903,15 @@ PINNED_TRACE_FIXTURE_DIGESTS = {
 
 @pytest.mark.parametrize("count", sorted(PINNED_TRACE_FIXTURE_DIGESTS))
 def test_gen_fixtures_traces_match_pinned_digests(tmp_path, count):
+    """The files are as pinned, and manifest.json reads as the corpus's
+    manifest with its planted entries, in the order they are drawn."""
     assert main(["gen-fixtures", "--kind", "traces", "--seed", "1", "--count", count, "--out", str(tmp_path)]) == 0
     written = {name: hashlib.sha256(data).hexdigest() for name, data in read_all(tmp_path).items()}
     assert written == PINNED_TRACE_FIXTURE_DIGESTS[count]
-
-
-# a trace manifest's shape, over text json must escape and any integers
-_MANIFEST_INTS = st.integers() | st.sampled_from([-(10**80), -1, 0, 10**80])
-_PLANTED_ENTRIES = st.fixed_dictionaries(
-    {
-        "tx_hash": strategies.escaped_text,
-        "base_token": strategies.escaped_text,
-        "path": st.lists(strategies.escaped_text, min_size=1, max_size=4),
-        "pools": st.lists(strategies.escaped_text, min_size=1, max_size=3),
-        "hop_count": _MANIFEST_INTS,
-        "gross": _MANIFEST_INTS,
-        "share": _MANIFEST_INTS,
-        "net": _MANIFEST_INTS,
-    }
-)
-_TRACE_MANIFESTS = st.fixed_dictionaries(
-    {
-        "kind": st.just("traces"),
-        "seed": _MANIFEST_INTS,
-        "transactions": _MANIFEST_INTS,
-        "share_address": strategies.escaped_text,
-        "tokens": st.lists(strategies.escaped_text, max_size=3),
-        "planted": st.lists(_PLANTED_ENTRIES, max_size=4),
-        "planted_cycles": _MANIFEST_INTS,
-        "non_cycles": _MANIFEST_INTS,
-    }
-)
-_ONE_ENTRY = {
-    "tx_hash": "0x" + "ab" * 32, "base_token": 'W"\\\x01\u00e9\ud800', "path": ["\U0001f600", "\n"], "pools": ["0x" + "00" * 20],
-    "hop_count": 1, "gross": -(10**80), "share": 0, "net": 10**80,
-}
-
-
-def json_manifest(manifest: dict) -> str:
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-
-
-def spool(fh, planted: list) -> None:
-    """Write the entries to fh through _spool_planted, each drawn with a
-    transaction that is None."""
-    list(_spool_planted(fh, ((None, entry) for entry in planted)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(manifest=_TRACE_MANIFESTS)
-@example(manifest={"kind": "traces", "planted": []})
-@example(manifest={"kind": "traces", "planted": [_ONE_ENTRY]})
-@example(manifest={"kind": "traces", "planted": [_ONE_ENTRY, {**_ONE_ENTRY, "share": 1}]})
-def test_write_manifest_writes_what_json_dump_writes(tmp_path_factory, manifest):
-    """The manifest's other keys, with the planted entries spooled, write
-    as json.dump writes the manifest with its planted list."""
-    out = tmp_path_factory.mktemp("manifest")
-    head = {key: value for key, value in manifest.items() if key != "planted"}
-    with open(out / "spool", "w+", encoding="utf-8", newline="") as planted:
-        spool(planted, manifest["planted"])
-        _write_manifest(out, head, planted)
-    assert (out / "manifest.json").read_text(encoding="utf-8") == json_manifest(manifest)
-
-
-# edits after which json.dump would write a planted entry other than as the format string does
-_MISFIT_ENTRIES = {
-    "extra-key": lambda e: {**e, "extra": 0},
-    "missing-key": lambda e: {k: v for k, v in e.items() if k != "share"},
-    "empty-path": lambda e: {**e, "path": []},
-    "empty-pools": lambda e: {**e, "pools": []},
-    "path-as-tuple": lambda e: {**e, "path": tuple(e["path"])},
-    "path-as-text": lambda e: {**e, "path": "ab"},
-    "int-in-pools": lambda e: {**e, "pools": [*e["pools"], 7]},
-    "int-symbol": lambda e: {**e, "base_token": 7},
-    "bool-gross": lambda e: {**e, "gross": True},
-    "float-net": lambda e: {**e, "net": 1.0},
-    "not-a-dict": lambda e: sorted(e.items()),
-}
-
-
-@settings(max_examples=100, deadline=None)
-@given(manifest=_TRACE_MANIFESTS.filter(lambda m: m["planted"]), edit=st.sampled_from(sorted(_MISFIT_ENTRIES)), data=st.data())
-def test_write_manifest_raises_on_a_misfit_entry_leaving_a_prefix_of_json(tmp_path_factory, manifest, edit, data):
-    """A misfit entry raises before its text reaches the spool, so the
-    spool holds the start of json's text of the planted list."""
-    at = data.draw(st.integers(0, len(manifest["planted"]) - 1), label="at")
-    manifest["planted"][at] = _MISFIT_ENTRIES[edit](manifest["planted"][at])
-    tmp = tmp_path_factory.mktemp("manifest")
-    with open(tmp / "spool", "w", encoding="utf-8", newline="") as planted, pytest.raises((ValueError, TypeError)):
-        spool(planted, manifest["planted"])
-    _head, _, planted_text = json_manifest(manifest).partition('\n  "planted": ')
-    assert planted_text.startswith((tmp / "spool").read_text(encoding="utf-8"))
+    corpus = fixtures.gen_trace_corpus(1, int(count))
+    planted = [entry for _tx, entry in corpus.transactions if entry is not None]
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest == {**corpus.manifest, "planted": planted}
 
 
 @pytest.fixture(scope="module")
@@ -2019,7 +1938,7 @@ def gen_traces_peaks(tmp_path_factory):
 
 def test_gen_fixtures_traces_holds_no_corpus(gen_traces_peaks):
     """Traced Python allocations of a 5,000-transaction trace corpus peak
-    near 0.3 MiB, since the planted entries go to a spool file as they are
+    near 0.3 MiB, since the planted entries go to manifest.json as they are
     drawn; holding them in the manifest took 3.9 MiB, and holding every
     transaction and the whole file as one string 37 MiB."""
     assert gen_traces_peaks[5000] < 2 * 2**20

@@ -54,6 +54,15 @@ def test_piecewise_decay_shape():
     assert OPP.value(Fraction(10**6)) == 0
 
 
+def test_value_before_birth_is_zero():
+    """simulate values a bid at its first arrival, which is never before
+    birth; a library caller asking earlier gets 0, not the peak."""
+    model = OPP._replace(birth_ms=Fraction(50))
+    assert model.value(Fraction(0)) == 0
+    assert model.value(Fraction(50) - Fraction(1, 10**9)) == 0
+    assert model.value(Fraction(50)) == model.peak_value
+
+
 def test_peak_too_large_for_a_float_is_exact():
     # exact rational arithmetic: a peak no float holds loads and is valued exactly
     model = OpportunityModel(peak_value=10**400, gas_floor=1000)

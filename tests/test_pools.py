@@ -303,6 +303,27 @@ def test_balanced_pools_with_fees_abort():
         assert arbitrage_run(descriptor, pools, amount, 2500) is None
 
 
+# library contracts: no command passes a ratio, amount or range outside these
+def test_split_delta_rejects_a_ratio_outside_basis_points():
+    for ratio in (-1, 10_001):
+        with pytest.raises(ValueError, match=r"^share ratio must be within \[0, 10000\] bp$"):
+            split_delta(1000, ratio)
+
+
+def test_cycle_delta_rejects_an_input_below_one():
+    descriptor, pools = balanced_triangle()
+    for amount0 in (0, -1):
+        with pytest.raises(ValueError, match="^amount0 must be positive$"):
+            cycle_delta(descriptor, pools, amount0)
+
+
+def test_best_input_search_rejects_a_range_outside_one_to_hi():
+    descriptor, pools = balanced_triangle()
+    for lo, hi in ((0, 100), (50, 50), (60, 50)):
+        with pytest.raises(ValueError, match="^need 1 <= lo < hi$"):
+            best_input_search(descriptor, pools, lo, hi)
+
+
 def test_profitable_triangle_replay_oracle():
     fixture = fixtures.gen_pool_fixture(seed=7)
     descriptor, pools = fixture.descriptor, fixture.pools

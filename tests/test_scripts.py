@@ -1,8 +1,10 @@
-"""The example scripts run end to end against the public API, and the
-mutation register names code and tests that exist."""
+"""The example scripts run end to end against the public API, the
+mutation register names code and tests that exist, and the coverage
+script reports in its format."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +56,23 @@ def test_each_registered_mutant_edits_code_that_exists():
         for test_id in m["tests"]:
             path, name = test_id.split("::")
             assert f"\ndef {name.split('[')[0]}(" in (ROOT / path).read_text(encoding="utf-8"), test_id
+
+
+def test_coverage_reports_each_unrun_line_of_src_and_a_count():
+    """Run over one test file, scripts/coverage.py prints each unrun
+    function-body line as path:line: text, then the count of them; a line
+    that test file runs is not among them."""
+    result = subprocess.run(
+        [sys.executable, "scripts/coverage.py", "-q", "-p", "no:cacheprovider", "tests/test_values.py"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    *_, summary = result.stdout.splitlines()
+    unrun, total = map(int, re.fullmatch(r"(\d+) of (\d+) function-body lines in src/ never ran", summary).groups())
+    report = [line for line in result.stdout.splitlines() if line.startswith("src/")]
+    assert 0 < unrun == len(report) < total
+    for line in report:
+        path, number, text = re.fullmatch(r"(src/mevforge/[\w/]+\.py):(\d+): (.+)", line).groups()
+        assert (ROOT / path).read_text(encoding="utf-8").splitlines()[int(number) - 1].strip() == text
+    replace = "return type(self)(**{**dict(zip(self._fields, self)), **changes})"
+    assert [line for line in report if line.endswith(replace)] == []
