@@ -54,7 +54,7 @@ PLANTED_LOOP = """    for item, entry in drawn:
 
 SPAN_PROPERTY = f"{CLI_TESTS}::test_extract_writes_the_same_bytes_over_any_number_of_spans"
 # extract's merge: each worker's report, in span order
-SPAN_MERGE = "            for start, end, pid, report, worker_rows, worker_errors in workers:"
+SPAN_MERGE = "            for start, end, pid, (worker_rows, worker_errors, report) in workers:"
 WORKER_FAILURE = """                if code or not text:
                     ended = f"exited with status {code}" if code else "reported nothing"
                     raise ChildProcessError(f"{path}: extract worker for bytes {start}-{end} {ended}")"""
@@ -180,6 +180,56 @@ MUTANTS = [
         "old": WORKER_FAILURE,
         "new": "                if code or not text:\n                    continue",
         "tests": [f"{CLI_TESTS}::test_extract_stops_on_a_failed_worker"],
+    },
+    {
+        "name": "worker-counts-dropped",
+        "why": "extract leaves its workers' counts out of the summary line",
+        "file": CLI,
+        "old": '                counts.update(result["counts"])\n',
+        "new": "",
+        "tests": [SPAN_PROPERTY],
+    },
+    {
+        "name": "event-amount-sign-unchecked",
+        "why": "a trace event's negative amount is read as it is",
+        "file": TRACES,
+        "old": '        if amount is not None and amount < 0:\n            raise ValueError("amount must be non-negative")\n',
+        "new": "",
+        "tests": [f"{CLI_TESTS}::test_extract_rejects_loosely_typed_trace_fields[amount-negative]"],
+    },
+    {
+        "name": "swap-pool-unchecked",
+        "why": "a trace swap with no pool is read as a swap",
+        "file": TRACES,
+        "old": "            if pool is None or token_in is None or token_out is None:",
+        "new": "            if token_in is None or token_out is None:",
+        "tests": [f"{CLI_TESTS}::test_extract_rejects_loosely_typed_trace_fields[swap-without-pool]"],
+    },
+    {
+        "name": "pool-tokens-may-match",
+        "why": "a pool whose two tokens are one is read as a pool",
+        "file": POOLS,
+        "old": '        if token0 == token1:\n            raise ValueError("pool tokens must differ")\n',
+        "new": "",
+        "tests": [f"{CLI_TESTS}::test_simulate_malformed_pool_file_names_the_line[tokens-equal]"],
+    },
+    {
+        "name": "v2-reserves-unchecked",
+        "why": "a V2 pool with an empty reserve is read as an active pool",
+        "file": POOLS,
+        "old": """            if reserve0 <= 0 or reserve1 <= 0:
+                raise ValueError("active V2 pool needs positive reserves")
+""",
+        "new": "            pass\n",
+        "tests": [f"{CLI_TESTS}::test_simulate_malformed_pool_file_names_the_line[reserve-zero]"],
+    },
+    {
+        "name": "one-hop-record-read",
+        "why": "a records row of one hop is read as a cycle",
+        "file": RECORDS,
+        "old": '        if hop_count < 2:\n            raise ValueError("cycles have at least two hops")\n',
+        "new": "",
+        "tests": [f"{CLI_TESTS}::test_analyze_rejects_a_one_hop_row"],
     },
     {
         "name": "zero-covariance-signed",
@@ -420,6 +470,14 @@ MUTANTS = [
         "old": "            if key in key_lines:",
         "new": "            if False:",
         "tests": [f"{CLI_TESTS}::test_extract_config_key_set_twice_names_both_lines"],
+    },
+    {
+        "name": "config-equals-unchecked",
+        "why": "a config line with no = is read as a key with an empty value",
+        "file": CONFIG,
+        "old": '            if "=" not in line:\n                raise ValueError("expected key = value")\n',
+        "new": "",
+        "tests": [f"{CLI_TESTS}::test_config_line_without_equals_is_named_as_such"],
     },
     {
         "name": "decay-any-text",

@@ -16,6 +16,7 @@ import json
 import os
 import stat
 import sys
+from collections import Counter
 from contextlib import ExitStack, contextmanager
 from functools import partial
 from pathlib import Path
@@ -35,7 +36,6 @@ from .config import RunConfig, load_config
 from .traces import (
     ConfigError,
     LineError,
-    ParseStats,
     TraceParseError,
     format_address,
     iter_transactions,
@@ -131,21 +131,16 @@ def _lines_to(fh: IO[bytes], end: int | None) -> Iterator[bytes]:
 
 
 def _extract_span(
-    lines: Iterable[bytes], rows: IO[str], errors: IO[str], stats: ParseStats, header: bool, *,
-    config: RunConfig, labels: dict,
-) -> tuple[int, int]:
-    """Extract the transactions on lines, counting them in stats: a
-    records.csv row to rows for each cycle, and an errors.csv row to errors
-    for each cycle that cannot be priced or dated, each after its file's
-    header rows if header.  (records, error rows) written."""
+    lines: Iterable[bytes], rows: IO[str], errors: IO[str], counts: Counter[str], *, config: RunConfig, labels: dict
+) -> None:
+    """Extract the transactions on lines, counted in counts as
+    iter_transactions counts them: a records.csv row to rows for each cycle
+    (counted as "records"), and an errors.csv row to errors for each cycle
+    that cannot be priced or dated (as "errors"), neither after a header."""
     error_rows = csv.writer(errors, lineterminator="\n")
-    if header:
-        error_rows.writerow(["tx_hash", "error"])
-    failed = 0
 
     def cycles():
-        nonlocal failed
-        for tx in iter_transactions(lines, stats):
+        for tx in iter_transactions(lines, counts):
             path = extract_arbitrage_cycle(tx)
             if path is None:
                 continue
@@ -159,7 +154,7 @@ def _extract_span(
                 timestamp = records.timestamp_for_block(tx.block_number, config.genesis_unix)
             except (MissingPriceError, ShareTokenError, records.TimestampRangeError) as exc:
                 error_rows.writerow([format_address(tx.hash), str(exc)])
-                failed += 1
+                counts["errors"] += 1
                 continue
             yield records.ArbitrageRecord(
                 tx_hash=tx.hash,
@@ -176,28 +171,29 @@ def _extract_span(
                 timestamp_utc=timestamp,
             )
 
-    return records.write_records(rows, cycles(), header), failed
+    counts["records"] += records.write_records(rows, cycles(), header=False)
 
 
-def _work(path: str, start: int, end: int, rows: IO[str], errors: IO[str], report: int, extract: Callable) -> NoReturn:
+def _work(path: str, start: int, end: int, files: list[IO[str]], extract: Callable) -> NoReturn:
     """The life of a forked worker: extract the span [start, end) of the
-    trace file at path into rows and errors, write its counts, or its first
-    bad line, as JSON to the pipe end report, and exit without returning
-    into its caller's code.  Any other fault exits 1 after an "error:" line."""
+    trace file at path into the first two of files, its rows and errors,
+    write its counts, or its first bad line, as JSON to the third, its
+    report, and exit without returning into its caller's code.  Any other
+    fault exits 1 after an "error:" line."""
     code = 1
     try:
-        stats = ParseStats()
+        rows, errors, report = files
+        counts: Counter[str] = Counter()
         try:
             with open(path, "rb") as fh:  # its own offset: a forked child shares its parent's
                 fh.seek(start)
-                emitted, failed = extract(_lines_to(fh, end), rows, errors, stats, False)
-            rows.flush()
-            errors.flush()
-            result = {"counts": [stats.transactions, stats.unknown_events, emitted, failed]}
+                extract(_lines_to(fh, end), rows, errors, counts)
+            result = {"counts": counts}
         except TraceParseError as exc:
             result = {"line": exc.line_no, "message": exc.message}
-        with open(report, "w", encoding="utf-8") as fh:
-            json.dump(result, fh)
+        json.dump(result, report)
+        for fh in (rows, errors, report):
+            fh.flush()
         code = 0
     except BaseException as exc:  # reported here, since a forked child must not unwind into its parent's code
         os.write(2, f"error: {path}: extract worker for bytes {start}-{end}: {exc!r}\n".encode(errors="backslashreplace"))
@@ -208,11 +204,11 @@ def _work(path: str, start: int, end: int, rows: IO[str], errors: IO[str], repor
 def _extract_spans(
     traces: IO[bytes], path: str, spans: list[tuple[int, int | None]], out: Path, rows: IO[str], errors: IO[str],
     extract: Callable,
-) -> tuple[ParseStats, int, int]:
+) -> Counter[str]:
     """Run extract over each span of traces, the trace file at path: the
     first in this process, into rows and errors, and each later nonempty one
     in a forked worker whose rows are then appended, in span order and in
-    bounded blocks.  (stats, records, error rows), summed over the spans.
+    bounded blocks.  Its counts, summed over the spans.
 
     A bad line raises TraceParseError naming its line in the whole file; of
     several, the first wins.  A worker that exits nonzero or reports nothing
@@ -228,26 +224,22 @@ def _extract_spans(
             for start, end in spans[1:]:
                 if start == end:
                     continue
-                worker_rows, worker_errors = (
-                    files.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=out)) for _ in range(2)
-                )
-                read_end, write_end = os.pipe()
-                report = files.enter_context(open(read_end, "rb"))
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _work(path, start, end, worker_rows, worker_errors, write_end, extract)
-                    running.add(pid)
-                finally:
-                    os.close(write_end)
-                workers.append((start, end, pid, report, worker_rows, worker_errors))
+                worker_files = [
+                    files.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=out)) for _ in range(3)
+                ]
+                pid = os.fork()
+                if pid == 0:
+                    _work(path, start, end, worker_files, extract)
+                running.add(pid)
+                workers.append((start, end, pid, worker_files))
 
-            stats = ParseStats()
-            emitted, failed = extract(_lines_to(traces, spans[0][1]), rows, errors, stats, True)
-            for start, end, pid, report, worker_rows, worker_errors in workers:
-                text = report.read()  # to the pipe's end, which comes when the worker exits
+            counts: Counter[str] = Counter()
+            extract(_lines_to(traces, spans[0][1]), rows, errors, counts)
+            for start, end, pid, (worker_rows, worker_errors, report) in workers:
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 running.remove(pid)
+                report.seek(0)
+                text = report.read()
                 if code or not text:
                     ended = f"exited with status {code}" if code else "reported nothing"
                     raise ChildProcessError(f"{path}: extract worker for bytes {start}-{end} {ended}")
@@ -256,11 +248,7 @@ def _extract_spans(
                     traces.seek(0)
                     before = sum(1 for _ in _lines_to(traces, start))
                     raise TraceParseError(before + result["line"], result["message"])
-                transactions, unknown_events, span_emitted, span_failed = result["counts"]
-                stats.transactions += transactions
-                stats.unknown_events += unknown_events
-                emitted += span_emitted
-                failed += span_failed
+                counts.update(result["counts"])
                 for worker_file, report_file in ((worker_rows, rows), (worker_errors, errors)):
                     worker_file.seek(0)
                     shutil.copyfileobj(worker_file, report_file)
@@ -268,7 +256,7 @@ def _extract_spans(
             for pid in running:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return stats, emitted, failed
+    return counts
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -285,7 +273,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
             with open(out / "records.csv", "w", encoding="utf-8", newline="") as rows, open(
                 out / "errors.csv", "w", encoding="utf-8", newline=""
             ) as errors:
-                stats, emitted, failed = _extract_spans(traces, args.traces, spans, out, rows, errors, extract)
+                records.write_records(rows, ())
+                errors.write("tx_hash,error\n")
+                counts = _extract_spans(traces, args.traces, spans, out, rows, errors, extract)
     except (_InputError, ChildProcessError):
         # a bad trace line leaves neither report, as analyze writes none on a
         # bad row, nor a directory this run made; so does a failed worker
@@ -295,11 +285,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
             directory.rmdir()
         raise
 
-    if not failed:
+    if not counts["errors"]:
         (out / "errors.csv").unlink()
-    skipped = stats.transactions - emitted - failed
-    print(f"records={emitted} skipped={skipped} unknown_events={stats.unknown_events} errors={failed}")
-    return 1 if failed else 0
+    skipped = counts["transactions"] - counts["records"] - counts["errors"]
+    print(f"records={counts['records']} skipped={skipped} unknown_events={counts['unknown_events']} errors={counts['errors']}")
+    return 1 if counts["errors"] else 0
 
 
 # ---------------------------------------------------------------------------

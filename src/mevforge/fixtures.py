@@ -66,9 +66,6 @@ class TraceCorpus:
     ) -> None:
         self.transactions, self.labels, self.manifest = transactions, labels, manifest
 
-    def __repr__(self) -> str:
-        return f"TraceCorpus(transactions={self.transactions!r}, labels={self.labels!r}, manifest={self.manifest!r})"
-
 
 def _pool_for(rng: random.Random, pools: dict[tuple[bytes, bytes], bytes], a: TokenId, b: TokenId) -> bytes:
     key = (min(a.address, b.address), max(a.address, b.address))
@@ -231,13 +228,10 @@ def _draw_transactions(
 class PoolFixture:
     __slots__ = ("pools", "descriptor", "manifest")
 
-    def __init__(self, pools: dict[bytes, PoolState], descriptor: PathDescriptor, manifest: dict | None = None) -> None:
+    def __init__(self, pools: dict[bytes, PoolState], descriptor: PathDescriptor, manifest: dict) -> None:
         self.pools = pools
         self.descriptor = descriptor  # planted profitable V2 triangle
-        self.manifest = {} if manifest is None else manifest
-
-    def __repr__(self) -> str:
-        return f"PoolFixture(pools={self.pools!r}, descriptor={self.descriptor!r}, manifest={self.manifest!r})"
+        self.manifest = manifest
 
 
 def gen_pool_fixture(seed: int) -> PoolFixture:

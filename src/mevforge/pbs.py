@@ -178,7 +178,7 @@ class Bid(Frozen, _BidFields):
     __slots__ = ()
 
     def __new__(cls, builder_id: str, timestamp_ms: Fraction, offered_payment: int, delta: int):
-        if offered_payment > delta:
+        if offered_payment > delta:  # a library contract: split_delta never pays out more than the delta
             raise ValueError("insolvent bid: payment exceeds realized surplus")
         return tuple.__new__(cls, (builder_id, timestamp_ms, offered_payment, delta))
 

@@ -168,7 +168,9 @@ def step_v3(liquidity: int, sqrt_p: int, fee_ppm: int, direction: int, amount_in
     else:
         max_net = _amount1_to_reach(liquidity, sqrt_p, end)
 
-    if available <= max_net:
+    # max_net is rounded up, so an input equal to it may overshoot the end
+    # when priced by the curve: it stops at the end instead
+    if available < max_net:
         consumed_net = available
         unused = 0
         if direction == 0:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from collections import Counter
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -200,7 +201,7 @@ class TokenId(Frozen, _TokenIdFields):
     __slots__ = ()
 
     def __new__(cls, symbol: str, address: bytes, decimals: int):
-        if len(address) != ADDRESS_LEN:
+        if len(address) != ADDRESS_LEN:  # a library contract: parse_address reads 20 bytes
             raise ValueError("token address must be 20 bytes")
         if not 0 <= decimals <= MAX_TOKEN_DECIMALS:
             raise ValueError("token decimals out of range")
@@ -256,7 +257,7 @@ class TraceEvent(Frozen, _TraceEventFields):
             if to is None or amount is None:
                 raise ValueError(f"{kind.value} requires to and amount")
         for addr in (pool, to):
-            if addr is not None and len(addr) != ADDRESS_LEN:
+            if addr is not None and len(addr) != ADDRESS_LEN:  # a library contract: parse_address reads 20 bytes
                 raise ValueError("event address must be 20 bytes")
         return tuple.__new__(cls, (kind, pool, token_in, token_out, amount_in, amount_out, to, amount, pool_sink))
 
@@ -276,9 +277,9 @@ class Transaction(Frozen, _TransactionFields):
     def __new__(
         cls, hash: bytes, block_number: int, initiator: bytes, events: Iterable[TraceEvent], gas_used: int, gas_price: int
     ):
-        if len(hash) != HASH_LEN:
+        if len(hash) != HASH_LEN:  # a library contract: parse_tx_hash reads 32 bytes
             raise ValueError("tx hash must be 32 bytes")
-        if len(initiator) != ADDRESS_LEN:
+        if len(initiator) != ADDRESS_LEN:  # a library contract: parse_address reads 20 bytes
             raise ValueError("initiator must be 20 bytes")
         if block_number < 0 or gas_used < 0 or gas_price < 0:
             raise ValueError("block number and gas fields must be non-negative")
@@ -324,7 +325,7 @@ class PathDescriptor(Frozen, _PathDescriptorFields):
     def __new__(cls, tokens: Iterable[TokenId], pools: Iterable[bytes]):
         tokens, pools = tuple(tokens), tuple(pools)
         n = len(pools)
-        if n < 1:
+        if n < 1:  # a library contract: every cycle the package builds has two hops or more
             raise ValueError("descriptor needs at least one hop")
         if len(tokens) != n + 1:
             raise ValueError("descriptor length mismatch: need n+1 tokens for n pools")
@@ -341,19 +342,6 @@ class PathDescriptor(Frozen, _PathDescriptorFields):
 
 # ---------------------------------------------------------------------------
 # newline-delimited JSON trace format
-
-
-class ParseStats:
-    """Counters accumulated while parsing; unknown event kinds are skipped
-    (the record is retained minus that event) rather than failing the file."""
-
-    __slots__ = ("transactions", "unknown_events")
-
-    def __init__(self, transactions: int = 0, unknown_events: int = 0) -> None:
-        self.transactions, self.unknown_events = transactions, unknown_events
-
-    def __repr__(self) -> str:
-        return f"ParseStats(transactions={self.transactions!r}, unknown_events={self.unknown_events!r})"
 
 
 _KIND_BY_NAME = {k.value: k for k in EventKind}
@@ -406,12 +394,12 @@ def _event_from_obj(obj: Mapping, tokens: dict) -> TraceEvent:
     )
 
 
-def _transaction_from_obj(obj: Mapping, line_no: int, stats: ParseStats, tokens: dict) -> Transaction:
+def _transaction_from_obj(obj: Mapping, line_no: int, counts: Counter[str], tokens: dict) -> Transaction:
     try:
         events = []
         for raw in read_json(obj["events"], "events", list):
             if read_json(raw, "event", dict).get("kind") not in _KIND_BY_NAME:
-                stats.unknown_events += 1
+                counts["unknown_events"] += 1
                 continue
             events.append(_event_from_obj(raw, tokens))
         return Transaction(
@@ -428,12 +416,15 @@ def _transaction_from_obj(obj: Mapping, line_no: int, stats: ParseStats, tokens:
         raise TraceParseError(line_no, str(exc)) from exc
 
 
-def iter_transactions(stream: IO | Iterable[str | bytes], stats: ParseStats | None = None) -> Iterator[Transaction]:
+def iter_transactions(stream: IO | Iterable[str | bytes], counts: Counter[str] | None = None) -> Iterator[Transaction]:
     """Yield transactions from a newline-delimited trace stream in input order.
     Lines are text, or bytes read strictly as UTF-8.  Equal token objects
     parse to one shared TokenId, for the first MAX_SHARED_TOKENS distinct
-    tokens of the stream."""
-    stats = stats if stats is not None else ParseStats()
+    tokens of the stream.  Two counts are added to counts: "transactions",
+    one per transaction yielded, and "unknown_events", one per event of an
+    unknown kind, which is skipped (its transaction is kept without it)
+    rather than failing the file."""
+    counts = Counter() if counts is None else counts
     tokens: dict[tuple[str, str, int], TokenId] = {}
     for line_no, line in read_lines(stream, TraceParseError):
         if not line.strip():
@@ -442,8 +433,8 @@ def iter_transactions(stream: IO | Iterable[str | bytes], stats: ParseStats | No
             obj = json.loads(line)
         except ValueError as exc:  # not JSON, or an integer past int's digit limit
             raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
-        tx = _transaction_from_obj(obj, line_no, stats, tokens)
-        stats.transactions += 1
+        tx = _transaction_from_obj(obj, line_no, counts, tokens)
+        counts["transactions"] += 1
         yield tx
 
 

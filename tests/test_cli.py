@@ -191,6 +191,14 @@ def test_config_unknown_key_rejected(tmp_path):
     assert "line 1" in str(excinfo.value)
 
 
+def test_config_line_without_equals_is_named_as_such(tmp_path):
+    """Not an unknown key "alpha 0.5" with an empty value."""
+    path = tmp_path / "bad.cfg"
+    path.write_text("alpha = 0.01\nalpha 0.5\n")
+    with pytest.raises(LineError, match="^line 2: expected key = value$"), open(path, "rb") as fh:
+        load_config(fh)
+
+
 @pytest.mark.parametrize("line", ["decimals.NEW = 6", "k_hops = 2", "seed = 1", "scenario_path = x.json"])
 def test_config_keys_nothing_reads_are_unknown(tmp_path, line):
     path = tmp_path / "old.cfg"
@@ -483,6 +491,8 @@ def set_event(index, **values):
         pytest.param(lambda o: o["events"][0]["token_in"].update(symbol=None), "", id="symbol-null"),
         pytest.param(lambda o: o["events"][0]["token_out"].update(symbol=5), "", id="symbol-number"),
         pytest.param(lambda o: o["events"][0]["token_in"].update(symbol="US\ud800"), "", id="symbol-lone-surrogate"),
+        pytest.param(set_event(3, amount="-1"), "amount must be non-negative\n", id="amount-negative"),
+        pytest.param(lambda o: o["events"][0].pop("pool"), "swap requires pool, token_in and token_out\n", id="swap-without-pool"),
     ],
 )
 def test_extract_rejects_loosely_typed_trace_fields(tmp_path, capsys, edit, message):
@@ -958,12 +968,12 @@ def test_extract_stops_on_a_failed_worker(tmp_path, fault):
     rows."""
     parent, extract_span = os.getpid(), cli._extract_span
 
-    def failing(lines, rows, errors, stats, header, **kwargs):
+    def failing(lines, rows, errors, counts, **kwargs):
         if os.getpid() != parent:
             if fault == "raises":
                 raise RuntimeError("worker fault")
             os._exit(0)
-        return extract_span(lines, rows, errors, stats, header, **kwargs)
+        return extract_span(lines, rows, errors, counts, **kwargs)
 
     trace = tmp_path / "traces.ndjson"
     trace.write_text("".join(span_line("cycle", n) + "\n" for n in range(6)))
@@ -992,6 +1002,28 @@ def test_extract_reads_a_fifo_as_one_span(tmp_path):
     assert not writer.is_alive()
     from_file = extract_with(3, fixture / "traces.ndjson", tmp_path / "from-file", "--config", str(fixture / "run.cfg"))
     assert from_fifo[0] == 0 and from_fifo == from_file
+
+
+def test_usable_cpus_without_affinity_or_fork(monkeypatch):
+    """Outside Linux there is no affinity call, so every CPU counts; where
+    there is no fork, the trace is one span."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._usable_cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "fork")
+    assert cli._usable_cpus() == 1
+
+
+def test_lines_to_stops_at_the_end_of_a_file_shorter_than_its_span(tmp_path):
+    """A trace file cut short during a run ends a span early; its lines up
+    to the new end are read, and the read stops there."""
+    trace = tmp_path / "traces.ndjson"
+    trace.write_bytes(b"a\nb\nc")
+    with open(trace, "rb") as fh:
+        fh.readline()
+        assert list(cli._lines_to(fh, 100)) == [b"b\n", b"c"]
 
 
 # -- analyze ------------------------------------------------------------------
@@ -1281,6 +1313,18 @@ def test_analyze_names_a_row_of_the_wrong_width_by_its_column_count(tmp_path, ca
     assert capsys.readouterr().err == f"error: {path}: row 3: expected 12 columns, got {cells}\n"
 
 
+def test_analyze_rejects_a_one_hop_row(tmp_path, capsys):
+    """extract writes no cycle of one hop, so analyze reads none."""
+    rows = list(csv.reader(records_text().splitlines()))
+    rows[2][4] = "1"
+    path, out = tmp_path / "records.csv", tmp_path / "out"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    assert main(["analyze", "--records", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: row 3: cycles have at least two hops\n"
+    assert not out.exists()
+
+
 def test_analyze_writes_an_unsigned_zero_for_a_brand_with_zero_covariance(tmp_path):
     """Profit per hop (usd / hops) averages 2 at two hops and at three, so
     covariance is 0 though both coordinates vary: pearson_r is 0, and a
@@ -1506,6 +1550,8 @@ def v3_line_with(**values):
         ),
         pytest.param(v3_line_with(reserve0="5"), "v3 pool: unknown keys 'reserve0'", id="other-kind-key-v3"),
         pytest.param(lambda o: json.dumps({**o, "token1": {**o["token1"], "name": "x"}}), "token1: unknown keys 'name'", id="token-unknown-key"),
+        pytest.param(lambda o: json.dumps({**o, "token1": o["token0"]}), "pool tokens must differ\n", id="tokens-equal"),
+        pytest.param(lambda o: json.dumps({**o, "reserve0": "0"}), "active V2 pool needs positive reserves\n", id="reserve-zero"),
     ],
 )
 def test_simulate_malformed_pool_file_names_the_line(tmp_path, capsys, edit, message):

@@ -195,6 +195,9 @@ def test_v3_price_limit_partial_consumption():
     )
     # an input that just reaches the end is used up
     assert step_v3(liquidity, Q96, 0, 1, need_up)[1:] == (MAX_SQRT_PRICE_X96, 0)
+    # a rounded-up need on a shallow pool stops at the end, not past it
+    assert step_v3(1, 1, 0, 1, 2**64)[1:] == (MAX_SQRT_PRICE_X96, 0)
+    assert step_v3(1, 1, 500, 1, 18_455_972_059_739_421_327)[1] == MAX_SQRT_PRICE_X96
 
 
 def test_v3_price_limit_fee_charged_on_consumed_only():

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -17,7 +18,6 @@ from mevforge.traces import (
     MAX_SHARED_TOKENS,
     EventKind,
     LabelFileError,
-    ParseStats,
     PathDescriptor,
     TokenId,
     TraceEvent,
@@ -114,10 +114,10 @@ def test_blank_lines_are_skipped_and_counted():
     transaction but has a number."""
     good = "".join(serialize_transactions(tx for tx, _entry in fixtures.gen_trace_corpus(seed=1, n_transactions=2).transactions))
     first, second = good.splitlines(keepends=True)
-    stats = ParseStats()
+    counts = Counter()
     spaced = ["\n", first, " \t\r\n", "\r\n", second, "  "]
-    assert list(iter_transactions(spaced, stats)) == list(iter_transactions([first, second]))
-    assert stats.transactions == 2
+    assert list(iter_transactions(spaced, counts)) == list(iter_transactions([first, second]))
+    assert counts == {"transactions": 2}
     with pytest.raises(TraceParseError, match="^line 7: invalid JSON"):
         list(iter_transactions([*spaced[:-1], "\n", "{not json\n"]))
 
@@ -185,9 +185,9 @@ def test_unknown_event_kind_skipped_with_counter():
     [line] = serialize_transactions([tx])
     obj = json.loads(line)
     obj["events"].insert(0, {"kind": "mint", "pool": "0x" + "00" * 20})
-    stats = ParseStats()
-    txs = list(iter_transactions(io.StringIO(json.dumps(obj) + "\n"), stats))
-    assert stats.unknown_events == 1
+    counts = Counter()
+    txs = list(iter_transactions(io.StringIO(json.dumps(obj) + "\n"), counts))
+    assert counts == {"transactions": 1, "unknown_events": 1}
     assert len(txs) == 1
     assert len(txs[0].events) == len(tx.events)
 

@@ -139,6 +139,28 @@ def test_an_instance_hashes_as_the_tuple_of_its_fields(kind):
         assert hash(value) == expected
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: traces.TokenId("WBNB", b"\x01", 18), "token address must be 20 bytes", id="token-address"),
+        pytest.param(lambda: SWAP._replace(pool=b"\x01"), "event address must be 20 bytes", id="event-pool"),
+        pytest.param(
+            lambda: traces.TraceEvent(EventKind.TRANSFER, to=b"\x01" * 21, amount=1), "event address must be 20 bytes", id="event-to"
+        ),
+        pytest.param(lambda: traces.Transaction(b"\x03", 50, ADDRESS, (), 0, 0), "tx hash must be 32 bytes", id="tx-hash"),
+        pytest.param(lambda: traces.Transaction(HASH, 50, b"\x01", (), 0, 0), "initiator must be 20 bytes", id="initiator"),
+        pytest.param(lambda: traces.PathDescriptor((WBNB,), ()), "descriptor needs at least one hop", id="no-hop"),
+    ],
+)
+def test_a_check_no_file_reaches_names_its_fault(build, message):
+    """The library contracts of the trace types: parse_address and
+    parse_tx_hash read whole addresses and hashes, and every cycle the
+    package builds has two hops or more, so no input file reaches these."""
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 def test_the_slot_log_writes_what_a_writer_per_row_writes():
     """Outcomes that differ only in height share one memoized row text;
     builder ids that hold a comma, a quote and a newline are quoted as the
