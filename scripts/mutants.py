@@ -39,11 +39,11 @@ HYPOTHESIS_SEED = "0"
 
 SERIALIZER_TEST = f"{TRACES_TESTS}::test_lines_equal_json_dumps_of_dicts"
 # the serializer's token-fragment memo, from its lookup to its store
-FRAGMENT_MEMO = """fragments.get(id(token))
-        if entry is None:
-            entry = token, '{"symbol":%s,"address":"0x%s","decimals":%d}' % (json.dumps(token.symbol), token.address.hex(), token.decimals)
+FRAGMENT_MEMO = """fragments.get(token)
+        if text is None:
+            text = json.dumps(token_to_obj(token), separators=(",", ":"))
             if len(fragments) < MAX_SHARED_TOKENS:
-                fragments[id(token)] = entry"""
+                fragments[token] = text"""
 
 # gen-fixtures's planted list: each entry is written to manifest.json as it is drawn
 PLANTED_LOOP = """    for item, entry in drawn:
@@ -64,8 +64,8 @@ MUTANTS = [
         "name": "symbol-written-unescaped",
         "why": "a token's symbol is written between quotes as it is, not through json.dumps",
         "file": TRACES,
-        "old": "% (json.dumps(token.symbol), token.address.hex()",
-        "new": "% ('\"' + token.symbol + '\"', token.address.hex()",
+        "old": 'json.dumps(token_to_obj(token), separators=(",", ":"))',
+        "new": """'{"symbol":"%s","address":"0x%s","decimals":%d}' % (token.symbol, token.address.hex(), token.decimals)""",
         "tests": [SERIALIZER_TEST],
     },
     {
@@ -73,16 +73,8 @@ MUTANTS = [
         "why": "the serializer's token fragments are keyed by symbol, so a same-symbol token reuses another's text",
         "file": TRACES,
         "old": FRAGMENT_MEMO,
-        "new": FRAGMENT_MEMO.replace("(id(token))", "(token.symbol)").replace("[id(token)]", "[token.symbol]"),
+        "new": FRAGMENT_MEMO.replace("(token)\n", "(token.symbol)\n").replace("[token]", "[token.symbol]"),
         "tests": [SERIALIZER_TEST],
-    },
-    {
-        "name": "memo-forgets-token",
-        "why": "the serializer's memo stores only a token's text under id(token), so a freed token's id, taken by a new token, finds the old text",
-        "file": TRACES,
-        "old": FRAGMENT_MEMO,
-        "new": FRAGMENT_MEMO.replace("entry = token, ", "entry = None, "),
-        "tests": [f"{TRACES_TESTS}::test_a_token_freed_after_its_line_lends_its_id_no_text"],
     },
     {
         "name": "replace-skips-checks",
@@ -235,11 +227,22 @@ MUTANTS = [
         "name": "zero-covariance-signed",
         "why": "Pearson with zero covariance negates a zero square root, so correlations.csv writes -0.000000000000",
         "file": ANALYTICS,
-        "old": """        if sxy == 0:
-            return 0.0
+        "old": """    if sxy == 0:
+        return 0.0
 """,
         "new": "",
         "tests": [f"{CLI_TESTS}::test_analyze_writes_an_unsigned_zero_for_a_brand_with_zero_covariance"],
+    },
+    {
+        "name": "top-without-wins",
+        "why": "simulate's summary line names the first builder as top though every slot fell back",
+        "file": CLI,
+        "old": '    top_text = f"{top}:{summary.wins[top]}" if summary.wins.get(top) else "-"',
+        "new": '    top_text = "-" if top is None else f"{top}:{summary.wins[top]}"',
+        "tests": [
+            f"{CLI_TESTS}::test_simulate_names_its_top_builder_only_when_one_won",
+            f"{CLI_TESTS}::test_simulate_over_a_v3_pool_at_the_end_of_its_range",
+        ],
     },
     {
         "name": "planted-separator-dropped",
@@ -320,6 +323,25 @@ MUTANTS = [
         "old": "        add, multiply = EXACT.add, EXACT.multiply",
         "new": "        add, multiply = Decimal.__add__, EXACT.multiply",
         "tests": [FOLD_TEST],
+    },
+    {
+        "name": "hop-counts-from-one-brand",
+        "why": "complexity counts each hop count from the alphabetically first brand's hop groups only",
+        "file": ANALYTICS,
+        "old": """        for (_brand, hops), (count, _usd, _usd2) in self.hop_groups.items():
+            counts[hops] += count""",
+        "new": """        for (brand, hops), (count, _usd, _usd2) in self.hop_groups.items():
+            if brand == min(self.blocks):
+                counts[hops] += count""",
+        "tests": [FOLD_TEST],
+    },
+    {
+        "name": "rows-count-hop-groups",
+        "why": "analyze's analyzed= counts the (brand, hop count) groups, not the records in them",
+        "file": ANALYTICS,
+        "old": "        return sum(count for count, _usd, _usd2 in self.hop_groups.values())",
+        "new": "        return len(self.hop_groups)",
+        "tests": [f"{CLI_TESTS}::test_analyze_prints_its_summary_line", FOLD_TEST],
     },
     {
         "name": "kept-plain-add",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import suppress
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -195,59 +196,46 @@ def path_complexity(counts: Mapping[int, int]) -> PathComplexity:
     return PathComplexity(histogram=histogram, ecdf=tuple(ecdf))
 
 
-class PearsonMoments:
-    """Moments of (x, y) points, grouped by x: per x, the count and the sums
-    of y and y^2.  x and y are exact numbers, such as ints and Fractions."""
+def pearson(groups: Mapping) -> float:
+    """Pearson correlation of (x, y) points given grouped by x, as x ->
+    (count, sum of y, sum of y^2); x and y are exact numbers, such as ints
+    and Fractions.
 
-    def __init__(self) -> None:
-        self.groups: dict = {}  # x -> [count, sum of y, sum of y^2]
-
-    def add(self, x, y) -> None:
-        self.add_group(x, 1, y, y * y)
-
-    def add_group(self, x, count: int, sum_y, sum_yy) -> None:
-        """Add count points at x whose y sum to sum_y, and their squares to sum_yy."""
-        group = self.groups.setdefault(x, [0, 0, 0])
-        group[0] += count
-        group[1] += sum_y
-        group[2] += sum_yy
-
-    def correlation(self) -> float:
-        """Pearson correlation of the points added.
-
-        sxx = sum(x^2) - sum(x)^2 / n, and likewise syy and sxy, are the same
-        rationals as the two-pass sums of squared deviations; only the final
-        square root leaves rational arithmetic, so perfectly linear inputs
-        give exactly +/-1.0.
-        """
-        n = sum(count for count, _sy, _syy in self.groups.values())
-        if n < 2:
-            raise UndefinedCorrelationError("need at least 2 points")
-        sum_x = sum_xx = sum_y = sum_yy = sum_xy = Fraction(0)
-        for x, (count, group_y, group_yy) in self.groups.items():
-            sum_x += x * count
-            sum_xx += x * x * count
-            sum_y += group_y
-            sum_yy += group_yy
-            sum_xy += x * group_y
-        sxx = sum_xx - sum_x * sum_x / n
-        syy = sum_yy - sum_y * sum_y / n
-        sxy = sum_xy - sum_x * sum_y / n
-        if sxx == 0 or syy == 0:
-            raise UndefinedCorrelationError("zero variance in one coordinate")
-        if sxy == 0:
-            return 0.0
-        magnitude = math.sqrt(float(Fraction(sxy * sxy, sxx * syy)))
-        return magnitude if sxy > 0 else -magnitude
+    sxx = sum(x^2) - sum(x)^2 / n, and likewise syy and sxy, are the same
+    rationals as the two-pass sums of squared deviations; only the final
+    square root leaves rational arithmetic, so perfectly linear inputs
+    give exactly +/-1.0.
+    """
+    n = sum(count for count, _sy, _syy in groups.values())
+    if n < 2:
+        raise UndefinedCorrelationError("need at least 2 points")
+    sum_x = sum_xx = sum_y = sum_yy = sum_xy = Fraction(0)
+    for x, (count, group_y, group_yy) in groups.items():
+        sum_x += x * count
+        sum_xx += x * x * count
+        sum_y += group_y
+        sum_yy += group_yy
+        sum_xy += x * group_y
+    sxx = sum_xx - sum_x * sum_x / n
+    syy = sum_yy - sum_y * sum_y / n
+    sxy = sum_xy - sum_x * sum_y / n
+    if sxx == 0 or syy == 0:
+        raise UndefinedCorrelationError("zero variance in one coordinate")
+    if sxy == 0:
+        return 0.0
+    magnitude = math.sqrt(float(Fraction(sxy * sxy, sxx * syy)))
+    return magnitude if sxy > 0 else -magnitude
 
 
 def pathlen_profit_correlation(points: Iterable[tuple]) -> float:
     """Pearson correlation of (hop count, profit per swap) pairs, computed
-    exactly from their PearsonMoments."""
-    moments = PearsonMoments()
+    exactly by pearson."""
+    groups: dict = {}
     for x, y in points:
-        moments.add(Fraction(x), Fraction(y))
-    return moments.correlation()
+        x, y = Fraction(x), Fraction(y)
+        count, sum_y, sum_yy = groups.get(x, (0, 0, 0))
+        groups[x] = count + 1, sum_y + y, sum_yy + y * y
+    return pearson(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -286,30 +274,26 @@ def risk_score(symbol: str, freezable: int, custodial: int, external_chain: int)
 
 class RecordTotals:
     """What the analyze reports need from records, folded one record at a
-    time: distinct blocks per brand, hop counts, and dollars per (brand,
-    token) cell, per (brand, day), paid onward per brand, and per (brand,
-    hop count) with their squares, for Pearson.  Dollars are added as the
-    records' Decimals in records.EXACT (the default context rounds past 28
-    digits).  No record is held, so memory grows with brands x tokens x
-    days plus distinct blocks, not with rows."""
+    time into sums, with one method per report value: distinct blocks per
+    brand, and dollars per (brand, token) cell, per (brand, day), paid
+    onward per brand, and per (brand, hop count) with their count and
+    squares, added as Decimals in records.EXACT (the default context rounds
+    past 28 digits).  Memory grows with brands x tokens x days plus distinct
+    blocks, not with rows."""
 
     def __init__(self, records: Iterable[ArbitrageRecord]) -> None:
-        self.rows = 0
         self.blocks: dict[str, set[int]] = {}
-        self.hops: Counter[int] = Counter()
+        self.hop_groups: dict[tuple[str, int], list] = {}  # (brand, hops) -> [count, sum of usd, sum of usd^2]
         self._cells: dict[tuple[str, str], Decimal] = {}
         self._paid: dict[str, Decimal] = {}
         self._day_usd: dict[tuple[str, str], Decimal] = {}
         self._day_txs: Counter[tuple[str, str]] = Counter()
-        hop_groups: dict[tuple[str, int], list] = {}  # (brand, hops) -> [count, sum of usd, sum of usd^2]
         add, multiply = EXACT.add, EXACT.multiply
         for record in records:
-            self.rows += 1
-            brand, hops, usd = record.builder_brand, record.hop_count, record.usd_value
+            brand, usd = record.builder_brand, record.usd_value
             cell, day = (brand, record.base_token), (brand, record.timestamp_utc[:10])
             self.blocks.setdefault(brand, set()).add(record.block_number)
-            self.hops[hops] += 1
-            group = hop_groups.setdefault((brand, hops), [0, ZERO, ZERO])
+            group = self.hop_groups.setdefault((brand, record.hop_count), [0, ZERO, ZERO])
             group[0] += 1
             group[1] = add(group[1], usd)
             group[2] = add(group[2], multiply(usd, usd))
@@ -317,14 +301,21 @@ class RecordTotals:
             self._paid[brand] = add(self._paid.get(brand, ZERO), record.share_usd)
             self._day_usd[day] = add(self._day_usd.get(day, ZERO), usd)
             self._day_txs[day] += 1
-        # the points are (h, usd / h), so per h y sums to sum(usd) / h and y^2 to sum(usd^2) / h^2
-        self.moments: dict[str, PearsonMoments] = {}
-        for (brand, h), (count, sum_usd, sum_usd2) in hop_groups.items():
-            moments = self.moments.setdefault(brand, PearsonMoments())
-            moments.add_group(h, count, Fraction(sum_usd) / h, Fraction(sum_usd2) / (h * h))
+
+    @property
+    def rows(self) -> int:
+        return sum(count for count, _usd, _usd2 in self.hop_groups.values())
+
+    def share_table(self) -> ShareTable:
+        """Market shares of distinct blocks; empty when there is no record."""
+        return market_share({brand: len(blocks) for brand, blocks in self.blocks.items()}) if self.blocks else ShareTable(())
 
     def profit_matrix(self) -> dict[tuple[str, str], Fraction]:
         return {cell: Fraction(usd) for cell, usd in self._cells.items()}
+
+    def profit_shares(self) -> dict[tuple[str, str], Fraction]:
+        """The profit matrix's token_shares."""
+        return token_shares(self.profit_matrix())
 
     def proposer_split(self) -> dict[str, ProposerSplit]:
         """Per brand: dollars kept (net) vs dollars paid onward (share), and
@@ -339,6 +330,25 @@ class RecordTotals:
             out[brand] = ProposerSplit(kept_usd=n, paid_usd=p, payout_fraction=fraction)
         return out
 
+    def complexity(self) -> PathComplexity:
+        counts: Counter[int] = Counter()
+        for (_brand, hops), (count, _usd, _usd2) in self.hop_groups.items():
+            counts[hops] += count
+        return path_complexity(counts)
+
+    def correlations(self) -> dict[str, float | None]:
+        """Per brand, the Pearson correlation of its (hop count, usd per hop)
+        points, or None where it is undefined."""
+        # the points are (h, usd / h), so per h y sums to sum(usd) / h and y^2 to sum(usd^2) / h^2
+        groups: dict[str, dict] = {}
+        for (brand, h), (count, sum_usd, sum_usd2) in self.hop_groups.items():
+            groups.setdefault(brand, {})[h] = count, Fraction(sum_usd) / h, Fraction(sum_usd2) / (h * h)
+        out: dict[str, float | None] = dict.fromkeys(groups)
+        for brand, by_hops in groups.items():
+            with suppress(UndefinedCorrelationError):
+                out[brand] = pearson(by_hops)
+        return out
+
     def daily_series(self) -> dict[str, list]:
         """Daily UTC profit (usd_<brand>, Decimals) and activity (txs_<brand>)
         series, one value per observed date: a date with no record at all is
@@ -349,3 +359,18 @@ class RecordTotals:
             series[f"usd_{brand}"] = [self._day_usd.get((brand, day), ZERO) for day in ordered]
             series[f"txs_{brand}"] = [self._day_txs[brand, day] for day in ordered]
         return series
+
+    def trends(self, alpha: Fraction) -> dict[str, TrendResult]:
+        """Mann-Kendall over each daily series, at alpha; none while fewer
+        than three dates are observed."""
+        out: dict[str, TrendResult] = {}
+        for name, series in self.daily_series().items():
+            with suppress(InsufficientDataError):
+                out[name] = mann_kendall(series, alpha)
+        return out
+
+    def risk_scores(self, risk_bits: Mapping[str, tuple[int, int, int]]) -> list[RiskScore]:
+        """The risk score of each token in the profit matrix that risk_bits
+        gives features for, by symbol."""
+        tokens = {token for _brand, token in self._cells} & risk_bits.keys()
+        return [risk_score(symbol, *risk_bits[symbol]) for symbol in sorted(tokens)]

@@ -303,47 +303,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     totals = _read(args.records, lambda fh: analytics.RecordTotals(records.iter_records(fh)))
     out = _out_dir(args.out)
 
-    # market share from distinct blocks per brand
-    table = analytics.ShareTable(())
-    if totals.blocks:
-        table = analytics.market_share({b: len(s) for b, s in totals.blocks.items()})
+    table = totals.share_table()
     reports.write_text(out / "shares.csv", lambda fh: reports.write_share_table(fh, table))
-
-    matrix = totals.profit_matrix()
-    reports.write_text(out / "profit_matrix.csv", lambda fh: reports.write_profit_matrix(fh, matrix))
+    matrix, shares = totals.profit_matrix(), totals.profit_shares()
+    reports.write_text(out / "profit_matrix.csv", lambda fh: reports.write_profit_matrix(fh, matrix, shares))
     splits = totals.proposer_split()
     reports.write_text(out / "proposer_split.csv", lambda fh: reports.write_proposer_split(fh, splits))
-
-    complexity = analytics.path_complexity(totals.hops)
+    complexity = totals.complexity()
     with open(out / "complexity_hist.csv", "w", encoding="utf-8", newline="") as hist_fh, open(
         out / "complexity_ecdf.csv", "w", encoding="utf-8", newline=""
     ) as ecdf_fh:
         reports.write_complexity(hist_fh, ecdf_fh, complexity)
-
-    correlations: list[tuple[str, float | None]] = []
-    for brand, moments in totals.moments.items():
-        try:
-            correlations.append((brand, moments.correlation()))
-        except analytics.UndefinedCorrelationError:
-            correlations.append((brand, None))
-    reports.write_text(out / "correlations.csv", lambda fh: reports.write_correlations(fh, correlations))
-
-    trends: dict[str, analytics.TrendResult] = {}
-    for name, series in totals.daily_series().items():
-        try:
-            trends[name] = analytics.mann_kendall(series, config.alpha)
-        except analytics.InsufficientDataError:
-            continue
+    correlations = totals.correlations()
+    reports.write_text(out / "correlations.csv", lambda fh: reports.write_correlations(fh, correlations.items()))
+    trends = totals.trends(config.alpha)
     reports.write_text(out / "trends.csv", lambda fh: reports.write_trends(fh, trends))
-
-    scores = [
-        analytics.risk_score(symbol, *config.risk_bits[symbol])
-        for symbol in sorted({token for _brand, token in matrix})
-        if symbol in config.risk_bits
-    ]
+    scores = totals.risk_scores(config.risk_bits)
     reports.write_text(out / "risk_scores.csv", lambda fh: reports.write_risk_scores(fh, scores))
 
-    print(f"analyzed={totals.rows} brands={len(totals.blocks)} reports={out}")
+    print(f"analyzed={totals.rows} brands={len(table.rows)} reports={out}")
     return 0
 
 
@@ -367,7 +345,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     reports.write_text(out / "slots.csv", lambda fh: reports.write_slot_log(fh, folded()))
     reports.write_text(out / "summary.csv", lambda fh: reports.write_campaign_summary(fh, summary))
     top = max(summary.wins, key=summary.wins.get, default=None)
-    top_text = "-" if top is None else f"{top}:{summary.wins[top]}"
+    top_text = f"{top}:{summary.wins[top]}" if summary.wins.get(top) else "-"  # no top when no builder won
     print(f"slots={args.slots} top={top_text} fallback_rate={reports.decimal_str(summary.fallback_rate, 6)}")
     return 0
 

@@ -48,10 +48,9 @@ def write_share_table(stream: IO[str], table: ShareTable) -> None:
         writer.writerow([row.brand, row.block_count, 0, percent_str(row.share)])
 
 
-def write_profit_matrix(stream: IO[str], matrix: Mapping[tuple[str, str], Fraction]) -> None:
-    from .analytics import token_shares
-
-    shares = token_shares(matrix)
+def write_profit_matrix(
+    stream: IO[str], matrix: Mapping[tuple[str, str], Fraction], shares: Mapping[tuple[str, str], Fraction]
+) -> None:
     writer = _writer(stream)
     writer.writerow(["brand", "token", "usd", "token_share_pct"])
     for cell in sorted(matrix):

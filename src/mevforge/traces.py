@@ -442,20 +442,17 @@ def serialize_transactions(transactions: Iterable[Transaction]) -> Iterator[str]
     """One canonical NDJSON line, newline included, per transaction, made
     as the transaction is taken; "".join(...) is the whole file.  Each line
     is what compact json.dumps of its fields writes, byte for byte.  A
-    token's text is made once per token object, so tokens shared as
-    iter_transactions shares them are formatted once each."""
-    # (token, its text) by id(token), for MAX_SHARED_TOKENS token objects:
-    # an id hashes and compares without reading the token's fields, and the
-    # entry holds its token so that no other object can take that id
-    fragments: dict[int, tuple[TokenId, str]] = {}
+    token's text is made once per distinct token (up to MAX_SHARED_TOKENS);
+    a shared token object is found by identity, its fields uncompared."""
+    fragments: dict[TokenId, str] = {}
 
     def token_text(token: TokenId) -> str:
-        entry = fragments.get(id(token))
-        if entry is None:
-            entry = token, '{"symbol":%s,"address":"0x%s","decimals":%d}' % (json.dumps(token.symbol), token.address.hex(), token.decimals)
+        text = fragments.get(token)
+        if text is None:
+            text = json.dumps(token_to_obj(token), separators=(",", ":"))
             if len(fragments) < MAX_SHARED_TOKENS:
-                fragments[id(token)] = entry
-        return entry[1]
+                fragments[token] = text
+        return text
 
     for tx in transactions:
         events = []

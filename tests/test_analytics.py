@@ -152,7 +152,7 @@ def test_a_token_whose_cells_sum_to_zero_gives_each_cell_zero():
     matrix = RecordTotals([record("A", "USDT", usd=5, net=5), record("B", "USDT", usd=-5, net=-5)]).profit_matrix()
     assert token_shares(matrix) == {("A", "USDT"): 0, ("B", "USDT"): 0}
     buffer = io.StringIO()
-    reports.write_profit_matrix(buffer, matrix)
+    reports.write_profit_matrix(buffer, matrix, token_shares(matrix))
     assert buffer.getvalue().splitlines()[1:] == ["A,USDT,5.00,0.00", "B,USDT,-5.00,0.00"]
 
 
@@ -193,7 +193,8 @@ def test_a_loss_under_half_a_cent_renders_as_unsigned_zero():
     assert percent_str(Fraction(-1, 10**7)) == "0.00"
     buffer = io.StringIO()
     loss = record("X", "USDT", usd="-0.001", net=-1)
-    reports.write_profit_matrix(buffer, RecordTotals([loss]).profit_matrix())
+    totals = RecordTotals([loss])
+    reports.write_profit_matrix(buffer, totals.profit_matrix(), totals.profit_shares())
     assert buffer.getvalue().splitlines()[1] == "X,USDT,0.00,100.00"
 
 
@@ -453,7 +454,7 @@ def two_pass_reports(rows, config=RunConfig()):
     ]
     return {
         "shares.csv": render(reports.write_share_table, market_share(blocks) if blocks else ShareTable(())),
-        "profit_matrix.csv": render(reports.write_profit_matrix, matrix),
+        "profit_matrix.csv": render(reports.write_profit_matrix, matrix, token_shares(matrix)),
         "proposer_split.csv": render(reports.write_proposer_split, splits),
         "complexity_hist.csv": hist.getvalue().encode(),
         "complexity_ecdf.csv": ecdf.getvalue().encode(),
@@ -566,7 +567,9 @@ def long_dollars(signs=("", "-")):
 def test_the_fold_sums_long_dollars_exactly(rows):
     """RecordTotals' cell, paid, kept, day and per-hop sums of usd and usd^2
     equal the Fraction sums of the same dollars, compared as sums: a
-    rounded sum of squares can leave a 12-place pearson_r unchanged."""
+    rounded sum of squares can leave a 12-place pearson_r unchanged.  Its
+    row and per-hop counts, which it derives from the per-hop sums, equal
+    the records'."""
     records = [
         record(brand, token, usd, share_usd)._replace(hop_count=hops, timestamp_utc=f"2025-06-0{day}T00:00:00Z")
         for brand, token, day, hops, usd, share_usd in rows
@@ -589,9 +592,9 @@ def test_the_fold_sums_long_dollars_exactly(rows):
     assert {name: values for name, values in totals.daily_series().items() if name.startswith("usd_")} == {
         f"usd_{brand}": [by_day.get((brand, day), 0) for day in days] for brand in paid
     }
-    assert {(brand, h): group for brand, moments in totals.moments.items() for h, group in moments.groups.items()} == {
-        (brand, h): [count, sum_usd / h, sum_usd2 / (h * h)] for (brand, h), (count, sum_usd, sum_usd2) in groups.items()
-    }
+    assert totals.hop_groups == groups
+    assert totals.rows == len(records)
+    assert totals.complexity().histogram == Counter(hops for _brand, _token, _day, hops, _usd, _share_usd in rows)
 
 
 @settings(max_examples=40, deadline=None)

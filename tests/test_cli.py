@@ -492,6 +492,7 @@ def set_event(index, **values):
         pytest.param(lambda o: o["events"][0]["token_out"].update(symbol=5), "", id="symbol-number"),
         pytest.param(lambda o: o["events"][0]["token_in"].update(symbol="US\ud800"), "", id="symbol-lone-surrogate"),
         pytest.param(set_event(3, amount="-1"), "amount must be non-negative\n", id="amount-negative"),
+        pytest.param(set_event(0, amount_in="-1"), "amounts must be non-negative\n", id="amount-in-negative"),
         pytest.param(lambda o: o["events"][0].pop("pool"), "swap requires pool, token_in and token_out\n", id="swap-without-pool"),
     ],
 )
@@ -1071,6 +1072,20 @@ def test_analyze_empty_records_succeeds(tmp_path):
     assert (out / "shares.csv").read_text() == "brand,blocks,validators,share_pct\n"
 
 
+def test_analyze_prints_its_summary_line(tmp_path, capsys):
+    """analyzed= counts records and brands= the brands holding them, on a
+    known records file and on an empty one."""
+    empty = tmp_path / "empty.csv"
+    buffer = io.StringIO()
+    write_records(buffer, [])
+    empty.write_text(buffer.getvalue())
+    for path, counts in ((records_fixture(tmp_path), "analyzed=300 brands=2"), (empty, "analyzed=0 brands=0")):
+        capsys.readouterr()
+        out = tmp_path / f"out-{path.stem}"
+        assert main(["analyze", "--records", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"{counts} reports={out}\n", "")
+
+
 def test_analyze_schema_violation_fails_with_row(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     buffer = io.StringIO()
@@ -1361,6 +1376,21 @@ def test_simulate_deterministic_outputs(tmp_path):
     assert summary.splitlines()[0] == "builder_id,wins,win_share,profit,proposer_revenue"
 
 
+def test_simulate_names_its_top_builder_only_when_one_won(tmp_path, capsys):
+    """A campaign that a builder wins names it and its wins; one where every
+    slot falls back (peak value below the gas floor) names no builder."""
+    below_floor = tmp_path / "below_floor.json"
+    obj = json.loads((SCENARIOS / "bsc_duopoly.json").read_text())
+    obj["opportunity"]["peak_value"] = 500
+    below_floor.write_text(json.dumps(obj))
+    for scenario, line in (
+        (SCENARIOS / "eth_duopoly.json", "slots=20 top=beta:20 fallback_rate=0.000000"),
+        (below_floor, "slots=20 top=- fallback_rate=1.000000"),
+    ):
+        assert main(["simulate", "--scenario", str(scenario), "--slots", "20", "--out", str(tmp_path / scenario.stem)]) == 0
+        assert capsys.readouterr() == (line + "\n", "")
+
+
 def test_simulate_single_slot(tmp_path):
     out = tmp_path / "s"
     assert (
@@ -1596,7 +1626,7 @@ def test_simulate_over_a_v3_pool_at_the_end_of_its_range(tmp_path, capsys):
     scenario = embodied_scenario(tmp_path, pools.dump_pool_file(pool_map))
     out = tmp_path / "o"
     assert main(["simulate", "--scenario", str(scenario), "--slots", "50", "--seed", "1", "--out", str(out)]) == 0
-    assert capsys.readouterr() == ("slots=50 top=pair:0 fallback_rate=1.000000\n", "")
+    assert capsys.readouterr() == ("slots=50 top=- fallback_rate=1.000000\n", "")
     assert (out / "slots.csv").exists() and (out / "summary.csv").exists()
 
 
