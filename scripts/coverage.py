@@ -8,11 +8,14 @@ prints each executable function-body line that never ran, as
 and are left out.  A forked child (such as an extract worker) traces on
 and hands in what it ran as it leaves through os._exit; a line that only
 a subprocess runs shows as unrun, since its trace stays in that process.
-The run is several times slower than the tests alone, so the tests do
-not run it.
+Hypothesis runs with the mutation register's fixed seed unless the
+arguments give one, so a line reached by some draws alone is reported the
+same way on every run.  The run is several times slower than the tests
+alone, so the tests do not run it.
 
     python3 scripts/coverage.py                        # the whole suite
     python3 scripts/coverage.py tests/test_values.py   # pytest's arguments
+    python3 scripts/coverage.py --hypothesis-seed=7    # another seed
 
 The exit status is pytest's.
 """
@@ -26,6 +29,8 @@ from pathlib import Path
 from types import CodeType
 
 import pytest
+
+from mutants import HYPOTHESIS_SEED
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -45,6 +50,9 @@ def body_lines(code: CodeType) -> set[int]:
 
 def main() -> int:
     sys.path.insert(0, str(SRC))
+    args = sys.argv[1:]
+    if not any(arg.startswith("--hypothesis-seed") for arg in args):
+        args.insert(0, f"--hypothesis-seed={HYPOTHESIS_SEED}")
     prefix = str(SRC) + "/"
     ran: set[tuple[str, int]] = set()
 
@@ -77,7 +85,7 @@ def main() -> int:
         threading.settrace(trace)
         sys.settrace(trace)
         try:
-            status = pytest.main(sys.argv[1:])
+            status = pytest.main(args)
         finally:
             sys.settrace(None)
             threading.settrace(None)

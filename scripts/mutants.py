@@ -48,8 +48,9 @@ FRAGMENT_MEMO = """fragments.get(token)
 # gen-fixtures's planted list: each entry is written to manifest.json as it is drawn
 PLANTED_LOOP = """    for item, entry in drawn:
         if entry is not None:
-            fh.write(sep + encode(entry))
-            sep = ",\\n"
+            fh.write((",\\n" if planted else "\\n") + encode(entry))
+            planted += 1
+        items += 1
         yield item"""
 
 SPAN_PROPERTY = f"{CLI_TESTS}::test_extract_writes_the_same_bytes_over_any_number_of_spans"
@@ -248,8 +249,8 @@ MUTANTS = [
         "name": "planted-separator-dropped",
         "why": "manifest.json's planted entries are written without the comma between them",
         "file": CLI,
-        "old": '            sep = ",\\n"',
-        "new": '            sep = "\\n"',
+        "old": '(",\\n" if planted else "\\n")',
+        "new": '"\\n"',
         "tests": [f"{CLI_TESTS}::test_gen_fixtures_traces_match_pinned_digests"],
     },
     {
@@ -261,11 +262,56 @@ MUTANTS = [
     for item, entry in drawn:
         if entry is not None:
             held.append(entry)
+        items += 1
         yield item
     for entry in held:
-        fh.write(sep + encode(entry))
-        sep = ",\\n"''',
+        fh.write((",\\n" if planted else "\\n") + encode(entry))
+        planted += 1''',
         "tests": [f"{CLI_TESTS}::test_gen_fixtures_traces_peak_is_flat_in_count"],
+    },
+    {
+        "name": "planted-count-one-over",
+        "why": "manifest.json's planted_cycles counts one entry more than its planted list holds",
+        "file": CLI,
+        "old": '"planted_cycles": planted,',
+        "new": '"planted_cycles": planted + 1,',
+        "tests": [
+            f"{CLI_TESTS}::test_trace_counts_agree_with_what_was_written",
+            f"{CLI_TESTS}::test_gen_fixtures_traces_match_pinned_digests",
+        ],
+    },
+    {
+        "name": "labels-written-unquoted",
+        "why": "gen-fixtures writes labels.csv by format strings, so a name holding a comma or a quote does not read back",
+        "file": CLI,
+        "old": """            rows = csv.writer(fh, lineterminator="\\n")
+            rows.writerow(LABEL_HEADER)
+            rows.writerows((label.brand, label.instance_name, format_address(label.address)) for label in corpus.labels)""",
+        "new": """            fh.write(",".join(LABEL_HEADER) + "\\n")
+            fh.writelines(f"{label.brand},{label.instance_name},{format_address(label.address)}\\n" for label in corpus.labels)""",
+        "tests": [f"{CLI_TESTS}::test_gen_fixtures_labels_read_back_whatever_their_names"],
+    },
+    {
+        "name": "trace-line-object-unchecked",
+        "why": "a trace line is indexed as it parsed, so a line that is not an object fails with Python's own message",
+        "file": TRACES,
+        "old": '        obj = read_json(obj, "transaction", dict)\n',
+        "new": "",
+        "tests": [
+            f"{CLI_TESTS}::test_extract_names_a_trace_line_that_is_not_an_object",
+            f"{TRACES_TESTS}::test_any_json_value_at_any_trace_field_parses_or_is_a_parse_error",
+        ],
+    },
+    {
+        "name": "event-kind-unhashable",
+        "why": "an event kind is looked up whatever its type, so a list or object kind fails the line as unhashable",
+        "file": TRACES,
+        "old": "if type(kind) is not str or kind not in _KIND_BY_NAME:",
+        "new": "if kind not in _KIND_BY_NAME:",
+        "tests": [
+            f"{TRACES_TESTS}::test_an_event_kind_that_is_not_a_string_is_an_unknown_event",
+            f"{TRACES_TESTS}::test_any_json_value_at_any_trace_field_parses_or_is_a_parse_error",
+        ],
     },
     {
         "name": "check-first-fault-only",
@@ -549,24 +595,22 @@ MUTANTS = [
         "name": "M4",
         "why": "relay rebids and the relay cutoff run one rebid interval past the horizon",
         "file": PBS,
-        "old": """        while t <= horizon:
-            improved = max(locked, ceiling * min(k, rounds) // rounds)
+        "old": """            if t > horizon:
+                break
+            improved = max(locked, ceiling * k // relay.optimization_rounds)
             bids.append(_make_bid(agent, t, improved))
             if improved >= ceiling:
                 break
-            k += 1
-            t += relay.rebid_interval_ms
 
     bids.sort(key=lambda b: (b.timestamp_ms, b.builder_id))
     if relayed:
         cutoff, non_delivery = horizon, {}""",
-        "new": """        while t <= horizon + relay.rebid_interval_ms:
-            improved = max(locked, ceiling * min(k, rounds) // rounds)
+        "new": """            if t > horizon + relay.rebid_interval_ms:
+                break
+            improved = max(locked, ceiling * k // relay.optimization_rounds)
             bids.append(_make_bid(agent, t, improved))
             if improved >= ceiling:
                 break
-            k += 1
-            t += relay.rebid_interval_ms
 
     bids.sort(key=lambda b: (b.timestamp_ms, b.builder_id))
     if relayed:

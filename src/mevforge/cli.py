@@ -34,6 +34,7 @@ from .arbitrage import (
 )
 from .config import RunConfig, load_config
 from .traces import (
+    LABEL_HEADER,
     ConfigError,
     LineError,
     TraceParseError,
@@ -346,7 +347,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     reports.write_text(out / "summary.csv", lambda fh: reports.write_campaign_summary(fh, summary))
     top = max(summary.wins, key=summary.wins.get, default=None)
     top_text = f"{top}:{summary.wins[top]}" if summary.wins.get(top) else "-"  # no top when no builder won
-    print(f"slots={args.slots} top={top_text} fallback_rate={reports.decimal_str(summary.fallback_rate, 6)}")
+    print(f"slots={summary.n_slots} top={top_text} fallback_rate={reports.decimal_str(summary.fallback_rate, 6)}")
     return 0
 
 
@@ -357,16 +358,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _write_trace_manifest(fh: IO[str], drawn: Iterator[tuple[T, dict | None]], manifest: dict) -> Iterator[T]:
     """Each item drawn, in turn, with a trace manifest written to fh: its
     planted list first, one compact line per entry as it is drawn, then
-    manifest's own keys, whose counts are known only once the draw ends."""
+    manifest's own keys and the counts of the entries written
+    (planted_cycles) and of the items drawn without one (non_cycles)."""
     encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(sort_keys=True) builds one per call
     fh.write('{"planted": [')
-    sep = "\n"
+    planted = items = 0
     for item, entry in drawn:
         if entry is not None:
-            fh.write(sep + encode(entry))
-            sep = ",\n"
+            fh.write((",\n" if planted else "\n") + encode(entry))
+            planted += 1
+        items += 1
         yield item
-    fh.write("\n], " + encode(manifest)[1:] + "\n")
+    fh.write("\n], " + encode({**manifest, "planted_cycles": planted, "non_cycles": items - planted})[1:] + "\n")
 
 
 def _write_manifest(out: Path, manifest: dict) -> None:
@@ -382,9 +385,9 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
     if args.kind == "traces":
         corpus = fixtures.gen_trace_corpus(args.seed, 1000 if args.count is None else args.count)
         with open(out / "labels.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("brand,instance,address\n")
-            for label in corpus.labels:
-                fh.write(f"{label.brand},{label.instance_name},0x{label.address.hex()}\n")
+            rows = csv.writer(fh, lineterminator="\n")
+            rows.writerow(LABEL_HEADER)
+            rows.writerows((label.brand, label.instance_name, format_address(label.address)) for label in corpus.labels)
         with open(out / "run.cfg", "w", encoding="utf-8") as fh:
             fh.write("# prices for the generated token universe (majors use defaults)\n")
             prices = RunConfig().price_table

@@ -55,9 +55,9 @@ def make_token_universe(rng: random.Random) -> list[TokenId]:
 class TraceCorpus:
     """A trace corpus drawn as it is consumed.  Each transaction comes with
     its planted cycle's manifest entry, or None when it plants none; no
-    entry is kept, so manifest holds every key but "planted", and its
-    planted_cycles and non_cycles counts are set once transactions is
-    exhausted."""
+    entry is kept, so manifest holds every key but "planted" and the
+    planted_cycles and non_cycles counts, which a writer takes from the
+    entries it writes."""
 
     __slots__ = ("transactions", "labels", "manifest")
 
@@ -105,20 +105,18 @@ def gen_trace_corpus(seed: int, n_transactions: int) -> TraceCorpus:
         "share_address": format_address(DEFAULT_SHARE_ADDRESS),
         "tokens": sorted({t.symbol for t in tokens}),
     }
-    transactions = _draw_transactions(rng, tokens, [l.address for l in labels], n_transactions, manifest)
+    transactions = _draw_transactions(rng, tokens, [l.address for l in labels], n_transactions)
     return TraceCorpus(transactions=transactions, labels=labels, manifest=manifest)
 
 
 def _draw_transactions(
-    rng: random.Random, tokens: list[TokenId], label_addresses: list[bytes], count: int, manifest: dict
+    rng: random.Random, tokens: list[TokenId], label_addresses: list[bytes], count: int
 ) -> Iterator[tuple[Transaction, dict | None]]:
     """gen_trace_corpus's transactions, one at a time, each paired with the
-    manifest entry of the cycle planted in it (None if none); only the
-    counts go into the manifest, once the last transaction is drawn."""
+    manifest entry of the cycle planted in it (None if none)."""
     pools: dict[tuple[bytes, bytes], bytes] = {}
     # each token's others, in universe order; the symbols are distinct, so `is not` is !=
     others = {t: [u for u in tokens if u is not t] for t in tokens}
-    non_cycles = 0
     block = 50_000_000
 
     for _ in range(count):
@@ -184,7 +182,6 @@ def _draw_transactions(
         elif roll < CYCLE_FRACTION + 0.15:
             # no swaps at all
             events = _noise_events(rng, tokens, rng.randint(1, 5))
-            non_cycles += 1
         else:
             # open path (entry != exit) or a same-endpoint sequence whose
             # hops do not chain; neither is a cycle
@@ -206,7 +203,6 @@ def _draw_transactions(
             ]
             for extra in _noise_events(rng, tokens, rng.randint(0, 3)):
                 events.insert(rng.randint(0, len(events)), extra)
-            non_cycles += 1
 
         tx = Transaction(
             hash=tx_hash,
@@ -217,8 +213,6 @@ def _draw_transactions(
             gas_price=0,  # the zero-gas regime; profit identities stay integral
         )
         yield tx, entry
-    manifest["planted_cycles"] = count - non_cycles
-    manifest["non_cycles"] = non_cycles
 
 
 # ---------------------------------------------------------------------------

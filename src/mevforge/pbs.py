@@ -368,16 +368,14 @@ def _schedule(scenario: SimScenario, blacklisted: frozenset[str], values: dict[S
         locked = int(raw * agent.efficiency)
         bids.append(_make_bid(agent, first, locked))
         ceiling = int(base * agent.efficiency)
-        rounds = relay.optimization_rounds
-        t = first + relay.rebid_interval_ms
-        k = 1
-        while t <= horizon:
-            improved = max(locked, ceiling * min(k, rounds) // rounds)
+        for k in range(1, relay.optimization_rounds + 1):
+            t = first + k * relay.rebid_interval_ms
+            if t > horizon:
+                break
+            improved = max(locked, ceiling * k // relay.optimization_rounds)
             bids.append(_make_bid(agent, t, improved))
             if improved >= ceiling:
                 break
-            k += 1
-            t += relay.rebid_interval_ms
 
     bids.sort(key=lambda b: (b.timestamp_ms, b.builder_id))
     if relayed:

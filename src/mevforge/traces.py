@@ -394,11 +394,13 @@ def _event_from_obj(obj: Mapping, tokens: dict) -> TraceEvent:
     )
 
 
-def _transaction_from_obj(obj: Mapping, line_no: int, counts: Counter[str], tokens: dict) -> Transaction:
+def _transaction_from_obj(obj, line_no: int, counts: Counter[str], tokens: dict) -> Transaction:
     try:
+        obj = read_json(obj, "transaction", dict)
         events = []
         for raw in read_json(obj["events"], "events", list):
-            if read_json(raw, "event", dict).get("kind") not in _KIND_BY_NAME:
+            kind = read_json(raw, "event", dict).get("kind")
+            if type(kind) is not str or kind not in _KIND_BY_NAME:
                 counts["unknown_events"] += 1
                 continue
             events.append(_event_from_obj(raw, tokens))
@@ -481,7 +483,8 @@ def serialize_transactions(transactions: Iterable[Transaction]) -> Iterator[str]
 
 
 # ---------------------------------------------------------------------------
-# builder labels (CSV columns: brand,instance,address)
+# builder labels, a CSV file under this header
+LABEL_HEADER = ["brand", "instance", "address"]
 
 
 def read_labels(stream: IO | Iterable[str | bytes]) -> dict[bytes, BuilderLabel]:
@@ -493,8 +496,8 @@ def read_labels(stream: IO | Iterable[str | bytes]) -> dict[bytes, BuilderLabel]
     labels: dict[bytes, BuilderLabel] = {}
     try:
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["brand", "instance", "address"]:
-            raise ValueError("label file must start with header: brand,instance,address")
+        if header is None or [h.strip() for h in header] != LABEL_HEADER:
+            raise ValueError(f"label file must start with header: {','.join(LABEL_HEADER)}")
         for row in reader:
             if not row or not "".join(row).strip():
                 continue

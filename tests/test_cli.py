@@ -34,7 +34,7 @@ from mevforge.records import (
     write_records,
 )
 from mevforge.reports import decimal_str, percent_str
-from mevforge.traces import LineError, TokenId
+from mevforge.traces import LineError, TokenId, read_labels
 
 import strategies
 
@@ -102,6 +102,12 @@ def test_schema_version_is_checked():
         read_records(io.StringIO("schema_version,99\n"))
     with pytest.raises(RecordSchemaError):
         read_records(io.StringIO("tx_hash,block\n"))
+
+
+def test_records_header_is_checked():
+    schema, header = records_text().splitlines(keepends=True)[:2]
+    with pytest.raises(RecordSchemaError, match=f"^row 2: bad header, expected {header.rstrip()}$"):
+        read_records([schema, "tx_hash,block\n"])
 
 
 def test_blank_record_lines_are_skipped_and_counted():
@@ -502,6 +508,15 @@ def test_extract_rejects_loosely_typed_trace_fields(tmp_path, capsys, edit, mess
     code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {trace}: line 1: {message}")
+
+
+@pytest.mark.parametrize("line, shown", [('"abc"', "'abc'"), ("[1,2]", "[1, 2]")], ids=["string", "array"])
+def test_extract_names_a_trace_line_that_is_not_an_object(tmp_path, capsys, line, shown):
+    trace = tmp_path / "traces.ndjson"
+    trace.write_text(line + "\n")
+    code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {trace}: line 1: transaction: expected an object, got {shown}\n"
 
 
 def records_text(*records) -> str:
@@ -1987,7 +2002,46 @@ def test_gen_fixtures_traces_match_pinned_digests(tmp_path, count):
     corpus = fixtures.gen_trace_corpus(1, int(count))
     planted = [entry for _tx, entry in corpus.transactions if entry is not None]
     manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest == {**corpus.manifest, "planted": planted}
+    counts = {"planted_cycles": len(planted), "non_cycles": int(count) - len(planted)}
+    assert manifest == {**corpus.manifest, "planted": planted, **counts}
+
+
+def test_gen_fixtures_labels_read_back_whatever_their_names(tmp_path, monkeypatch):
+    """labels.csv is written by the csv rules read_labels reads, so a name
+    holding a comma or a quote reads back as it was drawn."""
+    monkeypatch.setattr(fixtures, "GEN_BRANDS", ('Gen, "Alpha"', "Beta"))
+    assert main(["gen-fixtures", "--kind", "traces", "--count", "0", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "labels.csv", "rb") as fh:
+        labels = read_labels(fh)
+    assert sorted(labels.values()) == sorted(fixtures.gen_trace_corpus(0, 0).labels)
+    assert {label.brand for label in labels.values()} == {'Gen, "Alpha"', "Beta"}
+
+
+@pytest.mark.parametrize("count", [0, 2000])
+def test_trace_counts_agree_with_what_was_written(tmp_path, capsys, count):
+    """gen-fixtures' manifest counts its own planted list and trace lines,
+    and extract's records= counts the rows it wrote, one per planted cycle."""
+    fixture, out = tmp_path / "fx", tmp_path / "out"
+    assert main(["gen-fixtures", "--kind", "traces", "--seed", "1", "--count", str(count), "--out", str(fixture)]) == 0
+    manifest = json.loads((fixture / "manifest.json").read_text(encoding="utf-8"))
+    lines = len((fixture / "traces.ndjson").read_text(encoding="utf-8").splitlines())
+    assert manifest["planted_cycles"] == len(manifest["planted"])
+    assert manifest["planted_cycles"] + manifest["non_cycles"] == manifest["transactions"] == lines == count
+    capsys.readouterr()
+    inputs = ["--traces", str(fixture / "traces.ndjson"), "--labels", str(fixture / "labels.csv")]
+    assert main(["extract", *inputs, "--config", str(fixture / "run.cfg"), "--out", str(out)]) == 0
+    summary = dict(field.split("=") for field in capsys.readouterr().out.split())
+    with open(out / "records.csv", encoding="utf-8", newline="") as fh:
+        rows = read_records(fh)
+    assert int(summary["records"]) == len(rows) == len(manifest["planted"])
+
+
+@pytest.mark.parametrize("scenario", sorted(path.name for path in SCENARIOS.glob("*.json")))
+def test_simulate_slot_count_agrees_with_slots_csv(tmp_path, capsys, scenario):
+    assert main(["simulate", "--scenario", str(SCENARIOS / scenario), "--slots", "50", "--out", str(tmp_path)]) == 0
+    summary = dict(field.split("=", 1) for field in capsys.readouterr().out.split())
+    rows = len((tmp_path / "slots.csv").read_text(encoding="utf-8").splitlines()) - 1  # less the header
+    assert int(summary["slots"]) == rows == 50
 
 
 @pytest.fixture(scope="module")

@@ -64,15 +64,25 @@ def test_generated_corpus_round_trips_identically():
 
 def test_trace_corpus_is_drawn_and_written_a_transaction_at_a_time():
     """Each transaction is drawn, and its line made, only when asked for;
-    the manifest's counts are set once the last one is drawn."""
+    the manifest is whole when the corpus is returned, and holds no count
+    of the entries, which a writer takes from the entries it writes."""
     corpus = fixtures.gen_trace_corpus(seed=3, n_transactions=4)
-    lines = serialize_transactions(tx for tx, _entry in corpus.transactions)
+    manifest = dict(corpus.manifest)
+    entries = []
+
+    def drawn():
+        for tx, entry in corpus.transactions:
+            entries.append(entry)
+            yield tx
+
+    lines = serialize_transactions(drawn())
     first = next(lines)
     assert first.endswith("}\n") and first.count("\n") == 1
-    assert "planted_cycles" not in corpus.manifest
+    assert len(entries) == 1
     rest = list(lines)
     assert len(rest) == 3
-    assert corpus.manifest["planted_cycles"] + corpus.manifest["non_cycles"] == 4
+    assert len(entries) == 4
+    assert corpus.manifest == manifest and manifest.keys().isdisjoint({"planted", "planted_cycles", "non_cycles"})
     assert list(serialize_transactions([])) == []
 
 
@@ -190,6 +200,17 @@ def test_unknown_event_kind_skipped_with_counter():
     assert counts == {"transactions": 1, "unknown_events": 1}
     assert len(txs) == 1
     assert len(txs[0].events) == len(tx.events)
+
+
+@pytest.mark.parametrize("kind", [["swap"], {"swap": 1}, 5, None], ids=["array", "object", "number", "null"])
+def test_an_event_kind_that_is_not_a_string_is_an_unknown_event(kind):
+    [(tx, _entry)] = fixtures.gen_trace_corpus(seed=2, n_transactions=1).transactions
+    obj = json.loads(next(serialize_transactions([tx])))
+    obj["events"].insert(0, {"kind": kind, "pool": "0x" + "00" * 20})
+    counts = Counter()
+    [parsed] = iter_transactions([json.dumps(obj)], counts)
+    assert counts == {"transactions": 1, "unknown_events": 1}
+    assert parsed == tx
 
 
 @given(tx=strategies.transactions())
@@ -429,12 +450,15 @@ WORKED_EXAMPLE = json.loads((DATA / "worked_example_trace.ndjson").read_text())
 @given(path=st.sampled_from(list(strategies.json_paths(WORKED_EXAMPLE))), value=strategies.json_values)
 @example(path=("events", 0, "token_in", "symbol"), value="US\ud800")
 @example(path=("events", 0, "amount_in"), value="+5")
+@example(path=(), value="abc")
+@example(path=("events", 0, "kind"), value=["swap"])
 def test_any_json_value_at_any_trace_field_parses_or_is_a_parse_error(path, value):
     line = json.dumps(strategies.replaced(WORKED_EXAMPLE, path, value))
     try:
         txs = list(iter_transactions([line]))
     except TraceParseError as exc:
         assert exc.line_no == 1
+        assert not isinstance(exc.__cause__, TypeError)  # a fault is named by the readers' rules, not by Python's
     else:
         assert len(txs) == 1
         "".join(serialize_transactions(txs)).encode("utf-8")  # whatever parses can be written out
