@@ -29,7 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PBS, ANALYTICS, RECORDS = "src/mevforge/pbs.py", "src/mevforge/analytics.py", "src/mevforge/records.py"
-POOLS = "src/mevforge/pools.py"
+POOLS, REPORTS = "src/mevforge/pools.py", "src/mevforge/reports.py"
 CLI, CONFIG, TRACES = "src/mevforge/cli.py", "src/mevforge/config.py", "src/mevforge/traces.py"
 CLI_TESTS, PBS_TESTS, POOLS_TESTS = "tests/test_cli.py", "tests/test_pbs.py", "tests/test_pools.py"
 TRACES_TESTS, VALUES_TESTS = "tests/test_traces.py", "tests/test_values.py"
@@ -53,9 +53,12 @@ PLANTED_LOOP = """    for item, entry in drawn:
         items += 1
         yield item"""
 
+DEEP_TEST = f"{CLI_TESTS}::test_json_nested_past_the_decoders_depth_is_an_input_error"
 SPAN_PROPERTY = f"{CLI_TESTS}::test_extract_writes_the_same_bytes_over_any_number_of_spans"
 # extract's merge: each worker's report, in span order
-SPAN_MERGE = "            for start, end, pid, (worker_rows, worker_errors, report) in workers:"
+SPAN_MERGE = """                start, end, pid, (worker_rows, worker_errors, report) = workers[0]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del workers[0]"""
 WORKER_FAILURE = """                if code or not text:
                     ended = f"exited with status {code}" if code else "reported nothing"
                     raise ChildProcessError(f"{path}: extract worker for bytes {start}-{end} {ended}")"""
@@ -160,10 +163,10 @@ MUTANTS = [
     },
     {
         "name": "spans-merged-out-of-order",
-        "why": "extract appends its workers' rows in the reverse of span order",
+        "why": "extract reaps and appends the last unreaped worker first, so its rows in the reverse of span order",
         "file": CLI,
         "old": SPAN_MERGE,
-        "new": SPAN_MERGE.replace("in workers:", "in reversed(workers):"),
+        "new": SPAN_MERGE.replace("workers[0]", "workers[-1]"),
         "tests": [SPAN_PROPERTY, f"{CLI_TESTS}::test_extract_writes_the_same_bytes_over_any_number_of_cpus"],
     },
     {
@@ -173,6 +176,14 @@ MUTANTS = [
         "old": WORKER_FAILURE,
         "new": "                if code or not text:\n                    continue",
         "tests": [f"{CLI_TESTS}::test_extract_stops_on_a_failed_worker"],
+    },
+    {
+        "name": "extract-undoes-listed-faults-only",
+        "why": "extract removes its reports only on a bad line or a failed worker, so a failed fork leaves them behind",
+        "file": CLI,
+        "old": "        except BaseException:\n",
+        "new": "        except (TraceParseError, ChildProcessError):\n",
+        "tests": [f"{CLI_TESTS}::test_extract_undoes_a_failed_fork", f"{CLI_TESTS}::test_extract_undoes_a_write_that_fails"],
     },
     {
         "name": "worker-counts-dropped",
@@ -225,14 +236,39 @@ MUTANTS = [
         "tests": [f"{CLI_TESTS}::test_analyze_rejects_a_one_hop_row"],
     },
     {
-        "name": "zero-covariance-signed",
-        "why": "Pearson with zero covariance negates a zero square root, so correlations.csv writes -0.000000000000",
-        "file": ANALYTICS,
-        "old": """    if sxy == 0:
-        return 0.0
-""",
-        "new": "",
-        "tests": [f"{CLI_TESTS}::test_analyze_writes_an_unsigned_zero_for_a_brand_with_zero_covariance"],
+        "name": "correlation-zero-signed",
+        "why": "correlations.csv writes a Pearson r that rounds to zero, or a negated zero root, as -0.000000000000",
+        "file": REPORTS,
+        "old": '"0.000000000000" if text == "-0.000000000000" else text',
+        "new": "text",
+        "tests": [
+            f"{CLI_TESTS}::test_analyze_writes_an_unsigned_zero_for_a_brand_with_zero_covariance",
+            f"{CLI_TESTS}::test_analyze_writes_an_unsigned_zero_for_a_correlation_that_rounds_to_zero",
+        ],
+    },
+    {
+        "name": "trace-deep-json-uncaught",
+        "why": "a trace line nested past json's limit ends extract in a traceback, or fails its worker",
+        "file": TRACES,
+        "old": "        except (ValueError, RecursionError) as exc:",
+        "new": "        except ValueError as exc:",
+        "tests": [f"{DEEP_TEST}[trace]"],
+    },
+    {
+        "name": "pool-deep-json-uncaught",
+        "why": "a pool line nested past json's limit ends simulate in a traceback",
+        "file": POOLS,
+        "old": "        except (TypeError, ValueError, RecursionError) as exc:",
+        "new": "        except (TypeError, ValueError) as exc:",
+        "tests": [f"{DEEP_TEST}[pool-file]"],
+    },
+    {
+        "name": "scenario-deep-json-uncaught",
+        "why": "a scenario nested past json's limit ends simulate in a traceback",
+        "file": PBS,
+        "old": "    except (OSError, ValueError, RecursionError) as exc:",
+        "new": "    except (OSError, ValueError) as exc:",
+        "tests": [f"{DEEP_TEST}[scenario]"],
     },
     {
         "name": "top-without-wins",

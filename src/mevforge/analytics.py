@@ -221,8 +221,6 @@ def pearson(groups: Mapping) -> float:
     sxy = sum_xy - sum_x * sum_y / n
     if sxx == 0 or syy == 0:
         raise UndefinedCorrelationError("zero variance in one coordinate")
-    if sxy == 0:
-        return 0.0
     magnitude = math.sqrt(float(Fraction(sxy * sxy, sxx * syy)))
     return magnitude if sxy > 0 else -magnitude
 

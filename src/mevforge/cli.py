@@ -213,13 +213,12 @@ def _extract_spans(
 
     A bad line raises TraceParseError naming its line in the whole file; of
     several, the first wins.  A worker that exits nonzero or reports nothing
-    raises ChildProcessError.  No worker outlives the call."""
+    raises ChildProcessError.  However the call ends, no worker outlives it."""
     import shutil
     import signal
     import tempfile
 
-    running: set[int] = set()
-    workers = []
+    workers = []  # those not yet reaped, in span order; the finally kills and reaps any left
     with ExitStack() as files:
         try:
             for start, end in spans[1:]:
@@ -231,14 +230,14 @@ def _extract_spans(
                 pid = os.fork()
                 if pid == 0:
                     _work(path, start, end, worker_files, extract)
-                running.add(pid)
                 workers.append((start, end, pid, worker_files))
 
             counts: Counter[str] = Counter()
             extract(_lines_to(traces, spans[0][1]), rows, errors, counts)
-            for start, end, pid, (worker_rows, worker_errors, report) in workers:
+            while workers:
+                start, end, pid, (worker_rows, worker_errors, report) = workers[0]
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                running.remove(pid)
+                del workers[0]
                 report.seek(0)
                 text = report.read()
                 if code or not text:
@@ -254,7 +253,7 @@ def _extract_spans(
                     worker_file.seek(0)
                     shutil.copyfileobj(worker_file, report_file)
         finally:
-            for pid in running:
+            for _start, _end, pid, _files in workers:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     return counts
@@ -265,11 +264,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
     labels = _read(args.labels, read_labels)
     extract = partial(_extract_span, config=config, labels=labels)
 
-    try:
-        # the trace file opens first, so a missing one leaves --out as it was, or absent
-        with _input(args.traces) as traces:
-            made = [d for d in (Path(args.out), *Path(args.out).parents) if not d.exists()]  # deepest first
-            out = _out_dir(args.out)
+    # the trace file opens first, so a missing one leaves --out as it was, or absent
+    with _input(args.traces) as traces:
+        made = [d for d in (Path(args.out), *Path(args.out).parents) if not d.exists()]  # deepest first
+        out = _out_dir(args.out)
+        try:
             spans = _spans(traces, _usable_cpus())
             with open(out / "records.csv", "w", encoding="utf-8", newline="") as rows, open(
                 out / "errors.csv", "w", encoding="utf-8", newline=""
@@ -277,14 +276,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 records.write_records(rows, ())
                 errors.write("tx_hash,error\n")
                 counts = _extract_spans(traces, args.traces, spans, out, rows, errors, extract)
-    except (_InputError, ChildProcessError):
-        # a bad trace line leaves neither report, as analyze writes none on a
-        # bad row, nor a directory this run made; so does a failed worker
-        (out / "records.csv").unlink()
-        (out / "errors.csv").unlink()
-        for directory in made:
-            directory.rmdir()
-        raise
+        except BaseException:
+            # however the run ends early, it leaves neither report (analyze
+            # writes none on a bad row) nor a directory it made, and no worker
+            # outlives it; a forked worker never gets here, as _work never returns
+            (out / "records.csv").unlink(missing_ok=True)
+            (out / "errors.csv").unlink(missing_ok=True)
+            for directory in made:
+                directory.rmdir()
+            raise
 
     if not counts["errors"]:
         (out / "errors.csv").unlink()

@@ -499,7 +499,7 @@ def load_scenario(path: str | Path) -> SimScenario:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = read_json(json.load(fh, object_pairs_hook=unique_keys), "scenario", dict)
-    except (OSError, ValueError) as exc:  # ConfigError and JSONDecodeError are ValueErrors
+    except (OSError, ValueError, RecursionError) as exc:  # ConfigError and JSONDecodeError are ValueErrors
         raise ConfigError(f"invalid scenario keys: {path}: {exc}") from None
     # a protocol that does not read is a fault of its own, which leaves no key unread
     unread = next((keys for protocol, keys in UNREAD_KEYS.items() if protocol.value == obj.get("protocol")), frozenset())

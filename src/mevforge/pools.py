@@ -570,7 +570,7 @@ def load_pool_file(stream: IO | Iterable[str | bytes]) -> dict[bytes, PoolState]
             pool = pool_from_obj(json.loads(line, object_pairs_hook=unique_keys))
         except KeyError as exc:  # its str is only the quoted key
             raise LineError(line_no, f"missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:  # RecursionError: nested past the decoder's depth
             raise LineError(line_no, str(exc)) from None
         if pool.address in pools:
             raise LineError(line_no, f"pool {format_address(pool.address)} repeats line {pool_lines[pool.address]}")

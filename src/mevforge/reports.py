@@ -82,7 +82,8 @@ def write_correlations(stream: IO[str], rows: Iterable[tuple[str, Optional[float
     writer = _writer(stream)
     writer.writerow(["series", "pearson_r"])
     for name, r in sorted(rows):
-        writer.writerow([name, "" if r is None else f"{r:.12f}"])
+        text = "" if r is None else f"{r:.12f}"  # ties to even, so not decimal_str, which rounds them away from zero
+        writer.writerow([name, "0.000000000000" if text == "-0.000000000000" else text])  # but unsigned at zero, as it is
 
 
 def write_trends(stream: IO[str], results: Mapping[str, TrendResult]) -> None:

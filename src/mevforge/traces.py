@@ -433,7 +433,7 @@ def iter_transactions(stream: IO | Iterable[str | bytes], counts: Counter[str] |
             continue
         try:
             obj = json.loads(line)
-        except ValueError as exc:  # not JSON, or an integer past int's digit limit
+        except (ValueError, RecursionError) as exc:  # not JSON, past int's digit limit or nested too deep
             raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
         tx = _transaction_from_obj(obj, line_no, counts, tokens)
         counts["transactions"] += 1

@@ -1,6 +1,7 @@
 """CLI surface, record schema, config file, end-to-end determinism."""
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -1003,6 +1004,83 @@ def test_extract_stops_on_a_failed_worker(tmp_path, fault):
     assert_no_child_process()
 
 
+
+def test_extract_undoes_a_failed_fork(tmp_path):
+    """A fork that fails, as on a host out of process ids, ends the run as
+    any other fault does: the worker already forked is killed and reaped,
+    and the reports and the directories the run made are removed."""
+    fork, forks = os.fork, []
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) > 1:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    trace = tmp_path / "traces.ndjson"
+    trace.write_text("".join(span_line("cycle", n) + "\n" for n in range(9)))
+    with mock.patch.object(os, "fork", fork_once):
+        code, stdout, stderr, files = extract_with(3, trace, tmp_path / "new" / "out")
+    assert (code, stdout, files, len(forks)) == (1, "", {}, 2)
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [trace]
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_extract_undoes_a_write_that_fails(tmp_path, k):
+    """A write that fails once rows are written, as on a full disk, leaves
+    neither report, nor a directory the run made; an --out that was there
+    before stays."""
+    parent, extract_span = os.getpid(), cli._extract_span
+
+    def disk_full(lines, rows, errors, counts, **kwargs):
+        extract_span(lines, rows, errors, counts, **kwargs)
+        if os.getpid() == parent and counts["records"]:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    trace = tmp_path / "traces.ndjson"
+    trace.write_text("".join(span_line("cycle", n) + "\n" for n in range(6)))
+    kept = tmp_path / "kept"
+    with mock.patch.object(cli, "_extract_span", disk_full):
+        made = extract_with(k, trace, tmp_path / "new" / "out")
+        assert list(tmp_path.iterdir()) == [trace]
+        kept.mkdir()
+        assert extract_with(k, trace, kept) == made == (1, "", f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n", {})
+    assert list(kept.iterdir()) == []
+    assert_no_child_process()
+
+
+DEEP = "[" * 5000 + "]" * 5000  # past json's nesting limit, which json.dumps shares, so written raw
+DEEP_FAULT = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+
+
+@pytest.mark.parametrize("where", ["trace", "pool-file", "scenario"])
+def test_json_nested_past_the_decoders_depth_is_an_input_error(tmp_path, where):
+    """json raises RecursionError, not ValueError, on a value nested past
+    its limit: in a trace it is an invalid-JSON line, whichever span holds
+    it, in a pool file a line error, and in a scenario a scenario error."""
+    out = tmp_path / "out"
+    if where == "trace":
+        lines = [span_line("cycle", n) + "\n" for n in range(16)]
+        lines[12] = DEEP + "\n"
+        trace = tmp_path / "traces.ndjson"
+        trace.write_text("".join(lines))
+        assert span_of(trace, 2, line_start(lines, 12)) == 1
+        expected = (1, "", f"error: {trace}: line 13: invalid JSON: {DEEP_FAULT}\n", {})
+        assert extract_with(1, trace, out) == extract_with(2, trace, out) == expected
+    else:
+        edit = (lambda _obj: DEEP) if where == "pool-file" else json.dumps  # json.dumps rewrites the line as it was
+        scenario = embodied_scenario(tmp_path, pool_lines_with(edit))
+        if where == "scenario":
+            scenario.write_text(scenario.read_text().replace('"bsc_direct"', DEEP))
+        fault = f"pools: line 2: {DEEP_FAULT}" if where == "pool-file" else f"{scenario}: {DEEP_FAULT}"
+        stderr = io.StringIO()
+        with redirect_stderr(stderr):
+            assert main(["simulate", "--scenario", str(scenario), "--slots", "1", "--out", str(out)]) == 1
+        assert stderr.getvalue() == f"error: invalid scenario keys: {fault}\n"
+    assert not out.exists()
+
 def test_extract_reads_a_fifo_as_one_span(tmp_path):
     fixture = tmp_path / "fx"
     assert main(["gen-fixtures", "--kind", "traces", "--seed", "4", "--count", "60", "--out", str(fixture)]) == 0
@@ -1360,6 +1438,20 @@ def test_analyze_writes_an_unsigned_zero_for_a_brand_with_zero_covariance(tmp_pa
     covariance is 0 though both coordinates vary: pearson_r is 0, and a
     negated square root would write it as -0.000000000000."""
     points = [(2, 2), (2, 6), (3, 6), (3, 6)]  # (hops, usd): per hop 1, 3, 2, 2
+    rows = [
+        sample_record(block_number=100 + i, hop_count=hops, usd_value=Decimal(usd))
+        for i, (hops, usd) in enumerate(points)
+    ]
+    path, out = tmp_path / "records.csv", tmp_path / "out"
+    path.write_text(records_text(*rows))
+    assert main(["analyze", "--records", str(path), "--out", str(out)]) == 0
+    assert (out / "correlations.csv").read_text() == "series,pearson_r\n48Club,0.000000000000\n"
+
+
+def test_analyze_writes_an_unsigned_zero_for_a_correlation_that_rounds_to_zero(tmp_path):
+    """These points correlate at -5.0e-14, which rounds to zero at 12
+    places; the zero is written without a sign, as every report writes it."""
+    points = [(2, 0), (2, 20000000000000), (3, 0), (3, 29999999999997)]  # (hops, usd)
     rows = [
         sample_record(block_number=100 + i, hop_count=hops, usd_value=Decimal(usd))
         for i, (hops, usd) in enumerate(points)
