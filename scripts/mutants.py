@@ -37,6 +37,7 @@ EXHAUSTIVE_TEST = "tests/test_bench_tooling.py::test_strategy_values_equal_an_ex
 FOLD_TEST = "tests/test_analytics.py::test_the_fold_sums_long_dollars_exactly"
 HYPOTHESIS_SEED = "0"
 
+FIELDS_TEST = f"{VALUES_TESTS}::test_a_body_declares_fields_as_typing_namedtuple_does"
 SERIALIZER_TEST = f"{TRACES_TESTS}::test_lines_equal_json_dumps_of_dicts"
 # the serializer's token-fragment memo, from its lookup to its store
 FRAGMENT_MEMO = """fragments.get(token)
@@ -81,12 +82,31 @@ MUTANTS = [
         "tests": [SERIALIZER_TEST],
     },
     {
-        "name": "replace-skips-checks",
-        "why": "a value type's _replace builds its tuple directly, past the checks in __new__",
+        "name": "make-skips-checks",
+        "why": "a value type's _make, and so the stock _replace, builds its tuple directly, past the checks in __new__",
         "file": TRACES,
-        "old": "        return type(self)(**{**dict(zip(self._fields, self)), **changes})",
-        "new": "        return tuple.__new__(type(self), {**dict(zip(self._fields, self)), **changes}.values())",
+        "old": "        return cls(**dict(zip(cls._fields, iterable, strict=True)))",
+        "new": "        return tuple.__new__(cls, iterable)",
         "tests": [f"{VALUES_TESTS}::test_replace_and_make_run_the_constructor_checks"],
+    },
+    {
+        "name": "default-shadows-field",
+        "why": "a field's default stays in the class namespace, so every instance reads the default",
+        "file": TRACES,
+        "old": "            defaults = [ns.pop(field) for field in defaulted]",
+        "new": "            defaults = [ns.get(field) for field in defaulted]",
+        # test_values builds its sample sections at import, so under this mutant it fails to collect
+        "tests": [f"{PBS_TESTS}::test_opportunity_validation", f"{PBS_TESTS}::test_agent_validation"],
+    },
+    {
+        "name": "default-order-unchecked",
+        "why": "a field without a default after one with a default builds, with the defaults shifted to the last fields",
+        "file": TRACES,
+        "old": """        if defaulted != fields[len(fields) - len(defaulted):]:
+            raise TypeError(f"{name}: a field without a default follows one with a default")
+""",
+        "new": "",
+        "tests": [FIELDS_TEST],
     },
     {
         "name": "eq-ignores-type",
@@ -179,11 +199,39 @@ MUTANTS = [
     },
     {
         "name": "extract-undoes-listed-faults-only",
-        "why": "extract removes its reports only on a bad line or a failed worker, so a failed fork leaves them behind",
+        "why": "extract removes its reports only on a bad line or a failed worker or fork, so a failed write leaves them behind",
         "file": CLI,
-        "old": "        except BaseException:\n",
-        "new": "        except (TraceParseError, ChildProcessError):\n",
-        "tests": [f"{CLI_TESTS}::test_extract_undoes_a_failed_fork", f"{CLI_TESTS}::test_extract_undoes_a_write_that_fails"],
+        "old": "        except BaseException as exc:\n",
+        "new": "        except (TraceParseError, ChildProcessError) as exc:\n",
+        "tests": [f"{CLI_TESTS}::test_extract_undoes_a_write_that_fails"],
+    },
+    {
+        "name": "fork-fault-unnamed",
+        "why": "a fork that fails ends extract with the bare OS error, naming neither the trace file nor the span",
+        "file": CLI,
+        "old": """                try:
+                    pid = os.fork()
+                except OSError as exc:
+                    raise ChildProcessError(f"{path}: extract worker for bytes {start}-{end} could not start: {exc}") from exc
+""",
+        "new": "                pid = os.fork()\n",
+        "tests": [f"{CLI_TESTS}::test_extract_undoes_a_failed_fork"],
+    },
+    {
+        "name": "read-fault-unnamed",
+        "why": "a failed read of the trace file names no file",
+        "file": CLI,
+        "old": "        raise _naming(exc, fh.name)",
+        "new": "        raise",
+        "tests": [f"{CLI_TESTS}::test_lines_to_names_the_file_of_a_failed_read"],
+    },
+    {
+        "name": "write-fault-unnamed",
+        "why": "a failed write of a report names no file, not even --out",
+        "file": CLI,
+        "old": "            raise _naming(exc, args.out)",
+        "new": "            raise",
+        "tests": [f"{CLI_TESTS}::test_extract_undoes_a_write_that_fails"],
     },
     {
         "name": "worker-counts-dropped",

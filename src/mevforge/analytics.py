@@ -19,7 +19,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .records import EXACT, ArbitrageRecord
 from .traces import Frozen
@@ -43,22 +43,14 @@ class UndefinedCorrelationError(ValueError):
 # market share
 
 
-class _ShareRowFields(NamedTuple):
+class ShareRow(Frozen):
     brand: str
     block_count: int
     share: Fraction
 
 
-class ShareRow(Frozen, _ShareRowFields):
-    __slots__ = ()
-
-
-class _ShareTableFields(NamedTuple):
+class ShareTable(Frozen):
     rows: tuple[ShareRow, ...]
-
-
-class ShareTable(Frozen, _ShareTableFields):
-    __slots__ = ()
 
     def top_share(self, k: int) -> Fraction:
         return sum((row.share for row in self.rows[:k]), Fraction(0))
@@ -92,14 +84,10 @@ def token_shares(matrix: Mapping[tuple[str, str], Fraction]) -> dict[tuple[str, 
     }
 
 
-class _ProposerSplitFields(NamedTuple):
+class ProposerSplit(Frozen):
     kept_usd: Fraction
     paid_usd: Fraction
     payout_fraction: Fraction
-
-
-class ProposerSplit(Frozen, _ProposerSplitFields):
-    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +100,13 @@ class TrendDirection(Enum):
     NO_TREND = "no_trend"
 
 
-class _TrendResultFields(NamedTuple):
+class TrendResult(Frozen):
     s_statistic: int
     variance: Fraction
     z_score: float
     tau: Fraction
     direction: TrendDirection
     alpha: Fraction
-
-
-class TrendResult(Frozen, _TrendResultFields):
-    __slots__ = ()
 
 
 def mann_kendall(series: Sequence, alpha: Fraction = Fraction(1, 20)) -> TrendResult:
@@ -175,13 +159,9 @@ def mann_kendall(series: Sequence, alpha: Fraction = Fraction(1, 20)) -> TrendRe
 # path complexity and correlation
 
 
-class _PathComplexityFields(NamedTuple):
+class PathComplexity(Frozen):
     histogram: dict[int, int]
     ecdf: tuple[tuple[int, Fraction], ...]
-
-
-class PathComplexity(Frozen, _PathComplexityFields):
-    __slots__ = ()
 
 
 def path_complexity(counts: Mapping[int, int]) -> PathComplexity:
@@ -240,16 +220,12 @@ def pathlen_profit_correlation(points: Iterable[tuple]) -> float:
 # centralisation risk
 
 
-class _RiskScoreFields(NamedTuple):
+class RiskScore(Frozen):
     symbol: str
     freezable: int
     custodial: int
     external_chain: int
     score: Fraction
-
-
-class RiskScore(Frozen, _RiskScoreFields):
-    __slots__ = ()
 
 
 def risk_score(symbol: str, freezable: int, custodial: int, external_chain: int) -> RiskScore:

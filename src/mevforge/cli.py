@@ -115,20 +115,31 @@ def _spans(traces: IO[bytes], k: int) -> list[tuple[int, int | None]]:
     return list(zip(cuts, [*cuts[1:], info.st_size]))
 
 
+def _naming(exc: BaseException, name: str) -> BaseException:
+    """exc, or if it is an OSError with an errno and no file name (a failed
+    read or write of an open file), the same fault naming the file name."""
+    if isinstance(exc, OSError) and exc.errno is not None and exc.filename is None:
+        return OSError(exc.errno, exc.strerror, name)
+    return exc
+
+
 def _lines_to(fh: IO[bytes], end: int | None) -> Iterator[bytes]:
     """The lines of fh from where it stands up to byte offset end, which
     falls just after a newline or at the end of the file; to the end of the
-    file for None."""
-    if end is None:
-        yield from fh
-        return
-    left = end - fh.tell()
-    while left > 0:
-        line = fh.readline()
-        if not line:
+    file for None.  A failed read names the file."""
+    try:
+        if end is None:
+            yield from fh
             return
-        left -= len(line)
-        yield line
+        left = end - fh.tell()
+        while left > 0:
+            line = fh.readline()
+            if not line:
+                return
+            left -= len(line)
+            yield line
+    except OSError as exc:
+        raise _naming(exc, fh.name)
 
 
 def _extract_span(
@@ -212,8 +223,9 @@ def _extract_spans(
     bounded blocks.  Its counts, summed over the spans.
 
     A bad line raises TraceParseError naming its line in the whole file; of
-    several, the first wins.  A worker that exits nonzero or reports nothing
-    raises ChildProcessError.  However the call ends, no worker outlives it."""
+    several, the first wins.  A worker that cannot be forked, exits nonzero
+    or reports nothing raises ChildProcessError.  However the call ends, no
+    worker outlives it."""
     import shutil
     import signal
     import tempfile
@@ -227,7 +239,10 @@ def _extract_spans(
                 worker_files = [
                     files.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=out)) for _ in range(3)
                 ]
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except OSError as exc:
+                    raise ChildProcessError(f"{path}: extract worker for bytes {start}-{end} could not start: {exc}") from exc
                 if pid == 0:
                     _work(path, start, end, worker_files, extract)
                 workers.append((start, end, pid, worker_files))
@@ -276,15 +291,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 records.write_records(rows, ())
                 errors.write("tx_hash,error\n")
                 counts = _extract_spans(traces, args.traces, spans, out, rows, errors, extract)
-        except BaseException:
+        except BaseException as exc:
             # however the run ends early, it leaves neither report (analyze
             # writes none on a bad row) nor a directory it made, and no worker
-            # outlives it; a forked worker never gets here, as _work never returns
+            # outlives it; a forked worker never gets here, as _work never returns.
+            # A fault of an open file that names none is a failed write under --out.
             (out / "records.csv").unlink(missing_ok=True)
             (out / "errors.csv").unlink(missing_ok=True)
             for directory in made:
                 directory.rmdir()
-            raise
+            raise _naming(exc, args.out)
 
     if not counts["errors"]:
         (out / "errors.csv").unlink()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from typing import IO, Iterable, NamedTuple, Optional
+from typing import IO, Iterable, Optional
 
 from .arbitrage import DEFAULT_SHARE_ADDRESS
 from .records import EXACT
@@ -39,19 +39,15 @@ DEFAULT_RISK_BITS: dict[str, tuple[int, int, int]] = {
 }
 
 
-class _RunConfigFields(NamedTuple):
+class RunConfig(Frozen):
+    """A run's settings; a table left out is a fresh copy of its default."""
+
     share_addresses: tuple[bytes, ...]
     price_table: dict[str, Decimal]
     risk_bits: dict[str, tuple[int, int, int]]
     alpha: Fraction
     genesis_unix: int
     infer_pool_sinks: bool
-
-
-class RunConfig(Frozen, _RunConfigFields):
-    """A run's settings; a table left out is a fresh copy of its default."""
-
-    __slots__ = ()
 
     def __new__(
         cls,

@@ -23,6 +23,8 @@ outcome is a pure function of (scenario, seed).  A campaign is
 single-threaded by design; parallelize across campaigns, not within one.
 """
 
+from __future__ import annotations
+
 import json
 import random
 from collections import defaultdict
@@ -30,7 +32,7 @@ from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, Iterator, Optional, Sequence, get_args, get_origin, get_type_hints
 
 from . import pools as pools_mod
 from .pools import SHARE_RATIO_SCALE, enumerate_cycles
@@ -43,8 +45,6 @@ MISSING = object()
 
 class _Section(Frozen):
     """A scenario section: a Frozen type whose fields are its keys."""
-
-    __slots__ = ()
 
     def _check(self, *checks: tuple[tuple[str, ...], Callable[[], bool], str]) -> None:
         """Raise one ConfigError of every check (keys it reads, fault,
@@ -81,17 +81,13 @@ class Strategy(Enum):
     MIXED = "mixed"
 
 
-class _BuilderAgentFields(NamedTuple):
+class BuilderAgent(_Section):
     id: str
     latency_ms: Fraction
     strategy: Strategy = Strategy.SHORT_HOP
     share_ratio_bp: int = 0
     infra_tier: Fraction = Fraction(1)
     non_delivery_prob: float = 0.0
-
-
-class BuilderAgent(_Section, _BuilderAgentFields):
-    __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -118,17 +114,7 @@ class BuilderAgent(_Section, _BuilderAgentFields):
         return base_compute_ms / self.infra_tier
 
 
-class _OpportunityModelFields(NamedTuple):
-    peak_value: int
-    gas_floor: int
-    birth_ms: Fraction = Fraction(0)
-    decay: str = "piecewise"
-    knee_ms: Fraction = Fraction(100)
-    deadline_ms: Fraction = Fraction(200)
-    tail_value: int = 0
-
-
-class OpportunityModel(_Section, _OpportunityModelFields):
+class OpportunityModel(_Section):
     """Value of an arbitrage opportunity as a function of time.
 
     One piecewise curve (decay "piecewise", the only shape): flat at
@@ -138,7 +124,13 @@ class OpportunityModel(_Section, _OpportunityModelFields):
     peak_value at birth.
     """
 
-    __slots__ = ()
+    peak_value: int
+    gas_floor: int
+    birth_ms: Fraction = Fraction(0)
+    decay: str = "piecewise"
+    knee_ms: Fraction = Fraction(100)
+    deadline_ms: Fraction = Fraction(200)
+    tail_value: int = 0
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -167,15 +159,11 @@ class OpportunityModel(_Section, _OpportunityModelFields):
         return min(self.peak_value, int(self.peak_value - slope * (elapsed - self.knee_ms)))
 
 
-class _BidFields(NamedTuple):
+class Bid(Frozen):
     builder_id: str
     timestamp_ms: Fraction
     offered_payment: int
     delta: int  # the builder's realized surplus backing the bid
-
-
-class Bid(Frozen, _BidFields):
-    __slots__ = ()
 
     def __new__(cls, builder_id: str, timestamp_ms: Fraction, offered_payment: int, delta: int):
         if offered_payment > delta:  # a library contract: split_delta never pays out more than the delta
@@ -183,18 +171,14 @@ class Bid(Frozen, _BidFields):
         return tuple.__new__(cls, (builder_id, timestamp_ms, offered_payment, delta))
 
 
-class _ProposerConfigFields(NamedTuple):
-    count: int = 1
-    rotation: str = "round_robin"
-    blacklist_slots: int = 100
-
-
-class ProposerConfig(_Section, _ProposerConfigFields):
+class ProposerConfig(_Section):
     """Proposers take slots in turn (round robin, the only rotation); a
     builder that fails to deliver is on that proposer's blacklist for
     blacklist_slots slots."""
 
-    __slots__ = ()
+    count: int = 1
+    rotation: str = "round_robin"
+    blacklist_slots: int = 100
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -206,15 +190,11 @@ class ProposerConfig(_Section, _ProposerConfigFields):
         return self
 
 
-class _RelayConfigFields(NamedTuple):
+class RelayConfig(_Section):
     delay_ms: Fraction = Fraction(0)
     rebid_interval_ms: Fraction = Fraction(500)
     optimization_rounds: int = 8
     rebids_enabled: bool = True
-
-
-class RelayConfig(_Section, _RelayConfigFields):
-    __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -226,7 +206,11 @@ class RelayConfig(_Section, _RelayConfigFields):
         return self
 
 
-class _SimScenarioFields(NamedTuple):
+class SimScenario(_Section):
+    """A scenario file: each field is the top-level key of its name, except
+    that the file's pools key names the pool file that pools is read from.
+    Every field is keyword-only, and protocol and opportunity are required."""
+
     protocol: Protocol
     # None takes DEFAULT_HORIZON_MS[protocol]; the type is not Optional, so
     # a file's null is an error
@@ -237,16 +221,8 @@ class _SimScenarioFields(NamedTuple):
     opportunity: OpportunityModel = MISSING  # required all the same: see SimScenario.__new__
     proposers: ProposerConfig = ProposerConfig()
     relay: RelayConfig = RelayConfig()
-    pools: Optional[dict[bytes, "pools_mod.PoolState"]] = None
+    pools: Optional[dict[bytes, pools_mod.PoolState]] = None
     embodied_base_symbol: Optional[str] = None
-
-
-class SimScenario(_Section, _SimScenarioFields):
-    """A scenario file: each field is the top-level key of its name, except
-    that the file's pools key names the pool file that pools is read from.
-    Every field is keyword-only, and protocol and opportunity are required."""
-
-    __slots__ = ()
 
     def __new__(cls, *, protocol: Protocol, opportunity: OpportunityModel, horizon_ms: Fraction = None, **fields):
         if horizon_ms is None:  # a protocol that did not read gives no horizon to check
@@ -265,17 +241,13 @@ class SimScenario(_Section, _SimScenarioFields):
         return self
 
 
-class _BidScheduleFields(NamedTuple):
-    received: tuple[Bid, ...]
-    candidates: tuple[tuple[Bid, float], ...]
-
-
-class BidSchedule(Frozen, _BidScheduleFields):
+class BidSchedule(Frozen):
     """A slot's bids, which depend on neither its height nor its seed:
     every bid in arrival order, and the bids the proposer tries, best
     first, each with its builder's non-delivery probability."""
 
-    __slots__ = ()
+    received: tuple[Bid, ...]
+    candidates: tuple[tuple[Bid, float], ...]
 
     def __new__(cls, received: tuple[Bid, ...], candidates: tuple[tuple[Bid, float], ...]):
         # a slot's winner is a candidate, so it appears among received bids
@@ -303,17 +275,13 @@ class BidSchedule(Frozen, _BidScheduleFields):
         return last_change.timestamp_ms - arrivals[0].timestamp_ms
 
 
-class _SlotOutcomeFields(NamedTuple):
+class SlotOutcome(Frozen):
     height: int
     winner: Optional[str]  # None: no builder won, so the proposer built its own block
     proposer_payment: int
     blacklist_events: tuple[str, ...]
     schedule: BidSchedule  # the schedule the slot was resolved against
     realized_builder_profit: int
-
-
-class SlotOutcome(Frozen, _SlotOutcomeFields):
-    __slots__ = ()
 
 
 def _make_bid(agent: BuilderAgent, t: Fraction, delta: int) -> Bid:

@@ -33,7 +33,7 @@ from enum import Enum
 from functools import partial
 import json
 import math
-from typing import IO, Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import IO, Callable, Iterable, Mapping, Optional
 
 from .traces import (
     Frozen, LineError, PathDescriptor, TokenId, format_address, parse_address, read_json, read_lines, token_from_obj, token_to_obj,
@@ -64,7 +64,7 @@ class PoolKind(Enum):
     V3 = "v3"
 
 
-class _PoolStateFields(NamedTuple):
+class PoolState(Frozen):
     address: bytes
     kind: PoolKind
     token0: TokenId
@@ -74,10 +74,6 @@ class _PoolStateFields(NamedTuple):
     reserve1: int
     liquidity: int
     sqrt_price_x96: int
-
-
-class PoolState(Frozen, _PoolStateFields):
-    __slots__ = ()
 
     def __new__(
         cls, address: bytes, kind: PoolKind, token0: TokenId, token1: TokenId, fee_ppm: int,
@@ -220,18 +216,14 @@ def swap(pool: PoolState, token_in: TokenId, amount_in: int) -> tuple[int, PoolS
 # atomic multi-hop execution
 
 
-class _ExecutionResultFields(NamedTuple):
+class ExecutionResult(Frozen):
+    """Successful run: delta split into the validator payout and the kept
+    remainder; kept + payout == delta and payout == floor(delta*r/10000)."""
+
     delta: int
     payout: int
     kept: int
     hop_amounts: tuple[int, ...]
-
-
-class ExecutionResult(Frozen, _ExecutionResultFields):
-    """Successful run: delta split into the validator payout and the kept
-    remainder; kept + payout == delta and payout == floor(delta*r/10000)."""
-
-    __slots__ = ()
 
 
 def split_delta(delta: int, share_ratio_bp: int) -> tuple[int, int]:

@@ -16,7 +16,7 @@ import re
 from datetime import datetime, timezone
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from itertools import repeat
-from typing import IO, Iterable, Iterator, NamedTuple, get_type_hints
+from typing import IO, Iterable, Iterator, get_type_hints
 
 from .traces import Frozen, LineError, format_address, parse_tx_hash, read_json, read_lines
 
@@ -41,7 +41,7 @@ class TimestampRangeError(ValueError):
     """A block's moment falls outside the years 1 to 9999."""
 
 
-class _ArbitrageRecordFields(NamedTuple):
+class ArbitrageRecord(Frozen):
     tx_hash: bytes
     block_number: int
     builder_brand: str
@@ -54,10 +54,6 @@ class _ArbitrageRecordFields(NamedTuple):
     usd_value: Decimal  # net in dollars
     share_usd: Decimal  # share in dollars
     timestamp_utc: str
-
-
-class ArbitrageRecord(Frozen, _ArbitrageRecordFields):
-    __slots__ = ()
 
     def __new__(
         cls, tx_hash: bytes, block_number: int, builder_brand: str, base_token: str, hop_count: int, gross: int,

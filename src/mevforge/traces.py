@@ -11,7 +11,7 @@ The transactions of one parsed stream share one TokenId per distinct token
 (up to MAX_SHARED_TOKENS distinct tokens).
 
 The token, event, transaction, label and path types are Frozen value
-types: immutable NamedTuples whose constructor checks their fields, safe
+types: immutable namedtuples whose constructor checks their fields, safe
 to share across threads.
 """
 
@@ -20,11 +20,11 @@ from __future__ import annotations
 import csv
 import json
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import IO, Iterable, Iterator, Mapping, Optional
 
 ADDRESS_LEN = 20
 HASH_LEN = 32
@@ -162,16 +162,34 @@ class EventKind(Enum):
     INTERNAL = "internal"
 
 
-class Frozen:
-    """The base of the package's value types, each a NamedTuple subclass:
-    ``class T(Frozen, _TFields)``, where ``_TFields(NamedTuple)`` declares
-    the fields and T's ``__new__`` checks them.  A field can be neither set
-    nor deleted.  An instance equals only an instance of its own type with
-    equal fields, never a bare tuple, and hashes as ``hash(tuple(self))``.
-    ``_make`` and ``_replace`` build through ``__new__``, so they run its
-    checks (the stock ones call ``tuple.__new__``)."""
+class _FrozenType(type):
+    """Builds a class whose body annotates fields on a namedtuple of them,
+    with the defaults the body gives them (taken out of the namespace, so
+    no class attribute shadows a field), as typing.NamedTuple does; a class
+    that annotates nothing is built as written.  Every class gets
+    ``__slots__ = ()``."""
 
-    __slots__ = ()
+    def __new__(mcls, name, bases, ns):
+        fields = list(ns.get("__annotations__", ()))
+        defaulted = [field for field in fields if field in ns]
+        if defaulted != fields[len(fields) - len(defaulted):]:
+            raise TypeError(f"{name}: a field without a default follows one with a default")
+        if fields:
+            defaults = [ns.pop(field) for field in defaulted]
+            bases += (namedtuple(name, fields, defaults=defaults, module=ns["__module__"]),)
+        ns["__slots__"] = ()
+        return super().__new__(mcls, name, bases, ns)
+
+
+class Frozen(metaclass=_FrozenType):
+    """The base of the package's value types, each one class whose body
+    annotates its fields (``class T(Frozen):``) and whose ``__new__``, if it
+    has one, checks them.  A field can be neither set nor deleted.  An
+    instance equals only an instance of its own type with equal fields,
+    never a bare tuple, and hashes as ``hash(tuple(self))``.  ``_make``
+    builds through ``__new__``, so it runs its checks (the stock one calls
+    ``tuple.__new__``), and so does the stock ``_replace``, which calls
+    ``_make``."""
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -185,20 +203,13 @@ class Frozen:
     def _make(cls, iterable):
         return cls(**dict(zip(cls._fields, iterable, strict=True)))
 
-    def _replace(self, **changes):
-        return type(self)(**{**dict(zip(self._fields, self)), **changes})
 
+class TokenId(Frozen):
+    """A token: display symbol, contract address, base-unit scale."""
 
-class _TokenIdFields(NamedTuple):
     symbol: str
     address: bytes
     decimals: int
-
-
-class TokenId(Frozen, _TokenIdFields):
-    """A token: display symbol, contract address, base-unit scale."""
-
-    __slots__ = ()
 
     def __new__(cls, symbol: str, address: bytes, decimals: int):
         if len(address) != ADDRESS_LEN:  # a library contract: parse_address reads 20 bytes
@@ -208,19 +219,7 @@ class TokenId(Frozen, _TokenIdFields):
         return tuple.__new__(cls, (symbol, address, decimals))
 
 
-class _TraceEventFields(NamedTuple):
-    kind: EventKind
-    pool: Optional[bytes]
-    token_in: Optional[TokenId]
-    token_out: Optional[TokenId]
-    amount_in: int
-    amount_out: int
-    to: Optional[bytes]
-    amount: Optional[int]
-    pool_sink: bool
-
-
-class TraceEvent(Frozen, _TraceEventFields):
+class TraceEvent(Frozen):
     """One decoded event inside a transaction; its position in
     ``Transaction.events`` is its order of execution.
 
@@ -230,7 +229,15 @@ class TraceEvent(Frozen, _TraceEventFields):
     in which case ``amount`` holds the routed surplus.
     """
 
-    __slots__ = ()
+    kind: EventKind
+    pool: Optional[bytes]
+    token_in: Optional[TokenId]
+    token_out: Optional[TokenId]
+    amount_in: int
+    amount_out: int
+    to: Optional[bytes]
+    amount: Optional[int]
+    pool_sink: bool
 
     def __new__(
         cls,
@@ -262,17 +269,13 @@ class TraceEvent(Frozen, _TraceEventFields):
         return tuple.__new__(cls, (kind, pool, token_in, token_out, amount_in, amount_out, to, amount, pool_sink))
 
 
-class _TransactionFields(NamedTuple):
+class Transaction(Frozen):
     hash: bytes
     block_number: int
     initiator: bytes
     events: tuple[TraceEvent, ...]
     gas_used: int
     gas_price: int
-
-
-class Transaction(Frozen, _TransactionFields):
-    __slots__ = ()
 
     def __new__(
         cls, hash: bytes, block_number: int, initiator: bytes, events: Iterable[TraceEvent], gas_used: int, gas_price: int
@@ -291,14 +294,10 @@ class Transaction(Frozen, _TransactionFields):
         return self.gas_used * self.gas_price
 
 
-class _BuilderLabelFields(NamedTuple):
+class BuilderLabel(Frozen):
     brand: str
     instance_name: str
     address: bytes
-
-
-class BuilderLabel(Frozen, _BuilderLabelFields):
-    __slots__ = ()
 
     def __new__(cls, brand: str, instance_name: str, address: bytes):
         if len(address) != ADDRESS_LEN:
@@ -306,12 +305,7 @@ class BuilderLabel(Frozen, _BuilderLabelFields):
         return tuple.__new__(cls, (brand, instance_name, address))
 
 
-class _PathDescriptorFields(NamedTuple):
-    tokens: tuple[TokenId, ...]
-    pools: tuple[bytes, ...]
-
-
-class PathDescriptor(Frozen, _PathDescriptorFields):
+class PathDescriptor(Frozen):
     """A multi-hop route: a traced cycle, or a path to run on pools.
 
     Hop i swaps ``tokens[i]`` for ``tokens[i + 1]`` in ``pools[i]``, so
@@ -320,7 +314,8 @@ class PathDescriptor(Frozen, _PathDescriptorFields):
     and are read from the pool map when the route runs.
     """
 
-    __slots__ = ()
+    tokens: tuple[TokenId, ...]
+    pools: tuple[bytes, ...]
 
     def __new__(cls, tokens: Iterable[TokenId], pools: Iterable[bytes]):
         tokens, pools = tuple(tokens), tuple(pools)

@@ -1007,8 +1007,9 @@ def test_extract_stops_on_a_failed_worker(tmp_path, fault):
 
 def test_extract_undoes_a_failed_fork(tmp_path):
     """A fork that fails, as on a host out of process ids, ends the run as
-    any other fault does: the worker already forked is killed and reaped,
-    and the reports and the directories the run made are removed."""
+    any other fault does, naming the trace file and the span: the worker
+    already forked is killed and reaped, and the reports and the
+    directories the run made are removed."""
     fork, forks = os.fork, []
 
     def fork_once():
@@ -1019,19 +1020,22 @@ def test_extract_undoes_a_failed_fork(tmp_path):
 
     trace = tmp_path / "traces.ndjson"
     trace.write_text("".join(span_line("cycle", n) + "\n" for n in range(9)))
+    with open(trace, "rb") as fh:
+        [_first, _second, (start, end)] = cli._spans(fh, 3)
     with mock.patch.object(os, "fork", fork_once):
-        code, stdout, stderr, files = extract_with(3, trace, tmp_path / "new" / "out")
-    assert (code, stdout, files, len(forks)) == (1, "", {}, 2)
-    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        result = extract_with(3, trace, tmp_path / "new" / "out")
+    fault = f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
+    assert result == (1, "", f"error: {trace}: extract worker for bytes {start}-{end} could not start: {fault}\n", {})
+    assert len(forks) == 2
     assert list(tmp_path.iterdir()) == [trace]
     assert_no_child_process()
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_extract_undoes_a_write_that_fails(tmp_path, k):
-    """A write that fails once rows are written, as on a full disk, leaves
-    neither report, nor a directory the run made; an --out that was there
-    before stays."""
+    """A write that fails once rows are written, as on a full disk, names
+    --out and leaves neither report, nor a directory the run made; an
+    --out that was there before stays."""
     parent, extract_span = os.getpid(), cli._extract_span
 
     def disk_full(lines, rows, errors, counts, **kwargs):
@@ -1041,12 +1045,13 @@ def test_extract_undoes_a_write_that_fails(tmp_path, k):
 
     trace = tmp_path / "traces.ndjson"
     trace.write_text("".join(span_line("cycle", n) + "\n" for n in range(6)))
-    kept = tmp_path / "kept"
+    new, kept = tmp_path / "new" / "out", tmp_path / "kept"
+    fault = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
     with mock.patch.object(cli, "_extract_span", disk_full):
-        made = extract_with(k, trace, tmp_path / "new" / "out")
+        assert extract_with(k, trace, new) == (1, "", f"{fault}: '{new}'\n", {})
         assert list(tmp_path.iterdir()) == [trace]
         kept.mkdir()
-        assert extract_with(k, trace, kept) == made == (1, "", f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n", {})
+        assert extract_with(k, trace, kept) == (1, "", f"{fault}: '{kept}'\n", {})
     assert list(kept.iterdir()) == []
     assert_no_child_process()
 
@@ -1118,6 +1123,23 @@ def test_lines_to_stops_at_the_end_of_a_file_shorter_than_its_span(tmp_path):
     with open(trace, "rb") as fh:
         fh.readline()
         assert list(cli._lines_to(fh, 100)) == [b"b\n", b"c"]
+
+
+def test_lines_to_names_the_file_of_a_failed_read():
+    """A read fault names no file, so the one read is named in its place."""
+
+    class FailingDisk:
+        name = "traces.ndjson"
+
+        def tell(self):
+            return 0
+
+        def readline(self):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    with pytest.raises(OSError) as excinfo:
+        list(cli._lines_to(FailingDisk(), 100))
+    assert str(excinfo.value) == f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}: 'traces.ndjson'"
 
 
 # -- analyze ------------------------------------------------------------------
@@ -1989,6 +2011,12 @@ HOSTILE_SITES = [
     *((name, path) for name, doc in HOSTILE_JSON.items() for path in strategies.json_paths(doc) if name != "pools" or path),
     *((name, (i, j)) for name, rows in HOSTILE_ROWS.items() for i, row in enumerate(rows) for j in range(len(row))),
 ]
+# a value drawn at a JSON site that is written as DEEP, which json.dumps cannot write
+DEEP_MARK = "<nested past the decoder's depth>"
+
+
+def hostile_dumps(doc) -> str:
+    return json.dumps(doc).replace(json.dumps(DEEP_MARK), DEEP)
 
 
 def hostile_argv(tmp_path: Path, name: str, path: tuple, value) -> list[str]:
@@ -2002,10 +2030,10 @@ def hostile_argv(tmp_path: Path, name: str, path: tuple, value) -> list[str]:
         csv.writer(buffer, lineterminator="\n").writerows(kind_rows)
         text = "".join(line + "\n" for line, in kind_rows) if kind == "config" else buffer.getvalue()
         (tmp_path / kind).write_bytes(text.encode("utf-8", "surrogatepass"))  # a lone surrogate is not UTF-8
-    (tmp_path / "trace").write_text(json.dumps(docs["trace"]) + "\n")
-    (tmp_path / "pools.ndjson").write_text("".join(json.dumps(line) + "\n" for line in docs["pools"]))
+    (tmp_path / "trace").write_text(hostile_dumps(docs["trace"]) + "\n")
+    (tmp_path / "pools.ndjson").write_text("".join(hostile_dumps(line) + "\n" for line in docs["pools"]))
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(docs[name if name.endswith(".json") else "embodied.json"]))
+    scenario.write_text(hostile_dumps(docs[name if name.endswith(".json") else "embodied.json"]))
     if name in ("trace", "labels", "config"):
         return ["extract", "--traces", str(tmp_path / "trace"), "--labels", str(tmp_path / "labels"), "--config", str(tmp_path / "config")]
     if name == "records":
@@ -2017,11 +2045,13 @@ def hostile_argv(tmp_path: Path, name: str, path: tuple, value) -> list[str]:
 @given(site=st.sampled_from(HOSTILE_SITES), data=st.data())
 def test_any_edit_of_any_input_exits_0_or_1(tmp_path, capsys, site, data):
     """capsys makes stderr strict UTF-8, so no error message may carry a
-    lone surrogate either.  Bids stay few: one site changes, so either
+    lone surrogate either.  A JSON site may hold a value nested past the
+    decoder's depth.  Bids stay few: one site changes, so either
     optimization_rounds or horizon_ms over rebid_interval_ms keeps its
     bundled size."""
     name, path = site
-    value = data.draw(strategies.json_values if name in HOSTILE_JSON else st.text(max_size=30), label="value")
+    json_values = strategies.json_values | st.just(DEEP_MARK)
+    value = data.draw(json_values if name in HOSTILE_JSON else st.text(max_size=30), label="value")
     assert main([*hostile_argv(tmp_path, name, path, value), "--out", str(tmp_path / "o")]) in (0, 1)
     capsys.readouterr()
 

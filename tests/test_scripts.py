@@ -74,5 +74,5 @@ def test_coverage_reports_each_unrun_line_of_src_and_a_count():
     for line in report:
         path, number, text = re.fullmatch(r"(src/mevforge/[\w/]+\.py):(\d+): (.+)", line).groups()
         assert (ROOT / path).read_text(encoding="utf-8").splitlines()[int(number) - 1].strip() == text
-    replace = "return type(self)(**{**dict(zip(self._fields, self)), **changes})"
-    assert [line for line in report if line.endswith(replace)] == []
+    make = "return cls(**dict(zip(cls._fields, iterable, strict=True)))"
+    assert [line for line in report if line.endswith(make)] == []

@@ -139,6 +139,24 @@ def test_an_instance_hashes_as_the_tuple_of_its_fields(kind):
         assert hash(value) == expected
 
 
+def test_a_body_declares_fields_as_typing_namedtuple_does():
+    """The fields a body annotates, in order, each default taken from the
+    namespace so that no class attribute shadows its field; a field without
+    a default may not follow one with a default."""
+
+    class Pair(Frozen):
+        first: int
+        second: int = 0
+
+    assert Pair._fields == ("first", "second") and Pair(1, 2).second == 2 and Pair(1) == Pair(1, 0)
+    assert "second" not in vars(Pair)
+    with pytest.raises(TypeError, match="^Misordered: a field without a default follows one with a default$"):
+
+        class Misordered(Frozen):
+            first: int = 0
+            second: int
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
