@@ -56,13 +56,17 @@ PLANTED_LOOP = """    for item, entry in drawn:
 
 DEEP_TEST = f"{CLI_TESTS}::test_json_nested_past_the_decoders_depth_is_an_input_error"
 SPAN_PROPERTY = f"{CLI_TESTS}::test_extract_writes_the_same_bytes_over_any_number_of_spans"
-# extract's merge: each worker's report, in span order
-SPAN_MERGE = """                start, end, pid, (worker_rows, worker_errors, report) = workers[0]
+# extract's span runner: each worker's report, read and reaped in span order
+SPAN_MERGE = """                start, end, pid, temps, report = workers[0]
+                text = report.read()
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 del workers[0]"""
 WORKER_FAILURE = """                if code or not text:
                     ended = f"exited with status {code}" if code else "reported nothing"
                     raise ChildProcessError(f"{path}: extract worker for bytes {start}-{end} {ended}")"""
+
+# the cases of the OS fault test that a worker meets: (CPUs, span) with span > 0
+OS_FAULT_CASES = [f"{k}-{span}-{fault}" for fault in ("write", "flush", "read") for k, span in ((2, 1), (3, 1), (3, 2))]
 
 MUTANTS = [
     {
@@ -179,6 +183,7 @@ MUTANTS = [
             SPAN_PROPERTY,
             f"{CLI_TESTS}::test_extract_names_a_bad_line_in_any_span_by_its_line_in_the_file",
             f"{CLI_TESTS}::test_extract_counts_a_blank_line_at_a_span_cut",
+            f"{CLI_TESTS}::test_any_edit_of_any_input_exits_0_or_1",
         ],
     },
     {
@@ -234,11 +239,44 @@ MUTANTS = [
         "tests": [f"{CLI_TESTS}::test_extract_undoes_a_write_that_fails"],
     },
     {
+        "name": "worker-fault-on-stderr",
+        "why": "a worker stopped by a fault writes its own error line to stderr, beside the parent's",
+        "file": CLI,
+        "old": "    finally:\n        os._exit(1)\n",
+        "new": """    except BaseException as exc:
+        os.write(2, f"error: extract worker for bytes {fh.tell()}-{end}: {exc!r}\\n".encode(errors="backslashreplace"))
+        raise
+    finally:
+        os._exit(1)
+""",
+        "tests": [f"{CLI_TESTS}::test_a_failed_worker_writes_nothing_to_stderr"],
+    },
+    {
+        "name": "worker-os-fault-unreported",
+        "why": "a worker's OSError goes unreported, so the run ends with the worker's exit status, not the one-span line",
+        "file": CLI,
+        "old": """        except OSError as exc:
+            result = {"fault": [exc.errno, exc.strerror, exc.filename]}
+""",
+        "new": "",
+        "tests": [f"{CLI_TESTS}::test_an_os_fault_in_any_span_reads_as_at_one_span[{case}]" for case in OS_FAULT_CASES],
+    },
+    {
+        "name": "worker-reopens-by-path",
+        "why": "a worker reads whatever file holds the trace's path when it is forked, not the file extract opened",
+        "file": CLI,
+        "old": """                if not os.path.samestat(os.fstat(fh.fileno()), opened):
+                    raise _InputError(f"{path}: replaced while extract was reading it")
+""",
+        "new": "",
+        "tests": [f"{CLI_TESTS}::test_extract_reads_only_the_trace_file_it_opened[replaced-2]"],
+    },
+    {
         "name": "worker-counts-dropped",
         "why": "extract leaves its workers' counts out of the summary line",
         "file": CLI,
-        "old": '                counts.update(result["counts"])\n',
-        "new": "",
+        "old": "            counts.update(span_counts)\n",
+        "new": "            counts.update({} if files else span_counts)\n",
         "tests": [SPAN_PROPERTY],
     },
     {

@@ -49,14 +49,7 @@ class ShareRow(Frozen):
     share: Fraction
 
 
-class ShareTable(Frozen):
-    rows: tuple[ShareRow, ...]
-
-    def top_share(self, k: int) -> Fraction:
-        return sum((row.share for row in self.rows[:k]), Fraction(0))
-
-
-def market_share(block_counts: Mapping[str, int]) -> ShareTable:
+def market_share(block_counts: Mapping[str, int]) -> tuple[ShareRow, ...]:
     """Exact rational market shares, ordered non-increasing."""
     if any(c < 0 for c in block_counts.values()):  # a library contract: analyze counts blocks, never below 0
         raise ValueError("block counts must be non-negative")
@@ -65,7 +58,7 @@ def market_share(block_counts: Mapping[str, int]) -> ShareTable:
         raise EmptyMarketError("no blocks produced by any brand")
     rows = [ShareRow(brand, count, Fraction(count, total)) for brand, count in block_counts.items()]
     rows.sort(key=lambda r: (-r.share, r.brand))
-    return ShareTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +273,9 @@ class RecordTotals:
     def rows(self) -> int:
         return sum(count for count, _usd, _usd2 in self.hop_groups.values())
 
-    def share_table(self) -> ShareTable:
+    def share_table(self) -> tuple[ShareRow, ...]:
         """Market shares of distinct blocks; empty when there is no record."""
-        return market_share({brand: len(blocks) for brand, blocks in self.blocks.items()}) if self.blocks else ShareTable(())
+        return market_share({brand: len(blocks) for brand, blocks in self.blocks.items()}) if self.blocks else ()
 
     def profit_matrix(self) -> dict[tuple[str, str], Fraction]:
         return {cell: Fraction(usd) for cell, usd in self._cells.items()}

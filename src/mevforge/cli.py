@@ -17,7 +17,7 @@ import os
 import stat
 import sys
 from collections import Counter
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NoReturn, TypeVar
@@ -48,7 +48,7 @@ T = TypeVar("T")
 
 
 class _InputError(Exception):
-    """A fault in an input file, as "<path>: line|row N: ..."."""
+    """A fault in an input file, as "<path>: ..."."""
 
 
 @contextmanager
@@ -77,12 +77,9 @@ def _out_dir(path: str) -> Path:
 # ---------------------------------------------------------------------------
 # extract
 #
-# A regular trace file is read as one byte span per usable CPU, each cut
-# just after a newline.  This process extracts the first span straight into
-# the reports; a forked worker extracts each later one into unnamed
-# temporary files, which are appended to the reports in span order.  A
-# transaction needs nothing from other lines but its line number, so the
-# reports do not depend on how many spans there are.
+# A regular trace file is read as one byte span per usable CPU (_run_spans).
+# A transaction needs nothing from other lines but its line number, so
+# neither the reports nor a fault depend on how many spans there are.
 
 
 def _usable_cpus() -> int:
@@ -128,10 +125,7 @@ def _lines_to(fh: IO[bytes], end: int | None) -> Iterator[bytes]:
     falls just after a newline or at the end of the file; to the end of the
     file for None.  A failed read names the file."""
     try:
-        if end is None:
-            yield from fh
-            return
-        left = end - fh.tell()
+        left = float("inf") if end is None else end - fh.tell()
         while left > 0:
             line = fh.readline()
             if not line:
@@ -142,13 +136,12 @@ def _lines_to(fh: IO[bytes], end: int | None) -> Iterator[bytes]:
         raise _naming(exc, fh.name)
 
 
-def _extract_span(
-    lines: Iterable[bytes], rows: IO[str], errors: IO[str], counts: Counter[str], *, config: RunConfig, labels: dict
-) -> None:
-    """Extract the transactions on lines, counted in counts as
-    iter_transactions counts them: a records.csv row to rows for each cycle
-    (counted as "records"), and an errors.csv row to errors for each cycle
-    that cannot be priced or dated (as "errors"), neither after a header."""
+def _extract_span(lines: Iterable[bytes], rows: IO[str], errors: IO[str], *, config: RunConfig, labels: dict) -> Counter[str]:
+    """Extract the transactions on lines; their counts, as iter_transactions
+    counts them: a records.csv row to rows for each cycle (counted as
+    "records"), and an errors.csv row to errors for each cycle that cannot be
+    priced or dated (as "errors"), neither after a header."""
+    counts: Counter[str] = Counter()
     error_rows = csv.writer(errors, lineterminator="\n")
 
     def cycles():
@@ -184,77 +177,72 @@ def _extract_span(
             )
 
     counts["records"] += records.write_records(rows, cycles(), header=False)
+    return counts
 
 
-def _work(path: str, start: int, end: int, files: list[IO[str]], extract: Callable) -> NoReturn:
-    """The life of a forked worker: extract the span [start, end) of the
-    trace file at path into the first two of files, its rows and errors,
-    write its counts, or its first bad line, as JSON to the third, its
-    report, and exit without returning into its caller's code.  Any other
-    fault exits 1 after an "error:" line."""
-    code = 1
+def _work(fh: IO[bytes], end: int | None, outputs: list[IO[str]], report: IO[str], run: Callable) -> NoReturn:
+    """The life of a forked worker: run(lines, *outputs) over the lines of fh
+    from where it stands up to byte offset end, flush the outputs, then write
+    to report, as JSON, what run returned, the first bad line, or the OSError
+    that stopped it, and exit 0; any other fault exits 1 with no report.  It
+    writes nothing to stderr and never returns into its caller's code."""
     try:
-        rows, errors, report = files
-        counts: Counter[str] = Counter()
         try:
-            with open(path, "rb") as fh:  # its own offset: a forked child shares its parent's
-                fh.seek(start)
-                extract(_lines_to(fh, end), rows, errors, counts)
-            result = {"counts": counts}
+            result = {"report": run(_lines_to(fh, end), *outputs)}
+            for output in outputs:
+                output.flush()  # where a full disk most often fails
         except TraceParseError as exc:
             result = {"line": exc.line_no, "message": exc.message}
+        except OSError as exc:
+            result = {"fault": [exc.errno, exc.strerror, exc.filename]}
         json.dump(result, report)
-        for fh in (rows, errors, report):
-            fh.flush()
-        code = 0
-    except BaseException as exc:  # reported here, since a forked child must not unwind into its parent's code
-        os.write(2, f"error: {path}: extract worker for bytes {start}-{end}: {exc!r}\n".encode(errors="backslashreplace"))
+        report.flush()
+        os._exit(0)
     finally:
-        os._exit(code)
+        os._exit(1)
 
 
-def _extract_spans(
-    traces: IO[bytes], path: str, spans: list[tuple[int, int | None]], out: Path, rows: IO[str], errors: IO[str],
-    extract: Callable,
-) -> Counter[str]:
-    """Run extract over each span of traces, the trace file at path: the
-    first in this process, into rows and errors, and each later nonempty one
-    in a forked worker whose rows are then appended, in span order and in
-    bounded blocks.  Its counts, summed over the spans.
-
-    A bad line raises TraceParseError naming its line in the whole file; of
-    several, the first wins.  A worker that cannot be forked, exits nonzero
-    or reports nothing raises ChildProcessError.  However the call ends, no
-    worker outlives it."""
-    import shutil
+def _run_spans(traces: IO[bytes], out: Path, outputs: list[IO[str]], run: Callable) -> Iterator[tuple[object, list]]:
+    """run(lines, *outputs) over each span of traces: the first here, into
+    outputs, each later nonempty one in a worker forked with its own handle
+    on traces, into unnamed temporary files under out, reporting through a
+    pipe, which needs no disk.  Yields what run returned and the files it
+    wrote (none for the first), in span order.  A worker's bad line raises
+    TraceParseError naming its line in the whole file and its OSError is
+    raised again; a worker that cannot fork, is killed, exits nonzero or
+    reports nothing raises ChildProcessError.  No worker outlives the run."""
     import signal
     import tempfile
 
+    path, spans, opened = traces.name, _spans(traces, _usable_cpus()), os.fstat(traces.fileno())
     workers = []  # those not yet reaped, in span order; the finally kills and reaps any left
     with ExitStack() as files:
         try:
             for start, end in spans[1:]:
                 if start == end:
                     continue
-                worker_files = [
-                    files.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=out)) for _ in range(3)
-                ]
+                fh = files.enter_context(open(path, "rb"))
+                if not os.path.samestat(os.fstat(fh.fileno()), opened):
+                    raise _InputError(f"{path}: replaced while extract was reading it")
+                fh.seek(start)
+                temps = [files.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=out)) for _ in outputs]
+                read_end, write_end = os.pipe()
+                report, report_end = files.enter_context(open(read_end, "rb")), files.enter_context(open(write_end, "w"))
                 try:
                     pid = os.fork()
                 except OSError as exc:
                     raise ChildProcessError(f"{path}: extract worker for bytes {start}-{end} could not start: {exc}") from exc
                 if pid == 0:
-                    _work(path, start, end, worker_files, extract)
-                workers.append((start, end, pid, worker_files))
+                    _work(fh, end, temps, report_end, run)
+                report_end.close()  # so the report ends when the worker does
+                workers.append((start, end, pid, temps, report))
 
-            counts: Counter[str] = Counter()
-            extract(_lines_to(traces, spans[0][1]), rows, errors, counts)
+            yield run(_lines_to(traces, spans[0][1]), *outputs), []
             while workers:
-                start, end, pid, (worker_rows, worker_errors, report) = workers[0]
+                start, end, pid, temps, report = workers[0]
+                text = report.read()
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 del workers[0]
-                report.seek(0)
-                text = report.read()
                 if code or not text:
                     ended = f"exited with status {code}" if code else "reported nothing"
                     raise ChildProcessError(f"{path}: extract worker for bytes {start}-{end} {ended}")
@@ -263,14 +251,26 @@ def _extract_spans(
                     traces.seek(0)
                     before = sum(1 for _ in _lines_to(traces, start))
                     raise TraceParseError(before + result["line"], result["message"])
-                counts.update(result["counts"])
-                for worker_file, report_file in ((worker_rows, rows), (worker_errors, errors)):
-                    worker_file.seek(0)
-                    shutil.copyfileobj(worker_file, report_file)
+                if "fault" in result:
+                    raise OSError(*result["fault"])
+                yield result["report"], temps
         finally:
-            for _start, _end, pid, _files in workers:
+            for _start, _end, pid, _temps, _report in workers:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+
+
+def _extract_spans(traces: IO[bytes], out: Path, rows: IO[str], errors: IO[str], extract: Callable) -> Counter[str]:
+    """Run extract over each span of traces into rows and errors, appending workers' files in span order; the summed counts."""
+    import shutil
+
+    counts: Counter[str] = Counter()
+    with closing(_run_spans(traces, out, [rows, errors], extract)) as spans:
+        for span_counts, files in spans:
+            counts.update(span_counts)
+            for worker_file, report_file in zip(files, (rows, errors)):
+                worker_file.seek(0)
+                shutil.copyfileobj(worker_file, report_file)
     return counts
 
 
@@ -284,18 +284,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
         made = [d for d in (Path(args.out), *Path(args.out).parents) if not d.exists()]  # deepest first
         out = _out_dir(args.out)
         try:
-            spans = _spans(traces, _usable_cpus())
             with open(out / "records.csv", "w", encoding="utf-8", newline="") as rows, open(
                 out / "errors.csv", "w", encoding="utf-8", newline=""
             ) as errors:
                 records.write_records(rows, ())
                 errors.write("tx_hash,error\n")
-                counts = _extract_spans(traces, args.traces, spans, out, rows, errors, extract)
+                counts = _extract_spans(traces, out, rows, errors, extract)
         except BaseException as exc:
-            # however the run ends early, it leaves neither report (analyze
-            # writes none on a bad row) nor a directory it made, and no worker
-            # outlives it; a forked worker never gets here, as _work never returns.
-            # A fault of an open file that names none is a failed write under --out.
+            # however the run ends early, it leaves neither report (analyze writes
+            # none on a bad row) nor a directory it made; a forked worker never gets
+            # here.  A fault of an open file that names none is a failed write under --out.
             (out / "records.csv").unlink(missing_ok=True)
             (out / "errors.csv").unlink(missing_ok=True)
             for directory in made:
@@ -338,7 +336,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     scores = totals.risk_scores(config.risk_bits)
     reports.write_text(out / "risk_scores.csv", lambda fh: reports.write_risk_scores(fh, scores))
 
-    print(f"analyzed={totals.rows} brands={len(table.rows)} reports={out}")
+    print(f"analyzed={totals.rows} brands={len(table)} reports={out}")
     return 0
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Mapping, Optional
 
 if TYPE_CHECKING:  # analyze needs no pbs, simulate no analytics
-    from .analytics import PathComplexity, ProposerSplit, RiskScore, ShareTable, TrendResult
+    from .analytics import PathComplexity, ProposerSplit, RiskScore, ShareRow, TrendResult
     from .pbs import CampaignSummary, SlotOutcome
 
 
@@ -41,10 +41,10 @@ def _writer(stream: IO[str]):
     return csv.writer(stream, lineterminator="\n")
 
 
-def write_share_table(stream: IO[str], table: ShareTable) -> None:
+def write_share_table(stream: IO[str], table: Iterable[ShareRow]) -> None:
     writer = _writer(stream)
     writer.writerow(["brand", "blocks", "validators", "share_pct"])
-    for row in table.rows:  # records name no validators, so that column is always 0
+    for row in table:  # records name no validators, so that column is always 0
         writer.writerow([row.brand, row.block_count, 0, percent_str(row.share)])
 
 

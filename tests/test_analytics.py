@@ -20,7 +20,6 @@ from mevforge.analytics import (
     InsufficientDataError,
     ProposerSplit,
     RecordTotals,
-    ShareTable,
     TrendDirection,
     UndefinedCorrelationError,
     mann_kendall,
@@ -67,7 +66,7 @@ def record(brand, symbol, usd, share_usd=0, net=1, share=0):
 
 def test_published_counts_reproduce_shares_at_two_decimals():
     table = market_share(PUBLISHED_BLOCK_COUNTS)
-    rendered = [(row.brand, percent_str(row.share)) for row in table.rows]
+    rendered = [(row.brand, percent_str(row.share)) for row in table]
     assert rendered == [
         ("48Club", "56.71"),
         ("Blockrazor", "39.78"),
@@ -76,18 +75,18 @@ def test_published_counts_reproduce_shares_at_two_decimals():
         ("Nodereal", "0.68"),
         ("Blocksmith", "0.27"),
     ]
-    assert table.top_share(2) > Fraction(96, 100)
-    assert sum((row.share for row in table.rows), Fraction(0)) == 1
+    assert sum((row.share for row in table[:2]), Fraction(0)) > Fraction(96, 100)
+    assert sum((row.share for row in table), Fraction(0)) == 1
 
 
 def test_single_brand_gets_everything():
     table = market_share({"Solo": 123})
-    assert table.rows[0].share == 1
+    assert table[0].share == 1
 
 
 def test_two_equal_brands_split_evenly():
     table = market_share({"A": 5, "B": 5})
-    assert [row.share for row in table.rows] == [Fraction(1, 2), Fraction(1, 2)]
+    assert [row.share for row in table] == [Fraction(1, 2), Fraction(1, 2)]
 
 
 def test_empty_market_is_an_error():
@@ -107,8 +106,8 @@ def test_shares_always_sum_to_one_exactly(counts):
     if sum(counts.values()) == 0:
         return
     table = market_share(counts)
-    assert sum((row.share for row in table.rows), Fraction(0)) == 1
-    shares = [row.share for row in table.rows]
+    assert sum((row.share for row in table), Fraction(0)) == 1
+    shares = [row.share for row in table]
     assert shares == sorted(shares, reverse=True)
 
 
@@ -453,7 +452,7 @@ def two_pass_reports(rows, config=RunConfig()):
         if symbol in config.risk_bits
     ]
     return {
-        "shares.csv": render(reports.write_share_table, market_share(blocks) if blocks else ShareTable(())),
+        "shares.csv": render(reports.write_share_table, market_share(blocks) if blocks else ()),
         "profit_matrix.csv": render(reports.write_profit_matrix, matrix, token_shares(matrix)),
         "proposer_split.csv": render(reports.write_proposer_split, splits),
         "complexity_hist.csv": hist.getvalue().encode(),

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import threading
@@ -985,12 +986,12 @@ def test_extract_stops_on_a_failed_worker(tmp_path, fault):
     rows."""
     parent, extract_span = os.getpid(), cli._extract_span
 
-    def failing(lines, rows, errors, counts, **kwargs):
+    def failing(lines, rows, errors, **kwargs):
         if os.getpid() != parent:
             if fault == "raises":
                 raise RuntimeError("worker fault")
             os._exit(0)
-        return extract_span(lines, rows, errors, counts, **kwargs)
+        return extract_span(lines, rows, errors, **kwargs)
 
     trace = tmp_path / "traces.ndjson"
     trace.write_text("".join(span_line("cycle", n) + "\n" for n in range(6)))
@@ -1003,6 +1004,118 @@ def test_extract_stops_on_a_failed_worker(tmp_path, fault):
     assert list(tmp_path.iterdir()) == [trace]
     assert_no_child_process()
 
+
+def extract_fd(capfd, k: int, trace: Path, out: Path) -> tuple[int, str, str, dict[str, bytes]]:
+    """extract_with's (exit code, stdout, stderr, files left in out), with
+    stdout and stderr as written to file descriptors 1 and 2 by every
+    process of the run, its forked workers too."""
+    capfd.readouterr()
+    with mock.patch.object(cli, "_usable_cpus", return_value=k):
+        code = main(["extract", "--traces", str(trace), "--labels", str(DATA / "builder_labels.csv"), "--out", str(out)])
+    captured = capfd.readouterr()
+    return code, captured.out, captured.err, read_all(out) if out.exists() else {}
+
+
+def test_a_failed_worker_writes_nothing_to_stderr(tmp_path, capfd):
+    parent, extract_span = os.getpid(), cli._extract_span
+
+    def failing(lines, rows, errors, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("worker fault")
+        return extract_span(lines, rows, errors, **kwargs)
+
+    trace = tmp_path / "traces.ndjson"
+    trace.write_text("".join(span_line("cycle", n) + "\n" for n in range(6)))
+    with open(trace, "rb") as fh:
+        [_first, (start, end)] = cli._spans(fh, 2)
+    with mock.patch.object(cli, "_extract_span", failing):
+        result = extract_fd(capfd, 2, trace, tmp_path / "out")
+    assert result == (1, "", f"error: {trace}: extract worker for bytes {start}-{end} exited with status 1\n", {})
+    assert_no_child_process()
+
+
+ENOSPC = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+EIO = f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}"
+
+
+@pytest.mark.parametrize("fault", ["write", "flush", "read"])
+@pytest.mark.parametrize("k, span", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_an_os_fault_in_any_span_reads_as_at_one_span(tmp_path, capfd, fault, k, span):
+    """A full disk, met by a write or by the final flush of the span's rows,
+    and a failed read of the trace, in any one span, print the one line
+    that the same fault prints at one span, naming --out or the trace; the
+    run leaves no report, no directory it made and no worker."""
+    lines = [span_line("cycle", n) + "\n" for n in range(9)]
+    trace = tmp_path / "traces.ndjson"
+    trace.write_text("".join(lines))
+    with open(trace, "rb") as fh:
+        start, _end = cli._spans(fh, k)[span]
+    first = next(line for n, line in enumerate(lines) if line_start(lines, n) == start).encode()
+    extract_span = cli._extract_span
+
+    def disk_full():
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def faulty(lines, rows, errors, **kwargs):
+        seen = []
+
+        def watched():
+            for line in lines:
+                if line == first:
+                    seen.append(line)
+                    if fault == "read":
+                        lines.throw(OSError(errno.EIO, os.strerror(errno.EIO)))
+                yield line
+
+        counts = extract_span(watched(), rows, errors, **kwargs)
+        if seen and fault == "write":
+            disk_full()
+        if seen and fault == "flush":
+            rows.flush = disk_full
+        return counts
+
+    out = tmp_path / "new" / "out"
+    with mock.patch.object(cli, "_extract_span", faulty):
+        result = extract_fd(capfd, k, trace, out)
+    message = f"{EIO}: '{trace}'" if fault == "read" else f"{ENOSPC}: '{out}'"
+    assert result == (1, "", f"error: {message}\n", {})
+    assert list(tmp_path.iterdir()) == [trace]
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("change", ["replaced", "removed"])
+def test_extract_reads_only_the_trace_file_it_opened(tmp_path, change, k):
+    """Once extract has opened the trace, a file moved onto its path is
+    never read, and a trace removed from it is never missed: with one span
+    extract reads the file it opened, and with more the run ends, naming
+    the trace, before any worker starts."""
+    trace, other = tmp_path / "traces.ndjson", tmp_path / "other.ndjson"
+    trace.write_text("".join(span_line("cycle", n) + "\n" for n in range(6)))
+    other.write_text("".join(span_line("bad" if n == 4 else "non-cycle", n) + "\n" for n in range(6)))
+    spans = cli._spans
+
+    def spans_then_change(traces, k):
+        cut = spans(traces, k)
+        if change == "replaced":
+            os.replace(other, trace)
+        else:
+            trace.unlink()
+        return cut
+
+    out = tmp_path / "new" / "out"
+    with mock.patch.object(cli, "_spans", spans_then_change):
+        code, stdout, stderr, files = extract_with(k, trace, out)
+    if k == 1:
+        assert (code, stdout, stderr) == (0, "records=6 skipped=0 unknown_events=0 errors=0\n", "")
+        assert len(files["records.csv"].splitlines()) == 8  # two header lines
+    else:
+        fault = f"{trace}: replaced while extract was reading it" if change == "replaced" else (
+            f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{trace}'"
+        )
+        assert (code, stdout, stderr, files) == (1, "", f"error: {fault}\n", {})
+        assert not (tmp_path / "new").exists()
+    assert_no_child_process()
 
 
 def test_extract_undoes_a_failed_fork(tmp_path):
@@ -1038,10 +1151,11 @@ def test_extract_undoes_a_write_that_fails(tmp_path, k):
     --out that was there before stays."""
     parent, extract_span = os.getpid(), cli._extract_span
 
-    def disk_full(lines, rows, errors, counts, **kwargs):
-        extract_span(lines, rows, errors, counts, **kwargs)
+    def disk_full(lines, rows, errors, **kwargs):
+        counts = extract_span(lines, rows, errors, **kwargs)
         if os.getpid() == parent and counts["records"]:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return counts
 
     trace = tmp_path / "traces.ndjson"
     trace.write_text("".join(span_line("cycle", n) + "\n" for n in range(6)))
@@ -2030,7 +2144,9 @@ def hostile_argv(tmp_path: Path, name: str, path: tuple, value) -> list[str]:
         csv.writer(buffer, lineterminator="\n").writerows(kind_rows)
         text = "".join(line + "\n" for line, in kind_rows) if kind == "config" else buffer.getvalue()
         (tmp_path / kind).write_bytes(text.encode("utf-8", "surrogatepass"))  # a lone surrogate is not UTF-8
-    (tmp_path / "trace").write_text(hostile_dumps(docs["trace"]) + "\n")
+    # the trace line last, after unedited copies of it at least twice its length, so at three spans it is in the last
+    line, unedited = (json_line.encode() for json_line in (hostile_dumps(docs["trace"]) + "\n", json.dumps(HOSTILE_JSON["trace"]) + "\n"))
+    (tmp_path / "trace").write_bytes(unedited * max(2, -(-2 * len(line) // len(unedited))) + line)
     (tmp_path / "pools.ndjson").write_text("".join(hostile_dumps(line) + "\n" for line in docs["pools"]))
     scenario = tmp_path / "scenario.json"
     scenario.write_text(hostile_dumps(docs[name if name.endswith(".json") else "embodied.json"]))
@@ -2043,17 +2159,35 @@ def hostile_argv(tmp_path: Path, name: str, path: tuple, value) -> list[str]:
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(site=st.sampled_from(HOSTILE_SITES), data=st.data())
-def test_any_edit_of_any_input_exits_0_or_1(tmp_path, capsys, site, data):
-    """capsys makes stderr strict UTF-8, so no error message may carry a
-    lone surrogate either.  A JSON site may hold a value nested past the
+def test_any_edit_of_any_input_exits_0_or_1(tmp_path, capfd, site, data):
+    """stdout and stderr must both encode as strict UTF-8, so no summary or
+    error message may carry a lone surrogate either.  A JSON site may hold a value nested past the
     decoder's depth.  Bids stay few: one site changes, so either
     optimization_rounds or horizon_ms over rebid_interval_ms keeps its
-    bundled size."""
+    bundled size.  extract runs at one span and at three, where the trace
+    line is in the last span, and both runs write the same exit code, the
+    same bytes to file descriptors 1 and 2 from every process, and the
+    same reports."""
     name, path = site
     json_values = strategies.json_values | st.just(DEEP_MARK)
     value = data.draw(json_values if name in HOSTILE_JSON else st.text(max_size=30), label="value")
-    assert main([*hostile_argv(tmp_path, name, path, value), "--out", str(tmp_path / "o")]) in (0, 1)
-    capsys.readouterr()
+    argv, out = hostile_argv(tmp_path, name, path, value), tmp_path / "o"
+    runs = []
+    for k in (1, 3) if argv[0] == "extract" else (1,):
+        shutil.rmtree(out, ignore_errors=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        capfd.readouterr()
+        with mock.patch.object(cli, "_usable_cpus", return_value=k), redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+        written = capfd.readouterr()
+        for text in (stdout.getvalue(), stderr.getvalue()):
+            text.encode("utf-8")  # strict: a lone surrogate raises
+        runs.append((code, stdout.getvalue() + written.out, stderr.getvalue() + written.err, read_all(out) if out.exists() else {}))
+    assert runs[0][0] in (0, 1)
+    assert runs[-1] == runs[0]
+    if argv[0] == "extract":
+        trace = (tmp_path / "trace").read_bytes()
+        assert span_of(tmp_path / "trace", 3, trace.rindex(b"\n", 0, -1) + 1) == 2
 
 
 @pytest.mark.parametrize(

@@ -68,7 +68,6 @@ VALUES = {
     pbs.BidSchedule: (SCHEDULE, {"received": ()}, ValueError, "candidate bids must appear among received bids"),
     pbs.SlotOutcome: (pbs.SlotOutcome(0, "alpha", 1, (), SCHEDULE, 2), None, None, None),
     analytics.ShareRow: (analytics.ShareRow("48Club", 3, Fraction(3, 4)), None, None, None),
-    analytics.ShareTable: (analytics.ShareTable((analytics.ShareRow("48Club", 3, Fraction(1)),)), None, None, None),
     analytics.ProposerSplit: (analytics.ProposerSplit(Fraction(3), Fraction(1), Fraction(1, 4)), None, None, None),
     analytics.TrendResult: (
         analytics.TrendResult(3, Fraction(11, 3), 1.5, Fraction(1), analytics.TrendDirection.NO_TREND, Fraction(1, 20)),
