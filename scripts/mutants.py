@@ -87,10 +87,20 @@ MUTANTS = [
     },
     {
         "name": "make-skips-checks",
-        "why": "a value type's _make, and so the stock _replace, builds its tuple directly, past the checks in __new__",
+        "why": "a value type's _make, and so the stock _replace, builds its tuple directly, past the checks in _check",
         "file": TRACES,
         "old": "        return cls(**dict(zip(cls._fields, iterable, strict=True)))",
         "new": "        return tuple.__new__(cls, iterable)",
+        "tests": [f"{VALUES_TESTS}::test_replace_and_make_run_the_constructor_checks"],
+    },
+    {
+        "name": "check-hook-not-installed",
+        "why": "a body's _check is never called, so every value type builds unchecked",
+        "file": TRACES,
+        "old": """        if "_check" in ns:
+            ns["__init__"] = _run_check
+""",
+        "new": "",
         "tests": [f"{VALUES_TESTS}::test_replace_and_make_run_the_constructor_checks"],
     },
     {
@@ -99,8 +109,12 @@ MUTANTS = [
         "file": TRACES,
         "old": "            defaults = [ns.pop(field) for field in defaulted]",
         "new": "            defaults = [ns.get(field) for field in defaulted]",
-        # test_values builds its sample sections at import, so under this mutant it fails to collect
-        "tests": [f"{PBS_TESTS}::test_opportunity_validation", f"{PBS_TESTS}::test_agent_validation"],
+        # most test modules build sample events, pools or sections at import, so under this mutant
+        # they fail to collect; the scripts build theirs when they run
+        "tests": [
+            "tests/test_scripts.py::test_script_exits_zero[run_duopoly]",
+            "tests/test_scripts.py::test_script_exits_zero[run_pipeline_demo]",
+        ],
     },
     {
         "name": "default-order-unchecked",
@@ -283,7 +297,7 @@ MUTANTS = [
         "name": "event-amount-sign-unchecked",
         "why": "a trace event's negative amount is read as it is",
         "file": TRACES,
-        "old": '        if amount is not None and amount < 0:\n            raise ValueError("amount must be non-negative")\n',
+        "old": '        if self.amount is not None and self.amount < 0:\n            raise ValueError("amount must be non-negative")\n',
         "new": "",
         "tests": [f"{CLI_TESTS}::test_extract_rejects_loosely_typed_trace_fields[amount-negative]"],
     },
@@ -291,15 +305,15 @@ MUTANTS = [
         "name": "swap-pool-unchecked",
         "why": "a trace swap with no pool is read as a swap",
         "file": TRACES,
-        "old": "            if pool is None or token_in is None or token_out is None:",
-        "new": "            if token_in is None or token_out is None:",
+        "old": "            if self.pool is None or self.token_in is None or self.token_out is None:",
+        "new": "            if self.token_in is None or self.token_out is None:",
         "tests": [f"{CLI_TESTS}::test_extract_rejects_loosely_typed_trace_fields[swap-without-pool]"],
     },
     {
         "name": "pool-tokens-may-match",
         "why": "a pool whose two tokens are one is read as a pool",
         "file": POOLS,
-        "old": '        if token0 == token1:\n            raise ValueError("pool tokens must differ")\n',
+        "old": '        if self.token0 == self.token1:\n            raise ValueError("pool tokens must differ")\n',
         "new": "",
         "tests": [f"{CLI_TESTS}::test_simulate_malformed_pool_file_names_the_line[tokens-equal]"],
     },
@@ -307,7 +321,7 @@ MUTANTS = [
         "name": "v2-reserves-unchecked",
         "why": "a V2 pool with an empty reserve is read as an active pool",
         "file": POOLS,
-        "old": """            if reserve0 <= 0 or reserve1 <= 0:
+        "old": """            if self.reserve0 <= 0 or self.reserve1 <= 0:
                 raise ValueError("active V2 pool needs positive reserves")
 """,
         "new": "            pass\n",
@@ -317,9 +331,20 @@ MUTANTS = [
         "name": "one-hop-record-read",
         "why": "a records row of one hop is read as a cycle",
         "file": RECORDS,
-        "old": '        if hop_count < 2:\n            raise ValueError("cycles have at least two hops")\n',
+        "old": '        if self.hop_count < 2:\n            raise ValueError("cycles have at least two hops")\n',
         "new": "",
         "tests": [f"{CLI_TESTS}::test_analyze_rejects_a_one_hop_row"],
+    },
+    {
+        "name": "dollar-column-unformatted",
+        "why": "a records file's dollar columns are written with str, so a value keeps its trailing zeros or takes an exponent",
+        "file": RECORDS,
+        "old": "Decimal: dollar_text}",
+        "new": "Decimal: str}",
+        "tests": [
+            f"{CLI_TESTS}::test_extract_and_analyze_outputs_match_pinned_digests[traces-1]",
+            f"{CLI_TESTS}::test_gen_fixtures_pools_and_records_match_pinned_digests[records]",
+        ],
     },
     {
         "name": "correlation-zero-signed",
@@ -437,7 +462,7 @@ MUTANTS = [
     },
     {
         "name": "check-first-fault-only",
-        "why": "a section's _check raises at its first fault",
+        "why": "a section's _faults raises at its first fault",
         "file": PBS,
         "old": "            raise ConfigError(*faults)",
         "new": "            raise ConfigError(*faults[:1])",

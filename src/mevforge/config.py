@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable
 
 from .arbitrage import DEFAULT_SHARE_ADDRESS
 from .records import EXACT
@@ -40,33 +40,29 @@ DEFAULT_RISK_BITS: dict[str, tuple[int, int, int]] = {
 
 
 class RunConfig(Frozen):
-    """A run's settings; a table left out is a fresh copy of its default."""
+    """A run's settings.  Each table is a copy of the one given (of its
+    default when left out), so no run shares a table with another run or
+    with the defaults."""
 
-    share_addresses: tuple[bytes, ...]
-    price_table: dict[str, Decimal]
-    risk_bits: dict[str, tuple[int, int, int]]
-    alpha: Fraction
-    genesis_unix: int
-    infer_pool_sinks: bool
+    share_addresses: tuple[bytes, ...] = (DEFAULT_SHARE_ADDRESS,)
+    price_table: dict[str, Decimal] = DEFAULT_PRICE_TABLE
+    risk_bits: dict[str, tuple[int, int, int]] = DEFAULT_RISK_BITS
+    alpha: Fraction = Fraction(1, 20)
+    genesis_unix: int = 0
+    infer_pool_sinks: bool = False
 
-    def __new__(
-        cls,
-        share_addresses: tuple[bytes, ...] = (DEFAULT_SHARE_ADDRESS,),
-        price_table: Optional[dict[str, Decimal]] = None,
-        risk_bits: Optional[dict[str, tuple[int, int, int]]] = None,
-        alpha: Fraction = Fraction(1, 20),
-        genesis_unix: int = 0,
-        infer_pool_sinks: bool = False,
-    ):
-        price_table = dict(DEFAULT_PRICE_TABLE) if price_table is None else price_table
-        risk_bits = dict(DEFAULT_RISK_BITS) if risk_bits is None else risk_bits
-        if any(p <= 0 for p in price_table.values()):
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        tables = {"price_table": dict(config.price_table), "risk_bits": dict(config.risk_bits)}
+        return super().__new__(cls, **{**config._asdict(), **tables})
+
+    def _check(self) -> None:
+        if any(p <= 0 for p in self.price_table.values()):
             raise ValueError("price_table values must be positive")
-        if any(len(bits) != 3 or not set(bits) <= {0, 1} for bits in risk_bits.values()):
+        if any(len(bits) != 3 or not set(bits) <= {0, 1} for bits in self.risk_bits.values()):
             raise ValueError("risk needs three 0/1 bits")
-        if not 0 < alpha < 1:
+        if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
-        return tuple.__new__(cls, (share_addresses, price_table, risk_bits, alpha, genesis_unix, infer_pool_sinks))
 
 
 def _setting(key: str, value: str) -> tuple[str, object]:
@@ -99,7 +95,7 @@ def load_config(stream: IO | Iterable[str | bytes]) -> RunConfig:
     """The defaults overridden line by line, from a config file whose lines
     are text, or bytes read strictly as UTF-8; a fault, range checks and a
     repeated key included, raises LineError naming its line."""
-    settings: dict = {"price_table": dict(DEFAULT_PRICE_TABLE), "risk_bits": dict(DEFAULT_RISK_BITS)}
+    settings = RunConfig()._asdict()  # its tables are copies, for the lines to update
     key_lines: dict[str, int] = {}
     for line_no, line in read_lines(stream):
         try:

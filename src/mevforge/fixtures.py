@@ -79,7 +79,7 @@ def _noise_events(rng: random.Random, tokens: list[TokenId], count: int) -> list
     for _ in range(count):
         kind = rng.choice((EventKind.SYNC, EventKind.TRANSFER, EventKind.INTERNAL))
         if kind is EventKind.SYNC:
-            out.append(TraceEvent(kind=kind, pool=_rand_address(rng)))
+            out.append(TraceEvent(kind, _rand_address(rng)))
         else:
             out.append(
                 TraceEvent(
@@ -113,7 +113,9 @@ def _draw_transactions(
     rng: random.Random, tokens: list[TokenId], label_addresses: list[bytes], count: int
 ) -> Iterator[tuple[Transaction, dict | None]]:
     """gen_trace_corpus's transactions, one at a time, each paired with the
-    manifest entry of the cycle planted in it (None if none)."""
+    manifest entry of the cycle planted in it (None if none).  Swaps and
+    transactions are built by position, which costs a checked value type
+    less than keywords do."""
     pools: dict[tuple[bytes, bytes], bytes] = {}
     # each token's others, in universe order; the symbols are distinct, so `is not` is !=
     others = {t: [u for u in tokens if u is not t] for t in tokens}
@@ -143,16 +145,8 @@ def _draw_transactions(
 
             swaps = []
             for i in range(hops):
-                swaps.append(
-                    TraceEvent(
-                        kind=EventKind.SWAP,
-                        pool=_pool_for(rng, pools, route[i], route[i + 1]),
-                        token_in=route[i],
-                        token_out=route[i + 1],
-                        amount_in=amounts[i],
-                        amount_out=amounts[i + 1],
-                    )
-                )
+                pool = _pool_for(rng, pools, route[i], route[i + 1])
+                swaps.append(TraceEvent(EventKind.SWAP, pool, route[i], route[i + 1], amounts[i], amounts[i + 1]))
             share_total = 0
             extras: list[TraceEvent] = []
             for _i in range(rng.randint(0, 2)):
@@ -191,27 +185,14 @@ def _draw_transactions(
             else:
                 legs = [(a, b), (c, a)]
             events = [
-                TraceEvent(
-                    kind=EventKind.SWAP,
-                    pool=_pool_for(rng, pools, t_in, t_out),
-                    token_in=t_in,
-                    token_out=t_out,
-                    amount_in=rng.randint(1, 10**9),
-                    amount_out=rng.randint(1, 10**9),
-                )
+                TraceEvent(EventKind.SWAP, _pool_for(rng, pools, t_in, t_out), t_in, t_out, rng.randint(1, 10**9), rng.randint(1, 10**9))
                 for t_in, t_out in legs
             ]
             for extra in _noise_events(rng, tokens, rng.randint(0, 3)):
                 events.insert(rng.randint(0, len(events)), extra)
 
-        tx = Transaction(
-            hash=tx_hash,
-            block_number=block,
-            initiator=initiator,
-            events=tuple(events),
-            gas_used=rng.choice((0, 21_000, 180_000)),
-            gas_price=0,  # the zero-gas regime; profit identities stay integral
-        )
+        # gas price 0: the zero-gas regime, where profit identities stay integral
+        tx = Transaction(tx_hash, block, initiator, tuple(events), rng.choice((0, 21_000, 180_000)), 0)
         yield tx, entry
 
 

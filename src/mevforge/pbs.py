@@ -44,9 +44,10 @@ MISSING = object()
 
 
 class _Section(Frozen):
-    """A scenario section: a Frozen type whose fields are its keys."""
+    """A scenario section: a Frozen type whose fields are its keys, and
+    whose ``_check`` lists its faults all at once through ``_faults``."""
 
-    def _check(self, *checks: tuple[tuple[str, ...], Callable[[], bool], str]) -> None:
+    def _faults(self, *checks: tuple[tuple[str, ...], Callable[[], bool], str]) -> None:
         """Raise one ConfigError of every check (keys it reads, fault,
         message) whose fault holds; it runs only if each key it reads did
         read (is not MISSING) and passed its one-key checks, listed first."""
@@ -89,9 +90,8 @@ class BuilderAgent(_Section):
     infra_tier: Fraction = Fraction(1)
     non_delivery_prob: float = 0.0
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check(
+    def _check(self) -> None:
+        self._faults(
             (("id",), lambda: not self.id, "id: must not be empty"),
             (("latency_ms",), lambda: self.latency_ms < 0, "latency_ms: must be >= 0"),
             (("share_ratio_bp",), lambda: not 0 <= self.share_ratio_bp <= SHARE_RATIO_SCALE,
@@ -99,7 +99,6 @@ class BuilderAgent(_Section):
             (("infra_tier",), lambda: self.infra_tier <= 0, "infra_tier: must be > 0"),
             (("non_delivery_prob",), lambda: not 0.0 <= self.non_delivery_prob <= 1.0, "non_delivery_prob: must be in [0, 1]"),
         )
-        return self
 
     @property
     def efficiency(self) -> Fraction:
@@ -132,10 +131,9 @@ class OpportunityModel(_Section):
     deadline_ms: Fraction = Fraction(200)
     tail_value: int = 0
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         tail = "tail_value: must be >= 0 and below gas_floor, unless 0"
-        self._check(
+        self._faults(
             (("peak_value",), lambda: self.peak_value < 0, "peak_value: must be >= 0"),
             (("gas_floor",), lambda: self.gas_floor < 0, "gas_floor: must be >= 0"),
             (("decay",), lambda: self.decay != "piecewise", f"decay: expected 'piecewise', got {self.decay!r:.40}"),
@@ -144,7 +142,6 @@ class OpportunityModel(_Section):
             (("tail_value", "peak_value"), lambda: self.tail_value > self.peak_value, "tail_value: must be <= peak_value"),
             (("knee_ms", "deadline_ms"), lambda: not 0 <= self.knee_ms < self.deadline_ms, "knee_ms: must be >= 0 and below deadline_ms"),
         )
-        return self
 
     def value(self, t_ms: Fraction) -> int:
         elapsed = t_ms - self.birth_ms
@@ -165,10 +162,9 @@ class Bid(Frozen):
     offered_payment: int
     delta: int  # the builder's realized surplus backing the bid
 
-    def __new__(cls, builder_id: str, timestamp_ms: Fraction, offered_payment: int, delta: int):
-        if offered_payment > delta:  # a library contract: split_delta never pays out more than the delta
+    def _check(self) -> None:
+        if self.offered_payment > self.delta:  # a library contract: split_delta never pays out more than the delta
             raise ValueError("insolvent bid: payment exceeds realized surplus")
-        return tuple.__new__(cls, (builder_id, timestamp_ms, offered_payment, delta))
 
 
 class ProposerConfig(_Section):
@@ -180,14 +176,12 @@ class ProposerConfig(_Section):
     rotation: str = "round_robin"
     blacklist_slots: int = 100
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check(
+    def _check(self) -> None:
+        self._faults(
             (("count",), lambda: self.count < 1, "count: must be >= 1"),
             (("rotation",), lambda: self.rotation != "round_robin", f"rotation: expected 'round_robin', got {self.rotation!r:.40}"),
             (("blacklist_slots",), lambda: self.blacklist_slots < 0, "blacklist_slots: must be >= 0"),
         )
-        return self
 
 
 class RelayConfig(_Section):
@@ -196,14 +190,12 @@ class RelayConfig(_Section):
     optimization_rounds: int = 8
     rebids_enabled: bool = True
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check(
+    def _check(self) -> None:
+        self._faults(
             (("delay_ms",), lambda: self.delay_ms < 0, "delay_ms: must be >= 0"),
             (("rebid_interval_ms",), lambda: self.rebid_interval_ms <= 0, "rebid_interval_ms: must be > 0"),
             (("optimization_rounds",), lambda: self.optimization_rounds < 1, "optimization_rounds: must be >= 1"),
         )
-        return self
 
 
 class SimScenario(_Section):
@@ -227,9 +219,11 @@ class SimScenario(_Section):
     def __new__(cls, *, protocol: Protocol, opportunity: OpportunityModel, horizon_ms: Fraction = None, **fields):
         if horizon_ms is None:  # a protocol that did not read gives no horizon to check
             horizon_ms = MISSING if protocol is MISSING else DEFAULT_HORIZON_MS[protocol]
-        self = super().__new__(cls, protocol=protocol, horizon_ms=horizon_ms, opportunity=opportunity, **fields)
+        return super().__new__(cls, protocol=protocol, horizon_ms=horizon_ms, opportunity=opportunity, **fields)
+
+    def _check(self) -> None:
         symbol, loaded, reads = self.embodied_base_symbol, self.pools, ("embodied_base_symbol", "pools")
-        self._check(
+        self._faults(
             (("horizon_ms",), lambda: self.horizon_ms <= 0, "horizon_ms: must be > 0"),
             (("listen_window_ms",), lambda: self.listen_window_ms < 0, "listen_window_ms: must be >= 0"),
             (("base_compute_ms",), lambda: self.base_compute_ms < 0, "base_compute_ms: must be >= 0"),
@@ -238,7 +232,6 @@ class SimScenario(_Section):
             (reads, lambda: None not in (symbol, loaded) and all(symbol not in (p.token0.symbol, p.token1.symbol) for p in loaded.values()),
              f"embodied_base_symbol {symbol!r} names no token of the pool file"),
         )
-        return self
 
 
 class BidSchedule(Frozen):
@@ -249,12 +242,11 @@ class BidSchedule(Frozen):
     received: tuple[Bid, ...]
     candidates: tuple[tuple[Bid, float], ...]
 
-    def __new__(cls, received: tuple[Bid, ...], candidates: tuple[tuple[Bid, float], ...]):
+    def _check(self) -> None:
         # a slot's winner is a candidate, so it appears among received bids
-        received_set = set(received)
-        if any(bid not in received_set for bid, _prob in candidates):
+        received = set(self.received)
+        if any(bid not in received for bid, _prob in self.candidates):
             raise ValueError("candidate bids must appear among received bids")
-        return tuple.__new__(cls, (received, candidates))
 
     @property
     def contested_ms(self) -> Fraction:

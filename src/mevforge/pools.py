@@ -70,28 +70,24 @@ class PoolState(Frozen):
     token0: TokenId
     token1: TokenId
     fee_ppm: int
-    reserve0: int
-    reserve1: int
-    liquidity: int
-    sqrt_price_x96: int
+    reserve0: int = 0
+    reserve1: int = 0
+    liquidity: int = 0
+    sqrt_price_x96: int = 0
 
-    def __new__(
-        cls, address: bytes, kind: PoolKind, token0: TokenId, token1: TokenId, fee_ppm: int,
-        reserve0: int = 0, reserve1: int = 0, liquidity: int = 0, sqrt_price_x96: int = 0,
-    ):
-        if token0 == token1:
+    def _check(self) -> None:
+        if self.token0 == self.token1:
             raise ValueError("pool tokens must differ")
-        if not 0 <= fee_ppm < FEE_SCALE:
+        if not 0 <= self.fee_ppm < FEE_SCALE:
             raise ValueError("fee_ppm out of range")
-        if kind is PoolKind.V2:
-            if reserve0 <= 0 or reserve1 <= 0:
+        if self.kind is PoolKind.V2:
+            if self.reserve0 <= 0 or self.reserve1 <= 0:
                 raise ValueError("active V2 pool needs positive reserves")
         else:
-            if liquidity <= 0:
+            if self.liquidity <= 0:
                 raise InactivePoolError("V3 pool needs positive liquidity")
-            if not MIN_SQRT_PRICE_X96 <= sqrt_price_x96 <= MAX_SQRT_PRICE_X96:
+            if not MIN_SQRT_PRICE_X96 <= self.sqrt_price_x96 <= MAX_SQRT_PRICE_X96:
                 raise ValueError("V3 sqrt price out of range")
-        return tuple.__new__(cls, (address, kind, token0, token1, fee_ppm, reserve0, reserve1, liquidity, sqrt_price_x96))
 
     def has_token(self, token: TokenId) -> bool:
         return token in (self.token0, self.token1)
@@ -509,11 +505,12 @@ def enumerate_cycles(
 # pool fixture files (newline-delimited JSON records)
 
 
-# a pool line's keys: these, its kind's amounts, and each token's keys as
-# traces.token_to_obj writes them; any other key is an error
-_POOL_KEYS = ("address", "kind", "token0", "token1", "fee_ppm")
+# a pool line's keys: PoolState's fields up to its amounts, its kind's
+# amounts, and each token's fields, as traces.token_to_obj writes them; any
+# other key is an error
+_POOL_KEYS = PoolState._fields[:5]
 _AMOUNT_KEYS = {PoolKind.V2: ("reserve0", "reserve1"), PoolKind.V3: ("liquidity", "sqrt_price_x96")}
-_TOKEN_KEYS = ("symbol", "address", "decimals")
+_TOKEN_KEYS = TokenId._fields
 
 
 def pool_to_obj(pool: PoolState) -> dict:

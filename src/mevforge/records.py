@@ -55,28 +55,21 @@ class ArbitrageRecord(Frozen):
     share_usd: Decimal  # share in dollars
     timestamp_utc: str
 
-    def __new__(
-        cls, tx_hash: bytes, block_number: int, builder_brand: str, base_token: str, hop_count: int, gross: int,
-        share: int, gas: int, net: int, usd_value: Decimal, share_usd: Decimal, timestamp_utc: str,
-    ):
-        if net != gross - share - gas:
+    def _check(self) -> None:
+        if self.net != self.gross - self.share - self.gas:
             raise ValueError("record identity violated: net != gross - share - gas")
-        if hop_count < 2:
+        if self.hop_count < 2:
             raise ValueError("cycles have at least two hops")
-        if block_number < 0 or share < 0 or gas < 0 or share_usd < 0:  # extract writes none
-            checked = {"block_number": block_number, "share": share, "gas": gas, "share_usd": share_usd}
+        if self.block_number < 0 or self.share < 0 or self.gas < 0 or self.share_usd < 0:  # extract writes none
+            checked = {"block_number": self.block_number, "share": self.share, "gas": self.gas, "share_usd": self.share_usd}
             key = next(key for key, value in checked.items() if value < 0)
             raise ValueError(f"{key} must be non-negative, got {checked[key]}")
-        return tuple.__new__(
-            cls,
-            (tx_hash, block_number, builder_brand, base_token, hop_count, gross, share, gas, net, usd_value, share_usd, timestamp_utc),
-        )
 
 
 # the columns of a records file are a record's fields, in order, each read
-# as its field's type (the tx hash as hex text, parsed after)
+# as its field's type (the bytes of the tx hash as hex text, parsed after)
 _HEADER = list(ArbitrageRecord._fields)
-_KINDS = [str if key == "tx_hash" else kind for key, kind in get_type_hints(ArbitrageRecord).items()]
+_KINDS = [str if kind is bytes else kind for kind in get_type_hints(ArbitrageRecord).values()]
 
 
 def timestamp_for_block(block_number: int, genesis_unix: int) -> str:
@@ -95,21 +88,13 @@ def dollar_text(value: Decimal) -> str:
     return f"{value.normalize(EXACT):f}" if value else "0"
 
 
+# each column's text, by its field's type
+_TEXT = {bytes: format_address, int: str, str: str, Decimal: dollar_text}
+_COLUMN_TEXTS = [_TEXT[kind] for kind in get_type_hints(ArbitrageRecord).values()]
+
+
 def record_to_row(record: ArbitrageRecord) -> list[str]:
-    return [
-        format_address(record.tx_hash),
-        str(record.block_number),
-        record.builder_brand,
-        record.base_token,
-        str(record.hop_count),
-        str(record.gross),
-        str(record.share),
-        str(record.gas),
-        str(record.net),
-        dollar_text(record.usd_value),
-        dollar_text(record.share_usd),
-        record.timestamp_utc,
-    ]
+    return [text(value) for text, value in zip(_COLUMN_TEXTS, record)]
 
 
 def write_records(stream: IO[str], records: Iterable[ArbitrageRecord], header: bool = True) -> int:

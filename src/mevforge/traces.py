@@ -11,8 +11,8 @@ The transactions of one parsed stream share one TokenId per distinct token
 (up to MAX_SHARED_TOKENS distinct tokens).
 
 The token, event, transaction, label and path types are Frozen value
-types: immutable namedtuples whose constructor checks their fields, safe
-to share across threads.
+types: immutable namedtuples, each checked as it is built, safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -162,12 +162,18 @@ class EventKind(Enum):
     INTERNAL = "internal"
 
 
+def _run_check(self, *_args, **_kwargs) -> None:
+    self._check()
+
+
 class _FrozenType(type):
     """Builds a class whose body annotates fields on a namedtuple of them,
     with the defaults the body gives them (taken out of the namespace, so
     no class attribute shadows a field), as typing.NamedTuple does; a class
-    that annotates nothing is built as written.  Every class gets
-    ``__slots__ = ()``."""
+    that annotates nothing is built as written.  A body that defines
+    ``_check(self)`` gets an ``__init__`` that calls it, so each instance is
+    checked once it is built; a class without one pays no call.  Every
+    class gets ``__slots__ = ()``."""
 
     def __new__(mcls, name, bases, ns):
         fields = list(ns.get("__annotations__", ()))
@@ -177,19 +183,23 @@ class _FrozenType(type):
         if fields:
             defaults = [ns.pop(field) for field in defaulted]
             bases += (namedtuple(name, fields, defaults=defaults, module=ns["__module__"]),)
+        if "_check" in ns:
+            ns["__init__"] = _run_check
         ns["__slots__"] = ()
         return super().__new__(mcls, name, bases, ns)
 
 
 class Frozen(metaclass=_FrozenType):
     """The base of the package's value types, each one class whose body
-    annotates its fields (``class T(Frozen):``) and whose ``__new__``, if it
-    has one, checks them.  A field can be neither set nor deleted.  An
-    instance equals only an instance of its own type with equal fields,
-    never a bare tuple, and hashes as ``hash(tuple(self))``.  ``_make``
-    builds through ``__new__``, so it runs its checks (the stock one calls
-    ``tuple.__new__``), and so does the stock ``_replace``, which calls
-    ``_make``."""
+    annotates its fields, defaults included (``class T(Frozen):``), and
+    states its rules, if it has any, in ``_check(self)``, which raises on a
+    fault.  Every construction runs the check: a call to the type, ``_make``
+    (which builds through ``cls(...)``, where the stock one calls
+    ``tuple.__new__``) and so the stock ``_replace``, which calls ``_make``.
+    A type defines ``__new__`` only to normalize its inputs.  A field can
+    be neither set nor deleted.  An instance equals only an instance of its
+    own type with equal fields, never a bare tuple, and hashes as
+    ``hash(tuple(self))``."""
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -211,12 +221,11 @@ class TokenId(Frozen):
     address: bytes
     decimals: int
 
-    def __new__(cls, symbol: str, address: bytes, decimals: int):
-        if len(address) != ADDRESS_LEN:  # a library contract: parse_address reads 20 bytes
+    def _check(self) -> None:
+        if len(self.address) != ADDRESS_LEN:  # a library contract: parse_address reads 20 bytes
             raise ValueError("token address must be 20 bytes")
-        if not 0 <= decimals <= MAX_TOKEN_DECIMALS:
+        if not 0 <= self.decimals <= MAX_TOKEN_DECIMALS:
             raise ValueError("token decimals out of range")
-        return tuple.__new__(cls, (symbol, address, decimals))
 
 
 class TraceEvent(Frozen):
@@ -230,63 +239,52 @@ class TraceEvent(Frozen):
     """
 
     kind: EventKind
-    pool: Optional[bytes]
-    token_in: Optional[TokenId]
-    token_out: Optional[TokenId]
-    amount_in: int
-    amount_out: int
-    to: Optional[bytes]
-    amount: Optional[int]
-    pool_sink: bool
+    pool: Optional[bytes] = None
+    token_in: Optional[TokenId] = None
+    token_out: Optional[TokenId] = None
+    amount_in: int = 0
+    amount_out: int = 0
+    to: Optional[bytes] = None
+    amount: Optional[int] = None
+    pool_sink: bool = False
 
-    def __new__(
-        cls,
-        kind: EventKind,
-        pool: Optional[bytes] = None,
-        token_in: Optional[TokenId] = None,
-        token_out: Optional[TokenId] = None,
-        amount_in: int = 0,
-        amount_out: int = 0,
-        to: Optional[bytes] = None,
-        amount: Optional[int] = None,
-        pool_sink: bool = False,
-    ):
-        if amount_in < 0 or amount_out < 0:
+    def _check(self) -> None:
+        if self.amount_in < 0 or self.amount_out < 0:
             raise ValueError("amounts must be non-negative")
-        if amount is not None and amount < 0:
+        if self.amount is not None and self.amount < 0:
             raise ValueError("amount must be non-negative")
-        if kind is EventKind.SWAP:
-            if pool is None or token_in is None or token_out is None:
+        if self.kind is EventKind.SWAP:
+            if self.pool is None or self.token_in is None or self.token_out is None:
                 raise ValueError("swap requires pool, token_in and token_out")
-            if token_in == token_out:
+            if self.token_in == self.token_out:
                 raise ValueError("swap token_in must differ from token_out")
-        elif kind in (EventKind.TRANSFER, EventKind.INTERNAL):
-            if to is None or amount is None:
-                raise ValueError(f"{kind.value} requires to and amount")
-        for addr in (pool, to):
+        elif self.kind in (EventKind.TRANSFER, EventKind.INTERNAL):
+            if self.to is None or self.amount is None:
+                raise ValueError(f"{self.kind.value} requires to and amount")
+        for addr in (self.pool, self.to):
             if addr is not None and len(addr) != ADDRESS_LEN:  # a library contract: parse_address reads 20 bytes
                 raise ValueError("event address must be 20 bytes")
-        return tuple.__new__(cls, (kind, pool, token_in, token_out, amount_in, amount_out, to, amount, pool_sink))
 
 
 class Transaction(Frozen):
     hash: bytes
     block_number: int
     initiator: bytes
-    events: tuple[TraceEvent, ...]
+    events: tuple[TraceEvent, ...]  # any iterable of events, held as a tuple
     gas_used: int
     gas_price: int
 
-    def __new__(
-        cls, hash: bytes, block_number: int, initiator: bytes, events: Iterable[TraceEvent], gas_used: int, gas_price: int
-    ):
-        if len(hash) != HASH_LEN:  # a library contract: parse_tx_hash reads 32 bytes
+    def __new__(cls, *args, **kwargs):
+        tx = super().__new__(cls, *args, **kwargs)
+        return tx if type(tx.events) is tuple else super().__new__(cls, **{**tx._asdict(), "events": tuple(tx.events)})
+
+    def _check(self) -> None:
+        if len(self.hash) != HASH_LEN:  # a library contract: parse_tx_hash reads 32 bytes
             raise ValueError("tx hash must be 32 bytes")
-        if len(initiator) != ADDRESS_LEN:  # a library contract: parse_address reads 20 bytes
+        if len(self.initiator) != ADDRESS_LEN:  # a library contract: parse_address reads 20 bytes
             raise ValueError("initiator must be 20 bytes")
-        if block_number < 0 or gas_used < 0 or gas_price < 0:
+        if self.block_number < 0 or self.gas_used < 0 or self.gas_price < 0:
             raise ValueError("block number and gas fields must be non-negative")
-        return tuple.__new__(cls, (hash, block_number, initiator, tuple(events), gas_used, gas_price))
 
     @property
     def gas_cost(self) -> int:
@@ -299,10 +297,9 @@ class BuilderLabel(Frozen):
     instance_name: str
     address: bytes
 
-    def __new__(cls, brand: str, instance_name: str, address: bytes):
-        if len(address) != ADDRESS_LEN:
+    def _check(self) -> None:
+        if len(self.address) != ADDRESS_LEN:
             raise ValueError("builder address must be 20 bytes")
-        return tuple.__new__(cls, (brand, instance_name, address))
 
 
 class PathDescriptor(Frozen):
@@ -311,20 +308,25 @@ class PathDescriptor(Frozen):
     Hop i swaps ``tokens[i]`` for ``tokens[i + 1]`` in ``pools[i]``, so
     ``tokens`` has one more entry than ``pools``.  A hop's pool kind (V2 or
     V3) and direction (which pool token goes in) belong to the pool itself
-    and are read from the pool map when the route runs.
+    and are read from the pool map when the route runs.  Either field may
+    be given as any iterable; each is held as a tuple.
     """
 
     tokens: tuple[TokenId, ...]
     pools: tuple[bytes, ...]
 
-    def __new__(cls, tokens: Iterable[TokenId], pools: Iterable[bytes]):
-        tokens, pools = tuple(tokens), tuple(pools)
-        n = len(pools)
+    def __new__(cls, *args, **kwargs):
+        path = super().__new__(cls, *args, **kwargs)
+        if type(path.tokens) is tuple and type(path.pools) is tuple:
+            return path
+        return super().__new__(cls, tokens=tuple(path.tokens), pools=tuple(path.pools))
+
+    def _check(self) -> None:
+        n = len(self.pools)
         if n < 1:  # a library contract: every cycle the package builds has two hops or more
             raise ValueError("descriptor needs at least one hop")
-        if len(tokens) != n + 1:
+        if len(self.tokens) != n + 1:
             raise ValueError("descriptor length mismatch: need n+1 tokens for n pools")
-        return tuple.__new__(cls, (tokens, pools))
 
     @property
     def n_hops(self) -> int:
@@ -376,16 +378,16 @@ def _shared_token(obj, tokens: dict[tuple[str, str, int], TokenId]) -> TokenId:
 
 
 def _event_from_obj(obj: Mapping, tokens: dict) -> TraceEvent:
-    return TraceEvent(
-        kind=_KIND_BY_NAME[obj["kind"]],
-        pool=parse_address(obj["pool"]) if "pool" in obj else None,
-        token_in=_shared_token(obj["token_in"], tokens) if "token_in" in obj else None,
-        token_out=_shared_token(obj["token_out"], tokens) if "token_out" in obj else None,
-        amount_in=read_json(obj["amount_in"], "amount_in", int, digits=True) if "amount_in" in obj else 0,
-        amount_out=read_json(obj["amount_out"], "amount_out", int, digits=True) if "amount_out" in obj else 0,
-        to=parse_address(obj["to"]) if "to" in obj else None,
-        amount=read_json(obj["amount"], "amount", int, digits=True) if "amount" in obj else None,
-        pool_sink=read_json(obj["pool_sink"], "pool_sink", bool) if "pool_sink" in obj else False,
+    return TraceEvent(  # by position, in TraceEvent's field order: faster than by keyword
+        _KIND_BY_NAME[obj["kind"]],
+        parse_address(obj["pool"]) if "pool" in obj else None,
+        _shared_token(obj["token_in"], tokens) if "token_in" in obj else None,
+        _shared_token(obj["token_out"], tokens) if "token_out" in obj else None,
+        read_json(obj["amount_in"], "amount_in", int, digits=True) if "amount_in" in obj else 0,
+        read_json(obj["amount_out"], "amount_out", int, digits=True) if "amount_out" in obj else 0,
+        parse_address(obj["to"]) if "to" in obj else None,
+        read_json(obj["amount"], "amount", int, digits=True) if "amount" in obj else None,
+        read_json(obj["pool_sink"], "pool_sink", bool) if "pool_sink" in obj else False,
     )
 
 
@@ -399,13 +401,13 @@ def _transaction_from_obj(obj, line_no: int, counts: Counter[str], tokens: dict)
                 counts["unknown_events"] += 1
                 continue
             events.append(_event_from_obj(raw, tokens))
-        return Transaction(
-            hash=parse_tx_hash(obj["hash"]),
-            block_number=read_json(obj["block"], "block", int),
-            initiator=parse_address(obj["from"]),
-            events=tuple(events),
-            gas_used=read_json(obj["gas_used"], "gas_used", int),
-            gas_price=read_json(obj["gas_price"], "gas_price", int),
+        return Transaction(  # by position, as _event_from_obj builds
+            parse_tx_hash(obj["hash"]),
+            read_json(obj["block"], "block", int),
+            parse_address(obj["from"]),
+            tuple(events),
+            read_json(obj["gas_used"], "gas_used", int),
+            read_json(obj["gas_price"], "gas_price", int),
         )
     except KeyError as exc:  # its str is only the quoted key
         raise TraceParseError(line_no, f"missing key {exc}") from exc

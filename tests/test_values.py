@@ -1,7 +1,8 @@
 """The value types' contract: every type built on traces.Frozen is an
-immutable NamedTuple whose constructor checks its fields.  _replace and
-_make run the same checks with the same messages; an instance equals
-neither a bare tuple nor an instance of another type with the same fields;
+immutable NamedTuple whose body states its fields once, defaults
+included, and whose _check runs on every construction: a call by keyword
+or by position, _replace and _make raise the same messages; an instance
+equals neither a bare tuple nor an instance of another type with the same fields;
 and hash(x) is hash(tuple(x)), the hash a frozen dataclass had, so no set
 or dict order moves."""
 
@@ -112,6 +113,27 @@ def test_replace_and_make_run_the_constructor_checks(kind):
     with pytest.raises(error) as made:
         kind._make(tuple({**value._asdict(), **changes}.values()))
     assert str(built.value) == str(replaced.value) == str(made.value) == message
+    if kind is not pbs.SimScenario:  # its fields are keyword-only
+        with pytest.raises(error) as positional:
+            kind(*{**value._asdict(), **changes}.values())
+        assert str(positional.value) == message
+
+
+@pytest.mark.parametrize(
+    "kind, args, kwargs",
+    [
+        pytest.param(traces.TraceEvent, (EventKind.SYNC,), {}, id="TraceEvent"),
+        pytest.param(pools.PoolState, (ADDRESS, pools.PoolKind.V3, WBNB, USDT, 500), {"liquidity": 1, "sqrt_price_x96": 1},
+                     id="PoolState"),
+    ],
+)
+def test_defaults_are_declared_once_in_the_body(kind, args, kwargs):
+    """Each default is the body's, so _field_defaults names every field
+    after the required ones (args), and a call that leaves some out builds
+    what _make builds with them filled in from _field_defaults."""
+    assert tuple(kind._field_defaults) == kind._fields[len(args):]
+    filled = {**dict(zip(kind._fields, args)), **kind._field_defaults, **kwargs}
+    assert kind(*args, **kwargs) == kind._make(filled.values())
 
 
 @pytest.mark.parametrize("kind", VALUES, ids=lambda kind: kind.__name__)
